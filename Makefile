@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race short chaos crash elastic fuzz telemetry-smoke serve-smoke bench blame alloc-gates profile soak soak-short ci
+.PHONY: all build vet test race short chaos crash elastic fuzz telemetry-smoke serve-smoke bench bench-smoke blame alloc-gates profile soak soak-short ci
 
 all: ci
 
@@ -79,6 +79,13 @@ bench: alloc-gates
 	$(GO) run ./cmd/sdimm-bench -exp ringbench -ringbench-out BENCH_ring.json
 	$(GO) run ./cmd/sdimm-serve -bench -bench-out BENCH_serve.json
 
+# The gating benchmark (benchmark/, see BENCHMARK.json) is a Go module of
+# its own, so `go build ./...` and `go test ./...` at the root cannot see a
+# root API change break it. This vets it and runs its unit tests plus its
+# short smoke run against the working tree.
+bench-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
 # Critical-path blame profile of the batched pipeline: per-wave phase
 # breakdown plus the serialization ledger (coordinator phases ranked by
 # all-workers-idle wall-clock) at 1 and 4 workers → BENCH_blame.json.
@@ -140,4 +147,4 @@ soak:
 soak-short:
 	$(GO) test -race -count=1 -short -run 'TestPipelineSoak|TestPipelineBlameRegression' .
 
-ci: build vet race soak-short telemetry-smoke serve-smoke bench blame crash elastic
+ci: build vet race soak-short telemetry-smoke serve-smoke bench-smoke bench blame crash elastic

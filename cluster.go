@@ -212,21 +212,19 @@ var appendAckBody = []byte{appendAck}
 type Cluster struct {
 	buffers   []*isdimm.Buffer
 	links     []*fault.Transactor
-	health    []*fault.Health
-	pos       oram.PositionMap
-	rnd       *rng.Source
 	blockSize int
 	levels    int
 	localBits uint
-	tm        clusterTelemetry
 	blame     *blame.Collector
 	flight    *flight.Recorder
+	// Position map, RNG, health, telemetry, durability.
 	durableState
 
-	// mkMember builds a fresh incarnation of slot i (store, engine, buffer,
+	// mkMember builds incarnation inc of slot i (store, engine, buffer,
 	// device identity, handshake, transactor) and installs it in place. Set
-	// by buildCluster; used by joins and by checkpoint restore when the
-	// checkpointed incarnation differs from the founding one.
+	// by buildCluster; used for the founding members, by joins, and by
+	// checkpoint restore when the checkpointed incarnation differs from the
+	// founding one.
 	mkMember func(i int, inc uint64) error
 	// elig is pickHealthyLeaf's reusable eligible-member scratch.
 	elig []int
@@ -254,20 +252,16 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		return nil, err
 	}
 	if opts.Durability != nil {
-		if err := c.attachDurability(opts.Durability, independentFingerprint(opts), opts.Key); err != nil {
-			return nil, err
-		}
-		if c.dur.HasState() {
-			return nil, fmt.Errorf("sdimm: state directory %s already holds checkpoints; use RecoverCluster", opts.Durability.Dir)
-		}
-		if err := c.ForceCheckpoint(); err != nil {
+		if err := c.createDurable(opts.Durability, independentFingerprint(opts), opts.Key,
+			"RecoverCluster", c.ForceCheckpoint); err != nil {
+			c.Close()
 			return nil, err
 		}
 	}
 	return c, nil
 }
 
-// newCluster builds the cluster core (buffers, links, health) with no
+// buildCluster builds the cluster core (buffers, links, health) with no
 // durability attached. opts must already be defaulted.
 func buildCluster(opts ClusterOptions) (*Cluster, error) {
 	if opts.SDIMMs < 2 || opts.SDIMMs&(opts.SDIMMs-1) != 0 {
@@ -284,17 +278,17 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 
 	auth := seccomm.NewAuthority()
 	c := &Cluster{
-		// Sharded so the pipeline's workers can commit positions for distinct
-		// addresses concurrently; the sequential path sees an ordinary map.
-		pos:       oram.NewShardedPosMap(4 * opts.SDIMMs),
-		rnd:       rng.New(opts.Seed),
 		blockSize: opts.BlockSize,
 		levels:    opts.Levels,
 		localBits: uint(localLevels - 1),
-		tm:        newClusterTelemetry(opts.Telemetry, opts.Tracer),
 		blame:     opts.Blame,
 		flight:    opts.Flight,
 	}
+	// Sharded so the pipeline's workers can commit positions for distinct
+	// addresses concurrently; the sequential path sees an ordinary map.
+	c.pos = oram.NewShardedPosMap(4 * opts.SDIMMs)
+	c.rnd = rng.New(opts.Seed)
+	c.tm = newClusterTelemetry(opts.Telemetry, opts.Tracer)
 	c.poisoned = make(map[uint64]bool)
 	c.cmdBufs = make([][]byte, opts.SDIMMs)
 	c.serveBufs = make([][]byte, opts.SDIMMs)
@@ -309,78 +303,29 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 			opts.Faults.EnableTelemetry(opts.Telemetry)
 		}
 	}
-	for i := 0; i < opts.SDIMMs; i++ {
-		store, err := oram.NewMemStore(opts.Z, opts.BlockSize, append([]byte(fmt.Sprintf("sd%d|", i)), opts.Key...))
-		if err != nil {
-			return nil, err
-		}
-		engine, err := oram.NewEngine(store, nil, oram.Options{
-			Geometry:          geom,
-			StashCapacity:     200,
-			EvictThreshold:    150,
-			RingFlushInterval: opts.RingFlushInterval,
-			Rand:              rng.New(opts.Seed ^ uint64(0x5d*i+11)),
-		})
-		if err != nil {
-			return nil, err
-		}
-		buf, err := isdimm.NewBuffer(fmt.Sprintf("sdimm-%d", i), engine, 64, 0.25,
-			rng.New(opts.Seed^uint64(0x77*i+5)))
-		if err != nil {
-			return nil, err
-		}
-		dev, err := seccomm.NewDevice(buf.ID(), nil)
-		if err != nil {
-			return nil, err
-		}
-		auth.Register(dev)
-		host, devSide, err := seccomm.Handshake(nil, dev, auth)
-		if err != nil {
-			return nil, err
-		}
-		host.SetMetrics(commMetrics)
-		devSide.SetMetrics(commMetrics)
-		c.buffers = append(c.buffers, buf)
-		h := fault.NewHealth(opts.DegradeAfter, 0)
-		watchHealth(opts.Telemetry, opts.Tracer, opts.Flight.Ring(i), h, i)
-		c.health = append(c.health, h)
+	c.buffers = make([]*isdimm.Buffer, opts.SDIMMs)
+	c.links = make([]*fault.Transactor, opts.SDIMMs)
 
-		var link fault.Link = fault.Perfect{}
-		if opts.Faults != nil {
-			link = opts.Faults.Link(i)
-		}
-		sd := i
-		tr := &fault.Transactor{
-			Host:    host,
-			Dev:     devSide,
-			Link:    link,
-			Serve:   func(body []byte) ([]byte, error) { return c.serve(sd, body) },
-			Retry:   opts.Retry,
-			Metrics: linkMetrics,
-		}
-		if opts.LinkTap != nil {
-			tap := opts.LinkTap
-			tr.Tap = func(dir fault.Direction, attempt int, frame []byte) { tap(sd, dir, attempt, frame) }
-		}
-		if fr := opts.Flight.Ring(sd); fr != nil {
-			tr.Notify = func(ev fault.NotifyEvent, n int) { fr.Record(flightKind(ev), uint64(n), 0) }
-		}
-		c.links = append(c.links, tr)
-	}
-	c.initElastic(opts.SDIMMs)
-
-	// Member factory for post-founding incarnations (joins and restores).
-	// Store keys and RNG seeds derive from (slot, incarnation) so a joined
-	// member never aliases state with any predecessor in the same slot, and
-	// reconstruction is deterministic from the options alone. The founding
-	// loop above keeps its original derivations untouched — incarnation 0
-	// always reconstructs bit-identically.
+	// Member factory: builds incarnation inc of slot i (store, engine,
+	// buffer, device identity, handshake, transactor) and installs it in
+	// place. Founding members (incarnation 0) keep the seed's original key
+	// and RNG derivations, so incarnation 0 always reconstructs
+	// bit-identically. Later incarnations (joins and restores) derive both
+	// from (slot, incarnation), so a joined member never aliases state with
+	// any predecessor in the same slot, and reconstruction is deterministic
+	// from the options alone.
 	c.mkMember = func(i int, inc uint64) error {
 		if i < 0 || i >= len(c.buffers) {
 			return fmt.Errorf("sdimm: member slot %d out of range", i)
 		}
-		stream := int(inc)<<8 | i
-		store, err := oram.NewMemStore(opts.Z, opts.BlockSize, append([]byte(fmt.Sprintf("sd%d.%d|", i, inc)), opts.Key...))
+		id, keyPrefix := fmt.Sprintf("sdimm-%d", i), fmt.Sprintf("sd%d|", i)
+		engineRand, bufRand := rng.New(opts.Seed^uint64(0x5d*i+11)), rng.New(opts.Seed^uint64(0x77*i+5))
+		if inc > 0 {
+			stream := int(inc)<<8 | i
+			id, keyPrefix = fmt.Sprintf("sdimm-%d.%d", i, inc), fmt.Sprintf("sd%d.%d|", i, inc)
+			engineRand, bufRand = rng.Stream(opts.Seed, "elastic.engine", stream), rng.Stream(opts.Seed, "elastic.buffer", stream)
+		}
+		store, err := oram.NewMemStore(opts.Z, opts.BlockSize, append([]byte(keyPrefix), opts.Key...))
 		if err != nil {
 			return err
 		}
@@ -389,13 +334,12 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 			StashCapacity:     200,
 			EvictThreshold:    150,
 			RingFlushInterval: opts.RingFlushInterval,
-			Rand:              rng.Stream(opts.Seed, "elastic.engine", stream),
+			Rand:              engineRand,
 		})
 		if err != nil {
 			return err
 		}
-		buf, err := isdimm.NewBuffer(fmt.Sprintf("sdimm-%d.%d", i, inc), engine, 64, 0.25,
-			rng.Stream(opts.Seed, "elastic.buffer", stream))
+		buf, err := isdimm.NewBuffer(id, engine, 64, 0.25, bufRand)
 		if err != nil {
 			return err
 		}
@@ -414,26 +358,33 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 		if opts.Faults != nil {
 			link = opts.Faults.Link(i)
 		}
-		sd := i
 		tr := &fault.Transactor{
 			Host:    host,
 			Dev:     devSide,
 			Link:    link,
-			Serve:   func(body []byte) ([]byte, error) { return c.serve(sd, body) },
+			Serve:   func(body []byte) ([]byte, error) { return c.serve(i, body) },
 			Retry:   opts.Retry,
 			Metrics: linkMetrics,
 		}
-		if opts.LinkTap != nil {
-			tap := opts.LinkTap
-			tr.Tap = func(dir fault.Direction, attempt int, frame []byte) { tap(sd, dir, attempt, frame) }
+		if tap := opts.LinkTap; tap != nil {
+			tr.Tap = func(dir fault.Direction, attempt int, frame []byte) { tap(i, dir, attempt, frame) }
 		}
-		if fr := opts.Flight.Ring(sd); fr != nil {
+		if fr := opts.Flight.Ring(i); fr != nil {
 			tr.Notify = func(ev fault.NotifyEvent, n int) { fr.Record(flightKind(ev), uint64(n), 0) }
 		}
 		c.buffers[i] = buf
 		c.links[i] = tr
 		return nil
 	}
+	for i := 0; i < opts.SDIMMs; i++ {
+		if err := c.mkMember(i, 0); err != nil {
+			return nil, err
+		}
+		h := fault.NewHealth(opts.DegradeAfter, 0)
+		watchHealth(opts.Telemetry, opts.Tracer, opts.Flight.Ring(i), h, i)
+		c.health = append(c.health, h)
+	}
+	c.initElastic(opts.SDIMMs)
 	return c, nil
 }
 
@@ -455,12 +406,8 @@ func (c *Cluster) BlockSize() int { return c.blockSize }
 // Read returns the payload of addr (zeros if never written). A read of an
 // address lost to unrecoverable corruption returns ErrUnrecoverable.
 func (c *Cluster) Read(addr uint64) ([]byte, error) {
-	out, err := c.tracedAccess(addr, oram.OpRead, nil)
-	c.tm.observe(oram.OpRead, err)
-	if err == nil {
-		err = c.maybeCheckpoint(c.ForceCheckpoint)
-	}
-	return out, err
+	out, err := c.tracedAccess(addr, oram.OpRead, nil, false)
+	return out, c.observed(oram.OpRead, err, c.ForceCheckpoint)
 }
 
 // Write stores up to BlockSize bytes at addr.
@@ -468,18 +415,20 @@ func (c *Cluster) Write(addr uint64, data []byte) error {
 	if len(data) > c.blockSize {
 		return fmt.Errorf("sdimm: payload %d exceeds block size %d", len(data), c.blockSize)
 	}
-	if cap(c.writeBuf) < c.blockSize {
-		c.writeBuf = make([]byte, c.blockSize)
+	_, err := c.tracedAccess(addr, oram.OpWrite, padInto(&c.writeBuf, data, c.blockSize), false)
+	return c.observed(oram.OpWrite, err, c.ForceCheckpoint)
+}
+
+// padInto returns data zero-padded to size, staged in *buf's backing array
+// (grown once, then reused).
+func padInto(buf *[]byte, data []byte, size int) []byte {
+	if cap(*buf) < size {
+		*buf = make([]byte, size)
 	}
-	buf := c.writeBuf[:c.blockSize]
-	clear(buf)
-	copy(buf, data)
-	_, err := c.tracedAccess(addr, oram.OpWrite, buf)
-	c.tm.observe(oram.OpWrite, err)
-	if err == nil {
-		err = c.maybeCheckpoint(c.ForceCheckpoint)
-	}
-	return err
+	b := (*buf)[:size]
+	clear(b)
+	copy(b, data)
+	return b
 }
 
 // Close releases the durability manager (no-op without one).
@@ -491,14 +440,14 @@ func (c *Cluster) Close() error {
 }
 
 // tracedAccess wraps access in one tracer span per top-level operation.
-func (c *Cluster) tracedAccess(addr uint64, op oram.Op, data []byte) ([]byte, error) {
+func (c *Cluster) tracedAccess(addr uint64, op oram.Op, data []byte, migrate bool) ([]byte, error) {
 	tr := c.tm.tracer
 	if tr == nil {
-		return c.access(addr, op, data)
+		return c.access(addr, op, data, migrate)
 	}
 	lane := tr.Lane()
 	sp := tr.Begin(lane, "cluster.access", "cluster")
-	out, err := c.access(addr, op, data)
+	out, err := c.access(addr, op, data, migrate)
 	sp.EndArgs(map[string]any{"addr": addr, "write": op == oram.OpWrite, "err": err != nil})
 	tr.FreeLane(lane)
 	return out, err
@@ -601,17 +550,19 @@ var ErrNoHealthySDIMM = errors.New("sdimm: no healthy SDIMM available for placem
 // A failed/draining/removed SDIMM is public knowledge on the channel, so the
 // skew is not an access-pattern leak.
 func (c *Cluster) pickHealthyLeaf(globalLeaves uint64) (uint64, error) {
-	return c.pickLeafStates(func(i int) fault.State { return c.health[i].State() },
-		len(c.health), globalLeaves)
+	return c.pickLeaf(c.liveState, globalLeaves)
 }
 
-// pickLeafStates is pickHealthyLeaf's core with the health source abstracted:
-// the sequential path reads the live records, the pipeline a coordinator
-// snapshot (see Pipeline.pickLeafSnap). Both consume RNG draws identically
-// for identical state views, which is what keeps seeded histories aligned.
-func (c *Cluster) pickLeafStates(state func(i int) fault.State, n int, globalLeaves uint64) (uint64, error) {
+// liveState is the sequential path's health view: the live records.
+func (c *Cluster) liveState(i int) fault.State { return c.health[i].State() }
+
+// pickLeaf is pickHealthyLeaf's core with the health view abstracted: the
+// sequential path reads the live records, the pipeline a coordinator
+// snapshot (see Pipeline.snapState). Both consume RNG draws identically for
+// identical state views, which is what keeps seeded histories aligned.
+func (c *Cluster) pickLeaf(state func(i int) fault.State, globalLeaves uint64) (uint64, error) {
 	c.elig = c.elig[:0]
-	for i := 0; i < n; i++ {
+	for i := range c.health {
 		switch state(i) {
 		case fault.Failed, fault.Draining, fault.Removed:
 		default:
@@ -635,7 +586,10 @@ func (c *Cluster) pickLeafStates(state func(i int) fault.State, n int, globalLea
 // retries end) leaves host and buffers exactly as they were, so the
 // address stays readable — the seed's map-first ordering permanently
 // bricked the address on any link error.
-func (c *Cluster) access(addr uint64, op oram.Op, data []byte) ([]byte, error) {
+//
+// migrate marks the access as a rebalance migration step: a read journaled
+// as KindMigrate whose payload is never delivered to a caller.
+func (c *Cluster) access(addr uint64, op oram.Op, data []byte, migrate bool) ([]byte, error) {
 	if c.crashedNow() {
 		return nil, durable.ErrCrashed
 	}
@@ -684,7 +638,7 @@ func (c *Cluster) access(addr uint64, op oram.Op, data []byte) ([]byte, error) {
 	// record lands here — a crash before this append means the access never
 	// happened; after it, recovery replays it.
 	c.pos.Set(addr, newG)
-	if err := c.commitRecord(addr, op, data); err != nil {
+	if err := c.commitRecord(addr, op, data, migrate); err != nil {
 		return nil, err
 	}
 
@@ -715,7 +669,7 @@ func (c *Cluster) access(addr uint64, op oram.Op, data []byte) ([]byte, error) {
 				// The migrating block was in this exchange. Rather than
 				// losing the payload, re-home it to a different healthy
 				// SDIMM and repoint the position map.
-				if rerr := c.rehome(addr, blk, j, globalLeaves); rerr != nil {
+				if rerr := c.rehome(addr, blk, j, globalLeaves, c.liveState, c.rehomeAppend); rerr != nil {
 					return nil, rerr
 				}
 			}
@@ -736,7 +690,7 @@ func (c *Cluster) access(addr uint64, op oram.Op, data []byte) ([]byte, error) {
 		// a poisoned block must still be carried off a draining member (its
 		// payload is never delivered to a caller), and vetoing would abort
 		// the drain.
-		if !c.replaying && !c.migrating && c.poisoned[addr] {
+		if !c.replaying && !migrate && c.poisoned[addr] {
 			c.tm.poisonedReads.Inc()
 			return nil, fmt.Errorf("sdimm: read %d: %w", addr, ErrUnrecoverable)
 		}
@@ -752,14 +706,21 @@ func (c *Cluster) access(addr uint64, op oram.Op, data []byte) ([]byte, error) {
 // one whose append just failed, then repoints the position map. It runs
 // only after an append was abandoned — a channel-visible event — so the
 // extra exchange leaks nothing the failure itself did not.
-func (c *Cluster) rehome(addr uint64, blk oram.Block, exclude int, globalLeaves uint64) error {
+//
+// The loop is shared by the sequential path and the pipeline, which differ
+// in two arguments: state is the health view the leaf draws read, and send
+// runs one candidate append exchange on member sd (inline via rehomeAppend,
+// or as a worker task via Pipeline.rehomeAppend). Leaf draws always happen
+// on the calling goroutine, in logical order.
+func (c *Cluster) rehome(addr uint64, blk oram.Block, exclude int, globalLeaves uint64,
+	state func(i int) fault.State, send func(sd int, blk oram.Block) ([]byte, error)) error {
 	c.tm.rehomes.Inc()
 	if tr := c.tm.tracer; tr != nil {
 		tr.Instant(0, "cluster.rehome", "cluster", map[string]any{"addr": addr, "exclude": exclude})
 	}
 	var lastErr error
 	for try := 0; try < 8*len(c.buffers); try++ {
-		g, err := c.pickHealthyLeaf(globalLeaves)
+		g, err := c.pickLeaf(state, globalLeaves)
 		if err != nil {
 			return err
 		}
@@ -770,7 +731,7 @@ func (c *Cluster) rehome(addr uint64, blk oram.Block, exclude int, globalLeaves 
 		nb := blk
 		nb.Leaf = g & (uint64(1)<<c.localBits - 1)
 		c.tm.rehomeAttempts.Inc()
-		ack, err := c.exchange(sd, "rehome append", c.appendBody(sd, nb, false))
+		ack, err := send(sd, nb)
 		if err != nil {
 			lastErr = err
 			continue
@@ -788,12 +749,9 @@ func (c *Cluster) rehome(addr uint64, blk oram.Block, exclude int, globalLeaves 
 	return fmt.Errorf("sdimm: re-homing block %d failed: %w", addr, lastErr)
 }
 
-// Positions snapshots the position map as addr → global leaf. The
-// determinism-equivalence harness compares these across engines.
-func (c *Cluster) Positions() map[uint64]uint64 {
-	out := make(map[uint64]uint64, c.pos.Len())
-	c.pos.Each(func(a, l uint64) { out[a] = l })
-	return out
+// rehomeAppend runs one re-homing append exchange on the calling goroutine.
+func (c *Cluster) rehomeAppend(sd int, blk oram.Block) ([]byte, error) {
+	return c.exchange(sd, "rehome append", c.appendBody(sd, blk, false))
 }
 
 // StashLens reports each buffer's stash occupancy (monitoring).
@@ -994,16 +952,14 @@ func (o SplitClusterOptions) withDefaults() SplitClusterOptions {
 type SplitCluster struct {
 	buffers   []*isdimm.Buffer // data shards
 	parity    *isdimm.Buffer   // nil unless Parity
-	health    []*fault.Health  // data shards, then parity (if present)
 	faults    *fault.Injector
-	pos       oram.PositionMap
-	rnd       *rng.Source
 	blockSize int
 	shard     int
 	leaves    uint64
-	tm        clusterTelemetry
 	workers   *workerPool // nil: member fan-out runs inline
 	writeBuf  []byte      // Write's zero-padded payload staging
+	// Position map, RNG, telemetry, durability, and health: data shards,
+	// then parity (if present).
 	durableState
 
 	// Fan-out error slots, reused across accesses (and eviction rounds) so
@@ -1027,20 +983,16 @@ func NewSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 		return nil, err
 	}
 	if opts.Durability != nil {
-		if err := c.attachDurability(opts.Durability, splitFingerprint(opts), opts.Key); err != nil {
-			return nil, err
-		}
-		if c.dur.HasState() {
-			return nil, fmt.Errorf("sdimm: state directory %s already holds checkpoints; use RecoverSplitCluster", opts.Durability.Dir)
-		}
-		if err := c.ForceCheckpoint(); err != nil {
+		if err := c.createDurable(opts.Durability, splitFingerprint(opts), opts.Key,
+			"RecoverSplitCluster", c.ForceCheckpoint); err != nil {
+			c.Close()
 			return nil, err
 		}
 	}
 	return c, nil
 }
 
-// newSplitCluster builds the cluster core with no durability attached.
+// buildSplitCluster builds the cluster core with no durability attached.
 // opts must already be defaulted.
 func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 	if opts.SDIMMs < 2 || opts.SDIMMs&(opts.SDIMMs-1) != 0 {
@@ -1054,14 +1006,14 @@ func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 		return nil, err
 	}
 	c := &SplitCluster{
-		pos:       oram.NewSparsePosMap(),
-		rnd:       rng.New(opts.Seed ^ 0x59117),
 		blockSize: opts.BlockSize,
 		shard:     opts.BlockSize / opts.SDIMMs,
 		leaves:    geom.Leaves(),
 		faults:    opts.Faults,
-		tm:        newClusterTelemetry(opts.Telemetry, opts.Tracer),
 	}
+	c.pos = oram.NewSparsePosMap()
+	c.rnd = rng.New(opts.Seed ^ 0x59117)
+	c.tm = newClusterTelemetry(opts.Telemetry, opts.Tracer)
 	c.poisoned = make(map[uint64]bool)
 	if opts.Telemetry != nil && opts.Faults != nil {
 		opts.Faults.EnableTelemetry(opts.Telemetry)
@@ -1163,11 +1115,7 @@ func (c *SplitCluster) join() {
 // Read returns the payload of addr, reassembled from all shards.
 func (c *SplitCluster) Read(addr uint64) ([]byte, error) {
 	out, err := c.access(addr, oram.OpRead, nil)
-	c.tm.observe(oram.OpRead, err)
-	if err == nil {
-		err = c.maybeCheckpoint(c.ForceCheckpoint)
-	}
-	return out, err
+	return out, c.observed(oram.OpRead, err, c.ForceCheckpoint)
 }
 
 // Write stores up to BlockSize bytes at addr, splitting it across shards.
@@ -1175,18 +1123,8 @@ func (c *SplitCluster) Write(addr uint64, data []byte) error {
 	if len(data) > c.blockSize {
 		return fmt.Errorf("sdimm: payload %d exceeds block size %d", len(data), c.blockSize)
 	}
-	if cap(c.writeBuf) < c.blockSize {
-		c.writeBuf = make([]byte, c.blockSize)
-	}
-	buf := c.writeBuf[:c.blockSize]
-	clear(buf)
-	copy(buf, data)
-	_, err := c.access(addr, oram.OpWrite, buf)
-	c.tm.observe(oram.OpWrite, err)
-	if err == nil {
-		err = c.maybeCheckpoint(c.ForceCheckpoint)
-	}
-	return err
+	_, err := c.access(addr, oram.OpWrite, padInto(&c.writeBuf, data, c.blockSize))
+	return c.observed(oram.OpWrite, err, c.ForceCheckpoint)
 }
 
 // FailShard marks member i (data shards 0..SDIMMs-1; SDIMMs = parity)
@@ -1267,7 +1205,7 @@ func (c *SplitCluster) access(addr uint64, op oram.Op, data []byte) ([]byte, err
 	if op == oram.OpRead {
 		out = make([]byte, c.blockSize)
 	}
-	errs := resizeErrs(c.errScratch, len(c.health))
+	errs := resized(c.errScratch, len(c.health))
 	c.errScratch = errs
 	var parityData []byte
 	for i, b := range c.buffers {
@@ -1356,7 +1294,7 @@ func (c *SplitCluster) access(addr uint64, op oram.Op, data []byte) ([]byte, err
 	// is now the truth everywhere. The journal record lands at the same
 	// point — a crash before it means the access never happened.
 	c.pos.Set(addr, newLeaf)
-	if err := c.commitRecord(addr, op, data); err != nil {
+	if err := c.commitRecord(addr, op, data, false); err != nil {
 		return nil, err
 	}
 
@@ -1366,7 +1304,7 @@ func (c *SplitCluster) access(addr uint64, op oram.Op, data []byte) ([]byte, err
 	ref := c.refEngine()
 	for n := 0; n < 8 && ref != nil && ref.NeedsDrain(); n++ {
 		leaf := c.rnd.Uint64n(c.leaves)
-		evErrs := resizeErrs(c.evScratch, len(c.health))
+		evErrs := resized(c.evScratch, len(c.health))
 		c.evScratch = evErrs
 		for i, b := range c.buffers {
 			if c.memberDown(i) {
@@ -1414,14 +1352,6 @@ func (c *SplitCluster) refEngine() *oram.Engine {
 		return c.parity.Engine()
 	}
 	return nil
-}
-
-// Positions snapshots the position map as addr → leaf. The
-// determinism-equivalence harness compares these across engines.
-func (c *SplitCluster) Positions() map[uint64]uint64 {
-	out := make(map[uint64]uint64, c.pos.Len())
-	c.pos.Each(func(a, l uint64) { out[a] = l })
-	return out
 }
 
 // StashLens reports each data shard's stash occupancy; the Split invariant

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"sdimm/internal/durable"
 	"sdimm/internal/rng"
@@ -170,6 +172,34 @@ func TestNewClusterRefusesRecoverableState(t *testing.T) {
 	c.Close()
 	if _, err := NewCluster(opts); err == nil {
 		t.Fatal("NewCluster reinitialized a directory holding recoverable state")
+	}
+}
+
+// TestNewSplitClusterFailureStopsWorkers is the worker-leak regression test:
+// a parallel Split cluster starts its per-member worker goroutines before
+// the state directory is opened, so refusing a directory that already holds
+// checkpoints must stop them again.
+func TestNewSplitClusterFailureStopsWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	opts := SplitClusterOptions{SDIMMs: 2, Levels: 7, Key: []byte("split-leak-key"), Seed: 5,
+		Parity: true, Parallelism: 4, Durability: &DurabilityOptions{Dir: t.TempDir()}}
+	c, err := NewSplitCluster(opts)
+	if err != nil {
+		t.Fatalf("NewSplitCluster: %v", err)
+	}
+	c.Close()
+	for i := 0; i < 8; i++ {
+		if _, err := NewSplitCluster(opts); err == nil {
+			t.Fatal("NewSplitCluster reinitialized a directory holding recoverable state")
+		}
+	}
+	// Closed workers exit asynchronously; give them a moment.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("failed NewSplitCluster leaked goroutines: %d before, %d after", before, after)
 	}
 }
 

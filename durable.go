@@ -9,6 +9,7 @@ import (
 	"sdimm/internal/fault"
 	"sdimm/internal/flight"
 	"sdimm/internal/oram"
+	"sdimm/internal/rng"
 	isdimm "sdimm/internal/sdimm"
 )
 
@@ -83,30 +84,34 @@ func splitFingerprint(opts SplitClusterOptions) durable.Fingerprint {
 	}
 }
 
-// durableState is the durability bookkeeping embedded in both cluster
-// flavours. seq counts committed logical records of every kind (workload
-// accesses, migration steps, topology changes); poisoned tracks addresses
-// lost to unrecoverable corruption (always allocated, usually empty).
+// durableState is the state both cluster flavours embed: the host-side ORAM
+// state every checkpoint captures (position map, shared RNG, member health)
+// with its telemetry handles, and the durability bookkeeping around it. seq
+// counts committed logical records of every kind (workload accesses,
+// migration steps, topology changes); poisoned tracks addresses lost to
+// unrecoverable corruption (always allocated, usually empty).
 type durableState struct {
+	pos    oram.PositionMap
+	rnd    *rng.Source
+	health []*fault.Health // index-aligned with the flavour's member list
+	tm     clusterTelemetry
+
 	dur        *durable.Manager
 	interval   int
 	seq        uint64
 	lastCkpt   uint64
 	replaying  bool
 	poisoned   map[uint64]bool
-	recScratch [1]durable.Record // commitRecord's singleton batch
+	recScratch [1]durable.Record // appendOne's singleton batch
 
 	// Elastic-membership bookkeeping. migSeq/topoSeq partition seq so
 	// drivers can recover their workload position from durable state alone:
 	// WorkloadSeq() = seq - migSeq - topoSeq. At most one drain runs at a
-	// time; drainMember is -1 outside a drain. migrating flags the access
-	// currently executing as a rebalance migration step (it journals as
-	// KindMigrate instead of KindRead).
+	// time; drainMember is -1 outside a drain.
 	migSeq       uint64
 	topoSeq      uint64
 	drainMember  int
 	drainMoved   uint64
-	migrating    bool
 	incarnations []uint64 // per-slot join count (0 = founding member)
 	detached     []bool   // slots whose member was removed, not yet replaced
 }
@@ -153,6 +158,15 @@ func (d *durableState) Detached(i int) bool {
 	return i >= 0 && i < len(d.detached) && d.detached[i]
 }
 
+// Positions snapshots the position map as addr → leaf (the global leaf for
+// an Independent cluster). The determinism-equivalence harness compares
+// these across engines.
+func (d *durableState) Positions() map[uint64]uint64 {
+	out := make(map[uint64]uint64, d.pos.Len())
+	d.pos.Each(func(a, l uint64) { out[a] = l })
+	return out
+}
+
 // crashedNow reports whether a planned crash point has fired — the cluster
 // is "dead" and refuses further work.
 func (d *durableState) crashedNow() bool { return d.dur != nil && d.dur.Crashed() }
@@ -172,15 +186,16 @@ func (d *durableState) attachDurability(opts *DurabilityOptions, fp durable.Fing
 
 // makeRecord advances the committed sequence for one access and returns its
 // journal record. A committed write heals a poisoned address — the lost
-// payload is fully overwritten. While migrating is set, reads journal as
-// KindMigrate and advance the drain progress instead of the workload count.
-func (d *durableState) makeRecord(addr uint64, op oram.Op, data []byte) durable.Record {
+// payload is fully overwritten. A migrate read (a rebalance migration step)
+// journals as KindMigrate and advances the drain progress instead of the
+// workload count.
+func (d *durableState) makeRecord(addr uint64, op oram.Op, data []byte, migrate bool) durable.Record {
 	d.seq++
 	kind := durable.KindRead
 	if op == oram.OpWrite {
 		delete(d.poisoned, addr)
 		kind = durable.KindWrite
-	} else if d.migrating {
+	} else if migrate {
 		kind = durable.KindMigrate
 		d.migSeq++
 		if d.drainMember >= 0 {
@@ -198,10 +213,18 @@ func (d *durableState) makeRecord(addr uint64, op oram.Op, data []byte) durable.
 func (d *durableState) commitTopoRecord(kind durable.RecordKind, member int) error {
 	d.seq++
 	d.topoSeq++
+	return d.appendOne(durable.Record{Seq: d.seq, Addr: uint64(member), Kind: kind})
+}
+
+// appendOne journals a single record. No-op without durability and during
+// replay, like appendRecords.
+func (d *durableState) appendOne(rec durable.Record) error {
 	if d.dur == nil || d.replaying {
 		return nil
 	}
-	d.recScratch[0] = durable.Record{Seq: d.seq, Addr: uint64(member), Kind: kind}
+	// Singleton batch in place: the record is encoded synchronously, so the
+	// scratch (and its payload reference) is dropped before return.
+	d.recScratch[0] = rec
 	err := d.dur.Append(d.recScratch[:])
 	d.recScratch[0] = durable.Record{}
 	return err
@@ -218,17 +241,8 @@ func (d *durableState) appendRecords(recs []durable.Record) error {
 }
 
 // commitRecord journals one access at its commit point.
-func (d *durableState) commitRecord(addr uint64, op oram.Op, data []byte) error {
-	rec := d.makeRecord(addr, op, data)
-	if d.dur == nil || d.replaying {
-		return nil
-	}
-	// Singleton batch in place: the record is encoded synchronously, so the
-	// scratch (and its payload reference) is dropped before return.
-	d.recScratch[0] = rec
-	err := d.dur.Append(d.recScratch[:])
-	d.recScratch[0] = durable.Record{}
-	return err
+func (d *durableState) commitRecord(addr uint64, op oram.Op, data []byte, migrate bool) error {
+	return d.appendOne(d.makeRecord(addr, op, data, migrate))
 }
 
 // checkpointDue reports that the checkpoint interval has elapsed. The
@@ -245,6 +259,16 @@ func (d *durableState) maybeCheckpoint(force func() error) error {
 		return nil
 	}
 	return force()
+}
+
+// observed is the tail of every top-level sequential access: count it, and
+// after a success take the checkpoint if one has come due.
+func (d *durableState) observed(op oram.Op, err error, force func() error) error {
+	d.tm.observe(op, err)
+	if err == nil {
+		err = d.maybeCheckpoint(force)
+	}
+	return err
 }
 
 // PlanCrash arms a simulated crash after afterRecords more journal records,
@@ -347,53 +371,152 @@ func restoreMember(b *isdimm.Buffer, h *fault.Health, m durable.MemberState) err
 	return nil
 }
 
-// --- Independent cluster ---
+// --- Shared by both flavours ---
 
-// ForceCheckpoint captures the cluster's full state and persists it,
-// rotating the journal. Callable any time the cluster is quiescent.
-func (c *Cluster) ForceCheckpoint() error {
-	if c.dur == nil {
+// createDurable is the durable tail of construction: the state directory
+// must be empty (recovering an existing one is the job of the function
+// recoverer names — silently reinitializing it would clobber recoverable
+// state) and a genesis checkpoint is written before the cluster accepts
+// traffic.
+func (d *durableState) createDurable(opts *DurabilityOptions, fp durable.Fingerprint, clusterKey []byte,
+	recoverer string, checkpoint func() error) error {
+	if err := d.attachDurability(opts, fp, clusterKey); err != nil {
+		return err
+	}
+	if d.dur.HasState() {
+		return fmt.Errorf("sdimm: state directory %s already holds checkpoints; use %s", opts.Dir, recoverer)
+	}
+	return checkpoint()
+}
+
+// recoverDurable is the recovery sequence on a freshly built cluster (new
+// link sessions): open the state directory, load the newest valid
+// checkpoint, scrub every bucket's PMMAC tag, replay the journal to the last
+// committed access, put all members into Recovering probation, and persist
+// a post-recovery checkpoint — only then is traffic admitted. The flavour
+// supplies what genuinely differs: restore (checkpoint → its members),
+// its scrub, apply (one journal record → its access or topology change) and
+// its checkpoint.
+//
+// The scrub runs before replay on purpose: replay re-executes accesses
+// against the restored image, so the image must be navigable first, and a
+// replayed write to a poisoned address heals it exactly as the original
+// execution did.
+func (d *durableState) recoverDurable(opts *DurabilityOptions, fp durable.Fingerprint, clusterKey []byte,
+	restore func(*durable.Checkpoint) error, scrub func(*durable.RecoveryReport) error,
+	apply func(durable.Record) error, checkpoint func() error) (*durable.RecoveryReport, error) {
+	if err := d.attachDurability(opts, fp, clusterKey); err != nil {
+		return nil, err
+	}
+	cp, recs, report, err := d.dur.Recover()
+	if err != nil {
+		return nil, err
+	}
+	if err := restore(cp); err != nil {
+		return nil, err
+	}
+	if err := scrub(report); err != nil {
+		return nil, err
+	}
+	d.replaying = true // left set by a failed replay: the caller discards the cluster
+	for _, rec := range recs {
+		if rec.Seq != d.seq+1 {
+			return nil, fmt.Errorf("sdimm: replay record %d does not follow committed seq %d", rec.Seq, d.seq)
+		}
+		if err := apply(rec); err != nil {
+			return nil, fmt.Errorf("sdimm: replay record %d (seq %d, kind %d): %w", rec.Addr, rec.Seq, rec.Kind, err)
+		}
+		d.tm.replayed.Inc()
+	}
+	d.replaying = false
+	for _, h := range d.health {
+		h.MarkRecovering()
+	}
+	if err := checkpoint(); err != nil {
+		return nil, err
+	}
+	d.tm.scrubScanned.Add(uint64(report.BucketsScanned))
+	d.tm.scrubRepaired.Add(uint64(report.BucketsRepaired))
+	d.tm.scrubUnrecoverable.Add(uint64(report.BucketsUnrecoverable))
+	return report, nil
+}
+
+// checkpoint captures the cluster's full state — the shared head plus one
+// MemberState per member, which link (when set) completes with the
+// flavour's per-member extras — and persists it, rotating the journal.
+func (d *durableState) checkpoint(members []*isdimm.Buffer, link func(i int, m *durable.MemberState)) error {
+	if d.dur == nil {
 		return errors.New("sdimm: ForceCheckpoint without durability")
 	}
 	cp := &durable.Checkpoint{
-		Seq:       c.seq,
-		RNG:       c.rnd.State(),
-		Positions: capturePositions(c.pos),
-		Poisoned:  capturePoisoned(c.poisoned),
-		MigSeq:    c.migSeq,
-		TopoSeq:   c.topoSeq,
+		Seq:       d.seq,
+		RNG:       d.rnd.State(),
+		Positions: capturePositions(d.pos),
+		Poisoned:  capturePoisoned(d.poisoned),
+		MigSeq:    d.migSeq,
+		TopoSeq:   d.topoSeq,
 	}
-	if c.drainMember >= 0 {
-		cp.Drains = []durable.DrainState{{Member: uint64(c.drainMember), Moved: c.drainMoved}}
+	if d.drainMember >= 0 {
+		cp.Drains = []durable.DrainState{{Member: uint64(d.drainMember), Moved: d.drainMoved}}
 	}
-	for i, b := range c.buffers {
-		m := captureMember(b, c.health[i])
-		m.HostSend = c.links[i].Host.SendCounter()
-		m.HostRecv = c.links[i].Host.RecvCounter()
-		m.DevSend = c.links[i].Dev.SendCounter()
-		m.DevRecv = c.links[i].Dev.RecvCounter()
-		m.Incarnation = c.incarnations[i]
-		m.Detached = c.detached[i]
+	for i, b := range members {
+		m := captureMember(b, d.health[i])
+		m.Incarnation = d.incarnations[i]
+		if link != nil {
+			link(i, &m)
+		}
 		cp.Members = append(cp.Members, m)
 	}
-	if err := c.dur.WriteCheckpoint(cp); err != nil {
+	if err := d.dur.WriteCheckpoint(cp); err != nil {
 		return err
 	}
-	c.lastCkpt = c.seq
-	c.tm.checkpoints.Inc()
-	c.flight.Coordinator().Record(flight.KindCheckpoint, c.seq, 0)
+	d.lastCkpt = d.seq
+	d.tm.checkpoints.Inc()
 	return nil
 }
 
-// CorruptBucket flips a ciphertext bit in the k-th materialized bucket
-// (sorted by index) of member sd's store and returns the bucket index
-// (chaos harness hook for scrub testing). False when the member has no
-// materialized buckets.
-func (c *Cluster) CorruptBucket(sd, k int) (uint64, bool) {
-	if sd < 0 || sd >= len(c.buffers) {
+// restoreHead loads cp's flavour-independent head into a freshly
+// constructed cluster of the given member count; the flavour then restores
+// the members themselves.
+func (d *durableState) restoreHead(cp *durable.Checkpoint, members int) error {
+	if len(cp.Members) != members {
+		return fmt.Errorf("sdimm: checkpoint has %d members, cluster has %d", len(cp.Members), members)
+	}
+	d.seq = cp.Seq
+	d.lastCkpt = cp.Seq
+	d.rnd.Restore(cp.RNG)
+	for _, p := range cp.Positions {
+		d.pos.Set(p.Addr, p.Value)
+	}
+	d.poisoned = make(map[uint64]bool, len(cp.Poisoned))
+	for _, a := range cp.Poisoned {
+		d.poisoned[a] = true
+	}
+	d.migSeq = cp.MigSeq
+	d.topoSeq = cp.TopoSeq
+	d.drainMember, d.drainMoved = -1, 0
+	if len(cp.Drains) > 0 {
+		if len(cp.Drains) > 1 {
+			return fmt.Errorf("sdimm: checkpoint records %d concurrent drains, at most 1 supported", len(cp.Drains))
+		}
+		d.drainMember = int(cp.Drains[0].Member)
+		d.drainMoved = cp.Drains[0].Moved
+		if d.drainMember < 0 || d.drainMember >= members {
+			return fmt.Errorf("sdimm: checkpoint drain member %d out of range", d.drainMember)
+		}
+	}
+	return nil
+}
+
+// corruptBucket flips a ciphertext bit in the k-th materialized bucket
+// (sorted by index) of the given member's store and returns the bucket index
+// (chaos harness hook for scrub testing). False when the member is out of
+// range or has no materialized buckets.
+func corruptBucket(members []*isdimm.Buffer, member, k int) (uint64, bool) {
+	if member < 0 || member >= len(members) {
 		return 0, false
 	}
-	ms := memStore(c.buffers[sd])
+	ms := memStore(members[member])
 	idxs := ms.BucketIndices()
 	if len(idxs) == 0 {
 		return 0, false
@@ -402,33 +525,32 @@ func (c *Cluster) CorruptBucket(sd, k int) (uint64, bool) {
 	return idx, ms.Corrupt(idx)
 }
 
+// --- Independent cluster ---
+
+// ForceCheckpoint captures the cluster's full state and persists it,
+// rotating the journal. Callable any time the cluster is quiescent.
+func (c *Cluster) ForceCheckpoint() error {
+	err := c.checkpoint(c.buffers, func(i int, m *durable.MemberState) {
+		m.HostSend = c.links[i].Host.SendCounter()
+		m.HostRecv = c.links[i].Host.RecvCounter()
+		m.DevSend = c.links[i].Dev.SendCounter()
+		m.DevRecv = c.links[i].Dev.RecvCounter()
+		m.Detached = c.detached[i]
+	})
+	if err == nil {
+		c.flight.Coordinator().Record(flight.KindCheckpoint, c.seq, 0)
+	}
+	return err
+}
+
+// CorruptBucket corrupts the k-th materialized bucket of member sd's store
+// (see corruptBucket).
+func (c *Cluster) CorruptBucket(sd, k int) (uint64, bool) { return corruptBucket(c.buffers, sd, k) }
+
 // restoreCheckpoint loads cp into the (freshly constructed) cluster.
 func (c *Cluster) restoreCheckpoint(cp *durable.Checkpoint) error {
-	if len(cp.Members) != len(c.buffers) {
-		return fmt.Errorf("sdimm: checkpoint has %d members, cluster has %d", len(cp.Members), len(c.buffers))
-	}
-	c.seq = cp.Seq
-	c.lastCkpt = cp.Seq
-	c.rnd.Restore(cp.RNG)
-	for _, p := range cp.Positions {
-		c.pos.Set(p.Addr, p.Value)
-	}
-	c.poisoned = make(map[uint64]bool, len(cp.Poisoned))
-	for _, a := range cp.Poisoned {
-		c.poisoned[a] = true
-	}
-	c.migSeq = cp.MigSeq
-	c.topoSeq = cp.TopoSeq
-	c.drainMember, c.drainMoved = -1, 0
-	if len(cp.Drains) > 0 {
-		if len(cp.Drains) > 1 {
-			return fmt.Errorf("sdimm: checkpoint records %d concurrent drains, at most 1 supported", len(cp.Drains))
-		}
-		c.drainMember = int(cp.Drains[0].Member)
-		c.drainMoved = cp.Drains[0].Moved
-		if c.drainMember < 0 || c.drainMember >= len(c.buffers) {
-			return fmt.Errorf("sdimm: checkpoint drain member %d out of range", c.drainMember)
-		}
+	if err := c.restoreHead(cp, len(c.buffers)); err != nil {
+		return err
 	}
 	for i, m := range cp.Members {
 		// A member that joined after the founding generation has
@@ -562,16 +684,29 @@ func (c *Cluster) scrub(report *durable.RecoveryReport) error {
 	return nil
 }
 
+// replayRecord re-executes one journal record during recovery.
+func (c *Cluster) replayRecord(rec durable.Record) (err error) {
+	switch rec.Kind {
+	case durable.KindRead:
+		_, err = c.access(rec.Addr, oram.OpRead, nil, false)
+	case durable.KindWrite:
+		_, err = c.access(rec.Addr, oram.OpWrite, rec.Data, false)
+	case durable.KindMigrate:
+		_, err = c.access(rec.Addr, oram.OpRead, nil, true)
+	case durable.KindDrainBegin:
+		err = c.applyDrainBegin(int(rec.Addr))
+	case durable.KindDrainEnd:
+		err = c.applyDetach(int(rec.Addr))
+	case durable.KindJoin:
+		err = c.applyJoin(int(rec.Addr))
+	default:
+		err = fmt.Errorf("sdimm: unknown record kind %d", rec.Kind)
+	}
+	return err
+}
+
 // RecoverCluster rebuilds a durable Independent cluster from its state
-// directory: construct fresh (new link sessions), load the newest valid
-// checkpoint, scrub every bucket's PMMAC tag, replay the journal to the
-// last committed access, put all members into Recovering probation, and
-// persist a post-recovery checkpoint — only then is traffic admitted.
-//
-// The scrub runs before replay on purpose: replay re-executes accesses
-// against the restored image, so the image must be navigable first, and a
-// replayed write to a poisoned address heals it exactly as the original
-// execution did.
+// directory (see recoverDurable for the sequence).
 func RecoverCluster(opts ClusterOptions) (*Cluster, *durable.RecoveryReport, error) {
 	opts = opts.withDefaults()
 	if opts.Durability == nil {
@@ -581,60 +716,12 @@ func RecoverCluster(opts ClusterOptions) (*Cluster, *durable.RecoveryReport, err
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := c.attachDurability(opts.Durability, independentFingerprint(opts), opts.Key); err != nil {
-		return nil, nil, err
-	}
-	cp, recs, report, err := c.dur.Recover()
+	report, err := c.recoverDurable(opts.Durability, independentFingerprint(opts), opts.Key,
+		c.restoreCheckpoint, c.scrub, c.replayRecord, c.ForceCheckpoint)
 	if err != nil {
+		c.Close()
 		return nil, nil, err
 	}
-	if err := c.restoreCheckpoint(cp); err != nil {
-		return nil, nil, err
-	}
-	if err := c.scrub(report); err != nil {
-		return nil, nil, err
-	}
-	c.replaying = true
-	for _, rec := range recs {
-		if rec.Seq != c.seq+1 {
-			c.replaying = false
-			return nil, nil, fmt.Errorf("sdimm: replay record %d does not follow committed seq %d", rec.Seq, c.seq)
-		}
-		var err error
-		switch rec.Kind {
-		case durable.KindRead:
-			_, err = c.access(rec.Addr, oram.OpRead, nil)
-		case durable.KindWrite:
-			_, err = c.access(rec.Addr, oram.OpWrite, rec.Data)
-		case durable.KindMigrate:
-			c.migrating = true
-			_, err = c.access(rec.Addr, oram.OpRead, nil)
-			c.migrating = false
-		case durable.KindDrainBegin:
-			err = c.applyDrainBegin(int(rec.Addr))
-		case durable.KindDrainEnd:
-			err = c.applyDetach(int(rec.Addr))
-		case durable.KindJoin:
-			err = c.applyJoin(int(rec.Addr))
-		default:
-			err = fmt.Errorf("sdimm: unknown record kind %d", rec.Kind)
-		}
-		if err != nil {
-			c.replaying = false
-			return nil, nil, fmt.Errorf("sdimm: replay record %d (seq %d, kind %d): %w", rec.Addr, rec.Seq, rec.Kind, err)
-		}
-		c.tm.replayed.Inc()
-	}
-	c.replaying = false
-	for _, h := range c.health {
-		h.MarkRecovering()
-	}
-	if err := c.ForceCheckpoint(); err != nil {
-		return nil, nil, err
-	}
-	c.tm.scrubScanned.Add(uint64(report.BucketsScanned))
-	c.tm.scrubRepaired.Add(uint64(report.BucketsRepaired))
-	c.tm.scrubUnrecoverable.Add(uint64(report.BucketsUnrecoverable))
 	c.flight.Coordinator().Record(flight.KindRecovery, uint64(report.RecordsReplayed), uint64(report.BucketsRepaired))
 	return c, report, nil
 }
@@ -653,66 +740,19 @@ func (c *SplitCluster) allMembers() []*isdimm.Buffer {
 
 // ForceCheckpoint captures the cluster's full state and persists it,
 // rotating the journal.
-func (c *SplitCluster) ForceCheckpoint() error {
-	if c.dur == nil {
-		return errors.New("sdimm: ForceCheckpoint without durability")
-	}
-	cp := &durable.Checkpoint{
-		Seq:       c.seq,
-		RNG:       c.rnd.State(),
-		Positions: capturePositions(c.pos),
-		Poisoned:  capturePoisoned(c.poisoned),
-		MigSeq:    c.migSeq,
-		TopoSeq:   c.topoSeq,
-	}
-	for i, b := range c.allMembers() {
-		m := captureMember(b, c.health[i])
-		m.Incarnation = c.incarnations[i]
-		cp.Members = append(cp.Members, m)
-	}
-	if err := c.dur.WriteCheckpoint(cp); err != nil {
-		return err
-	}
-	c.lastCkpt = c.seq
-	c.tm.checkpoints.Inc()
-	return nil
-}
+func (c *SplitCluster) ForceCheckpoint() error { return c.checkpoint(c.allMembers(), nil) }
 
-// CorruptBucket flips a ciphertext bit in the k-th materialized bucket of
-// member i (data shards 0..SDIMMs-1; SDIMMs = parity) and returns the
-// bucket index.
+// CorruptBucket corrupts the k-th materialized bucket of member i (data
+// shards 0..SDIMMs-1; SDIMMs = parity; see corruptBucket).
 func (c *SplitCluster) CorruptBucket(member, k int) (uint64, bool) {
-	members := c.allMembers()
-	if member < 0 || member >= len(members) {
-		return 0, false
-	}
-	ms := memStore(members[member])
-	idxs := ms.BucketIndices()
-	if len(idxs) == 0 {
-		return 0, false
-	}
-	idx := idxs[k%len(idxs)]
-	return idx, ms.Corrupt(idx)
+	return corruptBucket(c.allMembers(), member, k)
 }
 
 // restoreCheckpoint loads cp into the (freshly constructed) cluster.
 func (c *SplitCluster) restoreCheckpoint(cp *durable.Checkpoint) error {
-	members := c.allMembers()
-	if len(cp.Members) != len(members) {
-		return fmt.Errorf("sdimm: checkpoint has %d members, cluster has %d", len(cp.Members), len(members))
+	if err := c.restoreHead(cp, len(c.health)); err != nil {
+		return err
 	}
-	c.seq = cp.Seq
-	c.lastCkpt = cp.Seq
-	c.rnd.Restore(cp.RNG)
-	for _, p := range cp.Positions {
-		c.pos.Set(p.Addr, p.Value)
-	}
-	c.poisoned = make(map[uint64]bool, len(cp.Poisoned))
-	for _, a := range cp.Poisoned {
-		c.poisoned[a] = true
-	}
-	c.migSeq = cp.MigSeq
-	c.topoSeq = cp.TopoSeq
 	for i, m := range cp.Members {
 		// A replacement member's store keys derive from its incarnation —
 		// rebuild the buffer before restoring state into it.
@@ -729,9 +769,8 @@ func (c *SplitCluster) restoreCheckpoint(cp *durable.Checkpoint) error {
 			c.incarnations[i] = m.Incarnation
 		}
 	}
-	members = c.allMembers()
-	for i, m := range cp.Members {
-		if err := restoreMember(members[i], c.health[i], m); err != nil {
+	for i, b := range c.allMembers() {
+		if err := restoreMember(b, c.health[i], cp.Members[i]); err != nil {
 			return err
 		}
 	}
@@ -813,9 +852,26 @@ func (c *SplitCluster) scrub(report *durable.RecoveryReport) error {
 	return nil
 }
 
+// replayRecord re-executes one journal record during recovery. The split
+// protocol has no routing, so drains and migrations never occur; replacement
+// is the only topology change.
+func (c *SplitCluster) replayRecord(rec durable.Record) (err error) {
+	switch rec.Kind {
+	case durable.KindRead:
+		_, err = c.access(rec.Addr, oram.OpRead, nil)
+	case durable.KindWrite:
+		_, err = c.access(rec.Addr, oram.OpWrite, rec.Data)
+	case durable.KindJoin:
+		err = c.applySplitJoin(int(rec.Addr))
+	default:
+		err = fmt.Errorf("sdimm: record kind %d unsupported by split clusters", rec.Kind)
+	}
+	return err
+}
+
 // RecoverSplitCluster rebuilds a durable Split cluster from its state
-// directory, mirroring RecoverCluster: restore → parity scrub → journal
-// replay → probation → post-recovery checkpoint.
+// directory (see recoverDurable for the sequence; the scrub repairs from
+// parity).
 func RecoverSplitCluster(opts SplitClusterOptions) (*SplitCluster, *durable.RecoveryReport, error) {
 	opts = opts.withDefaults()
 	if opts.Durability == nil {
@@ -825,59 +881,11 @@ func RecoverSplitCluster(opts SplitClusterOptions) (*SplitCluster, *durable.Reco
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := c.attachDurability(opts.Durability, splitFingerprint(opts), opts.Key); err != nil {
-		return nil, nil, err
-	}
-	cp, recs, report, err := c.dur.Recover()
+	report, err := c.recoverDurable(opts.Durability, splitFingerprint(opts), opts.Key,
+		c.restoreCheckpoint, c.scrub, c.replayRecord, c.ForceCheckpoint)
 	if err != nil {
 		c.Close()
 		return nil, nil, err
 	}
-	if err := c.restoreCheckpoint(cp); err != nil {
-		c.Close()
-		return nil, nil, err
-	}
-	if err := c.scrub(report); err != nil {
-		c.Close()
-		return nil, nil, err
-	}
-	c.replaying = true
-	for _, rec := range recs {
-		if rec.Seq != c.seq+1 {
-			c.replaying = false
-			c.Close()
-			return nil, nil, fmt.Errorf("sdimm: replay record %d does not follow committed seq %d", rec.Seq, c.seq)
-		}
-		var err error
-		switch rec.Kind {
-		case durable.KindRead:
-			_, err = c.access(rec.Addr, oram.OpRead, nil)
-		case durable.KindWrite:
-			_, err = c.access(rec.Addr, oram.OpWrite, rec.Data)
-		case durable.KindJoin:
-			err = c.applySplitJoin(int(rec.Addr))
-		default:
-			// The split protocol has no routing, so drains and migrations
-			// never occur; replacement is the only topology change.
-			err = fmt.Errorf("sdimm: record kind %d unsupported by split clusters", rec.Kind)
-		}
-		if err != nil {
-			c.replaying = false
-			c.Close()
-			return nil, nil, fmt.Errorf("sdimm: replay record %d (seq %d, kind %d): %w", rec.Addr, rec.Seq, rec.Kind, err)
-		}
-		c.tm.replayed.Inc()
-	}
-	c.replaying = false
-	for _, h := range c.health {
-		h.MarkRecovering()
-	}
-	if err := c.ForceCheckpoint(); err != nil {
-		c.Close()
-		return nil, nil, err
-	}
-	c.tm.scrubScanned.Add(uint64(report.BucketsScanned))
-	c.tm.scrubRepaired.Add(uint64(report.BucketsRepaired))
-	c.tm.scrubUnrecoverable.Add(uint64(report.BucketsUnrecoverable))
 	return c, report, nil
 }

@@ -130,9 +130,7 @@ func (c *Cluster) DrainStep() (done bool, err error) {
 	if !ok {
 		return true, nil
 	}
-	c.migrating = true
-	_, err = c.tracedAccess(addr, oram.OpRead, nil)
-	c.migrating = false
+	_, err = c.tracedAccess(addr, oram.OpRead, nil, true)
 	if err != nil {
 		return false, err
 	}

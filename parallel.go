@@ -1,10 +1,9 @@
 package sdimm
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"time"
 
 	"sdimm/internal/blame"
 	"sdimm/internal/durable"
@@ -17,7 +16,9 @@ import (
 // This file is the parallel execution engine for functional clusters: a
 // pool of persistent per-SDIMM worker goroutines and, on top of it, a
 // decoupled two-wave access pipeline that keeps a window of independent ORAM
-// accesses in flight behind the existing fault.Transactor links.
+// accesses in flight behind the existing fault.Transactor links. The wave
+// loop exists once (Pipeline.run); Do and Serve are a slice feeder and a
+// channel feeder over it.
 //
 // The pipeline is decoupled: wave N+1's ACCESS exchanges run while wave N's
 // APPEND broadcast and journal append are still in flight. The coordinator
@@ -99,13 +100,7 @@ func newWorkerPool(n, parallelism, queue int) *workerPool {
 
 // submit queues fn on member w's worker, tracked by the pool's own
 // WaitGroup. Pair with barrier.
-func (p *workerPool) submit(w int, fn func()) {
-	p.wg.Add(1)
-	p.tasks[w] <- func() {
-		defer p.wg.Done()
-		fn()
-	}
-}
+func (p *workerPool) submit(w int, fn func()) { p.submitWG(w, &p.wg, fn) }
 
 // submitWG queues fn on member w's worker, tracked by a caller-owned
 // WaitGroup — the pipeline uses per-wave groups so two waves can be in
@@ -165,21 +160,7 @@ type PipelineOptions struct {
 	// (default = Window). 1 degenerates to sequential execution of the
 	// exact same logical schedule.
 	Parallelism int
-	// FillTimeout bounds how long the streaming front end (Serve) waits
-	// for more operations before launching a partially filled wave. Without
-	// a bound a trickle of callers stalls behind a window that never fills
-	// — the last ops of a batch would wait indefinitely for peers that
-	// never come. Zero selects DefaultFillTimeout; negative launches
-	// partial waves immediately (no coalescing delay). Do ignores it: a
-	// slice batch is fully known up front.
-	FillTimeout time.Duration
 }
-
-// DefaultFillTimeout is the streaming pipeline's window-fill bound: long
-// enough that concurrent request streams coalesce into full waves, short
-// enough to be invisible next to request deadlines in the hundreds of
-// milliseconds.
-const DefaultFillTimeout = 2 * time.Millisecond
 
 func (o PipelineOptions) withDefaults() PipelineOptions {
 	if o.Window <= 0 {
@@ -187,9 +168,6 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = o.Window
-	}
-	if o.FillTimeout == 0 {
-		o.FillTimeout = DefaultFillTimeout
 	}
 	return o
 }
@@ -211,18 +189,15 @@ type Pipeline struct {
 	// Wave scratch, reused across waves so the steady-state batch loop
 	// recycles its waveStates and pipeOps (and their payload buffers)
 	// instead of reallocating them every wave.
-	wsFree []*waveState
-	free   []*pipeOp
+	wsFree  []*waveState
+	free    []*pipeOp
+	pending []BatchOp // fed, not yet scheduled (feed order); see run
 
 	// healthSnap is the coordinator's view of member health, refreshed at
 	// the pipeline's quiescent points. Scheduling and re-homing read it
 	// instead of the live health records, which workers mutate while the
 	// coordinator plans the next wave.
 	healthSnap []fault.State
-
-	// rehomeWG tracks the worker-side re-homing appends the coordinator
-	// issues one at a time during wave retirement.
-	rehomeWG sync.WaitGroup
 
 	// waveN numbers the waves this pipeline has run — the wave id the blame
 	// profiler and flight recorder stamp on their records.
@@ -252,7 +227,7 @@ type waveState struct {
 	ops   []*pipeOp
 	addrs map[uint64]bool
 	recs  []durable.Record
-	n     int
+	res   []BatchResult // filled at retirement, one per op
 
 	wgA sync.WaitGroup // ACCESS fan-out
 	wgB sync.WaitGroup // APPEND broadcast
@@ -274,9 +249,8 @@ func (p *Pipeline) takeWave() *waveState {
 	n := len(p.wsFree)
 	if n == 0 {
 		return &waveState{
-			addrs:     make(map[uint64]bool, p.opts.Window),
-			jerr:      make(chan error, 1),
-			traceLane: -1,
+			addrs: make(map[uint64]bool, p.opts.Window),
+			jerr:  make(chan error, 1),
 		}
 	}
 	w := p.wsFree[n-1]
@@ -294,11 +268,13 @@ func (p *Pipeline) releaseWave(w *waveState) {
 	}
 	w.ops = w.ops[:0]
 	clear(w.addrs)
-	w.recs = clearRecords(w.recs)
-	w.n = 0
+	// Emptied without retaining payload references.
+	clear(w.recs)
+	w.recs = w.recs[:0]
+	clear(w.res)
+	w.res = w.res[:0]
 	w.journal = false
 	w.traceEnd = nil
-	w.traceLane = -1
 	p.wsFree = append(p.wsFree, w)
 }
 
@@ -307,7 +283,6 @@ func (p *Pipeline) releaseWave(w *waveState) {
 // arrays so steady-state waves reuse them. out is the exception — it is
 // handed to the caller in a BatchResult and never pooled.
 type pipeOp struct {
-	idx     int // index into the submitted batch
 	addr    uint64
 	op      oram.Op
 	migrate bool   // rebalance migration step (journals as KindMigrate)
@@ -351,32 +326,14 @@ func (p *Pipeline) takeOp() *pipeOp {
 	return po
 }
 
-// resizeErrs returns a zeroed error slice of length n, reusing capacity.
-func resizeErrs(s []error, n int) []error {
+// resized returns a zeroed slice of length n, reusing s's capacity.
+func resized[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]error, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// resizeFrames returns a zeroed byte-slice slice of length n, reusing
-// capacity.
-func resizeFrames(s [][]byte, n int) [][]byte {
-	if cap(s) < n {
-		return make([][]byte, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// clearRecords empties a record batch for reuse without retaining payload
-// references.
-func clearRecords(recs []durable.Record) []durable.Record {
-	clear(recs)
-	return recs[:0]
 }
 
 // snapshotHealth refreshes the coordinator's health snapshot. Called only at
@@ -393,77 +350,110 @@ func (p *Pipeline) snapshotHealth() {
 	}
 }
 
-// pickLeafSnap draws a uniform leaf among the snapshot-eligible members —
-// the pipeline's counterpart of pickHealthyLeaf, reading the coordinator's
-// health snapshot instead of the live (worker-mutated) records.
-func (p *Pipeline) pickLeafSnap(globalLeaves uint64) (uint64, error) {
-	return p.c.pickLeafStates(func(i int) fault.State { return p.healthSnap[i] },
-		len(p.healthSnap), globalLeaves)
-}
+// snapState is the pipeline's health view for leaf picks and re-homing: the
+// coordinator's snapshot instead of the live (worker-mutated) records.
+func (p *Pipeline) snapState(i int) fault.State { return p.healthSnap[i] }
 
-// Do executes ops through the pipeline and returns one result per op, in
-// order. Semantics match issuing the same operations through Read/Write one
-// at a time, with one deliberate difference: accesses in the same wave
-// observe the position map and health state as of the wave's start. A wave
-// never schedules an address that appears in the wave still in flight or
-// earlier in itself (the schedule breaks there), so per-address read/write
-// ordering is preserved exactly.
+// run is the wave loop — the only one. Each iteration launches at most one
+// new wave and retires the previous one, so wave N+1's ACCESS exchanges
+// overlap wave N's APPEND broadcast and journal append. Checkpoints run only
+// at fully drained points, so the checkpoint cadence (in committed-access
+// terms) is identical to the sequential path's.
 //
-// Each loop iteration launches at most one new wave and retires the
-// previous one; the previous wave's APPEND broadcast and journal append
-// overlap the new wave's ACCESS exchanges. Checkpoints run only at fully
-// drained points, so the checkpoint cadence (in committed-access terms) is
-// identical to the sequential path's.
-func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
+// The two front ends differ only in the feeder they pass. fill tops pending
+// up to Window from the feeder's source — waiting for the first op when block
+// is set — and reports that the source is exhausted. deliver receives exactly
+// one result per fed op, in feed order: waves retire FIFO, a wave finalizes
+// in logical order, and an abort answers the never-scheduled tail only after
+// everything in flight has retired.
+//
+// Wave-fill policy: block is set only when the pipeline is idle (nothing in
+// flight, nothing pending). With a wave in flight there is retirement work to
+// do, and whatever the source queued while that wave ran joins the next one —
+// arrivals coalesce behind the in-flight wave, so no fill timer is needed.
+func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool), deliver func(BatchResult)) {
 	c := p.c
-	res := make([]BatchResult, len(ops))
 	globalLeaves := uint64(1) << (c.levels - 1)
 	p.snapshotHealth()
 
 	var prev *waveState
-	start := 0
-	for start < len(ops) || prev != nil {
+	pending, drained := p.pending[:0], false
+	defer func() { p.pending = pending }() // empty on every exit; keeps the capacity
+
+	// abort closes the iteration's blame record and answers every op that
+	// was never scheduled — pending here or still in the feeder — with err,
+	// preserving the write-ahead contract: nothing is acknowledged that the
+	// journal could not back.
+	var bw *blame.Wave
+	abort := func(err error) {
+		bw.End(0)
+		for {
+			for range pending {
+				deliver(BatchResult{Err: err})
+			}
+			clear(pending)
+			pending = pending[:0]
+			if drained {
+				break
+			}
+			pending, drained = fill(pending, true)
+		}
+	}
+
+	for {
+		if !drained && len(pending) < p.opts.Window {
+			pending, drained = fill(pending, prev == nil && len(pending) == 0)
+		}
+		if len(pending) == 0 && prev == nil {
+			// An idle fill comes back empty-handed only from an exhausted source.
+			return
+		}
+
 		// Observability taps: nil-safe no-ops without a blame collector or
 		// flight recorder attached; neither draws randomness nor feeds state
 		// back, so attaching them cannot perturb the wave schedule or the
 		// bitwise-equivalence guarantee.
-		bw := c.blame.BeginWave()
+		bw = c.blame.BeginWave()
 
-		if c.crashedNow() {
-			// The cluster died at a planned crash point. Retire the in-flight
-			// wave first — its journal outcome decides its results — then fail
-			// everything not yet scheduled.
-			if prev != nil {
-				p.retire(prev, res, bw)
-				prev = nil
-			}
-			for i := start; i < len(ops); i++ {
-				res[i] = BatchResult{Err: durable.ErrCrashed}
-			}
-			bw.End(0)
-			return res
-		}
-
+		// Crash gate: the cluster died at a planned crash point. Nothing new
+		// is scheduled; the in-flight wave still retires below — its journal
+		// outcome decides its results — and then everything else fails.
+		dead := c.crashedNow()
 		// Checkpoint gate: when a checkpoint is due the pipeline stalls the
 		// schedule and drains, so the checkpoint captures a quiescent image at
 		// the same committed-sequence boundary the sequential path would.
 		ckptDue := c.checkpointDue()
 
 		var w *waveState
-		if start < len(ops) && !ckptDue {
-			w = p.scheduleWave(ops, start, prev, globalLeaves)
-			if w != nil {
+		if len(pending) > 0 && !dead && !ckptDue {
+			if w = p.scheduleWave(pending, prev, globalLeaves); w != nil {
 				p.dispatchAccess(w)
 			}
 		}
 		bw.Mark(blame.PhaseSchedule)
 
 		if prev != nil {
-			p.retire(prev, res, bw)
-			prev = nil
-		} else {
+			prev.wgB.Wait()
+			var jerr error
+			if prev.journal {
+				jerr = <-prev.jerr
+			}
 			bw.Mark(blame.PhaseRetireWait)
-			bw.Mark(blame.PhaseFinalize)
+			p.retire(prev, jerr, globalLeaves)
+			c.flight.Coordinator().Record(flight.KindPhase, uint64(blame.PhaseFinalize), prev.waveID)
+			// Delivery comes last: a submitter that has its answer may inspect
+			// the cluster, so the wave's coordinator-side writes are done.
+			for _, r := range prev.res {
+				deliver(r)
+			}
+			p.releaseWave(prev)
+			prev = nil
+		}
+		// With nothing to retire this closes both retire phases at zero length.
+		bw.Mark(blame.PhaseFinalize)
+		if dead {
+			abort(durable.ErrCrashed)
+			return
 		}
 
 		launched := 0
@@ -473,6 +463,7 @@ func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
 			// Quiescent point: the previous wave is fully retired and this
 			// wave's ACCESS tasks have drained — no worker task is in flight.
 			p.snapshotHealth()
+			pending = slices.Delete(pending, 0, len(w.ops))
 			if c.crashedNow() {
 				// The previous wave's journal goroutine hit the crash point
 				// while this wave's exchanges ran. Nothing of this wave may
@@ -482,41 +473,52 @@ func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
 					if po.err == nil {
 						po.err = durable.ErrCrashed
 					}
-					res[po.idx] = BatchResult{Err: po.err}
+					deliver(BatchResult{Err: po.err})
 				}
-				start += w.n
 				p.releaseWave(w)
-				bw.End(0)
-				continue
+				abort(durable.ErrCrashed)
+				return
 			}
 			p.commit(w)
 			bw.Mark(blame.PhaseCommit)
 			p.dispatchAppend(w)
 			p.spawnJournal(w)
 			c.flight.Coordinator().Record(flight.KindPhase, uint64(blame.PhaseDispatch), w.waveID)
-			start += w.n
-			launched = w.n
+			launched = len(w.ops)
 			prev = w
 			bw.Mark(blame.PhaseDispatch)
 		} else if ckptDue {
 			// Fully drained (prev retired above, nothing launched): safe to
 			// capture. Close the unreached phases at zero length first so the
 			// checkpoint interval carries exactly the checkpoint time.
-			bw.Mark(blame.PhaseAccessWait)
-			bw.Mark(blame.PhaseCommit)
 			bw.Mark(blame.PhaseDispatch)
 			err := c.ForceCheckpoint()
 			bw.Mark(blame.PhaseCheckpoint)
 			if err != nil {
-				for i := start; i < len(ops); i++ {
-					res[i] = BatchResult{Err: err}
-				}
-				bw.End(0)
-				return res
+				abort(err)
+				return
 			}
 		}
 		bw.End(launched)
 	}
+}
+
+// Do executes ops through the pipeline and returns one result per op, in
+// order: the slice feeder over run. Semantics match issuing the same
+// operations through Read/Write one at a time, with one deliberate
+// difference: accesses in the same wave observe the position map and health
+// state as of the wave's start. A wave never schedules an address that
+// appears in the wave still in flight or earlier in itself (the schedule
+// breaks there), so per-address read/write ordering is preserved exactly.
+func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
+	res := make([]BatchResult, 0, len(ops))
+	next := 0
+	p.run(func(pending []BatchOp, _ bool) ([]BatchOp, bool) {
+		n := min(p.opts.Window-len(pending), len(ops)-next)
+		pending = append(pending, ops[next:next+n]...)
+		next += n
+		return pending, next == len(ops)
+	}, func(r BatchResult) { res = append(res, r) })
 	return res
 }
 
@@ -526,10 +528,10 @@ func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
 // conflicts with the in-flight wave — the caller retires it and retries, so
 // progress is guaranteed (with no wave in flight the first op never
 // conflicts).
-func (p *Pipeline) scheduleWave(ops []BatchOp, start int, prev *waveState, globalLeaves uint64) *waveState {
+func (p *Pipeline) scheduleWave(pending []BatchOp, prev *waveState, globalLeaves uint64) *waveState {
 	w := p.takeWave()
-	for i := start; i < len(ops) && len(w.ops) < p.opts.Window; i++ {
-		a := ops[i].Addr
+	for _, op := range pending[:min(len(pending), p.opts.Window)] {
+		a := op.Addr
 		if w.addrs[a] || (prev != nil && prev.addrs[a]) {
 			// The next op must observe the earlier access's commit — and for
 			// the in-flight wave, its append landing and any re-home — so the
@@ -537,10 +539,9 @@ func (p *Pipeline) scheduleWave(ops []BatchOp, start int, prev *waveState, globa
 			break
 		}
 		w.addrs[a] = true
-		w.ops = append(w.ops, p.schedule(ops[i], i, globalLeaves))
+		w.ops = append(w.ops, p.schedule(op, globalLeaves))
 	}
-	w.n = len(w.ops)
-	if w.n == 0 {
+	if len(w.ops) == 0 {
 		p.releaseWave(w)
 		return nil
 	}
@@ -551,10 +552,10 @@ func (p *Pipeline) scheduleWave(ops []BatchOp, start int, prev *waveState, globa
 
 // schedule prepares one access: position lookup and every shared-RNG draw,
 // in logical order on the coordinator. Health reads go through the snapshot.
-func (p *Pipeline) schedule(op BatchOp, idx int, globalLeaves uint64) *pipeOp {
+func (p *Pipeline) schedule(op BatchOp, globalLeaves uint64) *pipeOp {
 	c := p.c
 	po := p.takeOp()
-	po.idx, po.addr, po.op = idx, op.Addr, oram.OpRead
+	po.addr, po.op = op.Addr, oram.OpRead
 	po.migrate = op.Migrate
 	if op.Write {
 		if op.Migrate {
@@ -568,18 +569,13 @@ func (p *Pipeline) schedule(op BatchOp, idx int, globalLeaves uint64) *pipeOp {
 			po.skip = true
 			return po
 		}
-		if cap(po.dataBuf) < c.blockSize {
-			po.dataBuf = make([]byte, c.blockSize)
-		}
-		po.data = po.dataBuf[:c.blockSize]
-		clear(po.data)
-		copy(po.data, op.Data)
+		po.data = padInto(&po.dataBuf, op.Data, c.blockSize)
 	}
 
 	oldG, mapped := c.pos.Get(po.addr)
 	if !mapped {
 		var err error
-		if oldG, err = p.pickLeafSnap(globalLeaves); err != nil {
+		if oldG, err = c.pickLeaf(p.snapState, globalLeaves); err != nil {
 			po.err, po.skip = err, true
 			return po
 		}
@@ -591,7 +587,7 @@ func (p *Pipeline) schedule(op BatchOp, idx int, globalLeaves uint64) *pipeOp {
 		po.skip = true
 		return po
 	}
-	newG, err := p.pickLeafSnap(globalLeaves)
+	newG, err := c.pickLeaf(p.snapState, globalLeaves)
 	if err != nil {
 		po.err, po.skip = err, true
 		return po
@@ -606,7 +602,7 @@ func (p *Pipeline) schedule(op BatchOp, idx int, globalLeaves uint64) *pipeOp {
 // workers and opens the wave's trace span.
 func (p *Pipeline) dispatchAccess(w *waveState) {
 	c := p.c
-	c.flight.Coordinator().Record(flight.KindWave, w.waveID, uint64(w.n))
+	c.flight.Coordinator().Record(flight.KindWave, w.waveID, uint64(len(w.ops)))
 	if tr := c.tm.tracer; tr != nil {
 		w.traceLane = tr.Lane()
 		sp := tr.Begin(w.traceLane, "cluster.wave", "cluster")
@@ -616,7 +612,6 @@ func (p *Pipeline) dispatchAccess(w *waveState) {
 		if po.skip {
 			continue
 		}
-		po := po
 		p.pool.submitWG(po.sd, &w.wgA, func() { p.accessTask(po) })
 	}
 }
@@ -681,18 +676,13 @@ func (p *Pipeline) accessTask(po *pipeOp) {
 // themselves already committed worker-side in accessTask.)
 func (p *Pipeline) commit(w *waveState) {
 	c := p.c
-	w.recs = w.recs[:0]
 	for _, po := range w.ops {
 		if po.skip || po.err != nil {
 			continue
 		}
-		// makeRecord keys the record kind off the cluster's migrating flag;
-		// setting it per-op here keeps the coordinator's logical order — the
-		// journal carries migrations and workload interleaved exactly as
-		// scheduled.
-		c.migrating = po.migrate
-		w.recs = append(w.recs, c.makeRecord(po.addr, po.op, po.data))
-		c.migrating = false
+		// Built in the coordinator's logical order: the journal carries
+		// migrations and workload interleaved exactly as scheduled.
+		w.recs = append(w.recs, c.makeRecord(po.addr, po.op, po.data, po.migrate))
 		po.committed = true
 		if po.decodeErr != nil {
 			// Journaled but undeliverable: surface the decode failure now that
@@ -709,11 +699,10 @@ func (p *Pipeline) commit(w *waveState) {
 func (p *Pipeline) dispatchAppend(w *waveState) {
 	c := p.c
 	for _, po := range w.ops {
-		po.appendErr = resizeErrs(po.appendErr, len(c.buffers))
-		po.appendBad = resizeFrames(po.appendBad, len(c.buffers))
+		po.appendErr = resized(po.appendErr, len(c.buffers))
+		po.appendBad = resized(po.appendBad, len(c.buffers))
 	}
 	for j := range c.buffers {
-		j := j
 		p.pool.submitWG(j, &w.wgB, func() {
 			st := c.blame.WorkerBegin()
 			defer c.blame.WorkerEnd(blame.WorkerAppend, st)
@@ -752,7 +741,6 @@ func (p *Pipeline) dispatchAppend(w *waveState) {
 func (p *Pipeline) spawnJournal(w *waveState) {
 	c := p.c
 	if len(w.recs) == 0 || c.dur == nil || c.replaying {
-		w.journal = false
 		return
 	}
 	w.journal = true
@@ -760,51 +748,35 @@ func (p *Pipeline) spawnJournal(w *waveState) {
 	go func() { w.jerr <- c.appendRecords(recs) }()
 }
 
-// retire completes a dispatched wave: waits out its APPEND broadcast and
-// journal append, resolves append outcomes (lost-append accounting,
-// re-homing, malformed acks), and delivers results.
-func (p *Pipeline) retire(w *waveState, res []BatchResult, bw *blame.Wave) {
-	c := p.c
-	w.wgB.Wait()
-	var jerr error
-	if w.journal {
-		jerr = <-w.jerr
-	}
-	bw.Mark(blame.PhaseRetireWait)
-
-	if jerr != nil {
-		// The journal append died mid-wave (a planned crash point, or real
-		// I/O failure). Some records may be durable, but acknowledging any
-		// result now could acknowledge an access the journal lost — fail
-		// every journaled op; recovery re-drives from the journal's valid
-		// prefix.
-		for _, po := range w.ops {
-			if po.committed {
-				po.err = jerr
-			}
-		}
-	}
-	globalLeaves := uint64(1) << (c.levels - 1)
+// retire resolves a dispatched wave whose APPEND broadcast and journal
+// append (outcome jerr) have completed: append outcomes (lost-append
+// accounting, re-homing, malformed acks) and the results, in logical order.
+func (p *Pipeline) retire(w *waveState, jerr error, globalLeaves uint64) {
 	for _, po := range w.ops {
-		p.finalize(po, globalLeaves, res)
+		if jerr != nil && po.committed {
+			// The journal append died mid-wave (a planned crash point, or real
+			// I/O failure). Some records may be durable, but acknowledging any
+			// result now could acknowledge an access the journal lost — fail
+			// every journaled op; recovery re-drives from the journal's valid
+			// prefix.
+			po.err = jerr
+		}
+		w.res = append(w.res, p.finalize(po, globalLeaves))
 	}
 	if w.traceEnd != nil {
 		if jerr != nil {
-			w.traceEnd(map[string]any{"ops": w.n, "err": true})
+			w.traceEnd(map[string]any{"ops": len(w.ops), "err": true})
 		} else {
-			w.traceEnd(map[string]any{"ops": w.n})
+			w.traceEnd(map[string]any{"ops": len(w.ops)})
 		}
-		c.tm.tracer.FreeLane(w.traceLane)
+		p.c.tm.tracer.FreeLane(w.traceLane)
 	}
-	c.flight.Coordinator().Record(flight.KindPhase, uint64(blame.PhaseFinalize), w.waveID)
-	p.releaseWave(w)
-	bw.Mark(blame.PhaseFinalize)
 }
 
 // finalize resolves one access at retirement: lost-append accounting,
 // re-homing, malformed-ack detection, the poison veto, payload delivery,
 // and the cluster.* observation.
-func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64, res []BatchResult) {
+func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64) BatchResult {
 	c := p.c
 	if po.err == nil {
 		for j := range c.buffers {
@@ -814,7 +786,7 @@ func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64, res []BatchResult) 
 					// The migrating block was in this exchange: re-home it
 					// (leaf draws on the coordinator, the append on the new
 					// owner's worker) instead of losing the payload.
-					if rerr := p.rehomePooled(po.addr, po.blk, j, globalLeaves); rerr != nil && po.err == nil {
+					if rerr := c.rehome(po.addr, po.blk, j, globalLeaves, p.snapState, p.rehomeAppend); rerr != nil && po.err == nil {
 						po.err = rerr
 					}
 				}
@@ -849,62 +821,28 @@ func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64, res []BatchResult) 
 	} else {
 		c.tm.observe(po.op, po.err)
 	}
-	res[po.idx] = out
+	return out
 }
 
-// rehomePooled re-homes an in-flight real block whose APPEND exchange was
-// lost. Leaf draws stay on the coordinator (logical order); each candidate
-// append runs as a task on the new owner's worker, because per-SDIMM command
-// scratch and link framing belong to the goroutine driving that link — the
-// coordinator must not touch a link whose worker may be running the next
-// wave's exchanges.
-func (p *Pipeline) rehomePooled(addr uint64, blk oram.Block, exclude int, globalLeaves uint64) error {
+// rehomeAppend is the pipeline's exchange step for Cluster.rehome: the
+// candidate append runs as a task on the new owner's worker, because
+// per-SDIMM command scratch and link framing belong to the goroutine driving
+// that link — the coordinator must not touch a link whose worker may be
+// running the next wave's exchanges. The ack is copied out of the
+// transactor's scratch for the same reason.
+func (p *Pipeline) rehomeAppend(sd int, blk oram.Block) (ack []byte, err error) {
 	c := p.c
-	c.tm.rehomes.Inc()
-	if tr := c.tm.tracer; tr != nil {
-		tr.Instant(0, "cluster.rehome", "cluster", map[string]any{"addr": addr, "exclude": exclude})
-	}
-	var lastErr error
-	for try := 0; try < 8*len(c.buffers); try++ {
-		g, err := p.pickLeafSnap(globalLeaves)
-		if err != nil {
-			return err
-		}
-		sd := int(g >> c.localBits)
-		if sd == exclude {
-			continue
-		}
-		nb := blk
-		nb.Leaf = g & (uint64(1)<<c.localBits - 1)
-		c.tm.rehomeAttempts.Inc()
-		var ack []byte
-		var xerr error
-		p.pool.submitWG(sd, &p.rehomeWG, func() {
-			ws := c.blame.WorkerBegin()
-			defer c.blame.WorkerEnd(blame.WorkerAppend, ws)
-			resp, err := c.exchange(sd, "rehome append", c.appendBody(sd, nb, false))
-			if err != nil {
-				xerr = err
-				return
-			}
+	var wg sync.WaitGroup
+	p.pool.submitWG(sd, &wg, func() {
+		ws := c.blame.WorkerBegin()
+		defer c.blame.WorkerEnd(blame.WorkerAppend, ws)
+		var resp []byte
+		if resp, err = c.rehomeAppend(sd, blk); err == nil {
 			ack = append([]byte(nil), resp...)
-		})
-		p.rehomeWG.Wait()
-		if xerr != nil {
-			lastErr = xerr
-			continue
 		}
-		if len(ack) != 1 || ack[0] != appendAck {
-			return c.wrapErr(sd, "rehome append", fmt.Errorf("sdimm: malformed append ack %x", ack))
-		}
-		c.pos.Set(addr, g)
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("sdimm: no alternative SDIMM for in-flight block")
-	}
-	c.tm.rehomeFailures.Inc()
-	return fmt.Errorf("sdimm: re-homing block %d failed: %w", addr, lastErr)
+	})
+	wg.Wait()
+	return ack, err
 }
 
 // AsyncOp is one operation submitted to the streaming pipeline front
@@ -922,21 +860,13 @@ func NewAsyncOp(op BatchOp) *AsyncOp {
 	return &AsyncOp{Op: op, Done: make(chan BatchResult, 1)}
 }
 
-// liveWave is one Serve wave in flight: the engine state plus the submitted
-// ops awaiting its results.
-type liveWave struct {
-	w    *waveState
-	acks []*AsyncOp
-	res  []BatchResult
-}
-
-// Serve is the pipeline's streaming front end: it pulls individually
-// submitted operations from in, coalesces them into waves of up to Window,
-// and drives the same schedule/dispatch/retire machinery as Do — wave N+1's
-// ACCESS exchanges still overlap wave N's APPEND broadcast and journal
-// append. A wave launches as soon as it is full, the moment in closes, or
-// after FillTimeout with whatever has arrived — a partially filled wave
-// never waits indefinitely for callers that never come.
+// Serve is the pipeline's streaming front end: the channel feeder over run.
+// It pulls individually submitted operations from in, coalesces them into
+// waves of up to Window, and completes each AsyncOp as its wave retires. An
+// idle pipeline waits for the first op and launches it at once with whatever
+// else is already queued; a busy one takes whatever queued while the wave in
+// flight ran. A partially filled wave therefore never waits for callers that
+// never come.
 //
 // Serve owns the cluster's request stream while running: do not call Do,
 // Read, or Write concurrently. It returns only after in is closed and every
@@ -947,210 +877,35 @@ type liveWave struct {
 // address (the wave schedule breaks on conflicts), so per-address semantics
 // match submitting them one at a time.
 func (p *Pipeline) Serve(in <-chan *AsyncOp) {
-	c := p.c
-	globalLeaves := uint64(1) << (c.levels - 1)
-	p.snapshotHealth()
-
-	var (
-		buf    []*AsyncOp // admitted, not yet scheduled (arrival order)
-		opsBuf []BatchOp  // schedule scratch, rebuilt from buf each wave
-		prev   *liveWave
-		closed bool
-	)
-	timer := time.NewTimer(time.Hour)
-	stopFillTimer(timer)
-
-	// bail fails everything still buffered or arriving and returns. Called
-	// after prev is fully retired.
-	bail := func(err error) {
-		for _, a := range buf {
-			a.Done <- BatchResult{Err: err}
-		}
-		buf = buf[:0]
-		if !closed {
-			for a := range in {
-				a.Done <- BatchResult{Err: err}
-			}
-		}
-	}
-
-	for {
-		if !closed && len(buf) < p.opts.Window {
-			// Block for the first op only when the pipeline is idle —
-			// with a wave in flight there is retirement work to do even if
-			// no new ops arrive.
-			buf, closed = p.fillBuf(in, buf, len(buf) == 0 && prev == nil, timer)
-		}
-		if len(buf) == 0 && prev == nil {
-			if closed {
-				return
-			}
-			continue
-		}
-
-		bw := c.blame.BeginWave()
-		if c.crashedNow() {
-			if prev != nil {
-				p.retire(prev.w, prev.res, bw)
-				deliverWave(prev)
-				prev = nil
+	// acks[head:] are the admitted, not yet answered ops in arrival order —
+	// the order run delivers in. Done channels are buffered, so delivery
+	// never blocks the coordinator.
+	var acks []*AsyncOp
+	head := 0
+	p.run(func(pending []BatchOp, block bool) ([]BatchOp, bool) {
+		acks, head = slices.Delete(acks, 0, head), 0
+		for len(pending) < p.opts.Window {
+			var a *AsyncOp
+			var ok bool
+			if block {
+				a, ok = <-in
+				block = false
 			} else {
-				bw.Mark(blame.PhaseSchedule)
-				bw.Mark(blame.PhaseRetireWait)
-				bw.Mark(blame.PhaseFinalize)
-			}
-			bw.End(0)
-			bail(durable.ErrCrashed)
-			return
-		}
-
-		ckptDue := c.checkpointDue()
-		var lw *liveWave
-		if len(buf) > 0 && !ckptDue {
-			opsBuf = opsBuf[:0]
-			for _, a := range buf {
-				opsBuf = append(opsBuf, a.Op)
-			}
-			var pw *waveState
-			if prev != nil {
-				pw = prev.w
-			}
-			if w := p.scheduleWave(opsBuf, 0, pw, globalLeaves); w != nil {
-				p.dispatchAccess(w)
-				lw = &liveWave{
-					w:    w,
-					acks: append([]*AsyncOp(nil), buf[:w.n]...),
-					res:  make([]BatchResult, w.n),
+				select {
+				case a, ok = <-in:
+				default:
+					return pending, false
 				}
 			}
-		}
-		bw.Mark(blame.PhaseSchedule)
-
-		if prev != nil {
-			p.retire(prev.w, prev.res, bw)
-			deliverWave(prev)
-			prev = nil
-		} else {
-			bw.Mark(blame.PhaseRetireWait)
-			bw.Mark(blame.PhaseFinalize)
-		}
-
-		launched := 0
-		if lw != nil {
-			w := lw.w
-			w.wgA.Wait()
-			bw.Mark(blame.PhaseAccessWait)
-			// Quiescent point, exactly as in Do.
-			p.snapshotHealth()
-			if c.crashedNow() {
-				// The retired wave's journal goroutine hit the crash point
-				// while this wave's exchanges ran: nothing of this wave may
-				// commit.
-				for _, po := range w.ops {
-					if po.err == nil {
-						po.err = durable.ErrCrashed
-					}
-					lw.res[po.idx] = BatchResult{Err: po.err}
-				}
-				deliverWave(lw)
-				buf = buf[w.n:]
-				p.releaseWave(w)
-				bw.End(0)
-				bail(durable.ErrCrashed)
-				return
-			}
-			p.commit(w)
-			bw.Mark(blame.PhaseCommit)
-			p.dispatchAppend(w)
-			p.spawnJournal(w)
-			c.flight.Coordinator().Record(flight.KindPhase, uint64(blame.PhaseDispatch), w.waveID)
-			buf = buf[w.n:]
-			launched = w.n
-			prev = lw
-			bw.Mark(blame.PhaseDispatch)
-		} else if ckptDue {
-			// Fully drained (prev retired above, nothing launched): capture
-			// the checkpoint at the same committed-sequence boundary the
-			// sequential path would.
-			bw.Mark(blame.PhaseAccessWait)
-			bw.Mark(blame.PhaseCommit)
-			bw.Mark(blame.PhaseDispatch)
-			err := c.ForceCheckpoint()
-			bw.Mark(blame.PhaseCheckpoint)
-			if err != nil {
-				bw.End(0)
-				bail(err)
-				return
-			}
-		}
-		bw.End(launched)
-	}
-}
-
-// deliverWave hands a retired wave's results to their submitters. Done
-// channels are buffered, so delivery never blocks the coordinator.
-func deliverWave(lw *liveWave) {
-	for i, a := range lw.acks {
-		a.Done <- lw.res[i]
-	}
-}
-
-// fillBuf admits ops from in until the window is full, the fill timeout
-// lapses, or the channel closes. With block set it waits indefinitely for
-// the first op (the pipeline is idle). It returns the updated buffer and
-// whether in is closed.
-func (p *Pipeline) fillBuf(in <-chan *AsyncOp, buf []*AsyncOp, block bool, timer *time.Timer) ([]*AsyncOp, bool) {
-	if block && len(buf) == 0 {
-		a, ok := <-in
-		if !ok {
-			return buf, true
-		}
-		buf = append(buf, a)
-	}
-	// Non-blocking drain: whatever is already queued joins the wave.
-	for len(buf) < p.opts.Window {
-		select {
-		case a, ok := <-in:
 			if !ok {
-				return buf, true
+				return pending, true
 			}
-			buf = append(buf, a)
-			continue
-		default:
+			acks = append(acks, a)
+			pending = append(pending, a.Op)
 		}
-		break
-	}
-	if len(buf) == 0 || len(buf) >= p.opts.Window || p.opts.FillTimeout < 0 {
-		return buf, false
-	}
-	// Partially filled: wait out the fill timeout for stragglers.
-	timer.Reset(p.opts.FillTimeout)
-	for len(buf) < p.opts.Window {
-		select {
-		case a, ok := <-in:
-			if !ok {
-				stopFillTimer(timer)
-				return buf, true
-			}
-			buf = append(buf, a)
-		case <-timer.C:
-			return buf, false
-		}
-	}
-	stopFillTimer(timer)
-	return buf, false
-}
-
-// stopFillTimer stops a timer and drains a pending fire, leaving it safe to
-// Reset. Stop() == false means the timer already fired, but the fire can
-// still be in flight on the runtime's timer goroutine — a non-blocking drain
-// would miss it and leave a stale value in t.C, which the next Reset'd wait
-// would consume instantly, cutting that fill window short. Blocking is safe
-// here: every caller invokes stopFillTimer only when the fire since the last
-// Reset has not been consumed (the <-timer.C path in fillBuf returns without
-// calling it), so the pending value is ours to take.
-func stopFillTimer(t *time.Timer) {
-	if !t.Stop() {
-		<-t.C
-	}
+		return pending, false
+	}, func(r BatchResult) {
+		acks[head].Done <- r
+		head++
+	})
 }

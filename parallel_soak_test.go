@@ -171,9 +171,7 @@ func TestPipelineSoakWindowOneMatchesSequential(t *testing.T) {
 			// Mirror DrainStep's accounting: a migration is a read-shaped
 			// access whose payload is not delivered, counted under
 			// cluster.migrations instead of the workload observers.
-			cs.migrating = true
-			_, err := cs.tracedAccess(op.Addr, oram.OpRead, nil)
-			cs.migrating = false
+			_, err := cs.tracedAccess(op.Addr, oram.OpRead, nil, true)
 			if err == nil {
 				cs.tm.migrations.Inc()
 			}

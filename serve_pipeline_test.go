@@ -3,11 +3,16 @@ package sdimm
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"sdimm/internal/durable"
+	"sdimm/internal/fault"
+	"sdimm/internal/rng"
 	"sdimm/internal/telemetry"
 )
 
@@ -34,8 +39,7 @@ func serveCluster(t *testing.T, reg *telemetry.Registry, opts PipelineOptions) (
 
 // TestPipelineServePartialWaveNoStall is the latent-stall regression test:
 // three ops on a Window-8 pipeline, with the channel left open, must retire
-// after the fill timeout instead of waiting forever for five peers that
-// never come.
+// at once instead of waiting forever for five peers that never come.
 func TestPipelineServePartialWaveNoStall(t *testing.T) {
 	_, _, in, done := serveCluster(t, nil, PipelineOptions{Window: 8})
 	ops := make([]*AsyncOp, 3)
@@ -44,7 +48,7 @@ func TestPipelineServePartialWaveNoStall(t *testing.T) {
 			Data: []byte(fmt.Sprintf("partial-%d", i))})
 		in <- ops[i]
 	}
-	deadline := time.After(5 * time.Second) // generous; expected ~FillTimeout
+	deadline := time.After(5 * time.Second) // generous; expected ~one wave
 	for i, a := range ops {
 		select {
 		case r := <-a.Done:
@@ -85,9 +89,7 @@ func TestPipelineServeMatchesSequential(t *testing.T) {
 	seq := captureState(seqResults, cs.Positions(), cs.StashLens(), regSeq, cs.Health())
 
 	regSrv := telemetry.NewRegistry()
-	c, _, in, done := serveCluster(t, regSrv, PipelineOptions{
-		Window: 8, FillTimeout: -1, // serial client: launch immediately
-	})
+	c, _, in, done := serveCluster(t, regSrv, PipelineOptions{Window: 8})
 	srvResults := make([]BatchResult, len(ops))
 	for i, op := range ops {
 		a := NewAsyncOp(op)
@@ -99,6 +101,44 @@ func TestPipelineServeMatchesSequential(t *testing.T) {
 	srv := captureState(srvResults, c.Positions(), c.StashLens(), regSrv, c.Health())
 
 	diffState(t, "serve(serial) vs sequential", seq, srv)
+}
+
+// TestPipelineServeWindowBoundaryBursts hammers the streaming front end with
+// burst sizes straddling the window boundary, some back to back and some
+// after an idle gap, so every fill exit — full window, source run dry with a
+// wave in flight, idle block, and final channel close — is taken repeatedly.
+// Run under -race in CI; every op must still be answered exactly once.
+func TestPipelineServeWindowBoundaryBursts(t *testing.T) {
+	_, _, in, done := serveCluster(t, nil, PipelineOptions{Window: 4})
+	var acks []*AsyncOp
+	addr := uint64(0)
+	for round := 0; round < 60; round++ {
+		n := 3 + round%3 // 3, 4, 5 ops: under, at, and over the window
+		for i := 0; i < n; i++ {
+			a := NewAsyncOp(BatchOp{Addr: addr % 64, Write: true,
+				Data: []byte(fmt.Sprintf("burst-%d", addr))})
+			addr++
+			in <- a
+			acks = append(acks, a)
+		}
+		if round%2 == 0 {
+			// Let the pipeline go idle (or nearly) between bursts.
+			time.Sleep(150 * time.Microsecond)
+		}
+	}
+	close(in)
+	deadline := time.After(30 * time.Second)
+	for i, a := range acks {
+		select {
+		case r := <-a.Done:
+			if r.Err != nil {
+				t.Fatalf("op %d: %v", i, r.Err)
+			}
+		case <-deadline:
+			t.Fatalf("op %d never answered", i)
+		}
+	}
+	done.Wait()
 }
 
 // TestPipelineServeConcurrentSmoke hammers Serve from several goroutines
@@ -196,4 +236,95 @@ func TestPipelineServeCrashFailsPending(t *testing.T) {
 	}
 	close(in)
 	done.Wait()
+}
+
+// TestPipelineDoServeEquivalence pins the wave driver's two feeders to each
+// other. The same seeded mixed read/write/migrate stream goes (a) through Do
+// and (b) through Serve over a pre-filled, already-closed channel, so wave
+// composition is a pure function of the stream on both sides; everything
+// observable — per-op results, position map, stashes, telemetry, health, and
+// every byte of the state directory (journal + checkpoints) — must agree,
+// clean, under transient link faults, and across a planned mid-stream crash
+// torn inside a wave's journal group.
+func TestPipelineDoServeEquivalence(t *testing.T) {
+	ops := soakWorkload(rng.Stream(812, "do-vs-serve", 0), 512, 64)
+	scenarios := []struct {
+		name       string
+		faulty     bool
+		crashAfter int // journal records before the planned crash; 0 = none
+	}{{"clean", false, 0}, {"faulty", true, 0}, {"crash", false, 301}}
+
+	run := func(t *testing.T, faulty bool, crashAfter, par int, serve bool) (engineState, map[string][]byte) {
+		var inj *fault.Injector
+		if faulty {
+			inj = fault.NewInjector(fault.Config{Seed: 0xd05e,
+				BitFlip: 0.01, Drop: 0.01, Duplicate: 0.01, Stall: 0.005})
+		}
+		reg := telemetry.NewRegistry()
+		dir := t.TempDir()
+		c, err := NewCluster(ClusterOptions{
+			SDIMMs: 4, Levels: 10, Key: []byte("feeder-key"), Seed: 41,
+			Faults: inj, Retry: fault.RetryPolicy{MaxAttempts: 4, Sleep: nop},
+			Telemetry:  reg,
+			Durability: &DurabilityOptions{Dir: dir, Interval: 64},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crashAfter > 0 {
+			if err := c.PlanCrash(crashAfter, 9); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := c.Pipeline(PipelineOptions{Window: 8, Parallelism: par})
+		var results []BatchResult
+		if serve {
+			in := make(chan *AsyncOp, len(ops))
+			acks := make([]*AsyncOp, len(ops))
+			for i, op := range ops {
+				acks[i] = NewAsyncOp(op)
+				in <- acks[i]
+			}
+			close(in)
+			p.Serve(in)
+			for _, a := range acks {
+				results = append(results, <-a.Done)
+			}
+		} else {
+			results = p.Do(ops)
+		}
+		p.Close()
+		if last := results[len(results)-1].Err; crashAfter > 0 && !errors.Is(last, durable.ErrCrashed) {
+			t.Fatalf("planned crash never tripped: last op = %v", last)
+		}
+		st := captureState(results, c.Positions(), c.StashLens(), reg, c.Health())
+		c.Close()
+		files := make(map[string][]byte)
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st, files
+	}
+
+	for _, sc := range scenarios {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/par%d", sc.name, par), func(t *testing.T) {
+				do, doFiles := run(t, sc.faulty, sc.crashAfter, par, false)
+				srv, srvFiles := run(t, sc.faulty, sc.crashAfter, par, true)
+				diffState(t, "Do vs Serve", do, srv)
+				if len(doFiles) == 0 {
+					t.Fatal("state directory is empty")
+				}
+				if !reflect.DeepEqual(doFiles, srvFiles) {
+					t.Errorf("state directories diverged (%d vs %d files)", len(doFiles), len(srvFiles))
+				}
+			})
+		}
+	}
 }
