@@ -23,26 +23,47 @@ var chaosFaults = fault.Config{
 	MACCorrupt: 0.001,
 }
 
+// acceptance is the scenario every Independent test below varies: seed 42
+// over links faulting on chaosFaults' schedule, with a retry budget that
+// never sleeps. The harness's link checkers ride along on every such run.
+func acceptance(accesses int) chaos.Scenario {
+	if testing.Short() {
+		accesses = 600
+	}
+	return chaos.Scenario{
+		SDIMMs:    4,
+		Levels:    10,
+		Accesses:  accesses,
+		Addresses: 96,
+		Seed:      42,
+		Faults:    chaosFaults,
+		Retry:     fault.RetryPolicy{MaxAttempts: 8, Sleep: func(time.Duration) {}},
+	}
+}
+
+// splitLoss is the Split member-loss scenario: shard 1 dies a third of the
+// way through a randomized workload.
+func splitLoss(accesses int, parity bool) chaos.Scenario {
+	return chaos.Scenario{
+		SDIMMs:      4,
+		Levels:      10,
+		Accesses:    accesses,
+		Addresses:   64,
+		Seed:        7,
+		Split:       true,
+		Parity:      parity,
+		FailShard:   1,
+		FailShardAt: accesses / 3,
+	}
+}
+
 // TestChaosClusterUnderRandomFaults is the acceptance run: thousands of
 // accesses over links faulting on >1% of deliveries, with zero payload
 // mismatches against a reference map, zero surfaced errors, and zero
 // breaches of the traffic-pattern invariant (retries byte-identical,
 // constant exchange count per error-free access).
 func TestChaosClusterUnderRandomFaults(t *testing.T) {
-	accesses := 6000
-	if testing.Short() {
-		accesses = 600
-	}
-	res, err := chaos.Run(chaos.Config{
-		SDIMMs:       4,
-		Levels:       10,
-		Accesses:     accesses,
-		Addresses:    96,
-		Seed:         42,
-		Faults:       chaosFaults,
-		Retry:        fault.RetryPolicy{MaxAttempts: 8, Sleep: func(time.Duration) {}},
-		CheckTraffic: true,
-	})
+	res, err := chaos.Run(acceptance(6000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,21 +94,8 @@ func TestChaosClusterUnderRandomFaults(t *testing.T) {
 // the ring engines' extra state (eviction pointer, invalid-slot masks) must
 // not open any divergence under retries.
 func TestChaosRingClusterUnderRandomFaults(t *testing.T) {
-	accesses := 3000
-	if testing.Short() {
-		accesses = 600
-	}
-	base := chaos.Config{
-		SDIMMs:            4,
-		Levels:            10,
-		RingFlushInterval: 4,
-		Accesses:          accesses,
-		Addresses:         96,
-		Seed:              42,
-		Faults:            chaosFaults,
-		Retry:             fault.RetryPolicy{MaxAttempts: 8, Sleep: func(time.Duration) {}},
-		CheckTraffic:      true,
-	}
+	base := acceptance(3000)
+	base.RingFlushInterval = 4
 	seq, err := chaos.Run(base)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +107,7 @@ func TestChaosRingClusterUnderRandomFaults(t *testing.T) {
 		t.Fatalf("ring cluster went red under chaos:\n%s", seq)
 	}
 	par := base
-	par.Parallelism, par.Batch = 4, 8
+	par.Parallelism, par.Window = 4, 8
 	pres, err := chaos.Run(par)
 	if err != nil {
 		t.Fatal(err)
@@ -120,24 +128,9 @@ func TestChaosRingClusterUnderRandomFaults(t *testing.T) {
 // accounting), and the telemetry fault counters must agree exactly with the
 // harness's own accounting.
 func TestChaosClusterUnderRandomFaultsParallel(t *testing.T) {
-	accesses := 6000
-	if testing.Short() {
-		accesses = 600
-	}
-	reg := telemetry.NewRegistry()
-	res, err := chaos.Run(chaos.Config{
-		SDIMMs:       4,
-		Levels:       10,
-		Accesses:     accesses,
-		Addresses:    96,
-		Seed:         42,
-		Faults:       chaosFaults,
-		Retry:        fault.RetryPolicy{MaxAttempts: 8, Sleep: func(time.Duration) {}},
-		CheckTraffic: true,
-		Parallelism:  4,
-		Batch:        8,
-		Telemetry:    reg,
-	})
+	sc := acceptance(6000)
+	sc.Parallelism, sc.Window = 4, 8
+	res, err := chaos.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,73 +148,150 @@ func TestChaosClusterUnderRandomFaultsParallel(t *testing.T) {
 		t.Fatalf("some fault class never fired — the run proved nothing: %+v", s)
 	}
 
-	// Fault counters must match the harness accounting exactly.
-	snap := res.Snapshot
-	if snap == nil {
-		t.Fatal("run with a registry returned no snapshot")
-	}
-	counterChecks := map[string]uint64{
-		"fault.injected.bitflips":        s.BitFlips,
-		"fault.injected.drops":           s.Drops,
-		"fault.injected.duplicates":      s.Duplicates,
-		"fault.injected.replays":         s.Replays,
-		"fault.injected.stalls":          s.Stalls,
-		"fault.injected.mac_corruptions": s.MACCorruptions,
-		"cluster.accesses":               uint64(res.Accesses),
-		"cluster.errors":                 uint64(res.Errors),
-	}
-	for name, want := range counterChecks {
-		if got := snap.Counters[name]; got != want {
-			t.Errorf("telemetry %s = %d, harness accounting says %d", name, got, want)
-		}
-	}
-	var retries, retransmits uint64
-	for _, sd := range res.Health.SDIMMs {
-		retries += sd.Retries
-		retransmits += sd.Retransmits
-	}
-	if got := snap.Counters["fault.retries"]; got != retries {
-		t.Errorf("telemetry fault.retries = %d, health view sums to %d", got, retries)
-	}
-	if got := snap.Counters["fault.retransmits"]; got != retransmits {
-		t.Errorf("telemetry fault.retransmits = %d, health view sums to %d", got, retransmits)
-	}
+	reconcileCounters(t, res)
 	t.Logf("\n%s", res)
 }
 
+// reconcileCounters checks that every cluster.* and fault.* counter of a
+// link-fault campaign agrees exactly with the harness's own accounting
+// (Result, FaultStats, and the per-SDIMM health view).
+func reconcileCounters(t *testing.T, res chaos.Result) {
+	t.Helper()
+	c := res.Snapshot.Counters
+	eq := func(checks map[string]uint64, against string) {
+		t.Helper()
+		for name, want := range checks {
+			if got := c[name]; got != want {
+				t.Fatalf("%s = %d, %s says %d", name, got, against, want)
+			}
+		}
+	}
+
+	// The cluster counts attempts; the harness counts completions. They
+	// differ by exactly the errored accesses.
+	eq(map[string]uint64{
+		"cluster.accesses": uint64(res.Accesses),
+		"cluster.errors":   uint64(res.Errors),
+	}, "the harness tally")
+	reads, writes := c["cluster.reads"], c["cluster.writes"]
+	if reads+writes != uint64(res.Accesses) || reads < uint64(res.Reads) || writes < uint64(res.Writes) ||
+		(reads-uint64(res.Reads))+(writes-uint64(res.Writes)) != uint64(res.Errors) {
+		t.Fatalf("attempt/completion gap != errors: r=%d/%d w=%d/%d errors=%d",
+			reads, res.Reads, writes, res.Writes, res.Errors)
+	}
+
+	fs := res.FaultStats
+	eq(map[string]uint64{
+		"fault.injected.deliveries":      fs.Deliveries,
+		"fault.injected.bitflips":        fs.BitFlips,
+		"fault.injected.mac_corruptions": fs.MACCorruptions,
+		"fault.injected.drops":           fs.Drops,
+		"fault.injected.duplicates":      fs.Duplicates,
+		"fault.injected.replays":         fs.Replays,
+		"fault.injected.stalls":          fs.Stalls,
+		"fault.injected.failstops":       fs.FailStopped,
+	}, "the injector")
+	if fs.Deliveries == 0 || fs.Drops+fs.BitFlips+fs.Duplicates == 0 {
+		t.Fatal("fault schedule injected nothing — run exercised no recovery")
+	}
+
+	var retries, retransmits, resyncs, abandoned uint64
+	for _, sd := range res.Health.SDIMMs {
+		retries += sd.Retries
+		retransmits += sd.Retransmits
+		resyncs += sd.Resyncs
+		abandoned += sd.Abandoned
+	}
+	eq(map[string]uint64{
+		"fault.retries":     retries,
+		"fault.retransmits": retransmits,
+		"fault.resyncs":     resyncs,
+		"fault.abandoned":   abandoned,
+	}, "the health view")
+	if retries == 0 {
+		t.Fatal("no retries at this fault rate — schedule too gentle")
+	}
+
+	// Re-homing counters reconcile: every re-homed block took at least one
+	// candidate attempt, a failure is only declared after attempts were
+	// spent, and attempts never appear without a rehome being driven.
+	rehomes, rehomeFails, attempts := c["cluster.rehomes"], c["cluster.rehome_failures"], c["cluster.rehome_attempts"]
+	if rehomes < rehomeFails || attempts < rehomes-rehomeFails || rehomes == 0 && attempts != 0 {
+		t.Fatalf("rehomes %d, failures %d, attempts %d do not reconcile", rehomes, rehomeFails, attempts)
+	}
+	// Lost appends reconcile against the recovery layer: every driven
+	// rehome started from a lost real append, every lost append rode an
+	// abandoned exchange, and abandonment is the only way to lose one.
+	if lost := c["cluster.appends_lost"]; rehomes > lost || lost > abandoned {
+		t.Fatalf("rehomes %d, appends lost %d, abandoned %d do not reconcile", rehomes, lost, abandoned)
+	}
+
+	// A plain fault campaign drives no drains, no checkpoints, no recovery,
+	// and no scrub, so every one of those counters must sit at exactly zero
+	// — a nonzero value here means a steady-state code path is crediting
+	// maintenance machinery that never ran.
+	eq(map[string]uint64{
+		"cluster.migrations":          0,
+		"cluster.checkpoints":         0,
+		"cluster.recovery.replayed":   0,
+		"cluster.scrub.scanned":       0,
+		"cluster.scrub.repaired":      0,
+		"cluster.scrub.unrecoverable": 0,
+		"cluster.poisoned_reads":      0,
+		"cluster.reconstructions":     0,
+	}, "a plain campaign")
+	if c["seccomm.seals"] == 0 || c["seccomm.opens"] == 0 {
+		t.Fatal("seccomm counters not wired")
+	}
+}
+
+// TestTelemetryCountersMatchResult runs the sequential acceptance campaign
+// with a tracer attached: the counters reconcile as they do under the
+// pipeline, and the tracer saw one cluster.access span per access.
+func TestTelemetryCountersMatchResult(t *testing.T) {
+	sc := acceptance(1500)
+	sc.Seed, sc.Tracer = 7, telemetry.NewTracer(nil)
+	res, err := chaos.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mismatches != 0 {
+		t.Fatalf("payload mismatches: %d", res.Mismatches)
+	}
+	reconcileCounters(t, res)
+	var spans int
+	for _, e := range sc.Tracer.Events() {
+		if e.Ph == "X" && e.Name == "cluster.access" {
+			spans++
+		}
+	}
+	if spans != res.Accesses {
+		t.Fatalf("cluster.access spans = %d, accesses = %d", spans, res.Accesses)
+	}
+}
+
 // TestChaosDeterminismAcrossParallelism pins the harness-level determinism
-// claims: (a) a Batch: 1 parallel run degenerates to exactly the sequential
+// claims: (a) a Window: 1 parallel run degenerates to exactly the sequential
 // execution, so the entire Result matches the sequential driver's; (b) two
 // batched runs that differ only in Parallelism are identical to each other.
 func TestChaosDeterminismAcrossParallelism(t *testing.T) {
-	base := chaos.Config{
-		SDIMMs:       4,
-		Levels:       10,
-		Accesses:     900,
-		Addresses:    96,
-		Seed:         42,
-		Faults:       chaosFaults,
-		Retry:        fault.RetryPolicy{MaxAttempts: 8, Sleep: func(time.Duration) {}},
-		CheckTraffic: true,
-	}
-	run := func(parallelism, batch int) chaos.Result {
-		cfg := base
-		cfg.Parallelism = parallelism
-		cfg.Batch = batch
-		res, err := chaos.Run(cfg)
+	run := func(parallelism, window int) chaos.Result {
+		sc := acceptance(900)
+		sc.Parallelism, sc.Window = parallelism, window
+		res, err := chaos.Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Snapshot = nil
+		res.Snapshot = nil // it carries wall-clock histograms
 		return res
 	}
 	seq := run(0, 0)
 	if got := run(4, 1); !reflect.DeepEqual(seq, got) {
-		t.Errorf("batch-1 parallel run diverged from sequential:\n--- seq ---\n%s--- par ---\n%s", seq, got)
+		t.Errorf("window-1 parallel run diverged from sequential:\n--- seq ---\n%s--- par ---\n%s", seq, got)
 	}
 	b2 := run(2, 8)
 	if b4 := run(4, 8); !reflect.DeepEqual(b2, b4) {
-		t.Errorf("parallelism 2 vs 4 diverged at batch 8:\n--- p2 ---\n%s--- p4 ---\n%s", b2, b4)
+		t.Errorf("parallelism 2 vs 4 diverged at window 8:\n--- p2 ---\n%s--- p4 ---\n%s", b2, b4)
 	}
 }
 
@@ -233,25 +303,17 @@ func TestChaosSplitParityFailStopParallel(t *testing.T) {
 	if testing.Short() {
 		accesses = 300
 	}
-	cfg := chaos.SplitConfig{
-		SDIMMs:      4,
-		Levels:      10,
-		Accesses:    accesses,
-		Addresses:   64,
-		Seed:        7,
-		Parity:      true,
-		FailShardAt: accesses / 3,
-		FailShard:   1,
-	}
-	inline, err := chaos.RunSplit(cfg)
+	sc := splitLoss(accesses, true)
+	inline, err := chaos.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallelism = 4
-	par, err := chaos.RunSplit(cfg)
+	sc.Parallelism = 4
+	par, err := chaos.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inline.Snapshot, par.Snapshot = nil, nil // they carry wall-clock histograms
 	if par.Mismatches != 0 || par.Errors != 0 {
 		t.Fatalf("parallel split chaos: %d mismatches, %d errors:\n%s", par.Mismatches, par.Errors, par)
 	}
@@ -268,16 +330,7 @@ func TestChaosSplitParityFailStop(t *testing.T) {
 	if testing.Short() {
 		accesses = 300
 	}
-	res, err := chaos.RunSplit(chaos.SplitConfig{
-		SDIMMs:      4,
-		Levels:      10,
-		Accesses:    accesses,
-		Addresses:   64,
-		Seed:        7,
-		Parity:      true,
-		FailShardAt: accesses / 3,
-		FailShard:   1,
-	})
+	res, err := chaos.Run(splitLoss(accesses, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,20 +348,24 @@ func TestChaosSplitParityFailStop(t *testing.T) {
 // same campaign without a parity member must fail closed at the member
 // loss, not serve corrupted data.
 func TestChaosSplitWithoutParityLosesShard(t *testing.T) {
-	res, err := chaos.RunSplit(chaos.SplitConfig{
-		SDIMMs:      4,
-		Levels:      10,
-		Accesses:    200,
-		Addresses:   32,
-		Seed:        7,
-		Parity:      false,
-		FailShardAt: 50,
-		FailShard:   1,
-	})
+	sc := splitLoss(200, false)
+	sc.Addresses, sc.FailShardAt = 32, 50
+	res, err := chaos.Run(sc)
 	if err == nil {
 		t.Fatalf("run survived a shard loss without parity:\n%s", res)
 	}
 	if res.Mismatches != 0 {
 		t.Fatalf("served %d corrupted payloads before failing", res.Mismatches)
+	}
+	// The fatal exit keeps its evidence: the health view shows the dead
+	// shard and the snapshot's error count is the harness's own.
+	if failed := res.Health.Failed(); len(failed) != 1 || failed[0] != 1 {
+		t.Fatalf("fatal exit lost the health view: %v", failed)
+	}
+	if res.Snapshot == nil {
+		t.Fatal("fatal exit returned no telemetry snapshot")
+	}
+	if got := res.Snapshot.Counters["cluster.errors"]; res.Errors == 0 || got != uint64(res.Errors) {
+		t.Fatalf("cluster.errors = %d, harness counted %d", got, res.Errors)
 	}
 }

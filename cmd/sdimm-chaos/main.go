@@ -1,35 +1,33 @@
-// Command sdimm-chaos runs a fault-injection campaign against a
-// distributed SDIMM cluster and reports whether the recovery layer held:
-// zero payload mismatches against a reference map, zero breaches of the
-// traffic-pattern invariant, and the final per-SDIMM health view.
+// Command sdimm-chaos runs one chaos scenario against a distributed SDIMM
+// cluster and reports whether the recovery layers held. The flags compose:
+// each adds a plan to the same run rather than selecting a mode.
 //
-// Usage:
-//
-//	sdimm-chaos                       # 5000 accesses, ~1.7% fault rate
+//	sdimm-chaos                       # 5000 accesses, ~1.7% link-fault rate
 //	sdimm-chaos -n 20000 -rate 0.05   # longer and nastier
+//	sdimm-chaos -ringflush 4          # ring-eviction engines
 //	sdimm-chaos -split -failshard 1   # Split protocol, kill shard 1 mid-run
 //
-// With -crash it instead runs the crash-recovery equivalence sweep: seeded
-// restart points tear the journal mid-record (or, with -corrupt, flip a
-// sealed-bucket bit and checkpoint the damage), the cluster restarts from
-// its state directory, and the recovered run must be bitwise-equivalent to
-// an uncrashed reference:
+// -crash adds seeded restart points that tear the journal mid-record (or,
+// with -corrupt, flip a sealed-bucket bit and checkpoint the damage); the
+// cluster restarts from its state directory, and the recovered run must be
+// bitwise-equivalent to an uncrashed twin:
 //
 //	sdimm-chaos -crash -n 1200 -crashes 4
 //	sdimm-chaos -crash -corrupt           # exercise the scrub pass
 //	sdimm-chaos -crash -split -corrupt    # parity must repair every flip
 //
-// With -resize it runs the elastic-membership equivalence sweep: the
-// workload drains a member mid-run, detaches it, and rejoins the slot
-// (Independent), or fail-stops a shard and rebuilds it from parity
-// (Split), while seeded crashes land anywhere in the record stream —
-// including inside migration batches. The recovered run must match the
-// uncrashed reference bit for bit, and the reference run's link traffic
-// must show no migration-shaped frames:
+// -resize adds an online membership change — drain a member, detach it and
+// rejoin the slot (Independent), or fail-stop a shard and rebuild it from
+// parity (Split) — with the restart points landing anywhere in the record
+// stream, including inside migration batches; the drain must put no new
+// frame shape on the links:
 //
 //	sdimm-chaos -resize -n 1200 -crashes 4
-//	sdimm-chaos -resize -parallel 4       # migrations through the pipeline
-//	sdimm-chaos -resize -split            # member replacement from parity
+//	sdimm-chaos -resize -parallel 4 -ringflush 4
+//	sdimm-chaos -resize -split -corrupt
+//
+// Exit status: 0 PASS, 1 corruption / leak / divergence (or a rejected flag
+// combination), 2 only the retry budget was exhausted.
 package main
 
 import (
@@ -51,140 +49,53 @@ func main() {
 		levels    = flag.Int("levels", 10, "ORAM tree levels")
 		addrs     = flag.Uint64("addrs", 96, "address working-set size")
 		seed      = flag.Uint64("seed", 42, "workload + fault seed")
-		rate      = flag.Float64("rate", 0.017, "total per-delivery fault probability")
-		attempts  = flag.Int("attempts", 8, "retry budget per exchange")
+		rate      = flag.Float64("rate", 0.017, "total per-delivery fault probability (Independent)")
+		attempts  = flag.Int("attempts", 8, "retry budget per exchange (Independent)")
 		split     = flag.Bool("split", false, "run the Split protocol (with XOR parity) instead of Independent")
 		failShard = flag.Int("failshard", -1, "Split: member index to fail-stop a third of the way in (-1 = none)")
 		snapshot  = flag.Bool("snapshot", true, "print the final telemetry snapshot (cluster.*, fault.*, seccomm.*)")
 		traceOut  = flag.String("trace", "", "write cluster access spans as Chrome trace-event JSON to this file")
 		parallel  = flag.Int("parallel", 1, "concurrent SDIMM workers (>1 drives the batched pipeline; results are bit-identical at any value)")
 		batch     = flag.Int("batch", 8, "pipeline window for -parallel > 1 runs")
-		crash     = flag.Bool("crash", false, "run the crash-recovery equivalence sweep instead of the fault campaign")
+		crash     = flag.Bool("crash", false, "add seeded restart points; the recovered run must equal an uncrashed twin")
 		crashes   = flag.Int("crashes", 4, "crash: number of seeded restart points")
 		stateDir  = flag.String("statedir", "", "crash: state directory (default: a fresh temp dir, removed afterwards)")
 		interval  = flag.Int("interval", 64, "crash: checkpoint cadence in committed accesses")
 		corrupt   = flag.Bool("corrupt", false, "crash: flip a sealed-bucket bit at each point (scrub pass) instead of tearing the journal")
-		resize    = flag.Bool("resize", false, "run the elastic-membership (drain/remove/join) equivalence sweep")
+		resize    = flag.Bool("resize", false, "add the elastic-membership (drain/remove/join) schedule, with -crashes restart points")
 		member    = flag.Int("member", 1, "resize: member slot to drain and rejoin (Split: to fail and rebuild)")
 		flightOut = flag.String("flight", "", "attach the flight recorder; dump its rings as a Chrome trace to this file if the run goes red")
-		ringFlush = flag.Int("ringflush", 0, "run ring-eviction ORAM engines with this deferred-flush interval A (0 = Path ORAM; Independent campaigns and -crash only)")
+		ringFlush = flag.Int("ringflush", 0, "run ring-eviction ORAM engines with this deferred-flush interval A (0 = Path ORAM)")
 	)
 	flag.Parse()
-
-	// The flight recorder and obliviousness witness ride along on every
-	// campaign mode. The recorder's rings are only written out when a run
-	// fails; the witness checks frame-shape and traffic-balance invariants
-	// online and its violation count feeds the exit code.
-	var fr *flight.Recorder
-	if *flightOut != "" {
-		fr = flight.New(*sdimms, 1024)
-	}
-
-	if *resize {
-		var wit *witness.Monitor
-		if !*split {
-			wit = witness.New(witness.Options{Members: *sdimms})
-		}
-		res, err := chaos.RunResize(chaos.ResizeConfig{
-			SDIMMs:      *sdimms,
-			Levels:      *levels,
-			Accesses:    *n,
-			Addresses:   *addrs,
-			Seed:        *seed,
-			Crashes:     *crashes,
-			Member:      *member,
-			Parallelism: *parallel,
-			Batch:       *batch,
-			Dir:         *stateDir,
-			Interval:    *interval,
-			Split:       *split,
-			Witness:     wit,
-			Flight:      fr,
-			FlightPath:  *flightOut,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdimm-chaos: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res)
-		reportFlight(res.FlightDump)
-		if !res.Equivalent() || res.WitnessViolations > 0 {
-			fmt.Println("RESULT: FAIL — rebalance diverged from the uncrashed reference")
-			os.Exit(1)
-		}
-		fmt.Println("RESULT: PASS — rebalance crash-consistent and shape-invariant")
-		return
-	}
-
-	if *crash {
-		res, err := chaos.RunCrash(chaos.CrashConfig{
-			SDIMMs:            *sdimms,
-			Levels:            *levels,
-			RingFlushInterval: *ringFlush,
-			Accesses:          *n,
-			Addresses:         *addrs,
-			Seed:              *seed,
-			Crashes:           *crashes,
-			Parallelism:       *parallel,
-			Batch:             *batch,
-			Dir:               *stateDir,
-			Interval:          *interval,
-			Corrupt:           *corrupt,
-			Split:             *split,
-			Flight:            fr,
-			FlightPath:        *flightOut,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdimm-chaos: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res)
-		reportFlight(res.FlightDump)
-		if !res.Equivalent() {
-			fmt.Println("RESULT: FAIL — recovered cluster diverged from the uncrashed reference")
-			os.Exit(1)
-		}
-		fmt.Println("RESULT: PASS — every restart recovered bitwise-equivalent")
-		return
-	}
+	// A flag with a non-zero default applies where its plan does; set
+	// explicitly it is always passed on, so the scenario's validation can
+	// reject a combination instead of the flag being dropped.
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	reg := telemetry.NewRegistry()
-	var tr *telemetry.Tracer
-	if *traceOut != "" {
-		tr = telemetry.NewTracer(nil)
-	}
-
-	if *split {
-		res, err := chaos.RunSplit(chaos.SplitConfig{
-			SDIMMs:      *sdimms,
-			Levels:      *levels,
-			Accesses:    *n,
-			Addresses:   *addrs,
-			Seed:        *seed,
-			Parity:      true,
-			FailShardAt: failAt(*failShard, *n),
-			FailShard:   *failShard,
-			Parallelism: *parallel,
-			Telemetry:   reg,
-			Tracer:      tr,
-		})
-		finish(tr, *traceOut)
-		report(res, err, *snapshot)
-		return
-	}
-
-	// Spread the requested rate across every fault class the injector
-	// models, weighted toward the common ones.
-	r := *rate
-	wit := witness.New(witness.Options{Members: *sdimms, Registry: reg})
-	res, err := chaos.Run(chaos.Config{
+	sc := chaos.Scenario{
 		SDIMMs:            *sdimms,
 		Levels:            *levels,
-		RingFlushInterval: *ringFlush,
 		Accesses:          *n,
 		Addresses:         *addrs,
 		Seed:              *seed,
-		Faults: fault.Config{
+		Split:             *split,
+		Parity:            *split,
+		RingFlushInterval: *ringFlush,
+		Corrupt:           *corrupt,
+		Dir:               *stateDir,
+		Resize:            *resize,
+		Parallelism:       *parallel,
+		Telemetry:         reg,
+		FlightPath:        *flightOut,
+	}
+	if !*split || explicit["rate"] {
+		// Spread the requested rate across every fault class the injector
+		// models, weighted toward the common ones.
+		r := *rate
+		sc.Faults = fault.Config{
 			Seed:       *seed ^ 0xfa417,
 			BitFlip:    r * 0.30,
 			Drop:       r * 0.25,
@@ -192,26 +103,81 @@ func main() {
 			Replay:     r * 0.10,
 			Stall:      r * 0.12,
 			MACCorrupt: r * 0.08,
-		},
-		Retry:        fault.RetryPolicy{MaxAttempts: *attempts},
-		CheckTraffic: true,
-		Parallelism:  *parallel,
-		Batch:        *batch,
-		Telemetry:    reg,
-		Tracer:       tr,
-		Witness:      wit,
-		Flight:       fr,
-		FlightPath:   *flightOut,
-	})
-	finish(tr, *traceOut)
-	report(res, err, *snapshot)
+		}
+	}
+	if !*split || explicit["attempts"] {
+		sc.Retry = fault.RetryPolicy{MaxAttempts: *attempts}
+	}
+	if *failShard >= 0 {
+		sc.FailShard, sc.FailShardAt = *failShard, *n/3
+	}
+	if *crash || *resize || explicit["crashes"] {
+		sc.Crashes = *crashes
+	}
+	if sc.Crashes > 0 || explicit["interval"] {
+		sc.Interval = *interval
+	}
+	if *resize || explicit["member"] {
+		sc.Member = *member
+	}
+	if *parallel > 1 && !*split || explicit["batch"] {
+		sc.Window = *batch
+	}
+	// The witness rides along wherever there are links to watch; its
+	// violation count feeds the verdict. The flight recorder's rings are
+	// only written out when a run fails.
+	if !*split {
+		sc.Witness = witness.New(witness.Options{Members: *sdimms, Registry: reg})
+	}
+	if *flightOut != "" {
+		sc.Flight = flight.New(*sdimms, 1024)
+	}
+	if *traceOut != "" {
+		sc.Tracer = telemetry.NewTracer(nil)
+	}
+
+	res, err := chaos.Run(sc)
+	if sc.Tracer != nil {
+		writeTrace(sc.Tracer, *traceOut)
+	}
+	if err != nil && res.Snapshot == nil {
+		fmt.Fprintf(os.Stderr, "sdimm-chaos: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Print(res)
+	if *snapshot {
+		fmt.Println("telemetry:")
+		res.Snapshot.WriteText(os.Stdout, "cluster.", "fault.", "seccomm.", "witness.")
+	}
+	if res.FlightDump != "" {
+		fmt.Fprintf(os.Stderr, "sdimm-chaos: flight recorder dumped to %s\n", res.FlightDump)
+	}
+	// Only the retry budget ran out iff the run is green once its errors
+	// are set aside.
+	degraded := res
+	degraded.Errors = 0
+	switch {
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "sdimm-chaos: %v\n", err)
+		os.Exit(1)
+	case res.Green() && sc.Crashes > 0:
+		fmt.Println("RESULT: PASS — all faults absorbed, traffic invariant held, every restart recovered bitwise-equivalent")
+	case res.Green():
+		fmt.Println("RESULT: PASS — all faults absorbed, traffic invariant held")
+	case degraded.Green():
+		fmt.Printf("RESULT: DEGRADED — %d accesses exhausted the retry budget\n", res.Errors)
+		os.Exit(2)
+	case res.WitnessViolations != 0:
+		fmt.Printf("RESULT: FAIL — obliviousness witness flagged %d link-invariant violations\n", res.WitnessViolations)
+		os.Exit(1)
+	default:
+		fmt.Println("RESULT: FAIL — the run leaked, corrupted, or diverged from its uncrashed twin")
+		os.Exit(1)
+	}
 }
 
-// finish exports the span trace, if one was recorded.
-func finish(tr *telemetry.Tracer, path string) {
-	if tr == nil || path == "" {
-		return
-	}
+// writeTrace exports the recorded span trace.
+func writeTrace(tr *telemetry.Tracer, path string) {
 	f, err := os.Create(path)
 	if err == nil {
 		err = tr.WriteJSON(f)
@@ -224,44 +190,4 @@ func finish(tr *telemetry.Tracer, path string) {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "sdimm-chaos: wrote %d trace events to %s\n", tr.Len(), path)
-}
-
-// reportFlight points at the flight-recorder dump when a red run wrote one.
-func reportFlight(path string) {
-	if path != "" {
-		fmt.Fprintf(os.Stderr, "sdimm-chaos: flight recorder dumped to %s\n", path)
-	}
-}
-
-func failAt(shard, n int) int {
-	if shard < 0 {
-		return -1
-	}
-	return n / 3
-}
-
-func report(res chaos.Result, err error, snapshot bool) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdimm-chaos: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(res)
-	if snapshot && res.Snapshot != nil {
-		fmt.Println("telemetry:")
-		res.Snapshot.WriteText(os.Stdout, "cluster.", "fault.", "seccomm.", "witness.")
-	}
-	reportFlight(res.FlightDump)
-	if res.WitnessViolations != 0 {
-		fmt.Printf("RESULT: FAIL — obliviousness witness flagged %d link-invariant violations\n", res.WitnessViolations)
-		os.Exit(1)
-	}
-	if res.Mismatches != 0 || res.TrafficViolations != 0 {
-		fmt.Println("RESULT: FAIL — the recovery layer leaked or corrupted")
-		os.Exit(1)
-	}
-	if res.Errors != 0 {
-		fmt.Printf("RESULT: DEGRADED — %d accesses exhausted the retry budget\n", res.Errors)
-		os.Exit(2)
-	}
-	fmt.Println("RESULT: PASS — all faults absorbed, traffic invariant held")
 }
