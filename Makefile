@@ -28,13 +28,15 @@ race:
 # bucket corruption the PMMAC scrub has to catch — on both flavours and both
 # engine homes) and a seeded sample of the cross-product the table cannot
 # enumerate run under the race detector. Then one CLI smoke per plan kind pins
-# the exit-code contract: 0 on a green run, 1 on a combination the scenario
-# rejects. The attacker test checks a drain is indistinguishable on the wire.
+# the exit-code contract: 0 on a green run (the crash + corrupt plan on both
+# flavours, so the Split scrub and XOR rebuild get the same smoke the
+# Independent quarantine has), 1 on a combination the scenario rejects. The attacker test checks a drain is indistinguishable on the wire.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos
 	$(GO) run ./cmd/sdimm-chaos -n 2000 -snapshot=false
 	$(GO) run ./cmd/sdimm-chaos -split -failshard 1 -n 2000 -snapshot=false
 	$(GO) run ./cmd/sdimm-chaos -crash -corrupt -n 800 -crashes 3 -snapshot=false
+	$(GO) run ./cmd/sdimm-chaos -split -crash -corrupt -n 800 -crashes 3 -snapshot=false
 	$(GO) run ./cmd/sdimm-chaos -resize -ringflush 4 -parallel 4 -n 600 -crashes 3 -snapshot=false
 	! $(GO) run ./cmd/sdimm-chaos -split -ringflush 4
 	! $(GO) run ./cmd/sdimm-chaos -resize -n 200 -crashes 5000
@@ -128,8 +130,12 @@ soak:
 
 # Fast pipeline gates, run explicitly in ci on top of the full race suite:
 # the short-tier soak plus the blame regression (top serialization phase
-# must hold <25% of wall-clock at 4 workers on a multicore host).
+# must hold <25% of wall-clock at 4 workers on a multicore host). The witness
+# package runs twenty times over: its tests race goroutines against the
+# monitor, and an assertion that depends on the schedule must not be able to
+# hide behind one lucky run or the test cache.
 soak-short:
 	$(GO) test -race -count=1 -short -run 'TestPipelineSoak|TestPipelineBlameRegression' .
+	$(GO) test -race -count=20 ./internal/witness
 
 ci: build vet race soak-short telemetry-smoke serve-smoke bench-smoke bench blame chaos

@@ -1,6 +1,7 @@
 package sdimm
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"strconv"
@@ -210,22 +211,16 @@ var appendAckBody = []byte{appendAck}
 // the owning buffer has executed the access, and per-SDIMM health tracking
 // degrades buffers instead of bricking addresses.
 type Cluster struct {
-	buffers   []*isdimm.Buffer
 	links     []*fault.Transactor
 	blockSize int
 	levels    int
 	localBits uint
 	blame     *blame.Collector
 	flight    *flight.Recorder
-	// Position map, RNG, health, telemetry, durability.
+	// Position map, RNG, the secure buffers (members) with their health and
+	// factory, telemetry, durability.
 	durableState
 
-	// mkMember builds incarnation inc of slot i (store, engine, buffer,
-	// device identity, handshake, transactor) and installs it in place. Set
-	// by buildCluster; used for the founding members, by joins, and by
-	// checkpoint restore when the checkpointed incarnation differs from the
-	// founding one.
-	mkMember func(i int, inc uint64) error
 	// elig is pickHealthyLeaf's reusable eligible-member scratch.
 	elig []int
 
@@ -303,7 +298,7 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 			opts.Faults.EnableTelemetry(opts.Telemetry)
 		}
 	}
-	c.buffers = make([]*isdimm.Buffer, opts.SDIMMs)
+	c.members = make([]*isdimm.Buffer, opts.SDIMMs)
 	c.links = make([]*fault.Transactor, opts.SDIMMs)
 
 	// Member factory: builds incarnation inc of slot i (store, engine,
@@ -315,7 +310,7 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 	// any predecessor in the same slot, and reconstruction is deterministic
 	// from the options alone.
 	c.mkMember = func(i int, inc uint64) error {
-		if i < 0 || i >= len(c.buffers) {
+		if i < 0 || i >= len(c.members) {
 			return fmt.Errorf("sdimm: member slot %d out of range", i)
 		}
 		id, keyPrefix := fmt.Sprintf("sdimm-%d", i), fmt.Sprintf("sd%d|", i)
@@ -372,7 +367,7 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 		if fr := opts.Flight.Ring(i); fr != nil {
 			tr.Notify = func(ev fault.NotifyEvent, n int) { fr.Record(flightKind(ev), uint64(n), 0) }
 		}
-		c.buffers[i] = buf
+		c.members[i] = buf
 		c.links[i] = tr
 		return nil
 	}
@@ -398,7 +393,7 @@ func log2int(n int) int {
 }
 
 // SDIMMs returns the number of secure buffers.
-func (c *Cluster) SDIMMs() int { return len(c.buffers) }
+func (c *Cluster) SDIMMs() int { return len(c.members) }
 
 // BlockSize returns the payload size per block.
 func (c *Cluster) BlockSize() int { return c.blockSize }
@@ -471,14 +466,14 @@ func (c *Cluster) serve(sd int, body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, _, err := c.buffers[sd].HandleAccess(req); err != nil {
+		if _, _, err := c.members[sd].HandleAccess(req); err != nil {
 			return nil, err
 		}
 		// PROBE until ready (functional: immediately), then FETCH_RESULT.
-		if !c.buffers[sd].HandleProbe() {
+		if !c.members[sd].HandleProbe() {
 			return nil, fmt.Errorf("sdimm: buffer %d has no response", sd)
 		}
-		resp, err := c.buffers[sd].HandleFetchResult()
+		resp, err := c.members[sd].HandleFetchResult()
 		if err != nil {
 			return nil, err
 		}
@@ -491,7 +486,7 @@ func (c *Cluster) serve(sd int, body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := c.buffers[sd].HandleAppend(blk, dummy); err != nil {
+		if _, err := c.members[sd].HandleAppend(blk, dummy); err != nil {
 			return nil, err
 		}
 		return appendAckBody, nil
@@ -529,10 +524,6 @@ func (c *Cluster) exchange(sd int, op string, body []byte) ([]byte, error) {
 	}
 	c.health[sd].Success()
 	return resp, nil
-}
-
-func (c *Cluster) wrapErr(sd int, op string, err error) error {
-	return &fault.SDIMMError{Index: sd, ID: c.buffers[sd].ID(), Op: op, Err: err}
 }
 
 // ErrNoHealthySDIMM reports that no cluster member is eligible to receive
@@ -652,7 +643,7 @@ func (c *Cluster) access(addr uint64, op oram.Op, data []byte, migrate bool) ([]
 	blk := resp.Block
 	blk.Addr = addr
 	blk.Leaf = newG & mask
-	for j := range c.buffers {
+	for j := range c.members {
 		real := !keep && j == sdNew && !resp.Dummy
 		if !real {
 			if st := c.health[j].State(); st == fault.Failed || st == fault.Removed {
@@ -719,7 +710,7 @@ func (c *Cluster) rehome(addr uint64, blk oram.Block, exclude int, globalLeaves 
 		tr.Instant(0, "cluster.rehome", "cluster", map[string]any{"addr": addr, "exclude": exclude})
 	}
 	var lastErr error
-	for try := 0; try < 8*len(c.buffers); try++ {
+	for try := 0; try < 8*len(c.members); try++ {
 		g, err := c.pickLeaf(state, globalLeaves)
 		if err != nil {
 			return err
@@ -754,22 +745,13 @@ func (c *Cluster) rehomeAppend(sd int, blk oram.Block) ([]byte, error) {
 	return c.exchange(sd, "rehome append", c.appendBody(sd, blk, false))
 }
 
-// StashLens reports each buffer's stash occupancy (monitoring).
-func (c *Cluster) StashLens() []int {
-	out := make([]int, len(c.buffers))
-	for i, b := range c.buffers {
-		out[i] = b.Engine().StashLen()
-	}
-	return out
-}
-
 // BucketWrites sums physical bucket writes across every member's store.
 // This is the on-DIMM write-traffic metric the ring-eviction benchmark
 // gates on: ring engines defer path writeback to the eviction pointer, so
 // the count grows much slower than under Path ORAM at the same workload.
 func (c *Cluster) BucketWrites() uint64 {
 	var n uint64
-	for _, b := range c.buffers {
+	for _, b := range c.members {
 		if ms, ok := b.Engine().Store().(*oram.MemStore); ok {
 			n += ms.Writes()
 		}
@@ -877,8 +859,8 @@ func (c *Cluster) HealthStates() []fault.State {
 
 // Health returns the current per-SDIMM health view.
 func (c *Cluster) Health() ClusterHealth {
-	out := ClusterHealth{SDIMMs: make([]SDIMMHealth, len(c.buffers))}
-	for i, b := range c.buffers {
+	out := ClusterHealth{SDIMMs: make([]SDIMMHealth, len(c.members))}
+	for i, b := range c.members {
 		out.SDIMMs[i] = healthEntry(i, b.ID(), c.health[i], c.links[i].Stats())
 	}
 	return out
@@ -947,30 +929,25 @@ func (o SplitClusterOptions) withDefaults() SplitClusterOptions {
 // is independently encrypted and MACed (the n-MAC overhead the paper
 // accepts), and the members' placements never diverge because greedy
 // eviction is a pure function of (identical) stash contents. With Parity
-// enabled an extra member holds the XOR of the data shards and evolves in
-// the same lockstep, so the loss of any single member is survivable.
+// enabled one more member holds the XOR of the data shards; it is an
+// ordinary member that is handed a different slice, evolves in the same
+// lockstep, and makes the loss of any single member survivable.
 type SplitCluster struct {
-	buffers   []*isdimm.Buffer // data shards
-	parity    *isdimm.Buffer   // nil unless Parity
-	faults    *fault.Injector
-	blockSize int
-	shard     int
-	leaves    uint64
-	workers   *workerPool // nil: member fan-out runs inline
-	writeBuf  []byte      // Write's zero-padded payload staging
-	// Position map, RNG, telemetry, durability, and health: data shards,
-	// then parity (if present).
+	faults     *fault.Injector
+	blockSize  int
+	shard      int // bytes of every block each member holds
+	dataShards int // members[:dataShards] hold data slices; the parity member, if any, follows
+	leaves     uint64
+	workers    *workerPool // nil: member fan-out runs inline
+	// Position map, RNG, the member list with its health and factory,
+	// telemetry, durability.
 	durableState
 
-	// Fan-out error slots, reused across accesses (and eviction rounds) so
-	// the steady-state access path allocates only what escapes to the caller.
+	// Per-access scratch, reused so the steady-state access path allocates
+	// only what escapes to the caller: fanOut's per-member error slots and a
+	// write's codeword.
 	errScratch []error
-	evScratch  []error
-
-	// mkShardMember builds a fresh incarnation of member i's buffer (data
-	// shard, or parity when i == SDIMMs). Set by buildSplitCluster; used by
-	// ReplaceMember and by checkpoint restore across incarnations.
-	mkShardMember func(i int, inc uint64) (*isdimm.Buffer, error)
+	cwScratch  []byte
 }
 
 // NewSplitCluster builds a functional split ORAM. With Durability set the
@@ -1006,10 +983,11 @@ func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 		return nil, err
 	}
 	c := &SplitCluster{
-		blockSize: opts.BlockSize,
-		shard:     opts.BlockSize / opts.SDIMMs,
-		leaves:    geom.Leaves(),
-		faults:    opts.Faults,
+		blockSize:  opts.BlockSize,
+		shard:      opts.BlockSize / opts.SDIMMs,
+		dataShards: opts.SDIMMs,
+		leaves:     geom.Leaves(),
+		faults:     opts.Faults,
 	}
 	c.pos = oram.NewSparsePosMap()
 	c.rnd = rng.New(opts.Seed ^ 0x59117)
@@ -1018,66 +996,64 @@ func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 	if opts.Telemetry != nil && opts.Faults != nil {
 		opts.Faults.EnableTelemetry(opts.Telemetry)
 	}
-	mkShard := func(id, keyPrefix string, seed uint64) (*isdimm.Buffer, error) {
-		store, err := oram.NewMemStore(4, c.shard, append([]byte(keyPrefix), opts.Key...))
+	n := opts.SDIMMs
+	if opts.Parity {
+		n++
+	}
+	c.members = make([]*isdimm.Buffer, n)
+
+	// Member factory: builds incarnation inc of slot i (store, engine,
+	// buffer) and installs it in place. The parity member is slot SDIMMs and
+	// differs in name only. Founding members (incarnation 0) keep the seed's
+	// original key and RNG derivations; replacements derive both from (slot,
+	// incarnation), so a replacement never aliases its predecessor's sealed
+	// state. A replacement's engine RNG is irrelevant — rebuildMember copies
+	// a live sibling's to restore lockstep.
+	c.mkMember = func(i int, inc uint64) error {
+		if i < 0 || i >= len(c.members) {
+			return fmt.Errorf("sdimm: member slot %d out of range", i)
+		}
+		id, keyPrefix := fmt.Sprintf("shard-%d", i), fmt.Sprintf("shard%d", i)
+		if i == opts.SDIMMs {
+			id, keyPrefix = "parity", "parity"
+		}
+		bufSeed := opts.Seed ^ uint64(0x99*i+1)
+		if inc > 0 {
+			id, keyPrefix = fmt.Sprintf("%s.%d", id, inc), fmt.Sprintf("%s.%d", keyPrefix, inc)
+			bufSeed = rng.Stream(opts.Seed, "elastic.shard", int(inc)<<8|i).Uint64()
+		}
+		store, err := oram.NewMemStore(4, c.shard, append([]byte(keyPrefix+"|"), opts.Key...))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		engine, err := oram.NewEngine(store, nil, oram.Options{
 			Geometry:       geom,
 			StashCapacity:  200,
 			EvictThreshold: 150,
 			// All shards must evolve in lockstep: the host directs
-			// eviction with shared randomness (below), so the engines'
+			// eviction with shared randomness (see access), so the engines'
 			// own background eviction stays off.
 			DisableAutoDrain: true,
 			Rand:             rng.New(opts.Seed ^ 0x3b1d), // same stream: lockstep
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return isdimm.NewBuffer(id, engine, 64, 0, rng.New(seed))
+		c.members[i], err = isdimm.NewBuffer(id, engine, 64, 0, rng.New(bufSeed))
+		return err
 	}
-	for i := 0; i < opts.SDIMMs; i++ {
-		buf, err := mkShard(fmt.Sprintf("shard-%d", i), fmt.Sprintf("shard%d|", i),
-			opts.Seed^uint64(0x99*i+1))
-		if err != nil {
+	for i := range c.members {
+		if err := c.mkMember(i, 0); err != nil {
 			return nil, err
 		}
-		c.buffers = append(c.buffers, buf)
 		h := fault.NewHealth(opts.DegradeAfter, 0)
 		watchHealth(opts.Telemetry, opts.Tracer, nil, h, i)
 		c.health = append(c.health, h)
 	}
-	if opts.Parity {
-		buf, err := mkShard("parity", "parity|", opts.Seed^uint64(0x99*opts.SDIMMs+1))
-		if err != nil {
-			return nil, err
-		}
-		c.parity = buf
-		h := fault.NewHealth(opts.DegradeAfter, 0)
-		watchHealth(opts.Telemetry, opts.Tracer, nil, h, opts.SDIMMs)
-		c.health = append(c.health, h)
-	}
 	if opts.Parallelism > 1 {
-		c.workers = newWorkerPool(len(c.health), opts.Parallelism, 4)
+		c.workers = newWorkerPool(n, opts.Parallelism, 4)
 	}
-	c.initElastic(len(c.health))
-
-	// Replacement-member factory. Key prefixes and RNG seeds derive from
-	// (slot, incarnation), so a replacement never aliases its predecessor's
-	// sealed state; the engine RNG seed here is irrelevant — applySplitJoin
-	// immediately copies a live sibling's RNG to restore lockstep.
-	c.mkShardMember = func(i int, inc uint64) (*isdimm.Buffer, error) {
-		if i < 0 || i >= len(c.health) {
-			return nil, fmt.Errorf("sdimm: member slot %d out of range", i)
-		}
-		id, prefix := fmt.Sprintf("shard-%d.%d", i, inc), fmt.Sprintf("shard%d.%d|", i, inc)
-		if i == c.parityIndex() && c.parity != nil {
-			id, prefix = fmt.Sprintf("parity.%d", inc), fmt.Sprintf("parity.%d|", inc)
-		}
-		return mkShard(id, prefix, rng.Stream(opts.Seed, "elastic.shard", int(inc)<<8|i).Uint64())
-	}
+	c.initElastic(n)
 	return c, nil
 }
 
@@ -1092,26 +1068,6 @@ func (c *SplitCluster) Close() {
 	}
 }
 
-// runMember executes fn as member i's share of the current fan-out: on the
-// member's worker goroutine when the cluster is parallel, inline otherwise.
-// Either way member i's operation sequence is identical — join must be
-// called before reading any state fn wrote.
-func (c *SplitCluster) runMember(i int, fn func()) {
-	if c.workers != nil {
-		c.workers.submit(i, fn)
-		return
-	}
-	fn()
-}
-
-// join is the fan-out barrier: after it returns the coordinator observes
-// every write made by runMember closures.
-func (c *SplitCluster) join() {
-	if c.workers != nil {
-		c.workers.barrier()
-	}
-}
-
 // Read returns the payload of addr, reassembled from all shards.
 func (c *SplitCluster) Read(addr uint64) ([]byte, error) {
 	out, err := c.access(addr, oram.OpRead, nil)
@@ -1123,7 +1079,7 @@ func (c *SplitCluster) Write(addr uint64, data []byte) error {
 	if len(data) > c.blockSize {
 		return fmt.Errorf("sdimm: payload %d exceeds block size %d", len(data), c.blockSize)
 	}
-	_, err := c.access(addr, oram.OpWrite, padInto(&c.writeBuf, data, c.blockSize))
+	_, err := c.access(addr, oram.OpWrite, data)
 	return c.observed(oram.OpWrite, err, c.ForceCheckpoint)
 }
 
@@ -1146,30 +1102,97 @@ func (c *SplitCluster) memberDown(i int) bool {
 	return h.State() == fault.Failed
 }
 
-func (c *SplitCluster) parityIndex() int { return len(c.buffers) }
-
-func (c *SplitCluster) parityDown() bool {
-	if c.parity == nil {
-		return true
-	}
-	return c.memberDown(c.parityIndex())
-}
-
-// xorParity folds a full block into one parity slice: the XOR of its
-// SDIMMs data slices.
-func xorParity(data []byte, shard int) []byte {
-	p := make([]byte, shard)
-	for i := 0; i+shard <= len(data); i += shard {
-		for j := 0; j < shard; j++ {
-			p[j] ^= data[i+j]
+// others lists every member index but i, ascending: the sources member i's
+// slices and buckets are the XOR of.
+func (c *SplitCluster) others(i int) []int {
+	out := make([]int, 0, len(c.members)-1)
+	for j := range c.members {
+		if j != i {
+			out = append(out, j)
 		}
 	}
-	return p
+	return out
+}
+
+// xorAcross sets dst to the XOR of slice(j) over the source members and
+// returns it — the one cross-member XOR behind the parity slice of a write,
+// the reconstruction of a read, and every bucket and stash rebuild. With a
+// parity member the members' slices of any block XOR to zero, so each is
+// the XOR of all the others.
+func xorAcross(dst []byte, sources []int, slice func(j int) []byte) []byte {
+	clear(dst)
+	for _, j := range sources {
+		subtle.XORBytes(dst, dst, slice(j))
+	}
+	return dst
+}
+
+// solveSlice recomputes member i's slice of codeword cw (one shard-sized
+// slice per member, in member order) from every other member's.
+func (c *SplitCluster) solveSlice(cw []byte, i int) {
+	xorAcross(cw[i*c.shard:(i+1)*c.shard], c.others(i), func(j int) []byte { return cw[j*c.shard : (j+1)*c.shard] })
+}
+
+// fanOut runs step as every live member's share of one lockstep operation —
+// on the member's worker goroutine when the cluster is parallel, inline
+// otherwise — and joins. Either way each member executes the identical
+// operation sequence. step touches only member-owned state plus that
+// member's own region of whatever the caller shares, so the fan-out is
+// race-free; after the barrier the coordinator observes every write a step
+// made, and the lowest-index error wins at any parallelism.
+func (c *SplitCluster) fanOut(op string, step func(i int, b *isdimm.Buffer) error) error {
+	errs := resized(c.errScratch, len(c.members))
+	c.errScratch = errs
+	for i, b := range c.members {
+		if c.health[i].State() == fault.Failed {
+			continue
+		}
+		run := func() {
+			if err := step(i, b); err != nil {
+				c.health[i].Failure(err)
+				errs[i] = c.wrapErr(i, op, err)
+			}
+		}
+		if c.workers != nil {
+			c.workers.submit(i, run)
+		} else {
+			run()
+		}
+	}
+	if c.workers != nil {
+		c.workers.barrier()
+	}
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
 }
 
 func (c *SplitCluster) access(addr uint64, op oram.Op, data []byte) ([]byte, error) {
 	if c.crashedNow() {
 		return nil, durable.ErrCrashed
+	}
+	// Coordinator phase: fold the injector's fail-stop schedule into the
+	// health records and find the (at most one) member the access must do
+	// without. A loss the redundancy cannot cover is refused here — before
+	// the leaf draws and before any member touches its tree — so a refused
+	// access leaves the survivors, the RNG and the position map as they were.
+	down := -1
+	for i := range c.members {
+		if !c.memberDown(i) {
+			continue
+		}
+		if down >= 0 {
+			return nil, c.wrapErr(i, "shard access",
+				fmt.Errorf("sdimm: members %d and %d both down: %w", down, i, fault.ErrUnavailable))
+		}
+		down = i
+	}
+	if down >= 0 && !c.HasParity() {
+		return nil, c.wrapErr(down, "shard access",
+			fmt.Errorf("sdimm: shard down and no parity to reconstruct from: %w", fault.ErrUnavailable))
 	}
 	oldLeaf, ok := c.pos.Get(addr)
 	if !ok {
@@ -1177,206 +1200,95 @@ func (c *SplitCluster) access(addr uint64, op oram.Op, data []byte) ([]byte, err
 	}
 	newLeaf := c.rnd.Uint64n(c.leaves)
 
-	// Coordinator phase: fold the injector's fail-stop schedule into the
-	// health records and find the (at most one) tolerable down member
-	// before any shard work is fanned out.
-	down := -1
-	for i, b := range c.buffers {
-		if c.memberDown(i) {
-			if down >= 0 {
-				return nil, &fault.SDIMMError{Index: i, ID: b.ID(), Op: "shard access",
-					Err: fmt.Errorf("sdimm: shards %d and %d both down: %w", down, i, fault.ErrUnavailable)}
-			}
-			down = i
-		}
-	}
-	pLive := c.parity != nil && !c.parityDown()
-
-	// Shard fan-out: every live member (data shards and parity — the parity
-	// member participates in every access, also reads, so its tree stays in
-	// lockstep) executes its slice of the access. Each closure touches only
-	// member-owned state plus its own slots in out/errs, so the fan-out is
-	// race-free; the lowest-index error wins after the barrier, at any
-	// parallelism. Result joining happens on the workers too — each copies
-	// its slice into its disjoint region of out — so the coordinator's
-	// post-barrier work is just the error scan. out is allocated only for
-	// reads (it escapes to the caller); errs reuses cluster scratch.
-	var out []byte
+	// The access's codeword: one shard-sized slice per member, the block's
+	// data slices followed (with parity) by their XOR. A write hands member
+	// i slice i, a read lands member i's slice at i — the parity member is
+	// not special. Reads allocate (the data prefix escapes to the caller);
+	// writes stage the zero-padded payload in cluster scratch.
+	var cw []byte
 	if op == oram.OpRead {
-		out = make([]byte, c.blockSize)
-	}
-	errs := resized(c.errScratch, len(c.health))
-	c.errScratch = errs
-	var parityData []byte
-	for i, b := range c.buffers {
-		if i == down {
-			continue
-		}
-		i, b := i, b
-		c.runMember(i, func() {
-			var shard []byte
-			if op == oram.OpWrite {
-				shard = data[i*c.shard : (i+1)*c.shard]
-			}
-			blk, _, err := b.ShardAccess(isdimm.AccessRequest{
-				Addr: addr, Op: op, Data: shard, OldLeaf: oldLeaf, NewLeaf: newLeaf,
-			})
-			if err != nil {
-				c.health[i].Failure(err)
-				errs[i] = &fault.SDIMMError{Index: i, ID: b.ID(), Op: "shard access", Err: err}
-				return
-			}
-			c.health[i].Success()
-			if op == oram.OpRead && blk.Data != nil {
-				copy(out[i*c.shard:], blk.Data)
-			}
-		})
-	}
-	if pLive {
-		pi := c.parityIndex()
-		c.runMember(pi, func() {
-			var pdata []byte
-			if op == oram.OpWrite {
-				pdata = xorParity(data, c.shard)
-			}
-			pblk, _, err := c.parity.ShardAccess(isdimm.AccessRequest{
-				Addr: addr, Op: op, Data: pdata, OldLeaf: oldLeaf, NewLeaf: newLeaf,
-			})
-			if err != nil {
-				c.health[pi].Failure(err)
-				errs[pi] = &fault.SDIMMError{Index: pi, ID: c.parity.ID(), Op: "parity access", Err: err}
-				return
-			}
-			c.health[pi].Success()
-			if pblk.Data != nil {
-				// Engine-owned scratch; consumed by the reconstruction below
-				// before the parity engine runs again (evictions come later).
-				parityData = pblk.Data
-			}
-		})
-	}
-	c.join()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+		cw = make([]byte, len(c.members)*c.shard)
+	} else {
+		cw = resized(c.cwScratch, len(c.members)*c.shard)
+		c.cwScratch = cw
+		copy(cw, data)
+		data = cw[:c.blockSize]
+		if c.HasParity() {
+			c.solveSlice(cw, c.dataShards)
 		}
 	}
 
-	if down >= 0 {
-		if !pLive {
-			return nil, &fault.SDIMMError{Index: down, ID: c.buffers[down].ID(), Op: "shard access",
-				Err: fmt.Errorf("sdimm: shard down and no parity to reconstruct from: %w", fault.ErrUnavailable)}
+	// Shard fan-out: every live member (the parity member too, also on
+	// reads, so its tree stays in lockstep) executes its slice of the access.
+	err := c.fanOut("shard access", func(i int, b *isdimm.Buffer) error {
+		slice := cw[i*c.shard : (i+1)*c.shard]
+		req := isdimm.AccessRequest{Addr: addr, Op: op, OldLeaf: oldLeaf, NewLeaf: newLeaf}
+		if op == oram.OpWrite {
+			req.Data = slice
 		}
-		if op == oram.OpRead {
-			// Reconstruct the missing slice: parity ⊕ every healthy slice.
-			c.tm.reconstructions.Inc()
-			if tr := c.tm.tracer; tr != nil {
-				tr.Instant(0, "cluster.reconstruct", "cluster",
-					map[string]any{"addr": addr, "shard": down})
-			}
-			slice := make([]byte, c.shard)
-			copy(slice, parityData)
-			for i := range c.buffers {
-				if i == down {
-					continue
-				}
-				for j := 0; j < c.shard; j++ {
-					slice[j] ^= out[i*c.shard+j]
-				}
-			}
-			copy(out[down*c.shard:], slice)
+		blk, _, err := b.ShardAccess(req)
+		if err != nil {
+			return err
 		}
-		// Writes simply skip the dead member: the parity slice carries the
-		// missing shard's information for later reconstruction.
+		c.health[i].Success()
+		if op == oram.OpRead && blk.Data != nil {
+			copy(slice, blk.Data)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if op == oram.OpRead && down >= 0 && down < c.dataShards {
+		// Reconstruct the missing data slice from the survivors. Writes
+		// simply skip the dead member: the parity slice carries the missing
+		// shard's information for later reconstruction.
+		c.tm.reconstructions.Inc()
+		if tr := c.tm.tracer; tr != nil {
+			tr.Instant(0, "cluster.reconstruct", "cluster",
+				map[string]any{"addr": addr, "shard": down})
+		}
+		c.solveSlice(cw, down)
 	}
 
-	// Staged commit: the shard fan-out (and parity) succeeded, so newLeaf
-	// is now the truth everywhere. The journal record lands at the same
-	// point — a crash before it means the access never happened.
+	// Staged commit: the shard fan-out succeeded, so newLeaf is now the
+	// truth everywhere. The journal record lands at the same point — a crash
+	// before it means the access never happened.
 	c.pos.Set(addr, newLeaf)
 	if err := c.commitRecord(addr, op, data, false); err != nil {
 		return nil, err
 	}
 
 	// Host-directed background eviction: the leaf is drawn once on the
-	// coordinator, then every live member evicts it — fanned out with a
-	// barrier per round, since NeedsDrain must observe the finished round.
-	ref := c.refEngine()
-	for n := 0; n < 8 && ref != nil && ref.NeedsDrain(); n++ {
+	// coordinator, then every live member evicts it — one fan-out per round,
+	// since NeedsDrain must observe the finished round. The members are in
+	// lockstep, so any live one answers NeedsDrain for the group, and at
+	// most one is down.
+	ref := c.members[0]
+	if down == 0 {
+		ref = c.members[1]
+	}
+	for n := 0; n < 8 && ref.Engine().NeedsDrain(); n++ {
 		leaf := c.rnd.Uint64n(c.leaves)
-		evErrs := resized(c.evScratch, len(c.health))
-		c.evScratch = evErrs
-		for i, b := range c.buffers {
-			if c.memberDown(i) {
-				continue
-			}
-			i, b := i, b
-			c.runMember(i, func() {
-				if err := b.EvictLocal(leaf); err != nil {
-					c.health[i].Failure(err)
-					evErrs[i] = &fault.SDIMMError{Index: i, ID: b.ID(), Op: "shard eviction", Err: err}
-				}
-			})
-		}
-		if c.parity != nil && !c.parityDown() {
-			pi := c.parityIndex()
-			c.runMember(pi, func() {
-				if err := c.parity.EvictLocal(leaf); err != nil {
-					c.health[pi].Failure(err)
-					evErrs[pi] = &fault.SDIMMError{Index: pi, ID: c.parity.ID(), Op: "parity eviction", Err: err}
-				}
-			})
-		}
-		c.join()
-		for _, e := range evErrs {
-			if e != nil {
-				return nil, e
-			}
+		if err := c.fanOut("shard eviction", func(_ int, b *isdimm.Buffer) error { return b.EvictLocal(leaf) }); err != nil {
+			return nil, err
 		}
 	}
 	if op == oram.OpRead {
-		return out, nil
+		return cw[:c.blockSize:c.blockSize], nil
 	}
 	return nil, nil
 }
 
-// refEngine returns any live member's engine (they are in lockstep, so any
-// one of them answers NeedsDrain for the group).
-func (c *SplitCluster) refEngine() *oram.Engine {
-	for i, b := range c.buffers {
-		if !c.memberDown(i) {
-			return b.Engine()
-		}
-	}
-	if c.parity != nil && !c.parityDown() {
-		return c.parity.Engine()
-	}
-	return nil
-}
-
-// StashLens reports each data shard's stash occupancy; the Split invariant
-// is that they are always identical.
-func (c *SplitCluster) StashLens() []int {
-	out := make([]int, len(c.buffers))
-	for i, b := range c.buffers {
-		out[i] = b.Engine().StashLen()
-	}
-	return out
-}
-
 // HasParity reports whether the cluster carries a parity shard.
-func (c *SplitCluster) HasParity() bool { return c.parity != nil }
+func (c *SplitCluster) HasParity() bool { return len(c.members) > c.dataShards }
 
 // Health returns the current per-member health view (data shards first,
 // then the parity shard when present).
 func (c *SplitCluster) Health() ClusterHealth {
-	out := ClusterHealth{SDIMMs: make([]SDIMMHealth, len(c.health))}
-	for i, b := range c.buffers {
+	out := ClusterHealth{SDIMMs: make([]SDIMMHealth, len(c.members))}
+	for i, b := range c.members {
 		out.SDIMMs[i] = healthEntry(i, b.ID(), c.health[i], fault.TransactorStats{})
-	}
-	if c.parity != nil {
-		pi := c.parityIndex()
-		out.SDIMMs[pi] = healthEntry(pi, c.parity.ID(), c.health[pi], fault.TransactorStats{})
 	}
 	return out
 }

@@ -346,14 +346,28 @@ func TestSplitParityShardDownStillServes(t *testing.T) {
 	}
 }
 
+// splitFootprint is what a refused access must leave untouched: every
+// member's stash occupancy and physical bucket-write count, the committed
+// sequence and the position map.
+func splitFootprint(c *SplitCluster) string {
+	var writes []uint64
+	for _, b := range c.members {
+		writes = append(writes, memStore(b).Writes())
+	}
+	return fmt.Sprint(c.StashLens(), writes, c.Seq(), c.Positions())
+}
+
 // TestSplitWithoutParityFailsClosed checks a shard loss without parity is a
-// loud, attributed error — never silent corruption.
+// loud, attributed error — never silent corruption — and that the access is
+// refused before any surviving member runs it: a survivor that remapped the
+// block to a leaf the position map never committed would have diverged.
 func TestSplitWithoutParityFailsClosed(t *testing.T) {
 	c := newSplitCluster(t, 2)
 	if err := c.Write(1, []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	c.FailShard(1)
+	before := splitFootprint(c)
 	_, err := c.Read(1)
 	if err == nil {
 		t.Fatal("read served with a shard missing and no parity")
@@ -361,6 +375,12 @@ func TestSplitWithoutParityFailsClosed(t *testing.T) {
 	var se *fault.SDIMMError
 	if !errors.As(err, &se) || !errors.Is(err, fault.ErrUnavailable) {
 		t.Fatalf("failure shape: %v", err)
+	}
+	if err := c.Write(2, []byte("x")); err == nil || !errors.Is(err, fault.ErrUnavailable) {
+		t.Fatalf("write accepted with a shard missing and no parity: %v", err)
+	}
+	if after := splitFootprint(c); after != before {
+		t.Fatalf("refused accesses mutated the survivors:\nbefore %s\nafter  %s", before, after)
 	}
 }
 
@@ -397,7 +417,7 @@ func TestSplitParityStaysInLockstep(t *testing.T) {
 				t.Fatalf("op %d: data shards diverged: %v", i, lens)
 			}
 		}
-		if p := c.parity.Engine().StashLen(); p != lens[0] {
+		if p := c.members[len(c.members)-1].Engine().StashLen(); p != lens[0] {
 			t.Fatalf("op %d: parity stash %d, data shards %d", i, p, lens[0])
 		}
 	}
@@ -412,14 +432,18 @@ func TestSplitDataAndParityDownFailsClosed(t *testing.T) {
 	if err := c.Write(3, []byte("two losses")); err != nil {
 		t.Fatal(err)
 	}
-	pi := len(c.buffers)
+	pi := len(c.members) - 1
 	c.FailShard(2)
 	c.FailShard(pi)
+	before := splitFootprint(c)
 	if _, err := c.Read(3); err == nil || !errors.Is(err, fault.ErrUnavailable) {
 		t.Fatalf("read served with data+parity down: %v", err)
 	}
 	if err := c.Write(4, []byte("x")); err == nil || !errors.Is(err, fault.ErrUnavailable) {
 		t.Fatalf("write accepted with data+parity down: %v", err)
+	}
+	if after := splitFootprint(c); after != before {
+		t.Fatalf("refused accesses mutated the survivors:\nbefore %s\nafter  %s", before, after)
 	}
 	failed := c.Health().Failed()
 	if len(failed) != 2 || failed[0] != 2 || failed[1] != pi {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sdimm/internal/durable"
+	"sdimm/internal/fault"
 	"sdimm/internal/rng"
 )
 
@@ -251,6 +252,69 @@ func TestSplitScrubRepairsCorruptBucket(t *testing.T) {
 		if !bytes.Equal(got[:len(want)], want) {
 			t.Fatalf("payload of addr %d corrupted despite parity repair", addr)
 		}
+	}
+}
+
+// TestSplitScrubDoubleLossFailsClosed: one member is fail-stopped (its health
+// comes back Failed from the checkpoint, its tree stale since the fail-stop)
+// and another member's bucket is corrupt. That is two losses for one parity
+// member. The scrub must neither scan the dead member nor XOR its stale
+// bucket into a "repair": the bucket is reported unrecoverable, the corrupt
+// member marked Failed, and the cluster refuses traffic rather than serve a
+// garbage rebuild.
+func TestSplitScrubDoubleLossFailsClosed(t *testing.T) {
+	opts := SplitClusterOptions{SDIMMs: 2, Levels: 7, Key: []byte("split-double-loss-key"), Seed: 3,
+		Parity: true, Durability: &DurabilityOptions{Dir: t.TempDir(), Interval: 64}}
+	c, err := NewSplitCluster(opts)
+	if err != nil {
+		t.Fatalf("NewSplitCluster: %v", err)
+	}
+	drive := func(ops []recOp) {
+		t.Helper()
+		for i, op := range ops {
+			if op.write {
+				if err := c.Write(op.addr, op.data); err != nil {
+					t.Fatalf("write op %d: %v", i, err)
+				}
+			} else if _, err := c.Read(op.addr); err != nil {
+				t.Fatalf("read op %d: %v", i, err)
+			}
+		}
+	}
+	ops := recWorkload(11, 200, 32)
+	drive(ops[:100])
+	c.FailShard(0)
+	drive(ops[100:]) // the survivors move on; member 0's tree goes stale
+	// Corrupt every materialized bucket of member 1, so the stale copies
+	// include buckets whose slots went from dummy to real since the fail-stop.
+	buckets := len(memStore(c.members[1]).BucketIndices())
+	for k := 0; k < buckets; k++ {
+		if _, ok := c.CorruptBucket(1, k); !ok {
+			t.Fatalf("CorruptBucket(1, %d) found nothing to corrupt", k)
+		}
+	}
+	if err := c.ForceCheckpoint(); err != nil {
+		t.Fatalf("ForceCheckpoint: %v", err)
+	}
+	c.Close()
+
+	rc, report, err := RecoverSplitCluster(opts)
+	if err != nil {
+		t.Fatalf("RecoverSplitCluster: %v", err)
+	}
+	defer rc.Close()
+	if report.BucketsRepaired != 0 || report.BucketsUnrecoverable == 0 {
+		t.Fatalf("double loss not reported unrecoverable: %+v", report)
+	}
+	// Member 0 is never scanned, and member 1 no longer once it is Failed.
+	if report.BucketsScanned > 2*buckets {
+		t.Fatalf("scanned %d buckets with only two live members of %d buckets each", report.BucketsScanned, buckets)
+	}
+	if failed := rc.Health().Failed(); len(failed) != 2 || failed[0] != 0 || failed[1] != 1 {
+		t.Fatalf("failed set %v, want [0 1]", failed)
+	}
+	if _, err := rc.Read(ops[0].addr); !errors.Is(err, fault.ErrUnavailable) {
+		t.Fatalf("read after a double loss = %v, want ErrUnavailable", err)
 	}
 }
 

@@ -252,7 +252,7 @@ func TestClusterDetectsActiveTampering(t *testing.T) {
 	}
 	// Corrupt every materialized bucket in every buffer.
 	corrupted := 0
-	for _, b := range c.buffers {
+	for _, b := range c.members {
 		ms := b.Engine().Store().(*oram.MemStore)
 		for idx := uint64(0); idx < b.Engine().Geometry().Buckets(); idx++ {
 			if ms.Corrupt(idx) {

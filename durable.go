@@ -85,16 +85,26 @@ func splitFingerprint(opts SplitClusterOptions) durable.Fingerprint {
 }
 
 // durableState is the state both cluster flavours embed: the host-side ORAM
-// state every checkpoint captures (position map, shared RNG, member health)
-// with its telemetry handles, and the durability bookkeeping around it. seq
-// counts committed logical records of every kind (workload accesses,
-// migration steps, topology changes); poisoned tracks addresses lost to
-// unrecoverable corruption (always allocated, usually empty).
+// state every checkpoint captures (position map, shared RNG, the members
+// and their health) with its telemetry handles, and the durability
+// bookkeeping around it. seq counts committed logical records of every kind
+// (workload accesses, migration steps, topology changes); poisoned tracks
+// addresses lost to unrecoverable corruption (always allocated, usually
+// empty).
 type durableState struct {
-	pos    oram.PositionMap
-	rnd    *rng.Source
-	health []*fault.Health // index-aligned with the flavour's member list
-	tm     clusterTelemetry
+	pos oram.PositionMap
+	rnd *rng.Source
+	// members is the flavour's member list — Independent: one secure buffer
+	// per SDIMM; Split: the data shards, then the parity member when there
+	// is one — and health its index-aligned health records.
+	members []*isdimm.Buffer
+	health  []*fault.Health
+	// mkMember builds incarnation inc of slot i and installs it in place.
+	// Set by the flavour's builder; used for the founding members, by joins
+	// and replacements, and by checkpoint restore when the checkpointed
+	// incarnation differs from the founding one.
+	mkMember func(i int, inc uint64) error
+	tm       clusterTelemetry
 
 	dur        *durable.Manager
 	interval   int
@@ -165,6 +175,23 @@ func (d *durableState) Positions() map[uint64]uint64 {
 	out := make(map[uint64]uint64, d.pos.Len())
 	d.pos.Each(func(a, l uint64) { out[a] = l })
 	return out
+}
+
+// StashLens reports each member's stash occupancy (monitoring). On a Split
+// cluster the invariant is that they are all identical, the parity member's
+// included.
+func (d *durableState) StashLens() []int {
+	out := make([]int, len(d.members))
+	for i, b := range d.members {
+		out[i] = b.Engine().StashLen()
+	}
+	return out
+}
+
+// wrapErr attributes err to member i: every error leaving a member
+// operation carries the member's index and ID.
+func (d *durableState) wrapErr(i int, op string, err error) error {
+	return &fault.SDIMMError{Index: i, ID: d.members[i].ID(), Op: op, Err: err}
 }
 
 // crashedNow reports whether a planned crash point has fired — the cluster
@@ -289,10 +316,12 @@ func capturePositions(pos oram.PositionMap) []durable.PosEntry {
 	return out
 }
 
-// capturePoisoned snapshots the poison set sorted.
-func capturePoisoned(p map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(p))
-	for a := range p {
+// sortedKeys lists a set's members ascending: the poison set for a
+// checkpoint, bucket indices for the scrubs — whose work (and any RNG-free
+// repair decision) must not depend on map order.
+func sortedKeys(set map[uint64]bool) []uint64 {
+	out := make([]uint64, 0, len(set))
+	for a := range set {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -394,16 +423,16 @@ func (d *durableState) createDurable(opts *DurabilityOptions, fp durable.Fingerp
 // checkpoint, scrub every bucket's PMMAC tag, replay the journal to the last
 // committed access, put all members into Recovering probation, and persist
 // a post-recovery checkpoint — only then is traffic admitted. The flavour
-// supplies what genuinely differs: restore (checkpoint → its members),
-// its scrub, apply (one journal record → its access or topology change) and
-// its checkpoint.
+// supplies what genuinely differs: extras (its per-member additions to a
+// restored member, may be nil), its scrub, apply (one journal record → its
+// access or topology change) and its checkpoint.
 //
 // The scrub runs before replay on purpose: replay re-executes accesses
 // against the restored image, so the image must be navigable first, and a
 // replayed write to a poisoned address heals it exactly as the original
 // execution did.
 func (d *durableState) recoverDurable(opts *DurabilityOptions, fp durable.Fingerprint, clusterKey []byte,
-	restore func(*durable.Checkpoint) error, scrub func(*durable.RecoveryReport) error,
+	extras func(i int, m durable.MemberState) error, scrub func(*durable.RecoveryReport) error,
 	apply func(durable.Record) error, checkpoint func() error) (*durable.RecoveryReport, error) {
 	if err := d.attachDurability(opts, fp, clusterKey); err != nil {
 		return nil, err
@@ -412,7 +441,7 @@ func (d *durableState) recoverDurable(opts *DurabilityOptions, fp durable.Finger
 	if err != nil {
 		return nil, err
 	}
-	if err := restore(cp); err != nil {
+	if err := d.restoreCheckpoint(cp, extras); err != nil {
 		return nil, err
 	}
 	if err := scrub(report); err != nil {
@@ -444,7 +473,7 @@ func (d *durableState) recoverDurable(opts *DurabilityOptions, fp durable.Finger
 // checkpoint captures the cluster's full state — the shared head plus one
 // MemberState per member, which link (when set) completes with the
 // flavour's per-member extras — and persists it, rotating the journal.
-func (d *durableState) checkpoint(members []*isdimm.Buffer, link func(i int, m *durable.MemberState)) error {
+func (d *durableState) checkpoint(link func(i int, m *durable.MemberState)) error {
 	if d.dur == nil {
 		return errors.New("sdimm: ForceCheckpoint without durability")
 	}
@@ -452,14 +481,14 @@ func (d *durableState) checkpoint(members []*isdimm.Buffer, link func(i int, m *
 		Seq:       d.seq,
 		RNG:       d.rnd.State(),
 		Positions: capturePositions(d.pos),
-		Poisoned:  capturePoisoned(d.poisoned),
+		Poisoned:  sortedKeys(d.poisoned),
 		MigSeq:    d.migSeq,
 		TopoSeq:   d.topoSeq,
 	}
 	if d.drainMember >= 0 {
 		cp.Drains = []durable.DrainState{{Member: uint64(d.drainMember), Moved: d.drainMoved}}
 	}
-	for i, b := range members {
+	for i, b := range d.members {
 		m := captureMember(b, d.health[i])
 		m.Incarnation = d.incarnations[i]
 		if link != nil {
@@ -475,12 +504,13 @@ func (d *durableState) checkpoint(members []*isdimm.Buffer, link func(i int, m *
 	return nil
 }
 
-// restoreHead loads cp's flavour-independent head into a freshly
-// constructed cluster of the given member count; the flavour then restores
-// the members themselves.
-func (d *durableState) restoreHead(cp *durable.Checkpoint, members int) error {
-	if len(cp.Members) != members {
-		return fmt.Errorf("sdimm: checkpoint has %d members, cluster has %d", len(cp.Members), members)
+// restoreCheckpoint loads cp into the (freshly constructed) cluster: the
+// flavour-independent head, then every member, which extras (when set)
+// completes with the flavour's per-member additions — checkpoint's link in
+// reverse.
+func (d *durableState) restoreCheckpoint(cp *durable.Checkpoint, extras func(i int, m durable.MemberState) error) error {
+	if len(cp.Members) != len(d.members) {
+		return fmt.Errorf("sdimm: checkpoint has %d members, cluster has %d", len(cp.Members), len(d.members))
 	}
 	d.seq = cp.Seq
 	d.lastCkpt = cp.Seq
@@ -501,22 +531,43 @@ func (d *durableState) restoreHead(cp *durable.Checkpoint, members int) error {
 		}
 		d.drainMember = int(cp.Drains[0].Member)
 		d.drainMoved = cp.Drains[0].Moved
-		if d.drainMember < 0 || d.drainMember >= members {
+		if d.drainMember < 0 || d.drainMember >= len(d.members) {
 			return fmt.Errorf("sdimm: checkpoint drain member %d out of range", d.drainMember)
+		}
+	}
+	for i, m := range cp.Members {
+		// A member that joined after the founding generation has
+		// incarnation-derived store keys (and, on an Independent cluster, a
+		// distinct device identity) — rebuild it before restoring its state
+		// into place.
+		if m.Incarnation != d.incarnations[i] {
+			if err := d.mkMember(i, m.Incarnation); err != nil {
+				return err
+			}
+			d.incarnations[i] = m.Incarnation
+		}
+		if err := restoreMember(d.members[i], d.health[i], m); err != nil {
+			return err
+		}
+		if extras != nil {
+			if err := extras(i, m); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// corruptBucket flips a ciphertext bit in the k-th materialized bucket
+// CorruptBucket flips a ciphertext bit in the k-th materialized bucket
 // (sorted by index) of the given member's store and returns the bucket index
-// (chaos harness hook for scrub testing). False when the member is out of
-// range or has no materialized buckets.
-func corruptBucket(members []*isdimm.Buffer, member, k int) (uint64, bool) {
-	if member < 0 || member >= len(members) {
+// (chaos harness hook for scrub testing; a Split cluster's parity member is
+// member SDIMMs). False when the member is out of range or has no
+// materialized buckets.
+func (d *durableState) CorruptBucket(member, k int) (uint64, bool) {
+	if member < 0 || member >= len(d.members) {
 		return 0, false
 	}
-	ms := memStore(members[member])
+	ms := memStore(d.members[member])
 	idxs := ms.BucketIndices()
 	if len(idxs) == 0 {
 		return 0, false
@@ -530,7 +581,7 @@ func corruptBucket(members []*isdimm.Buffer, member, k int) (uint64, bool) {
 // ForceCheckpoint captures the cluster's full state and persists it,
 // rotating the journal. Callable any time the cluster is quiescent.
 func (c *Cluster) ForceCheckpoint() error {
-	err := c.checkpoint(c.buffers, func(i int, m *durable.MemberState) {
+	err := c.checkpoint(func(i int, m *durable.MemberState) {
 		m.HostSend = c.links[i].Host.SendCounter()
 		m.HostRecv = c.links[i].Host.RecvCounter()
 		m.DevSend = c.links[i].Dev.SendCounter()
@@ -543,41 +594,17 @@ func (c *Cluster) ForceCheckpoint() error {
 	return err
 }
 
-// CorruptBucket corrupts the k-th materialized bucket of member sd's store
-// (see corruptBucket).
-func (c *Cluster) CorruptBucket(sd, k int) (uint64, bool) { return corruptBucket(c.buffers, sd, k) }
-
-// restoreCheckpoint loads cp into the (freshly constructed) cluster.
-func (c *Cluster) restoreCheckpoint(cp *durable.Checkpoint) error {
-	if err := c.restoreHead(cp, len(c.buffers)); err != nil {
+// restoreLinks is restoreCheckpoint's per-member hook: the detach flag and
+// the link counters. The links run fresh post-restart ECDH sessions (new
+// keys, so restored counters can never reuse a pad); restoring the counters
+// forward keeps both endpoints in lockstep and the counters monotonic across
+// the crash.
+func (c *Cluster) restoreLinks(i int, m durable.MemberState) error {
+	c.detached[i] = m.Detached
+	if err := c.links[i].Host.RestoreCounters(m.HostSend, m.HostRecv); err != nil {
 		return err
 	}
-	for i, m := range cp.Members {
-		// A member that joined after the founding generation has
-		// incarnation-derived store keys and a distinct device identity —
-		// rebuild it before restoring its state into place.
-		if m.Incarnation != c.incarnations[i] {
-			if err := c.mkMember(i, m.Incarnation); err != nil {
-				return err
-			}
-			c.incarnations[i] = m.Incarnation
-		}
-		c.detached[i] = m.Detached
-		if err := restoreMember(c.buffers[i], c.health[i], m); err != nil {
-			return err
-		}
-		// The links run fresh post-restart ECDH sessions (new keys, so
-		// restored counters can never reuse a pad); restoring the counters
-		// forward keeps both endpoints in lockstep and the counters
-		// monotonic across the crash.
-		if err := c.links[i].Host.RestoreCounters(m.HostSend, m.HostRecv); err != nil {
-			return err
-		}
-		if err := c.links[i].Dev.RestoreCounters(m.DevSend, m.DevRecv); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.links[i].Dev.RestoreCounters(m.DevSend, m.DevRecv)
 }
 
 // scrub runs the post-restore PMMAC pass over every member's tree: verify
@@ -588,8 +615,8 @@ func (c *Cluster) restoreCheckpoint(cp *durable.Checkpoint) error {
 // is always unrecoverable — the pass bounds the damage to provably-lost
 // addresses and keeps the tree navigable.
 func (c *Cluster) scrub(report *durable.RecoveryReport) error {
-	corrupt := make([]map[uint64]bool, len(c.buffers))
-	for i, b := range c.buffers {
+	corrupt := make([]map[uint64]bool, len(c.members))
+	for i, b := range c.members {
 		ms := memStore(b)
 		for _, idx := range ms.BucketIndices() {
 			report.BucketsScanned++
@@ -608,13 +635,8 @@ func (c *Cluster) scrub(report *durable.RecoveryReport) error {
 		if len(set) == 0 {
 			continue
 		}
-		ms := memStore(c.buffers[i])
-		idxs := make([]uint64, 0, len(set))
-		for idx := range set {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
-		for _, idx := range idxs {
+		ms := memStore(c.members[i])
+		for _, idx := range sortedKeys(set) {
 			// Quarantine: overwrite with an all-dummy bucket so path reads
 			// stay serviceable. The lost contents are handled by poisoning.
 			if err := ms.WriteBucket(idx, oram.NewBucket(ms.Z())); err != nil {
@@ -635,7 +657,7 @@ func (c *Cluster) scrub(report *durable.RecoveryReport) error {
 		if len(set) == 0 {
 			continue
 		}
-		b := c.buffers[sd]
+		b := c.members[sd]
 		path := b.Engine().Geometry().Path(e.Value&mask, nil)
 		touched := false
 		for _, idx := range path {
@@ -717,7 +739,7 @@ func RecoverCluster(opts ClusterOptions) (*Cluster, *durable.RecoveryReport, err
 		return nil, nil, err
 	}
 	report, err := c.recoverDurable(opts.Durability, independentFingerprint(opts), opts.Key,
-		c.restoreCheckpoint, c.scrub, c.replayRecord, c.ForceCheckpoint)
+		c.restoreLinks, c.scrub, c.replayRecord, c.ForceCheckpoint)
 	if err != nil {
 		c.Close()
 		return nil, nil, err
@@ -728,128 +750,86 @@ func RecoverCluster(opts ClusterOptions) (*Cluster, *durable.RecoveryReport, err
 
 // --- Split cluster ---
 
-// allMembers returns the data shards followed by the parity member (when
-// present) — index-aligned with c.health.
-func (c *SplitCluster) allMembers() []*isdimm.Buffer {
-	out := append([]*isdimm.Buffer(nil), c.buffers...)
-	if c.parity != nil {
-		out = append(out, c.parity)
-	}
-	return out
-}
-
 // ForceCheckpoint captures the cluster's full state and persists it,
 // rotating the journal.
-func (c *SplitCluster) ForceCheckpoint() error { return c.checkpoint(c.allMembers(), nil) }
+func (c *SplitCluster) ForceCheckpoint() error { return c.checkpoint(nil) }
 
-// CorruptBucket corrupts the k-th materialized bucket of member i (data
-// shards 0..SDIMMs-1; SDIMMs = parity; see corruptBucket).
-func (c *SplitCluster) CorruptBucket(member, k int) (uint64, bool) {
-	return corruptBucket(c.allMembers(), member, k)
-}
-
-// restoreCheckpoint loads cp into the (freshly constructed) cluster.
-func (c *SplitCluster) restoreCheckpoint(cp *durable.Checkpoint) error {
-	if err := c.restoreHead(cp, len(c.health)); err != nil {
-		return err
-	}
-	for i, m := range cp.Members {
-		// A replacement member's store keys derive from its incarnation —
-		// rebuild the buffer before restoring state into it.
-		if m.Incarnation != c.incarnations[i] {
-			buf, err := c.mkShardMember(i, m.Incarnation)
-			if err != nil {
-				return err
-			}
-			if i < len(c.buffers) {
-				c.buffers[i] = buf
-			} else {
-				c.parity = buf
-			}
-			c.incarnations[i] = m.Incarnation
-		}
-	}
-	for i, b := range c.allMembers() {
-		if err := restoreMember(b, c.health[i], cp.Members[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scrub verifies every member's buckets and repairs corrupt ones from the
-// other shards. Shard trees evolve in lockstep, so for any bucket index the
-// slot headers and write counter agree across members, and the parity
-// member's data is the XOR of the data shards' — a single corrupt member's
-// bucket is rebuilt bit-exactly (XOR of all healthy members' slot data,
-// resealed under the sibling counter). With no parity, or more than one
-// corrupt member for the same bucket, the affected members are marked
-// Failed and the damage is reported unrecoverable.
+// scrub verifies every live member's buckets and repairs a corrupt one from
+// the others (see rebuildBucket). A Failed member is neither scanned nor a
+// source: its tree stopped at the fail-stop, so its buckets are stale however
+// valid their tags. A corrupt bucket is repairable only when there is a
+// parity member and every other member is live with a verified copy; anything
+// less — no parity, a second corrupt copy, a member already down — is a loss
+// the XOR cannot cover, so the corrupt members are marked Failed and the
+// damage is reported unrecoverable, never "repaired".
 func (c *SplitCluster) scrub(report *durable.RecoveryReport) error {
-	members := c.allMembers()
+	live := func(i int) bool { return c.health[i].State() != fault.Failed }
 	idxSet := make(map[uint64]bool)
-	for _, b := range members {
-		for _, idx := range memStore(b).BucketIndices() {
-			idxSet[idx] = true
+	for i, b := range c.members {
+		if live(i) {
+			for _, idx := range memStore(b).BucketIndices() {
+				idxSet[idx] = true
+			}
 		}
 	}
-	idxs := make([]uint64, 0, len(idxSet))
-	for idx := range idxSet {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-
-	for _, idx := range idxs {
-		buckets := make([]oram.Bucket, len(members))
+	for _, idx := range sortedKeys(idxSet) {
 		var bad, good []int
-		for mi, b := range members {
-			report.BucketsScanned++
-			bkt, err := memStore(b).ReadBucket(idx)
-			if err != nil {
-				if !errors.Is(err, oram.ErrIntegrity) {
-					return err
-				}
-				bad = append(bad, mi)
+		for i, b := range c.members {
+			if !live(i) {
 				continue
 			}
-			buckets[mi] = bkt
-			good = append(good, mi)
+			report.BucketsScanned++
+			if _, err := memStore(b).ReadBucket(idx); err == nil {
+				good = append(good, i)
+			} else if errors.Is(err, oram.ErrIntegrity) {
+				bad = append(bad, i)
+			} else {
+				return err
+			}
 		}
 		if len(bad) == 0 {
 			continue
 		}
-		if c.parity == nil || len(bad) > 1 || len(good) == 0 {
-			report.BucketsUnrecoverable += len(bad)
-			for _, mi := range bad {
-				c.health[mi].MarkFailed(fmt.Errorf("sdimm: bucket %d unrecoverable on member %d: %w", idx, mi, oram.ErrIntegrity))
+		if c.HasParity() && len(bad) == 1 && len(good) == len(c.members)-1 {
+			if err := c.rebuildBucket(idx, bad[0], good); err != nil {
+				return err
 			}
+			report.BucketsRepaired++
 			continue
 		}
-		target := bad[0]
-		tpl := buckets[good[0]]
-		rebuilt := oram.NewBucket(len(tpl.Slots))
-		for s := range tpl.Slots {
-			rebuilt.Slots[s].Addr = tpl.Slots[s].Addr
-			rebuilt.Slots[s].Leaf = tpl.Slots[s].Leaf
-			if rebuilt.Slots[s].IsDummy() {
-				continue
-			}
-			data := make([]byte, c.shard)
-			for _, mi := range good {
-				d := buckets[mi].Slots[s].Data
-				for j := range data {
-					data[j] ^= d[j]
-				}
-			}
-			rebuilt.Slots[s].Data = data
+		report.BucketsUnrecoverable += len(bad)
+		for _, i := range bad {
+			c.health[i].MarkFailed(fmt.Errorf("sdimm: bucket %d unrecoverable on member %d: %w", idx, i, oram.ErrIntegrity))
 		}
-		counter := memStore(members[good[0]]).Counter(idx)
-		if err := memStore(members[target]).PutBucketAt(idx, rebuilt, counter); err != nil {
-			return err
-		}
-		report.BucketsRepaired++
 	}
 	return nil
+}
+
+// rebuildBucket reconstructs member target's bucket idx from sources, which
+// must be every other member, each live with a verified copy (ReadBucket
+// checks the tag again here). Shard trees evolve in lockstep, so the slot
+// headers and write counter of a bucket agree across members and the slot
+// data XORs to zero across them: the target's data is the XOR of the
+// sources', and sealing it under their counter reproduces the lost bucket
+// bit-exactly and keeps the write counters aligned.
+func (c *SplitCluster) rebuildBucket(idx uint64, target int, sources []int) error {
+	bkts := make([]oram.Bucket, len(c.members))
+	for _, j := range sources {
+		var err error
+		if bkts[j], err = memStore(c.members[j]).ReadBucket(idx); err != nil {
+			return err
+		}
+	}
+	tpl := bkts[sources[0]]
+	rebuilt := oram.NewBucket(len(tpl.Slots))
+	for s, slot := range tpl.Slots {
+		rebuilt.Slots[s].Addr, rebuilt.Slots[s].Leaf = slot.Addr, slot.Leaf
+		if !slot.IsDummy() {
+			rebuilt.Slots[s].Data = xorAcross(make([]byte, c.shard), sources,
+				func(j int) []byte { return bkts[j].Slots[s].Data })
+		}
+	}
+	return memStore(c.members[target]).PutBucketAt(idx, rebuilt, tpl.Counter)
 }
 
 // replayRecord re-executes one journal record during recovery. The split
@@ -882,7 +862,7 @@ func RecoverSplitCluster(opts SplitClusterOptions) (*SplitCluster, *durable.Reco
 		return nil, nil, err
 	}
 	report, err := c.recoverDurable(opts.Durability, splitFingerprint(opts), opts.Key,
-		c.restoreCheckpoint, c.scrub, c.replayRecord, c.ForceCheckpoint)
+		nil, c.scrub, c.replayRecord, c.ForceCheckpoint)
 	if err != nil {
 		c.Close()
 		return nil, nil, err

@@ -8,7 +8,6 @@ import (
 	"sdimm/internal/durable"
 	"sdimm/internal/fault"
 	"sdimm/internal/oram"
-	isdimm "sdimm/internal/sdimm"
 )
 
 // This file implements elastic cluster membership: online drain/remove/join
@@ -30,7 +29,7 @@ func (c *Cluster) BeginDrain(i int) error {
 	if c.crashedNow() {
 		return durable.ErrCrashed
 	}
-	if i < 0 || i >= len(c.buffers) {
+	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: member slot %d out of range", i)
 	}
 	if c.drainMember >= 0 {
@@ -62,7 +61,7 @@ func (c *Cluster) BeginDrain(i int) error {
 
 // applyDrainBegin is BeginDrain's committed effect, shared with replay.
 func (c *Cluster) applyDrainBegin(i int) error {
-	if i < 0 || i >= len(c.buffers) {
+	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: drain-begin member %d out of range", i)
 	}
 	if !c.health[i].MarkDraining() {
@@ -202,7 +201,7 @@ func (c *Cluster) RemoveFailed(i int) error {
 	if c.crashedNow() {
 		return durable.ErrCrashed
 	}
-	if i < 0 || i >= len(c.buffers) {
+	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: member slot %d out of range", i)
 	}
 	if c.detached[i] {
@@ -220,7 +219,7 @@ func (c *Cluster) RemoveFailed(i int) error {
 // and the RNG draws happen at a deterministic point, so replay reproduces
 // the exact remapping. After a completed drain the walk is empty.
 func (c *Cluster) applyDetach(i int) error {
-	if i < 0 || i >= len(c.buffers) {
+	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: detach member %d out of range", i)
 	}
 	wasDrain := c.drainMember == i
@@ -262,7 +261,7 @@ func (c *Cluster) AddSDIMM(i int) error {
 	if c.crashedNow() {
 		return durable.ErrCrashed
 	}
-	if i < 0 || i >= len(c.buffers) {
+	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: member slot %d out of range", i)
 	}
 	if !c.detached[i] {
@@ -273,7 +272,7 @@ func (c *Cluster) AddSDIMM(i int) error {
 
 // applyJoin is AddSDIMM's committed effect, shared with replay.
 func (c *Cluster) applyJoin(i int) error {
-	if i < 0 || i >= len(c.buffers) {
+	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: join member %d out of range", i)
 	}
 	inc := c.incarnations[i] + 1
@@ -297,25 +296,22 @@ func (c *Cluster) applyJoin(i int) error {
 // ReplaceMember rebuilds failed member i (data shards 0..SDIMMs-1; SDIMMs =
 // parity) from the surviving members. Shard trees evolve in lockstep and
 // the parity member holds the XOR of the data shards, so the missing
-// member's entire tree — buckets, stash, transfer queue — is the XOR of all
-// other members', resealed under the new incarnation's keys. There is no
-// drain flavour for Split: the protocol has no routing, so membership can
-// only change by whole-member replacement.
+// member's entire tree — buckets and stash — is the XOR of all other
+// members', resealed under the new incarnation's keys. There is no drain
+// flavour for Split: the protocol has no routing, so membership can only
+// change by whole-member replacement.
 func (c *SplitCluster) ReplaceMember(i int) error {
 	if c.crashedNow() {
 		return durable.ErrCrashed
 	}
-	if i < 0 || i >= len(c.health) {
+	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: member slot %d out of range", i)
-	}
-	if c.parity == nil {
-		return errors.New("sdimm: replacement requires a parity member")
 	}
 	if c.health[i].State() != fault.Failed {
 		return fmt.Errorf("sdimm: member %d is %s, not failed", i, c.health[i].State())
 	}
-	for j := range c.health {
-		if j != i && c.memberDown(j) {
+	for _, j := range c.others(i) {
+		if c.memberDown(j) {
 			return fmt.Errorf("sdimm: cannot rebuild member %d: member %d also down", i, j)
 		}
 	}
@@ -330,88 +326,19 @@ func (c *SplitCluster) ReplaceMember(i int) error {
 // the shared access history — so rebuilding over it is a no-op disguised as
 // a rebuild, and the RNG/journal effects match the original run exactly.
 func (c *SplitCluster) applySplitJoin(i int) error {
-	if i < 0 || i >= len(c.health) {
+	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: join member %d out of range", i)
 	}
-	if c.parity == nil {
+	if !c.HasParity() {
 		return errors.New("sdimm: replacement requires a parity member")
 	}
-	inc := c.incarnations[i] + 1
-	buf, err := c.mkShardMember(i, inc)
-	if err != nil {
+	inc, old := c.incarnations[i]+1, c.members[i]
+	if err := c.mkMember(i, inc); err != nil {
 		return err
 	}
-	members := c.allMembers()
-	var good []*isdimm.Buffer
-	for j, b := range members {
-		if j != i {
-			good = append(good, b)
-		}
-	}
-
-	// Buckets: headers and write counters agree across members (lockstep),
-	// data is the XOR of all others'. Seal each rebuilt bucket under the
-	// sibling's counter so the write counters stay aligned too.
-	tplStore := memStore(good[0])
-	for _, idx := range tplStore.BucketIndices() {
-		tpl, err := tplStore.ReadBucket(idx)
-		if err != nil {
-			return err
-		}
-		rebuilt := oram.NewBucket(len(tpl.Slots))
-		for s := range tpl.Slots {
-			rebuilt.Slots[s].Addr = tpl.Slots[s].Addr
-			rebuilt.Slots[s].Leaf = tpl.Slots[s].Leaf
-			if rebuilt.Slots[s].IsDummy() {
-				continue
-			}
-			data := make([]byte, c.shard)
-			for _, g := range good {
-				bkt, err := memStore(g).ReadBucket(idx)
-				if err != nil {
-					return err
-				}
-				d := bkt.Slots[s].Data
-				for j := range data {
-					data[j] ^= d[j]
-				}
-			}
-			rebuilt.Slots[s].Data = data
-		}
-		if err := memStore(buf).PutBucketAt(idx, rebuilt, tplStore.Counter(idx)); err != nil {
-			return err
-		}
-	}
-
-	// Stash: same (addr, leaf) order on every member, data XOR-aligned.
-	tplStash := good[0].Engine().StashBlocks()
-	otherStashes := make([][]oram.Block, len(good))
-	for j, g := range good {
-		otherStashes[j] = g.Engine().StashBlocks()
-	}
-	rebuiltStash := make([]oram.Block, len(tplStash))
-	for s, blk := range tplStash {
-		data := make([]byte, c.shard)
-		for j := range good {
-			d := otherStashes[j][s].Data
-			for k := range data {
-				data[k] ^= d[k]
-			}
-		}
-		rebuiltStash[s] = oram.Block{Addr: blk.Addr, Leaf: blk.Leaf, Data: data}
-	}
-	if err := buf.Engine().RestoreStash(rebuiltStash); err != nil {
+	if err := c.rebuildMember(i); err != nil {
+		c.members[i] = old // a failed rebuild leaves the slot as it was
 		return err
-	}
-
-	// Engine RNG: copy a live sibling's state so the lockstep eviction draws
-	// stay identical from the next access on.
-	buf.Engine().RestoreRandState(good[0].Engine().RandState())
-
-	if i < len(c.buffers) {
-		c.buffers[i] = buf
-	} else {
-		c.parity = buf
 	}
 	c.incarnations[i] = inc
 	succ, fail := c.health[i].Totals()
@@ -420,4 +347,33 @@ func (c *SplitCluster) applySplitJoin(i int) error {
 		tr.Instant(0, "cluster.join", "cluster", map[string]any{"member": i, "incarnation": inc})
 	}
 	return c.commitTopoRecord(durable.KindJoin, i)
+}
+
+// rebuildMember fills the freshly built member i from every other member:
+// each bucket through rebuildBucket, the stash (same (addr, leaf) order on
+// every member, data XOR-aligned) through the same XOR, and the engine RNG
+// copied from a live sibling so the lockstep eviction draws stay identical
+// from the next access on.
+func (c *SplitCluster) rebuildMember(i int) error {
+	sources := c.others(i)
+	sibling := c.members[sources[0]]
+	for _, idx := range memStore(sibling).BucketIndices() {
+		if err := c.rebuildBucket(idx, i, sources); err != nil {
+			return err
+		}
+	}
+	stashes := make([][]oram.Block, len(c.members))
+	for _, j := range sources {
+		stashes[j] = c.members[j].Engine().StashBlocks()
+	}
+	rebuilt := make([]oram.Block, len(stashes[sources[0]]))
+	for s, blk := range stashes[sources[0]] {
+		rebuilt[s] = oram.Block{Addr: blk.Addr, Leaf: blk.Leaf, Data: xorAcross(make([]byte, c.shard), sources,
+			func(j int) []byte { return stashes[j][s].Data })}
+	}
+	if err := c.members[i].Engine().RestoreStash(rebuilt); err != nil {
+		return err
+	}
+	c.members[i].Engine().RestoreRandState(sibling.Engine().RandState())
+	return nil
 }

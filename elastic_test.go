@@ -450,7 +450,7 @@ func TestSplitReplaceMemberRebuildsFromParity(t *testing.T) {
 
 	// Parity member replacement: rebuild it, then prove the fresh parity
 	// works by surviving yet another data-shard loss.
-	pi := len(c.buffers)
+	pi := len(c.members) - 1
 	c.FailShard(pi)
 	if err := c.ReplaceMember(pi); err != nil {
 		t.Fatalf("ReplaceMember(parity): %v", err)

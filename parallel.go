@@ -213,7 +213,7 @@ func (c *Cluster) Pipeline(opts PipelineOptions) *Pipeline {
 	return &Pipeline{
 		c:    c,
 		opts: opts,
-		pool: newWorkerPool(len(c.buffers), opts.Parallelism, 2*opts.Window+4),
+		pool: newWorkerPool(len(c.members), opts.Parallelism, 2*opts.Window+4),
 	}
 }
 
@@ -699,10 +699,10 @@ func (p *Pipeline) commit(w *waveState) {
 func (p *Pipeline) dispatchAppend(w *waveState) {
 	c := p.c
 	for _, po := range w.ops {
-		po.appendErr = resized(po.appendErr, len(c.buffers))
-		po.appendBad = resized(po.appendBad, len(c.buffers))
+		po.appendErr = resized(po.appendErr, len(c.members))
+		po.appendBad = resized(po.appendBad, len(c.members))
 	}
-	for j := range c.buffers {
+	for j := range c.members {
 		p.pool.submitWG(j, &w.wgB, func() {
 			st := c.blame.WorkerBegin()
 			defer c.blame.WorkerEnd(blame.WorkerAppend, st)
@@ -779,7 +779,7 @@ func (p *Pipeline) retire(w *waveState, jerr error, globalLeaves uint64) {
 func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64) BatchResult {
 	c := p.c
 	if po.err == nil {
-		for j := range c.buffers {
+		for j := range c.members {
 			if po.appendErr[j] != nil {
 				c.tm.appendsLost.Inc()
 				if !po.keep && j == po.sdNew && !po.resp.Dummy {

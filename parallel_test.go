@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"sdimm/internal/durable"
 	"sdimm/internal/fault"
 	"sdimm/internal/rng"
 	"sdimm/internal/telemetry"
@@ -332,10 +333,16 @@ func TestPipelineOversizedWriteFails(t *testing.T) {
 
 // runSplit executes a deterministic workload on a Split cluster with the
 // given fan-out parallelism, optionally failing a shard halfway through.
-func runSplit(t *testing.T, par int, parity bool, failShard int) engineState {
+// With rebuild the run is durable and goes on through both users of the
+// single rebuild: the failed shard is replaced three quarters of the way in,
+// and at the end a corrupt bucket is persisted into a checkpoint, the cluster
+// recovered (the scrub repairs it) and driven a little further. The final
+// checkpoint file rides along as one more result, so sealed bytes are part
+// of what the parallelisms must agree on.
+func runSplit(t *testing.T, par int, parity bool, failShard int, rebuild bool) engineState {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	c, err := NewSplitCluster(SplitClusterOptions{
+	opts := SplitClusterOptions{
 		SDIMMs:      4,
 		Levels:      10,
 		Key:         []byte("split-equivalence-key"),
@@ -343,44 +350,84 @@ func runSplit(t *testing.T, par int, parity bool, failShard int) engineState {
 		Parity:      parity,
 		Parallelism: par,
 		Telemetry:   reg,
-	})
+	}
+	if rebuild {
+		opts.Durability = &DurabilityOptions{Dir: t.TempDir(), Interval: 64}
+	}
+	c, err := NewSplitCluster(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer func() { c.Close() }()
 	r := rng.Stream(11, "split-workload", 0)
 	const n = 240
-	results := make([]BatchResult, n)
-	for i := 0; i < n; i++ {
-		if i == n/2 && failShard >= 0 {
-			c.FailShard(failShard)
+	var results []BatchResult
+	drive := func(from, to int) {
+		for i := from; i < to; i++ {
+			var res BatchResult
+			addr := r.Uint64n(70)
+			if r.Bool(0.5) {
+				res.Err = c.Write(addr, []byte(fmt.Sprintf("s%04d@%d", i, addr)))
+			} else {
+				res.Data, res.Err = c.Read(addr)
+			}
+			results = append(results, res)
 		}
-		addr := r.Uint64n(70)
-		if r.Bool(0.5) {
-			results[i].Err = c.Write(addr, []byte(fmt.Sprintf("s%04d@%d", i, addr)))
-		} else {
-			results[i].Data, results[i].Err = c.Read(addr)
+	}
+	drive(0, n/2)
+	if failShard >= 0 {
+		c.FailShard(failShard)
+	}
+	drive(n/2, 3*n/4)
+	if rebuild {
+		if err := c.ReplaceMember(failShard); err != nil {
+			t.Fatalf("ReplaceMember: %v", err)
 		}
+	}
+	drive(3*n/4, n)
+	if rebuild {
+		if _, ok := c.CorruptBucket(0, 7); !ok {
+			t.Fatal("CorruptBucket found no materialized buckets")
+		}
+		if err := c.ForceCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		var report *durable.RecoveryReport
+		if c, report, err = RecoverSplitCluster(opts); err != nil {
+			t.Fatalf("RecoverSplitCluster: %v", err)
+		}
+		if report.BucketsRepaired != 1 || report.BucketsUnrecoverable != 0 {
+			t.Fatalf("scrub did not repair cleanly: %+v", report)
+		}
+		drive(n, n+40)
+		if err := c.ForceCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, BatchResult{Data: readCheckpoint(t, opts.Durability.Dir, c.Seq())})
 	}
 	return captureState(results, c.Positions(), c.StashLens(), reg, c.Health())
 }
 
 // TestSplitParallelismEquivalence: the Split fan-out path must evolve
 // bit-identically at any parallelism, with and without a parity member,
-// including across a mid-run shard loss with XOR reconstruction.
+// including across a mid-run shard loss with XOR reconstruction, a
+// replacement rebuilt from the survivors and a scrub repair after recovery.
 func TestSplitParallelismEquivalence(t *testing.T) {
 	cases := []struct {
 		name      string
 		parity    bool
 		failShard int
+		rebuild   bool
 	}{
-		{"plain", false, -1},
-		{"parity", true, -1},
-		{"parity-shard-loss", true, 2},
+		{"plain", false, -1, false},
+		{"parity", true, -1, false},
+		{"parity-shard-loss", true, 2, false},
+		{"parity-replace-scrub", true, 2, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runSplit(t, 1, tc.parity, tc.failShard)
+			base := runSplit(t, 1, tc.parity, tc.failShard, tc.rebuild)
 			if len(base.Positions) == 0 {
 				t.Fatal("baseline split run touched no addresses")
 			}
@@ -392,7 +439,7 @@ func TestSplitParallelismEquivalence(t *testing.T) {
 			}
 			for _, par := range []int{2, 4, 8} {
 				diffState(t, fmt.Sprintf("%s parallelism=%d", tc.name, par),
-					base, runSplit(t, par, tc.parity, tc.failShard))
+					base, runSplit(t, par, tc.parity, tc.failShard, tc.rebuild))
 			}
 		})
 	}

@@ -1,0 +1,118 @@
+package sdimm
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// readCheckpoint returns the bytes of the checkpoint file taken at seq.
+func readCheckpoint(t *testing.T, dir string, seq uint64) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.ckpt", seq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// splitGoldenRun drives one fixed-seed Split+parity history through every
+// path that seals, rebuilds or re-derives member state — writes, reads, a
+// fail-stop with degraded reads, a replacement rebuilt from the survivors, a
+// corrupt bucket persisted into a checkpoint and repaired by the recovery
+// scrub — and returns the SHA-256 of the final checkpoint file. Only the
+// exported surface is used, so the identical function runs at any commit.
+func splitGoldenRun(t *testing.T, levels int, addrs uint64, fill, ops int) string {
+	t.Helper()
+	opts := SplitClusterOptions{SDIMMs: 4, Levels: levels, Key: []byte("split-golden-key"), Seed: 21,
+		Parity: true, Durability: &DurabilityOptions{Dir: t.TempDir(), Interval: 32}}
+	c, err := NewSplitCluster(opts)
+	if err != nil {
+		t.Fatalf("NewSplitCluster: %v", err)
+	}
+	work := recWorkload(31, ops, addrs)
+	final := map[uint64][]byte{}
+	drive := func(c *SplitCluster, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if op := work[i]; op.write {
+				if err := c.Write(op.addr, op.data); err != nil {
+					t.Fatalf("write op %d: %v", i, err)
+				}
+				final[op.addr] = op.data
+				continue
+			}
+			got, err := c.Read(work[i].addr)
+			if err != nil {
+				t.Fatalf("read op %d: %v", i, err)
+			}
+			if want := final[work[i].addr]; !bytes.Equal(got[:len(want)], want) {
+				t.Fatalf("read op %d: addr %d returned a wrong payload", i, work[i].addr)
+			}
+		}
+	}
+	// fill ops run before the first phase boundary; the rest split in four.
+	q := (ops - fill) / 4
+	drive(c, 0, fill+q)
+	c.FailShard(1)
+	drive(c, fill+q, fill+2*q) // degraded: reads reconstruct through parity
+	if err := c.ReplaceMember(1); err != nil {
+		t.Fatalf("ReplaceMember: %v", err)
+	}
+	drive(c, fill+2*q, fill+3*q)
+	if _, ok := c.CorruptBucket(2, 3); !ok {
+		t.Fatal("CorruptBucket found no materialized buckets")
+	}
+	if err := c.ForceCheckpoint(); err != nil {
+		t.Fatalf("ForceCheckpoint: %v", err)
+	}
+	c.Close()
+
+	rc, report, err := RecoverSplitCluster(opts)
+	if err != nil {
+		t.Fatalf("RecoverSplitCluster: %v", err)
+	}
+	defer rc.Close()
+	if report.BucketsRepaired != 1 || report.BucketsUnrecoverable != 0 {
+		t.Fatalf("scrub did not repair cleanly: %+v", report)
+	}
+	drive(rc, fill+3*q, ops)
+	if err := rc.ForceCheckpoint(); err != nil {
+		t.Fatalf("ForceCheckpoint (final): %v", err)
+	}
+	sum := sha256.Sum256(readCheckpoint(t, opts.Durability.Dir, rc.Seq()))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestSplitCheckpointDigestGolden pins the Split cluster against the commit
+// before its parity special-casing was folded into one member list: the
+// equivalence suites compare the current code with itself, this compares it
+// with digests recorded there. A matching final checkpoint proves sealed
+// bucket bytes, write counters, health totals, store-key prefixes and every
+// RNG-seed derivation (founding members, replacements, the shared eviction
+// stream) survived. The "evict" leg overfills a small tree so the stash
+// crosses the eviction threshold and the host-directed eviction rounds run in
+// every phase, the degraded one included.
+func TestSplitCheckpointDigestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		levels int
+		addrs  uint64
+		fill   int
+		ops    int
+		want   string
+	}{
+		{"main", 8, 48, 0, 240, "1f3ae7e8fd09dc7ae10ba966fae6e97c61f3db44d6b4092f0553a50b0adf872d"},
+		{"evict", 4, 230, 500, 1100, "c522c849827d83591f80181498ee409c0b85e2a70e30cc375e37ff261853d6e9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := splitGoldenRun(t, tc.levels, tc.addrs, tc.fill, tc.ops); got != tc.want {
+				t.Fatalf("final checkpoint digest %s, want %s (recorded at the parent commit)", got, tc.want)
+			}
+		})
+	}
+}
