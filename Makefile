@@ -82,12 +82,13 @@ bench-smoke:
 blame:
 	$(GO) run ./cmd/sdimm-bench -exp blame -blame-out BENCH_blame.json
 
-# Allocation-regression gates for the steady-state access loop: seal/open,
-# Engine.Access, and the journal commit must stay at 0 allocs/op. These run
-# without -race on purpose — race instrumentation allocates, so the gate
-# tests skip themselves under it (see internal/raceflag).
+# Allocation-regression gates for the steady-state access loop: the CTR
+# keystream every layer above inherits, seal/open, a MemStore bucket open and
+# reseal, Engine.Access, and the journal commit must stay at 0 allocs/op.
+# These run without -race on purpose — race instrumentation allocates, so the
+# gate tests skip themselves under it (see internal/raceflag).
 alloc-gates:
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/seccomm ./internal/oram ./internal/durable
+	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/ctrmode ./internal/seccomm ./internal/oram ./internal/durable
 
 # CPU and heap profiles of the access hot path, for digging into a
 # regression the alloc gates or BENCH_hotpath.json surfaced. Inspect with

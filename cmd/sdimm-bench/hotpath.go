@@ -51,7 +51,7 @@ type hotPathLayer struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	MaxAllocs   int64   `json:"max_allocs_gate"` // -1 = report only, not gated
+	MaxAllocs   int64   `json:"max_allocs_gate"`
 	Ops         int     `json:"ops"`
 }
 
@@ -149,8 +149,8 @@ func hotJournalAppend(b *testing.B) {
 }
 
 // hotClusterAccess benchmarks one sequential cluster access end to end.
-// Report only: the cluster path hands response payloads to the caller, so a
-// small bounded allocation count is by design.
+// Gate: its recorded 12 allocs/op — the cluster path hands response payloads
+// to the caller, so a small bounded count is by design, but it must not grow.
 func hotClusterAccess(b *testing.B) {
 	c, err := sdimm.NewCluster(sdimm.ClusterOptions{SDIMMs: 4, Levels: 12, Seed: 1})
 	if err != nil {
@@ -266,12 +266,12 @@ func runHotPath(outPath, cpuProfile, heapProfile string) error {
 	layers := []struct {
 		name      string
 		bench     func(*testing.B)
-		maxAllocs int64 // -1 = report only
+		maxAllocs int64
 	}{
 		{"seccomm-seal-open", hotSealOpen, 0},
 		{"engine-access", hotEngineAccess, 0},
 		{"journal-append", hotJournalAppend, 0},
-		{"cluster-access", hotClusterAccess, -1},
+		{"cluster-access", hotClusterAccess, 12},
 	}
 	start := time.Now()
 	rep.GatesPassed = true
@@ -286,14 +286,10 @@ func runHotPath(outPath, cpuProfile, heapProfile string) error {
 			Ops:         res.N,
 		}
 		rep.Layers = append(rep.Layers, layer)
-		gate := "report-only"
-		if l.maxAllocs >= 0 {
-			if layer.AllocsPerOp > l.maxAllocs {
-				rep.GatesPassed = false
-				gate = fmt.Sprintf("FAIL (> %d)", l.maxAllocs)
-			} else {
-				gate = "ok"
-			}
+		gate := "ok"
+		if layer.AllocsPerOp > l.maxAllocs {
+			rep.GatesPassed = false
+			gate = fmt.Sprintf("FAIL (> %d)", l.maxAllocs)
 		}
 		fmt.Fprintf(os.Stderr, "hotpath: %-18s %10.0f ns/op %6d B/op %4d allocs/op  gate=%s\n",
 			l.name, layer.NsPerOp, layer.BytesPerOp, layer.AllocsPerOp, gate)

@@ -1,29 +1,42 @@
 // Package ctrmode provides an allocation-free AES-CTR keystream primitive.
 //
-// The stdlib path (cipher.NewCTR per message) allocates a stream object and
-// an internal buffer on every call, which puts two heap allocations on every
-// seal/open and every bucket read/write — the hottest loops in the system.
-// Stream keeps the counter block and pad as reusable scratch so steady-state
-// use allocates nothing.
+// Stream works a batch at a time: it writes up to batch consecutive counter
+// blocks into its pad, encrypts them back to back, and XORs the whole run
+// into the message with one subtle.XORBytes. The Encrypt calls of a batch
+// do not depend on each other, so the core overlaps their AES rounds; a
+// block-at-a-time loop chains pad → XOR → increment and cannot. The pad
+// lives in the Stream, so steady-state use allocates nothing — which is why
+// the callers do not use cipher.NewCTR, whose stream object and buffer are
+// two heap allocations on every seal, open and bucket read or write.
 //
 // Output is bit-identical to crypto/cipher.NewCTR(b, iv): the full 16-byte
-// IV is treated as one big-endian 128-bit counter and incremented once per
-// block, including carries out of the low 64 bits. Both seccomm (IV =
-// counter || zeros) and the bucket stores (IV = bucket || write counter)
-// persist or transmit ciphertext produced this way, so bit compatibility is
-// load-bearing, not cosmetic; ctrmode_test.go proves it against the stdlib.
+// IV is one big-endian 128-bit counter, incremented once per block, carry
+// out of the low 64 bits included. Both seccomm (IV = counter || zeros) and
+// the bucket stores (IV = bucket || write counter) persist or transmit
+// ciphertext produced this way — sealed buckets sit in checkpoints that a
+// later build must still open — so bit compatibility is load-bearing, not
+// cosmetic; ctrmode_test.go proves it against the stdlib over every length
+// and every carry position a batch can meet.
 package ctrmode
 
-import "crypto/cipher"
+import (
+	"crypto/cipher"
+	"crypto/subtle"
+	"encoding/binary"
+)
 
 // BlockSize is the only cipher block size supported (AES).
 const BlockSize = 16
 
+// batch is how many keystream blocks are produced per round of Encrypt
+// calls: 8 covers a 320-byte bucket in three rounds and a link frame in
+// one, and wider batches measured no faster.
+const batch = 8
+
 // Stream holds the reusable scratch for one user of the keystream. The zero
 // value is ready to use. Not safe for concurrent use.
 type Stream struct {
-	ctr [BlockSize]byte
-	pad [BlockSize]byte
+	pad [batch * BlockSize]byte
 }
 
 // XORKeyStream XORs src into dst under the CTR keystream of b starting at
@@ -33,23 +46,24 @@ func (s *Stream) XORKeyStream(b cipher.Block, iv *[BlockSize]byte, dst, src []by
 	if b.BlockSize() != BlockSize {
 		panic("ctrmode: cipher block size must be 16")
 	}
-	s.ctr = *iv
+	// The 128-bit big-endian counter as two words, exactly as crypto/cipher's
+	// ctr increments it.
+	hi := binary.BigEndian.Uint64(iv[:8])
+	lo := binary.BigEndian.Uint64(iv[8:])
 	for len(src) > 0 {
-		b.Encrypt(s.pad[:], s.ctr[:])
-		n := len(src)
-		if n > BlockSize {
-			n = BlockSize
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = src[i] ^ s.pad[i]
-		}
-		// Big-endian 128-bit increment, exactly as crypto/cipher's ctr.
-		for i := BlockSize - 1; i >= 0; i-- {
-			s.ctr[i]++
-			if s.ctr[i] != 0 {
-				break
+		n := min(len(src), len(s.pad))
+		for off := 0; off < n; off += BlockSize {
+			binary.BigEndian.PutUint64(s.pad[off:], hi)
+			binary.BigEndian.PutUint64(s.pad[off+8:], lo)
+			if lo++; lo == 0 {
+				hi++
 			}
 		}
+		for off := 0; off < n; off += BlockSize {
+			blk := s.pad[off : off+BlockSize]
+			b.Encrypt(blk, blk)
+		}
+		subtle.XORBytes(dst[:n], src[:n], s.pad[:n])
 		src = src[n:]
 		dst = dst[n:]
 	}

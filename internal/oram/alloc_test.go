@@ -43,6 +43,47 @@ func TestAccessZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestMemStoreOpenSealZeroAlloc is the store's own gate under the engine's:
+// once a bucket has its arena slot, opening it (verify + decrypt into the
+// caller's bucket) and resealing it in place must not touch the heap, for a
+// tree-range index and for one past the dense index alike.
+func TestMemStoreOpenSealZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc gates run without -race")
+	}
+	s, err := NewMemStore(4, 64, []byte("alloc-gate"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := NewBucket(4)
+	for i := range full.Slots {
+		full.Slots[i] = Block{Addr: uint64(i), Leaf: 1, Data: make([]byte, 64)}
+	}
+	idxs := []uint64{0, 12345, 1 << 40}
+	for _, idx := range idxs {
+		if err := s.WriteBucket(idx, full); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b Bucket
+	if err := s.ReadBucketInto(0, &b); err != nil { // sizes b.Slots once
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, idx := range idxs {
+			if err := s.ReadBucketInto(idx, &b); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.WriteBucket(idx, full); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("MemStore open+seal allocates %.1f objects per round in steady state, want 0", allocs)
+	}
+}
+
 // TestRestoreStashRejectsCorruptSnapshot is the regression test for the
 // checkpoint-restore validation gap: RestoreStash must apply the same
 // leaf-range check StashInsert does, so a hand-corrupted snapshot fails

@@ -1,12 +1,14 @@
 package oram
 
 import (
+	"cmp"
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"sdimm/internal/ctrmode"
 	"sdimm/internal/integrity"
@@ -148,13 +150,31 @@ var ErrIntegrity = errors.New("oram: bucket failed integrity verification")
 // what a real secure buffer does to its DRAM contents; unit and property
 // tests run the full engine against it. Not safe for concurrent use: the
 // keystream, MAC, and plaintext buffers are reused across calls.
+//
+// Sealed buckets (counter || ciphertext || tag, one fixed size per store)
+// live in an arena, so an open or a seal finds its bucket with an array
+// load, not a hash. The arena is lazy: a bucket claims the next slot the
+// first time it is written, slots are carved from slabs of slabBuckets
+// sealed buckets allocated one at a time, and a slab is never reallocated —
+// a bucket's bytes stay where they were first put and every later write
+// reseals them in place. Memory therefore follows the buckets touched, not
+// the 2^Levels the tree could hold. index maps a bucket index below
+// denseLimit to its slot and grows to the next power of two past the
+// largest index written (a tree's first writeback reaches the leaf level,
+// so it is sized once); the store still accepts any uint64, and the rare
+// index at or past denseLimit — no tree that fits in memory has one — is
+// kept in far, a list sorted by index.
 type MemStore struct {
 	z          int
 	blockBytes int
+	rawSize    int // counter (8) || ciphertext || tag, fixed by the shape
 	aead       cipher.Block
 	mac        *integrity.PMMAC
-	buckets    map[uint64][]byte // idx -> counter || ciphertext || tag
-	writes     uint64            // physical bucket seals (see Writes)
+	index      []uint32    // idx -> slot, 0 = never written; len is a power of two
+	far        []farBucket // buckets at idx >= denseLimit, ascending
+	slabs      [][]byte    // slot n (1-based) is the (n-1)th rawSize run across the slabs
+	slots      uint32      // slots claimed so far
+	writes     uint64      // physical bucket seals (see Writes)
 
 	// Reusable scratch: CTR stream state, IV, and the plaintext staging
 	// buffer shared by ReadBucketInto (decode) and PutBucketAt (encode).
@@ -162,6 +182,22 @@ type MemStore struct {
 	iv     [aes.BlockSize]byte
 	ptBuf  []byte
 }
+
+// farBucket is one entry of MemStore.far.
+type farBucket struct {
+	idx  uint64
+	slot uint32
+}
+
+const (
+	// denseLimit bounds the dense index (4 bytes an entry, 64 MB at the
+	// limit): it covers every tree of up to 24 levels.
+	denseLimit = 1 << 24
+	// slabBuckets is the arena's growth step, about 82 KB of sealed bytes
+	// at the default shape — small against a warmed tree, so the unfilled
+	// tail of the last slab is the only memory the store holds idle.
+	slabBuckets = 256
+)
 
 // NewMemStore builds a functional store. key seeds both the encryption and
 // MAC keys; blockBytes is the payload size of every block.
@@ -179,10 +215,64 @@ func NewMemStore(z, blockBytes int, key []byte) (*MemStore, error) {
 	return &MemStore{
 		z:          z,
 		blockBytes: blockBytes,
+		rawSize:    8 + z*(slotHeader+blockBytes) + integrity.TagSize,
 		aead:       blk,
 		mac:        integrity.New(macKey),
-		buckets:    make(map[uint64][]byte),
 	}, nil
+}
+
+// farAt returns where idx sits, or would be inserted, in s.far.
+func (s *MemStore) farAt(idx uint64) (int, bool) {
+	return slices.BinarySearchFunc(s.far, idx, func(f farBucket, idx uint64) int {
+		return cmp.Compare(f.idx, idx)
+	})
+}
+
+// sealed returns the stored bytes of bucket idx — the arena's own, not a
+// copy — or nil if the bucket was never written.
+func (s *MemStore) sealed(idx uint64) []byte {
+	var slot uint32
+	if idx < uint64(len(s.index)) {
+		slot = s.index[idx]
+	} else if idx >= denseLimit {
+		if i, ok := s.farAt(idx); ok {
+			slot = s.far[i].slot
+		}
+	}
+	if slot == 0 {
+		return nil
+	}
+	return s.at(slot)
+}
+
+// at returns the bytes of a claimed slot, capacity clipped to the slot.
+func (s *MemStore) at(slot uint32) []byte {
+	off := int((slot-1)%slabBuckets) * s.rawSize
+	return s.slabs[(slot-1)/slabBuckets][off : off+s.rawSize : off+s.rawSize]
+}
+
+// claim is sealed for a bucket about to be written: a first touch takes the
+// next arena slot, opening a new slab when the last one is full.
+func (s *MemStore) claim(idx uint64) []byte {
+	if raw := s.sealed(idx); raw != nil {
+		return raw
+	}
+	if s.slots%slabBuckets == 0 {
+		s.slabs = append(s.slabs, make([]byte, slabBuckets*s.rawSize))
+	}
+	s.slots++
+	if idx < denseLimit {
+		if idx >= uint64(len(s.index)) {
+			grown := make([]uint32, 1<<bits.Len64(idx))
+			copy(grown, s.index)
+			s.index = grown
+		}
+		s.index[idx] = s.slots
+	} else {
+		i, _ := s.farAt(idx)
+		s.far = slices.Insert(s.far, i, farBucket{idx: idx, slot: s.slots})
+	}
+	return s.at(s.slots)
 }
 
 // Z implements Store.
@@ -190,7 +280,7 @@ func (s *MemStore) Z() int { return s.z }
 
 const slotHeader = 16 // addr (8) + leaf (8)
 
-func (s *MemStore) plainSize() int { return s.z * (slotHeader + s.blockBytes) }
+func (s *MemStore) plainSize() int { return s.rawSize - 8 - integrity.TagSize }
 
 // scratch returns the plaintext staging buffer sized to one bucket.
 func (s *MemStore) scratch() []byte {
@@ -220,8 +310,8 @@ func (s *MemStore) ReadBucket(idx uint64) (Bucket, error) {
 // allocating. Non-dummy slot Data aliases the store's plaintext scratch —
 // valid only until the next call on the store.
 func (s *MemStore) ReadBucketInto(idx uint64, b *Bucket) error {
-	raw, ok := s.buckets[idx]
-	if !ok {
+	raw := s.sealed(idx)
+	if raw == nil {
 		resetSlots(b, s.z)
 		b.Counter = 0
 		return nil
@@ -256,11 +346,7 @@ func (s *MemStore) ReadBucketInto(idx uint64, b *Bucket) error {
 // re-MACs the bucket (every Path ORAM writeback re-encrypts). The counter
 // is owned by the store and advances monotonically.
 func (s *MemStore) WriteBucket(idx uint64, b Bucket) error {
-	var counter uint64
-	if old, ok := s.buckets[idx]; ok {
-		counter = binary.BigEndian.Uint64(old[:8])
-	}
-	return s.PutBucketAt(idx, b, counter+1)
+	return s.PutBucketAt(idx, b, s.Counter(idx)+1)
 }
 
 // PutBucketAt seals b at idx under an explicit write counter instead of
@@ -289,18 +375,13 @@ func (s *MemStore) PutBucketAt(idx uint64, b Bucket, counter uint64) error {
 			copy(pt[off+slotHeader:off+slotHeader+s.blockBytes], slot.Data)
 		}
 	}
-	// Steady state reseals in place: the stored raw buffer has the same
-	// (shape-determined) size for the life of the bucket.
-	rawSize := 8 + len(pt) + integrity.TagSize
-	raw, ok := s.buckets[idx]
-	if !ok || len(raw) != rawSize {
-		raw = make([]byte, rawSize)
-	}
+	// Reseal in place: the arena slot is the bucket's for life, and raw's
+	// capacity ends with it, so the tag is appended into its last bytes.
+	raw := s.claim(idx)
 	binary.BigEndian.PutUint64(raw[:8], counter)
 	ct := raw[8 : 8+len(pt)]
 	s.keystream(idx, counter, pt, ct)
-	raw = s.mac.AppendTag(raw[:8+len(pt)], idx, counter, ct)
-	s.buckets[idx] = raw
+	s.mac.AppendTag(raw[:8+len(pt)], idx, counter, ct)
 	s.writes++
 	return nil
 }
@@ -311,15 +392,20 @@ func (s *MemStore) PutBucketAt(idx uint64, b Bucket, counter uint64) error {
 // equal workload.
 func (s *MemStore) Writes() uint64 { return s.writes }
 
-// BucketIndices returns the indices of every bucket ever written, sorted
-// ascending. Checkpoint capture and the recovery scrub pass iterate it so
+// BucketIndices returns the indices of every bucket ever written, ascending
+// (the dense index is walked in order and far is kept sorted, so nothing is
+// sorted here). Checkpoint capture and the recovery scrub pass iterate it so
 // their work (and any RNG-free repair decisions) is deterministic.
 func (s *MemStore) BucketIndices() []uint64 {
-	idxs := make([]uint64, 0, len(s.buckets))
-	for idx := range s.buckets {
-		idxs = append(idxs, idx)
+	idxs := make([]uint64, 0, s.slots)
+	for idx, slot := range s.index {
+		if slot != 0 {
+			idxs = append(idxs, uint64(idx))
+		}
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	for _, f := range s.far {
+		idxs = append(idxs, f.idx)
+	}
 	return idxs
 }
 
@@ -328,8 +414,8 @@ func (s *MemStore) BucketIndices() []uint64 {
 // persist the sealed form verbatim so a restore is bit-exact and the
 // stored MACs keep protecting the payload at rest.
 func (s *MemStore) RawBucket(idx uint64) ([]byte, bool) {
-	raw, ok := s.buckets[idx]
-	if !ok {
+	raw := s.sealed(idx)
+	if raw == nil {
 		return nil, false
 	}
 	return append([]byte(nil), raw...), true
@@ -339,11 +425,10 @@ func (s *MemStore) RawBucket(idx uint64) ([]byte, bool) {
 // length is validated here; authenticity is checked by ReadBucket (and the
 // post-restore scrub pass) via the embedded PMMAC tag.
 func (s *MemStore) RestoreRaw(idx uint64, raw []byte) error {
-	want := 8 + s.plainSize() + integrity.TagSize
-	if len(raw) != want {
-		return fmt.Errorf("oram: restored bucket %d is %d bytes, want %d", idx, len(raw), want)
+	if len(raw) != s.rawSize {
+		return fmt.Errorf("oram: restored bucket %d is %d bytes, want %d", idx, len(raw), s.rawSize)
 	}
-	s.buckets[idx] = append([]byte(nil), raw...)
+	copy(s.claim(idx), raw)
 	return nil
 }
 
@@ -351,8 +436,8 @@ func (s *MemStore) RestoreRaw(idx uint64, raw []byte) error {
 // never written). The Split scrub pass reads a healthy sibling's counter to
 // reseal a reconstructed shard bucket bit-exactly.
 func (s *MemStore) Counter(idx uint64) uint64 {
-	raw, ok := s.buckets[idx]
-	if !ok {
+	raw := s.sealed(idx)
+	if raw == nil {
 		return 0
 	}
 	return binary.BigEndian.Uint64(raw[:8])
@@ -361,8 +446,8 @@ func (s *MemStore) Counter(idx uint64) uint64 {
 // Corrupt flips a ciphertext bit in a stored bucket (test hook for
 // integrity-failure injection). It reports whether the bucket existed.
 func (s *MemStore) Corrupt(idx uint64) bool {
-	raw, ok := s.buckets[idx]
-	if !ok {
+	raw := s.sealed(idx)
+	if raw == nil {
 		return false
 	}
 	raw[8] ^= 0x01
