@@ -281,8 +281,8 @@ func itoa(n int) string {
 // 8-SDIMM Independent cluster at increasing worker counts. The work per
 // access is identical at every parallelism (results are bit-identical by
 // construction), so accesses/sec isolates the fan-out overhead and — on
-// multi-core hosts — the speedup. cmd/sdimm-bench -exp parbench runs the
-// same loop and writes BENCH_parallel.json with the speedup gate.
+// multi-core hosts — the speedup. The gating benchmark reports the same
+// question as pipeline.speedup_vs_seq (benchmark/, workload pipe-path).
 func BenchmarkClusterAccess(b *testing.B) {
 	for _, par := range []int{1, 2, 4, 8} {
 		par := par

@@ -746,8 +746,8 @@ func (c *Cluster) rehomeAppend(sd int, blk oram.Block) ([]byte, error) {
 }
 
 // BucketWrites sums physical bucket writes across every member's store.
-// This is the on-DIMM write-traffic metric the ring-eviction benchmark
-// gates on: ring engines defer path writeback to the eviction pointer, so
+// This is the on-DIMM write-traffic metric TestClusterRingWriteReduction
+// pins: ring engines defer path writeback to the eviction pointer, so
 // the count grows much slower than under Path ORAM at the same workload.
 func (c *Cluster) BucketWrites() uint64 {
 	var n uint64

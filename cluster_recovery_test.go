@@ -171,8 +171,8 @@ func TestNewClusterRefusesRecoverableState(t *testing.T) {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	c.Close()
-	if _, err := NewCluster(opts); err == nil {
-		t.Fatal("NewCluster reinitialized a directory holding recoverable state")
+	if _, err := NewCluster(opts); !errors.Is(err, ErrStateExists) {
+		t.Fatalf("NewCluster on a directory holding recoverable state: %v, want ErrStateExists", err)
 	}
 }
 
@@ -190,8 +190,8 @@ func TestNewSplitClusterFailureStopsWorkers(t *testing.T) {
 	}
 	c.Close()
 	for i := 0; i < 8; i++ {
-		if _, err := NewSplitCluster(opts); err == nil {
-			t.Fatal("NewSplitCluster reinitialized a directory holding recoverable state")
+		if _, err := NewSplitCluster(opts); !errors.Is(err, ErrStateExists) {
+			t.Fatalf("NewSplitCluster on a directory holding recoverable state: %v, want ErrStateExists", err)
 		}
 	}
 	// Closed workers exit asynchronously; give them a moment.

@@ -121,6 +121,48 @@ func TestClusterStashesBounded(t *testing.T) {
 	}
 }
 
+// TestClusterRingWriteReduction pins the on-DIMM write traffic of one seeded
+// workload on a Path cluster and on a ring cluster (RingFlushInterval 4), as
+// exact bucket-write totals: ring reads lift one block and leave the path
+// untouched, so only the eviction pointer and stash-pressure drains pay full
+// path writebacks. The ring total must also be at least 20% below Path's —
+// through ClusterOptions, which the engine-level TestRingWriteTraffic cannot
+// see.
+func TestClusterRingWriteReduction(t *testing.T) {
+	writes := func(flushInterval int) uint64 {
+		c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 10, Seed: 9,
+			Key: []byte("ring-bench-key"), RingFlushInterval: flushInterval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(71)
+		payload := make([]byte, 24)
+		base := c.BucketWrites()
+		for i := 0; i < 4000; i++ {
+			addr := r.Uint64n(96)
+			if r.Bool(0.5) {
+				for j := range payload {
+					payload[j] = byte(r.Uint64n(256))
+				}
+				err = c.Write(addr, payload)
+			} else {
+				_, err = c.Read(addr)
+			}
+			if err != nil {
+				t.Fatalf("access %d: %v", i, err)
+			}
+		}
+		return c.BucketWrites() - base
+	}
+	path, ring := writes(0), writes(4)
+	if path != 36440 || ring != 12424 {
+		t.Fatalf("bucket writes over 4000 accesses: path %d, ring %d; pinned 36440 and 12424", path, ring)
+	}
+	if 5*ring > 4*path {
+		t.Fatalf("ring cluster wrote %d buckets against Path's %d: less than the 20%% reduction", ring, path)
+	}
+}
+
 // Property: the cluster behaves exactly like a map under random ops.
 func TestClusterPropertyMatchesMap(t *testing.T) {
 	c := newCluster(t, 2)

@@ -2,40 +2,27 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"sdimm"
 	"sdimm/internal/blame"
 )
 
-// This file is the `-exp blame` experiment: it drives the batched cluster
-// pipeline with the wave-level blame profiler attached and writes
-// BENCH_blame.json — the critical-path explanation of the parallel engine's
-// speedup curve. For each worker count the report carries the full phase
-// breakdown plus the serialization ledger: the coordinator-side phases
-// (schedule, retire.wait, finalize, access.wait, commit, dispatch,
-// checkpoint) ranked by the wall-clock they spend with every worker
-// measurably idle. The ledger's top entry names the phase to attack before
-// adding workers can possibly help (Amdahl).
+// This file is the `-exp blame` diagnostic: it drives the batched cluster
+// pipeline with the wave-level blame profiler attached and prints, for each
+// worker count, the per-phase breakdown plus the serialization ledger — the
+// coordinator-side phases (schedule, retire.wait, finalize, access.wait,
+// commit, dispatch, checkpoint) ranked by the wall-clock they spend with
+// every worker measurably idle. The ledger's top entry names the phase to
+// attack before adding workers can possibly help (Amdahl). It gates nothing
+// and writes no file: the profiler's contract (exact tiling, non-empty
+// ledger) is TestPipelineWavePhaseTiling, and the phase durations and total
+// serialized share are pipeline.* in benchmark/.
 
-// blameReport is the BENCH_blame.json schema.
-type blameReport struct {
-	NumCPU int        `json:"num_cpu"`
-	Runs   []blameRun `json:"runs"`
-}
-
-// blameRun is one worker count's measurement.
-type blameRun struct {
-	Parallelism    int          `json:"parallelism"`
-	AccessesPerSec float64      `json:"accesses_per_sec"`
-	Report         blame.Report `json:"report"`
-}
-
-// blameThroughput repeats parbench's cluster workload (8 SDIMMs, 30
-// batches × 64 ops through a window-8 pipeline) with a collector attached.
-func blameThroughput(parallelism int) (blameRun, error) {
+// blameRun drives BenchmarkClusterAccess's workload (8 SDIMMs, 64-op
+// batches through a window-8 pipeline) for 30 batches with a collector
+// attached, and returns accesses per second and the collector's report.
+func blameRun(parallelism int) (float64, blame.Report, error) {
 	const (
 		batches  = 30
 		batchLen = 64
@@ -43,7 +30,7 @@ func blameThroughput(parallelism int) (blameRun, error) {
 	col := blame.NewCollector(8, 1024)
 	c, err := sdimm.NewCluster(sdimm.ClusterOptions{SDIMMs: 8, Levels: 12, Seed: 1, Blame: col})
 	if err != nil {
-		return blameRun{}, err
+		return 0, blame.Report{}, err
 	}
 	pipe := c.Pipeline(sdimm.PipelineOptions{Window: 8, Parallelism: parallelism})
 	defer pipe.Close()
@@ -56,57 +43,31 @@ func blameThroughput(parallelism int) (blameRun, error) {
 	for b := 0; b < batches; b++ {
 		for _, r := range pipe.Do(ops) {
 			if r.Err != nil {
-				return blameRun{}, r.Err
+				return 0, blame.Report{}, r.Err
 			}
 		}
 	}
 	elapsed := time.Since(start).Seconds()
-	return blameRun{
-		Parallelism:    parallelism,
-		AccessesPerSec: float64(batches*batchLen) / elapsed,
-		Report:         col.Report(),
-	}, nil
+	return float64(batches*batchLen) / elapsed, col.Report(), nil
 }
 
-// runBlame measures the pipeline at 1 and 4 workers, writes outPath, and
-// enforces the profiler's own contract: at least 90% of every run's wave
-// wall-clock must be attributed to named phases (the contiguous-interval
-// construction makes it exactly 100%), and the serialization ledger must be
-// non-empty with a named top bottleneck.
-func runBlame(outPath string) error {
-	rep := blameReport{NumCPU: runtime.NumCPU()}
+// runBlame prints the profile at 1 and 4 workers.
+func runBlame() error {
 	for _, par := range []int{1, 4} {
-		run, err := blameThroughput(par)
+		rate, r, err := blameRun(par)
 		if err != nil {
-			return fmt.Errorf("blame bench (parallelism %d): %w", par, err)
+			return fmt.Errorf("blame (parallelism %d): %w", par, err)
 		}
-		rep.Runs = append(rep.Runs, run)
-		r := run.Report
-		fmt.Fprintf(os.Stderr,
-			"blame: parallelism=%d %.0f accesses/s, %d waves, attribution %.4f, serialized %.1f%% (max speedup %.2fx)\n",
-			par, run.AccessesPerSec, r.Waves, r.AttributionRatio, 100*r.SerializedShare, r.MaxSpeedup)
+		fmt.Printf("parallelism=%d: %.0f accesses/s, %d waves, attribution %.4f, serialized %.1f%% (max speedup %.2fx), top bottleneck %s\n",
+			par, rate, r.Waves, r.AttributionRatio, 100*r.SerializedShare, r.MaxSpeedup, r.TopBottleneck)
+		fmt.Printf("  wall %.1fms, worker busy: access %.1fms, append %.1fms\n",
+			float64(r.WallNS)/1e6, float64(r.AccessBusyNS)/1e6, float64(r.AppendBusyNS)/1e6)
+		for _, p := range r.Phases {
+			fmt.Printf("  phase  %-12s %8.1fµs/wave (%.1f%% of wall)\n", p.Phase, p.MeanNSWave/1e3, 100*p.Share)
+		}
 		for _, e := range r.Ledger {
-			fmt.Fprintf(os.Stderr, "blame:   ledger %-10s %8.1fµs (%.1f%% of wall)\n",
+			fmt.Printf("  ledger %-12s %8.1fµs all-idle (%.1f%% of wall)\n",
 				e.Phase, float64(e.SerializedNS)/1e3, 100*e.Share)
-		}
-	}
-
-	if err := writeJSONAtomic(outPath, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "blame: wrote %s\n", outPath)
-
-	for _, run := range rep.Runs {
-		r := run.Report
-		if r.Waves == 0 {
-			return fmt.Errorf("blame: parallelism %d recorded no waves", run.Parallelism)
-		}
-		if r.AttributionRatio < 0.90 {
-			return fmt.Errorf("blame: parallelism %d attributed only %.1f%% of wave wall-clock (gate: 90%%)",
-				run.Parallelism, 100*r.AttributionRatio)
-		}
-		if len(r.Ledger) == 0 || r.TopBottleneck == "" {
-			return fmt.Errorf("blame: parallelism %d produced an empty serialization ledger", run.Parallelism)
 		}
 	}
 	return nil

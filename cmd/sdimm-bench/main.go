@@ -6,6 +6,11 @@
 //	sdimm-bench                 # all experiments at default scale
 //	sdimm-bench -exp fig9       # one experiment
 //	sdimm-bench -measure 2000   # bigger measurement windows
+//	sdimm-bench -exp blame      # pipeline critical-path diagnostic (make blame)
+//
+// Performance numbers are not measured here: the gating benchmark is
+// benchmark/ (BENCHMARK.json) and the allocation gates are go tests
+// (make alloc-gates).
 package main
 
 import (
@@ -22,7 +27,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig6|fig8|fig9|fig10|fig11|fig13a|fig13b|offdimm|latency|lowpower|cotenant|overflow|ring|area|all, or parbench/recbench/hotpath/rebalance/blame/ringbench (not part of all)")
+		exp      = flag.String("exp", "all", "experiment: fig6|fig8|fig9|fig10|fig11|fig13a|fig13b|offdimm|latency|lowpower|cotenant|overflow|ring|area|all, or blame (pipeline diagnostic, not part of all)")
 		warmup   = flag.Int("warmup", 400, "warmup records per run")
 		measure  = flag.Int("measure", 800, "measured records per run")
 		levels   = flag.Int("levels", 28, "ORAM tree levels")
@@ -33,72 +38,14 @@ func main() {
 		snapshot = flag.Bool("snapshot", false, "print the aggregate telemetry snapshot after all experiments")
 		telAddr  = flag.String("telemetry", "", "serve live telemetry JSON on this address (e.g. localhost:8080) while experiments run")
 		telLog   = flag.Duration("telemetry-log", 0, "log the telemetry snapshot to stderr at this interval (0 disables)")
-		parOut   = flag.String("parbench-out", "BENCH_parallel.json", "output path for -exp parbench")
-		recOut   = flag.String("recbench-out", "BENCH_recovery.json", "output path for -exp recbench")
-		rebOut   = flag.String("rebalance-out", "BENCH_rebalance.json", "output path for -exp rebalance")
-		hotOut   = flag.String("hotpath-out", "BENCH_hotpath.json", "output path for -exp hotpath")
-		blameOut = flag.String("blame-out", "BENCH_blame.json", "output path for -exp blame")
-		ringOut  = flag.String("ringbench-out", "BENCH_ring.json", "output path for -exp ringbench")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the hotpath loops to this file (-exp hotpath)")
-		memProf  = flag.String("memprofile", "", "write a heap profile after the hotpath loops to this file (-exp hotpath)")
 	)
 	flag.Parse()
 
-	// hotpath benchmarks every layer of the steady-state access loop,
-	// enforces the allocation gates, and writes BENCH_hotpath.json (plus
-	// optional pprof profiles for `make profile`).
-	if *exp == "hotpath" {
-		if err := runHotPath(*hotOut, *cpuProf, *memProf); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	// ringbench compares on-DIMM bucket-write traffic between ring-eviction
-	// and Path ORAM clusters at the identical workload and enforces the
-	// ≥20% reduction gate. Writes BENCH_ring.json.
-	if *exp == "ringbench" {
-		if err := runRingBench(*ringOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	// blame profiles the batched pipeline's critical path: per-wave phase
-	// intervals, the serialization ledger, and the Amdahl speedup bound.
-	// Writes BENCH_blame.json.
+	// blame is a diagnostic, not a paper table: it prints the batched
+	// pipeline's per-phase breakdown and serialization ledger (README,
+	// "Diagnosing a slow pipeline").
 	if *exp == "blame" {
-		if err := runBlame(*blameOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	// rebalance measures elastic membership: drain throughput, the latency
-	// cost of co-running a drain with the workload, join cost, and the
-	// Split whole-member rebuild. Writes BENCH_rebalance.json.
-	if *exp == "rebalance" {
-		if err := runRebalance(*rebOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	// recbench times checkpoint save/restore and journal replay for the
-	// durability layer, writing BENCH_recovery.json.
-	if *exp == "recbench" {
-		if err := runRecBench(*recOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	// parbench is the parallel-engine throughput report, not a paper
-	// table: it times the cluster pipeline and the campaign runner at
-	// several worker counts, writes BENCH_parallel.json, and enforces the
-	// CI speedup gates on hosts with enough cores.
-	if *exp == "parbench" {
-		if err := runParBench(*parOut); err != nil {
+		if err := runBlame(); err != nil {
 			fatal(err)
 		}
 		return

@@ -10,7 +10,6 @@
 //	sdimm-serve -state DIR               durable serving; restarts recover
 //	                                     the journal automatically
 //	sdimm-serve -smoke                   in-process serving smoke test (CI)
-//	sdimm-serve -bench -bench-out F      overload benchmark → BENCH_serve.json
 //
 // The -http endpoint exposes the SLO dashboard: GET /slo (JSON snapshot),
 // GET /witness (obliviousness verdict), GET /metrics (Prometheus), GET /
@@ -19,22 +18,18 @@ package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"sdimm"
-	"sdimm/internal/rng"
 	"sdimm/internal/serve"
-	"sdimm/internal/witness"
 )
 
 func main() {
@@ -52,8 +47,6 @@ func main() {
 		flightDir = flag.String("flight-dir", "", "flight-recorder auto-dump directory")
 		key       = flag.String("key", "sdimm-serve-key", "cluster master key")
 		smoke     = flag.Bool("smoke", false, "run the in-process serving smoke test and exit")
-		bench     = flag.Bool("bench", false, "run the overload benchmark and exit")
-		benchOut  = flag.String("bench-out", "BENCH_serve.json", "benchmark report path")
 	)
 	flag.Parse()
 
@@ -70,19 +63,14 @@ func main() {
 		cfg.Cluster.Durability = &sdimm.DurabilityOptions{Dir: *state, Interval: *interval}
 	}
 
-	switch {
-	case *smoke:
+	if *smoke {
 		if err := runSmoke(cfg); err != nil {
 			log.Fatalf("serve smoke: %v", err)
 		}
-	case *bench:
-		if err := runBench(cfg, *benchOut); err != nil {
-			log.Fatalf("serve bench: %v", err)
-		}
-	default:
-		if err := runServe(cfg, *addr, *httpAddr); err != nil {
-			log.Fatal(err)
-		}
+		return
+	}
+	if err := runServe(cfg, *addr, *httpAddr); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -93,7 +81,7 @@ func newOrRecover(cfg serve.Config) (*serve.Server, error) {
 	if err == nil {
 		return s, nil
 	}
-	if !strings.Contains(err.Error(), "RecoverCluster") {
+	if !errors.Is(err, sdimm.ErrStateExists) {
 		return nil, err
 	}
 	s, report, err := serve.Recover(cfg)
@@ -177,235 +165,5 @@ func runSmoke(cfg serve.Config) error {
 	}
 	fmt.Printf("serve smoke ok: %d ops, p99 %dus, witness green (%d frames)\n",
 		slo.OK, slo.LatencyP99US, slo.Witness.Frames)
-	return nil
-}
-
-// benchReport is BENCH_serve.json: the saturation and 2× overload probes,
-// the SLO outcome, and the crash-recovery equivalence leg.
-type benchReport struct {
-	SaturationWorkers int              `json:"saturation_workers"`
-	Saturation        serve.LoadReport `json:"saturation"`
-	OverloadWorkers   int              `json:"overload_workers"`
-	Overload          serve.LoadReport `json:"overload"`
-	GoodputRatio      float64          `json:"goodput_ratio"`
-	AcceptedDMissed   uint64           `json:"accepted_deadline_missed"`
-	Witness           witness.Verdict  `json:"witness"`
-	CrashEqual        bool             `json:"crash_recovery_equal"`
-	Gates             map[string]bool  `json:"gates"`
-	Pass              bool             `json:"pass"`
-}
-
-func runBench(cfg serve.Config, out string) error {
-	// Throughput legs run non-durable (journal fsync noise is a different
-	// benchmark); the crash leg below is durable by construction.
-	cfg.Cluster.Durability = nil
-	s, err := serve.New(cfg)
-	if err != nil {
-		return err
-	}
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-
-	rep := benchReport{Gates: map[string]bool{}}
-	satWorkers := 2 * cfg.Pipeline.Window
-	if satWorkers <= 0 {
-		satWorkers = 16
-	}
-	warm, err := serve.RunLoad(serve.LoadOptions{
-		Addr: addr, Tenant: "warmup", Workers: satWorkers, Ops: 1000,
-		Space: 256, DeadlineMS: 5000, Seed: 3,
-	})
-	if err != nil {
-		return fmt.Errorf("warmup: %w (%+v)", err, warm)
-	}
-	rep.SaturationWorkers = satWorkers
-	rep.Saturation, err = serve.RunLoad(serve.LoadOptions{
-		Addr: addr, Tenant: "sat", Workers: satWorkers, Ops: 4000,
-		Space: 256, DeadlineMS: 5000, Seed: 5,
-	})
-	if err != nil {
-		return fmt.Errorf("saturation: %w", err)
-	}
-	rep.OverloadWorkers = 2 * satWorkers
-	rep.Overload, err = serve.RunLoad(serve.LoadOptions{
-		Addr: addr, Tenant: "over", Workers: 2 * satWorkers, Ops: 8000,
-		Space: 256, DeadlineMS: 5000, Seed: 6,
-	})
-	if err != nil {
-		return fmt.Errorf("overload: %w", err)
-	}
-	slo := s.SLO()
-	rep.AcceptedDMissed = slo.AcceptedDeadlineMissed
-	rep.Witness = slo.Witness
-	if err := s.Shutdown(context.Background()); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-
-	if rep.Saturation.GoodputPerSec > 0 {
-		rep.GoodputRatio = rep.Overload.GoodputPerSec / rep.Saturation.GoodputPerSec
-	}
-	crashEqual, err := crashEquivalence(cfg)
-	if err != nil {
-		return fmt.Errorf("crash leg: %w", err)
-	}
-	rep.CrashEqual = crashEqual
-
-	rep.Gates["goodput_within_10pct_of_saturation"] = rep.GoodputRatio >= 0.9
-	rep.Gates["zero_accepted_deadline_missed"] = rep.AcceptedDMissed == 0
-	rep.Gates["witness_green_under_overload"] = rep.Witness.OK && rep.Witness.Frames > 0
-	rep.Gates["crash_recovery_bitwise_equal"] = rep.CrashEqual
-	rep.Pass = true
-	for _, ok := range rep.Gates {
-		rep.Pass = rep.Pass && ok
-	}
-
-	if err := writeJSONAtomic(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("serve bench: saturation %.0f ops/s (%d workers), overload %.0f ops/s (%d workers), ratio %.2f\n",
-		rep.Saturation.GoodputPerSec, satWorkers, rep.Overload.GoodputPerSec, 2*satWorkers, rep.GoodputRatio)
-	fmt.Printf("gates: %v -> %s\n", rep.Gates, map[bool]string{true: "PASS", false: "FAIL"}[rep.Pass])
-	if !rep.Pass {
-		return fmt.Errorf("gates failed (see %s)", out)
-	}
-	return nil
-}
-
-// crashEquivalence drives a durable in-process server into a planned
-// mid-wave crash, recovers the state directory, and compares the recovered
-// cluster bitwise against a fresh reference replaying the committed prefix
-// sequentially.
-func crashEquivalence(cfg serve.Config) (bool, error) {
-	dir, err := os.MkdirTemp("", "sdimm-serve-crash-*")
-	if err != nil {
-		return false, err
-	}
-	defer os.RemoveAll(dir)
-	cfg.Cluster.Durability = &sdimm.DurabilityOptions{Dir: dir, Interval: 32}
-
-	s, err := serve.New(cfg)
-	if err != nil {
-		return false, err
-	}
-	if err := s.Cluster().PlanCrash(60, 5); err != nil {
-		return false, err
-	}
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		return false, err
-	}
-	cl, err := serve.Dial(addr, "crash")
-	if err != nil {
-		return false, err
-	}
-
-	r := rng.Stream(cfg.Cluster.Seed, "serve-bench-crash", 0)
-	type op struct {
-		addr  uint64
-		write bool
-		data  string
-	}
-	ops := make([]op, 400)
-	for i := range ops {
-		ops[i] = op{addr: r.Uint64n(48), write: r.Bool(0.6)}
-		if ops[i].write {
-			ops[i].data = fmt.Sprintf("bench-crash-%04d", i)
-		}
-	}
-	crashed := false
-	for _, o := range ops {
-		req := serve.Request{Addr: o.addr, Write: o.write}
-		if o.write {
-			req.Data = []byte(o.data)
-		}
-		resp, err := cl.Do(req)
-		if err != nil {
-			return false, err
-		}
-		if resp.Status == serve.StatusError {
-			crashed = true
-			break
-		}
-	}
-	cl.Close()
-	s.Shutdown(context.Background()) // backend crashed: drain error expected
-	if !crashed {
-		return false, fmt.Errorf("planned crash never tripped")
-	}
-
-	rc, _, err := sdimm.RecoverCluster(cfg.Cluster)
-	if err != nil {
-		return false, err
-	}
-	defer rc.Close()
-	n := rc.WorkloadSeq()
-	refOpts := cfg.Cluster
-	refOpts.Durability = nil
-	ref, err := sdimm.NewCluster(refOpts)
-	if err != nil {
-		return false, err
-	}
-	defer ref.Close()
-	for _, o := range ops[:n] {
-		if o.write {
-			if err := ref.Write(o.addr, []byte(o.data)); err != nil {
-				return false, err
-			}
-		} else if _, err := ref.Read(o.addr); err != nil {
-			return false, err
-		}
-	}
-	gotPos, wantPos := rc.Positions(), ref.Positions()
-	if len(gotPos) != len(wantPos) {
-		return false, nil
-	}
-	for a, leaf := range wantPos {
-		if gotPos[a] != leaf {
-			return false, nil
-		}
-	}
-	for a := uint64(0); a < 48; a++ {
-		got, err := rc.Read(a)
-		if err != nil {
-			return false, err
-		}
-		want, err := ref.Read(a)
-		if err != nil {
-			return false, err
-		}
-		if string(got) != string(want) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// writeJSONAtomic publishes v as indented JSON via temp file + rename, the
-// same discipline as the other BENCH_*.json writers.
-func writeJSONAtomic(path string, v any) error {
-	blob, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
 	return nil
 }

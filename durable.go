@@ -24,6 +24,12 @@ import (
 // the address.
 var ErrUnrecoverable = errors.New("sdimm: block lost to unrecoverable corruption")
 
+// ErrStateExists is returned (wrapped) by NewCluster and NewSplitCluster
+// when the state directory already holds checkpoints: the directory belongs
+// to RecoverCluster / RecoverSplitCluster, and a caller that restarts on it
+// tests for this with errors.Is.
+var ErrStateExists = errors.New("sdimm: state directory already holds checkpoints")
+
 // DurabilityOptions configures a cluster's crash consistency.
 type DurabilityOptions struct {
 	// Dir is the state directory (checkpoints + journal). One directory
@@ -413,7 +419,7 @@ func (d *durableState) createDurable(opts *DurabilityOptions, fp durable.Fingerp
 		return err
 	}
 	if d.dur.HasState() {
-		return fmt.Errorf("sdimm: state directory %s already holds checkpoints; use %s", opts.Dir, recoverer)
+		return fmt.Errorf("%w: %s; use %s", ErrStateExists, opts.Dir, recoverer)
 	}
 	return checkpoint()
 }

@@ -2,9 +2,10 @@
 // isolates one layer of the stack — seccomm framing, the ORAM engine, the
 // journal commit, the full cluster access — and reports allocs/op so a
 // regression in any layer's memory discipline is visible at a glance. The
-// hard 0-alloc gates live next to each layer (seccomm, oram, durable
-// alloc_test.go files) and run in `make ci`; cmd/sdimm-bench -exp hotpath
-// runs these same loops at full scale and writes BENCH_hotpath.json.
+// hard 0-alloc gates live next to each layer (ctrmode, seccomm, oram,
+// durable) and the cluster's 12-alloc budget at the end of this file; all
+// run in `make ci` as `make alloc-gates`. `make profile` takes CPU and heap
+// profiles of these loops.
 package sdimm
 
 import (
@@ -12,6 +13,7 @@ import (
 
 	"sdimm/internal/durable"
 	"sdimm/internal/oram"
+	"sdimm/internal/raceflag"
 	"sdimm/internal/rng"
 	"sdimm/internal/seccomm"
 )
@@ -117,31 +119,58 @@ func benchJournalAppend(b *testing.B) {
 // frontend position lookup, sealed command exchange, device-side engine
 // access, sealed response, eviction appends. The cluster path tolerates a
 // small, bounded allocation count (response payloads are handed to the
-// caller); the per-layer gates above keep the inner loops at zero.
+// caller), held by TestClusterAccessAllocBudget; the per-layer gates above
+// keep the inner loops at zero.
 func benchClusterAccess(b *testing.B) {
-	c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 12, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 64)
-	const addrs = 64
-	for i := 0; i < 2*addrs; i++ { // warm stashes, free lists, link scratch
-		if err := c.Write(uint64(i%addrs), payload); err != nil {
-			b.Fatal(err)
-		}
-	}
+	access := warmClusterAccess(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		access(i)
+	}
+}
+
+// warmClusterAccess builds the hot-path cluster, warms its stashes, free
+// lists and link scratch, and returns the steady-state loop body: access i
+// alternates a write and a read over the warmed addresses.
+func warmClusterAccess(tb testing.TB) func(i int) {
+	c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 12, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	const addrs = 64
+	for i := 0; i < 2*addrs; i++ {
+		if err := c.Write(uint64(i%addrs), payload); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return func(i int) {
 		a := uint64(i % addrs)
 		if i%2 == 0 {
 			if err := c.Write(a, payload); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
-		} else {
-			if _, err := c.Read(a); err != nil {
-				b.Fatal(err)
-			}
+		} else if _, err := c.Read(a); err != nil {
+			tb.Fatal(err)
 		}
+	}
+}
+
+// TestClusterAccessAllocBudget holds the sequential cluster access at its
+// recorded 12 allocs/op: the count is bounded by design, and it must not
+// grow. Part of `make alloc-gates`.
+func TestClusterAccessAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc gates run without -race")
+	}
+	access := warmClusterAccess(t)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		access(i)
+		i++
+	})
+	if allocs > 12 {
+		t.Fatalf("Cluster.Read/Write allocates %.0f objects per access in steady state, budget 12", allocs)
 	}
 }

@@ -377,7 +377,8 @@ type LedgerEntry struct {
 	Share        float64 `json:"share_of_wall"`
 }
 
-// Report is the collector's aggregate view — the BENCH_blame.json payload.
+// Report is the collector's aggregate view — what `sdimm-bench -exp blame`
+// prints and the benchmark's pipeline.* metrics are derived from.
 type Report struct {
 	Waves  uint64 `json:"waves"`
 	Ops    uint64 `json:"ops"`
@@ -402,7 +403,7 @@ type Report struct {
 	SerializedShare float64 `json:"serialized_share"`
 	TopBottleneck   string  `json:"top_bottleneck"`
 	// MaxSpeedup is 1/SerializedShare-bounded ideal speedup at infinite
-	// workers (Amdahl), explaining the measured parbench curve.
+	// workers (Amdahl), explaining the measured speedup curve.
 	MaxSpeedup float64 `json:"max_speedup_amdahl"`
 }
 

@@ -13,8 +13,8 @@ import (
 // path every A accesses, and each written bucket reserves dummy slots so it
 // can absorb reads before the pointer returns. Steady-state traffic is
 // read-mostly — roughly Levels bucket writes every A accesses instead of
-// Levels per access — which is the write-traffic reduction BENCH_ring.json
-// gates on.
+// Levels per access — the write-traffic reduction TestRingWriteTraffic
+// (here) and TestClusterRingWriteReduction (root package) gate on.
 //
 // Invariant: a real block has exactly one live copy — either one
 // non-invalidated tree slot or one stash entry. A read moves the live copy

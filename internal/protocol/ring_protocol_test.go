@@ -57,10 +57,11 @@ func TestRingFactory(t *testing.T) {
 }
 
 // TestRingLocalWritesBelowIndependent is the protocol-level half of the
-// BENCH_ring.json claim: the same workload generates materially fewer DRAM
-// write commands on the on-DIMM buses under ring eviction, because only the
-// deferred flushes (one path per A accesses, plus stash-pressure extras)
-// write buckets back.
+// ring write-reduction claim (the functional half is
+// TestClusterRingWriteReduction in the root package): the same workload
+// generates materially fewer DRAM write commands on the on-DIMM buses under
+// ring eviction, because only the deferred flushes (one path per A accesses,
+// plus stash-pressure extras) write buckets back.
 func TestRingLocalWritesBelowIndependent(t *testing.T) {
 	localWrites := func(b Backend) uint64 {
 		chans, _ := b.Channels()

@@ -7,6 +7,7 @@ import (
 
 	"sdimm/internal/blame"
 	"sdimm/internal/flight"
+	"sdimm/internal/raceflag"
 	"sdimm/internal/telemetry"
 )
 
@@ -132,6 +133,50 @@ func TestPipelineBlameRegression(t *testing.T) {
 	if top := rep.Ledger[0]; top.Share >= 0.25 {
 		t.Fatalf("phase %q holds %.1f%% of wall-clock fully serialized (budget <25%%); ledger: %+v",
 			top.Phase, 100*top.Share, rep.Ledger)
+	}
+}
+
+// TestObserversAddNoAllocs is the always-on-observability allocation gate:
+// the batched pipeline with the flight recorder and blame collector attached
+// must allocate no more per 64-op Do than the bare pipeline. The count
+// is deterministic, so it is compared whole rather than divided down to one
+// access — three allocations per wave would vanish in that division. Part of
+// `make alloc-gates`.
+func TestObserversAddNoAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc gates run without -race")
+	}
+	const batchLen = 64
+	allocsPerDo := func(fr *flight.Recorder, col *blame.Collector) int {
+		c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 12, Seed: 1, Flight: fr, Blame: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe := c.Pipeline(PipelineOptions{Window: 8, Parallelism: 4})
+		defer pipe.Close()
+		payload := make([]byte, 64)
+		ops := make([]BatchOp, batchLen)
+		for i := range ops {
+			ops[i] = BatchOp{Addr: uint64(i), Write: i%2 == 0, Data: payload}
+		}
+		do := func() {
+			for _, r := range pipe.Do(ops) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+			}
+		}
+		// Warm the stash, the op pool and the collector's wave free-list.
+		for w := 0; w < 4; w++ {
+			do()
+		}
+		return int(testing.AllocsPerRun(20, do))
+	}
+	bare := allocsPerDo(nil, nil)
+	observed := allocsPerDo(flight.New(4, 1024), blame.NewCollector(4, 256))
+	if observed > bare {
+		t.Fatalf("flight recorder + blame collector add %d allocs per %d-op Do (%d bare, %d observed), want +0",
+			observed-bare, batchLen, bare, observed)
 	}
 }
 
