@@ -42,13 +42,16 @@ chaos:
 	! $(GO) run ./cmd/sdimm-chaos -resize -n 200 -crashes 5000
 	$(GO) test -race -count=1 -run 'TestDrainTrafficIndistinguishable' ./internal/attacker
 
-# End-to-end telemetry smoke: a short Independent run with span tracing,
-# exporting Chrome trace-event JSON. sdimm-sim re-validates the written
-# file against the trace schema and exits nonzero if it is malformed; the
-# grep asserts the validation line actually appeared.
+# End-to-end telemetry smoke: a short Independent run and a short Split run
+# with span tracing, exporting Chrome trace-event JSON. sdimm-sim re-validates
+# the written file against the trace schema and exits nonzero if it is
+# malformed; the grep asserts the validation line actually appeared and
+# counted at least one event (an empty file is a valid trace).
 telemetry-smoke:
 	@out=$$(mktemp -t sdimm-trace-XXXXXX.json) && \
-	$(GO) run ./cmd/sdimm-sim -protocol independent -levels 20 -warmup 100 -measure 300 -trace $$out | grep -E '^trace .*validated' && \
+	for p in independent split; do \
+		$(GO) run ./cmd/sdimm-sim -protocol $$p -levels 20 -warmup 100 -measure 300 -trace $$out | grep -E '^trace .*\([1-9][0-9]* events, validated\)' || exit 1; \
+	done && \
 	rm -f $$out
 
 # The gating benchmark (benchmark/, see BENCHMARK.json) is a Go module of

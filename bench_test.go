@@ -175,7 +175,7 @@ func BenchmarkAblation_PLB(b *testing.B) {
 				cfg.ORAM.PLBBytes = plbKB << 10
 				cfg.WarmupAccesses = 200
 				cfg.MeasureAccesses = 400
-				res, err := sim.Run(cfg, "milc")
+				res, err := sim.Run(cfg, "milc", nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -196,7 +196,7 @@ func BenchmarkAblation_ORAMCacheDepth(b *testing.B) {
 				cfg.ORAM.CachedLevels = cached
 				cfg.WarmupAccesses = 200
 				cfg.MeasureAccesses = 400
-				res, err := sim.Run(cfg, "milc")
+				res, err := sim.Run(cfg, "milc", nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -219,7 +219,7 @@ func BenchmarkAblation_Layout(b *testing.B) {
 				cfg.ORAM.SubtreeLevels = subtree
 				cfg.WarmupAccesses = 200
 				cfg.MeasureAccesses = 400
-				res, err := sim.Run(cfg, "milc")
+				res, err := sim.Run(cfg, "milc", nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -239,7 +239,7 @@ func BenchmarkAblation_DrainProbability(b *testing.B) {
 				cfg.ORAM.DrainProb = p
 				cfg.WarmupAccesses = 200
 				cfg.MeasureAccesses = 400
-				res, err := sim.Run(cfg, "milc")
+				res, err := sim.Run(cfg, "milc", nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -356,7 +356,7 @@ func BenchmarkAblation_DDR4(b *testing.B) {
 				}
 				cfg.WarmupAccesses = 200
 				cfg.MeasureAccesses = 400
-				res, err := sim.Run(cfg, "milc")
+				res, err := sim.Run(cfg, "milc", nil)
 				if err != nil {
 					b.Fatal(err)
 				}

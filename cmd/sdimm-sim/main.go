@@ -107,13 +107,13 @@ func main() {
 		if cfg.WarmupAccesses+cfg.MeasureAccesses > len(recs) {
 			fatal(fmt.Errorf("trace has %d records, need %d", len(recs), cfg.WarmupAccesses+cfg.MeasureAccesses))
 		}
-		res, err = sim.RunTraceInstrumented(cfg, *replay, recs[:cfg.WarmupAccesses+cfg.MeasureAccesses], nil, tel)
+		res, err = sim.RunTrace(cfg, *replay, recs[:cfg.WarmupAccesses+cfg.MeasureAccesses], nil, tel)
 		if err != nil {
 			fatal(err)
 		}
 	} else {
 		var err error
-		res, err = sim.RunInstrumented(cfg, *workload, tel)
+		res, err = sim.Run(cfg, *workload, tel)
 		if err != nil {
 			fatal(err)
 		}
@@ -189,7 +189,7 @@ func runSharded(cfg config.Config, names []string, parallel int, tel *sim.Teleme
 				regs[i] = telemetry.NewRegistry()
 				shard = &sim.Telemetry{Registry: regs[i]}
 			}
-			results[i], errs[i] = sim.RunInstrumented(cfg, strings.TrimSpace(names[i]), shard)
+			results[i], errs[i] = sim.Run(cfg, strings.TrimSpace(names[i]), shard)
 		}(i)
 	}
 	wg.Wait()

@@ -71,7 +71,7 @@ func CaptureSeeded(cfg config.Config, workload string, traceSeed uint64) (map[st
 		return nil, sim.Result{}, err
 	}
 	traces := make(map[string]*Trace)
-	res, err := sim.RunTraceObserved(cfg, workload, recs,
+	res, err := sim.RunTrace(cfg, workload, recs,
 		func(channel string, local bool, now event.Time, kind dram.CommandKind, coord dram.Coord) {
 			if kind != dram.CmdActivate {
 				return
@@ -84,7 +84,7 @@ func CaptureSeeded(cfg config.Config, workload string, traceSeed uint64) (map[st
 			t.Accesses = append(t.Accesses, Access{
 				Cycle: now, Kind: kind, Rank: coord.Rank, Bank: coord.Bank, Row: coord.Row,
 			})
-		})
+		}, nil)
 	if err != nil {
 		return nil, sim.Result{}, err
 	}

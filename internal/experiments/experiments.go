@@ -106,7 +106,7 @@ func runAll(jobs []job, o Options) (map[string]sim.Result, error) {
 				regs[i] = telemetry.NewRegistry()
 				tel = &sim.Telemetry{Registry: regs[i]}
 			}
-			results[i], errs[i] = sim.RunInstrumented(jobs[i].cfg, jobs[i].workload, tel)
+			results[i], errs[i] = sim.Run(jobs[i].cfg, jobs[i].workload, tel)
 		}(i)
 	}
 	wg.Wait()

@@ -42,6 +42,13 @@ func TestGoldenTables(t *testing.T) {
 		{"offdimm", OffDIMM},
 		{"latency", Latency},
 		{"ring", Ring},
+		// The four below pin what the seven above do not: the LowPower=false
+		// striping leg, TenantMem on channels and on links, the
+		// transfer-queue/stash counters, and CachedLevels=0.
+		{"lowpower", LowPower},
+		{"cotenant", CoTenant},
+		{"overflow", Overflow},
+		{"fig11", func(o Options) (*stats.Table, error) { return Fig11(o, []int{20, 22}) }},
 	}
 	for _, c := range cases {
 		c := c

@@ -50,13 +50,15 @@ type EngineStats struct {
 	StashPeak        int
 }
 
+// maxBackgroundEvicts bounds the background evictions one Access performs.
+const maxBackgroundEvicts = 8
+
 // Options configures an Engine.
 type Options struct {
-	Geometry            Geometry
-	StashCapacity       int
-	EvictThreshold      int // background-evict when stash exceeds this
-	MaxBackgroundEvicts int // per Access; 0 means a default of 8
-	Rand                *rng.Source
+	Geometry       Geometry
+	StashCapacity  int
+	EvictThreshold int // background-evict when stash exceeds this
+	Rand           *rng.Source
 	// DisableAutoDrain turns off the automatic background eviction inside
 	// Access/AccessAt. The Split protocol sets it: eviction decisions are
 	// made by the CPU-side controller and pushed to every shard engine via
@@ -89,7 +91,6 @@ type Engine struct {
 	rand  *rng.Source
 
 	evictThreshold int
-	maxBG          int
 	autoDrain      bool
 
 	// Ring-eviction state (ringA > 0 enables ring mode; see
@@ -184,10 +185,6 @@ func NewEngine(store Store, pos PositionMap, opts Options) (*Engine, error) {
 	if opts.Rand == nil {
 		return nil, errors.New("oram: nil randomness source")
 	}
-	maxBG := opts.MaxBackgroundEvicts
-	if maxBG == 0 {
-		maxBG = 8
-	}
 	e := &Engine{
 		geom:           opts.Geometry,
 		store:          store,
@@ -195,7 +192,6 @@ func NewEngine(store Store, pos PositionMap, opts Options) (*Engine, error) {
 		stash:          NewStash(opts.StashCapacity),
 		rand:           opts.Rand,
 		evictThreshold: opts.EvictThreshold,
-		maxBG:          maxBG,
 		autoDrain:      !opts.DisableAutoDrain,
 	}
 	if opts.RingFlushInterval < 0 {
@@ -491,7 +487,7 @@ func (e *Engine) WritePath(leaf uint64) error {
 // engine scratch, valid only until the next DrainStash.
 func (e *Engine) DrainStash() ([]uint64, error) {
 	e.leavesBuf = e.leavesBuf[:0]
-	for e.stash.Len() > e.evictThreshold && len(e.leavesBuf) < e.maxBG {
+	for e.stash.Len() > e.evictThreshold && len(e.leavesBuf) < maxBackgroundEvicts {
 		var leaf uint64
 		var err error
 		if e.ringA > 0 {

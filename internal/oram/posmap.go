@@ -1,9 +1,9 @@
 package oram
 
 // PositionMap associates each block address with the leaf whose path must
-// contain the block. DensePosMap and SparsePosMap are not safe for
-// concurrent use — the discrete-event simulator is single-threaded by
-// construction. ShardedPosMap is: the parallel cluster pipeline commits
+// contain the block. SparsePosMap is not safe for concurrent use — the
+// discrete-event simulator is single-threaded by construction.
+// ShardedPosMap is: the parallel cluster pipeline commits
 // position updates from per-SDIMM workers concurrently.
 type PositionMap interface {
 	// Get returns the leaf for addr and whether the address has ever been
@@ -17,51 +17,6 @@ type PositionMap interface {
 	// determinism-equivalence harness uses it to compare final position
 	// maps across engines.
 	Each(fn func(addr, leaf uint64))
-}
-
-// DensePosMap is an array-backed position map for small functional trees.
-type DensePosMap struct {
-	leaves []uint64
-	set    []bool
-	n      int
-}
-
-// NewDensePosMap builds a dense map over addresses [0, capacity).
-func NewDensePosMap(capacity uint64) *DensePosMap {
-	return &DensePosMap{
-		leaves: make([]uint64, capacity),
-		set:    make([]bool, capacity),
-	}
-}
-
-// Get implements PositionMap.
-func (m *DensePosMap) Get(addr uint64) (uint64, bool) {
-	if addr >= uint64(len(m.leaves)) || !m.set[addr] {
-		return 0, false
-	}
-	return m.leaves[addr], true
-}
-
-// Set implements PositionMap. Addresses beyond capacity panic: the dense
-// map is used only with bounded functional address spaces.
-func (m *DensePosMap) Set(addr uint64, leaf uint64) {
-	if !m.set[addr] {
-		m.n++
-	}
-	m.set[addr] = true
-	m.leaves[addr] = leaf
-}
-
-// Len implements PositionMap.
-func (m *DensePosMap) Len() int { return m.n }
-
-// Each implements PositionMap.
-func (m *DensePosMap) Each(fn func(addr, leaf uint64)) {
-	for a, ok := range m.set {
-		if ok {
-			fn(uint64(a), m.leaves[a])
-		}
-	}
 }
 
 // SparsePosMap is a map-backed position map: memory grows with the touched

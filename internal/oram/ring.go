@@ -133,7 +133,7 @@ func (e *Engine) ringAccessPath(addr uint64, op Op, data []byte, oldLeaf, newLea
 		}
 		e.leavesBuf = append(e.leavesBuf, leaf)
 	}
-	for e.stash.Len() > e.evictThreshold && len(e.leavesBuf) < e.maxBG {
+	for e.stash.Len() > e.evictThreshold && len(e.leavesBuf) < maxBackgroundEvicts {
 		leaf, err := e.ringFlush()
 		if err != nil {
 			return plan, Block{}, err

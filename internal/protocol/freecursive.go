@@ -12,6 +12,14 @@ import (
 	"sdimm/internal/stats"
 )
 
+// request is one pending line operation.
+type request struct {
+	addr  uint64
+	write bool
+	done  func()
+	start event.Time
+}
+
 // FreecursiveBackend is the paper's baseline: the full Freecursive ORAM
 // controller at the CPU, with the unified tree striped across all host
 // channels (subtree-packed layout, top levels optionally cached on chip).
@@ -27,9 +35,7 @@ type FreecursiveBackend struct {
 	chans  []*dram.Channel
 	enc    event.Time
 
-	q    reqQueue
-	busy bool
-
+	q  station[request] // one accessORAM chain at a time, reads first
 	st BackendStats
 }
 
@@ -38,8 +44,7 @@ func NewFreecursive(eng *event.Engine, cfg config.Config) (*FreecursiveBackend, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	fe, err := freecursive.New(dataBlocks(cfg), cfg.ORAM.RecursivePosMaps, cfg.ORAM.PosMapScale,
-		cfg.ORAM.PLBBytes/cfg.Org.LineBytes)
+	fe, err := newFrontend(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -81,26 +86,22 @@ func NewFreecursive(eng *event.Engine, cfg config.Config) (*FreecursiveBackend, 
 // Read implements Backend.
 func (b *FreecursiveBackend) Read(addr uint64, done func()) {
 	b.st.Reads++
-	b.q.push(request{addr: addr, done: done, start: b.eng.Now()})
+	b.q.push(request{addr: addr, done: done, start: b.eng.Now()}, false)
 	b.pump()
 }
 
 // Write implements Backend.
 func (b *FreecursiveBackend) Write(addr uint64) {
 	b.st.Writes++
-	b.q.push(request{addr: addr, write: true})
+	b.q.push(request{addr: addr, write: true}, true)
 	b.pump()
 }
 
 func (b *FreecursiveBackend) pump() {
-	if b.busy {
-		return
-	}
-	req, ok := b.q.pop()
+	req, ok := b.q.take()
 	if !ok {
 		return
 	}
-	b.busy = true
 	ops, err := b.fe.Resolve(req.addr % dataBlocks(b.cfg))
 	if err != nil {
 		panic(fmt.Sprintf("protocol: freecursive resolve: %v", err))
@@ -116,7 +117,7 @@ func (b *FreecursiveBackend) runOps(req request, ops []freecursive.Op, i int) {
 			b.st.MissLatency.Add(uint64(b.eng.Now() - req.start))
 			req.done()
 		}
-		b.busy = false
+		b.q.busy = false
 		b.pump()
 		return
 	}
@@ -162,11 +163,7 @@ func (b *FreecursiveBackend) Channels() ([]*dram.Channel, []bool) {
 func (b *FreecursiveBackend) Links() []*dram.Link { return nil }
 
 // Stats implements Backend.
-func (b *FreecursiveBackend) Stats() BackendStats {
-	s := b.st
-	s.QueuePeak = b.q.peak
-	return s
-}
+func (b *FreecursiveBackend) Stats() BackendStats { return b.st }
 
 // Frontend exposes the Freecursive frontend (for accessORAM-per-miss stats).
 func (b *FreecursiveBackend) Frontend() *freecursive.Frontend { return b.fe }

@@ -4,14 +4,10 @@ import (
 	"fmt"
 
 	"sdimm/internal/config"
-	"sdimm/internal/dram"
 	"sdimm/internal/event"
-	"sdimm/internal/freecursive"
 	"sdimm/internal/oram"
 	"sdimm/internal/rng"
 	"sdimm/internal/sdimm"
-	"sdimm/internal/stats"
-	"sdimm/internal/telemetry"
 )
 
 // Sizes of host-link messages in bytes. Every long command carries one
@@ -26,54 +22,29 @@ const (
 
 // IndependentBackend implements the Independent protocol (Section III-C):
 // the global ORAM is partitioned by leaf MSBs into one complete sub-ORAM
-// per SDIMM. The CPU runs the Freecursive frontend and the position map;
-// each SDIMM runs whole accessORAM operations against its own DRAM. The
-// host channel carries only the requested blocks, PROBE polling, and the
-// APPEND broadcast that obfuscates block migration.
+// per SDIMM. The CPU side is the shared sdimmFront; each SDIMM runs whole
+// accessORAM operations against its own DRAM. The host channel carries only
+// the requested blocks, PROBE polling, and the APPEND broadcast that
+// obfuscates block migration.
 //
 // Functional ORAM state transitions happen in submission order (so queue
 // scheduling can never corrupt placement state); the work queues replay
 // the corresponding bus traffic with demand accesses prioritized over
 // posted LLC writebacks.
 type IndependentBackend struct {
-	eng *event.Engine
-	cfg config.Config
-	fe  *freecursive.Frontend
-	pos oram.PositionMap
-	rnd *rng.Source
+	*sdimmFront
 
 	buffers []*sdimm.Buffer
 	tms     []*treeMem
-	chans   []*dram.Channel
-	links   []*dram.Link
 
 	localBits uint // local leaf bits per SDIMM
 	ring      bool // ring-eviction engines: per-access path replay is read-only
 
-	demandQ  [][]func(done func())
-	postedQ  [][]func(done func())
-	workBusy []bool
+	work []station[func(done func())] // per SDIMM: the local controller
 
 	ready   []int      // per SDIMM: responses whose data has arrived from DRAM
 	waiters [][]func() // per SDIMM: FIFO of fetchers awaiting a response
 	probing []bool     // per SDIMM: probe loop active
-
-	enc    event.Time
-	st     BackendStats
-	reg    *telemetry.Registry
-	tracer *telemetry.Tracer
-}
-
-// SetTelemetry attaches a metrics registry and an access tracer. The
-// registry gains the backend's miss-latency histogram (shared, not copied,
-// with the paper-table stats) under protocol.miss_latency; the tracer
-// receives one lane per in-flight miss carrying the per-phase spans
-// link.send → sdimm.queue → dram.path → buffer.seal → fetch.wait →
-// result.decrypt, whose durations tile the enclosing miss span.
-func (b *IndependentBackend) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	b.reg = reg
-	b.tracer = tr
-	reg.AddHistogram("protocol.miss_latency", b.st.MissLatency)
 }
 
 // NewIndependent builds the Independent backend.
@@ -86,7 +57,8 @@ func NewIndependent(eng *event.Engine, cfg config.Config) (*IndependentBackend, 
 // read-only (writeback is deferred to the eviction pointer, which surfaces as
 // background paths).
 func newIndependent(eng *event.Engine, cfg config.Config, ring bool) (*IndependentBackend, error) {
-	if err := cfg.Validate(); err != nil {
+	front, err := newSDIMMFront(eng, cfg, 0x1dde)
+	if err != nil {
 		return nil, err
 	}
 	k := cfg.NumSDIMMs
@@ -94,45 +66,24 @@ func newIndependent(eng *event.Engine, cfg config.Config, ring bool) (*Independe
 	if localLevels < 2 {
 		return nil, fmt.Errorf("protocol: %d SDIMMs need more than %d tree levels", k, cfg.ORAM.Levels)
 	}
-	fe, err := freecursive.New(dataBlocks(cfg), cfg.ORAM.RecursivePosMaps, cfg.ORAM.PosMapScale,
-		cfg.ORAM.PLBBytes/cfg.Org.LineBytes)
-	if err != nil {
-		return nil, err
-	}
 	b := &IndependentBackend{
-		eng:       eng,
-		cfg:       cfg,
-		fe:        fe,
-		pos:       oram.NewSparsePosMap(),
-		rnd:       rng.New(cfg.Seed ^ 0x1dde),
-		localBits: uint(localLevels - 1),
-		ring:      ring,
-		enc:       event.Time(cfg.ORAM.EncLatency),
+		sdimmFront: front,
+		localBits:  uint(localLevels - 1),
+		ring:       ring,
+		work:       make([]station[func(done func())], k),
+		ready:      make([]int, k),
+		waiters:    make([][]func(), k),
+		probing:    make([]bool, k),
 	}
+	front.accessORAM = b.accessORAM
 	ringA := 0
 	if ring {
 		ringA = cfg.ORAM.RingFlushInterval
 	}
-	b.st.MissLatency = stats.NewHistogram(256, 4096)
-	for c := 0; c < cfg.Org.Channels; c++ {
-		b.links = append(b.links, dram.NewLink(eng, cfg.Org, cfg.Timing))
-	}
-	numRanks := 0
-	if cfg.LowPower {
-		numRanks = cfg.Org.RanksPerDIMM
-	}
-	layout, err := buildLayout(cfg, localLevels, cfg.ORAM.LinesPerBucket(), numRanks)
-	if err != nil {
+	if b.tms, err = front.sdimmTrees(0, k, localLevels, cfg.ORAM.LinesPerBucket()); err != nil {
 		return nil, err
 	}
 	for i := 0; i < k; i++ {
-		ch := dram.NewChannel(eng, fmt.Sprintf("sdimm%d", i), cfg.Org, cfg.Timing, cfg.Org.RanksPerDIMM)
-		b.chans = append(b.chans, ch)
-		tm, err := newTreeMem(eng, []*dram.Channel{ch}, cfg.Org, layout, cfg.LowPower)
-		if err != nil {
-			return nil, err
-		}
-		b.tms = append(b.tms, tm)
 		eng2, err := oram.NewEngine(oram.NewSparseStore(cfg.ORAM.Z), nil, oram.Options{
 			Geometry:          oram.MustGeometry(localLevels),
 			StashCapacity:     cfg.ORAM.StashCapacity,
@@ -150,74 +101,7 @@ func newIndependent(eng *event.Engine, cfg config.Config, ring bool) (*Independe
 		}
 		b.buffers = append(b.buffers, buf)
 	}
-	b.demandQ = make([][]func(done func()), k)
-	b.postedQ = make([][]func(done func()), k)
-	b.workBusy = make([]bool, k)
-	b.ready = make([]int, k)
-	b.waiters = make([][]func(), k)
-	b.probing = make([]bool, k)
 	return b, nil
-}
-
-// Read implements Backend.
-func (b *IndependentBackend) Read(addr uint64, done func()) {
-	b.st.Reads++
-	start := b.eng.Now()
-	lane := b.tracer.Lane()
-	b.startMiss(addr, lane, false, func() {
-		now := b.eng.Now()
-		b.st.MissLatency.Add(uint64(now - start))
-		if b.tracer != nil {
-			b.tracer.CompleteArgs(lane, "miss", "access", uint64(start), uint64(now),
-				map[string]any{"addr": addr})
-			b.tracer.FreeLane(lane)
-		}
-		done()
-	})
-}
-
-// Write implements Backend.
-func (b *IndependentBackend) Write(addr uint64) {
-	b.st.Writes++
-	start := b.eng.Now()
-	lane := b.tracer.Lane()
-	var fin func()
-	if b.tracer != nil {
-		fin = func() {
-			b.tracer.CompleteArgs(lane, "writeback.miss", "access", uint64(start), uint64(b.eng.Now()),
-				map[string]any{"addr": addr})
-			b.tracer.FreeLane(lane)
-		}
-	}
-	b.startMiss(addr, lane, true, fin)
-}
-
-func (b *IndependentBackend) startMiss(addr uint64, lane int, write bool, done func()) {
-	ops, err := b.fe.Resolve(addr % dataBlocks(b.cfg))
-	if err != nil {
-		panic(fmt.Sprintf("protocol: independent resolve: %v", err))
-	}
-	b.runOps(ops, 0, lane, write, done)
-}
-
-func (b *IndependentBackend) runOps(ops []freecursive.Op, i, lane int, write bool, done func()) {
-	if i == len(ops) {
-		if done != nil {
-			done()
-		}
-		return
-	}
-	op := oram.OpRead
-	cat := "posmap"
-	if i == len(ops)-1 {
-		cat = "data"
-		if write {
-			op = oram.OpWrite
-		}
-	}
-	b.accessORAM(ops[i].Addr, op, write, lane, cat, func() {
-		b.runOps(ops, i+1, lane, write, done)
-	})
 }
 
 // accessORAM runs one distributed accessORAM. All functional steps (the
@@ -233,13 +117,7 @@ func (b *IndependentBackend) accessORAM(addr uint64, op oram.Op, posted bool, la
 	tr := b.tracer
 	t0 := uint64(b.eng.Now())
 	var t1, t1b, t2, t2e, t3 uint64
-	globalLeaves := uint64(1) << (b.cfg.ORAM.Levels - 1)
-	oldG, ok := b.pos.Get(addr)
-	if !ok {
-		oldG = b.rnd.Uint64n(globalLeaves)
-	}
-	newG := b.rnd.Uint64n(globalLeaves)
-	b.pos.Set(addr, newG)
+	oldG, newG := b.remap(addr)
 
 	mask := uint64(1)<<b.localBits - 1
 	sd := int(oldG >> b.localBits)
@@ -302,7 +180,7 @@ func (b *IndependentBackend) accessORAM(addr uint64, op oram.Op, posted bool, la
 
 	// 1. ACCESS command (always carries one block of data), then the
 	// SDIMM's controller performs the path access(es).
-	b.hostSend(sd, msgAccess, func() {
+	b.send(sd, msgAccess, func(event.Time) {
 		t1 = uint64(b.eng.Now())
 		tr.Complete(lane, "link.send", "link", t0, t1)
 		b.enqueueWork(sd, posted, func(workDone func()) {
@@ -337,7 +215,7 @@ func (b *IndependentBackend) accessORAM(addr uint64, op oram.Op, posted bool, la
 		for j := 0; j < b.cfg.NumSDIMMs; j++ {
 			j := j
 			forced := appendForced[j]
-			b.hostSend(j, msgAppend, func() {
+			b.send(j, msgAppend, func(event.Time) {
 				if forced == nil {
 					return
 				}
@@ -371,41 +249,20 @@ func (b *IndependentBackend) runLocalPaths(sd int, paths [][]uint64, i int, done
 	})
 }
 
-// hostSend models one host-link transfer to an SDIMM's channel.
-func (b *IndependentBackend) hostSend(sd int, bytes int, onArrive func()) {
-	b.st.HostBytes += uint64(bytes)
-	b.links[chanOf(sd, b.cfg.Org.DIMMsPerChannel)].Transfer(bytes, func(event.Time) { onArrive() })
-}
-
 // enqueueWork serializes traffic replay on one SDIMM's controller; demand
 // work bypasses posted work.
 func (b *IndependentBackend) enqueueWork(sd int, posted bool, work func(done func())) {
-	if posted {
-		b.postedQ[sd] = append(b.postedQ[sd], work)
-	} else {
-		b.demandQ[sd] = append(b.demandQ[sd], work)
-	}
+	b.work[sd].push(work, posted)
 	b.pumpWork(sd)
 }
 
 func (b *IndependentBackend) pumpWork(sd int) {
-	if b.workBusy[sd] {
+	w, ok := b.work[sd].take()
+	if !ok {
 		return
 	}
-	var w func(done func())
-	switch {
-	case len(b.demandQ[sd]) > 0:
-		w = b.demandQ[sd][0]
-		b.demandQ[sd] = b.demandQ[sd][1:]
-	case len(b.postedQ[sd]) > 0:
-		w = b.postedQ[sd][0]
-		b.postedQ[sd] = b.postedQ[sd][1:]
-	default:
-		return
-	}
-	b.workBusy[sd] = true
 	w(func() {
-		b.workBusy[sd] = false
+		b.work[sd].busy = false
 		b.pumpWork(sd)
 	})
 }
@@ -425,11 +282,11 @@ func (b *IndependentBackend) probe(sd int) {
 		return
 	}
 	b.st.Probes++
-	b.hostSend(sd, msgProbe, func() {
+	b.send(sd, msgProbe, func(event.Time) {
 		if b.ready[sd] > 0 && len(b.waiters[sd]) > 0 {
 			b.ready[sd]--
 			// FETCH_RESULT returns the block.
-			b.hostSend(sd, msgFetch, func() {
+			b.send(sd, msgFetch, func(event.Time) {
 				w := b.waiters[sd][0]
 				b.waiters[sd] = b.waiters[sd][1:]
 				w()
@@ -449,18 +306,6 @@ func (b *IndependentBackend) probeNext(sd int) {
 	b.eng.After(event.Time(b.cfg.ProbeInterval), func() { b.probe(sd) })
 }
 
-// Channels implements Backend: all channels are on-DIMM.
-func (b *IndependentBackend) Channels() ([]*dram.Channel, []bool) {
-	local := make([]bool, len(b.chans))
-	for i := range local {
-		local[i] = true
-	}
-	return b.chans, local
-}
-
-// Links implements Backend.
-func (b *IndependentBackend) Links() []*dram.Link { return b.links }
-
 // Stats implements Backend, aggregating per-buffer maxima.
 func (b *IndependentBackend) Stats() BackendStats {
 	s := b.st
@@ -476,9 +321,6 @@ func (b *IndependentBackend) Stats() BackendStats {
 	}
 	return s
 }
-
-// Frontend exposes the Freecursive frontend.
-func (b *IndependentBackend) Frontend() *freecursive.Frontend { return b.fe }
 
 // Buffers exposes the secure buffers (tests inspect transfer queues).
 func (b *IndependentBackend) Buffers() []*sdimm.Buffer { return b.buffers }

@@ -27,8 +27,8 @@ func TestIndependentReadPriority(t *testing.T) {
 	// The read must overtake the pile of posted writes: when it finishes,
 	// posted work must still be waiting somewhere in the backend.
 	pending := 0
-	for sd := range b.postedQ {
-		pending += len(b.postedQ[sd])
+	for sd := range b.work {
+		pending += len(b.work[sd].posted)
 	}
 	chans, _ := b.Channels()
 	for _, ch := range chans {
@@ -87,5 +87,37 @@ func TestIndepSplitParallelHalves(t *testing.T) {
 	// under high MLP it should not be slower.
 	if float64(tIS) > 1.1*float64(tS) {
 		t.Fatalf("indep-split %d much slower than split-4 %d under MLP", tIS, tS)
+	}
+}
+
+// TestStation pins the discipline the baseline's request queue, each SDIMM's
+// controller and each split group's fetch stage share: one item at a time,
+// demand before posted, FIFO within a class.
+func TestStation(t *testing.T) {
+	var s station[string]
+	if _, ok := s.take(); ok {
+		t.Fatal("take from an empty station succeeded")
+	}
+	s.push("p1", true)
+	s.push("d1", false)
+	s.push("p2", true)
+	s.push("d2", false)
+	if got, ok := s.take(); !ok || got != "d1" || !s.busy {
+		t.Fatalf("first take = %q, %v (busy %v); want d1 ahead of the older posted p1", got, ok, s.busy)
+	}
+	if got, ok := s.take(); ok {
+		t.Fatalf("take while busy handed out %q", got)
+	}
+	// Demand that arrives while the station is busy still goes first.
+	s.push("d3", false)
+	for _, want := range []string{"d2", "d3", "p1", "p2"} {
+		s.busy = false
+		if got, ok := s.take(); !ok || got != want {
+			t.Fatalf("take = %q, %v; want %q", got, ok, want)
+		}
+	}
+	s.busy = false
+	if _, ok := s.take(); ok || s.busy {
+		t.Fatal("drained station handed out an item or stayed busy")
 	}
 }

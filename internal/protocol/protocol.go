@@ -1,18 +1,31 @@
-// Package protocol implements the five memory backends the paper evaluates
-// (Figure 7 plus the two baselines), each as a cpusim.Memory:
+// Package protocol implements the six memory backends the simulator
+// evaluates (the paper's Figure 7, its two baselines, and a ring-eviction
+// variant), each as a cpusim.Memory:
 //
 //   - NonSecure: LLC misses go straight to DRAM (the insecure reference).
 //   - FreecursiveBackend: CPU-side Freecursive ORAM striped over the host
 //     channels — the paper's baseline.
-//   - IndependentBackend: one whole ORAM per SDIMM; the host channel
-//     carries only ACCESS/PROBE/FETCH_RESULT/APPEND traffic (Section III-C).
-//   - SplitBackend: every bucket bit-sliced across the SDIMMs; the host
-//     carries metadata, the SDIMMs shuffle data locally (Section III-D).
-//   - IndepSplitBackend: two Independent halves, each Split across half
-//     the SDIMMs (Figure 7e).
-//   - Ring (NewRing): the Independent topology with ring-eviction engines —
-//     read-only per-access paths plus a deterministic deferred-flush
-//     eviction pointer (write traffic drops by roughly the flush interval).
+//   - IndependentBackend (NewIndependent): one whole ORAM per SDIMM; the
+//     host channel carries only ACCESS/PROBE/FETCH_RESULT/APPEND traffic
+//     (Section III-C).
+//   - IndependentBackend in ring mode (NewRing): the same topology with
+//     ring-eviction engines — read-only per-access paths plus a
+//     deterministic deferred-flush eviction pointer (write traffic drops by
+//     roughly the flush interval).
+//   - GroupedBackend with one group (NewSplit): every bucket bit-sliced
+//     across the SDIMMs; the host carries metadata, the SDIMMs shuffle data
+//     locally (Section III-D).
+//   - GroupedBackend with two groups (NewIndepSplit): the tree partitioned
+//     Independent-style into halves, each Split across half the SDIMMs
+//     (Figure 7e).
+//
+// The SDIMM protocols share their CPU side. sdimmFront (front.go) owns the
+// Freecursive frontend, the global position map, the host links and the
+// counters, and runs the one miss → accessORAM chain with its tracing span;
+// a backend embeds it and supplies only its accessORAM body — which is where
+// a further protocol row would plug in. station is the one "serve one at a
+// time, demand before posted" queue: it stands behind the baseline's request
+// queue, each SDIMM's local controller and each split group's fetch stage.
 //
 // Each backend owns its DRAM channels/links and exposes them for energy
 // accounting. All functional ORAM state runs through package oram, so the
@@ -52,7 +65,6 @@ type BackendStats struct {
 	Probes      uint64
 	HostBytes   uint64 // protocol bytes moved over host links
 	MissLatency *stats.Histogram
-	QueuePeak   int
 	ExtraDrains uint64 // Independent transfer-queue drain accesses
 	BgEvictions uint64
 	// StashPeak / TransferPeak are in-vivo maxima across all secure
@@ -61,48 +73,6 @@ type BackendStats struct {
 	TransferPeak      int
 	TransferOverflows uint64
 }
-
-// request is one pending line operation.
-type request struct {
-	addr  uint64
-	write bool
-	done  func()
-	start event.Time
-}
-
-// reqQueue is a two-priority queue: reads before posted writes.
-type reqQueue struct {
-	reads  []request
-	writes []request
-	peak   int
-}
-
-func (q *reqQueue) push(r request) {
-	if r.write {
-		q.writes = append(q.writes, r)
-	} else {
-		q.reads = append(q.reads, r)
-	}
-	if n := len(q.reads) + len(q.writes); n > q.peak {
-		q.peak = n
-	}
-}
-
-func (q *reqQueue) pop() (request, bool) {
-	if len(q.reads) > 0 {
-		r := q.reads[0]
-		q.reads = q.reads[1:]
-		return r, true
-	}
-	if len(q.writes) > 0 {
-		r := q.writes[0]
-		q.writes = q.writes[1:]
-		return r, true
-	}
-	return request{}, false
-}
-
-func (q *reqQueue) empty() bool { return len(q.reads) == 0 && len(q.writes) == 0 }
 
 // treeMem issues ORAM path traffic against one set of DRAM channels. For
 // the baseline the set is all host channels (bucket lines striped across
@@ -213,9 +183,6 @@ func (tm *treeMem) powerSiblings(target placedLine) {
 		}
 	}
 }
-
-// chanOf returns the host link index serving SDIMM sd.
-func chanOf(sd, dimmsPerChannel int) int { return sd / dimmsPerChannel }
 
 // log2 returns log2(n) for power-of-two n.
 func log2(n int) uint {

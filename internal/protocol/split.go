@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"sdimm/internal/config"
-	"sdimm/internal/dram"
 	"sdimm/internal/event"
-	"sdimm/internal/freecursive"
 	"sdimm/internal/oram"
 	"sdimm/internal/rng"
-	"sdimm/internal/stats"
 )
 
 // splitOp is one accessORAM executed by a split group.
@@ -21,11 +18,10 @@ type splitOp struct {
 	keep    bool // false: the block migrates to another group (indep-split)
 	posted  bool // LLC writeback: yields to demand accesses
 	// onData fires when the CPU holds the (reassembled) block.
-	onData func(blk oram.Block)
+	onData func()
 
-	// Functional outcome, captured at submit time so that queue
+	// path is the functional outcome, captured at submit time so that queue
 	// reordering can never reorder ORAM state transitions.
-	blk  oram.Block
 	path []uint64
 }
 
@@ -36,30 +32,22 @@ type splitOp struct {
 // is a pure function of stash contents); each member's internal channel
 // carries the shard-sized path traffic.
 type splitGroup struct {
-	eng     *event.Engine
-	cfg     config.Config
-	engine  *oram.Engine
-	tms     []*treeMem
-	links   []*dram.Link // global per-channel links
-	members []int        // global SDIMM indices
-	rnd     *rng.Source
+	front  *sdimmFront // engine clock, host links and counters, shared by all groups
+	engine *oram.Engine
+	tms    []*treeMem // one per member SDIMM
+	first  int        // global index of the first member; members are consecutive
+	rnd    *rng.Source
 
 	metaShare int // metadata bytes per bucket per member on the host bus
 	fetchResp int // FETCH_STASH response bytes per member
 	listBytes int // RECEIVE_LIST payload per member
 
-	q          []splitOp
-	postedQ    []splitOp
-	stageABusy bool
-	drains     int // in-flight background-evict traffic generators
-
-	enc event.Time
-	st  *BackendStats
+	fetch  station[splitOp] // the fetch stage (stage A)
+	drains int              // in-flight background-evict traffic generators
 }
 
-func newSplitGroup(eng *event.Engine, cfg config.Config, levels int, members []int,
-	links []*dram.Link, seed uint64, st *BackendStats) (*splitGroup, error) {
-	k := len(members)
+func newSplitGroup(front *sdimmFront, levels, first, k int, seed uint64) (*splitGroup, error) {
+	cfg := front.cfg
 	if k < 2 {
 		return nil, fmt.Errorf("protocol: split group needs ≥ 2 members, got %d", k)
 	}
@@ -79,47 +67,23 @@ func newSplitGroup(eng *event.Engine, cfg config.Config, levels int, members []i
 	if err != nil {
 		return nil, err
 	}
-	numRanks := 0
-	if cfg.LowPower {
-		numRanks = cfg.Org.RanksPerDIMM
-	}
-	layout, err := buildLayout(cfg, levels, shardLines, numRanks)
-	if err != nil {
-		return nil, err
-	}
 	// Note: byte-granular packing (Layout.BucketBytes) does not pay here —
 	// a 160 B 2-way shard spans 3 lines wherever it starts — so shards are
 	// stored line-aligned.
-	g := &splitGroup{
-		eng:       eng,
-		cfg:       cfg,
+	tms, err := front.sdimmTrees(first, k, levels, shardLines)
+	if err != nil {
+		return nil, err
+	}
+	return &splitGroup{
+		front:     front,
 		engine:    engine,
-		links:     links,
-		members:   members,
+		tms:       tms,
+		first:     first,
 		rnd:       rng.New(seed ^ 0xe71c),
 		metaShare: metaShare,
 		fetchResp: cfg.ORAM.BlockBytes/k + 8,
 		listBytes: 16 + (levels-cfg.ORAM.CachedLevels)*(cfg.ORAM.Z+2),
-		enc:       event.Time(cfg.ORAM.EncLatency),
-		st:        st,
-	}
-	for _, m := range members {
-		ch := dram.NewChannel(eng, fmt.Sprintf("sdimm%d", m), cfg.Org, cfg.Timing, cfg.Org.RanksPerDIMM)
-		tm, err := newTreeMem(eng, []*dram.Channel{ch}, cfg.Org, layout, cfg.LowPower)
-		if err != nil {
-			return nil, err
-		}
-		g.tms = append(g.tms, tm)
-	}
-	return g, nil
-}
-
-func (g *splitGroup) channels() []*dram.Channel {
-	var out []*dram.Channel
-	for _, tm := range g.tms {
-		out = append(out, tm.chans...)
-	}
-	return out
+	}, nil
 }
 
 // submit enqueues one accessORAM on the group's controller. Demand
@@ -131,20 +95,12 @@ func (g *splitGroup) channels() []*dram.Channel {
 func (g *splitGroup) submit(op splitOp) oram.Block {
 	blk, plan, err := g.engine.AccessAt(op.addr, op.op, nil, op.oldLeaf, op.newLeaf, op.keep)
 	if err != nil {
-		panic(fmt.Sprintf("protocol: split access (group members %v): %v", g.members, err))
+		panic(fmt.Sprintf("protocol: split access (group at sdimm %d): %v", g.first, err))
 	}
-	// The op is queued and replayed after later submits; plan.Path and
-	// blk.Data are engine scratch by then, so the op takes owned copies.
-	op.blk = blk
-	if blk.Data != nil {
-		op.blk.Data = append([]byte(nil), blk.Data...)
-	}
+	// The op is queued and replayed after later submits; plan.Path is
+	// engine scratch by then, so the op takes an owned copy.
 	op.path = append([]uint64(nil), plan.Path...)
-	if op.posted {
-		g.postedQ = append(g.postedQ, op)
-	} else {
-		g.q = append(g.q, op)
-	}
+	g.fetch.push(op, op.posted)
 	g.pump()
 	return blk
 }
@@ -153,41 +109,28 @@ func (g *splitGroup) submit(op splitOp) oram.Block {
 // metadata) is free; the host handshake and writeback stage of the
 // previous op overlaps with it, as a real controller would pipeline.
 func (g *splitGroup) pump() {
-	if g.stageABusy {
-		return
+	if op, ok := g.fetch.take(); ok {
+		g.run(op)
 	}
-	var op splitOp
-	switch {
-	case len(g.q) > 0:
-		op = g.q[0]
-		g.q = g.q[1:]
-	case len(g.postedQ) > 0:
-		op = g.postedQ[0]
-		g.postedQ = g.postedQ[1:]
-	default:
-		return
-	}
-	g.stageABusy = true
-	g.run(op)
 }
 
 // broadcast sends bytes to every member's host link; done fires when all
 // transfers complete.
 func (g *splitGroup) broadcast(bytes int, done func()) {
-	remaining := len(g.members)
-	for _, m := range g.members {
-		g.st.HostBytes += uint64(bytes)
-		g.links[chanOf(m, g.cfg.Org.DIMMsPerChannel)].Transfer(bytes, func(event.Time) {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
+	remaining := len(g.tms)
+	arrived := func(event.Time) {
+		remaining--
+		if remaining == 0 {
+			done()
+		}
+	}
+	for i := range g.tms {
+		g.front.send(g.first+i, bytes, arrived)
 	}
 }
 
-// eachShard runs fn(path) against every member's internal channel, calling
-// done once all complete.
+// readShards reads path on every member's internal channel, calling done
+// once all complete.
 func (g *splitGroup) readShards(path []uint64, done func()) {
 	remaining := len(g.tms)
 	for _, tm := range g.tms {
@@ -213,8 +156,8 @@ func (g *splitGroup) writeShards(path []uint64) {
 // no resource). Stage B: reassembly, FETCH_STASH, RECEIVE_LIST, and the
 // local writeback; the next op's stage A overlaps with it.
 func (g *splitGroup) run(op splitOp) {
-	g.st.AccessORAMs++
-	effLevels := len(op.path) - g.cfg.ORAM.CachedLevels
+	g.front.st.AccessORAMs++
+	effLevels := len(op.path) - g.front.cfg.ORAM.CachedLevels
 	if effLevels < 1 {
 		effLevels = 1
 	}
@@ -230,7 +173,7 @@ func (g *splitGroup) run(op splitOp) {
 				return
 			}
 			// Stage A complete: free the fetch station for the next op.
-			g.stageABusy = false
+			g.fetch.busy = false
 			g.pump()
 			g.stageB(op)
 		}
@@ -242,12 +185,10 @@ func (g *splitGroup) run(op splitOp) {
 // stageB finishes one access: metadata reassembly, FETCH_STASH,
 // RECEIVE_LIST, writeback, and any background eviction.
 func (g *splitGroup) stageB(op splitOp) {
-	g.eng.After(g.enc, func() {
+	g.front.eng.After(g.front.enc, func() {
 		g.broadcast(g.fetchResp, func() {
-			g.eng.After(g.enc, func() {
-				if op.onData != nil {
-					op.onData(op.blk)
-				}
+			g.front.eng.After(g.front.enc, func() {
+				op.onData()
 				g.broadcast(g.listBytes, func() {
 					g.writeShards(op.path)
 					g.maybeEvict(0)
@@ -270,9 +211,9 @@ func (g *splitGroup) maybeEvict(n int) {
 	}
 	leaf := g.rnd.Uint64n(g.engine.Geometry().Leaves())
 	if err := g.engine.EvictPath(leaf); err != nil {
-		panic(fmt.Sprintf("protocol: split eviction (group members %v): %v", g.members, err))
+		panic(fmt.Sprintf("protocol: split eviction (group at sdimm %d): %v", g.first, err))
 	}
-	g.st.BgEvictions++
+	g.front.st.BgEvictions++
 	path := g.engine.Geometry().Path(leaf, nil)
 	// Eviction command + list to every member, then the local read/write.
 	g.broadcast(g.listBytes, func() {
@@ -298,119 +239,99 @@ func (g *splitGroup) insert(blk oram.Block) error {
 	return nil
 }
 
-// SplitBackend implements the Split protocol: one group spanning all
-// SDIMMs, CPU-side Freecursive frontend and position map.
-type SplitBackend struct {
-	eng   *event.Engine
-	cfg   config.Config
-	fe    *freecursive.Frontend
-	pos   oram.PositionMap
-	rnd   *rng.Source
-	group *splitGroup
-	links []*dram.Link
-	st    BackendStats
+// GroupedBackend serves both Split and Indep-Split, the way the paper
+// presents them (Section III-D, Figure 7e): the global tree is partitioned
+// Independent-style by leaf MSBs into groups, and every group runs the Split
+// protocol across its share of the SDIMMs. Split is the one-group case —
+// every access engages all SDIMMs and no block ever migrates. With two groups
+// each access engages only half the SDIMMs (low latency, from Split) while
+// the halves serve accesses in parallel (throughput, from Independent), and
+// remapped blocks migrate between halves behind an APPEND broadcast.
+type GroupedBackend struct {
+	*sdimmFront
+	groups    []*splitGroup
+	groupBits uint // leaf bits within one group's tree
 }
 
-// NewSplit builds the Split backend.
-func NewSplit(eng *event.Engine, cfg config.Config) (*SplitBackend, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// NewSplit builds the Split backend: one group spanning all SDIMMs.
+func NewSplit(eng *event.Engine, cfg config.Config) (*GroupedBackend, error) {
+	return newGrouped(eng, cfg, 1, 0x517a)
+}
+
+// NewIndepSplit builds the combined backend: two groups of half the SDIMMs
+// each. It requires ≥ 4 SDIMMs.
+func NewIndepSplit(eng *event.Engine, cfg config.Config) (*GroupedBackend, error) {
+	if cfg.NumSDIMMs < 4 {
+		return nil, fmt.Errorf("protocol: indep-split needs ≥ 4 SDIMMs, got %d", cfg.NumSDIMMs)
 	}
-	fe, err := freecursive.New(dataBlocks(cfg), cfg.ORAM.RecursivePosMaps, cfg.ORAM.PosMapScale,
-		cfg.ORAM.PLBBytes/cfg.Org.LineBytes)
+	return newGrouped(eng, cfg, 2, 0x1d59)
+}
+
+// newGrouped cuts the SDIMMs into groups (a power of two) of consecutive
+// members. Group h's engine and eviction RNGs derive from Seed ^ h·0x9191,
+// which is Seed itself for Split's only group.
+func newGrouped(eng *event.Engine, cfg config.Config, groups int, posSalt uint64) (*GroupedBackend, error) {
+	front, err := newSDIMMFront(eng, cfg, posSalt)
 	if err != nil {
 		return nil, err
 	}
-	b := &SplitBackend{
-		eng: eng,
-		cfg: cfg,
-		fe:  fe,
-		pos: oram.NewSparsePosMap(),
-		rnd: rng.New(cfg.Seed ^ 0x517a),
-	}
-	b.st.MissLatency = stats.NewHistogram(256, 4096)
-	for c := 0; c < cfg.Org.Channels; c++ {
-		b.links = append(b.links, dram.NewLink(eng, cfg.Org, cfg.Timing))
-	}
-	members := make([]int, cfg.NumSDIMMs)
-	for i := range members {
-		members[i] = i
-	}
-	b.group, err = newSplitGroup(eng, cfg, cfg.ORAM.Levels, members, b.links, cfg.Seed, &b.st)
-	if err != nil {
-		return nil, err
+	levels := cfg.ORAM.Levels - int(log2(groups))
+	b := &GroupedBackend{sdimmFront: front, groupBits: uint(levels - 1)}
+	front.accessORAM = b.accessORAM
+	per := cfg.NumSDIMMs / groups
+	for h := 0; h < groups; h++ {
+		g, err := newSplitGroup(front, levels, h*per, per, cfg.Seed^uint64(h*0x9191))
+		if err != nil {
+			return nil, err
+		}
+		b.groups = append(b.groups, g)
 	}
 	return b, nil
 }
 
-// Read implements Backend.
-func (b *SplitBackend) Read(addr uint64, done func()) {
-	b.st.Reads++
-	start := b.eng.Now()
-	b.startMiss(addr, false, func() {
-		b.st.MissLatency.Add(uint64(b.eng.Now() - start))
-		done()
+// accessORAM submits one access to the group that owns the block's old leaf
+// and, when the new leaf falls in another group, migrates the block there.
+func (b *GroupedBackend) accessORAM(addr uint64, op oram.Op, posted bool, _ int, _ string, cont func()) {
+	oldG, newG := b.remap(addr)
+	mask := uint64(1)<<b.groupBits - 1
+	h := int(oldG >> b.groupBits)
+	hNew := int(newG >> b.groupBits)
+	keep := h == hNew
+
+	blk := b.groups[h].submit(splitOp{
+		addr:    addr,
+		op:      op,
+		oldLeaf: oldG & mask,
+		newLeaf: newG & mask,
+		keep:    keep,
+		posted:  posted,
+		onData: func() {
+			// The data is at the CPU: the miss proceeds while the APPEND
+			// broadcast (there is none with a single group) rides the links
+			// in the background.
+			cont()
+			if len(b.groups) > 1 {
+				b.appendBroadcast()
+			}
+		},
 	})
-}
-
-// Write implements Backend.
-func (b *SplitBackend) Write(addr uint64) {
-	b.st.Writes++
-	b.startMiss(addr, true, nil)
-}
-
-func (b *SplitBackend) startMiss(addr uint64, write bool, done func()) {
-	ops, err := b.fe.Resolve(addr % dataBlocks(b.cfg))
-	if err != nil {
-		panic(fmt.Sprintf("protocol: split resolve: %v", err))
-	}
-	b.runOps(ops, 0, write, done)
-}
-
-func (b *SplitBackend) runOps(ops []freecursive.Op, i int, write bool, done func()) {
-	if i == len(ops) {
-		if done != nil {
-			done()
+	if !keep {
+		// Functional migration happens now, in submission order; the
+		// broadcast later carries only (timed) bytes.
+		blk.Leaf = newG & mask
+		if err := b.groups[hNew].insert(blk); err != nil {
+			panic(fmt.Sprintf("protocol: indep-split append into group %d: %v", hNew, err))
 		}
-		return
 	}
-	o := oram.OpRead
-	if write && i == len(ops)-1 {
-		o = oram.OpWrite
-	}
-	leaves := b.group.engine.Geometry().Leaves()
-	oldLeaf, ok := b.pos.Get(ops[i].Addr)
-	if !ok {
-		oldLeaf = b.rnd.Uint64n(leaves)
-	}
-	newLeaf := b.rnd.Uint64n(leaves)
-	b.pos.Set(ops[i].Addr, newLeaf)
-	b.group.submit(splitOp{
-		addr:    ops[i].Addr,
-		op:      o,
-		oldLeaf: oldLeaf,
-		newLeaf: newLeaf,
-		keep:    true,
-		posted:  write,
-		onData:  func(oram.Block) { b.runOps(ops, i+1, write, done) },
-	})
 }
 
-// Channels implements Backend: all bank-modelled channels are on-DIMM.
-func (b *SplitBackend) Channels() ([]*dram.Channel, []bool) {
-	chans := b.group.channels()
-	local := make([]bool, len(chans))
-	for i := range local {
-		local[i] = true
+// appendBroadcast sends one shard-sized APPEND to every SDIMM (real shards
+// to the new group's members on migration, dummies elsewhere), preserving
+// the Independent protocol's destination obfuscation. Placement already
+// happened at submit; only the bus traffic is modelled here.
+func (b *GroupedBackend) appendBroadcast() {
+	shard := b.cfg.ORAM.BlockBytes/len(b.groups[0].tms) + 8
+	for sd := 0; sd < b.cfg.NumSDIMMs; sd++ {
+		b.send(sd, shard, nil)
 	}
-	return chans, local
 }
-
-// Links implements Backend.
-func (b *SplitBackend) Links() []*dram.Link { return b.links }
-
-// Stats implements Backend.
-func (b *SplitBackend) Stats() BackendStats { return b.st }
-
-// Frontend exposes the Freecursive frontend.
-func (b *SplitBackend) Frontend() *freecursive.Frontend { return b.fe }

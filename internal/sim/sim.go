@@ -78,13 +78,9 @@ func (r Result) CyclesPerMiss() float64 {
 	return float64(r.MeasuredCycles) / float64(m)
 }
 
-// Run executes one configuration against one workload profile.
-func Run(cfg config.Config, workload string) (Result, error) {
-	return RunInstrumented(cfg, workload, nil)
-}
-
-// RunInstrumented is Run with telemetry attached (see Telemetry).
-func RunInstrumented(cfg config.Config, workload string, tel *Telemetry) (Result, error) {
+// Run executes one configuration against one named workload profile; tel
+// (may be nil) attaches telemetry as RunTrace describes.
+func Run(cfg config.Config, workload string, tel *Telemetry) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -100,7 +96,7 @@ func RunInstrumented(cfg config.Config, workload string, tel *Telemetry) (Result
 	if err != nil {
 		return Result{}, err
 	}
-	return RunTraceInstrumented(cfg, workload, recs, nil, tel)
+	return RunTrace(cfg, workload, recs, nil, tel)
 }
 
 // BusObserver sees every command on every modelled (untrusted) DRAM bus —
@@ -110,23 +106,14 @@ func RunInstrumented(cfg config.Config, workload string, tel *Telemetry) (Result
 type BusObserver func(channel string, local bool, now event.Time, kind dram.CommandKind, coord dram.Coord)
 
 // RunTrace executes one configuration against an explicit record stream;
-// the first cfg.WarmupAccesses records are the warmup window.
-func RunTrace(cfg config.Config, name string, recs []trace.Record) (Result, error) {
-	return RunTraceObserved(cfg, name, recs, nil)
-}
-
-// RunTraceObserved is RunTrace with a bus observer attached to every DRAM
-// channel (package attacker uses this to capture address traces).
-func RunTraceObserved(cfg config.Config, name string, recs []trace.Record, obs BusObserver) (Result, error) {
-	return RunTraceInstrumented(cfg, name, recs, obs, nil)
-}
-
-// RunTraceInstrumented is RunTraceObserved with telemetry attached: DRAM
-// channels mirror their stats into tel.Registry, the backend registers its
-// miss-latency histogram, and — when tel.Trace is set — a tracer over the
-// engine clock records per-phase access spans (backends that implement
-// SetTelemetry emit them; others run untraced).
-func RunTraceInstrumented(cfg config.Config, name string, recs []trace.Record, obs BusObserver, tel *Telemetry) (Result, error) {
+// the first cfg.WarmupAccesses records are the warmup window. obs (may be
+// nil) is attached to every DRAM channel — package attacker captures address
+// traces this way. With tel (may be nil) the DRAM channels mirror their stats
+// into tel.Registry, the backend's miss-latency histogram is registered, and
+// — when tel.Trace is set — a tracer over the engine clock records access
+// spans (backends that implement SetTelemetry emit them; others run
+// untraced).
+func RunTrace(cfg config.Config, name string, recs []trace.Record, obs BusObserver, tel *Telemetry) (Result, error) {
 	eng := &event.Engine{}
 	backend, err := protocol.New(eng, cfg)
 	if err != nil {

@@ -16,23 +16,23 @@ func quickCfg(p config.Protocol, channels int) config.Config {
 
 func TestRunValidation(t *testing.T) {
 	cfg := quickCfg(config.NonSecure, 1)
-	if _, err := Run(cfg, "not-a-benchmark"); err == nil {
+	if _, err := Run(cfg, "not-a-benchmark", nil); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 	bad := cfg
 	bad.WarmupAccesses, bad.MeasureAccesses = 0, 0
-	if _, err := Run(bad, "mcf"); err == nil {
+	if _, err := Run(bad, "mcf", nil); err == nil {
 		t.Fatal("zero-length run accepted")
 	}
 	bad = cfg
 	bad.Org.Channels = 0
-	if _, err := Run(bad, "mcf"); err == nil {
+	if _, err := Run(bad, "mcf", nil); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestNonSecureRunCompletes(t *testing.T) {
-	res, err := Run(quickCfg(config.NonSecure, 1), "mcf")
+	res, err := Run(quickCfg(config.NonSecure, 1), "mcf", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestNonSecureRunCompletes(t *testing.T) {
 }
 
 func TestFreecursiveSlowdownShape(t *testing.T) {
-	ns, err := Run(quickCfg(config.NonSecure, 1), "milc")
+	ns, err := Run(quickCfg(config.NonSecure, 1), "milc", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := Run(quickCfg(config.Freecursive, 1), "milc")
+	fc, err := Run(quickCfg(config.Freecursive, 1), "milc", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +75,12 @@ func TestSDIMMProtocolsBeatBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-protocol comparison")
 	}
-	fc, err := Run(quickCfg(config.Freecursive, 1), "milc")
+	fc, err := Run(quickCfg(config.Freecursive, 1), "milc", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []config.Protocol{config.Independent, config.Split} {
-		r, err := Run(quickCfg(p, 1), "milc")
+		r, err := Run(quickCfg(p, 1), "milc", nil)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -101,11 +101,11 @@ func TestSDIMMEnergyBelowBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-protocol comparison")
 	}
-	fc, err := Run(quickCfg(config.Freecursive, 1), "lbm")
+	fc, err := Run(quickCfg(config.Freecursive, 1), "lbm", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Run(quickCfg(config.Split, 1), "lbm")
+	sp, err := Run(quickCfg(config.Split, 1), "lbm", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestSDIMMEnergyBelowBaseline(t *testing.T) {
 }
 
 func TestDeterministicResults(t *testing.T) {
-	a, err := Run(quickCfg(config.Independent, 1), "soplex")
+	a, err := Run(quickCfg(config.Independent, 1), "soplex", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(quickCfg(config.Independent, 1), "soplex")
+	b, err := Run(quickCfg(config.Independent, 1), "soplex", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestIndependentTraceReconstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := &Telemetry{Registry: telemetry.NewRegistry(), Trace: true}
-	res, err := RunTraceInstrumented(cfg, "mcf", recs, nil, tel)
+	res, err := RunTrace(cfg, "mcf", recs, nil, tel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,5 +166,65 @@ func TestIndependentTraceReconstruction(t *testing.T) {
 	}
 	if snap.Gauges["sim.cycles"] == 0 {
 		t.Fatal("sim.cycles gauge not set")
+	}
+}
+
+// TestMissSpansEveryProtocol pins the tracing contract of the shared front
+// end: a traced run of any SDIMM protocol records exactly one miss span per
+// read and one writeback.miss span per writeback, and the read spans are the
+// MissLatency samples. The baseline and non-secure backends have no tracer
+// hook, so they record nothing and it is Run's AddHistogram fallback that
+// registers protocol.miss_latency for them. The LLC is shrunk to 8 KB so
+// that a run this short evicts dirty lines and the writeback leg is not
+// vacuous.
+func TestMissSpansEveryProtocol(t *testing.T) {
+	cases := []struct {
+		proto  config.Protocol
+		traced bool
+	}{
+		{config.NonSecure, false},
+		{config.Freecursive, false},
+		{config.Independent, true},
+		{config.Split, true},
+		{config.IndepSplit, true},
+		{config.Ring, true},
+	}
+	for _, c := range cases {
+		t.Run(c.proto.String(), func(t *testing.T) {
+			tel := &Telemetry{Registry: telemetry.NewRegistry(), Trace: true}
+			cfg := quickCfg(c.proto, 2)
+			cfg.LLCBytes = 8 << 10
+			res, err := Run(cfg, "mcf", tel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Backend.Writes == 0 {
+				t.Fatal("run produced no writebacks")
+			}
+			var reads, writes, readSum uint64
+			for _, e := range tel.Tracer.Events() {
+				switch e.Name {
+				case "miss":
+					reads++
+					readSum += e.Dur
+				case "writeback.miss":
+					writes++
+				}
+			}
+			h := res.Backend.MissLatency
+			if !c.traced {
+				if n := tel.Tracer.Len(); n != 0 {
+					t.Fatalf("untraced backend recorded %d events", n)
+				}
+			} else if reads != res.Backend.Reads || writes != res.Backend.Writes || readSum != h.Sum() {
+				t.Fatalf("spans: %d miss (%d cycles), %d writeback.miss; backend: %d reads (%d cycles), %d writes",
+					reads, readSum, writes, res.Backend.Reads, h.Sum(), res.Backend.Writes)
+			}
+			hs, ok := tel.Registry.Snapshot().Histograms["protocol.miss_latency"]
+			if !ok || hs.N != h.N() || h.N() != res.Backend.Reads {
+				t.Fatalf("protocol.miss_latency registered=%v N=%d, backend N=%d, reads=%d",
+					ok, hs.N, h.N(), res.Backend.Reads)
+			}
+		})
 	}
 }

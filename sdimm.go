@@ -63,7 +63,7 @@ type Result = sim.Result
 // Simulate runs one configuration against a named workload profile (one of
 // Workloads()).
 func Simulate(cfg Config, workload string) (Result, error) {
-	return sim.Run(cfg, workload)
+	return sim.Run(cfg, workload, nil)
 }
 
 // Workloads lists the synthetic benchmark profiles (stand-ins for the
