@@ -77,9 +77,10 @@ bench-smoke:
 blame:
 	$(GO) run ./cmd/sdimm-bench -exp blame
 
-# Allocation-regression gates for the steady-state access loop: the CTR
-# keystream every layer above inherits, seal/open, a MemStore bucket open and
-# reseal, Engine.Access, and the journal commit must stay at 0 allocs/op; a
+# Allocation-regression gates for the steady-state access loop: the link's
+# CTR keystream and its seal/open, a MemStore bucket open and reseal (one
+# AES-GCM call each), Engine.Access, and the journal commit must stay at 0
+# allocs/op; a
 # sequential cluster access within its 12-alloc budget; and the flight
 # recorder plus blame collector must add none to a pipelined access.
 # These run without -race on purpose — race instrumentation allocates, so the
@@ -99,7 +100,9 @@ profile:
 # decoders (journal records, checkpoints) must additionally fail closed:
 # anything they accept is chain-authenticated and canonical. The sharded
 # position map's fuzz leg cross-checks it against a plain map under random
-# interleaved Get/Set/Snapshot traffic.
+# interleaved Get/Set/Snapshot traffic. MemStore.RestoreRaw takes sealed
+# buckets of both formats off disk: a wrong length is an error, and nothing a
+# seal under the store's key did not produce may open.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalAccess -fuzztime=20s ./internal/sdimm
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalResponse -fuzztime=20s ./internal/sdimm
@@ -108,6 +111,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecode -fuzztime=20s ./internal/durable
 	$(GO) test -run=NONE -fuzz=FuzzShardedPosMap -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzRingStateDecode -fuzztime=20s ./internal/oram
+	$(GO) test -run=NONE -fuzz=FuzzMemStoreRestoreRaw -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzWireDecode -fuzztime=20s ./internal/serve
 
 # Serving front-end smoke: the in-process sdimm-serve run (two tenants,

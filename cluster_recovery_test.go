@@ -206,51 +206,64 @@ func TestNewSplitClusterFailureStopsWorkers(t *testing.T) {
 
 // TestSplitScrubRepairsCorruptBucket persists a flipped ciphertext bit into
 // a Split checkpoint and recovers: the scrub must rebuild the bucket from
-// the other shards plus parity, and every payload must survive intact.
+// the other members, and every payload must survive intact. The rebuild
+// reseals under the siblings' lockstep counter, a nonce the lost bucket was
+// already sealed under once — legal only because the XOR-recovered plaintext
+// is the original, so the rebuilt bucket must equal, byte for byte, a copy
+// taken before the corruption. Member 1 is a data shard, member 2 the parity.
 func TestSplitScrubRepairsCorruptBucket(t *testing.T) {
-	// Member 1 is a data shard; the parity member (index SDIMMs) is repaired
-	// by the identical XOR, which TestCrashRecoveryCorruptSplit* sweeps hit.
-	opts := SplitClusterOptions{SDIMMs: 2, Levels: 7, Key: []byte("split-rec-key"), Seed: 3,
-		Parity: true, Durability: &DurabilityOptions{Dir: t.TempDir(), Interval: 64}}
-	c, err := NewSplitCluster(opts)
-	if err != nil {
-		t.Fatalf("NewSplitCluster: %v", err)
-	}
-	ops := recWorkload(11, 120, 32)
-	final := map[uint64][]byte{}
-	for i, op := range ops {
-		if op.write {
-			if err := c.Write(op.addr, op.data); err != nil {
-				t.Fatalf("write op %d: %v", i, err)
-			}
-			final[op.addr] = op.data
-		} else if _, err := c.Read(op.addr); err != nil {
-			t.Fatalf("read op %d: %v", i, err)
-		}
-	}
-	if _, ok := c.CorruptBucket(1, 5); !ok {
-		t.Fatal("CorruptBucket found no materialized buckets")
-	}
-	if err := c.ForceCheckpoint(); err != nil {
-		t.Fatalf("ForceCheckpoint: %v", err)
-	}
-	c.Close()
-
-	rc, report, err := RecoverSplitCluster(opts)
-	if err != nil {
-		t.Fatalf("RecoverSplitCluster: %v", err)
-	}
-	defer rc.Close()
-	if report.BucketsRepaired != 1 || report.BucketsUnrecoverable != 0 || len(report.Poisoned) != 0 {
-		t.Fatalf("scrub did not repair cleanly: %+v", report)
-	}
-	for addr, want := range final {
-		got, err := rc.Read(addr)
+	for _, member := range []int{1, 2} {
+		opts := SplitClusterOptions{SDIMMs: 2, Levels: 7, Key: []byte("split-rec-key"), Seed: 3,
+			Parity: true, Durability: &DurabilityOptions{Dir: t.TempDir(), Interval: 64}}
+		c, err := NewSplitCluster(opts)
 		if err != nil {
-			t.Fatalf("read %d after repair: %v", addr, err)
+			t.Fatalf("NewSplitCluster: %v", err)
 		}
-		if !bytes.Equal(got[:len(want)], want) {
-			t.Fatalf("payload of addr %d corrupted despite parity repair", addr)
+		ops := recWorkload(11, 120, 32)
+		final := map[uint64][]byte{}
+		for i, op := range ops {
+			if op.write {
+				if err := c.Write(op.addr, op.data); err != nil {
+					t.Fatalf("write op %d: %v", i, err)
+				}
+				final[op.addr] = op.data
+			} else if _, err := c.Read(op.addr); err != nil {
+				t.Fatalf("read op %d: %v", i, err)
+			}
+		}
+		ms := memStore(c.members[member])
+		idx := ms.BucketIndices()[5]
+		before, _ := ms.RawBucket(idx)
+		if got, ok := c.CorruptBucket(member, 5); !ok || got != idx {
+			t.Fatalf("CorruptBucket(%d, 5) = %d, %v, want bucket %d", member, got, ok, idx)
+		}
+		if now, _ := ms.RawBucket(idx); bytes.Equal(now, before) {
+			t.Fatal("CorruptBucket changed nothing")
+		}
+		if err := c.ForceCheckpoint(); err != nil {
+			t.Fatalf("ForceCheckpoint: %v", err)
+		}
+		c.Close()
+
+		rc, report, err := RecoverSplitCluster(opts)
+		if err != nil {
+			t.Fatalf("RecoverSplitCluster: %v", err)
+		}
+		defer rc.Close()
+		if report.BucketsRepaired != 1 || report.BucketsUnrecoverable != 0 || len(report.Poisoned) != 0 {
+			t.Fatalf("member %d: scrub did not repair cleanly: %+v", member, report)
+		}
+		if rebuilt, _ := memStore(rc.members[member]).RawBucket(idx); !bytes.Equal(rebuilt, before) {
+			t.Fatalf("member %d: rebuilt bucket %d differs from its pre-corruption bytes\n got %x\nwant %x", member, idx, rebuilt, before)
+		}
+		for addr, want := range final {
+			got, err := rc.Read(addr)
+			if err != nil {
+				t.Fatalf("read %d after repair: %v", addr, err)
+			}
+			if !bytes.Equal(got[:len(want)], want) {
+				t.Fatalf("payload of addr %d corrupted despite parity repair", addr)
+			}
 		}
 	}
 }

@@ -426,7 +426,7 @@ func (d *durableState) createDurable(opts *DurabilityOptions, fp durable.Fingerp
 
 // recoverDurable is the recovery sequence on a freshly built cluster (new
 // link sessions): open the state directory, load the newest valid
-// checkpoint, scrub every bucket's PMMAC tag, replay the journal to the last
+// checkpoint, scrub every bucket's tag, replay the journal to the last
 // committed access, put all members into Recovering probation, and persist
 // a post-recovery checkpoint — only then is traffic admitted. The flavour
 // supplies what genuinely differs: extras (its per-member additions to a
@@ -613,7 +613,7 @@ func (c *Cluster) restoreLinks(i int, m durable.MemberState) error {
 	return c.links[i].Dev.RestoreCounters(m.DevSend, m.DevRecv)
 }
 
-// scrub runs the post-restore PMMAC pass over every member's tree: verify
+// scrub runs the post-restore integrity pass over every member's tree: verify
 // every materialized bucket, quarantine the ones whose tag fails, and
 // poison any mapped address whose block can no longer be found anywhere
 // (corrupt bucket on its path, not in the stash or transfer queue). The

@@ -10,10 +10,17 @@
 // data portions available in each bucket"), which multiplies MAC storage by
 // n but lets each SDIMM verify and regenerate independently.
 //
+// Since sealed-bucket format 2 the functional store authenticates a bucket
+// with the AES-GCM tag of the call that encrypts it, bound to the same
+// (position, counter) through the nonce. PMMAC stays for what still holds its
+// tags: oram.MemStore.RestoreRaw verifies a format-1 bucket with it before
+// resealing it format 2, and benchmark/ times it as a primitive. Chain
+// authenticates the durability journal.
+//
 // PMMAC and Chain keep their HMAC state and output scratch across calls so
 // the verify/append paths are allocation-free; as a consequence neither type
-// is safe for concurrent use. Every holder in this repo (a MemStore, a
-// durable Manager) is already single-threaded by construction.
+// is safe for concurrent use. Every holder in this repo (a MemStore upgrading
+// a bucket, a durable Manager) is already single-threaded by construction.
 package integrity
 
 import (

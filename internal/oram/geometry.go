@@ -3,7 +3,7 @@
 // binary tree of Z-slot buckets, a position map, a stash, greedy path
 // eviction and background eviction. The same engine runs in two modes:
 //
-//   - functional: buckets hold real encrypted payloads with PMMAC tags
+//   - functional: buckets hold real encrypted, authenticated payloads
 //     (MemStore); reads return the bytes written — this is the mode library
 //     users and the examples exercise;
 //   - sparse/timing: buckets hold placement metadata only (SparseStore), so

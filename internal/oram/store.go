@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -142,45 +143,56 @@ func (s *SparseStore) WriteBucket(idx uint64, b Bucket) error {
 // memory-footprint introspection).
 func (s *SparseStore) Materialized() int { return len(s.buckets) }
 
-// ErrIntegrity is returned when a bucket fails MAC verification.
+// ErrIntegrity is returned when a bucket fails authentication.
 var ErrIntegrity = errors.New("oram: bucket failed integrity verification")
 
-// MemStore is the functional store: buckets are serialized, encrypted with
-// AES-CTR under a per-bucket counter, and authenticated with PMMAC. It is
-// what a real secure buffer does to its DRAM contents; unit and property
-// tests run the full engine against it. Not safe for concurrent use: the
-// keystream, MAC, and plaintext buffers are reused across calls.
+// MemStore is the functional store: every bucket is serialized and sealed
+// with one AES-128-GCM call, opened with one. It is what a real secure buffer
+// does to its DRAM contents; unit and property tests run the full engine
+// against it. Not safe for concurrent use: the nonce, AAD and plaintext
+// buffers are reused across calls.
 //
-// Sealed buckets (counter || ciphertext || tag, one fixed size per store)
-// live in an arena, so an open or a seal finds its bucket with an array
-// load, not a hash. The arena is lazy: a bucket claims the next slot the
-// first time it is written, slots are carved from slabs of slabBuckets
-// sealed buckets allocated one at a time, and a slab is never reallocated —
-// a bucket's bytes stay where they were first put and every later write
-// reseals them in place. Memory therefore follows the buckets touched, not
-// the 2^Levels the tree could hold. index maps a bucket index below
-// denseLimit to its slot and grows to the next power of two past the
-// largest index written (a tree's first writeback reaches the leaf level,
-// so it is sized once); the store still accepts any uint64, and the rare
-// index at or past denseLimit — no tree that fits in memory has one — is
-// kept in far, a list sorted by index.
+// Sealed format 2 is counter(8) || GCM ciphertext || tag(12). The nonce is
+// idx(6) || counter(6) with GCM's own 32-bit block counter beside it, so no
+// two blocks of any two writes of any two buckets share a pad; the 8-byte
+// bucket index is the AAD. The tag is bound to the nonce, which makes it
+// PMMAC's (position, counter, ciphertext) binding with GHASH in HMAC's
+// place: stale, relocated or flipped bytes fail Open. Both nonce fields are
+// 48 bits, so the store refuses a bucket index or write counter at or past
+// nonceFieldLimit. The AES key is SHA-256("sdimm/bucket/v2|" || key)[:16]:
+// every byte of key reaches the cipher. Format 1 (AES-CTR under
+// idx(8) || counter(8), an 8-byte PMMAC tag) is never sealed again;
+// RestoreRaw recognises it by length and upgrades it (see format1).
+//
+// Sealed buckets (one fixed size per store) live in an arena, so an open or
+// a seal finds its bucket with an array load, not a hash. The arena is lazy:
+// a bucket claims the next slot the first time it is written, slots are
+// carved from slabs of slabBuckets sealed buckets allocated one at a time,
+// and a slab is never reallocated — a bucket's bytes stay where they were
+// first put and every later write reseals them in place. Memory therefore
+// follows the buckets touched, not the 2^Levels the tree could hold. index
+// maps a bucket index below denseLimit to its slot and grows to the next
+// power of two past the largest index written (a tree's first writeback
+// reaches the leaf level, so it is sized once); the rare index at or past
+// denseLimit — no tree that fits in memory has one — is kept in far, a list
+// sorted by index.
 type MemStore struct {
 	z          int
 	blockBytes int
 	rawSize    int // counter (8) || ciphertext || tag, fixed by the shape
-	aead       cipher.Block
-	mac        *integrity.PMMAC
+	gcm        cipher.AEAD
+	key        []byte      // as given to NewMemStore; format1 derives the old schedule from it
 	index      []uint32    // idx -> slot, 0 = never written; len is a power of two
 	far        []farBucket // buckets at idx >= denseLimit, ascending
 	slabs      [][]byte    // slot n (1-based) is the (n-1)th rawSize run across the slabs
 	slots      uint32      // slots claimed so far
 	writes     uint64      // physical bucket seals (see Writes)
 
-	// Reusable scratch: CTR stream state, IV, and the plaintext staging
-	// buffer shared by ReadBucketInto (decode) and PutBucketAt (encode).
-	stream ctrmode.Stream
-	iv     [aes.BlockSize]byte
-	ptBuf  []byte
+	// Reusable scratch: the GCM nonce and AAD, and the plaintext staging
+	// buffer shared by open (decrypt) and put (encode).
+	nonce [12]byte // idx(6) || counter(6)
+	aad   [8]byte  // idx
+	ptBuf []byte
 }
 
 // farBucket is one entry of MemStore.far.
@@ -197,27 +209,36 @@ const (
 	// at the default shape — small against a warmed tree, so the unfilled
 	// tail of the last slab is the only memory the store holds idle.
 	slabBuckets = 256
+
+	// tagSize is the truncated GCM tag of a format-2 bucket.
+	tagSize = 12
+	// nonceFieldLimit bounds bucket indices and write counters: each is a
+	// 48-bit field of the nonce. NewGeometry caps a tree at 48 levels, so
+	// its largest index is 2^48 - 2.
+	nonceFieldLimit = 1 << 48
 )
 
-// NewMemStore builds a functional store. key seeds both the encryption and
-// MAC keys; blockBytes is the payload size of every block.
+// NewMemStore builds a functional store. key seeds the bucket cipher (see
+// MemStore for the derivation); blockBytes is the payload size of every block.
 func NewMemStore(z, blockBytes int, key []byte) (*MemStore, error) {
 	if z <= 0 || blockBytes <= 0 {
 		return nil, fmt.Errorf("oram: invalid store shape z=%d block=%d", z, blockBytes)
 	}
-	kb := make([]byte, 16)
-	copy(kb, key)
-	blk, err := aes.NewCipher(kb)
+	kd := sha256.Sum256(append([]byte("sdimm/bucket/v2|"), key...))
+	blk, err := aes.NewCipher(kd[:16])
 	if err != nil {
 		return nil, fmt.Errorf("oram: store cipher: %w", err)
 	}
-	macKey := append([]byte("pmmac|"), key...)
+	gcm, err := cipher.NewGCMWithTagSize(blk, tagSize)
+	if err != nil {
+		return nil, fmt.Errorf("oram: store cipher: %w", err)
+	}
 	return &MemStore{
 		z:          z,
 		blockBytes: blockBytes,
-		rawSize:    8 + z*(slotHeader+blockBytes) + integrity.TagSize,
-		aead:       blk,
-		mac:        integrity.New(macKey),
+		rawSize:    8 + z*(slotHeader+blockBytes) + tagSize,
+		gcm:        gcm,
+		key:        append([]byte(nil), key...),
 	}, nil
 }
 
@@ -280,7 +301,7 @@ func (s *MemStore) Z() int { return s.z }
 
 const slotHeader = 16 // addr (8) + leaf (8)
 
-func (s *MemStore) plainSize() int { return s.rawSize - 8 - integrity.TagSize }
+func (s *MemStore) plainSize() int { return s.rawSize - 8 - tagSize }
 
 // scratch returns the plaintext staging buffer sized to one bucket.
 func (s *MemStore) scratch() []byte {
@@ -288,6 +309,43 @@ func (s *MemStore) scratch() []byte {
 		s.ptBuf = make([]byte, s.plainSize())
 	}
 	return s.ptBuf[:s.plainSize()]
+}
+
+// bind loads the nonce and AAD of (idx, counter), both below nonceFieldLimit.
+func (s *MemStore) bind(idx, counter uint64) {
+	binary.BigEndian.PutUint64(s.aad[:], idx)
+	copy(s.nonce[:6], s.aad[2:])
+	s.nonce[6], s.nonce[7] = byte(counter>>40), byte(counter>>32)
+	binary.BigEndian.PutUint32(s.nonce[8:], uint32(counter))
+}
+
+// open authenticates the sealed bytes of bucket idx and decrypts them into
+// the plaintext scratch. A stored counter past the nonce field was sealed by
+// nobody, whatever its low 48 bits would verify as.
+func (s *MemStore) open(idx uint64, raw []byte) (pt []byte, counter uint64, err error) {
+	counter = binary.BigEndian.Uint64(raw[:8])
+	if counter < nonceFieldLimit {
+		s.bind(idx, counter)
+		if pt, err = s.gcm.Open(s.scratch()[:0], s.nonce[:], raw[8:], s.aad[:]); err == nil {
+			return pt, counter, nil
+		}
+	}
+	return nil, counter, fmt.Errorf("%w: bucket %d", ErrIntegrity, idx)
+}
+
+// seal encrypts and tags pt as bucket idx under counter, straight into the
+// bucket's arena slot: the slot is the bucket's for life, and its capacity
+// ends with it, so the tag lands in its last bytes.
+func (s *MemStore) seal(idx, counter uint64, pt []byte) error {
+	if idx >= nonceFieldLimit || counter >= nonceFieldLimit {
+		return fmt.Errorf("oram: bucket %d at write counter %d: both must be below 2^48", idx, counter)
+	}
+	raw := s.claim(idx)
+	binary.BigEndian.PutUint64(raw[:8], counter)
+	s.bind(idx, counter)
+	s.gcm.Seal(raw[:8], s.nonce[:], pt, s.aad[:])
+	s.writes++
+	return nil
 }
 
 // ReadBucket implements Store: it decrypts and verifies the bucket. Slot
@@ -306,7 +364,7 @@ func (s *MemStore) ReadBucket(idx uint64) (Bucket, error) {
 	return b, nil
 }
 
-// ReadBucketInto implements Store: decrypt and verify into b without
+// ReadBucketInto implements Store: verify and decrypt into b without
 // allocating. Non-dummy slot Data aliases the store's plaintext scratch —
 // valid only until the next call on the store.
 func (s *MemStore) ReadBucketInto(idx uint64, b *Bucket) error {
@@ -316,14 +374,10 @@ func (s *MemStore) ReadBucketInto(idx uint64, b *Bucket) error {
 		b.Counter = 0
 		return nil
 	}
-	counter := binary.BigEndian.Uint64(raw[:8])
-	ct := raw[8 : 8+s.plainSize()]
-	tag := raw[8+s.plainSize():]
-	if !s.mac.Verify(idx, counter, ct, tag) {
-		return fmt.Errorf("%w: bucket %d", ErrIntegrity, idx)
+	pt, counter, err := s.open(idx, raw)
+	if err != nil {
+		return err
 	}
-	pt := s.scratch()
-	s.keystream(idx, counter, ct, pt)
 	if cap(b.Slots) < s.z {
 		b.Slots = make([]Block, s.z)
 	}
@@ -342,21 +396,35 @@ func (s *MemStore) ReadBucketInto(idx uint64, b *Bucket) error {
 	return nil
 }
 
-// WriteBucket implements Store: it bumps the counter, re-encrypts and
-// re-MACs the bucket (every Path ORAM writeback re-encrypts). The counter
-// is owned by the store and advances monotonically.
+// WriteBucket implements Store: it bumps the counter and reseals the bucket
+// (every Path ORAM writeback re-encrypts). The counter is owned by the store
+// and advances monotonically, so no (idx, counter) nonce is sealed twice.
 func (s *MemStore) WriteBucket(idx uint64, b Bucket) error {
-	return s.PutBucketAt(idx, b, s.Counter(idx)+1)
+	return s.put(idx, b, s.Counter(idx)+1)
 }
 
 // PutBucketAt seals b at idx under an explicit write counter instead of
 // bumping the stored one. The scrub pass uses it to reconstruct a corrupted
 // shard bucket bit-exactly: with the sibling shards' (identical, lockstep)
-// counter and the parity-recovered plaintext, the re-encryption reproduces
-// the exact pre-corruption ciphertext and tag. Slot Data must not alias the
-// store's read scratch: payloads obtained from ReadBucketInto have to be
-// copied before being written back.
+// counter and the parity-recovered plaintext, the seal reproduces the exact
+// pre-corruption ciphertext and tag. Under GCM a repeated (idx, counter)
+// with any other plaintext is fatal, so while the stored bucket verifies the
+// counter must exceed its own; when it is absent or does not verify — the
+// rebuild, where the stored counter bytes may themselves be the damage — any
+// counter in range is taken. Slot Data must not alias the store's read
+// scratch: payloads obtained from ReadBucketInto have to be copied before
+// being written back.
 func (s *MemStore) PutBucketAt(idx uint64, b Bucket, counter uint64) error {
+	if raw := s.sealed(idx); raw != nil && counter <= binary.BigEndian.Uint64(raw[:8]) {
+		if _, stored, err := s.open(idx, raw); err == nil {
+			return fmt.Errorf("oram: bucket %d resealed at counter %d, not past its verified counter %d", idx, counter, stored)
+		}
+	}
+	return s.put(idx, b, counter)
+}
+
+// put serializes b into the scratch and seals it at (idx, counter).
+func (s *MemStore) put(idx uint64, b Bucket, counter uint64) error {
 	if len(b.Slots) != s.z {
 		return fmt.Errorf("oram: bucket with %d slots written to Z=%d store", len(b.Slots), s.z)
 	}
@@ -375,19 +443,11 @@ func (s *MemStore) PutBucketAt(idx uint64, b Bucket, counter uint64) error {
 			copy(pt[off+slotHeader:off+slotHeader+s.blockBytes], slot.Data)
 		}
 	}
-	// Reseal in place: the arena slot is the bucket's for life, and raw's
-	// capacity ends with it, so the tag is appended into its last bytes.
-	raw := s.claim(idx)
-	binary.BigEndian.PutUint64(raw[:8], counter)
-	ct := raw[8 : 8+len(pt)]
-	s.keystream(idx, counter, pt, ct)
-	s.mac.AppendTag(raw[:8+len(pt)], idx, counter, ct)
-	s.writes++
-	return nil
+	return s.seal(idx, counter, pt)
 }
 
 // Writes returns the number of physical bucket seals this store has
-// performed — every encrypt-and-MAC of a bucket, whatever triggered it.
+// performed — every encrypt-and-tag of a bucket, whatever triggered it.
 // The ring-eviction write-traffic gate compares this across backends at
 // equal workload.
 func (s *MemStore) Writes() uint64 { return s.writes }
@@ -412,7 +472,7 @@ func (s *MemStore) BucketIndices() []uint64 {
 // RawBucket returns a copy of the sealed on-"DRAM" bytes of a bucket
 // (counter || ciphertext || tag) and whether the bucket exists. Checkpoints
 // persist the sealed form verbatim so a restore is bit-exact and the
-// stored MACs keep protecting the payload at rest.
+// stored tags keep protecting the payload at rest.
 func (s *MemStore) RawBucket(idx uint64) ([]byte, bool) {
 	raw := s.sealed(idx)
 	if raw == nil {
@@ -421,15 +481,55 @@ func (s *MemStore) RawBucket(idx uint64) ([]byte, bool) {
 	return append([]byte(nil), raw...), true
 }
 
-// RestoreRaw installs sealed bucket bytes captured by RawBucket. Only the
-// length is validated here; authenticity is checked by ReadBucket (and the
-// post-restore scrub pass) via the embedded PMMAC tag.
+// RestoreRaw installs sealed bucket bytes captured by RawBucket. The two
+// sealed formats differ in length (an 8-byte tag against a 12-byte one), so
+// for one store shape the length says which this is. Format-2 bytes are
+// installed verbatim — authenticity is checked by ReadBucket (and the
+// post-restore scrub pass) via the embedded tag. Format-1 bytes are upgraded
+// on the way in (see format1).
 func (s *MemStore) RestoreRaw(idx uint64, raw []byte) error {
-	if len(raw) != s.rawSize {
-		return fmt.Errorf("oram: restored bucket %d is %d bytes, want %d", idx, len(raw), s.rawSize)
+	if idx >= nonceFieldLimit {
+		return fmt.Errorf("oram: restored bucket index %d: must be below 2^48", idx)
 	}
-	copy(s.claim(idx), raw)
-	return nil
+	switch len(raw) {
+	case s.rawSize:
+		copy(s.claim(idx), raw)
+		return nil
+	case s.rawSize - tagSize + integrity.TagSize:
+		return s.format1(idx, raw)
+	}
+	return fmt.Errorf("oram: restored bucket %d is %d bytes, want %d", idx, len(raw), s.rawSize)
+}
+
+// format1 is the one-way upgrade of a bucket sealed before format 2
+// (counter || AES-CTR ciphertext || 8-byte PMMAC tag, the AES key the first
+// 16 bytes of key, the IV idx(8) || counter(8)). A bucket whose PMMAC
+// verifies is decrypted with the old schedule and resealed format 2 under
+// the same counter, so the members of a Split cluster stay in lockstep. One
+// that does not is installed as it came, short of a tag that could verify,
+// so the scrub counts and repairs it exactly where it would have. The old
+// schedule is rebuilt per call: a state directory is upgraded once, and the
+// store keeps nothing of format 1 between calls. Nothing seals format 1.
+func (s *MemStore) format1(idx uint64, raw []byte) error {
+	counter := binary.BigEndian.Uint64(raw[:8])
+	ct, tag := raw[8:8+s.plainSize()], raw[8+s.plainSize():]
+	if !integrity.New(append([]byte("pmmac|"), s.key...)).Verify(idx, counter, ct, tag) {
+		dst := s.claim(idx)
+		clear(dst[copy(dst, raw):])
+		return nil
+	}
+	kb := make([]byte, 16)
+	copy(kb, s.key)
+	blk, err := aes.NewCipher(kb)
+	if err != nil {
+		return fmt.Errorf("oram: format-1 cipher: %w", err)
+	}
+	var iv [aes.BlockSize]byte
+	binary.BigEndian.PutUint64(iv[:8], idx)
+	binary.BigEndian.PutUint64(iv[8:], counter)
+	pt := s.scratch()
+	new(ctrmode.Stream).XORKeyStream(blk, &iv, pt, ct)
+	return s.seal(idx, counter, pt)
 }
 
 // Counter returns the stored write counter of a bucket (0 if the bucket was
@@ -452,14 +552,4 @@ func (s *MemStore) Corrupt(idx uint64) bool {
 	}
 	raw[8] ^= 0x01
 	return true
-}
-
-// keystream XORs src into dst with the AES-CTR stream bound to (bucket,
-// counter), so every write of every bucket uses a fresh pad. ctrmode is
-// bit-identical to the stdlib CTR this originally used, so sealed bytes
-// persisted by old checkpoints still decrypt.
-func (s *MemStore) keystream(idx, counter uint64, src, dst []byte) {
-	binary.BigEndian.PutUint64(s.iv[:8], idx)
-	binary.BigEndian.PutUint64(s.iv[8:], counter)
-	s.stream.XORKeyStream(s.aead, &s.iv, dst, src)
 }

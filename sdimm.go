@@ -4,8 +4,8 @@
 //
 // It provides three layers:
 //
-//   - A functional Path ORAM (type ORAM) with real AES-CTR encrypted
-//     buckets and PMMAC integrity, plus a distributed variant (type
+//   - A functional Path ORAM (type ORAM) with real AES-GCM sealed buckets
+//     (PMMAC's position-and-counter binding), plus a distributed variant (type
 //     Cluster) that runs the paper's Independent protocol across several
 //     secure-buffer instances — usable as an oblivious block store.
 //
