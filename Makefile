@@ -78,15 +78,16 @@ blame:
 	$(GO) run ./cmd/sdimm-bench -exp blame
 
 # Allocation-regression gates for the steady-state access loop: the link's
-# CTR keystream and its seal/open, a MemStore bucket open and reseal (one
-# AES-GCM call each), Engine.Access, and the journal commit must stay at 0
-# allocs/op; a
-# sequential cluster access within its 12-alloc budget; and the flight
-# recorder plus blame collector must add none to a pipelined access.
+# CTR keystream, its seal/open (CTR pad + AES-GMAC tag) and a whole
+# fault.Transactor exchange over the fault-free link, a MemStore bucket open
+# and reseal (one AES-GCM call each), Engine.Access, and the journal commit
+# must stay at 0 allocs/op; a sequential cluster access within its 2-alloc
+# budget; and the flight recorder plus blame collector must add none to a
+# pipelined access.
 # These run without -race on purpose — race instrumentation allocates, so the
 # gate tests skip themselves under it (see internal/raceflag).
 alloc-gates:
-	$(GO) test -run 'ZeroAlloc|AllocBudget|AddNoAllocs' -count=1 . ./internal/ctrmode ./internal/seccomm ./internal/oram ./internal/durable
+	$(GO) test -run 'ZeroAlloc|AllocBudget|AddNoAllocs' -count=1 . ./internal/ctrmode ./internal/seccomm ./internal/fault ./internal/oram ./internal/durable
 
 # CPU and heap profiles of the access hot path, for digging into a
 # regression the alloc gates or the benchmark surfaced. Inspect with
@@ -100,9 +101,12 @@ profile:
 # decoders (journal records, checkpoints) must additionally fail closed:
 # anything they accept is chain-authenticated and canonical. The sharded
 # position map's fuzz leg cross-checks it against a plain map under random
-# interleaved Get/Set/Snapshot traffic. MemStore.RestoreRaw takes sealed
-# buckets of both formats off disk: a wrong length is an error, and nothing a
-# seal under the store's key did not produce may open.
+# interleaved Get/Set/Snapshot traffic, and the stash's checks the sorted
+# slice against a plain map the same way. FuzzWritePath compares the engine's
+# greedy writeback, bucket for bucket, with the sorted-copy selection it
+# replaced. MemStore.RestoreRaw takes sealed buckets of both formats off
+# disk: a wrong length is an error, and nothing a seal under the store's key
+# did not produce may open.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalAccess -fuzztime=20s ./internal/sdimm
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalResponse -fuzztime=20s ./internal/sdimm
@@ -110,6 +114,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzJournalDecode -fuzztime=20s ./internal/durable
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecode -fuzztime=20s ./internal/durable
 	$(GO) test -run=NONE -fuzz=FuzzShardedPosMap -fuzztime=20s ./internal/oram
+	$(GO) test -run=NONE -fuzz=FuzzStash -fuzztime=20s ./internal/oram
+	$(GO) test -run=NONE -fuzz=FuzzWritePath -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzRingStateDecode -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzMemStoreRestoreRaw -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzWireDecode -fuzztime=20s ./internal/serve

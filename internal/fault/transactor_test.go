@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sdimm/internal/raceflag"
 	"sdimm/internal/seccomm"
 )
 
@@ -74,6 +75,34 @@ func TestExchangeOverPerfectLink(t *testing.T) {
 	}
 	if s := tr.Stats(); s.Exchanges != 3 || s.Retries != 0 {
 		t.Fatalf("stats %+v", s)
+	}
+}
+
+// TestExchangeZeroAlloc is the allocation gate for the fault-free link: once
+// the frame buffers have grown, a whole exchange — seal, deliver, open, serve,
+// seal, deliver, open — must not touch the heap, whether the transactor was
+// given no Link or Perfect{}. Part of `make alloc-gates`.
+func TestExchangeZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc gates run without -race")
+	}
+	for name, link := range map[string]Link{"nil": nil, "Perfect": Perfect{}} {
+		tr, _ := newTransactor(t, link)
+		resp := make([]byte, 90)
+		tr.Serve = func([]byte) ([]byte, error) { return resp, nil }
+		body := make([]byte, 33)
+		exchange := func() {
+			got, err := tr.Exchange(body)
+			if err != nil || len(got) != len(resp) {
+				t.Fatalf("%s link: exchange: %d bytes, %v", name, len(got), err)
+			}
+		}
+		for i := 0; i < 4; i++ { // grow the scratch
+			exchange()
+		}
+		if n := testing.AllocsPerRun(500, exchange); n != 0 {
+			t.Errorf("%s link: Exchange allocates %.1f objects per exchange in steady state, want 0", name, n)
+		}
 	}
 }
 

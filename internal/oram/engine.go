@@ -1,11 +1,8 @@
 package oram
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
 
 	"sdimm/internal/rng"
 )
@@ -110,17 +107,17 @@ type Engine struct {
 
 	// Reusable hot-path scratch. One steady-state access performs zero heap
 	// allocations: the path index buffers, the bucket staging areas, the
-	// writeback candidate list, and the response payload are all reused, and
-	// every stash payload lives in an engine-owned buffer recycled through
-	// freeBufs when its block is written back to the tree. Buffers handed
-	// out (Access/AccessAt results, plan.Path, plan.BackgroundLeaves) are
-	// valid only until the next engine operation.
+	// writeback's per-block scratch, and the response payload are all
+	// reused, and every stash payload lives in an engine-owned buffer
+	// recycled through freeBufs when its block is written back to the tree.
+	// Buffers handed out (Access/AccessAt results, plan.Path,
+	// plan.BackgroundLeaves) are valid only until the next engine operation.
 	pathBuf   []uint64 // ReadPath's working path
 	planPath  []uint64 // accessPath's stable copy handed out via AccessPlan
 	readBkt   Bucket   // ReadPath bucket staging
 	writeBkt  Bucket   // WritePath bucket staging
-	cands     []Block  // WritePath candidate list
-	placed    map[uint64]bool
+	depths    []int8   // WritePath: deepest level of the path each stash block may go to
+	placed    []bool   // WritePath: stash block already written into a bucket
 	leavesBuf []uint64 // DrainStash result
 	respBuf   []byte   // accessed payload snapshot returned to callers
 	freeBufs  [][]byte // recycled stash payload buffers
@@ -420,19 +417,16 @@ func (e *Engine) WritePath(leaf uint64) error {
 	if !e.pending || e.pendingLeaf != leaf {
 		return fmt.Errorf("oram: WritePath(%d) without matching ReadPath", leaf)
 	}
-	// Deterministic candidate order: sort by address (addresses are unique
-	// in the stash, so the order is total and matches the previous
-	// sort.Slice selection exactly).
-	e.cands = e.cands[:0]
-	e.stash.Range(func(b Block) bool {
-		e.cands = append(e.cands, b)
-		return true
-	})
-	slices.SortFunc(e.cands, func(a, b Block) int { return cmp.Compare(a.Addr, b.Addr) })
-	if e.placed == nil {
-		e.placed = make(map[uint64]bool)
+	// Candidates are taken in address order, which is the order the stash
+	// keeps its blocks in; each block's deepest legal level on this path is
+	// computed once.
+	blocks := e.stash.blocks
+	depths, placed := e.depths[:0], e.placed[:0]
+	for _, b := range blocks {
+		depths = append(depths, int8(e.geom.CommonDepth(b.Leaf, leaf)))
+		placed = append(placed, false)
 	}
-	clear(e.placed)
+	e.depths, e.placed = depths, placed
 
 	z := e.store.Z()
 	fill := z
@@ -444,17 +438,14 @@ func (e *Engine) WritePath(leaf uint64) error {
 	for lvl := e.geom.Levels - 1; lvl >= 0; lvl-- {
 		resetSlots(&e.writeBkt, z)
 		n := 0
-		for _, b := range e.cands {
+		for i := range blocks {
 			if n == fill {
 				break
 			}
-			if e.placed[b.Addr] {
-				continue
-			}
-			if e.geom.CommonDepth(b.Leaf, leaf) >= lvl {
-				e.writeBkt.Slots[n] = b
+			if !placed[i] && int(depths[i]) >= lvl {
+				e.writeBkt.Slots[n] = blocks[i]
 				n++
-				e.placed[b.Addr] = true
+				placed[i] = true
 			}
 		}
 		idx := e.geom.BucketAt(leaf, lvl)
@@ -466,14 +457,18 @@ func (e *Engine) WritePath(leaf uint64) error {
 			delete(e.ringInvalid, idx)
 		}
 	}
-	for addr := range e.placed {
-		if blk, ok := e.stash.Remove(addr); ok {
-			// The tree now owns the block; its stash payload buffer is free
-			// for reuse. (Map iteration order varies, but free-list order is
-			// invisible: recycled buffers are fully overwritten on reuse.)
-			e.recycle(blk.Data)
+	// The tree now owns the placed blocks: their stash payload buffers are
+	// free for reuse, and the unplaced ones close up in place, still sorted.
+	kept := blocks[:0]
+	for i, b := range blocks {
+		if placed[i] {
+			e.recycle(b.Data)
+		} else {
+			kept = append(kept, b)
 		}
 	}
+	clear(blocks[len(kept):])
+	e.stash.blocks = kept
 	e.pending = false
 	e.stats.PathWrites++
 	return nil
@@ -550,8 +545,8 @@ func (e *Engine) RandState() [4]uint64 { return e.rand.State() }
 // RestoreRandState loads a RandState snapshot.
 func (e *Engine) RestoreRandState(s [4]uint64) { e.rand.Restore(s) }
 
-// StashBlocks returns a deep copy of the stash contents sorted by address
-// (checkpoint capture; the sort makes the snapshot byte-stable).
+// StashBlocks returns a deep copy of the stash contents in address order
+// (checkpoint capture; the stash's own order makes the snapshot byte-stable).
 func (e *Engine) StashBlocks() []Block {
 	out := make([]Block, 0, e.stash.Len())
 	e.stash.Range(func(b Block) bool {
@@ -559,7 +554,6 @@ func (e *Engine) StashBlocks() []Block {
 		out = append(out, b)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 

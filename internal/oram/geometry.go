@@ -14,7 +14,10 @@
 // rank-per-subtree low-power layout of Section III-E.
 package oram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Geometry captures the shape of a Path ORAM tree: Levels tree levels with
 // the root at level 0 and leaves at level Levels-1.
@@ -49,11 +52,7 @@ func (g Geometry) Buckets() uint64 { return 1<<g.Levels - 1 }
 // LevelOf returns the level of a bucket index (heap order: root 0,
 // children of i at 2i+1 and 2i+2).
 func (g Geometry) LevelOf(bucket uint64) int {
-	lvl := 0
-	for n := bucket + 1; n > 1; n >>= 1 {
-		lvl++
-	}
-	return lvl
+	return bits.Len64(bucket+1) - 1
 }
 
 // BucketAt returns the bucket index at the given level on the path to leaf.
@@ -80,13 +79,7 @@ func (g Geometry) Path(leaf uint64, buckets []uint64) []uint64 {
 // CommonDepth returns the deepest level at which the paths to two leaves
 // share a bucket (0 = only the root is shared).
 func (g Geometry) CommonDepth(a, b uint64) int {
-	x := a ^ b
-	d := g.Levels - 1
-	for x != 0 {
-		x >>= 1
-		d--
-	}
-	return d
+	return g.Levels - 1 - bits.Len64(a^b)
 }
 
 // ValidLeaf reports whether leaf is in range.

@@ -54,7 +54,7 @@ func TestSealOpenZeroAlloc(t *testing.T) {
 	sealBuf := make([]byte, 0, len(pt)+MACSize)
 	openBuf := make([]byte, 0, len(pt))
 
-	// Warm up any lazy state (HMAC marshaling paths and the like).
+	// Warm up any lazy state.
 	for i := 0; i < 4; i++ {
 		f := host.SealAppend(sealBuf[:0], pt)
 		if _, err := dev.OpenAppend(openBuf[:0], f); err != nil {

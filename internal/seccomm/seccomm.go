@@ -9,6 +9,27 @@
 // added latency to one XOR. The DDR channel is lossless and ordered, so the
 // two endpoints advance their counters in lockstep and no counter needs to
 // travel with the data.
+//
+// A frame is ct || tag(8): CTR-then-GMAC. Each direction has two AES-128
+// keys, one per purpose, both taken from that direction's 32-byte HMAC-SHA256
+// expansion of the ECDH secret: bytes 0..15 key the CTR pad, bytes 16..31 key
+// AES-GMAC (crypto/cipher's GCM with the ciphertext as additional data and
+// nothing encrypted), whose 16-byte tag is truncated to MACSize. The GMAC
+// nonce is 0x00000000 || counter(8). It is unique per direction key because a
+// counter is only ever sealed twice through ResendFrom, whose contract — seal
+// the identical bytes again — makes the second seal the same nonce over the
+// same data giving the same tag, which is a retransmission and not a nonce
+// reuse. Breaking that contract would expose the GMAC hash key as well as the
+// XOR of two plaintexts. A 64-bit truncated GMAC tag bounds one forgery
+// attempt on an l-block frame at about l/2^64 (NIST SP 800-38D, Appendix C);
+// attempts are online only, and each failed one is an ErrAuth the fault layer
+// counts toward abandoning the exchange and failing the SDIMM. Sessions are
+// keyed afresh by every Handshake and never persisted.
+//
+// One AEAD call per frame (as the bucket store does) is not used: the
+// standard library's smallest GCM tag is 12 bytes, and the 8-byte tag is part
+// of the wire format — every frame size the witness and the link observables
+// pin includes it.
 package seccomm
 
 import (
@@ -22,7 +43,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 
 	"sdimm/internal/ctrmode"
@@ -193,7 +213,7 @@ func (m *Metrics) observeResync() {
 // an upstream (CPU -> SDIMM) and downstream (SDIMM -> CPU) cipher state;
 // Seal uses the endpoint's send direction and Open its receive direction.
 // A Session is not safe for concurrent use: the cipher states carry
-// reusable keystream and MAC scratch so seal/open never allocate.
+// reusable keystream and tag scratch so seal/open never allocate.
 type Session struct {
 	send cipherState
 	recv cipherState
@@ -205,17 +225,23 @@ type Session struct {
 func (s *Session) SetMetrics(m *Metrics) { s.m = m }
 
 type cipherState struct {
-	block   cipher.Block
+	block   cipher.Block // CTR pad key
+	gmac    cipher.AEAD  // GCM under the direction's second key, used for its tag only
 	counter uint64
 
-	// Reusable scratch: the CTR stream state, the keyed HMAC (Reset per
-	// message), the 8-byte counter header, and the MAC output buffer.
+	// Reusable scratch: the CTR stream state and IV, the GMAC nonce (its
+	// first four bytes stay zero), and the untruncated tag.
 	stream ctrmode.Stream
 	iv     [aes.BlockSize]byte
-	mac0   hash.Hash
-	hdr    [8]byte
-	sum    [sha256.Size]byte
+	nonce  [gmacNonceSize]byte
+	sum    [gmacTagSize]byte
 }
+
+// The standard GCM nonce and tag sizes (cipher.NewGCM).
+const (
+	gmacNonceSize = 12
+	gmacTagSize   = 16
+)
 
 // Handshake establishes a session pair. The host verifies the device
 // against the authority, generates an ephemeral key (the RECEIVE_SECRET
@@ -261,8 +287,9 @@ func Handshake(host io.Reader, dev *Device, auth *Authority) (*Session, *Session
 	return hostSess, devSess, nil
 }
 
-// deriveSession expands the shared secret into two AES keys and two MAC
-// keys via HMAC-SHA256 with direction labels.
+// deriveSession expands the shared secret via HMAC-SHA256 with direction
+// labels into one 32-byte block per direction: an AES-128 CTR key and an
+// AES-128 GMAC key.
 func deriveSession(secret []byte, id string, isHost bool) (*Session, error) {
 	expand := func(label string) []byte {
 		m := hmac.New(sha256.New, secret)
@@ -276,7 +303,15 @@ func deriveSession(secret []byte, id string, isHost bool) (*Session, error) {
 		if err != nil {
 			return cipherState{}, fmt.Errorf("seccomm: aes: %w", err)
 		}
-		return cipherState{block: block, mac0: hmac.New(sha256.New, keys[16:])}, nil
+		macBlock, err := aes.NewCipher(keys[16:32])
+		if err != nil {
+			return cipherState{}, fmt.Errorf("seccomm: aes: %w", err)
+		}
+		gmac, err := cipher.NewGCM(macBlock)
+		if err != nil {
+			return cipherState{}, fmt.Errorf("seccomm: gcm: %w", err)
+		}
+		return cipherState{block: block, gmac: gmac}, nil
 	}
 	up, err := mk("upstream")
 	if err != nil {
@@ -300,14 +335,12 @@ func (cs *cipherState) pad(ctr uint64, data []byte) {
 	cs.stream.XORKeyStream(cs.block, &cs.iv, data, data)
 }
 
-// mac returns the truncated frame MAC in cs's reusable output buffer —
-// valid only until the next mac call on cs.
+// mac returns the truncated frame tag — AES-GMAC over the ciphertext under
+// nonce 0^32 || ctr — in cs's reusable output buffer, valid only until the
+// next mac call on cs. GCM encrypts nothing here: ct is the additional data.
 func (cs *cipherState) mac(ctr uint64, ct []byte) []byte {
-	cs.mac0.Reset()
-	binary.BigEndian.PutUint64(cs.hdr[:], ctr)
-	cs.mac0.Write(cs.hdr[:])
-	cs.mac0.Write(ct)
-	return cs.mac0.Sum(cs.sum[:0])[:MACSize]
+	binary.BigEndian.PutUint64(cs.nonce[gmacNonceSize-8:], ctr)
+	return cs.gmac.Seal(cs.sum[:0], cs.nonce[:], nil, ct)[:MACSize]
 }
 
 // Seal encrypts and authenticates a message for the peer, returning
@@ -419,8 +452,9 @@ func (s *Session) RestoreCounters(send, recv uint64) error {
 // ResendFrom rewinds the send counter to ctr so an unacknowledged frame can
 // be retransmitted. SECURITY: the caller must re-Seal the exact bytes it
 // sealed at ctr the first time — sealing a different plaintext at a reused
-// counter reuses the CTR pad and leaks the XOR of the two plaintexts. The
-// counter can only move backwards (over frames the peer never accepted);
+// counter reuses the CTR pad and leaks the XOR of the two plaintexts, and
+// reuses the GMAC nonce over different data, which gives away the tag key.
+// The counter can only move backwards (over frames the peer never accepted);
 // skipping ahead is rejected.
 func (s *Session) ResendFrom(ctr uint64) error {
 	if ctr > s.send.counter {

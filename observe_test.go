@@ -138,16 +138,20 @@ func TestPipelineBlameRegression(t *testing.T) {
 
 // TestObserversAddNoAllocs is the always-on-observability allocation gate:
 // the batched pipeline with the flight recorder and blame collector attached
-// must allocate no more per 64-op Do than the bare pipeline. The count
-// is deterministic, so it is compared whole rather than divided down to one
-// access — three allocations per wave would vanish in that division. Part of
+// must allocate no more per 64-op Do than the bare pipeline. The count is
+// taken whole over twenty Do's rather than divided down to one access —
+// three allocations per wave would vanish in that division — and without
+// testing.AllocsPerRun's integer average: the pipeline's own count is exact,
+// but the runtime adds zero to three allocations to either side's twenty
+// Do's, and a total that sits on a multiple of twenty (6999…7002 since the
+// link stopped allocating) then rounds to two different averages. Part of
 // `make alloc-gates`.
 func TestObserversAddNoAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc gates run without -race")
 	}
-	const batchLen = 64
-	allocsPerDo := func(fr *flight.Recorder, col *blame.Collector) int {
+	const batchLen, runs = 64, 20
+	allocs := func(fr *flight.Recorder, col *blame.Collector) int {
 		c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 12, Seed: 1, Flight: fr, Blame: col})
 		if err != nil {
 			t.Fatal(err)
@@ -167,16 +171,26 @@ func TestObserversAddNoAllocs(t *testing.T) {
 			}
 		}
 		// Warm the stash, the op pool and the collector's wave free-list.
-		for w := 0; w < 4; w++ {
+		for w := 0; w < 5; w++ {
 			do()
 		}
-		return int(testing.AllocsPerRun(20, do))
+		// Measured the way AllocsPerRun does: one P, Mallocs before and after.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			do()
+		}
+		runtime.ReadMemStats(&after)
+		return int(after.Mallocs - before.Mallocs)
 	}
-	bare := allocsPerDo(nil, nil)
-	observed := allocsPerDo(flight.New(4, 1024), blame.NewCollector(4, 256))
-	if observed > bare {
-		t.Fatalf("flight recorder + blame collector add %d allocs per %d-op Do (%d bare, %d observed), want +0",
-			observed-bare, batchLen, bare, observed)
+	bare := allocs(nil, nil)
+	observed := allocs(flight.New(4, 1024), blame.NewCollector(4, 256))
+	// Half an allocation per Do is above the runtime's jitter and far below
+	// the least an observer could add (one per Do is +20, one per wave +160).
+	if observed-bare >= runs/2 {
+		t.Fatalf("flight recorder + blame collector add %d allocs over %d %d-op Do's (%d bare, %d observed), want +0",
+			observed-bare, runs, batchLen, bare, observed)
 	}
 }
 
