@@ -2,9 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build vet test race short chaos fuzz telemetry-smoke serve-smoke bench-smoke blame alloc-gates profile soak soak-short ci
+.PHONY: all fmt build vet test race short chaos fuzz telemetry-smoke serve-smoke bench-smoke blame alloc-gates profile soak soak-short ci
 
 all: ci
+
+# Formatting is a gate: any file gofmt would rewrite fails the build.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt would rewrite:"; gofmt -l .; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -82,8 +86,9 @@ blame:
 # fault.Transactor exchange over the fault-free link, a MemStore bucket open
 # and reseal (one AES-GCM call each), Engine.Access, and the journal commit
 # must stay at 0 allocs/op; a sequential cluster access within its 2-alloc
-# budget; and the flight recorder plus blame collector must add none to a
-# pipelined access.
+# budget and a warm 64-op Pipeline.Do within 192 objects, inline and with
+# workers (TestPipelineDoAllocBudget: a hand-off allocates nothing); and the
+# flight recorder plus blame collector must add none to a pipelined access.
 # These run without -race on purpose — race instrumentation allocates, so the
 # gate tests skip themselves under it (see internal/raceflag).
 alloc-gates:
@@ -148,4 +153,4 @@ soak-short:
 	$(GO) test -race -count=1 -short -run 'TestPipelineSoak|TestPipelineBlameRegression' .
 	$(GO) test -race -count=20 ./internal/witness
 
-ci: build vet race soak-short alloc-gates telemetry-smoke serve-smoke bench-smoke chaos
+ci: fmt build vet race soak-short alloc-gates telemetry-smoke serve-smoke bench-smoke chaos

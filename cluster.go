@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"sdimm/internal/blame"
 	"sdimm/internal/durable"
@@ -891,13 +892,13 @@ type SplitClusterOptions struct {
 	// DegradeAfter marks a shard Degraded after this many consecutive
 	// failures (default 3).
 	DegradeAfter int
-	// Parallelism, when > 1, fans each access's per-bucket shard slices out
-	// to persistent per-member worker goroutines and joins on a barrier
-	// instead of walking the members in a loop. Every member still executes
-	// exactly the same operation sequence in the same order, so a
-	// Parallelism: 1 cluster and a Parallelism: N cluster with the same
-	// seed evolve bit-identically (see DESIGN.md, Concurrency model). Call
-	// Close when done to stop the workers.
+	// Parallelism decides where each member's share of an access runs: 1
+	// (or unset) = inline on the caller, one member after the other, no
+	// goroutine at all — the reference; > 1 = one persistent goroutine per
+	// member joined on a barrier, however large the value. Every member
+	// executes the same operation sequence either way, so clusters with the
+	// same seed evolve bit-identically (see DESIGN.md, Concurrency model).
+	// Call Close when done to stop the workers.
 	Parallelism int
 	// Telemetry, when set, receives cluster.* access counters (including
 	// cluster.reconstructions) and per-member health-state gauges.
@@ -938,7 +939,8 @@ type SplitCluster struct {
 	shard      int // bytes of every block each member holds
 	dataShards int // members[:dataShards] hold data slices; the parity member, if any, follows
 	leaves     uint64
-	workers    *workerPool // nil: member fan-out runs inline
+	workers    *workerPool // one slot per member; inline at Parallelism ≤ 1
+	fanWG      sync.WaitGroup
 	// Position map, RNG, the member list with its health and factory,
 	// telemetry, durability.
 	durableState
@@ -1050,9 +1052,7 @@ func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 		watchHealth(opts.Telemetry, opts.Tracer, nil, h, i)
 		c.health = append(c.health, h)
 	}
-	if opts.Parallelism > 1 {
-		c.workers = newWorkerPool(n, opts.Parallelism, 4)
-	}
+	c.workers = newWorkerPool(n, opts.Parallelism, 1)
 	c.initElastic(n)
 	return c, nil
 }
@@ -1060,9 +1060,7 @@ func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 // Close stops the fan-out workers and releases the durability manager.
 // Idempotent.
 func (c *SplitCluster) Close() {
-	if c.workers != nil {
-		c.workers.close()
-	}
+	c.workers.close()
 	if c.dur != nil {
 		c.dur.Close()
 	}
@@ -1134,34 +1132,26 @@ func (c *SplitCluster) solveSlice(cw []byte, i int) {
 }
 
 // fanOut runs step as every live member's share of one lockstep operation —
-// on the member's worker goroutine when the cluster is parallel, inline
-// otherwise — and joins. Either way each member executes the identical
-// operation sequence. step touches only member-owned state plus that
-// member's own region of whatever the caller shares, so the fan-out is
+// wherever the pool runs shares — and joins. Either way each member executes
+// the identical operation sequence. step touches only member-owned state plus
+// that member's own region of whatever the caller shares, so the fan-out is
 // race-free; after the barrier the coordinator observes every write a step
 // made, and the lowest-index error wins at any parallelism.
 func (c *SplitCluster) fanOut(op string, step func(i int, b *isdimm.Buffer) error) error {
 	errs := resized(c.errScratch, len(c.members))
 	c.errScratch = errs
-	for i, b := range c.members {
-		if c.health[i].State() == fault.Failed {
-			continue
-		}
-		run := func() {
-			if err := step(i, b); err != nil {
-				c.health[i].Failure(err)
-				errs[i] = c.wrapErr(i, op, err)
-			}
-		}
-		if c.workers != nil {
-			c.workers.submit(i, run)
-		} else {
-			run()
+	share := func(i int) {
+		if err := step(i, c.members[i]); err != nil {
+			c.health[i].Failure(err)
+			errs[i] = c.wrapErr(i, op, err)
 		}
 	}
-	if c.workers != nil {
-		c.workers.barrier()
+	for i := range c.members {
+		if c.health[i].State() != fault.Failed {
+			c.workers.submitWG(i, &c.fanWG, share)
+		}
 	}
+	c.fanWG.Wait()
 	for _, e := range errs {
 		if e != nil {
 			return e

@@ -3,12 +3,13 @@
 // journal commit, the full cluster access — and reports allocs/op so a
 // regression in any layer's memory discipline is visible at a glance. The
 // hard 0-alloc gates live next to each layer (ctrmode, seccomm, fault, oram,
-// durable) and the cluster's 2-alloc budget at the end of this file; all run
-// in `make ci` as `make alloc-gates`. `make profile` takes CPU and heap
-// profiles of these loops.
+// durable) and the cluster's and pipeline's budgets at the end of this file;
+// all run in `make ci` as `make alloc-gates`. `make profile` takes CPU and
+// heap profiles of these loops.
 package sdimm
 
 import (
+	"runtime"
 	"testing"
 
 	"sdimm/internal/durable"
@@ -130,23 +131,29 @@ func benchClusterAccess(b *testing.B) {
 	}
 }
 
-// warmClusterAccess builds the hot-path cluster, warms its stashes, free
-// lists and link scratch, and returns the steady-state loop body: access i
-// alternates a write and a read over the warmed addresses.
-func warmClusterAccess(tb testing.TB) func(i int) {
-	c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 12, Seed: 1})
+// warmCluster builds the hot-path cluster over n SDIMMs and warms its
+// stashes, free lists and link scratch over addresses 0…63.
+func warmCluster(tb testing.TB, n int) *Cluster {
+	c, err := NewCluster(ClusterOptions{SDIMMs: n, Levels: 12, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	payload := make([]byte, 64)
-	const addrs = 64
-	for i := 0; i < 2*addrs; i++ {
-		if err := c.Write(uint64(i%addrs), payload); err != nil {
+	for i := 0; i < 2*64; i++ {
+		if err := c.Write(uint64(i%64), payload); err != nil {
 			tb.Fatal(err)
 		}
 	}
+	return c
+}
+
+// warmClusterAccess returns the steady-state loop body over a warm cluster:
+// access i alternates a write and a read over the warmed addresses.
+func warmClusterAccess(tb testing.TB) func(i int) {
+	c := warmCluster(tb, 4)
+	payload := make([]byte, 64)
 	return func(i int) {
-		a := uint64(i % addrs)
+		a := uint64(i % 64)
 		if i%2 == 0 {
 			if err := c.Write(a, payload); err != nil {
 				tb.Fatal(err)
@@ -176,5 +183,57 @@ func TestClusterAccessAllocBudget(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("Cluster.Read/Write allocates %.0f objects per access in steady state, budget 2", allocs)
+	}
+}
+
+// mallocsOver counts the objects runs calls of f allocate, the way
+// testing.AllocsPerRun does (one P, Mallocs before and after) but whole:
+// its integer average hides up to an allocation a call.
+func mallocsOver(runs int, f func()) int {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return int(after.Mallocs - before.Mallocs)
+}
+
+// TestPipelineDoAllocBudget holds a warm 64-op Pipeline.Do (Window 8, 8
+// SDIMMs, half reads) at 192 objects, inline and with workers: three an
+// access. What is left is Do's own result slice and feeder closures, and per
+// access the response payload UnmarshalResponse copies out of link scratch,
+// the real APPEND's copy into the receiving buffer's transfer queue, and the
+// read payload handed to the caller. A hand-off allocates nothing: a wave's
+// shares are bound once per pooled waveState. (With a closure pair per ACCESS
+// op, a closure per APPEND member and a goroutine per journal batch the same
+// Do allocated 426.) Part of `make alloc-gates`.
+func TestPipelineDoAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc gates run without -race")
+	}
+	const batchLen, runs, budget = 64, 20, 192
+	for _, parallelism := range []int{1, 4} {
+		pipe := warmCluster(t, 8).Pipeline(PipelineOptions{Window: 8, Parallelism: parallelism})
+		defer pipe.Close()
+		payload := make([]byte, 64)
+		ops := make([]BatchOp, batchLen)
+		for i := range ops {
+			ops[i] = BatchOp{Addr: uint64(i), Write: i%2 == 0, Data: payload}
+		}
+		do := func() {
+			for _, r := range pipe.Do(ops) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+			}
+		}
+		for w := 0; w < 5; w++ { // warm the op and wave pools
+			do()
+		}
+		if perDo := float64(mallocsOver(runs, do)) / runs; perDo > budget {
+			t.Errorf("Parallelism %d: a warm %d-op Do allocates %.1f objects, budget %d", parallelism, batchLen, perDo, budget)
+		}
 	}
 }

@@ -124,19 +124,19 @@ func TestIdleLedger(t *testing.T) {
 	clk.now = 0
 	w := col.BeginWave()
 	clk.now = 10
-	w.Mark(PhaseSchedule) // 0..10 idle: no task in flight
+	w.Mark(PhaseSchedule)  // 0..10 idle: no task in flight
 	s := col.WorkerBegin() // task starts at 10
 	clk.now = 40
 	w.Mark(PhaseRetireWait) // 10..40 covered by the task: zero idle
 	col.WorkerEnd(WorkerAccess, s)
 	clk.now = 45
-	w.Mark(PhaseFinalize) // 40..45 idle again
+	w.Mark(PhaseFinalize)   // 40..45 idle again
 	w.Mark(PhaseAccessWait) // zero-length
 	clk.now = 60
 	w.Mark(PhaseCommit) // 45..60 idle
 	clk.now = 65
 	w.Mark(PhaseDispatch) // 60..65 idle
-	w.End(4) // checkpoint zero-length
+	w.End(4)              // checkpoint zero-length
 
 	rec := col.Recent()[0]
 	wantIdle := map[Phase]uint64{

@@ -309,9 +309,6 @@ func NewChannel(eng *event.Engine, name string, org config.Org, tm config.Timing
 // Ranks returns the number of ranks on the channel.
 func (c *Channel) Ranks() int { return len(c.ranks) }
 
-// Banks returns the number of banks per rank.
-func (c *Channel) Banks() int { return len(c.ranks[0].banks) }
-
 // Stats returns a snapshot of channel statistics with residency accounting
 // brought up to the current time.
 func (c *Channel) Stats() Stats {
@@ -763,10 +760,6 @@ func (c *Channel) maybePowerDown(now int64) {
 		}
 	}
 }
-
-// IdleSweep lets callers trigger the auto power-down check (e.g. from a
-// periodic housekeeping event in the simulator).
-func (c *Channel) IdleSweep() { c.maybePowerDown(int64(c.eng.Now())) }
 
 func maxi64(vs ...int64) int64 {
 	m := vs[0]

@@ -48,15 +48,6 @@ func NewLink(eng *event.Engine, org config.Org, tm config.Timing) *Link {
 // Stats returns a snapshot of link statistics.
 func (l *Link) Stats() LinkStats { return l.stats }
 
-// BusyUntil returns the time the data bus frees.
-func (l *Link) BusyUntil() event.Time {
-	n := int64(l.eng.Now())
-	if l.busFree < n {
-		return event.Time(n)
-	}
-	return event.Time(l.busFree)
-}
-
 // Transfer moves bytes across the link and calls onDone (if non-nil) when
 // the last beat lands. Zero-byte transfers model pure commands: they occupy
 // one command slot and still pay the response latency.

@@ -39,8 +39,10 @@ type BlockState struct {
 }
 
 // BucketState is one sealed tree bucket, captured verbatim from the store
-// (counter || ciphertext || PMMAC tag). Restoring the raw form keeps the
-// at-rest MACs intact so the recovery scrub can re-verify every bucket.
+// (format 2: counter || AES-GCM ciphertext || 12-byte GCM tag; a format-1
+// directory still holds counter || AES-CTR ciphertext || 8-byte PMMAC tag).
+// Restoring the raw form keeps the at-rest tags intact so the recovery scrub
+// can re-verify every bucket.
 type BucketState struct {
 	Idx uint64
 	Raw []byte

@@ -34,8 +34,8 @@ func testCheckpoint(seq uint64) *Checkpoint {
 				Stash:     []BlockState{{Addr: 1, Leaf: 3, Data: []byte("stash-block")}},
 				Transfer:  []BlockState{{Addr: 5, Leaf: 0, Data: []byte("queued")}},
 				Buckets:   []BucketState{{Idx: 0, Raw: bytes.Repeat([]byte{0xab}, 40)}},
-				Health:      HealthState{State: 1, Consecutive: 2, Successes: 10, Failures: 3},
-				HostSend:    4, HostRecv: 4, DevSend: 4, DevRecv: 4,
+				Health:    HealthState{State: 1, Consecutive: 2, Successes: 10, Failures: 3},
+				HostSend:  4, HostRecv: 4, DevSend: 4, DevRecv: 4,
 				Incarnation: 2,
 				Detached:    true,
 			},

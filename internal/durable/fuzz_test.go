@@ -41,7 +41,7 @@ func FuzzJournalDecode(f *testing.F) {
 		Record{Seq: 13, Addr: 1, Kind: KindJoin},
 	)
 	f.Add(file)
-	f.Add(file[:len(file)-5])   // torn tail
+	f.Add(file[:len(file)-5])       // torn tail
 	f.Add(file[:journalHeaderSize]) // empty journal
 	f.Add([]byte{})
 

@@ -61,12 +61,6 @@ const (
 	kindCount
 )
 
-// IsTopology reports whether the record changes cluster membership rather
-// than recording a block access.
-func (k RecordKind) IsTopology() bool {
-	return k == KindDrainBegin || k == KindDrainEnd || k == KindJoin
-}
-
 // Record is one committed logical event. For KindRead/KindWrite/KindMigrate
 // Addr is the block address (Data is the written payload for writes and
 // empty otherwise); for topology kinds Addr is the member slot index. Every
@@ -118,15 +112,9 @@ func encodeJournalHeader(key []byte, fp [8]byte, baseSeq uint64, blockSize int) 
 	return hdr, mac
 }
 
-// encodeRecord serializes one record body (without its chain tag). The
-// payload region is exactly blockSize bytes, zero-padded.
-func encodeRecord(rec Record, blockSize int) ([]byte, error) {
-	return appendRecord(nil, rec, blockSize)
-}
-
 // appendRecord appends one record body (without its chain tag) to dst and
-// returns the extended slice — the allocation-free form of encodeRecord,
-// byte-identical to it.
+// returns the extended slice. The payload region is exactly blockSize bytes,
+// zero-padded.
 func appendRecord(dst []byte, rec Record, blockSize int) ([]byte, error) {
 	if len(rec.Data) > blockSize {
 		return nil, fmt.Errorf("durable: record %d payload %d exceeds block size %d", rec.Seq, len(rec.Data), blockSize)

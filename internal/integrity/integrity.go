@@ -4,12 +4,6 @@
 // contents), so stale or relocated ciphertext is detected without a Merkle
 // tree — the position map already authenticates freshness transitively.
 //
-// The Split protocol shards each bucket across n SDIMMs; each shard carries
-// its own MAC over its data portion and the shared compact counter
-// (Section III-D: "MACs are generated based on the compact counters and the
-// data portions available in each bucket"), which multiplies MAC storage by
-// n but lets each SDIMM verify and regenerate independently.
-//
 // Since sealed-bucket format 2 the functional store authenticates a bucket
 // with the AES-GCM tag of the call that encrypts it, bound to the same
 // (position, counter) through the nonce. PMMAC stays for what still holds its
@@ -51,45 +45,29 @@ func New(key []byte) *PMMAC {
 // Tag computes the MAC for a whole (unsplit) bucket. The result is a fresh
 // allocation the caller owns; the hot path uses AppendTag instead.
 func (p *PMMAC) Tag(bucket uint64, counter uint64, data []byte) []byte {
-	return append([]byte(nil), p.tag(bucket, ^uint32(0), counter, data)...)
+	return append([]byte(nil), p.tag(bucket, counter, data)...)
 }
 
 // AppendTag appends the whole-bucket MAC to dst and returns the extended
 // slice, allocating only if dst lacks capacity.
 func (p *PMMAC) AppendTag(dst []byte, bucket uint64, counter uint64, data []byte) []byte {
-	return append(dst, p.tag(bucket, ^uint32(0), counter, data)...)
+	return append(dst, p.tag(bucket, counter, data)...)
 }
 
 // Verify checks a whole-bucket MAC in constant time. It does not allocate.
 func (p *PMMAC) Verify(bucket uint64, counter uint64, data, tag []byte) bool {
-	want := p.tag(bucket, ^uint32(0), counter, data)
-	return len(tag) == TagSize && subtle.ConstantTimeCompare(want, tag) == 1
-}
-
-// ShardTag computes the MAC for one SDIMM's shard of a split bucket. The
-// shard index is bound into the MAC so shards cannot be swapped between
-// SDIMMs. The result is a fresh allocation the caller owns.
-func (p *PMMAC) ShardTag(bucket uint64, shard int, counter uint64, data []byte) []byte {
-	return append([]byte(nil), p.tag(bucket, uint32(shard), counter, data)...)
-}
-
-// AppendShardTag appends a shard MAC to dst and returns the extended slice.
-func (p *PMMAC) AppendShardTag(dst []byte, bucket uint64, shard int, counter uint64, data []byte) []byte {
-	return append(dst, p.tag(bucket, uint32(shard), counter, data)...)
-}
-
-// VerifyShard checks a shard MAC in constant time. It does not allocate.
-func (p *PMMAC) VerifyShard(bucket uint64, shard int, counter uint64, data, tag []byte) bool {
-	want := p.tag(bucket, uint32(shard), counter, data)
+	want := p.tag(bucket, counter, data)
 	return len(tag) == TagSize && subtle.ConstantTimeCompare(want, tag) == 1
 }
 
 // tag returns the truncated MAC in p's reusable output buffer — valid only
-// until the next call on p.
-func (p *PMMAC) tag(bucket uint64, shard uint32, counter uint64, data []byte) []byte {
+// until the next call on p. Header bytes 8…11 are the constant 0xffffffff:
+// the field once told a whole-bucket tag from a per-shard one, and the
+// format-1 buckets still on disk verify under those bytes.
+func (p *PMMAC) tag(bucket uint64, counter uint64, data []byte) []byte {
 	p.mac.Reset()
 	binary.BigEndian.PutUint64(p.hdr[0:8], bucket)
-	binary.BigEndian.PutUint32(p.hdr[8:12], shard)
+	binary.BigEndian.PutUint32(p.hdr[8:12], ^uint32(0))
 	binary.BigEndian.PutUint64(p.hdr[12:20], counter)
 	p.mac.Write(p.hdr[:])
 	p.mac.Write(data)
@@ -138,13 +116,4 @@ func (c *Chain) advance(record []byte) {
 	c.mac.Write(c.last)
 	c.mac.Write(record)
 	c.last = c.mac.Sum(c.last[:0])[:ChainTagSize]
-}
-
-// SplitOverheadBytes returns the extra MAC bytes per bucket that n-way
-// splitting costs relative to the unsplit bucket (n MACs instead of 1).
-func SplitOverheadBytes(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return (n - 1) * TagSize
 }

@@ -45,30 +45,6 @@ func TestDifferentKeysDiffer(t *testing.T) {
 	}
 }
 
-func TestShardBinding(t *testing.T) {
-	p := New([]byte("key"))
-	data := []byte("half a block")
-	t0 := p.ShardTag(5, 0, 3, data)
-	if !p.VerifyShard(5, 0, 3, data, t0) {
-		t.Fatal("genuine shard rejected")
-	}
-	if p.VerifyShard(5, 1, 3, data, t0) {
-		t.Fatal("shard swap accepted")
-	}
-	// Whole-bucket tags and shard tags must live in separate domains.
-	if p.Verify(5, 3, data, t0) {
-		t.Fatal("shard tag accepted as whole-bucket tag")
-	}
-}
-
-func TestSplitOverheadBytes(t *testing.T) {
-	for n, want := range map[int]int{0: 0, 1: 0, 2: 8, 4: 24} {
-		if got := SplitOverheadBytes(n); got != want {
-			t.Errorf("SplitOverheadBytes(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 // Property: Verify(Tag(...)) always succeeds, and any single-bit flip in
 // the data fails.
 func TestPropertyTagging(t *testing.T) {

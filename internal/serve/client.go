@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -19,6 +20,7 @@ var ErrClientClosed = errors.New("serve: client closed")
 // server.
 type Client struct {
 	conn      net.Conn
+	br        *bufio.Reader // over conn; owned by readLoop after Dial
 	blockSize int
 
 	mu          sync.Mutex
@@ -47,8 +49,9 @@ func Dial(addr, tenant string) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
+	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	payload, err := ReadFrame(conn)
+	payload, err := ReadFrame(br)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -66,6 +69,7 @@ func Dial(addr, tenant string) (*Client, error) {
 	conn.SetReadDeadline(time.Time{})
 	c := &Client{
 		conn:      conn,
+		br:        br,
 		blockSize: int(ack.BlockSize),
 		credit:    int(ack.Credit),
 		pending:   make(map[uint64]chan Response),
@@ -83,7 +87,7 @@ func (c *Client) BlockSize() int { return c.blockSize }
 
 func (c *Client) readLoop() {
 	for {
-		payload, err := ReadFrame(c.conn)
+		payload, err := ReadFrame(c.br)
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrClientClosed, err))
 			return

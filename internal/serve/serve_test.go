@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +116,88 @@ func TestServeMultiTenantBasic(t *testing.T) {
 	}
 	if slo.AcceptedDeadlineMissed != 0 {
 		t.Errorf("accepted deadline misses = %d", slo.AcceptedDeadlineMissed)
+	}
+}
+
+// TestServeTenantLabelCap: the tenant name is up to 255 bytes the client
+// picks, and it labels seven counters, so a client that reconnects under
+// fresh names must not grow the registry: past maxTenantLabels names the
+// rest are counted under tenant="other", and /metrics stays well formed.
+func TestServeTenantLabelCap(t *testing.T) {
+	s, err := New(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+
+	const conns = 10000
+	for i := 0; i < conns; i++ {
+		cli, srv := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.handleConn(srv)
+		}()
+		hello, err := Hello{Tenant: fmt.Sprintf("tenant-%05d", i)}.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(cli, hello); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFrame(cli); err != nil {
+			t.Fatal(err)
+		}
+		if i == conns-1 {
+			// The overflow label counts like any other.
+			req, err := Request{ID: 1, Write: true, Addr: 3, Data: []byte("x")}.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteFrame(cli, req); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadFrame(cli); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cli.Close()
+		<-done
+	}
+
+	snap := s.Registry().Snapshot()
+	tenants := map[string]bool{}
+	for name := range snap.Counters {
+		if _, rest, ok := strings.Cut(name, "tenant="); ok {
+			tenants[strings.TrimRight(rest, "}")] = true
+		}
+	}
+	if len(tenants) > maxTenantLabels+1 {
+		t.Errorf("%d connections left %d tenant label values, cap %d + other", conns, len(tenants), maxTenantLabels)
+	}
+	if got, want := snap.Counters["serve.connections{tenant=other}"], uint64(conns-maxTenantLabels); got != want {
+		t.Errorf("serve.connections{tenant=other} = %d, want %d", got, want)
+	}
+	if got := snap.Counters["serve.ok{tenant=other}"]; got != 1 {
+		t.Errorf("serve.ok{tenant=other} = %d, want 1", got)
+	}
+
+	hs := httptest.NewServer(s.HTTPHandler())
+	defer hs.Close()
+	resp, err := hs.Client().Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*")*\})? [-+0-9.eEInfNa]+$`)
+	lines := 0
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); lines++ {
+		if line := sc.Text(); !strings.HasPrefix(line, "# ") && !sample.MatchString(line) {
+			t.Fatalf("/metrics line %d is not a sample: %q", lines, line)
+		}
+	}
+	if lines == 0 || lines > 2000 {
+		t.Errorf("/metrics has %d lines", lines)
 	}
 }
 

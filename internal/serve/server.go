@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -81,6 +82,7 @@ type Server struct {
 	ln      net.Listener
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
+	tenants map[string]*tenantCounters // guarded by mu
 	connWG  sync.WaitGroup
 	pipeWG  sync.WaitGroup
 	closing chan struct{}
@@ -129,6 +131,7 @@ func build(cfg Config, mk func(sdimm.ClusterOptions) (*sdimm.Cluster, error)) (*
 		cfg:     cfg,
 		reg:     reg,
 		conns:   make(map[net.Conn]struct{}),
+		tenants: make(map[string]*tenantCounters),
 		closing: make(chan struct{}),
 		dumped:  make(map[string]bool),
 		start:   time.Now(),
@@ -256,13 +259,52 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// servConn is per-connection state: the response writer lock and the
-// slow-start credit window.
+// maxTenantLabels caps how many client-chosen tenant names become metric
+// label values. A tenant name is up to 255 bytes a client picks, so without
+// a cap a client chooses the registry's size; names past the cap are counted
+// under tenant="other".
+const maxTenantLabels = 64
+
+// tenantCounters are one tenant label's counter handles, resolved once at
+// Hello so a request touches neither the registry mutex nor a name build.
+type tenantCounters struct {
+	connections, requests, ok, errors, missed *telemetry.Counter
+	shedOverload, shedDeadline                *telemetry.Counter
+}
+
+// tenantCounters returns the handles for tenant, registering the label if
+// the cap allows and folding it into "other" if not.
+func (s *Server) tenantCounters(tenant string) *tenantCounters {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tc := s.tenants[tenant]
+	if tc == nil && len(s.tenants) >= maxTenantLabels {
+		tenant = "other"
+		tc = s.tenants[tenant]
+	}
+	if tc == nil {
+		tc = &tenantCounters{
+			connections:  s.reg.Counter("serve.connections", "tenant", tenant),
+			requests:     s.reg.Counter("serve.requests", "tenant", tenant),
+			ok:           s.reg.Counter("serve.ok", "tenant", tenant),
+			errors:       s.reg.Counter("serve.errors", "tenant", tenant),
+			missed:       s.reg.Counter("serve.deadline.missed.accepted", "tenant", tenant),
+			shedOverload: s.reg.Counter("serve.shed", "reason", "overload", "tenant", tenant),
+			shedDeadline: s.reg.Counter("serve.shed", "reason", "deadline", "tenant", tenant),
+		}
+		s.tenants[tenant] = tc
+	}
+	return tc
+}
+
+// servConn is per-connection state: the response writer lock, the
+// slow-start credit window and the tenant's counters.
 type servConn struct {
 	conn   net.Conn
 	wmu    sync.Mutex
 	cmu    sync.Mutex
 	credit int
+	tc     *tenantCounters
 }
 
 func (cn *servConn) send(resp Response) error {
@@ -304,8 +346,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		conn.Close()
 	}()
 
+	// One buffered reader for the connection's life: a frame's header and
+	// payload come out of one read. Deadlines stay on the conn.
+	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	payload, err := ReadFrame(conn)
+	payload, err := ReadFrame(br)
 	if err != nil {
 		return
 	}
@@ -321,7 +366,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	if tenant == "" {
 		tenant = "anon"
 	}
-	cn := &servConn{conn: conn, credit: s.cfg.InitialCredit}
+	cn := &servConn{conn: conn, credit: s.cfg.InitialCredit, tc: s.tenantCounters(tenant)}
 	if err := func() error {
 		cn.wmu.Lock()
 		defer cn.wmu.Unlock()
@@ -332,13 +377,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	}(); err != nil {
 		return
 	}
-	s.reg.Counter("serve.connections", "tenant", tenant).Inc()
+	cn.tc.connections.Inc()
 
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
 	for {
 		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		payload, err := ReadFrame(conn)
+		payload, err := ReadFrame(br)
 		if err != nil {
 			return
 		}
@@ -353,16 +398,16 @@ func (s *Server) handleConn(conn net.Conn) {
 		reqWG.Add(1)
 		go func() {
 			defer reqWG.Done()
-			s.handleRequest(cn, req, tenant)
+			s.handleRequest(cn, req)
 		}()
 	}
 }
 
 // handleRequest runs one request through admission and (if accepted) the
-// pipeline. The tenant label is used for telemetry only — it is not passed
-// to the admission layer, whose Admit signature cannot even express it.
-func (s *Server) handleRequest(cn *servConn, req Request, tenant string) {
-	s.reg.Counter("serve.requests", "tenant", tenant).Inc()
+// pipeline. The tenant is used for telemetry only — it is not passed to the
+// admission layer, whose Admit signature cannot even express it.
+func (s *Server) handleRequest(cn *servConn, req Request) {
+	cn.tc.requests.Inc()
 	budget := time.Duration(req.DeadlineMS) * time.Millisecond
 	if budget == 0 {
 		budget = s.cfg.DefaultDeadline
@@ -372,11 +417,11 @@ func (s *Server) handleRequest(cn *servConn, req Request, tenant string) {
 
 	switch s.adm.Admit(budget, req.Retry) {
 	case ShedOverload:
-		s.noteShed("overload", tenant)
+		s.noteShed(cn.tc.shedOverload)
 		cn.send(Response{ID: req.ID, Status: StatusShed, Credit: s.adjustCredit(cn, false)})
 		return
 	case ShedDeadline:
-		s.noteShed("deadline", tenant)
+		s.noteShed(cn.tc.shedDeadline)
 		cn.send(Response{ID: req.ID, Status: StatusDeadline, Credit: s.adjustCredit(cn, false)})
 		return
 	case ShedClosing:
@@ -401,7 +446,7 @@ func (s *Server) handleRequest(cn *servConn, req Request, tenant string) {
 	case r.Err != nil:
 		resp.Status = StatusError
 		resp.Data = []byte(r.Err.Error())
-		s.reg.Counter("serve.errors", "tenant", tenant).Inc()
+		cn.tc.errors.Inc()
 		resp.Credit = s.adjustCredit(cn, false)
 	case time.Now().After(deadline):
 		// Accepted and executed, but too late: this is the SLO breach the
@@ -409,7 +454,7 @@ func (s *Server) handleRequest(cn *servConn, req Request, tenant string) {
 		// the flight rings.
 		resp.Status = StatusDeadline
 		s.acceptedDM.Add(1)
-		s.reg.Counter("serve.deadline.missed.accepted", "tenant", tenant).Inc()
+		cn.tc.missed.Inc()
 		s.dumpFlight("deadline-miss")
 		resp.Credit = s.adjustCredit(cn, false)
 	default:
@@ -418,14 +463,14 @@ func (s *Server) handleRequest(cn *servConn, req Request, tenant string) {
 			resp.Data = r.Data
 		}
 		s.okCount.Add(1)
-		s.reg.Counter("serve.ok", "tenant", tenant).Inc()
+		cn.tc.ok.Inc()
 		resp.Credit = s.adjustCredit(cn, true)
 	}
 	cn.send(resp)
 }
 
-func (s *Server) noteShed(reason, tenant string) {
-	s.reg.Counter("serve.shed", "reason", reason, "tenant", tenant).Inc()
+func (s *Server) noteShed(shed *telemetry.Counter) {
+	shed.Inc()
 	if s.shedStreak.Add(1) == s.stormThresh {
 		s.dumpFlight("shed-storm")
 	}

@@ -102,21 +102,21 @@ type Response struct {
 	Data   []byte
 }
 
-// WriteFrame writes one length-prefixed payload.
+// WriteFrame writes one length-prefixed payload in a single Write: on an
+// unbuffered TCP_NODELAY connection every Write is a syscall and a packet.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	frame := make([]byte, 4+len(payload))
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+	copy(frame[4:], payload)
+	_, err := w.Write(frame)
 	return err
 }
 
-// ReadFrame reads one length-prefixed payload.
+// ReadFrame reads one length-prefixed payload. Hand it a bufio.Reader over a
+// connection, not the connection, or each frame costs two reads.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

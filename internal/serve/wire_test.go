@@ -43,11 +43,26 @@ func TestWireRoundtrip(t *testing.T) {
 	}
 }
 
+// countingWriter counts Write calls: on a TCP_NODELAY connection each one
+// is a syscall and a packet.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
 func TestWireFraming(t *testing.T) {
-	var buf bytes.Buffer
-	for _, p := range [][]byte{{1, 2, 3}, {}, bytes.Repeat([]byte{9}, 500)} {
+	var buf countingWriter
+	for i, p := range [][]byte{{1, 2, 3}, {}, bytes.Repeat([]byte{9}, 500)} {
 		if err := WriteFrame(&buf, p); err != nil {
 			t.Fatal(err)
+		}
+		if buf.writes != i+1 {
+			t.Fatalf("%d Write calls for %d frames, want one a frame", buf.writes, i+1)
 		}
 	}
 	for _, want := range [][]byte{{1, 2, 3}, {}, bytes.Repeat([]byte{9}, 500)} {

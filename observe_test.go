@@ -174,15 +174,7 @@ func TestObserversAddNoAllocs(t *testing.T) {
 		for w := 0; w < 5; w++ {
 			do()
 		}
-		// Measured the way AllocsPerRun does: one P, Mallocs before and after.
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			do()
-		}
-		runtime.ReadMemStats(&after)
-		return int(after.Mallocs - before.Mallocs)
+		return mallocsOver(runs, do)
 	}
 	bare := allocs(nil, nil)
 	observed := allocs(flight.New(4, 1024), blame.NewCollector(4, 256))

@@ -14,35 +14,43 @@ import (
 )
 
 // This file is the parallel execution engine for functional clusters: a
-// pool of persistent per-SDIMM worker goroutines and, on top of it, a
-// decoupled two-wave access pipeline that keeps a window of independent ORAM
-// accesses in flight behind the existing fault.Transactor links. The wave
-// loop exists once (Pipeline.run); Do and Serve are a slice feeder and a
-// channel feeder over it.
+// pool of per-SDIMM workers and, on top of it, a decoupled two-wave access
+// pipeline that keeps a window of independent ORAM accesses in flight behind
+// the existing fault.Transactor links. The wave loop exists once
+// (Pipeline.run); Do and Serve are a slice feeder and a channel feeder over
+// it.
+//
+// One thing leaves the coordinator: a member's share of a fan-out, a
+// func(member) handed to workerPool.submitWG — a wave's ACCESS exchanges (one
+// share per owning member), its APPEND broadcast (one per member), its
+// journal append (the pool's extra slot), a re-home, a SplitCluster fan-out.
+// At Parallelism > 1 every slot is a persistent goroutine draining its shares
+// FIFO; the Go scheduler caps how many run at once, so there is no
+// concurrency token. At Parallelism 1 no goroutine exists and submitWG runs
+// the share on the caller: the reference the equivalence suites compare
+// every other setting against.
 //
 // The pipeline is decoupled: wave N+1's ACCESS exchanges run while wave N's
 // APPEND broadcast and journal append are still in flight. The coordinator
-// holds at most two waves — the wave being launched and the previous wave
-// being retired — and the serialized coordinator work per wave shrinks to
-// scheduling, the commit walk, and result finalization. Everything else
-// (ACCESS exchanges, position-map commits, response decode, payload copies,
-// APPEND broadcasts, the journal append, re-homing appends) runs off the
-// coordinator goroutine.
+// holds at most two waves — the one being launched and the one being retired
+// — and its serialized work per wave is scheduling, the commit walk, and
+// result finalization.
 //
 // Determinism is preserved by construction, not by luck:
 //
 //   - Every draw from the cluster's shared RNG (leaf picks, re-homing)
-//     happens on the coordinator goroutine, in logical-access order. Workers
+//     happens on the coordinator goroutine, in logical-access order. Shares
 //     never touch shared randomness.
-//   - Each worker owns exactly one SDIMM's link, buffer, and health record,
-//     and drains its task queue FIFO in submission (= logical) order. The
-//     submission order per worker — ACCESS tasks of wave N, wave N's append
-//     walk, ACCESS tasks of wave N+1, wave N's re-homes — is a pure function
+//   - Each member slot owns exactly one SDIMM's link, buffer, and health
+//     record, and runs its shares FIFO in submission (= logical) order. The
+//     submission order per member — wave N's ACCESS share, wave N's APPEND
+//     share, wave N+1's ACCESS share, wave N's re-homes — is a pure function
 //     of the schedule, so every buffer observes the same operation sequence
-//     at any parallelism.
-//   - Position-map commits happen on the owning worker the moment its buffer
-//     executed the access, through the sharded position map (each access in
-//     a wave touches a distinct address, so commits are per-address
+//     at any parallelism. Running each share to completion at submission
+//     (Parallelism 1) is one of the interleavings that rule allows.
+//   - Position-map commits happen in the owning member's share the moment
+//     its buffer executed the access, through the sharded position map (each
+//     access in a wave touches a distinct address, so commits are per-address
 //     independent). The journal record stream is still assembled on the
 //     coordinator in logical order.
 //   - Health is read through a coordinator-owned snapshot refreshed at the
@@ -52,77 +60,67 @@ import (
 //     seen by the schedule one wave later, exactly as a sequential client
 //     discovers a failure on its next access.
 //   - The wave schedule depends only on the configured window and the
-//     addresses in flight, never on Parallelism, which bounds worker
-//     concurrency and nothing else.
+//     addresses in flight, never on Parallelism, which decides where shares
+//     run and nothing else.
 //
 // A Parallelism: 1 pipeline and a Parallelism: N pipeline therefore produce
 // bitwise-identical position maps, stash contents, and telemetry counters
 // from the same seed — the equivalence suites in parallel_test.go and
 // parallel_soak_test.go prove it.
 
-// workerPool runs tasks on persistent per-member goroutines. Tasks
-// submitted to one member execute FIFO in submission order; tasks across
-// members run concurrently, up to the pool's parallelism bound.
+// task is a member's share of one fan-out and the group that tracks it.
+type task struct {
+	fn func(member int)
+	wg *sync.WaitGroup
+}
+
+// workerPool runs shares on per-slot queues. Shares submitted to one slot
+// execute FIFO in submission order; shares on different slots run
+// concurrently. A pool built with parallelism ≤ 1 has no queues and no
+// goroutines: its shares run on the submitter.
 type workerPool struct {
-	tasks []chan func()
-	sem   chan struct{}
-	wg    sync.WaitGroup
+	tasks []chan task
 	once  sync.Once
 }
 
-// newWorkerPool starts n workers whose aggregate concurrency is capped at
-// parallelism (values < 1 are clamped to 1). queue bounds how many tasks
-// can be pending per worker before submit blocks.
+// newWorkerPool returns a pool of n slots. With parallelism > 1 each slot is
+// a persistent goroutine and queue bounds how many shares can be pending on
+// it before submitWG blocks.
 func newWorkerPool(n, parallelism, queue int) *workerPool {
-	if parallelism < 1 {
-		parallelism = 1
+	p := &workerPool{}
+	if parallelism <= 1 {
+		return p
 	}
-	if queue < 1 {
-		queue = 1
-	}
-	p := &workerPool{
-		tasks: make([]chan func(), n),
-		sem:   make(chan struct{}, parallelism),
-	}
+	p.tasks = make([]chan task, n)
 	for i := range p.tasks {
-		ch := make(chan func(), queue)
+		ch := make(chan task, queue)
 		p.tasks[i] = ch
 		go func() {
-			for fn := range ch {
-				p.sem <- struct{}{}
-				fn()
-				<-p.sem
+			for t := range ch {
+				t.fn(i)
+				t.wg.Done()
 			}
 		}()
 	}
 	return p
 }
 
-// submit queues fn on member w's worker, tracked by the pool's own
-// WaitGroup. Pair with barrier.
-func (p *workerPool) submit(w int, fn func()) { p.submitWG(w, &p.wg, fn) }
-
-// submitWG queues fn on member w's worker, tracked by a caller-owned
-// WaitGroup — the pipeline uses per-wave groups so two waves can be in
-// flight without sharing a barrier.
-func (p *workerPool) submitWG(w int, wg *sync.WaitGroup, fn func()) {
-	wg.Add(1)
-	p.tasks[w] <- func() {
-		defer wg.Done()
-		fn()
+// submitWG hands slot w its share fn, tracked by the caller's WaitGroup —
+// per fan-out groups let two waves be in flight without sharing a barrier.
+// After wg.Wait the submitter observes every write the share made. An inline
+// pool runs fn here, before returning.
+func (p *workerPool) submitWG(w int, wg *sync.WaitGroup, fn func(member int)) {
+	if p.tasks == nil {
+		fn(w)
+		return
 	}
+	wg.Add(1)
+	p.tasks[w] <- task{fn, wg}
 }
 
-// barrier blocks until every submit-tracked task has completed. After
-// barrier returns the coordinator observes all worker writes (the WaitGroup
-// establishes the happens-before edge).
-func (p *workerPool) barrier() { p.wg.Wait() }
-
-// close stops the workers after the submit-tracked tasks drain. Idempotent.
-// Callers using submitWG must wait their own groups before closing.
+// close stops the workers. Idempotent. Callers wait their own groups first.
 func (p *workerPool) close() {
 	p.once.Do(func() {
-		p.wg.Wait()
 		for _, ch := range p.tasks {
 			close(ch)
 		}
@@ -156,9 +154,10 @@ type PipelineOptions struct {
 	// submitted operations and the window — never of Parallelism — so runs
 	// that differ only in Parallelism stay bitwise identical. Default 8.
 	Window int
-	// Parallelism bounds how many SDIMM workers execute concurrently
-	// (default = Window). 1 degenerates to sequential execution of the
-	// exact same logical schedule.
+	// Parallelism decides where the per-SDIMM work runs (default = Window):
+	// 1 = inline on the caller, no goroutine at all — the reference; > 1 =
+	// one goroutine per SDIMM plus one for the journal, however large the
+	// value. The schedule never depends on it.
 	Parallelism int
 }
 
@@ -204,43 +203,52 @@ type Pipeline struct {
 	waveN uint64
 }
 
-// Pipeline builds a batched access pipeline over the cluster. The per-worker
-// queue holds two full waves plus a wave's append walk and a re-home, so the
-// coordinator never blocks on submission while the pipeline is in steady
-// overlap.
+// Pipeline builds a batched access pipeline over the cluster.
 func (c *Cluster) Pipeline(opts PipelineOptions) *Pipeline {
 	opts = opts.withDefaults()
 	return &Pipeline{
 		c:    c,
 		opts: opts,
-		pool: newWorkerPool(len(c.members), opts.Parallelism, 2*opts.Window+4),
+		// One slot per member and one more, slot len(members), for the
+		// journal. Three shares are the most a member can have pending: the
+		// launching wave's ACCESS, the retiring wave's APPEND, a re-home.
+		pool: newWorkerPool(len(c.members)+1, opts.Parallelism, 3),
 	}
 }
 
-// Close stops the per-SDIMM workers. The pipeline must not be used after.
+// Close stops the workers, if any. The pipeline must not be used after.
 func (p *Pipeline) Close() { p.pool.close() }
 
-// waveState is one wave in flight: its scheduled ops, the addresses they
-// touch (for the next wave's conflict stall), the journal batch, and the
-// WaitGroups tracking its two fan-outs. States are pooled across waves.
+// waveState is one wave in flight: its scheduled ops (whose addresses stall
+// a conflicting next wave), the journal batch and its outcome, the WaitGroups
+// tracking its fan-outs, and its three shares. States are pooled across waves.
 type waveState struct {
-	ops   []*pipeOp
-	addrs map[uint64]bool
-	recs  []durable.Record
-	res   []BatchResult // filled at retirement, one per op
+	ops  []*pipeOp
+	owns []bool // per member: owns at least one of ops
+	recs []durable.Record
+	res  []BatchResult // filled at retirement, one per op
+	jerr error         // journal append outcome, written by the journal share
 
 	wgA sync.WaitGroup // ACCESS fan-out
-	wgB sync.WaitGroup // APPEND broadcast
+	wgB sync.WaitGroup // APPEND broadcast + journal append
 
-	// jerr delivers the journal goroutine's result; journal records whether
-	// one was spawned for this wave. The channel is buffered so the
-	// goroutine never blocks on a retired wave.
-	jerr    chan error
-	journal bool
+	// The wave's shares, bound once when the state is first allocated so a
+	// fan-out allocates nothing.
+	access, appends, journal func(member int)
 
 	waveID    uint64
 	traceEnd  func(map[string]any)
 	traceLane int
+}
+
+// touches reports whether the wave holds an op on addr.
+func (w *waveState) touches(addr uint64) bool {
+	for _, po := range w.ops {
+		if po.addr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // takeWave pops a pooled waveState or allocates a fresh one. A pipeline
@@ -248,10 +256,17 @@ type waveState struct {
 func (p *Pipeline) takeWave() *waveState {
 	n := len(p.wsFree)
 	if n == 0 {
-		return &waveState{
-			addrs: make(map[uint64]bool, p.opts.Window),
-			jerr:  make(chan error, 1),
+		w := &waveState{}
+		w.access = func(member int) {
+			for _, po := range w.ops {
+				if !po.skip && po.sd == member {
+					p.accessTask(po)
+				}
+			}
 		}
+		w.appends = func(member int) { p.appendTask(w, member) }
+		w.journal = func(int) { w.jerr = p.c.appendRecords(w.recs) }
+		return w
 	}
 	w := p.wsFree[n-1]
 	p.wsFree[n-1] = nil
@@ -267,13 +282,12 @@ func (p *Pipeline) releaseWave(w *waveState) {
 		w.ops[i] = nil
 	}
 	w.ops = w.ops[:0]
-	clear(w.addrs)
 	// Emptied without retaining payload references.
 	clear(w.recs)
 	w.recs = w.recs[:0]
 	clear(w.res)
 	w.res = w.res[:0]
-	w.journal = false
+	w.jerr = nil
 	w.traceEnd = nil
 	p.wsFree = append(p.wsFree, w)
 }
@@ -434,12 +448,8 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 
 		if prev != nil {
 			prev.wgB.Wait()
-			var jerr error
-			if prev.journal {
-				jerr = <-prev.jerr
-			}
 			bw.Mark(blame.PhaseRetireWait)
-			p.retire(prev, jerr, globalLeaves)
+			p.retire(prev, globalLeaves)
 			c.flight.Coordinator().Record(flight.KindPhase, uint64(blame.PhaseFinalize), prev.waveID)
 			// Delivery comes last: a submitter that has its answer may inspect
 			// the cluster, so the wave's coordinator-side writes are done.
@@ -465,10 +475,11 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 			p.snapshotHealth()
 			pending = slices.Delete(pending, 0, len(w.ops))
 			if c.crashedNow() {
-				// The previous wave's journal goroutine hit the crash point
-				// while this wave's exchanges ran. Nothing of this wave may
-				// commit; results keep any per-op exchange error (so they match
-				// the race-free outcome) and report the crash otherwise.
+				// The previous wave's journal share hit the crash point while
+				// this wave's exchanges ran (inline it ran first, and the gate
+				// above caught it). Nothing of this wave may commit; results
+				// keep any per-op exchange error (so they match the race-free
+				// outcome) and report the crash otherwise.
 				for _, po := range w.ops {
 					if po.err == nil {
 						po.err = durable.ErrCrashed
@@ -482,7 +493,6 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 			p.commit(w)
 			bw.Mark(blame.PhaseCommit)
 			p.dispatchAppend(w)
-			p.spawnJournal(w)
 			c.flight.Coordinator().Record(flight.KindPhase, uint64(blame.PhaseDispatch), w.waveID)
 			launched = len(w.ops)
 			prev = w
@@ -532,13 +542,12 @@ func (p *Pipeline) scheduleWave(pending []BatchOp, prev *waveState, globalLeaves
 	w := p.takeWave()
 	for _, op := range pending[:min(len(pending), p.opts.Window)] {
 		a := op.Addr
-		if w.addrs[a] || (prev != nil && prev.addrs[a]) {
+		if w.touches(a) || (prev != nil && prev.touches(a)) {
 			// The next op must observe the earlier access's commit — and for
 			// the in-flight wave, its append landing and any re-home — so the
 			// wave ends here.
 			break
 		}
-		w.addrs[a] = true
 		w.ops = append(w.ops, p.schedule(op, globalLeaves))
 	}
 	if len(w.ops) == 0 {
@@ -598,8 +607,9 @@ func (p *Pipeline) schedule(op BatchOp, globalLeaves uint64) *pipeOp {
 	return po
 }
 
-// dispatchAccess fans the wave's ACCESS exchanges out to the owning SDIMMs'
-// workers and opens the wave's trace span.
+// dispatchAccess opens the wave's trace span and hands every SDIMM that owns
+// one of the wave's accesses its share of them: the member walks the wave in
+// logical order and runs its own ops.
 func (p *Pipeline) dispatchAccess(w *waveState) {
 	c := p.c
 	c.flight.Coordinator().Record(flight.KindWave, w.waveID, uint64(len(w.ops)))
@@ -608,15 +618,20 @@ func (p *Pipeline) dispatchAccess(w *waveState) {
 		sp := tr.Begin(w.traceLane, "cluster.wave", "cluster")
 		w.traceEnd = sp.EndArgs
 	}
+	w.owns = resized(w.owns, len(c.members))
 	for _, po := range w.ops {
-		if po.skip {
-			continue
+		if !po.skip {
+			w.owns[po.sd] = true
 		}
-		p.pool.submitWG(po.sd, &w.wgA, func() { p.accessTask(po) })
+	}
+	for sd, owns := range w.owns {
+		if owns {
+			p.pool.submitWG(sd, &w.wgA, w.access)
+		}
 	}
 }
 
-// accessTask runs one access on the owning SDIMM's worker: the exchange, the
+// accessTask runs one access in the owning SDIMM's share: the exchange, the
 // position-map commit, the response decode, and the read-payload copy. The
 // payload copy is the one allocation that escapes — it is handed to the
 // caller — so building it here takes it off the coordinator's critical path.
@@ -692,10 +707,12 @@ func (p *Pipeline) commit(w *waveState) {
 	}
 }
 
-// dispatchAppend launches the wave's APPEND broadcast: one task per SDIMM
-// walks the wave in logical order, so each buffer sees its appends in the
-// same sequence at any parallelism. Outcomes land in per-(op, SDIMM) slots
-// and are resolved at retirement.
+// dispatchAppend launches the wave's APPEND broadcast — one share per SDIMM,
+// outcomes landing in per-(op, SDIMM) slots resolved at retirement — and the
+// journal append of its batch, which seals as one chained group (one tag per
+// wave) on the pool's extra slot while the next wave's ACCESS exchanges run.
+// Retirement waits for both before any of the wave's results are
+// acknowledged: the write-ahead contract.
 func (p *Pipeline) dispatchAppend(w *waveState) {
 	c := p.c
 	for _, po := range w.ops {
@@ -703,68 +720,61 @@ func (p *Pipeline) dispatchAppend(w *waveState) {
 		po.appendBad = resized(po.appendBad, len(c.members))
 	}
 	for j := range c.members {
-		p.pool.submitWG(j, &w.wgB, func() {
-			st := c.blame.WorkerBegin()
-			defer c.blame.WorkerEnd(blame.WorkerAppend, st)
-			for _, po := range w.ops {
-				if po.skip || po.err != nil {
-					continue
-				}
-				real := !po.keep && j == po.sdNew && !po.resp.Dummy
-				if !real {
-					// Own-health read: only this worker's exchanges mutate
-					// health[j], so the read is race-free and deterministic.
-					if hs := c.health[j].State(); hs == fault.Failed || hs == fault.Removed {
-						// A dead or removed buffer has no channel; its dummy
-						// is undeliverable.
-						continue
-					}
-				}
-				ack, err := c.exchange(j, "append", c.appendBody(j, po.blk, !real))
-				switch {
-				case err != nil:
-					po.appendErr[j] = err
-				case len(ack) != 1 || ack[0] != appendAck:
-					po.appendBad[j] = append([]byte(nil), ack...)
-				}
-			}
-		})
+		p.pool.submitWG(j, &w.wgB, w.appends)
+	}
+	if len(w.recs) > 0 && c.dur != nil && !c.replaying {
+		p.pool.submitWG(len(c.members), &w.wgB, w.journal)
 	}
 }
 
-// spawnJournal hands the wave's journal batch to a dedicated goroutine so
-// the chained HMAC extension and file write overlap the next wave's ACCESS
-// exchanges. The whole batch seals as one chained group (one tag per wave).
-// Retirement collects the outcome before any of the wave's results are
-// acknowledged — the write-ahead contract is unchanged, only the waiting
-// moved.
-func (p *Pipeline) spawnJournal(w *waveState) {
+// appendTask is SDIMM j's share of the wave's APPEND broadcast: it walks the
+// wave in logical order, so each buffer sees its appends in the same sequence
+// at any parallelism.
+func (p *Pipeline) appendTask(w *waveState, j int) {
 	c := p.c
-	if len(w.recs) == 0 || c.dur == nil || c.replaying {
-		return
+	st := c.blame.WorkerBegin()
+	defer c.blame.WorkerEnd(blame.WorkerAppend, st)
+	for _, po := range w.ops {
+		if po.skip || po.err != nil {
+			continue
+		}
+		real := !po.keep && j == po.sdNew && !po.resp.Dummy
+		if !real {
+			// Own-health read: only this member's exchanges mutate
+			// health[j], so the read is race-free and deterministic.
+			if hs := c.health[j].State(); hs == fault.Failed || hs == fault.Removed {
+				// A dead or removed buffer has no channel; its dummy is
+				// undeliverable.
+				continue
+			}
+		}
+		ack, err := c.exchange(j, "append", c.appendBody(j, po.blk, !real))
+		switch {
+		case err != nil:
+			po.appendErr[j] = err
+		case len(ack) != 1 || ack[0] != appendAck:
+			po.appendBad[j] = append([]byte(nil), ack...)
+		}
 	}
-	w.journal = true
-	recs := w.recs
-	go func() { w.jerr <- c.appendRecords(recs) }()
 }
 
 // retire resolves a dispatched wave whose APPEND broadcast and journal
-// append (outcome jerr) have completed: append outcomes (lost-append
+// append (outcome w.jerr) have completed: append outcomes (lost-append
 // accounting, re-homing, malformed acks) and the results, in logical order.
-func (p *Pipeline) retire(w *waveState, jerr error, globalLeaves uint64) {
+func (p *Pipeline) retire(w *waveState, globalLeaves uint64) {
 	for _, po := range w.ops {
-		if jerr != nil && po.committed {
+		if w.jerr != nil && po.committed {
 			// The journal append died mid-wave (a planned crash point, or real
 			// I/O failure). Some records may be durable, but acknowledging any
 			// result now could acknowledge an access the journal lost — fail
 			// every journaled op; recovery re-drives from the journal's valid
 			// prefix.
-			po.err = jerr
+			po.err = w.jerr
 		}
 		w.res = append(w.res, p.finalize(po, globalLeaves))
 	}
 	if w.traceEnd != nil {
-		if jerr != nil {
+		if w.jerr != nil {
 			w.traceEnd(map[string]any{"ops": len(w.ops), "err": true})
 		} else {
 			w.traceEnd(map[string]any{"ops": len(w.ops)})
@@ -825,15 +835,15 @@ func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64) BatchResult {
 }
 
 // rehomeAppend is the pipeline's exchange step for Cluster.rehome: the
-// candidate append runs as a task on the new owner's worker, because
-// per-SDIMM command scratch and link framing belong to the goroutine driving
-// that link — the coordinator must not touch a link whose worker may be
-// running the next wave's exchanges. The ack is copied out of the
+// candidate append is a share for the new owner, because per-SDIMM command
+// scratch and link framing belong to the goroutine driving that link — the
+// coordinator must not touch a link whose worker may be running the next
+// wave's exchanges. The ack is copied out of the
 // transactor's scratch for the same reason.
 func (p *Pipeline) rehomeAppend(sd int, blk oram.Block) (ack []byte, err error) {
 	c := p.c
 	var wg sync.WaitGroup
-	p.pool.submitWG(sd, &wg, func() {
+	p.pool.submitWG(sd, &wg, func(int) {
 		ws := c.blame.WorkerBegin()
 		defer c.blame.WorkerEnd(blame.WorkerAppend, ws)
 		var resp []byte

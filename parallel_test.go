@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -18,25 +19,31 @@ import (
 // ---------------------------------------------------------------------------
 
 func TestWorkerPoolFIFOPerWorker(t *testing.T) {
-	p := newWorkerPool(3, 8, 16)
-	defer p.close()
-	var mu sync.Mutex
-	got := make([][]int, 3)
-	for round := 0; round < 50; round++ {
-		for w := 0; w < 3; w++ {
-			w, round := w, round
-			p.submit(w, func() {
-				mu.Lock()
-				got[w] = append(got[w], round)
-				mu.Unlock()
-			})
+	// Parallelism 1 is the inline path: it is held to the same order.
+	for _, parallelism := range []int{8, 1} {
+		p := newWorkerPool(3, parallelism, 16)
+		defer p.close()
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		got := make([][]int, 3)
+		for round := 0; round < 50; round++ {
+			for w := 0; w < 3; w++ {
+				p.submitWG(w, &wg, func(member int) {
+					mu.Lock()
+					got[member] = append(got[member], round)
+					mu.Unlock()
+				})
+			}
 		}
-	}
-	p.barrier()
-	for w := 0; w < 3; w++ {
-		for i, v := range got[w] {
-			if v != i {
-				t.Fatalf("worker %d executed out of order: %v", w, got[w])
+		wg.Wait()
+		for w := 0; w < 3; w++ {
+			if len(got[w]) != 50 {
+				t.Fatalf("parallelism %d: worker %d ran %d of 50 tasks", parallelism, w, len(got[w]))
+			}
+			for i, v := range got[w] {
+				if v != i {
+					t.Fatalf("parallelism %d: worker %d executed out of order: %v", parallelism, w, got[w])
+				}
 			}
 		}
 	}
@@ -48,9 +55,10 @@ func TestWorkerPoolParallelismOne(t *testing.T) {
 	defer p.close()
 	var active, maxActive int
 	var mu sync.Mutex
+	var wg sync.WaitGroup
 	for i := 0; i < 40; i++ {
 		w := i % 4
-		p.submit(w, func() {
+		p.submitWG(w, &wg, func(int) {
 			mu.Lock()
 			active++
 			if active > maxActive {
@@ -62,7 +70,7 @@ func TestWorkerPoolParallelismOne(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	p.barrier()
+	wg.Wait()
 	if maxActive != 1 {
 		t.Fatalf("parallelism 1 pool had %d overlapping tasks", maxActive)
 	}
@@ -71,12 +79,69 @@ func TestWorkerPoolParallelismOne(t *testing.T) {
 func TestWorkerPoolCloseIdempotent(t *testing.T) {
 	p := newWorkerPool(2, 2, 2)
 	n := 0
-	p.submit(0, func() { n++ })
-	p.barrier()
+	var wg sync.WaitGroup
+	p.submitWG(0, &wg, func(int) { n++ })
+	wg.Wait()
 	p.close()
 	p.close() // second close must not panic
 	if n != 1 {
 		t.Fatalf("task ran %d times", n)
+	}
+}
+
+// TestPipelineParallelismOneStartsNoGoroutines: Parallelism 1 is the inline
+// reference on both cluster flavours — building the pipeline or the Split
+// cluster starts no goroutine, and neither does work on it, the journal
+// append of a durable cluster included.
+func TestPipelineParallelismOneStartsNoGoroutines(t *testing.T) {
+	payload := bytes.Repeat([]byte{7}, 64)
+	ops := make([]BatchOp, 32)
+	for i := range ops {
+		ops[i] = BatchOp{Addr: uint64(i % 20), Write: i%2 == 0, Data: payload}
+	}
+	grew := func(what string, before int) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%s: %d goroutines, %d before", what, n, before)
+		}
+	}
+	for _, dur := range []bool{false, true} {
+		name := map[bool]string{false: "plain", true: "durable"}[dur]
+		copts := ClusterOptions{SDIMMs: 4, Levels: 8, Seed: 3}
+		sopts := SplitClusterOptions{SDIMMs: 2, Levels: 7, Seed: 3, Parity: true, Parallelism: 1}
+		if dur {
+			copts.Durability = &DurabilityOptions{Dir: t.TempDir(), Interval: 16}
+			sopts.Durability = &DurabilityOptions{Dir: t.TempDir(), Interval: 16}
+		}
+		c, err := NewCluster(copts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		before := runtime.NumGoroutine()
+		pipe := c.Pipeline(PipelineOptions{Window: 4, Parallelism: 1})
+		defer pipe.Close()
+		grew(name+" Pipeline", before)
+		for _, r := range pipe.Do(ops) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		grew(name+" Do", before)
+
+		before = runtime.NumGoroutine()
+		sc, err := NewSplitCluster(sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		grew(name+" NewSplitCluster", before)
+		for _, op := range ops {
+			if err := sc.Write(op.Addr, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		grew(name+" SplitCluster.Write", before)
 	}
 }
 
