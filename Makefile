@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build vet test race short chaos fuzz telemetry-smoke serve-smoke bench-smoke blame alloc-gates profile soak soak-short ci
+.PHONY: all fmt build vet test race short chaos fuzz telemetry-smoke serve-smoke bench-smoke blame alloc-gates profile profile-sim soak soak-short ci
 
 all: ci
 
@@ -89,10 +89,13 @@ blame:
 # budget and a warm 64-op Pipeline.Do within 192 objects, inline and with
 # workers (TestPipelineDoAllocBudget: a hand-off allocates nothing); and the
 # flight recorder plus blame collector must add none to a pipelined access.
+# The timing simulator has its own three: a warm event engine schedules and
+# fires at 0 allocs/op, a warm DRAM channel serves requests at 0, and a whole
+# sim.Run stays within its per-record budget for every protocol.
 # These run without -race on purpose — race instrumentation allocates, so the
 # gate tests skip themselves under it (see internal/raceflag).
 alloc-gates:
-	$(GO) test -run 'ZeroAlloc|AllocBudget|AddNoAllocs' -count=1 . ./internal/ctrmode ./internal/seccomm ./internal/fault ./internal/oram ./internal/durable
+	$(GO) test -run 'ZeroAlloc|AllocBudget|AddNoAllocs' -count=1 . ./internal/ctrmode ./internal/seccomm ./internal/fault ./internal/oram ./internal/durable ./internal/event ./internal/dram ./internal/sim
 
 # CPU and heap profiles of the access hot path, for digging into a
 # regression the alloc gates or the benchmark surfaced. Inspect with
@@ -101,6 +104,13 @@ profile:
 	$(GO) test -run NONE -bench BenchmarkAccessHotPath -benchmem \
 		-cpuprofile hotpath.cpu.pprof -memprofile hotpath.heap.pprof .
 	@echo "profiles: hotpath.cpu.pprof hotpath.heap.pprof (go tool pprof <file>)"
+
+# The same for the timing simulator: one sim-paper round (mcf, six protocols,
+# two channels, golden scale, two workers) under pprof.
+profile-sim:
+	$(GO) test -run NONE -bench BenchmarkSimRound -benchmem \
+		-cpuprofile sim.cpu.pprof -memprofile sim.heap.pprof ./internal/experiments
+	@echo "profiles: sim.cpu.pprof sim.heap.pprof (go tool pprof <file>)"
 
 # Wire-format decoders must never panic on hostile input. The durable-state
 # decoders (journal records, checkpoints) must additionally fail closed:

@@ -70,6 +70,7 @@ type Core struct {
 	oldest    []int          // pending record indices in order (for retirePos)
 	posCache  map[int]uint64 // record index -> instruction position (pending)
 	ticking   bool
+	tickFn    event.Func // c.tick, bound once
 	done      bool
 	doneCycle uint64
 	onDone    func()
@@ -102,6 +103,7 @@ func New(eng *event.Engine, mem Memory, cfg Config, tr []trace.Record) (*Core, e
 		posCache: make(map[int]uint64),
 	}
 	c.recPos = uint64(tr[0].Gap)
+	c.tickFn = c.tick
 	return c, nil
 }
 
@@ -109,7 +111,7 @@ func New(eng *event.Engine, mem Memory, cfg Config, tr []trace.Record) (*Core, e
 // (all memory operations included).
 func (c *Core) Start(onDone func()) {
 	c.onDone = onDone
-	c.eng.Schedule(c.eng.Now(), c.tick)
+	c.eng.Schedule(c.eng.Now(), c.tickFn)
 }
 
 // Stats returns a snapshot. Cycles is the completion cycle once the trace
@@ -142,12 +144,12 @@ func (c *Core) retireLimit() uint64 {
 // posOf returns the instruction position of a pending record.
 func (c *Core) posOf(i int) uint64 { return c.posCache[i] }
 
-func (c *Core) tick() {
+func (c *Core) tick(at event.Time) {
 	c.ticking = false
 	if c.done {
 		return
 	}
-	now := uint64(c.eng.Now())
+	now := uint64(at)
 
 	for {
 		if c.nextRec >= len(c.trace) {
@@ -206,7 +208,7 @@ func (c *Core) issue(i int, now uint64) {
 		c.stats.LLCHits++
 		// Hits complete after the LLC latency.
 		c.pend(i)
-		c.eng.After(event.Time(c.cfg.LLCLatency), func() { c.complete(i) })
+		c.eng.After(event.Time(c.cfg.LLCLatency), func(event.Time) { c.complete(i) })
 		return
 	}
 	c.stats.LLCMisses++
@@ -245,5 +247,5 @@ func (c *Core) scheduleTick(at uint64) {
 		return
 	}
 	c.ticking = true
-	c.eng.Schedule(event.Time(at), c.tick)
+	c.eng.Schedule(event.Time(at), c.tickFn)
 }

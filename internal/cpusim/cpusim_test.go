@@ -24,7 +24,7 @@ func (m *fakeMem) Read(addr uint64, done func()) {
 	if m.outstanding > m.maxConcurrent {
 		m.maxConcurrent = m.outstanding
 	}
-	m.eng.After(m.latency, func() {
+	m.eng.After(m.latency, func(event.Time) {
 		m.outstanding--
 		done()
 	})

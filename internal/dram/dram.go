@@ -13,10 +13,20 @@
 // All externally visible times are in CPU cycles (the event.Engine clock);
 // timing parameters are converted from memory-command cycles on
 // construction.
+//
+// A warm channel allocates nothing per request. Submit draws the queued
+// request from a per-channel free list and the channel returns it when its
+// column command issues; the completion callback goes to the engine as it
+// is. Per queue class (reads, writes) a bitmask holds the banks whose FIFO
+// is non-empty, and the scheduler visits only those, in ascending bank
+// index. The order of the visit is immaterial: among the candidates the
+// winner is the request with the smallest id, ids are unique, and the
+// earliest retry time is a minimum.
 package dram
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"sdimm/internal/config"
@@ -32,12 +42,11 @@ type Coord struct {
 	Col  int // line index within the row
 }
 
-// Request is one cache-line read or write presented to a channel.
-type Request struct {
-	Coord Coord
-	Write bool
-	// OnComplete, if non-nil, fires when the data burst finishes.
-	OnComplete func(now event.Time)
+// request is one queued cache-line read or write.
+type request struct {
+	coord      Coord
+	write      bool
+	onComplete event.Func // fires when the data burst finishes; may be nil
 
 	arrive int64
 	id     uint64
@@ -90,8 +99,8 @@ type bank struct {
 
 // bankList is the per-bank request FIFO.
 type bankList struct {
-	reads  []*Request
-	writes []*Request
+	reads  []*request
+	writes []*request
 }
 
 type rank struct {
@@ -101,6 +110,8 @@ type rank struct {
 	actIdx     int
 	nextRead   int64 // write-to-read (tWTR) constraint, rank-wide
 	refreshEnd int64
+	refreshDue int64      // nominal time of the pending refresh event
+	refreshFn  event.Func // bound once: c.refresh(rk)
 	poweredUp  bool
 	wakeAt     int64 // when exiting power-down completes
 	lastUse    int64
@@ -186,10 +197,14 @@ type Channel struct {
 	lineBytes, linesPerRow, rowsPerBank   int
 
 	// Per-bank FIFO queues (index rank*banksPerRank + bank) with global
-	// read/write counts; FR-FCFS scans banks, not requests.
-	bq      []bankList
-	nReads  int
-	nWrites int
+	// read/write counts; FR-FCFS scans banks, not requests. Bit i of
+	// readMask/writeMask (64 banks a word) is set while bank i's FIFO of
+	// that class is non-empty.
+	bq                  []bankList
+	readMask, writeMask []uint64
+	nReads              int
+	nWrites             int
+	free                []*request // issued requests, reused by Submit
 
 	cmdBusFree  int64
 	dataBusFree int64
@@ -201,6 +216,7 @@ type Channel struct {
 	evalScheduled bool
 	evalAt        int64
 	evalHandle    event.Handle
+	evalFn        event.Func // c.evaluate, bound once
 
 	// AutoPowerDown, when set, moves idle ranks into power-down after
 	// IdleThreshold cycles without traffic (the paper's low-power mode).
@@ -293,6 +309,9 @@ func NewChannel(eng *event.Engine, name string, org config.Org, tm config.Timing
 	}
 	c.stats.PerRank = make([]RankStats, ranksPerChannel)
 	c.bq = make([]bankList, ranksPerChannel*org.BanksPerRank)
+	c.readMask = make([]uint64, (len(c.bq)+63)/64)
+	c.writeMask = make([]uint64, len(c.readMask))
+	c.evalFn = c.evaluate
 	for i := 0; i < ranksPerChannel; i++ {
 		rk := &rank{
 			idx:       i,
@@ -300,6 +319,7 @@ func NewChannel(eng *event.Engine, name string, org config.Org, tm config.Timing
 			poweredUp: true,
 			stats:     &c.stats.PerRank[i],
 		}
+		rk.refreshFn = func(event.Time) { c.refresh(rk) }
 		c.ranks = append(c.ranks, rk)
 		c.scheduleRefresh(rk, c.tREFI)
 	}
@@ -328,32 +348,41 @@ func (c *Channel) bankIdx(co Coord) int {
 	return co.Rank*len(c.ranks[0].banks) + co.Bank
 }
 
-// Submit enqueues a request. The channel takes ownership of r.
-func (c *Channel) Submit(r *Request) {
-	if r.Coord.Rank < 0 || r.Coord.Rank >= len(c.ranks) {
-		panic(fmt.Sprintf("dram %s: rank %d out of range", c.Name, r.Coord.Rank))
+// Submit enqueues one cache-line read or write of co. onComplete, if
+// non-nil, fires when the data burst finishes.
+func (c *Channel) Submit(co Coord, write bool, onComplete func(now event.Time)) {
+	if co.Rank < 0 || co.Rank >= len(c.ranks) {
+		panic(fmt.Sprintf("dram %s: rank %d out of range", c.Name, co.Rank))
 	}
-	if r.Coord.Bank < 0 || r.Coord.Bank >= len(c.ranks[0].banks) {
-		panic(fmt.Sprintf("dram %s: bank %d out of range", c.Name, r.Coord.Bank))
+	if co.Bank < 0 || co.Bank >= len(c.ranks[0].banks) {
+		panic(fmt.Sprintf("dram %s: bank %d out of range", c.Name, co.Bank))
 	}
-	if r.Coord.Col < 0 || r.Coord.Col >= c.linesPerRow {
-		panic(fmt.Sprintf("dram %s: column %d out of range", c.Name, r.Coord.Col))
+	if co.Col < 0 || co.Col >= c.linesPerRow {
+		panic(fmt.Sprintf("dram %s: column %d out of range", c.Name, co.Col))
 	}
-	r.arrive = int64(c.eng.Now())
-	r.id = c.nextID
+	var r *request
+	if n := len(c.free); n > 0 {
+		r, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		r = new(request)
+	}
+	*r = request{coord: co, write: write, onComplete: onComplete, arrive: int64(c.eng.Now()), id: c.nextID}
 	c.nextID++
-	bl := &c.bq[c.bankIdx(r.Coord)]
-	if r.Write {
+	idx := c.bankIdx(co)
+	bl := &c.bq[idx]
+	if write {
 		bl.writes = append(bl.writes, r)
+		c.writeMask[idx/64] |= 1 << (idx % 64)
 		c.nWrites++
 	} else {
 		bl.reads = append(bl.reads, r)
+		c.readMask[idx/64] |= 1 << (idx % 64)
 		c.nReads++
 	}
 	if c.tm != nil {
 		c.tm.pending.Set(int64(c.Pending()))
 	}
-	c.wake(r.Coord.Rank)
+	c.wake(co.Rank)
 	c.kick(r.arrive)
 }
 
@@ -380,7 +409,7 @@ func (c *Channel) PowerDown(rankIdx int) {
 	// Never power down a rank with queued work.
 	banks := len(c.ranks[0].banks)
 	for i := rankIdx * banks; i < (rankIdx+1)*banks; i++ {
-		if len(c.bq[i].reads) > 0 || len(c.bq[i].writes) > 0 {
+		if (c.readMask[i/64]|c.writeMask[i/64])>>(i%64)&1 != 0 {
 			return
 		}
 	}
@@ -404,12 +433,12 @@ func (c *Channel) kick(at int64) {
 	}
 	c.evalScheduled = true
 	c.evalAt = at
-	c.evalHandle = c.eng.Schedule(event.Time(at), c.evaluate)
+	c.evalHandle = c.eng.Schedule(event.Time(at), c.evalFn)
 }
 
-func (c *Channel) evaluate() {
+func (c *Channel) evaluate(at event.Time) {
 	c.evalScheduled = false
-	now := int64(c.eng.Now())
+	now := int64(at)
 	if now < c.cmdBusFree {
 		c.kick(c.cmdBusFree)
 		return
@@ -465,48 +494,62 @@ func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 	nextTry := farFuture
 	banks := len(c.ranks[0].banks)
 
-	var bestHit, bestMiss *Request
+	var bestHit, bestMiss *request
 	var bestHitPos int
-	for idx := range c.bq {
-		bl := &c.bq[idx]
-		list := bl.reads
-		if isWrite {
-			list = bl.writes
-		}
-		if len(list) == 0 {
-			continue
-		}
-		rk := c.ranks[idx/banks]
-		b := &rk.banks[idx%banks]
+	mask := c.readMask
+	if isWrite {
+		mask = c.writeMask
+	}
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			idx := w*64 + bits.TrailingZeros64(word)
+			list := c.bq[idx].reads
+			if isWrite {
+				list = c.bq[idx].writes
+			}
+			rk := c.ranks[idx/banks]
+			b := &rk.banks[idx%banks]
 
-		if b.open {
-			// Look for the oldest request hitting the open row.
-			depth := len(list)
-			if depth > rowHitLookahead {
-				depth = rowHitLookahead
-			}
-			hitPos := -1
-			for i := 0; i < depth; i++ {
-				if list[i].Coord.Row == b.row {
-					hitPos = i
-					break
+			if b.open {
+				// Look for the oldest request hitting the open row.
+				depth := len(list)
+				if depth > rowHitLookahead {
+					depth = rowHitLookahead
 				}
-			}
-			if hitPos >= 0 {
-				ready := c.colReady(rk, b, isWrite)
+				hitPos := -1
+				for i := 0; i < depth; i++ {
+					if list[i].coord.Row == b.row {
+						hitPos = i
+						break
+					}
+				}
+				if hitPos >= 0 {
+					ready := c.colReady(rk, b, isWrite)
+					if ready <= now {
+						r := list[hitPos]
+						if bestHit == nil || r.id < bestHit.id {
+							bestHit, bestHitPos = r, hitPos
+						}
+					} else if ready < nextTry {
+						nextTry = ready
+					}
+					// Never precharge under a pending row hit.
+					continue
+				}
+				// Row conflict: precharge for the oldest request.
+				ready := maxi64(b.nextPre, rk.wakeAt, rk.refreshEnd)
 				if ready <= now {
-					r := list[hitPos]
-					if bestHit == nil || r.id < bestHit.id {
-						bestHit, bestHitPos = r, hitPos
+					r := list[0]
+					if bestMiss == nil || r.id < bestMiss.id {
+						bestMiss = r
 					}
 				} else if ready < nextTry {
 					nextTry = ready
 				}
-				// Never precharge under a pending row hit.
 				continue
 			}
-			// Row conflict: precharge for the oldest request.
-			ready := maxi64(b.nextPre, rk.wakeAt, rk.refreshEnd)
+			// Closed bank: activate for the oldest request.
+			ready := maxi64(b.nextAct, rk.fawReady(), rk.wakeAt, rk.refreshEnd)
 			if ready <= now {
 				r := list[0]
 				if bestMiss == nil || r.id < bestMiss.id {
@@ -515,30 +558,20 @@ func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 			} else if ready < nextTry {
 				nextTry = ready
 			}
-			continue
-		}
-		// Closed bank: activate for the oldest request.
-		ready := maxi64(b.nextAct, rk.fawReady(), rk.wakeAt, rk.refreshEnd)
-		if ready <= now {
-			r := list[0]
-			if bestMiss == nil || r.id < bestMiss.id {
-				bestMiss = r
-			}
-		} else if ready < nextTry {
-			nextTry = ready
 		}
 	}
 
 	if bestHit != nil {
-		rk := c.ranks[bestHit.Coord.Rank]
-		b := &rk.banks[bestHit.Coord.Bank]
+		rk := c.ranks[bestHit.coord.Rank]
+		b := &rk.banks[bestHit.coord.Bank]
 		c.removeAt(bestHit, bestHitPos)
 		c.issueColumn(now, bestHit, rk, b, !bestHit.opened)
+		c.free = append(c.free, bestHit)
 		return true, 0
 	}
 	if bestMiss != nil {
-		rk := c.ranks[bestMiss.Coord.Rank]
-		b := &rk.banks[bestMiss.Coord.Bank]
+		rk := c.ranks[bestMiss.coord.Rank]
+		b := &rk.banks[bestMiss.coord.Bank]
 		if b.open {
 			c.issuePrecharge(now, rk, b)
 		} else {
@@ -550,16 +583,22 @@ func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 	return false, nextTry
 }
 
-// removeAt removes a request from its bank FIFO at a known position.
-func (c *Channel) removeAt(r *Request, pos int) {
-	bl := &c.bq[c.bankIdx(r.Coord)]
-	if r.Write {
-		bl.writes = append(bl.writes[:pos], bl.writes[pos+1:]...)
-		c.nWrites--
-	} else {
-		bl.reads = append(bl.reads[:pos], bl.reads[pos+1:]...)
-		c.nReads--
+// removeAt removes a request from its bank FIFO at a known position, clears
+// the slot the shift vacates and, when the FIFO empties, the bank's mask bit.
+func (c *Channel) removeAt(r *request, pos int) {
+	idx := c.bankIdx(r.coord)
+	list, mask, n := &c.bq[idx].reads, c.readMask, &c.nReads
+	if r.write {
+		list, mask, n = &c.bq[idx].writes, c.writeMask, &c.nWrites
 	}
+	last := len(*list) - 1
+	copy((*list)[pos:], (*list)[pos+1:])
+	(*list)[last] = nil
+	*list = (*list)[:last]
+	if last == 0 {
+		mask[idx/64] &^= 1 << (idx % 64)
+	}
+	*n--
 	if c.tm != nil {
 		c.tm.pending.Set(int64(c.Pending()))
 	}
@@ -580,17 +619,17 @@ func (c *Channel) colReady(rk *rank, b *bank, isWrite bool) int64 {
 	return maxi64(ready, busNeed)
 }
 
-func (c *Channel) issueColumn(now int64, r *Request, rk *rank, b *bank, hit bool) {
+func (c *Channel) issueColumn(now int64, r *request, rk *rank, b *bank, hit bool) {
 	c.cmdBusFree = now + c.ratio
-	rankIdx := r.Coord.Rank
+	rankIdx := r.coord.Rank
 	if c.Observer != nil {
 		k := CmdRead
-		if r.Write {
+		if r.write {
 			k = CmdWrite
 		}
-		c.Observer(event.Time(now), k, r.Coord)
+		c.Observer(event.Time(now), k, r.coord)
 	}
-	if r.Write {
+	if r.write {
 		end := now + c.tCWL + c.tBURST
 		c.dataBusFree = end
 		c.dataBusRank = rankIdx
@@ -643,24 +682,24 @@ func (c *Channel) issueColumn(now int64, r *Request, rk *rank, b *bank, hit bool
 	rk.lastUse = now
 }
 
-func (c *Channel) complete(r *Request, at int64) {
-	if r.OnComplete == nil {
-		return
+// complete schedules r's callback at the end of its data burst. The burst
+// never ends in the past, so the time the engine passes is at.
+func (c *Channel) complete(r *request, at int64) {
+	if r.onComplete != nil {
+		c.eng.Schedule(event.Time(at), r.onComplete)
 	}
-	cb := r.OnComplete
-	c.eng.Schedule(event.Time(at), func() { cb(event.Time(at)) })
 }
 
-func (c *Channel) issueActivate(now int64, r *Request, rk *rank, b *bank) {
+func (c *Channel) issueActivate(now int64, r *request, rk *rank, b *bank) {
 	c.cmdBusFree = now + c.ratio
 	if c.Observer != nil {
-		c.Observer(event.Time(now), CmdActivate, r.Coord)
+		c.Observer(event.Time(now), CmdActivate, r.coord)
 	}
 	if rk.openBanks == 0 {
 		rk.accrue(now)
 	}
 	b.open = true
-	b.row = r.Coord.Row
+	b.row = r.coord.Row
 	rk.openBanks++
 	b.nextRead = now + c.tRCD
 	b.nextWrite = now + c.tRCD
@@ -698,10 +737,11 @@ func (c *Channel) issuePrecharge(now int64, rk *rank, b *bank) {
 }
 
 func (c *Channel) scheduleRefresh(rk *rank, at int64) {
-	c.eng.Schedule(event.Time(at), func() { c.refresh(rk, at) })
+	rk.refreshDue = at
+	c.eng.Schedule(event.Time(at), rk.refreshFn)
 }
 
-func (c *Channel) refresh(rk *rank, due int64) {
+func (c *Channel) refresh(rk *rank) {
 	now := int64(c.eng.Now())
 	// All banks must be precharged; compute when that can happen.
 	start := now
@@ -746,7 +786,7 @@ func (c *Channel) refresh(rk *rank, due int64) {
 			}
 		}
 	}
-	c.scheduleRefresh(rk, due+c.tREFI)
+	c.scheduleRefresh(rk, rk.refreshDue+c.tREFI)
 	c.kick(rk.refreshEnd)
 }
 

@@ -22,10 +22,7 @@ func cpu(memCycles int) event.Time { return event.Time(memCycles * 2) }
 func TestSingleReadLatency(t *testing.T) {
 	eng, ch, _, tm := testChannel(t)
 	var done event.Time
-	ch.Submit(&Request{
-		Coord:      Coord{Rank: 0, Bank: 0, Row: 5, Col: 3},
-		OnComplete: func(now event.Time) { done = now },
-	})
+	ch.Submit(Coord{Rank: 0, Bank: 0, Row: 5, Col: 3}, false, func(now event.Time) { done = now })
 	eng.RunUntil(50_000_000)
 	// Closed bank: ACT at 0, RD at tRCD, data at tRCD+CL+tBURST.
 	want := cpu(tm.TRCD + tm.CL + tm.TBURST)
@@ -42,11 +39,11 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 	eng, ch, _, _ := testChannel(t)
 	var t1, t2, t3 event.Time
 	c := Coord{Rank: 0, Bank: 0, Row: 5, Col: 0}
-	ch.Submit(&Request{Coord: c, OnComplete: func(n event.Time) { t1 = n }})
+	ch.Submit(c, false, func(n event.Time) { t1 = n })
 	c.Col = 1
-	ch.Submit(&Request{Coord: c, OnComplete: func(n event.Time) { t2 = n }})
+	ch.Submit(c, false, func(n event.Time) { t2 = n })
 	c.Row = 9 // conflict
-	ch.Submit(&Request{Coord: c, OnComplete: func(n event.Time) { t3 = n }})
+	ch.Submit(c, false, func(n event.Time) { t3 = n })
 	eng.RunUntil(50_000_000)
 	hitCost := t2 - t1
 	missCost := t3 - t2
@@ -64,8 +61,8 @@ func TestBankParallelismBeatsSerial(t *testing.T) {
 	run := func(c2 Coord) event.Time {
 		eng, ch, _, _ := testChannel(t)
 		var last event.Time
-		ch.Submit(&Request{Coord: Coord{Row: 1}, OnComplete: func(n event.Time) { last = n }})
-		ch.Submit(&Request{Coord: c2, OnComplete: func(n event.Time) { last = n }})
+		ch.Submit(Coord{Row: 1}, false, func(n event.Time) { last = n })
+		ch.Submit(c2, false, func(n event.Time) { last = n })
 		eng.RunUntil(50_000_000)
 		return last
 	}
@@ -82,9 +79,9 @@ func TestWritesDrainAtWatermark(t *testing.T) {
 	// the drain must let writes through even though reads have priority.
 	reads := 0
 	for i := 0; i < org.WriteDrainHigh+5; i++ {
-		ch.Submit(&Request{Coord: Coord{Bank: i % 8, Row: uint32(i), Col: 0}, Write: true})
+		ch.Submit(Coord{Bank: i % 8, Row: uint32(i), Col: 0}, true, nil)
 	}
-	ch.Submit(&Request{Coord: Coord{Bank: 0, Row: 100}, OnComplete: func(event.Time) { reads++ }})
+	ch.Submit(Coord{Bank: 0, Row: 100}, false, func(event.Time) { reads++ })
 	eng.RunUntil(1_000_000)
 	s := ch.Stats()
 	if s.Writes == 0 {
@@ -103,8 +100,8 @@ func TestReadPriorityUnderLightWrites(t *testing.T) {
 	var readDone, writeDone event.Time
 	// One write then one read to different banks: with light write traffic
 	// the read should be served first (write queue below watermark).
-	ch.Submit(&Request{Coord: Coord{Bank: 0, Row: 1}, Write: true, OnComplete: func(n event.Time) { writeDone = n }})
-	ch.Submit(&Request{Coord: Coord{Bank: 1, Row: 1}, OnComplete: func(n event.Time) { readDone = n }})
+	ch.Submit(Coord{Bank: 0, Row: 1}, true, func(n event.Time) { writeDone = n })
+	ch.Submit(Coord{Bank: 1, Row: 1}, false, func(n event.Time) { readDone = n })
 	eng.RunUntil(50_000_000)
 	if readDone >= writeDone {
 		t.Fatalf("read done at %d, write at %d: read not prioritized", readDone, writeDone)
@@ -116,16 +113,12 @@ func TestAllRequestsComplete(t *testing.T) {
 	const n = 500
 	completed := 0
 	for i := 0; i < n; i++ {
-		ch.Submit(&Request{
-			Coord: Coord{
-				Rank: i % org.RanksPerChannel(),
-				Bank: (i / 3) % org.BanksPerRank,
-				Row:  uint32(i * 7 % org.RowsPerBank),
-				Col:  i % org.LinesPerRow(),
-			},
-			Write:      i%3 == 0,
-			OnComplete: func(event.Time) { completed++ },
-		})
+		ch.Submit(Coord{
+			Rank: i % org.RanksPerChannel(),
+			Bank: (i / 3) % org.BanksPerRank,
+			Row:  uint32(i * 7 % org.RowsPerBank),
+			Col:  i % org.LinesPerRow(),
+		}, i%3 == 0, func(event.Time) { completed++ })
 	}
 	eng.RunUntil(100_000_000)
 	if completed != n {
@@ -142,7 +135,7 @@ func TestCompletionOrderWithinBankIsFIFOPerRow(t *testing.T) {
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
-		ch.Submit(&Request{Coord: Coord{Row: 1, Col: i}, OnComplete: func(event.Time) { order = append(order, i) }})
+		ch.Submit(Coord{Row: 1, Col: i}, false, func(event.Time) { order = append(order, i) })
 	}
 	eng.RunUntil(50_000_000)
 	for i, v := range order {
@@ -166,7 +159,7 @@ func TestRefreshDelaysAccess(t *testing.T) {
 	// Let the first refresh start, then submit immediately after it begins.
 	eng.RunUntil(event.Time(tm.TREFI*2 + 2))
 	var done event.Time
-	ch.Submit(&Request{Coord: Coord{Row: 3}, OnComplete: func(n event.Time) { done = n }})
+	ch.Submit(Coord{Row: 3}, false, func(n event.Time) { done = n })
 	eng.RunUntil(50_000_000)
 	plain := cpu(tm.TRCD + tm.CL + tm.TBURST)
 	if done < event.Time(tm.TREFI*2)+plain {
@@ -183,13 +176,13 @@ func TestPowerDownAndWake(t *testing.T) {
 	// Warm access, then power the rank down and access again: the second
 	// access pays the tXP wake penalty.
 	var t1 event.Time
-	ch.Submit(&Request{Coord: Coord{Row: 1}, OnComplete: func(n event.Time) { t1 = n }})
+	ch.Submit(Coord{Row: 1}, false, func(n event.Time) { t1 = n })
 	eng.RunUntil(50_000_000)
 	ch.PowerDown(0)
 	eng.RunUntil(50_001_000) // idle while powered down
 	start := eng.Now()
 	var t2 event.Time
-	ch.Submit(&Request{Coord: Coord{Row: 1, Col: 5}, OnComplete: func(n event.Time) { t2 = n }})
+	ch.Submit(Coord{Row: 1, Col: 5}, false, func(n event.Time) { t2 = n })
 	eng.RunUntil(50_000_000)
 	_ = t1
 	lat := t2 - start
@@ -207,7 +200,7 @@ func TestPowerDownAndWake(t *testing.T) {
 
 func TestPowerDownRefusedWithPendingWork(t *testing.T) {
 	eng, ch, _, _ := testChannel(t)
-	ch.Submit(&Request{Coord: Coord{Row: 1}})
+	ch.Submit(Coord{Row: 1}, false, nil)
 	ch.PowerDown(0) // must be refused: queued work
 	eng.RunUntil(50_000_000)
 	s := ch.Stats()
@@ -222,7 +215,7 @@ func TestPowerDownRefusedWithPendingWork(t *testing.T) {
 func TestResidencyAccounting(t *testing.T) {
 	eng, ch, _, _ := testChannel(t)
 	done := false
-	ch.Submit(&Request{Coord: Coord{Row: 1}, OnComplete: func(event.Time) { done = true }})
+	ch.Submit(Coord{Row: 1}, false, func(event.Time) { done = true })
 	eng.RunUntil(10_000)
 	if !done {
 		t.Fatal("request did not complete")
@@ -247,7 +240,7 @@ func TestSubmitPanicsOnBadCoord(t *testing.T) {
 					t.Errorf("Submit(%+v) did not panic", c)
 				}
 			}()
-			ch.Submit(&Request{Coord: c})
+			ch.Submit(c, false, nil)
 		}()
 	}
 }
@@ -257,7 +250,7 @@ func TestDataBusSerializesReads(t *testing.T) {
 	// Many row hits in one bank: steady state is one burst per tCCD.
 	var times []event.Time
 	for i := 0; i < 10; i++ {
-		ch.Submit(&Request{Coord: Coord{Row: 1, Col: i}, OnComplete: func(n event.Time) { times = append(times, n) }})
+		ch.Submit(Coord{Row: 1, Col: i}, false, func(n event.Time) { times = append(times, n) })
 	}
 	eng.RunUntil(50_000_000)
 	for i := 1; i < len(times); i++ {

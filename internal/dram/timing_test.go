@@ -14,16 +14,13 @@ func TestTFAWLimitsActivates(t *testing.T) {
 	var first, fifth event.Time
 	for i := 0; i < 5; i++ {
 		i := i
-		ch.Submit(&Request{
-			Coord: Coord{Bank: i, Row: 7},
-			OnComplete: func(n event.Time) {
-				if i == 0 {
-					first = n
-				}
-				if i == 4 {
-					fifth = n
-				}
-			},
+		ch.Submit(Coord{Bank: i, Row: 7}, false, func(n event.Time) {
+			if i == 0 {
+				first = n
+			}
+			if i == 4 {
+				fifth = n
+			}
 		})
 	}
 	eng.RunUntil(1_000_000)
@@ -46,10 +43,7 @@ func TestRankSwitchPenalty(t *testing.T) {
 			if alternate && i%2 == 1 {
 				rank = 1
 			}
-			ch.Submit(&Request{
-				Coord:      Coord{Rank: rank, Bank: 0, Row: 1, Col: i},
-				OnComplete: func(n event.Time) { last = n },
-			})
+			ch.Submit(Coord{Rank: rank, Bank: 0, Row: 1, Col: i}, false, func(n event.Time) { last = n })
 		}
 		eng.RunUntil(1_000_000)
 		return last
@@ -69,10 +63,7 @@ func TestStreamingBandwidth(t *testing.T) {
 	var last event.Time
 	done := 0
 	for i := 0; i < n; i++ {
-		ch.Submit(&Request{
-			Coord:      Coord{Row: 3, Col: i % org.LinesPerRow()},
-			OnComplete: func(now event.Time) { done++; last = now },
-		})
+		ch.Submit(Coord{Row: 3, Col: i % org.LinesPerRow()}, false, func(now event.Time) { done++; last = now })
 	}
 	eng.RunUntil(10_000_000)
 	if done != n {
@@ -90,12 +81,12 @@ func TestStreamingBandwidth(t *testing.T) {
 func TestWriteDrainHysteresis(t *testing.T) {
 	eng, ch, org, _ := testChannel(t)
 	for i := 0; i < org.WriteDrainHigh; i++ {
-		ch.Submit(&Request{Coord: Coord{Bank: i % 8, Row: uint32(i / 8), Col: i}, Write: true})
+		ch.Submit(Coord{Bank: i % 8, Row: uint32(i / 8), Col: i}, true, nil)
 	}
 	// Run a moment so draining engages.
 	eng.RunUntil(200)
 	readDone := event.Time(0)
-	ch.Submit(&Request{Coord: Coord{Bank: 7, Row: 999}, OnComplete: func(n event.Time) { readDone = n }})
+	ch.Submit(Coord{Bank: 7, Row: 999}, false, func(n event.Time) { readDone = n })
 	eng.RunUntil(1_000_000)
 	if readDone == 0 {
 		t.Fatal("read starved forever")
@@ -112,7 +103,7 @@ func TestRowHitRateHighForPackedPattern(t *testing.T) {
 	eng, ch, org, _ := testChannel(t)
 	m := NewMapper(org, org.RanksPerChannel())
 	for line := uint64(0); line < 512; line++ {
-		ch.Submit(&Request{Coord: m.Map(line)})
+		ch.Submit(m.Map(line), false, nil)
 	}
 	eng.RunUntil(10_000_000)
 	s := ch.Stats()
@@ -130,8 +121,8 @@ func TestChannelsIndependent(t *testing.T) {
 	a := NewChannel(eng, "a", org, tm, 2)
 	b := NewChannel(eng, "b", org, tm, 2)
 	var ta, tb event.Time
-	a.Submit(&Request{Coord: Coord{Row: 1}, OnComplete: func(n event.Time) { ta = n }})
-	b.Submit(&Request{Coord: Coord{Row: 1}, OnComplete: func(n event.Time) { tb = n }})
+	a.Submit(Coord{Row: 1}, false, func(n event.Time) { ta = n })
+	b.Submit(Coord{Row: 1}, false, func(n event.Time) { tb = n })
 	eng.RunUntil(1_000_000)
 	if ta != tb {
 		t.Fatalf("identical requests on separate channels finished at %d and %d", ta, tb)
@@ -142,7 +133,7 @@ func TestChannelsIndependent(t *testing.T) {
 func TestReadLatencyStat(t *testing.T) {
 	eng, ch, _, tm := testChannel(t)
 	var done event.Time
-	ch.Submit(&Request{Coord: Coord{Row: 2}, OnComplete: func(n event.Time) { done = n }})
+	ch.Submit(Coord{Row: 2}, false, func(n event.Time) { done = n })
 	eng.RunUntil(1_000_000)
 	want := float64(cpu(tm.TRCD + tm.CL + tm.TBURST))
 	s := ch.Stats()

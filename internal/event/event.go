@@ -11,13 +11,24 @@
 // The queue is a hand-rolled 4-ary min-heap: event dispatch is the hottest
 // loop in the simulator, and the flat heap with inlined comparisons is
 // substantially faster than container/heap's interface-based one.
+//
+// A warm engine allocates nothing. Heap items come from an engine-owned free
+// list and return to it the moment they are popped, fired or cancelled, so
+// an item is reused while handles to its earlier lives may still exist:
+// a Handle therefore carries the seq of the event it was issued for, and
+// Cancel through a handle whose seq the item no longer bears is a no-op.
+// There is one callback shape, Func, which receives the time the engine
+// already holds. A component whose completion callback wants the time (a
+// DRAM burst end, a link transfer's last beat) hands that callback to
+// Schedule as it is instead of wrapping it in a closure that captures it.
 package event
 
 // Time is an absolute simulation time in cycles.
 type Time uint64
 
-// Func is a callback executed when an event fires.
-type Func func()
+// Func is a callback executed when an event fires; now is the engine's
+// clock, which is the scheduled time unless that lay in the past.
+type Func func(now Time)
 
 type item struct {
 	at   Time
@@ -35,12 +46,16 @@ func (a *item) before(b *item) bool {
 }
 
 // Handle identifies a scheduled event so it can be cancelled.
-type Handle struct{ it *item }
+type Handle struct {
+	it  *item
+	seq uint64
+}
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
+// already-cancelled event is a no-op, also when the engine has since reused
+// the event's item for a later one.
 func (h Handle) Cancel() {
-	if h.it != nil {
+	if h.it != nil && h.it.seq == h.seq {
 		h.it.dead = true
 	}
 }
@@ -48,9 +63,10 @@ func (h Handle) Cancel() {
 // Engine is a deterministic discrete-event scheduler. The zero value is
 // ready to use at time 0.
 type Engine struct {
-	now Time
-	seq uint64
-	q   []*item
+	now  Time
+	seq  uint64
+	q    []*item
+	free []*item // popped items, reused by Schedule
 }
 
 // Now returns the current simulation time.
@@ -63,10 +79,16 @@ func (e *Engine) Schedule(at Time, fn Func) Handle {
 	if at < e.now {
 		at = e.now
 	}
-	it := &item{at: at, seq: e.seq, fn: fn}
+	var it *item
+	if n := len(e.free); n > 0 {
+		it, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		it = new(item)
+	}
+	*it = item{at: at, seq: e.seq, fn: fn}
 	e.seq++
 	e.push(it)
-	return Handle{it}
+	return Handle{it, it.seq}
 }
 
 // After registers fn to run delay cycles from now.
@@ -97,7 +119,7 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.now = it.at
-		it.fn()
+		it.fn(e.now)
 		return true
 	}
 	return false
@@ -158,9 +180,12 @@ func (e *Engine) push(it *item) {
 	e.q = q
 }
 
+// pop removes the earliest item and puts it on the free list; the caller
+// reads it before anything schedules again.
 func (e *Engine) pop() *item {
 	q := e.q
 	top := q[0]
+	e.free = append(e.free, top)
 	last := len(q) - 1
 	q[0] = q[last]
 	q[last] = nil

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sdimm/internal/config"
 	"sdimm/internal/queueing"
@@ -93,21 +94,27 @@ func runAll(jobs []job, o Options) (map[string]sim.Result, error) {
 	results := make([]sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	regs := make([]*telemetry.Registry, len(jobs))
-	sem := make(chan struct{}, o.Parallel)
+	// o.Parallel workers take jobs in list order from a shared counter, so
+	// which jobs overlap does not depend on the Go scheduler.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := range jobs {
+	for w := 0; w < min(max(o.Parallel, 1), len(jobs)); w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var tel *sim.Telemetry
-			if o.Telemetry != nil {
-				regs[i] = telemetry.NewRegistry()
-				tel = &sim.Telemetry{Registry: regs[i]}
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				var tel *sim.Telemetry
+				if o.Telemetry != nil {
+					regs[i] = telemetry.NewRegistry()
+					tel = &sim.Telemetry{Registry: regs[i]}
+				}
+				results[i], errs[i] = sim.Run(jobs[i].cfg, jobs[i].workload, tel)
 			}
-			results[i], errs[i] = sim.Run(jobs[i].cfg, jobs[i].workload, tel)
-		}(i)
+		}()
 	}
 	wg.Wait()
 	// Deterministic merge barrier: fold shards in job order.

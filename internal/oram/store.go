@@ -130,12 +130,15 @@ func (s *SparseStore) WriteBucket(idx uint64, b Bucket) error {
 	if len(b.Slots) != s.z {
 		return fmt.Errorf("oram: bucket with %d slots written to Z=%d store", len(b.Slots), s.z)
 	}
-	var counter uint64
-	if old, ok := s.buckets[idx]; ok {
-		counter = old.Counter
+	old, ok := s.buckets[idx]
+	if ok {
+		// The stored slots are the store's own copy: overwrite them in place.
+		copy(old.Slots, b.Slots)
+	} else {
+		old.Slots = append([]Block(nil), b.Slots...)
 	}
-	cp := Bucket{Slots: append([]Block(nil), b.Slots...), Counter: counter + 1}
-	s.buckets[idx] = cp
+	old.Counter++
+	s.buckets[idx] = old
 	return nil
 }
 

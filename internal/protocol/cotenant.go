@@ -76,16 +76,16 @@ func (t *TenantMem) Read(addr uint64, done func()) {
 	if t.links != nil {
 		remaining = 2
 	}
-	fin := func() {
+	fin := func(event.Time) {
 		remaining--
 		if remaining == 0 {
 			t.st.MissLatency.Add(uint64(t.eng.Now() - start))
 			done()
 		}
 	}
-	t.chans[ci].Submit(&dram.Request{Coord: coord, OnComplete: func(event.Time) { fin() }})
+	t.chans[ci].Submit(coord, false, fin)
 	if t.links != nil {
-		t.links[ci%len(t.links)].Transfer(64, func(event.Time) { fin() })
+		t.links[ci%len(t.links)].Transfer(64, fin)
 	}
 }
 
@@ -93,7 +93,7 @@ func (t *TenantMem) Read(addr uint64, done func()) {
 func (t *TenantMem) Write(addr uint64) {
 	t.st.Writes++
 	ci, coord := t.place(addr)
-	t.chans[ci].Submit(&dram.Request{Coord: coord, Write: true})
+	t.chans[ci].Submit(coord, true, nil)
 	if t.links != nil {
 		t.links[ci%len(t.links)].Transfer(64, nil)
 	}

@@ -150,7 +150,7 @@ func (b *FreecursiveBackend) runPaths(paths [][]uint64, i int, done func()) {
 		return
 	}
 	b.tm.accessPath(paths[i], func() {
-		b.eng.After(b.enc, func() { b.runPaths(paths, i+1, done) })
+		b.eng.After(b.enc, func(event.Time) { b.runPaths(paths, i+1, done) })
 	})
 }
 

@@ -202,7 +202,7 @@ func (b *IndependentBackend) accessORAM(addr uint64, op oram.Op, posted bool, la
 						map[string]any{"sdimm": sd, "paths": len(paths)})
 					tr.Complete(lane, "buffer.seal", "seal", t2, t2e)
 				}
-				b.eng.After(b.enc, func() { b.ready[sd]++ })
+				b.eng.After(b.enc, func(event.Time) { b.ready[sd]++ })
 				b.runLocalPaths(sd, paths[1:], 0, workDone)
 			})
 		})
@@ -225,7 +225,7 @@ func (b *IndependentBackend) accessORAM(addr uint64, op oram.Op, posted bool, la
 			})
 		}
 		// The requested data reaches the CPU after decryption.
-		b.eng.After(b.enc, func() {
+		b.eng.After(b.enc, func(event.Time) {
 			end := uint64(b.eng.Now())
 			if tr != nil {
 				tr.Complete(lane, "result.decrypt", "seal", t3, end)
@@ -273,7 +273,7 @@ func (b *IndependentBackend) startProbing(sd int) {
 		return
 	}
 	b.probing[sd] = true
-	b.eng.After(event.Time(b.cfg.ProbeInterval), func() { b.probe(sd) })
+	b.eng.After(event.Time(b.cfg.ProbeInterval), func(event.Time) { b.probe(sd) })
 }
 
 func (b *IndependentBackend) probe(sd int) {
@@ -303,7 +303,7 @@ func (b *IndependentBackend) probeNext(sd int) {
 		b.probing[sd] = false
 		return
 	}
-	b.eng.After(event.Time(b.cfg.ProbeInterval), func() { b.probe(sd) })
+	b.eng.After(event.Time(b.cfg.ProbeInterval), func(event.Time) { b.probe(sd) })
 }
 
 // Stats implements Backend, aggregating per-buffer maxima.

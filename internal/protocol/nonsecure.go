@@ -43,12 +43,9 @@ func (ns *NonSecure) Read(addr uint64, done func()) {
 	ns.st.Reads++
 	start := ns.eng.Now()
 	ci, coord := ns.place(addr)
-	ns.chans[ci].Submit(&dram.Request{
-		Coord: coord,
-		OnComplete: func(now event.Time) {
-			ns.st.MissLatency.Add(uint64(now - start))
-			done()
-		},
+	ns.chans[ci].Submit(coord, false, func(now event.Time) {
+		ns.st.MissLatency.Add(uint64(now - start))
+		done()
 	})
 }
 
@@ -56,7 +53,7 @@ func (ns *NonSecure) Read(addr uint64, done func()) {
 func (ns *NonSecure) Write(addr uint64) {
 	ns.st.Writes++
 	ci, coord := ns.place(addr)
-	ns.chans[ci].Submit(&dram.Request{Coord: coord, Write: true})
+	ns.chans[ci].Submit(coord, true, nil)
 }
 
 // Channels implements Backend.

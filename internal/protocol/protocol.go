@@ -83,6 +83,7 @@ type treeMem struct {
 	mappers  []*dram.Mapper
 	layout   oram.Layout
 	lowPower bool
+	lines    []placedLine // placePath's result, reused by the next call
 }
 
 func newTreeMem(eng *event.Engine, chans []*dram.Channel, org config.Org, layout oram.Layout, lowPower bool) (*treeMem, error) {
@@ -103,9 +104,11 @@ type placedLine struct {
 
 // placePath maps a path's buckets to physical lines. On-chip buckets are
 // skipped. With rank pinning (low-power layout) the lines stay in one rank
-// of one channel; otherwise lines stripe across channels.
+// of one channel; otherwise lines stripe across channels. The result is
+// scratch the next call overwrites: both callers submit every line before
+// they return, and Submit runs no callback.
 func (tm *treeMem) placePath(path []uint64) []placedLine {
-	var out []placedLine
+	out := tm.lines[:0]
 	for _, bucket := range path {
 		p := tm.layout.Place(bucket)
 		if p.OnChip {
@@ -127,6 +130,7 @@ func (tm *treeMem) placePath(path []uint64) []placedLine {
 			}
 		}
 	}
+	tm.lines = out
 	return out
 }
 
@@ -147,30 +151,28 @@ func (tm *treeMem) readPath(path []uint64, onDone func()) {
 	lines := tm.placePath(path)
 	if len(lines) == 0 {
 		// Fully cached path: complete immediately.
-		tm.eng.After(0, onDone)
+		tm.eng.After(0, func(event.Time) { onDone() })
 		return
 	}
 	if tm.lowPower {
 		tm.powerSiblings(lines[0])
 	}
 	remaining := len(lines)
+	arrived := func(event.Time) {
+		remaining--
+		if remaining == 0 {
+			onDone()
+		}
+	}
 	for _, pl := range lines {
-		tm.chans[pl.chanIdx].Submit(&dram.Request{
-			Coord: pl.coord,
-			OnComplete: func(event.Time) {
-				remaining--
-				if remaining == 0 {
-					onDone()
-				}
-			},
-		})
+		tm.chans[pl.chanIdx].Submit(pl.coord, false, arrived)
 	}
 }
 
 // writePath posts the writeback of every line of the path.
 func (tm *treeMem) writePath(path []uint64) {
 	for _, pl := range tm.placePath(path) {
-		tm.chans[pl.chanIdx].Submit(&dram.Request{Coord: pl.coord, Write: true})
+		tm.chans[pl.chanIdx].Submit(pl.coord, true, nil)
 	}
 }
 

@@ -185,9 +185,9 @@ func (g *splitGroup) run(op splitOp) {
 // stageB finishes one access: metadata reassembly, FETCH_STASH,
 // RECEIVE_LIST, writeback, and any background eviction.
 func (g *splitGroup) stageB(op splitOp) {
-	g.front.eng.After(g.front.enc, func() {
+	g.front.eng.After(g.front.enc, func(event.Time) {
 		g.broadcast(g.fetchResp, func() {
-			g.front.eng.After(g.front.enc, func() {
+			g.front.eng.After(g.front.enc, func(event.Time) {
 				op.onData()
 				g.broadcast(g.listBytes, func() {
 					g.writeShards(op.path)
