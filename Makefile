@@ -85,8 +85,8 @@ blame:
 # CTR keystream, its seal/open (CTR pad + AES-GMAC tag) and a whole
 # fault.Transactor exchange over the fault-free link, a MemStore bucket open
 # and reseal (one AES-GCM call each), Engine.Access, and the journal commit
-# must stay at 0 allocs/op; a sequential cluster access within its 2-alloc
-# budget and a warm 64-op Pipeline.Do within 192 objects, inline and with
+# must stay at 0 allocs/op; a sequential cluster access within 1.7 objects,
+# counted exactly, and a warm 64-op Pipeline.Do within 128, inline and with
 # workers (TestPipelineDoAllocBudget: a hand-off allocates nothing); and the
 # flight recorder plus blame collector must add none to a pipelined access.
 # The timing simulator has its own three: a warm event engine schedules and
@@ -114,12 +114,10 @@ profile-sim:
 
 # Wire-format decoders must never panic on hostile input. The durable-state
 # decoders (journal records, checkpoints) must additionally fail closed:
-# anything they accept is chain-authenticated and canonical. The sharded
-# position map's fuzz leg cross-checks it against a plain map under random
-# interleaved Get/Set/Snapshot traffic, and the stash's checks the sorted
-# slice against a plain map the same way. FuzzWritePath compares the engine's
-# greedy writeback, bucket for bucket, with the sorted-copy selection it
-# replaced. MemStore.RestoreRaw takes sealed buckets of both formats off
+# anything they accept is chain-authenticated and canonical. The stash's fuzz
+# leg checks the sorted slice against a plain map. FuzzWritePath compares the
+# engine's greedy writeback, bucket for bucket, with the sorted-copy selection
+# it replaced. MemStore.RestoreRaw takes sealed buckets of both formats off
 # disk: a wrong length is an error, and nothing a seal under the store's key
 # did not produce may open.
 fuzz:
@@ -128,7 +126,6 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalAppend -fuzztime=20s ./internal/sdimm
 	$(GO) test -run=NONE -fuzz=FuzzJournalDecode -fuzztime=20s ./internal/durable
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecode -fuzztime=20s ./internal/durable
-	$(GO) test -run=NONE -fuzz=FuzzShardedPosMap -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzStash -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzWritePath -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzRingStateDecode -fuzztime=20s ./internal/oram

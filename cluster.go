@@ -233,6 +233,7 @@ type Cluster struct {
 	cmdBufs   [][]byte // kind byte + marshalled command body
 	serveBufs [][]byte // device-side response body
 	writeBuf  []byte   // Write's zero-padded payload staging
+	respBuf   []byte   // access's copy of the ACCESS response (sequential path)
 }
 
 // NewCluster builds a cluster: it mints a device identity per SDIMM,
@@ -280,9 +281,7 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 		blame:     opts.Blame,
 		flight:    opts.Flight,
 	}
-	// Sharded so the pipeline's workers can commit positions for distinct
-	// addresses concurrently; the sequential path sees an ordinary map.
-	c.pos = oram.NewShardedPosMap(4 * opts.SDIMMs)
+	c.pos = oram.NewSparsePosMap()
 	c.rnd = rng.New(opts.Seed)
 	c.tm = newClusterTelemetry(opts.Telemetry, opts.Tracer)
 	c.poisoned = make(map[uint64]bool)
@@ -634,7 +633,10 @@ func (c *Cluster) access(addr uint64, op oram.Op, data []byte, migrate bool) ([]
 		return nil, err
 	}
 
-	resp, err := isdimm.UnmarshalResponse(respBody, c.blockSize)
+	// A view into the transactor's scratch would not survive: an APPEND to
+	// this member may run before the real block reaches its new owner.
+	c.respBuf = append(c.respBuf[:0], respBody...)
+	resp, err := isdimm.UnmarshalResponse(c.respBuf, c.blockSize)
 	if err != nil {
 		return nil, c.wrapErr(sd, "access response", err)
 	}
@@ -686,10 +688,9 @@ func (c *Cluster) access(addr uint64, op oram.Op, data []byte, migrate bool) ([]
 			c.tm.poisonedReads.Inc()
 			return nil, fmt.Errorf("sdimm: read %d: %w", addr, ErrUnrecoverable)
 		}
-		if resp.Dummy || resp.Block.Data == nil {
-			return make([]byte, c.blockSize), nil
-		}
-		return append([]byte(nil), resp.Block.Data...), nil
+		out := make([]byte, c.blockSize) // zeros for a dummy
+		copy(out, resp.Block.Data)
+		return out, nil
 	}
 	return nil, nil
 }

@@ -1,6 +1,6 @@
 // Secure-kv: an oblivious key-value store — the in-memory database workload
 // (the paper cites Oracle TimesTen) that motivates high-capacity secure
-// memory. The KV mapping itself lives in internal/kv: keys hash to block
+// memory. The KV mapping itself is in kv.go: keys hash to block
 // addresses with bounded linear probing, and every get and put is a fixed
 // pattern of ORAM accesses, so an observer learns neither the keys nor
 // whether an operation was a read or a write.
@@ -18,7 +18,6 @@ import (
 	"log"
 
 	"sdimm"
-	"sdimm/internal/kv"
 	"sdimm/internal/serve"
 )
 
@@ -50,12 +49,12 @@ func main() {
 	// server's block size, probed through the wire client. BlockStore
 	// retries shed responses with backoff, so the example behaves under
 	// server backpressure too.
-	db, err := kv.New(1024, cl.BlockSize())
+	db, err := newKVMap(1024, cl.BlockSize())
 	if err != nil {
 		log.Fatal(err)
 	}
 	store := &serve.BlockStore{C: cl}
-	fmt.Printf("oblivious KV store with %d slots, served over %s\n", db.Slots(), addr)
+	fmt.Printf("oblivious KV store with %d slots, served over %s\n", db.slots, addr)
 
 	users := map[string]string{
 		"alice": "credit:9912",
@@ -70,18 +69,18 @@ func main() {
 		"judy":  "credit:8888",
 	}
 	for k, v := range users {
-		if err := db.Put(store, k, v); err != nil {
+		if err := db.put(store, k, v); err != nil {
 			log.Fatal(err)
 		}
 	}
 	// Overwrite one record, then read everything back.
-	if err := db.Put(store, "alice", "credit:0000"); err != nil {
+	if err := db.put(store, "alice", "credit:0000"); err != nil {
 		log.Fatal(err)
 	}
 	users["alice"] = "credit:0000"
 
 	for k, want := range users {
-		got, ok, err := db.Get(store, k)
+		got, ok, err := db.get(store, k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -90,7 +89,7 @@ func main() {
 		}
 		fmt.Printf("  %-6s -> %s\n", k, got)
 	}
-	if _, ok, _ := db.Get(store, "mallory"); ok {
+	if _, ok, _ := db.get(store, "mallory"); ok {
 		log.Fatal("phantom record")
 	}
 	fmt.Printf("all %d records verified; absent key correctly missing\n", len(users))

@@ -164,25 +164,27 @@ func warmClusterAccess(tb testing.TB) func(i int) {
 	}
 }
 
-// TestClusterAccessAllocBudget holds the sequential cluster access at its
-// recorded 2 allocs/op (AllocsPerRun's integer average of about 2.5): the
-// response payload UnmarshalResponse copies out of link scratch, the real
-// APPEND's copy into the receiving buffer's transfer queue, and, on a read,
-// the payload handed to the caller. The link itself allocates nothing
-// (TestExchangeZeroAlloc in internal/fault). The count is bounded by design,
-// and it must not grow. Part of `make alloc-gates`.
+// TestClusterAccessAllocBudget holds the sequential cluster access at 1.7
+// objects an access, counted exactly over a warm write/read alternation:
+// the real APPEND's copy into the receiving buffer's transfer queue and, on a
+// read, the payload handed to the caller. The response decodes as a view
+// into cluster scratch, the position map is a plain map, and the link
+// allocates nothing (TestExchangeZeroAlloc in internal/fault). The count is
+// bounded by design, and it must not grow. Part of `make alloc-gates`.
 func TestClusterAccessAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc gates run without -race")
 	}
+	const runs, budget = 1000, 1.7
 	access := warmClusterAccess(t)
 	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
+	perAccess := float64(mallocsOver(runs, func() {
 		access(i)
 		i++
-	})
-	if allocs > 2 {
-		t.Fatalf("Cluster.Read/Write allocates %.0f objects per access in steady state, budget 2", allocs)
+	})) / runs
+	t.Logf("%.3f objects per access", perAccess)
+	if perAccess > budget {
+		t.Fatalf("Cluster.Read/Write allocates %.3f objects per access in steady state, budget %.1f", perAccess, budget)
 	}
 }
 
@@ -201,19 +203,19 @@ func mallocsOver(runs int, f func()) int {
 }
 
 // TestPipelineDoAllocBudget holds a warm 64-op Pipeline.Do (Window 8, 8
-// SDIMMs, half reads) at 192 objects, inline and with workers: three an
+// SDIMMs, half reads) at 128 objects, inline and with workers: two an
 // access. What is left is Do's own result slice and feeder closures, and per
-// access the response payload UnmarshalResponse copies out of link scratch,
-// the real APPEND's copy into the receiving buffer's transfer queue, and the
-// read payload handed to the caller. A hand-off allocates nothing: a wave's
-// shares are bound once per pooled waveState. (With a closure pair per ACCESS
-// op, a closure per APPEND member and a goroutine per journal batch the same
-// Do allocated 426.) Part of `make alloc-gates`.
+// access the real APPEND's copy into the receiving buffer's transfer queue
+// and the read payload handed to the caller; the response decodes as a view
+// into the op's pooled copy. A hand-off allocates nothing: a wave's shares
+// are bound once per pooled waveState. (With a closure pair per ACCESS op, a
+// closure per APPEND member and a goroutine per journal batch the same Do
+// allocated 426.) Part of `make alloc-gates`.
 func TestPipelineDoAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc gates run without -race")
 	}
-	const batchLen, runs, budget = 64, 20, 192
+	const batchLen, runs, budget = 64, 20, 128
 	for _, parallelism := range []int{1, 4} {
 		pipe := warmCluster(t, 8).Pipeline(PipelineOptions{Window: 8, Parallelism: parallelism})
 		defer pipe.Close()
@@ -232,7 +234,9 @@ func TestPipelineDoAllocBudget(t *testing.T) {
 		for w := 0; w < 5; w++ { // warm the op and wave pools
 			do()
 		}
-		if perDo := float64(mallocsOver(runs, do)) / runs; perDo > budget {
+		perDo := float64(mallocsOver(runs, do)) / runs
+		t.Logf("Parallelism %d: %.1f objects per Do", parallelism, perDo)
+		if perDo > budget {
 			t.Errorf("Parallelism %d: a warm %d-op Do allocates %.1f objects, budget %d", parallelism, batchLen, perDo, budget)
 		}
 	}

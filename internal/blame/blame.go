@@ -50,13 +50,13 @@ const (
 	// delivery.
 	PhaseFinalize
 	// PhaseAccessWait is the merge barrier: the coordinator waits for the
-	// current wave's ACCESS exchanges. Position-map commits ride on the
-	// workers inside this phase, so on a loaded pipeline it is worker-busy
-	// time, not serialization.
+	// current wave's ACCESS exchanges (exchange, response decode, read
+	// payload copy), so on a loaded pipeline it is worker-busy time, not
+	// serialization.
 	PhaseAccessWait
 	// PhaseCommit is the coordinator's commit walk over the finished
-	// ACCESS wave: journal record construction and decode-failure folding,
-	// in logical order.
+	// ACCESS wave: each executed op's position-map write, journal record
+	// construction and decode-failure folding, in logical order.
 	PhaseCommit
 	// PhaseDispatch is the APPEND broadcast submit plus the journal
 	// goroutine handoff; the wave then retires during the next iteration's

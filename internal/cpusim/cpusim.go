@@ -62,13 +62,17 @@ type Core struct {
 	llc *cache.Cache
 	cfg Config
 
-	trace     []trace.Record
-	nextRec   int
-	fetched   uint64         // instructions fetched so far
-	recPos    uint64         // instruction position of the next record
-	inflight  map[int]uint64 // record index -> issue cycle (pending memory ops)
-	oldest    []int          // pending record indices in order (for retirePos)
-	posCache  map[int]uint64 // record index -> instruction position (pending)
+	trace   []trace.Record
+	nextRec int
+	fetched uint64 // instructions fetched so far
+	recPos  uint64 // instruction position of the next record
+	// Pending records are always the contiguous range [oldest, nextRec):
+	// every issued record is pending until it completes and everything
+	// before it has. Their instruction positions are distinct and lie inside
+	// one ROB window, so at most ROB are pending and record i lives in
+	// window[i % ROB].
+	oldest    int
+	window    []pendingRec
 	ticking   bool
 	tickFn    event.Func // c.tick, bound once
 	done      bool
@@ -76,6 +80,12 @@ type Core struct {
 	onDone    func()
 
 	stats Stats
+}
+
+// pendingRec is one issued, not yet retired record.
+type pendingRec struct {
+	pos  uint64 // instruction position
+	done bool   // its memory op completed
 }
 
 // New builds a core. The trace must be non-empty.
@@ -94,13 +104,12 @@ func New(eng *event.Engine, mem Memory, cfg Config, tr []trace.Record) (*Core, e
 		return nil, fmt.Errorf("cpusim: llc: %w", err)
 	}
 	c := &Core{
-		eng:      eng,
-		mem:      mem,
-		llc:      llc,
-		cfg:      cfg,
-		trace:    tr,
-		inflight: make(map[int]uint64),
-		posCache: make(map[int]uint64),
+		eng:    eng,
+		mem:    mem,
+		llc:    llc,
+		cfg:    cfg,
+		trace:  tr,
+		window: make([]pendingRec, cfg.ROB),
 	}
 	c.recPos = uint64(tr[0].Gap)
 	c.tickFn = c.tick
@@ -133,16 +142,14 @@ func (c *Core) Done() bool { return c.done }
 // the oldest incomplete memory op plus the ROB window (in-order retirement
 // cannot pass a pending load).
 func (c *Core) retireLimit() uint64 {
-	if len(c.oldest) == 0 {
+	if c.oldest == c.nextRec {
 		return c.fetched + uint64(c.cfg.ROB)
 	}
-	oldestIdx := c.oldest[0]
-	// Instruction position of the oldest pending record.
-	return c.posOf(oldestIdx) + uint64(c.cfg.ROB)
+	return c.slot(c.oldest).pos + uint64(c.cfg.ROB)
 }
 
-// posOf returns the instruction position of a pending record.
-func (c *Core) posOf(i int) uint64 { return c.posCache[i] }
+// slot returns pending record i's window entry.
+func (c *Core) slot(i int) *pendingRec { return &c.window[i%len(c.window)] }
 
 func (c *Core) tick(at event.Time) {
 	c.ticking = false
@@ -154,7 +161,7 @@ func (c *Core) tick(at event.Time) {
 	for {
 		if c.nextRec >= len(c.trace) {
 			// Trace exhausted: done when all memory ops complete.
-			if len(c.oldest) == 0 && !c.done {
+			if c.oldest == c.nextRec && !c.done {
 				c.done = true
 				c.doneCycle = uint64(c.eng.Now())
 				if c.onDone != nil {
@@ -184,20 +191,20 @@ func (c *Core) tick(at event.Time) {
 			// Window full against a pending memory op: wait for completion.
 			return
 		}
-		// Issue the memory access for record nextRec.
-		c.issue(c.nextRec, now)
+		// Issue the memory access for record nextRec, which joins the
+		// pending range first in case the memory completes it at once.
+		c.nextRec++
+		c.issue(c.nextRec-1, now)
 		c.fetched++ // the memory instruction itself
 		c.stats.Instructions++
-		idx := c.nextRec
-		c.nextRec++
 		if c.nextRec < len(c.trace) {
-			c.recPos = c.posOf(idx) + 1 + uint64(c.trace[c.nextRec].Gap)
+			c.recPos += 1 + uint64(c.trace[c.nextRec].Gap)
 		}
 	}
 }
 
 func (c *Core) issue(i int, now uint64) {
-	c.posCache[i] = c.recPos
+	*c.slot(i) = pendingRec{pos: c.recPos}
 	rec := c.trace[i]
 	res := c.llc.Access(rec.Addr, rec.Write)
 	if res.Evicted && res.VictimDirty {
@@ -207,12 +214,10 @@ func (c *Core) issue(i int, now uint64) {
 	if res.Hit {
 		c.stats.LLCHits++
 		// Hits complete after the LLC latency.
-		c.pend(i)
 		c.eng.After(event.Time(c.cfg.LLCLatency), func(event.Time) { c.complete(i) })
 		return
 	}
 	c.stats.LLCMisses++
-	c.pend(i)
 	issueAt := now
 	c.mem.Read(rec.Addr, func() {
 		c.stats.MemLatencySum += uint64(c.eng.Now()) - issueAt
@@ -220,19 +225,10 @@ func (c *Core) issue(i int, now uint64) {
 	})
 }
 
-func (c *Core) pend(i int) {
-	c.inflight[i] = uint64(c.eng.Now())
-	c.oldest = append(c.oldest, i)
-}
-
 func (c *Core) complete(i int) {
-	delete(c.inflight, i)
-	for len(c.oldest) > 0 {
-		if _, still := c.inflight[c.oldest[0]]; still {
-			break
-		}
-		delete(c.posCache, c.oldest[0])
-		c.oldest = c.oldest[1:]
+	c.slot(i).done = true
+	for c.oldest < c.nextRec && c.slot(c.oldest).done {
+		c.oldest++
 	}
 	c.stats.Records++
 	if c.cfg.MarkAt > 0 && c.stats.Records == uint64(c.cfg.MarkAt) {

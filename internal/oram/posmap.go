@@ -2,9 +2,8 @@ package oram
 
 // PositionMap associates each block address with the leaf whose path must
 // contain the block. SparsePosMap is not safe for concurrent use — the
-// discrete-event simulator is single-threaded by construction.
-// ShardedPosMap is: the parallel cluster pipeline commits
-// position updates from per-SDIMM workers concurrently.
+// discrete-event simulator is single-threaded by construction, and only a
+// cluster's coordinator touches the cluster's map.
 type PositionMap interface {
 	// Get returns the leaf for addr and whether the address has ever been
 	// mapped.

@@ -23,7 +23,6 @@ type AccessRequest struct {
 // AccessResponse is what FETCH_RESULT returns: the requested block, or a
 // dummy when a written block stayed local (step 5 of Section III-C).
 type AccessResponse struct {
-	Addr  uint64
 	Block oram.Block
 	Dummy bool
 }
@@ -111,7 +110,7 @@ func (b *Buffer) HandleAccess(req AccessRequest) (oram.AccessPlan, []oram.Access
 	}
 	b.stats.Accesses++
 
-	resp := AccessResponse{Addr: req.Addr}
+	var resp AccessResponse
 	if req.Keep && req.Op == oram.OpWrite {
 		resp.Dummy = true
 	} else {

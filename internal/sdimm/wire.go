@@ -10,7 +10,8 @@ import (
 // Wire marshalling for the message bodies that travel (sealed by package
 // seccomm) between the CPU and the secure buffers. Fixed-size layouts keep
 // every message of a given kind the same length on the bus — part of the
-// protocol's obliviousness argument.
+// protocol's obliviousness argument. Each message has one encoder, which
+// appends, and one decoder, whose payload is a view into the decoded body.
 
 const wireHeader = 8 + 1 + 8 + 8 + 1 // addr, op, oldLeaf, newLeaf, keep
 
@@ -32,21 +33,6 @@ func AppendAccess(dst []byte, req AccessRequest, blockBytes int) []byte {
 	}
 	copy(out[wireHeader:], req.Data)
 	return dst
-}
-
-// MarshalAccess encodes an AccessRequest into a fresh buffer.
-func MarshalAccess(req AccessRequest, blockBytes int) []byte {
-	return AppendAccess(nil, req, blockBytes)
-}
-
-// UnmarshalAccess decodes an AccessRequest. The payload slot is attached
-// only for writes (reads carry a dummy block).
-func UnmarshalAccess(b []byte, blockBytes int) (AccessRequest, error) {
-	req, err := UnmarshalAccessView(b, blockBytes)
-	if err == nil && req.Data != nil {
-		req.Data = append([]byte(nil), req.Data...)
-	}
-	return req, err
 }
 
 // UnmarshalAccessView decodes an AccessRequest whose Data (writes only)
@@ -97,12 +83,9 @@ func AppendResponse(dst []byte, r AccessResponse, blockBytes int) []byte {
 	return dst
 }
 
-// MarshalResponse encodes an AccessResponse into a fresh buffer.
-func MarshalResponse(r AccessResponse, blockBytes int) []byte {
-	return AppendResponse(nil, r, blockBytes)
-}
-
-// UnmarshalResponse decodes an AccessResponse.
+// UnmarshalResponse decodes an AccessResponse whose Block.Data (real
+// responses only) aliases b — the caller owns b and copies out what must
+// outlive it.
 func UnmarshalResponse(b []byte, blockBytes int) (AccessResponse, error) {
 	if len(b) != respHeader+blockBytes {
 		return AccessResponse{}, fmt.Errorf("sdimm: response body %d bytes, want %d", len(b), respHeader+blockBytes)
@@ -111,11 +94,10 @@ func UnmarshalResponse(b []byte, blockBytes int) (AccessResponse, error) {
 		return AccessResponse{Dummy: true}, nil
 	}
 	return AccessResponse{
-		Addr: binary.BigEndian.Uint64(b[1:]),
 		Block: oram.Block{
 			Addr: binary.BigEndian.Uint64(b[1:]),
 			Leaf: binary.BigEndian.Uint64(b[9:]),
-			Data: append([]byte(nil), b[respHeader:]...),
+			Data: b[respHeader:],
 		},
 	}, nil
 }
@@ -136,20 +118,6 @@ func AppendAppend(dst []byte, blk oram.Block, dummy bool, blockBytes int) []byte
 	binary.BigEndian.PutUint64(out[9:], blk.Leaf)
 	copy(out[appendHeader:], blk.Data)
 	return dst
-}
-
-// MarshalAppend encodes an APPEND body into a fresh buffer.
-func MarshalAppend(blk oram.Block, dummy bool, blockBytes int) []byte {
-	return AppendAppend(nil, blk, dummy, blockBytes)
-}
-
-// UnmarshalAppend decodes an APPEND body.
-func UnmarshalAppend(b []byte, blockBytes int) (blk oram.Block, dummy bool, err error) {
-	blk, dummy, err = UnmarshalAppendView(b, blockBytes)
-	if err == nil && blk.Data != nil {
-		blk.Data = append([]byte(nil), blk.Data...)
-	}
-	return blk, dummy, err
 }
 
 // UnmarshalAppendView decodes an APPEND body whose Data aliases b —

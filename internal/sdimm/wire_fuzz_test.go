@@ -19,21 +19,21 @@ func fuzzBlockSizes(i int) int {
 }
 
 func FuzzUnmarshalAccess(f *testing.F) {
-	f.Add(MarshalAccess(AccessRequest{Addr: 7, Op: oram.OpWrite, Data: make([]byte, 64),
+	f.Add(AppendAccess(nil, AccessRequest{Addr: 7, Op: oram.OpWrite, Data: make([]byte, 64),
 		OldLeaf: 3, NewLeaf: 9, Keep: true}, 64), 64)
-	f.Add(MarshalAccess(AccessRequest{Addr: 1, Op: oram.OpRead, OldLeaf: 0, NewLeaf: 0}, 8), 8)
+	f.Add(AppendAccess(nil, AccessRequest{Addr: 1, Op: oram.OpRead, OldLeaf: 0, NewLeaf: 0}, 8), 8)
 	f.Add([]byte{}, 64)
 	f.Add(bytes.Repeat([]byte{0xff}, 200), 64)
 	f.Fuzz(func(t *testing.T, data []byte, szHint int) {
 		sz := fuzzBlockSizes(szHint)
-		req, err := UnmarshalAccess(data, sz)
+		req, err := UnmarshalAccessView(data, sz)
 		if err != nil {
 			return
 		}
 		// Round-trip: a message we accepted must re-encode to bytes we
 		// accept again, identically.
-		enc := MarshalAccess(req, sz)
-		req2, err := UnmarshalAccess(enc, sz)
+		enc := AppendAccess(nil, req, sz)
+		req2, err := UnmarshalAccessView(enc, sz)
 		if err != nil {
 			t.Fatalf("re-encoded message rejected: %v", err)
 		}
@@ -45,8 +45,8 @@ func FuzzUnmarshalAccess(f *testing.F) {
 }
 
 func FuzzUnmarshalResponse(f *testing.F) {
-	f.Add(MarshalResponse(AccessResponse{Block: oram.Block{Addr: 3, Leaf: 5, Data: make([]byte, 64)}}, 64), 64)
-	f.Add(MarshalResponse(AccessResponse{Dummy: true}, 8), 8)
+	f.Add(AppendResponse(nil, AccessResponse{Block: oram.Block{Addr: 3, Leaf: 5, Data: make([]byte, 64)}}, 64), 64)
+	f.Add(AppendResponse(nil, AccessResponse{Dummy: true}, 8), 8)
 	f.Add([]byte{0x01}, 64)
 	f.Fuzz(func(t *testing.T, data []byte, szHint int) {
 		sz := fuzzBlockSizes(szHint)
@@ -54,7 +54,7 @@ func FuzzUnmarshalResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := MarshalResponse(resp, sz)
+		enc := AppendResponse(nil, resp, sz)
 		if _, err := UnmarshalResponse(enc, sz); err != nil {
 			t.Fatalf("re-encoded response rejected: %v", err)
 		}
@@ -62,17 +62,17 @@ func FuzzUnmarshalResponse(f *testing.F) {
 }
 
 func FuzzUnmarshalAppend(f *testing.F) {
-	f.Add(MarshalAppend(oram.Block{Addr: 2, Leaf: 4, Data: make([]byte, 64)}, false, 64), 64)
-	f.Add(MarshalAppend(oram.Block{}, true, 8), 8)
+	f.Add(AppendAppend(nil, oram.Block{Addr: 2, Leaf: 4, Data: make([]byte, 64)}, false, 64), 64)
+	f.Add(AppendAppend(nil, oram.Block{}, true, 8), 8)
 	f.Add(bytes.Repeat([]byte{0x55}, 17), 64)
 	f.Fuzz(func(t *testing.T, data []byte, szHint int) {
 		sz := fuzzBlockSizes(szHint)
-		blk, dummy, err := UnmarshalAppend(data, sz)
+		blk, dummy, err := UnmarshalAppendView(data, sz)
 		if err != nil {
 			return
 		}
-		enc := MarshalAppend(blk, dummy, sz)
-		blk2, dummy2, err := UnmarshalAppend(enc, sz)
+		enc := AppendAppend(nil, blk, dummy, sz)
+		blk2, dummy2, err := UnmarshalAppendView(enc, sz)
 		if err != nil {
 			t.Fatalf("re-encoded append rejected: %v", err)
 		}

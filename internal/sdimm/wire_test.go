@@ -13,7 +13,7 @@ func TestAccessWireRoundTrip(t *testing.T) {
 		Addr: 42, Op: oram.OpWrite, Data: bytes.Repeat([]byte{7}, 64),
 		OldLeaf: 9, NewLeaf: 13, Keep: true,
 	}
-	got, err := UnmarshalAccess(MarshalAccess(req, 64), 64)
+	got, err := UnmarshalAccessView(AppendAccess(nil, req, 64), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,12 +28,12 @@ func TestAccessWireRoundTrip(t *testing.T) {
 func TestAccessWireReadHidesPayload(t *testing.T) {
 	// Reads and writes must be the same wire length (op hiding), and a
 	// read decodes with no payload attached.
-	r := MarshalAccess(AccessRequest{Addr: 1, Op: oram.OpRead}, 64)
-	w := MarshalAccess(AccessRequest{Addr: 1, Op: oram.OpWrite, Data: make([]byte, 64)}, 64)
+	r := AppendAccess(nil, AccessRequest{Addr: 1, Op: oram.OpRead}, 64)
+	w := AppendAccess(nil, AccessRequest{Addr: 1, Op: oram.OpWrite, Data: make([]byte, 64)}, 64)
 	if len(r) != len(w) {
 		t.Fatalf("read frame %d bytes, write frame %d", len(r), len(w))
 	}
-	got, err := UnmarshalAccess(r, 64)
+	got, err := UnmarshalAccessView(r, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,23 +43,20 @@ func TestAccessWireReadHidesPayload(t *testing.T) {
 }
 
 func TestWireLengthChecks(t *testing.T) {
-	if _, err := UnmarshalAccess([]byte{1, 2, 3}, 64); err == nil {
+	if _, err := UnmarshalAccessView([]byte{1, 2, 3}, 64); err == nil {
 		t.Error("short ACCESS accepted")
 	}
 	if _, err := UnmarshalResponse([]byte{1}, 64); err == nil {
 		t.Error("short response accepted")
 	}
-	if _, _, err := UnmarshalAppend([]byte{1}, 64); err == nil {
+	if _, _, err := UnmarshalAppendView([]byte{1}, 64); err == nil {
 		t.Error("short APPEND accepted")
 	}
 }
 
 func TestResponseWire(t *testing.T) {
-	resp := AccessResponse{
-		Addr:  7,
-		Block: oram.Block{Addr: 7, Leaf: 3, Data: bytes.Repeat([]byte{9}, 64)},
-	}
-	got, err := UnmarshalResponse(MarshalResponse(resp, 64), 64)
+	resp := AccessResponse{Block: oram.Block{Addr: 7, Leaf: 3, Data: bytes.Repeat([]byte{9}, 64)}}
+	got, err := UnmarshalResponse(AppendResponse(nil, resp, 64), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +64,8 @@ func TestResponseWire(t *testing.T) {
 		t.Fatalf("round trip: %+v", got)
 	}
 	// Dummy responses look identical in length.
-	d := MarshalResponse(AccessResponse{Dummy: true}, 64)
-	if len(d) != len(MarshalResponse(resp, 64)) {
+	d := AppendResponse(nil, AccessResponse{Dummy: true}, 64)
+	if len(d) != len(AppendResponse(nil, resp, 64)) {
 		t.Fatal("dummy response length differs")
 	}
 	gd, err := UnmarshalResponse(d, 64)
@@ -77,16 +74,60 @@ func TestResponseWire(t *testing.T) {
 	}
 }
 
+// TestWireDecodersReturnViews pins the decoders' contract: a payload is the
+// tail of the body it was decoded from, not a copy, so a caller that keeps
+// it past the body's reuse must copy it out.
+func TestWireDecodersReturnViews(t *testing.T) {
+	data := bytes.Repeat([]byte{5}, 64)
+	bodies := []struct {
+		name string
+		body []byte
+		view func(b []byte) []byte
+	}{
+		{"ACCESS", AppendAccess(nil, AccessRequest{Addr: 1, Op: oram.OpWrite, Data: data}, 64), func(b []byte) []byte {
+			r, err := UnmarshalAccessView(b, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.Data
+		}},
+		{"response", AppendResponse(nil, AccessResponse{Block: oram.Block{Addr: 1, Data: data}}, 64), func(b []byte) []byte {
+			r, err := UnmarshalResponse(b, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.Block.Data
+		}},
+		{"APPEND", AppendAppend(nil, oram.Block{Addr: 1, Data: data}, false, 64), func(b []byte) []byte {
+			blk, _, err := UnmarshalAppendView(b, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return blk.Data
+		}},
+	}
+	for _, c := range bodies {
+		got := c.view(c.body)
+		if len(got) != 64 || &got[0] != &c.body[len(c.body)-64] {
+			t.Errorf("%s: payload is not the body's last 64 bytes", c.name)
+		}
+		c.body[len(c.body)-1] = 0xee
+		if got[63] != 0xee {
+			t.Errorf("%s: payload does not see a write to the body", c.name)
+		}
+	}
+}
+
 // Property: APPEND frames round-trip for arbitrary blocks and are
 // length-identical to dummies.
 func TestPropertyAppendWire(t *testing.T) {
 	f := func(addr, leaf uint64, payload [64]byte, dummy bool) bool {
 		blk := oram.Block{Addr: addr, Leaf: leaf, Data: payload[:]}
-		frame := MarshalAppend(blk, dummy, 64)
-		if len(frame) != len(MarshalAppend(oram.Block{}, true, 64)) {
+		frame := AppendAppend(nil, blk, dummy, 64)
+		if len(frame) != len(AppendAppend(nil, oram.Block{}, true, 64)) {
 			return false
 		}
-		got, gotDummy, err := UnmarshalAppend(frame, 64)
+		got, gotDummy, err := UnmarshalAppendView(frame, 64)
 		if err != nil || gotDummy != dummy {
 			return false
 		}

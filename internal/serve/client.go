@@ -182,10 +182,10 @@ type Doer interface {
 	Do(Request) (Response, error)
 }
 
-// BlockStore adapts a Client into the internal/kv Store shape: Read/Write
-// over block addresses, with bounded retry of shed responses. Deadline and
-// Closing responses abort (the caller's probe chain should stop, not spin
-// against a draining server).
+// BlockStore adapts a Client into a block device: Read/Write over block
+// addresses, with bounded retry of shed responses. Deadline and Closing
+// responses abort (the caller's probe chain should stop, not spin against a
+// draining server).
 type BlockStore struct {
 	C Doer
 	// Ctx, when non-nil, bounds the whole retry loop: a cancelled or

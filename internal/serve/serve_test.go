@@ -182,6 +182,13 @@ func TestServeTenantLabelCap(t *testing.T) {
 		t.Errorf("serve.ok{tenant=other} = %d, want 1", got)
 	}
 
+	checkMetricsWellFormed(t, s)
+}
+
+// checkMetricsWellFormed fails unless every line of the server's /metrics
+// is a comment or one well-formed sample, and there are 1…2000 of them.
+func checkMetricsWellFormed(t *testing.T, s *Server) {
+	t.Helper()
 	hs := httptest.NewServer(s.HTTPHandler())
 	defer hs.Close()
 	resp, err := hs.Client().Get(hs.URL + "/metrics")
@@ -199,6 +206,82 @@ func TestServeTenantLabelCap(t *testing.T) {
 	if lines == 0 || lines > 2000 {
 		t.Errorf("/metrics has %d lines", lines)
 	}
+}
+
+// TestServeTenantLabelSanitized: a tenant name is client-chosen bytes, and
+// the registry keys a counter by "name{k=v,...}", so a name carrying ',',
+// '=' or '}' could add label pairs of its own. Every tenant-labelled counter
+// must keep exactly its own label keys, with the name folded onto
+// [A-Za-z0-9._-].
+func TestServeTenantLabelSanitized(t *testing.T) {
+	s, err := New(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+
+	names := map[string]string{
+		"x,reason=overload}": "x_reason_overload_",
+		`q"u\o{t}e`:          "q_u_o_t_e",
+		"new\nline=1":        "new_line_1",
+		"caf\u00e9":          "caf__",
+		"ok-name_1.2":        "ok-name_1.2",
+		"":                   "anon",
+	}
+	for name := range names {
+		cli, srv := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.handleConn(srv)
+		}()
+		hello, err := Hello{Tenant: name}.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(cli, hello); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFrame(cli); err != nil {
+			t.Fatal(err)
+		}
+		cli.Close()
+		<-done
+	}
+
+	keys := map[string]string{
+		"serve.connections":              "tenant",
+		"serve.requests":                 "tenant",
+		"serve.ok":                       "tenant",
+		"serve.errors":                   "tenant",
+		"serve.deadline.missed.accepted": "tenant",
+		"serve.shed":                     "reason,tenant",
+	}
+	label := regexp.MustCompile(`^[A-Za-z0-9._-]+$`)
+	snap := s.Registry().Snapshot()
+	for name := range snap.Counters {
+		base, rest, ok := strings.Cut(name, "{")
+		if !ok || keys[base] == "" {
+			continue
+		}
+		var got []string
+		for _, pair := range strings.Split(strings.TrimSuffix(rest, "}"), ",") {
+			k, v, _ := strings.Cut(pair, "=")
+			got = append(got, k)
+			if !label.MatchString(v) {
+				t.Errorf("%s: label %s=%q is not [A-Za-z0-9._-]+", name, k, v)
+			}
+		}
+		if strings.Join(got, ",") != keys[base] {
+			t.Errorf("%s: label keys %v, want %s", name, got, keys[base])
+		}
+	}
+	for name, want := range names {
+		if got := snap.Counters["serve.connections{tenant="+want+"}"]; got == 0 {
+			t.Errorf("tenant %q: no serve.connections{tenant=%s}", name, want)
+		}
+	}
+	checkMetricsWellFormed(t, s)
 }
 
 // TestServeOverloadSheds drives a deliberately tiny queue with 16 closed-loop

@@ -265,6 +265,22 @@ func (s *Server) Start(addr string) (string, error) {
 // under tenant="other".
 const maxTenantLabels = 64
 
+// tenantLabel turns a client-chosen tenant name into a label value: every
+// byte outside [A-Za-z0-9._-] becomes '_', so no name can end the label set
+// or add a label of its own, and an empty name is "anon".
+func tenantLabel(name string) string {
+	if name == "" {
+		return "anon"
+	}
+	b := []byte(name)
+	for i, ch := range b {
+		if !('a' <= ch && ch <= 'z' || 'A' <= ch && ch <= 'Z' || '0' <= ch && ch <= '9' || ch == '.' || ch == '_' || ch == '-') {
+			b[i] = '_'
+		}
+	}
+	return string(b)
+}
+
 // tenantCounters are one tenant label's counter handles, resolved once at
 // Hello so a request touches neither the registry mutex nor a name build.
 type tenantCounters struct {
@@ -362,11 +378,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	if !ok {
 		return
 	}
-	tenant := hello.Tenant
-	if tenant == "" {
-		tenant = "anon"
-	}
-	cn := &servConn{conn: conn, credit: s.cfg.InitialCredit, tc: s.tenantCounters(tenant)}
+	cn := &servConn{conn: conn, credit: s.cfg.InitialCredit, tc: s.tenantCounters(tenantLabel(hello.Tenant))}
 	if err := func() error {
 		cn.wmu.Lock()
 		defer cn.wmu.Unlock()

@@ -6,10 +6,10 @@
 // journal commit point.
 //
 // The server is deliberately a *block* server: requests address ORAM blocks,
-// and richer data models (the secure-kv example's hash table, via
-// internal/kv) layer on the client side. That keeps every request the same
-// shape on the wire and the same cost in the pipeline — one accessORAM —
-// which is what makes tenant-oblivious admission meaningful.
+// and richer data models (the secure-kv example's hash table) layer on the
+// client side. That keeps every request the same shape on the wire and the
+// same cost in the pipeline — one accessORAM — which is what makes
+// tenant-oblivious admission meaningful.
 package serve
 
 import (

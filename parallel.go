@@ -48,11 +48,10 @@ import (
 //     of the schedule, so every buffer observes the same operation sequence
 //     at any parallelism. Running each share to completion at submission
 //     (Parallelism 1) is one of the interleavings that rule allows.
-//   - Position-map commits happen in the owning member's share the moment
-//     its buffer executed the access, through the sharded position map (each
-//     access in a wave touches a distinct address, so commits are per-address
-//     independent). The journal record stream is still assembled on the
-//     coordinator in logical order.
+//   - Only the coordinator touches the position map: schedule reads it, the
+//     commit walk writes each executed access's new position in logical
+//     order (then journals it), and finalize's re-homes repoint it. Shares
+//     never read or write it, so it is a plain unlocked map.
 //   - Health is read through a coordinator-owned snapshot refreshed at the
 //     pipeline's quiescent points (one per iteration), so scheduling and
 //     re-homing decisions never race worker-side health transitions. The
@@ -632,9 +631,9 @@ func (p *Pipeline) dispatchAccess(w *waveState) {
 }
 
 // accessTask runs one access in the owning SDIMM's share: the exchange, the
-// position-map commit, the response decode, and the read-payload copy. The
-// payload copy is the one allocation that escapes — it is handed to the
-// caller — so building it here takes it off the coordinator's critical path.
+// response decode, and the read-payload copy. The payload copy is the one
+// allocation that escapes — it is handed to the caller — so building it here
+// takes it off the coordinator's critical path.
 func (p *Pipeline) accessTask(po *pipeOp) {
 	c := p.c
 	st := c.blame.WorkerBegin()
@@ -655,18 +654,13 @@ func (p *Pipeline) accessTask(po *pipeOp) {
 		return
 	}
 	// Exchange hands back transactor-owned scratch; a later op sharing this
-	// link overwrites it, so the op keeps a copy.
+	// link overwrites it, so the op keeps a copy, and the block decodes as a
+	// view into it.
 	po.respBody = append(po.respBody[:0], resp...)
-	// Worker-side position commit: the owning buffer has executed the
-	// access, so the new position is truth. Addresses within and across
-	// in-flight waves are distinct, and the sharded map serializes any
-	// shard-level contention, so this is exactly the staged-commit rule of
-	// the sequential path — just off the coordinator.
-	c.pos.Set(po.addr, po.newG)
 	r, derr := isdimm.UnmarshalResponse(po.respBody, c.blockSize)
 	if derr != nil {
-		// Decode failure is held apart from err: the access committed (the
-		// buffer executed it), so the commit walk must still journal it —
+		// Decode failure is held apart from err: the buffer executed the
+		// access, so the commit walk must still commit and journal it —
 		// matching the sequential path, which journals before decoding.
 		po.decodeErr = c.wrapErr(po.sd, "access response", derr)
 		return
@@ -676,19 +670,15 @@ func (p *Pipeline) accessTask(po *pipeOp) {
 	po.blk.Addr = po.addr
 	po.blk.Leaf = po.newG & mask
 	if po.op == oram.OpRead && !po.migrate {
-		if r.Dummy || r.Block.Data == nil {
-			po.out = make([]byte, c.blockSize)
-		} else {
-			po.out = append([]byte(nil), r.Block.Data...)
-		}
+		po.out = make([]byte, c.blockSize) // zeros for a dummy
+		copy(po.out, r.Block.Data)
 	}
 }
 
-// commit walks the wave in logical order on the coordinator, building the
-// journal batch for every access whose owning buffer executed it. A failed
-// exchange leaves the map untouched and journals nothing — exactly the
-// staged-commit rule of the sequential path. (The position-map updates
-// themselves already committed worker-side in accessTask.)
+// commit walks the wave in logical order on the coordinator and, for every
+// access whose owning buffer executed it, sets the new position and appends
+// its journal record — the staged-commit rule of the sequential path, in the
+// same order. A failed exchange leaves the map untouched and journals nothing.
 func (p *Pipeline) commit(w *waveState) {
 	c := p.c
 	for _, po := range w.ops {
@@ -697,6 +687,7 @@ func (p *Pipeline) commit(w *waveState) {
 		}
 		// Built in the coordinator's logical order: the journal carries
 		// migrations and workload interleaved exactly as scheduled.
+		c.pos.Set(po.addr, po.newG)
 		w.recs = append(w.recs, c.makeRecord(po.addr, po.op, po.data, po.migrate))
 		po.committed = true
 		if po.decodeErr != nil {
