@@ -47,9 +47,6 @@ type ClusterOptions struct {
 	// Retry bounds per-exchange retransmission and backoff (zero value =
 	// defaults: 8 attempts, 50µs base backoff, 5ms cap).
 	Retry fault.RetryPolicy
-	// DegradeAfter marks a buffer Degraded after this many consecutive
-	// failed exchanges (default 3).
-	DegradeAfter int
 	// LinkTap, when set, observes every frame put on a link before fault
 	// injection (attempt 0 = original transmission, >0 = retransmission).
 	// The chaos harness uses it to assert retries never change the
@@ -196,6 +193,10 @@ const (
 	appendAck     byte = 0x06
 )
 
+// degradeAfter is how many consecutive failed exchanges mark a member
+// Degraded, on either cluster flavour.
+const degradeAfter = 3
+
 // appendAckBody is the shared APPEND acknowledgement body. It is read-only
 // (the transactor copies it into the seal buffer), so one instance serves
 // every SDIMM.
@@ -222,18 +223,21 @@ type Cluster struct {
 	// factory, telemetry, durability.
 	durableState
 
-	// elig is pickHealthyLeaf's reusable eligible-member scratch.
+	// elig is pickLeaf's reusable eligible-member scratch.
 	elig []int
 
+	// inline runs every sequential access as a one-op wave (Window 1,
+	// Parallelism 1: no goroutine), so Read, Write, DrainStep and replay
+	// drive the same stages as Pipeline.Do.
+	inline *Pipeline
+
 	// Per-SDIMM reusable message scratch. Commands to (and the serve
-	// response for) SDIMM i are only ever built on the goroutine currently
-	// driving link i — the coordinator on the sequential path, worker i
-	// under a Pipeline — so per-SDIMM buffers are race-free by the same
-	// argument as the links themselves.
+	// response for) SDIMM i are only ever built inside member i's shares,
+	// which run on the caller at Parallelism 1 (every sequential access
+	// included) and on worker i otherwise — so per-SDIMM buffers are
+	// race-free by the same argument as the links themselves.
 	cmdBufs   [][]byte // kind byte + marshalled command body
 	serveBufs [][]byte // device-side response body
-	writeBuf  []byte   // Write's zero-padded payload staging
-	respBuf   []byte   // access's copy of the ACCESS response (sequential path)
 }
 
 // NewCluster builds a cluster: it mints a device identity per SDIMM,
@@ -375,11 +379,12 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 		if err := c.mkMember(i, 0); err != nil {
 			return nil, err
 		}
-		h := fault.NewHealth(opts.DegradeAfter, 0)
+		h := fault.NewHealth(degradeAfter, 0)
 		watchHealth(opts.Telemetry, opts.Tracer, opts.Flight.Ring(i), h, i)
 		c.health = append(c.health, h)
 	}
 	c.initElastic(opts.SDIMMs)
+	c.inline = c.Pipeline(PipelineOptions{Window: 1, Parallelism: 1})
 	return c, nil
 }
 
@@ -401,8 +406,11 @@ func (c *Cluster) BlockSize() int { return c.blockSize }
 // Read returns the payload of addr (zeros if never written). A read of an
 // address lost to unrecoverable corruption returns ErrUnrecoverable.
 func (c *Cluster) Read(addr uint64) ([]byte, error) {
-	out, err := c.tracedAccess(addr, oram.OpRead, nil, false)
-	return out, c.observed(oram.OpRead, err, c.ForceCheckpoint)
+	r := c.tracedAccess(BatchOp{Addr: addr})
+	if r.Err != nil {
+		return nil, r.Err
+	}
+	return r.Data, c.maybeCheckpoint(c.ForceCheckpoint)
 }
 
 // Write stores up to BlockSize bytes at addr.
@@ -410,8 +418,10 @@ func (c *Cluster) Write(addr uint64, data []byte) error {
 	if len(data) > c.blockSize {
 		return fmt.Errorf("sdimm: payload %d exceeds block size %d", len(data), c.blockSize)
 	}
-	_, err := c.tracedAccess(addr, oram.OpWrite, padInto(&c.writeBuf, data, c.blockSize), false)
-	return c.observed(oram.OpWrite, err, c.ForceCheckpoint)
+	if r := c.tracedAccess(BatchOp{Addr: addr, Write: true, Data: data}); r.Err != nil {
+		return r.Err
+	}
+	return c.maybeCheckpoint(c.ForceCheckpoint)
 }
 
 // padInto returns data zero-padded to size, staged in *buf's backing array
@@ -435,17 +445,17 @@ func (c *Cluster) Close() error {
 }
 
 // tracedAccess wraps access in one tracer span per top-level operation.
-func (c *Cluster) tracedAccess(addr uint64, op oram.Op, data []byte, migrate bool) ([]byte, error) {
+func (c *Cluster) tracedAccess(op BatchOp) BatchResult {
 	tr := c.tm.tracer
 	if tr == nil {
-		return c.access(addr, op, data, migrate)
+		return c.access(op)
 	}
 	lane := tr.Lane()
 	sp := tr.Begin(lane, "cluster.access", "cluster")
-	out, err := c.access(addr, op, data, migrate)
-	sp.EndArgs(map[string]any{"addr": addr, "write": op == oram.OpWrite, "err": err != nil})
+	r := c.access(op)
+	sp.EndArgs(map[string]any{"addr": op.Addr, "write": op.Write, "err": r.Err != nil})
 	tr.FreeLane(lane)
-	return out, err
+	return r
 }
 
 // serve is the device-side command dispatcher: it runs inside the
@@ -530,31 +540,22 @@ func (c *Cluster) exchange(sd int, op string, body []byte) ([]byte, error) {
 // block placements: every SDIMM is failed, draining, or removed.
 var ErrNoHealthySDIMM = errors.New("sdimm: no healthy SDIMM available for placement")
 
-// pickHealthyLeaf draws a uniformly random global leaf whose owning SDIMM is
-// eligible for placement — not failed, not draining, not removed — so blocks
-// are never placed on a dead buffer and a draining member's population only
-// shrinks. Eligible members are enumerated once and a single draw spans
-// (eligible × local leaves): unlike the old bounded-retry loop this cannot
-// spuriously fail while healthy SDIMMs remain, and with every member
-// eligible it consumes exactly the same single Uint64n(globalLeaves) draw
-// (the eligible count is a power of two), so seeded histories are unchanged.
-// A failed/draining/removed SDIMM is public knowledge on the channel, so the
-// skew is not an access-pattern leak.
-func (c *Cluster) pickHealthyLeaf(globalLeaves uint64) (uint64, error) {
-	return c.pickLeaf(c.liveState, globalLeaves)
-}
-
-// liveState is the sequential path's health view: the live records.
-func (c *Cluster) liveState(i int) fault.State { return c.health[i].State() }
-
-// pickLeaf is pickHealthyLeaf's core with the health view abstracted: the
-// sequential path reads the live records, the pipeline a coordinator
-// snapshot (see Pipeline.snapState). Both consume RNG draws identically for
-// identical state views, which is what keeps seeded histories aligned.
-func (c *Cluster) pickLeaf(state func(i int) fault.State, globalLeaves uint64) (uint64, error) {
+// pickLeaf draws a uniformly random global leaf whose owning SDIMM is
+// eligible for placement in the health view states — not failed, not
+// draining, not removed — so blocks are never placed on a dead buffer and a
+// draining member's population only shrinks. Eligible members are enumerated
+// once and a single draw spans (eligible × local leaves): unlike the old
+// bounded-retry loop this cannot spuriously fail while healthy SDIMMs remain,
+// and with every member eligible it consumes exactly the same single
+// Uint64n(globalLeaves) draw (the eligible count is a power of two), so
+// seeded histories are unchanged. An access reads the coordinator's
+// snapshot (Pipeline.healthSnap), a membership change the live records;
+// identical views consume identical draws. A failed/draining/removed SDIMM is
+// public knowledge on the channel, so the skew is not an access-pattern leak.
+func (c *Cluster) pickLeaf(states []fault.State, globalLeaves uint64) (uint64, error) {
 	c.elig = c.elig[:0]
-	for i := range c.health {
-		switch state(i) {
+	for i, st := range states {
+		switch st {
 		case fault.Failed, fault.Draining, fault.Removed:
 		default:
 			c.elig = append(c.elig, i)
@@ -568,183 +569,15 @@ func (c *Cluster) pickLeaf(state func(i int) fault.State, globalLeaves uint64) (
 	return uint64(c.elig[x>>c.localBits])<<c.localBits | (x & mask), nil
 }
 
-// access runs one distributed accessORAM: route by old leaf, execute on the
-// owning SDIMM (over the encrypted, possibly faulty link), fetch the
-// result, and broadcast the APPEND that carries the block to its new home.
-//
-// Recovery semantics: the position map is committed only AFTER the owning
-// buffer has executed the access. A fault before that point (however the
-// retries end) leaves host and buffers exactly as they were, so the
-// address stays readable — the seed's map-first ordering permanently
-// bricked the address on any link error.
-//
-// migrate marks the access as a rebalance migration step: a read journaled
-// as KindMigrate whose payload is never delivered to a caller.
-func (c *Cluster) access(addr uint64, op oram.Op, data []byte, migrate bool) ([]byte, error) {
+// access runs one sequential access — Read, Write, DrainStep or a replayed
+// record — as a one-op wave of the wave engine (Pipeline.one). A cluster that
+// died at a planned crash point refuses it uncounted, as the wave loop's
+// abort does.
+func (c *Cluster) access(op BatchOp) BatchResult {
 	if c.crashedNow() {
-		return nil, durable.ErrCrashed
+		return BatchResult{Err: durable.ErrCrashed}
 	}
-	globalLeaves := uint64(1) << (c.levels - 1)
-	oldG, mapped := c.pos.Get(addr)
-	if !mapped {
-		// The block exists nowhere yet; route the dummy access to a live
-		// buffer so a dead one cannot deny fresh writes.
-		var err error
-		if oldG, err = c.pickHealthyLeaf(globalLeaves); err != nil {
-			return nil, err
-		}
-	}
-	sd := int(oldG >> c.localBits)
-	if st := c.health[sd].State(); st == fault.Failed || st == fault.Removed {
-		return nil, c.wrapErr(sd, "access", fault.ErrUnavailable)
-	}
-	newG, err := c.pickHealthyLeaf(globalLeaves)
-	if err != nil {
-		return nil, err
-	}
-
-	mask := uint64(1)<<c.localBits - 1
-	sdNew := int(newG >> c.localBits)
-	keep := sd == sdNew
-
-	req := isdimm.AccessRequest{
-		Addr:    addr,
-		Op:      op,
-		Data:    data,
-		OldLeaf: oldG & mask,
-		NewLeaf: newG & mask,
-		Keep:    keep,
-	}
-
-	// ACCESS over the sealed link (reads carry a dummy payload slot).
-	respBody, err := c.exchange(sd, "access", c.accessBody(sd, req))
-	if err != nil {
-		// The buffer never executed the access (or its result is
-		// unreachable): the map still holds oldG, nothing desynchronized.
-		return nil, err
-	}
-	// Staged commit point: the buffer has executed the access, so the
-	// block now lives under newG (locally when kept, or in flight in the
-	// response). Later append failures cannot move it again. The journal
-	// record lands here — a crash before this append means the access never
-	// happened; after it, recovery replays it.
-	c.pos.Set(addr, newG)
-	if err := c.commitRecord(addr, op, data, migrate); err != nil {
-		return nil, err
-	}
-
-	// A view into the transactor's scratch would not survive: an APPEND to
-	// this member may run before the real block reaches its new owner.
-	c.respBuf = append(c.respBuf[:0], respBody...)
-	resp, err := isdimm.UnmarshalResponse(c.respBuf, c.blockSize)
-	if err != nil {
-		return nil, c.wrapErr(sd, "access response", err)
-	}
-
-	// APPEND broadcast: one sealed block-sized message to every live SDIMM;
-	// only the new owner receives the real block (when it migrated).
-	blk := resp.Block
-	blk.Addr = addr
-	blk.Leaf = newG & mask
-	for j := range c.members {
-		real := !keep && j == sdNew && !resp.Dummy
-		if !real {
-			if st := c.health[j].State(); st == fault.Failed || st == fault.Removed {
-				// A dead or removed buffer has no channel; its dummy is
-				// undeliverable. A draining member still receives dummies —
-				// it is live, and skipping it would change the traffic shape.
-				continue
-			}
-		}
-		ack, err := c.exchange(j, "append", c.appendBody(j, blk, !real))
-		if err != nil {
-			c.tm.appendsLost.Inc()
-			if real {
-				// The migrating block was in this exchange. Rather than
-				// losing the payload, re-home it to a different healthy
-				// SDIMM and repoint the position map.
-				if rerr := c.rehome(addr, blk, j, globalLeaves, c.liveState, c.rehomeAppend); rerr != nil {
-					return nil, rerr
-				}
-			}
-			// A lost dummy costs nothing beyond the health record.
-			continue
-		}
-		if len(ack) != 1 || ack[0] != appendAck {
-			return nil, c.wrapErr(j, "append", fmt.Errorf("sdimm: malformed append ack %x", ack))
-		}
-	}
-
-	if op == oram.OpRead {
-		// Poison veto at delivery: the access itself ran normally (keeping
-		// every RNG draw and placement identical to an uncorrupted run), but
-		// a payload lost to unrecoverable corruption must not be served as
-		// zeros. Replay is exempt — it re-executes history, and the poisoned
-		// result was never delivered anyway. Migration steps are exempt too:
-		// a poisoned block must still be carried off a draining member (its
-		// payload is never delivered to a caller), and vetoing would abort
-		// the drain.
-		if !c.replaying && !migrate && c.poisoned[addr] {
-			c.tm.poisonedReads.Inc()
-			return nil, fmt.Errorf("sdimm: read %d: %w", addr, ErrUnrecoverable)
-		}
-		out := make([]byte, c.blockSize) // zeros for a dummy
-		copy(out, resp.Block.Data)
-		return out, nil
-	}
-	return nil, nil
-}
-
-// rehome places an in-flight real block on a healthy SDIMM other than the
-// one whose append just failed, then repoints the position map. It runs
-// only after an append was abandoned — a channel-visible event — so the
-// extra exchange leaks nothing the failure itself did not.
-//
-// The loop is shared by the sequential path and the pipeline, which differ
-// in two arguments: state is the health view the leaf draws read, and send
-// runs one candidate append exchange on member sd (inline via rehomeAppend,
-// or as a worker task via Pipeline.rehomeAppend). Leaf draws always happen
-// on the calling goroutine, in logical order.
-func (c *Cluster) rehome(addr uint64, blk oram.Block, exclude int, globalLeaves uint64,
-	state func(i int) fault.State, send func(sd int, blk oram.Block) ([]byte, error)) error {
-	c.tm.rehomes.Inc()
-	if tr := c.tm.tracer; tr != nil {
-		tr.Instant(0, "cluster.rehome", "cluster", map[string]any{"addr": addr, "exclude": exclude})
-	}
-	var lastErr error
-	for try := 0; try < 8*len(c.members); try++ {
-		g, err := c.pickLeaf(state, globalLeaves)
-		if err != nil {
-			return err
-		}
-		sd := int(g >> c.localBits)
-		if sd == exclude {
-			continue
-		}
-		nb := blk
-		nb.Leaf = g & (uint64(1)<<c.localBits - 1)
-		c.tm.rehomeAttempts.Inc()
-		ack, err := send(sd, nb)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if len(ack) != 1 || ack[0] != appendAck {
-			return c.wrapErr(sd, "rehome append", fmt.Errorf("sdimm: malformed append ack %x", ack))
-		}
-		c.pos.Set(addr, g)
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("sdimm: no alternative SDIMM for in-flight block")
-	}
-	c.tm.rehomeFailures.Inc()
-	return fmt.Errorf("sdimm: re-homing block %d failed: %w", addr, lastErr)
-}
-
-// rehomeAppend runs one re-homing append exchange on the calling goroutine.
-func (c *Cluster) rehomeAppend(sd int, blk oram.Block) ([]byte, error) {
-	return c.exchange(sd, "rehome append", c.appendBody(sd, blk, false))
+	return c.inline.one(op)
 }
 
 // BucketWrites sums physical bucket writes across every member's store.
@@ -890,9 +723,6 @@ type SplitClusterOptions struct {
 	// state the cluster honours (shard index i; the parity shard is index
 	// SDIMMs).
 	Faults *fault.Injector
-	// DegradeAfter marks a shard Degraded after this many consecutive
-	// failures (default 3).
-	DegradeAfter int
 	// Parallelism decides where each member's share of an access runs: 1
 	// (or unset) = inline on the caller, one member after the other, no
 	// goroutine at all — the reference; > 1 = one persistent goroutine per
@@ -1049,7 +879,7 @@ func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 		if err := c.mkMember(i, 0); err != nil {
 			return nil, err
 		}
-		h := fault.NewHealth(opts.DegradeAfter, 0)
+		h := fault.NewHealth(degradeAfter, 0)
 		watchHealth(opts.Telemetry, opts.Tracer, nil, h, i)
 		c.health = append(c.health, h)
 	}

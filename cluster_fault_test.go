@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"sdimm/internal/fault"
 	"sdimm/internal/rng"
+	"sdimm/internal/telemetry"
 )
 
 func nop(time.Duration) {}
@@ -266,6 +268,50 @@ func TestClusterRehomesInFlightBlock(t *testing.T) {
 	if got, err := c.Read(3); err != nil || !bytes.Equal(got[:len(payload)], payload) {
 		t.Fatalf("read after wedge: %q %v", got, err)
 	}
+}
+
+// TestClusterRehomeFollowsBroadcast pins where a sequential access re-homes
+// a block whose real APPEND was abandoned: after the whole broadcast, as the
+// access's last host→device exchange — the wave engine's rule, since
+// Read/Write run its stages. Member 0's link is wedged, so every real APPEND
+// to it is abandoned; cluster.rehomes finds the access that re-homed.
+func TestClusterRehomeFollowsBroadcast(t *testing.T) {
+	in := fault.NewInjector(fault.Config{Seed: 31})
+	reg := telemetry.NewRegistry()
+	var frames []int // members of the current access's original host→device frames
+	c, err := NewCluster(ClusterOptions{
+		SDIMMs: 4, Levels: 10, Key: []byte("faulty-cluster-key"), Seed: 17,
+		Faults: in, Retry: fault.RetryPolicy{MaxAttempts: 2, Sleep: nop}, Telemetry: reg,
+		LinkTap: func(sd int, dir fault.Direction, attempt int, _ []byte) {
+			if dir == fault.HostToDev && attempt == 0 {
+				frames = append(frames, sd)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := uint64(0); a < 32; a++ {
+		if err := c.Write(a, []byte("rehome")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in.StallFor(0, 1<<20)
+	rehomes := reg.Counter("cluster.rehomes")
+	for i := uint64(0); i < 256; i++ {
+		frames = frames[:0]
+		before := rehomes.Value()
+		c.Read(i % 32) //nolint:errcheck — reads of blocks on member 0 fail while wedged
+		if rehomes.Value() == before {
+			continue
+		}
+		// The ACCESS, the broadcast to every member in order, then the re-home.
+		if len(frames) != 6 || !slices.Equal(frames[1:5], []int{0, 1, 2, 3}) || frames[5] == 0 {
+			t.Fatalf("re-homing access sent host→device frames to members %v", frames)
+		}
+		return
+	}
+	t.Fatal("no access re-homed a block")
 }
 
 func newParityCluster(t *testing.T, k int) *SplitCluster {

@@ -716,11 +716,11 @@ func (c *Cluster) scrub(report *durable.RecoveryReport) error {
 func (c *Cluster) replayRecord(rec durable.Record) (err error) {
 	switch rec.Kind {
 	case durable.KindRead:
-		_, err = c.access(rec.Addr, oram.OpRead, nil, false)
+		err = c.access(BatchOp{Addr: rec.Addr}).Err
 	case durable.KindWrite:
-		_, err = c.access(rec.Addr, oram.OpWrite, rec.Data, false)
+		err = c.access(BatchOp{Addr: rec.Addr, Write: true, Data: rec.Data}).Err
 	case durable.KindMigrate:
-		_, err = c.access(rec.Addr, oram.OpRead, nil, true)
+		err = c.access(BatchOp{Addr: rec.Addr, Migrate: true}).Err
 	case durable.KindDrainBegin:
 		err = c.applyDrainBegin(int(rec.Addr))
 	case durable.KindDrainEnd:

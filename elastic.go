@@ -114,7 +114,7 @@ func (c *Cluster) NextMigrations(n int) []uint64 {
 
 // DrainStep migrates one block off the draining member: the lowest still-
 // mapped address is read through the ordinary access path, which re-homes
-// it because pickHealthyLeaf no longer offers the draining member's leaves.
+// it because pickLeaf no longer offers the draining member's leaves.
 // On the channel the step is a single normal-shaped access — an observer
 // cannot tell it from workload traffic. done reports that nothing was left
 // to migrate (the step performed no access).
@@ -129,11 +129,9 @@ func (c *Cluster) DrainStep() (done bool, err error) {
 	if !ok {
 		return true, nil
 	}
-	_, err = c.tracedAccess(addr, oram.OpRead, nil, true)
-	if err != nil {
-		return false, err
+	if r := c.tracedAccess(BatchOp{Addr: addr, Migrate: true}); r.Err != nil {
+		return false, r.Err
 	}
-	c.tm.migrations.Inc()
 	if err := c.maybeCheckpoint(c.ForceCheckpoint); err != nil {
 		return false, err
 	}
@@ -235,9 +233,9 @@ func (c *Cluster) applyDetach(i int) error {
 		}
 	})
 	sort.Slice(orphans, func(a, b int) bool { return orphans[a] < orphans[b] })
-	globalLeaves := uint64(1) << (c.levels - 1)
+	globalLeaves, states := uint64(1)<<(c.levels-1), c.HealthStates()
 	for _, a := range orphans {
-		g, err := c.pickHealthyLeaf(globalLeaves)
+		g, err := c.pickLeaf(states, globalLeaves)
 		if err != nil {
 			return err
 		}

@@ -41,13 +41,15 @@ func size(full int) int {
 // cli completes a scenario the way cmd/sdimm-chaos maps its flag defaults:
 // seed 42 and, where there are links, the 1.7% fault mix, an 8-attempt retry
 // budget, and a witness sharing the run's registry.
-func cli(sc Scenario) Scenario {
+func cli(sc Scenario) Scenario { return cliAt(sc, 0.017, 8) }
+
+// cliAt is cli at sdimm-chaos's -rate r and -attempts n.
+func cliAt(sc Scenario, r float64, n int) Scenario {
 	sc.Seed = 42
 	if !sc.Split {
-		const r = 0.017
 		sc.Faults = fault.Config{Seed: 42 ^ 0xfa417, BitFlip: r * 0.30, Drop: r * 0.25,
 			Duplicate: r * 0.15, Replay: r * 0.10, Stall: r * 0.12, MACCorrupt: r * 0.08}
-		sc.Retry = fault.RetryPolicy{MaxAttempts: 8, Sleep: func(time.Duration) {}}
+		sc.Retry = fault.RetryPolicy{MaxAttempts: n, Sleep: func(time.Duration) {}}
 		sc.Telemetry = telemetry.NewRegistry()
 		sc.Witness = witness.New(witness.Options{Members: 4, Registry: sc.Telemetry})
 	}
@@ -107,6 +109,14 @@ func legs(t *testing.T) []leg {
 		{name: "TestFlightDumpOnInducedFailure", red: true, check: flightDumped,
 			sc: Scenario{Accesses: 200, Seed: 21, Faults: fault.Config{Seed: 13, Drop: 0.5},
 				Retry: fault.RetryPolicy{MaxAttempts: 1}, Flight: flight.New(4, 256), FlightPath: t.TempDir() + "/flight.json"}},
+		// A 2-attempt retry budget at a 5% fault mix abandons real APPENDs:
+		// both engine homes must re-home the blocks in flight. The exhausted
+		// budget also surfaces errors, so the verdict is red; rehomed checks
+		// that nothing else is.
+		{name: "TestScenarioLegs/rehome-sequential", red: true, check: rehomed,
+			sc: cliAt(Scenario{Accesses: 1200}, 0.05, 2)},
+		{name: "TestScenarioLegs/rehome-parallel", red: true, check: rehomed,
+			sc: cliAt(Scenario{Accesses: 1200, Parallelism: 4}, 0.05, 2)},
 		{name: "TestFlightNoDumpOnGreenRun", check: flightKeptQuiet,
 			sc: Scenario{Accesses: 200, Seed: 2, Flight: flight.New(4, 256), FlightPath: t.TempDir() + "/flight.json"}},
 	}

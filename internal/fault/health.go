@@ -11,7 +11,7 @@ type State int
 const (
 	// Healthy: recent exchanges succeed.
 	Healthy State = iota
-	// Degraded: DegradeAfter consecutive exchanges failed; the SDIMM is
+	// Degraded: degradeAfter consecutive exchanges failed; the SDIMM is
 	// still addressed (the faults may be transient) but operators should
 	// look at it.
 	Degraded
@@ -77,7 +77,7 @@ func (s State) CapacityWeight() float64 {
 }
 
 // Health tracks one SDIMM's consecutive-failure state machine:
-// Healthy → (DegradeAfter consecutive failures) → Degraded → (success) →
+// Healthy → (degradeAfter consecutive failures) → Degraded → (success) →
 // Healthy; ErrFailStop or FailAfter consecutive failures → Failed (sticky).
 // Health is safe for concurrent use.
 type Health struct {

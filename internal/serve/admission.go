@@ -49,6 +49,9 @@ type Admission struct {
 	now      func() time.Time
 }
 
+// maxDepth caps the queue-depth limit computed from Rho and OverflowTarget.
+const maxDepth = 4096
+
 // AdmissionOptions size an Admission controller.
 type AdmissionOptions struct {
 	// Rho is the design utilization the queue limit is sized for
@@ -58,8 +61,6 @@ type AdmissionOptions struct {
 	// (default 1e-4). Together with Rho it yields the depth limit via
 	// queueing.QueueLimitFor.
 	OverflowTarget float64
-	// MaxDepth caps the computed limit (default 4096).
-	MaxDepth int
 	// RetryRate is the retry token refill rate per second (default 16).
 	RetryRate float64
 	// RetryBurst is the bucket capacity (default 2 × RetryRate).
@@ -96,9 +97,6 @@ func NewAdmission(o AdmissionOptions) (*Admission, error) {
 	if o.OverflowTarget == 0 {
 		o.OverflowTarget = 1e-4
 	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 4096
-	}
 	if o.RetryRate == 0 {
 		o.RetryRate = 16
 	}
@@ -108,7 +106,7 @@ func NewAdmission(o AdmissionOptions) (*Admission, error) {
 	if o.Now == nil {
 		o.Now = time.Now
 	}
-	limit, err := queueing.QueueLimitFor(o.Rho, o.OverflowTarget, o.MaxDepth)
+	limit, err := queueing.QueueLimitFor(o.Rho, o.OverflowTarget, maxDepth)
 	if err != nil {
 		return nil, err
 	}

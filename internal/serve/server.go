@@ -36,10 +36,6 @@ type Config struct {
 	// DefaultDeadline applies to requests with DeadlineMS 0 (default
 	// 250ms).
 	DefaultDeadline time.Duration
-	// InitialCredit and MaxCredit bound the per-connection slow-start
-	// request window (defaults 1 and 32).
-	InitialCredit int
-	MaxCredit     int
 	// Witness configures the obliviousness monitor; Members is set by the
 	// server. Calibration and Window keep their package defaults when 0.
 	Witness witness.Options
@@ -47,20 +43,20 @@ type Config struct {
 	// shed storm, an accepted-request deadline miss, or a witness
 	// violation (one dump per trigger kind per process).
 	FlightDir string
-	// ShedStormThreshold is how many consecutive sheds (no accept in
-	// between) constitute a storm (default 4 × the admission queue limit).
-	ShedStormThreshold int
 }
+
+// Serving constants. A connection's slow-start request window starts at
+// initialCredit and grows to at most maxCredit; stormFactor × the admission
+// queue limit consecutive sheds (no accept in between) are a shed storm.
+const (
+	initialCredit = 1
+	maxCredit     = 32
+	stormFactor   = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.DefaultDeadline == 0 {
 		c.DefaultDeadline = 250 * time.Millisecond
-	}
-	if c.InitialCredit <= 0 {
-		c.InitialCredit = 1
-	}
-	if c.MaxCredit <= 0 {
-		c.MaxCredit = 32
 	}
 	return c
 }
@@ -88,14 +84,15 @@ type Server struct {
 	closing chan struct{}
 	down    atomic.Bool
 
-	start       time.Time
-	okCount     atomic.Uint64
-	shedStreak  atomic.Uint64
-	acceptedDM  atomic.Uint64
-	dumpMu      sync.Mutex
-	dumped      map[string]bool
-	latency     *telemetry.Histogram
-	stormThresh uint64
+	start        time.Time
+	okCount      atomic.Uint64
+	shedStreak   atomic.Uint64
+	acceptedDM   atomic.Uint64
+	dumpMu       sync.Mutex
+	dumped       map[string]bool
+	latency      *telemetry.Histogram
+	backpressure *telemetry.Counter
+	stormThresh  uint64
 }
 
 // New builds the cluster and its serving front. The cluster is created
@@ -177,14 +174,12 @@ func build(cfg Config, mk func(sdimm.ClusterOptions) (*sdimm.Cluster, error)) (*
 		return nil, err
 	}
 	s.adm = adm
-	s.stormThresh = uint64(cfg.ShedStormThreshold)
-	if s.stormThresh == 0 {
-		s.stormThresh = uint64(4 * adm.Limit())
-	}
+	s.stormThresh = uint64(stormFactor * adm.Limit())
 
 	// Latency in microseconds, 250µs buckets out to 100ms (the tail rides
 	// in the overflow bucket; Max is exact).
 	s.latency = reg.Histogram("serve.latency_us", 250, 400)
+	s.backpressure = reg.Counter("serve.backpressure")
 
 	s.pipe = c.Pipeline(cfg.Pipeline)
 	s.in = make(chan *sdimm.AsyncOp, 256)
@@ -341,15 +336,15 @@ func (s *Server) adjustCredit(cn *servConn, ok bool) uint16 {
 	defer cn.cmu.Unlock()
 	if ok && !s.adm.Pressure() {
 		cn.credit *= 2
-		if cn.credit > s.cfg.MaxCredit {
-			cn.credit = s.cfg.MaxCredit
+		if cn.credit > maxCredit {
+			cn.credit = maxCredit
 		}
 	} else {
 		cn.credit /= 2
 		if cn.credit < 1 {
 			cn.credit = 1
 		}
-		s.reg.Counter("serve.backpressure").Inc()
+		s.backpressure.Inc()
 	}
 	return uint16(cn.credit)
 }
@@ -378,7 +373,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	if !ok {
 		return
 	}
-	cn := &servConn{conn: conn, credit: s.cfg.InitialCredit, tc: s.tenantCounters(tenantLabel(hello.Tenant))}
+	cn := &servConn{conn: conn, credit: initialCredit, tc: s.tenantCounters(tenantLabel(hello.Tenant))}
 	if err := func() error {
 		cn.wmu.Lock()
 		defer cn.wmu.Unlock()

@@ -1,6 +1,7 @@
 package sdimm
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -13,12 +14,17 @@ import (
 	isdimm "sdimm/internal/sdimm"
 )
 
-// This file is the parallel execution engine for functional clusters: a
-// pool of per-SDIMM workers and, on top of it, a decoupled two-wave access
-// pipeline that keeps a window of independent ORAM accesses in flight behind
-// the existing fault.Transactor links. The wave loop exists once
-// (Pipeline.run); Do and Serve are a slice feeder and a channel feeder over
-// it.
+// This file is the execution engine for functional clusters: a pool of
+// per-SDIMM workers and, on top of it, the Independent protocol's access as
+// one set of stages — schedule (route by the old leaf, draw the new one),
+// accessTask (ACCESS + FETCH_RESULT on the owning member), commit (position
+// and journal record), appendTask (the APPEND broadcast), and retire /
+// finalize (re-homing, the poison veto, delivery, counting). Two drivers run
+// those stages. The wave loop (Pipeline.run) keeps a window of independent
+// accesses in flight behind the fault.Transactor links; Do and Serve are a
+// slice feeder and a channel feeder over it. Pipeline.one runs a single op
+// as a one-op wave on the caller; every sequential Cluster access (Read,
+// Write, DrainStep, journal replay) goes through it.
 //
 // One thing leaves the coordinator: a member's share of a fan-out, a
 // func(member) handed to workerPool.submitWG — a wave's ACCESS exchanges (one
@@ -30,11 +36,12 @@ import (
 // the share on the caller: the reference the equivalence suites compare
 // every other setting against.
 //
-// The pipeline is decoupled: wave N+1's ACCESS exchanges run while wave N's
+// The wave loop is decoupled: wave N+1's ACCESS exchanges run while wave N's
 // APPEND broadcast and journal append are still in flight. The coordinator
 // holds at most two waves — the one being launched and the one being retired
 // — and its serialized work per wave is scheduling, the commit walk, and
-// result finalization.
+// result finalization. A lost real APPEND is re-homed at retirement, after
+// the wave's broadcast.
 //
 // Determinism is preserved by construction, not by luck:
 //
@@ -53,11 +60,12 @@ import (
 //     order (then journals it), and finalize's re-homes repoint it. Shares
 //     never read or write it, so it is a plain unlocked map.
 //   - Health is read through a coordinator-owned snapshot refreshed at the
-//     pipeline's quiescent points (one per iteration), so scheduling and
-//     re-homing decisions never race worker-side health transitions. The
-//     snapshot is at most one wave stale — a member that fails mid-wave is
-//     seen by the schedule one wave later, exactly as a sequential client
-//     discovers a failure on its next access.
+//     quiescent points (one per wave-loop iteration, one per Pipeline.one
+//     op), so scheduling and re-homing decisions never race worker-side
+//     health transitions. In the wave loop the snapshot is at most one wave
+//     stale — a member that fails mid-wave is seen by the schedule one wave
+//     later, exactly as a sequential client discovers a failure on its next
+//     access.
 //   - The wave schedule depends only on the configured window and the
 //     addresses in flight, never on Parallelism, which decides where shares
 //     run and nothing else.
@@ -363,10 +371,6 @@ func (p *Pipeline) snapshotHealth() {
 	}
 }
 
-// snapState is the pipeline's health view for leaf picks and re-homing: the
-// coordinator's snapshot instead of the live (worker-mutated) records.
-func (p *Pipeline) snapState(i int) fault.State { return p.healthSnap[i] }
-
 // run is the wave loop — the only one. Each iteration launches at most one
 // new wave and retires the previous one, so wave N+1's ACCESS exchanges
 // overlap wave N's APPEND broadcast and journal append. Checkpoints run only
@@ -514,11 +518,15 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 
 // Do executes ops through the pipeline and returns one result per op, in
 // order: the slice feeder over run. Semantics match issuing the same
-// operations through Read/Write one at a time, with one deliberate
-// difference: accesses in the same wave observe the position map and health
-// state as of the wave's start. A wave never schedules an address that
-// appears in the wave still in flight or earlier in itself (the schedule
-// breaks there), so per-address read/write ordering is preserved exactly.
+// operations through Read/Write one at a time, with two deliberate
+// differences. Accesses in the same wave observe the position map and health
+// state as of the wave's start. And a re-home's leaves are drawn at
+// retirement, after the next wave has been scheduled, so once an APPEND is
+// abandoned the two draw orders diverge (no payload is wrong; a later access
+// may succeed on one side and be abandoned on the other). A wave never
+// schedules an address that appears in the wave still in flight or earlier
+// in itself (the schedule breaks there), so per-address read/write ordering
+// is preserved exactly.
 func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
 	res := make([]BatchResult, 0, len(ops))
 	next := 0
@@ -529,6 +537,36 @@ func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
 		return pending, next == len(ops)
 	}, func(r BatchResult) { res = append(res, r) })
 	return res
+}
+
+// one runs op as a one-op wave on the caller: the sequential driver of the
+// stages run drives in waves. It takes one health snapshot, then schedules,
+// executes and commits the access, journals its record synchronously — the
+// record lands before the broadcast, so a crash at the record leaves no
+// member appended — and broadcasts and retires it. Nothing overlaps the op,
+// and the caller checks the crash gate first.
+func (p *Pipeline) one(op BatchOp) BatchResult {
+	c := p.c
+	globalLeaves := uint64(1) << (c.levels - 1)
+	p.snapshotHealth()
+	w := p.takeWave()
+	po := p.schedule(op, globalLeaves)
+	w.ops = append(w.ops, po)
+	if !po.skip {
+		p.accessTask(po)
+	}
+	p.commit(w)
+	w.jerr = c.appendRecords(w.recs)
+	// Emptied so dispatchAppend does not journal the record a second time.
+	clear(w.recs)
+	w.recs = w.recs[:0]
+	if w.jerr == nil {
+		p.dispatchAppend(w)
+	}
+	p.retire(w, globalLeaves)
+	r := w.res[0]
+	p.releaseWave(w)
+	return r
 }
 
 // scheduleWave admits up to Window ops with addresses distinct from each
@@ -583,7 +621,7 @@ func (p *Pipeline) schedule(op BatchOp, globalLeaves uint64) *pipeOp {
 	oldG, mapped := c.pos.Get(po.addr)
 	if !mapped {
 		var err error
-		if oldG, err = c.pickLeaf(p.snapState, globalLeaves); err != nil {
+		if oldG, err = c.pickLeaf(p.healthSnap, globalLeaves); err != nil {
 			po.err, po.skip = err, true
 			return po
 		}
@@ -595,7 +633,7 @@ func (p *Pipeline) schedule(op BatchOp, globalLeaves uint64) *pipeOp {
 		po.skip = true
 		return po
 	}
-	newG, err := c.pickLeaf(p.snapState, globalLeaves)
+	newG, err := c.pickLeaf(p.healthSnap, globalLeaves)
 	if err != nil {
 		po.err, po.skip = err, true
 		return po
@@ -660,8 +698,7 @@ func (p *Pipeline) accessTask(po *pipeOp) {
 	r, derr := isdimm.UnmarshalResponse(po.respBody, c.blockSize)
 	if derr != nil {
 		// Decode failure is held apart from err: the buffer executed the
-		// access, so the commit walk must still commit and journal it —
-		// matching the sequential path, which journals before decoding.
+		// access, so the commit walk must still commit and journal it.
 		po.decodeErr = c.wrapErr(po.sd, "access response", derr)
 		return
 	}
@@ -676,9 +713,14 @@ func (p *Pipeline) accessTask(po *pipeOp) {
 }
 
 // commit walks the wave in logical order on the coordinator and, for every
-// access whose owning buffer executed it, sets the new position and appends
-// its journal record — the staged-commit rule of the sequential path, in the
-// same order. A failed exchange leaves the map untouched and journals nothing.
+// access whose owning buffer executed it, sets the new position and makes
+// its journal record. This is the staged-commit rule: the map moves only
+// after the owning buffer has executed the access, so a fault before that
+// point (however the retries end) leaves host and buffers exactly as they
+// were and the address stays readable. A failed exchange leaves the map
+// untouched and journals nothing; later append failures cannot move the
+// block again (a lost real append is re-homed). A crash before the record is
+// durable means the access never happened; after it, recovery replays it.
 func (p *Pipeline) commit(w *waveState) {
 	c := p.c
 	for _, po := range w.ops {
@@ -785,9 +827,8 @@ func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64) BatchResult {
 				c.tm.appendsLost.Inc()
 				if !po.keep && j == po.sdNew && !po.resp.Dummy {
 					// The migrating block was in this exchange: re-home it
-					// (leaf draws on the coordinator, the append on the new
-					// owner's worker) instead of losing the payload.
-					if rerr := c.rehome(po.addr, po.blk, j, globalLeaves, p.snapState, p.rehomeAppend); rerr != nil && po.err == nil {
+					// instead of losing the payload.
+					if rerr := p.rehome(po, j, globalLeaves); rerr != nil && po.err == nil {
 						po.err = rerr
 					}
 				}
@@ -799,12 +840,14 @@ func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64) BatchResult {
 		}
 	}
 
-	// Poison veto at delivery (same rule as the sequential path): the access
-	// ran normally, but a payload lost to unrecoverable corruption is an
-	// error, not zeros. Migration steps are exempt — their payload is never
+	// Poison veto at delivery: the access ran normally (keeping every RNG
+	// draw and placement identical to an uncorrupted run), but a payload lost
+	// to unrecoverable corruption is an error, not zeros. Replay is exempt —
+	// it re-executes history, and the poisoned result was never delivered
+	// anyway. Migration steps are exempt too — their payload is never
 	// delivered, and a poisoned block must still be carried off a draining
 	// member.
-	if po.err == nil && po.op == oram.OpRead && !po.migrate && c.poisoned[po.addr] {
+	if po.err == nil && po.op == oram.OpRead && !po.migrate && !c.replaying && c.poisoned[po.addr] {
 		c.tm.poisonedReads.Inc()
 		po.err = fmt.Errorf("sdimm: read %d: %w", po.addr, ErrUnrecoverable)
 	}
@@ -814,23 +857,68 @@ func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64) BatchResult {
 		out.Data = po.out
 	}
 	// Migration steps are accounted under cluster.migrations, not the
-	// workload access counters — same split as the sequential DrainStep.
-	if po.migrate {
+	// workload access counters. Replay is counted only under
+	// cluster.recovery.replayed.
+	switch {
+	case c.replaying:
+	case po.migrate:
 		if po.err == nil {
 			c.tm.migrations.Inc()
 		}
-	} else {
+	default:
 		c.tm.observe(po.op, po.err)
 	}
 	return out
 }
 
-// rehomeAppend is the pipeline's exchange step for Cluster.rehome: the
-// candidate append is a share for the new owner, because per-SDIMM command
-// scratch and link framing belong to the goroutine driving that link — the
-// coordinator must not touch a link whose worker may be running the next
-// wave's exchanges. The ack is copied out of the
-// transactor's scratch for the same reason.
+// rehome places po's in-flight real block, whose append to member exclude
+// was abandoned, on a healthy SDIMM other than exclude, then repoints the
+// position map. It runs only after an append was abandoned — a
+// channel-visible event — so the extra exchange leaks nothing the failure
+// itself did not. Leaf draws read the health snapshot and happen on the
+// coordinator, in logical order.
+func (p *Pipeline) rehome(po *pipeOp, exclude int, globalLeaves uint64) error {
+	c := p.c
+	c.tm.rehomes.Inc()
+	if tr := c.tm.tracer; tr != nil {
+		tr.Instant(0, "cluster.rehome", "cluster", map[string]any{"addr": po.addr, "exclude": exclude})
+	}
+	var lastErr error
+	for try := 0; try < 8*len(c.members); try++ {
+		g, err := c.pickLeaf(p.healthSnap, globalLeaves)
+		if err != nil {
+			return err
+		}
+		sd := int(g >> c.localBits)
+		if sd == exclude {
+			continue
+		}
+		nb := po.blk
+		nb.Leaf = g & (uint64(1)<<c.localBits - 1)
+		c.tm.rehomeAttempts.Inc()
+		ack, err := p.rehomeAppend(sd, nb)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if len(ack) != 1 || ack[0] != appendAck {
+			return c.wrapErr(sd, "rehome append", fmt.Errorf("sdimm: malformed append ack %x", ack))
+		}
+		c.pos.Set(po.addr, g)
+		return nil
+	}
+	if lastErr == nil {
+		lastErr = errors.New("sdimm: no alternative SDIMM for in-flight block")
+	}
+	c.tm.rehomeFailures.Inc()
+	return fmt.Errorf("sdimm: re-homing block %d failed: %w", po.addr, lastErr)
+}
+
+// rehomeAppend runs one candidate re-home append as a share for the new
+// owner, because per-SDIMM command scratch and link framing belong to the
+// goroutine driving that link — the coordinator must not touch a link whose
+// worker may be running the next wave's exchanges. The ack is copied out of
+// the transactor's scratch for the same reason.
 func (p *Pipeline) rehomeAppend(sd int, blk oram.Block) (ack []byte, err error) {
 	c := p.c
 	var wg sync.WaitGroup
@@ -838,7 +926,7 @@ func (p *Pipeline) rehomeAppend(sd int, blk oram.Block) (ack []byte, err error) 
 		ws := c.blame.WorkerBegin()
 		defer c.blame.WorkerEnd(blame.WorkerAppend, ws)
 		var resp []byte
-		if resp, err = c.rehomeAppend(sd, blk); err == nil {
+		if resp, err = c.exchange(sd, "rehome append", c.appendBody(sd, blk, false)); err == nil {
 			ack = append([]byte(nil), resp...)
 		}
 	})

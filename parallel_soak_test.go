@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sdimm/internal/fault"
-	"sdimm/internal/oram"
 	"sdimm/internal/rng"
 	"sdimm/internal/telemetry"
 )
@@ -150,9 +149,10 @@ func TestPipelineSoak(t *testing.T) {
 
 // TestPipelineSoakWindowOneMatchesSequential pins the mixed-stream pipeline
 // (including migration steps) to the sequential path: with Window 1 every
-// wave is one access, and the RNG draw order, commit order, journal bytes,
-// and migration accounting are identical, so a sequential runner mirroring
-// DrainStep's bookkeeping must agree bit-for-bit on everything observable.
+// wave is one access, and on these perfect links — no APPEND is abandoned,
+// so nothing re-homes and draws its leaves late — the RNG draw order, commit
+// order, journal bytes, and migration accounting are identical, so the
+// sequential runner must agree bit-for-bit on everything observable.
 func TestPipelineSoakWindowOneMatchesSequential(t *testing.T) {
 	r := rng.Stream(4241, "pipeline-soak-seq", 0)
 	ops := soakWorkload(r, 240, 56)
@@ -168,14 +168,10 @@ func TestPipelineSoakWindowOneMatchesSequential(t *testing.T) {
 	for i, op := range ops {
 		switch {
 		case op.Migrate:
-			// Mirror DrainStep's accounting: a migration is a read-shaped
-			// access whose payload is not delivered, counted under
+			// DrainStep's access on an address of the stream's choosing: a
+			// read-shaped access whose payload is not delivered, counted under
 			// cluster.migrations instead of the workload observers.
-			_, err := cs.tracedAccess(op.Addr, oram.OpRead, nil, true)
-			if err == nil {
-				cs.tm.migrations.Inc()
-			}
-			seqResults[i].Err = err
+			seqResults[i].Err = cs.tracedAccess(op).Err
 		case op.Write:
 			seqResults[i].Err = cs.Write(op.Addr, op.Data)
 		default:

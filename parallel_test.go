@@ -225,13 +225,10 @@ func pipelineWorkload(n int, space uint64) []BatchOp {
 	return ops
 }
 
-// runPipeline executes the workload through a fresh cluster + pipeline and
-// captures the full state fingerprint. mid, when non-nil, runs between the
-// two halves of the workload (fault scheduling hooks).
-func runPipeline(t *testing.T, par, window int, faults *fault.Injector,
-	mid func(*Cluster)) engineState {
+// newEquivalenceCluster builds the cluster every equivalence run starts
+// from.
+func newEquivalenceCluster(t *testing.T, faults *fault.Injector, reg *telemetry.Registry) *Cluster {
 	t.Helper()
-	reg := telemetry.NewRegistry()
 	c, err := NewCluster(ClusterOptions{
 		SDIMMs:    4,
 		Levels:    10,
@@ -244,6 +241,17 @@ func runPipeline(t *testing.T, par, window int, faults *fault.Injector,
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// runPipeline executes the workload through a fresh cluster + pipeline and
+// captures the full state fingerprint. mid, when non-nil, runs between the
+// two halves of the workload (fault scheduling hooks).
+func runPipeline(t *testing.T, par, window int, faults *fault.Injector,
+	mid func(*Cluster)) engineState {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	c := newEquivalenceCluster(t, faults, reg)
 	p := c.Pipeline(PipelineOptions{Window: window, Parallelism: par})
 	defer p.Close()
 	ops := pipelineWorkload(240, 60)
@@ -256,42 +264,68 @@ func runPipeline(t *testing.T, par, window int, faults *fault.Injector,
 	return captureState(results, c.Positions(), c.StashLens(), reg, c.Health())
 }
 
-// TestPipelineWindowOneMatchesSequential pins the pipeline's semantics to
-// the sequential Read/Write path: with Window 1 every wave is one access,
-// and the RNG draw order, commit order, and append order are identical, so
-// the two engines must agree bit-for-bit on everything observable.
-func TestPipelineWindowOneMatchesSequential(t *testing.T) {
+// runSequential is runPipeline on the sequential path: the same cluster,
+// workload and mid hook, one Read or Write per op.
+func runSequential(t *testing.T, faults *fault.Injector, mid func(*Cluster)) engineState {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	c := newEquivalenceCluster(t, faults, reg)
 	ops := pipelineWorkload(240, 60)
-
-	regSeq := telemetry.NewRegistry()
-	cs, err := NewCluster(ClusterOptions{
-		SDIMMs: 4, Levels: 10, Key: []byte("equivalence-key"), Seed: 23, Telemetry: regSeq,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqResults := make([]BatchResult, len(ops))
+	results := make([]BatchResult, len(ops))
 	for i, op := range ops {
+		if i == len(ops)/2 && mid != nil {
+			mid(c)
+		}
 		if op.Write {
-			seqResults[i].Err = cs.Write(op.Addr, op.Data)
+			results[i].Err = c.Write(op.Addr, op.Data)
 		} else {
-			seqResults[i].Data, seqResults[i].Err = cs.Read(op.Addr)
+			results[i].Data, results[i].Err = c.Read(op.Addr)
 		}
 	}
-	seq := captureState(seqResults, cs.Positions(), cs.StashLens(), regSeq, cs.Health())
+	return captureState(results, c.Positions(), c.StashLens(), reg, c.Health())
+}
 
-	regPipe := telemetry.NewRegistry()
-	cp, err := NewCluster(ClusterOptions{
-		SDIMMs: 4, Levels: 10, Key: []byte("equivalence-key"), Seed: 23, Telemetry: regPipe,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestPipelineWindowOneMatchesSequential pins the pipeline's semantics to
+// the sequential Read/Write path: with Window 1 every wave is one access,
+// and — as long as no APPEND is abandoned and re-homed (a re-home draws its
+// leaves at retirement, after the next wave's schedule) — the RNG draw
+// order, commit order, and append order are identical, so the two engines
+// must agree bit-for-bit on everything observable. The rows cover perfect
+// links, transient link faults the retry budget absorbs, and a fail-stop
+// between the two halves; none of them re-homes.
+func TestPipelineWindowOneMatchesSequential(t *testing.T) {
+	rows := []struct {
+		name     string
+		faults   *fault.Config // nil = perfect links
+		failStop int           // member fail-stopped between the halves; -1 none
+	}{
+		{"perfect", nil, -1},
+		{"transient", &fault.Config{Seed: 99, BitFlip: 0.01, Drop: 0.01, Duplicate: 0.01, Stall: 0.005}, -1},
+		{"failstop", &fault.Config{Seed: 5}, 2},
 	}
-	p := cp.Pipeline(PipelineOptions{Window: 1, Parallelism: 1})
-	defer p.Close()
-	pipe := captureState(p.Do(ops), cp.Positions(), cp.StashLens(), regPipe, cp.Health())
-
-	diffState(t, "window-1 vs sequential", seq, pipe)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			run := func(seq bool) engineState {
+				var in *fault.Injector
+				if row.faults != nil {
+					in = fault.NewInjector(*row.faults)
+				}
+				var mid func(*Cluster)
+				if row.failStop >= 0 {
+					mid = func(*Cluster) { in.FailStop(row.failStop) }
+				}
+				if seq {
+					return runSequential(t, in, mid)
+				}
+				return runPipeline(t, 1, 1, in, mid)
+			}
+			seq := run(true)
+			if n := seq.Telemetry.Counters["cluster.rehomes"]; n != 0 {
+				t.Fatalf("%d re-homes: the row is outside the equivalence claim", n)
+			}
+			diffState(t, "window-1 vs sequential", seq, run(false))
+		})
+	}
 }
 
 // TestPipelineParallelismEquivalence is the core determinism claim: a
