@@ -117,7 +117,10 @@ profile-sim:
 # anything they accept is chain-authenticated and canonical. The stash's fuzz
 # leg checks the sorted slice against a plain map. FuzzWritePath compares the
 # engine's greedy writeback, bucket for bucket, with the sorted-copy selection
-# it replaced. MemStore.RestoreRaw takes sealed buckets of both formats off
+# it replaced. FuzzEngineModes runs one tape of reads, writes, keep and
+# migrate accesses and stash re-inserts through a path engine and a ring
+# engine against a plain map: read-your-writes, one live copy per address,
+# stash within capacity. MemStore.RestoreRaw takes sealed buckets of both formats off
 # disk: a wrong length is an error, and nothing a seal under the store's key
 # did not produce may open.
 fuzz:
@@ -128,6 +131,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecode -fuzztime=20s ./internal/durable
 	$(GO) test -run=NONE -fuzz=FuzzStash -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzWritePath -fuzztime=20s ./internal/oram
+	$(GO) test -run=NONE -fuzz=FuzzEngineModes -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzRingStateDecode -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzMemStoreRestoreRaw -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzWireDecode -fuzztime=20s ./internal/serve

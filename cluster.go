@@ -555,9 +555,7 @@ var ErrNoHealthySDIMM = errors.New("sdimm: no healthy SDIMM available for placem
 func (c *Cluster) pickLeaf(states []fault.State, globalLeaves uint64) (uint64, error) {
 	c.elig = c.elig[:0]
 	for i, st := range states {
-		switch st {
-		case fault.Failed, fault.Draining, fault.Removed:
-		default:
+		if placeable(st) {
 			c.elig = append(c.elig, i)
 		}
 	}
@@ -567,6 +565,12 @@ func (c *Cluster) pickLeaf(states []fault.State, globalLeaves uint64) (uint64, e
 	x := c.rnd.Uint64n(uint64(len(c.elig)) << c.localBits)
 	mask := uint64(1)<<c.localBits - 1
 	return uint64(c.elig[x>>c.localBits])<<c.localBits | (x & mask), nil
+}
+
+// placeable reports whether a member in state st may be given new leaves:
+// every state but Failed, Draining and Removed.
+func placeable(st fault.State) bool {
+	return st != fault.Failed && st != fault.Draining && st != fault.Removed
 }
 
 // access runs one sequential access — Read, Write, DrainStep or a replayed
@@ -627,32 +631,19 @@ func (h ClusterHealth) Healthy() bool {
 }
 
 // Failed lists the indices of fail-stopped buffers.
-func (h ClusterHealth) Failed() []int {
-	var out []int
-	for _, s := range h.SDIMMs {
-		if s.State == fault.Failed {
-			out = append(out, s.Index)
-		}
-	}
-	return out
-}
+func (h ClusterHealth) Failed() []int { return h.inState(fault.Failed) }
 
 // Draining lists the indices of buffers currently being drained.
-func (h ClusterHealth) Draining() []int {
-	var out []int
-	for _, s := range h.SDIMMs {
-		if s.State == fault.Draining {
-			out = append(out, s.Index)
-		}
-	}
-	return out
-}
+func (h ClusterHealth) Draining() []int { return h.inState(fault.Draining) }
 
 // Removed lists the indices of detached (removed, not yet replaced) slots.
-func (h ClusterHealth) Removed() []int {
+func (h ClusterHealth) Removed() []int { return h.inState(fault.Removed) }
+
+// inState lists the indices of buffers in state st.
+func (h ClusterHealth) inState(st fault.State) []int {
 	var out []int
 	for _, s := range h.SDIMMs {
-		if s.State == fault.Removed {
+		if s.State == st {
 			out = append(out, s.Index)
 		}
 	}

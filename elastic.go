@@ -3,7 +3,7 @@ package sdimm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sdimm/internal/durable"
 	"sdimm/internal/fault"
@@ -44,12 +44,7 @@ func (c *Cluster) BeginDrain(i int) error {
 	// At least one other member must be eligible to receive the blocks.
 	others := 0
 	for j := range c.health {
-		if j == i {
-			continue
-		}
-		switch c.health[j].State() {
-		case fault.Failed, fault.Draining, fault.Removed:
-		default:
+		if j != i && placeable(c.health[j].State()) {
 			others++
 		}
 	}
@@ -77,18 +72,7 @@ func (c *Cluster) applyDrainBegin(i int) error {
 
 // DrainRemaining counts the addresses still mapped to the draining member
 // (0 when no drain is in progress).
-func (c *Cluster) DrainRemaining() int {
-	if c.drainMember < 0 {
-		return 0
-	}
-	n := 0
-	c.pos.Each(func(_, g uint64) {
-		if int(g>>c.localBits) == c.drainMember {
-			n++
-		}
-	})
-	return n
-}
+func (c *Cluster) DrainRemaining() int { return len(c.mappedTo(c.drainMember)) }
 
 // NextMigrations returns up to n addresses the drain will migrate next, in
 // the order DrainStep would take them (ascending address). Drivers use it
@@ -96,19 +80,24 @@ func (c *Cluster) DrainRemaining() int {
 // pure function of the position map, so a restarted driver recomputes the
 // same order.
 func (c *Cluster) NextMigrations(n int) []uint64 {
-	if c.drainMember < 0 || n <= 0 {
+	if n <= 0 {
 		return nil
 	}
+	addrs := c.mappedTo(c.drainMember)
+	return addrs[:min(n, len(addrs))]
+}
+
+// mappedTo returns the addresses the position map places on member i, in
+// ascending order. No address maps to -1, the drainMember of a cluster with
+// no drain in progress.
+func (c *Cluster) mappedTo(i int) []uint64 {
 	var addrs []uint64
 	c.pos.Each(func(a, g uint64) {
-		if int(g>>c.localBits) == c.drainMember {
+		if int(g>>c.localBits) == i {
 			addrs = append(addrs, a)
 		}
 	})
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	if len(addrs) > n {
-		addrs = addrs[:n]
-	}
+	slices.Sort(addrs)
 	return addrs
 }
 
@@ -125,32 +114,17 @@ func (c *Cluster) DrainStep() (done bool, err error) {
 	if c.drainMember < 0 {
 		return false, errors.New("sdimm: no drain in progress")
 	}
-	addr, ok := c.nextDrainAddr()
-	if !ok {
+	next := c.NextMigrations(1)
+	if len(next) == 0 {
 		return true, nil
 	}
-	if r := c.tracedAccess(BatchOp{Addr: addr, Migrate: true}); r.Err != nil {
+	if r := c.tracedAccess(BatchOp{Addr: next[0], Migrate: true}); r.Err != nil {
 		return false, r.Err
 	}
 	if err := c.maybeCheckpoint(c.ForceCheckpoint); err != nil {
 		return false, err
 	}
 	return false, nil
-}
-
-// nextDrainAddr finds the lowest address still mapped to the draining
-// member.
-func (c *Cluster) nextDrainAddr() (uint64, bool) {
-	best, found := uint64(0), false
-	c.pos.Each(func(a, g uint64) {
-		if int(g>>c.localBits) != c.drainMember {
-			return
-		}
-		if !found || a < best {
-			best, found = a, true
-		}
-	})
-	return best, found
 }
 
 // CompleteDrain detaches the drained member once nothing is mapped to it.
@@ -226,13 +200,7 @@ func (c *Cluster) applyDetach(i int) error {
 	if c.drainMember == i {
 		c.drainMember, c.drainMoved = -1, 0
 	}
-	var orphans []uint64
-	c.pos.Each(func(a, g uint64) {
-		if int(g>>c.localBits) == i {
-			orphans = append(orphans, a)
-		}
-	})
-	sort.Slice(orphans, func(a, b int) bool { return orphans[a] < orphans[b] })
+	orphans := c.mappedTo(i)
 	globalLeaves, states := uint64(1)<<(c.levels-1), c.HealthStates()
 	for _, a := range orphans {
 		g, err := c.pickLeaf(states, globalLeaves)

@@ -9,37 +9,48 @@ import (
 	"sdimm/internal/raceflag"
 )
 
-// TestAccessZeroAlloc is the allocation gate for the engine hot path: once
-// the scratch buffers, free list, position map, and stash have grown to
-// their steady-state sizes, a full accessORAM (path read, remap, writeback,
-// background eviction) must not touch the heap.
+// TestAccessZeroAlloc is the allocation gate for the engine hot path, in
+// both modes: once the scratch buffers, free list, position map, stash and
+// (ring mode) dead-slot map have grown to their steady-state sizes, a full
+// accessORAM — path read, remap, writeback or scheduled flush, background
+// eviction — must not touch the heap.
 func TestAccessZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc gates run without -race")
 	}
-	e, _ := newTestEngine(t, 8, true)
-	buf := make([]byte, 64)
-	const addrs = 32
-	// Warm-up: first touches grow the position map, the stash map, the
-	// engine scratch, and the payload free list.
-	for i := 0; i < 400; i++ {
-		if _, _, err := e.Access(uint64(i%addrs), OpWrite, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		op := OpRead
-		if i%2 == 0 {
-			op = OpWrite
-		}
-		if _, _, err := e.Access(uint64(i%addrs), op, buf); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("Engine.Access allocates %.1f objects per op in steady state, want 0", allocs)
+	for _, mode := range []struct {
+		name string
+		new  func(*testing.T) *Engine
+	}{
+		{"path", func(t *testing.T) *Engine { e, _ := newTestEngine(t, 8, true); return e }},
+		{"ring-a4", func(t *testing.T) *Engine { e, _ := newRingEngine(t, 8, 4); return e }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			e := mode.new(t)
+			buf := make([]byte, 64)
+			const addrs = 32
+			// Warm-up: first touches grow the position map, the stash, the
+			// engine scratch, and the payload free list.
+			for i := 0; i < 400; i++ {
+				if _, _, err := e.Access(uint64(i%addrs), OpWrite, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				op := OpRead
+				if i%2 == 0 {
+					op = OpWrite
+				}
+				if _, _, err := e.Access(uint64(i%addrs), op, buf); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Fatalf("Engine.Access allocates %.1f objects per op in steady state, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -74,11 +74,12 @@ type Options struct {
 	RingFlushInterval int
 }
 
-// Engine is one Path ORAM instance: tree store + stash + (optionally) a
-// position map. With a position map, Access provides the full accessORAM
-// operation. Without one, the path-level primitives (ReadPath, WritePath,
-// StashInsert, StashRemove) let a distributed protocol drive the engine —
-// this is exactly the role of the secure buffer in the Independent
+// Engine is one Path ORAM instance (or, with Options.RingFlushInterval, a
+// Ring ORAM one): tree store + stash + (optionally) a position map. With a
+// position map, Access provides the full accessORAM operation. Without one,
+// a distributed protocol drives the engine through AccessAt (the caller
+// supplies both leaves), EvictPath and the stash primitives StashInsert and
+// StashRemove — exactly the role of the secure buffer in the Independent
 // protocol, where the CPU-side frontend owns the position map.
 type Engine struct {
 	geom  Geometry
@@ -112,13 +113,13 @@ type Engine struct {
 	// recycled through freeBufs when its block is written back to the tree.
 	// Buffers handed out (Access/AccessAt results, plan.Path,
 	// plan.BackgroundLeaves) are valid only until the next engine operation.
-	pathBuf   []uint64 // ReadPath's working path
+	pathBuf   []uint64 // readPath's working path
 	planPath  []uint64 // accessPath's stable copy handed out via AccessPlan
-	readBkt   Bucket   // ReadPath bucket staging
-	writeBkt  Bucket   // WritePath bucket staging
-	depths    []int8   // WritePath: deepest level of the path each stash block may go to
-	placed    []bool   // WritePath: stash block already written into a bucket
-	leavesBuf []uint64 // DrainStash result
+	readBkt   Bucket   // readPath bucket staging
+	writeBkt  Bucket   // writePath bucket staging
+	depths    []int8   // writePath: deepest level of the path each stash block may go to
+	placed    []bool   // writePath: stash block already written into a bucket
+	leavesBuf []uint64 // leaves of the current access's flushes and evictions
 	respBuf   []byte   // accessed payload snapshot returned to callers
 	freeBufs  [][]byte // recycled stash payload buffers
 }
@@ -284,13 +285,19 @@ func (e *Engine) AccessAt(addr uint64, op Op, data []byte, oldLeaf, newLeaf uint
 	return blk, plan, nil
 }
 
-// accessPath implements the shared body of Access/AccessAt. When migrate is
-// set, the accessed block is excluded from this tree's writeback and
+// accessPath is the one accessORAM body behind Access and AccessAt, in both
+// modes: read the path to oldLeaf, update addr's block in the stash, then
+// write back. The modes differ at two points only. The read rule: path mode
+// lifts the whole path into the stash and leaves its writeback pending, while
+// ring mode opens the same buckets but lifts only addr's live copy,
+// invalidating its slot. The write-back schedule: path mode rewrites the path
+// now, while ring mode flushes the eviction pointer's next path every A
+// accesses. Both then evict while the stash runs hot (path mode only with
+// auto-drain on); the scheduled flush counts toward the per-access bound and
+// lands in plan.BackgroundLeaves, but not in EngineStats.BackgroundEvicts.
+// When migrate is set, the accessed block is kept out of this tree and
 // returned for transfer elsewhere.
 func (e *Engine) accessPath(addr uint64, op Op, data []byte, oldLeaf, newLeaf uint64, migrate bool) (AccessPlan, Block, error) {
-	if e.ringA > 0 {
-		return e.ringAccessPath(addr, op, data, oldLeaf, newLeaf, migrate)
-	}
 	plan := AccessPlan{Addr: addr, OldLeaf: oldLeaf, NewLeaf: newLeaf}
 	if !e.geom.ValidLeaf(oldLeaf) {
 		return plan, Block{}, fmt.Errorf("oram: old leaf %d out of range", oldLeaf)
@@ -298,12 +305,12 @@ func (e *Engine) accessPath(addr uint64, op Op, data []byte, oldLeaf, newLeaf ui
 	if !migrate && !e.geom.ValidLeaf(newLeaf) {
 		return plan, Block{}, fmt.Errorf("oram: new leaf %d out of range", newLeaf)
 	}
-	path, err := e.ReadPath(oldLeaf)
+	path, err := e.readPath(oldLeaf, e.ringA > 0, addr)
 	if err != nil {
 		return plan, Block{}, err
 	}
-	// ReadPath's result aliases pathBuf, which background eviction below
-	// would clobber; hand out a stable copy instead.
+	// readPath's result aliases pathBuf, which the evictions below would
+	// clobber; hand out a stable copy instead.
 	e.planPath = append(e.planPath[:0], path...)
 	plan.Path = e.planPath
 
@@ -320,14 +327,15 @@ func (e *Engine) accessPath(addr uint64, op Op, data []byte, oldLeaf, newLeaf ui
 		blk.Data = append(blk.Data[:0], data...)
 	}
 	if migrate {
-		// The block leaves this ORAM entirely: keep it out of writeback.
+		// The block leaves this ORAM entirely: the read took its only live
+		// copy, so keeping it out of the stash leaves none here.
 		e.stash.Remove(addr)
 	} else if err := e.stash.Put(blk); err != nil {
 		return plan, Block{}, err
 	}
 
-	// Snapshot the response payload before writeback: the greedy writeback
-	// may place the block back in the tree and recycle its stash buffer.
+	// Snapshot the response payload before writeback: a writeback may place
+	// the block back in the tree and recycle its stash buffer.
 	if blk.Data != nil {
 		e.respBuf = append(e.respBuf[:0], blk.Data...)
 		if migrate {
@@ -336,18 +344,22 @@ func (e *Engine) accessPath(addr uint64, op Op, data []byte, oldLeaf, newLeaf ui
 		blk.Data = e.respBuf
 	}
 
-	if err := e.WritePath(oldLeaf); err != nil {
+	e.leavesBuf = e.leavesBuf[:0]
+	if e.ringA == 0 {
+		err = e.writePath(oldLeaf)
+	} else if e.ringSince++; int(e.ringSince) >= e.ringA {
+		e.ringSince = 0
+		err = e.evictNext()
+	}
+	if err == nil && (e.autoDrain || e.ringA > 0) {
+		err = e.drainStash()
+	}
+	if err != nil {
 		return plan, Block{}, err
 	}
-	if e.autoDrain {
-		leaves, err := e.DrainStash()
-		if err != nil {
-			return plan, Block{}, err
-		}
-		plan.BackgroundEvicts = len(leaves)
-		if len(leaves) > 0 {
-			plan.BackgroundLeaves = leaves
-		}
+	plan.BackgroundEvicts = len(e.leavesBuf)
+	if len(e.leavesBuf) > 0 {
+		plan.BackgroundLeaves = e.leavesBuf
 	}
 	plan.StashAfter = e.stash.Len()
 	return plan, blk, nil
@@ -361,14 +373,17 @@ func (e *Engine) blockBytesHint() int {
 	return 0
 }
 
-// ReadPath reads every bucket on the path to leaf into the stash and
-// returns the path's bucket indices. It must be paired with a WritePath on
-// the same leaf before the next ReadPath (Path ORAM empties what it reads;
-// the writeback rewrites the whole path). The returned slice is engine
-// scratch, valid only until the next ReadPath.
-func (e *Engine) ReadPath(leaf uint64) ([]uint64, error) {
+// readPath opens every bucket on the path to leaf, skipping slots ring mode
+// has invalidated, and returns the path's bucket indices (engine scratch,
+// valid only until the next readPath). By default it lifts every live block
+// into the stash and leaves the path pending: writePath on the same leaf must
+// follow before the next readPath (Path ORAM empties what it reads; the
+// writeback rewrites the whole path). With liftOne set — a ring-mode access —
+// it lifts only addr's live copy and invalidates the slot it came from, so
+// the tree stays consistent and nothing is pending.
+func (e *Engine) readPath(leaf uint64, liftOne bool, addr uint64) ([]uint64, error) {
 	if e.pending {
-		return nil, fmt.Errorf("oram: ReadPath(%d) while path %d is pending writeback", leaf, e.pendingLeaf)
+		return nil, fmt.Errorf("oram: reading path %d while path %d is pending writeback", leaf, e.pendingLeaf)
 	}
 	if !e.geom.ValidLeaf(leaf) {
 		return nil, fmt.Errorf("oram: leaf %d out of range", leaf)
@@ -381,15 +396,12 @@ func (e *Engine) ReadPath(leaf uint64) ([]uint64, error) {
 		if err := e.store.ReadBucketInto(idx, &e.readBkt); err != nil {
 			return nil, err
 		}
-		dead := uint64(0)
-		if e.ringA > 0 {
-			dead = e.ringInvalid[idx]
-		}
+		// An invalidated slot is a stale copy of a block whose live version
+		// is in the stash (or migrated away): lifting it would resurrect
+		// old data. The map is nil, so every mask 0, in path mode.
+		dead := e.ringInvalid[idx]
 		for si, slot := range e.readBkt.Slots {
-			if slot.IsDummy() || dead&(1<<uint(si)) != 0 {
-				// Ring mode: an invalidated slot is a stale copy of a block
-				// whose live version is in the stash (or migrated away) —
-				// pulling it in would resurrect old data.
+			if slot.IsDummy() || dead&(1<<uint(si)) != 0 || liftOne && slot.Addr != addr {
 				continue
 			}
 			// ReadBucketInto's payloads alias store scratch; move them
@@ -399,23 +411,29 @@ func (e *Engine) ReadPath(leaf uint64) ([]uint64, error) {
 				e.recycle(slot.Data)
 				return nil, err
 			}
+			if liftOne {
+				e.ringInvalid[idx] = dead | 1<<uint(si)
+				break
+			}
 		}
 	}
-	e.pending = true
-	e.pendingLeaf = leaf
-	e.stats.PathReads++
-	if e.stash.Len() > e.stats.StashPeak {
-		e.stats.StashPeak = e.stash.Len()
+	if !liftOne {
+		e.pending = true
+		e.pendingLeaf = leaf
 	}
+	e.stats.PathReads++
+	e.notePeak()
 	return path, nil
 }
 
-// WritePath performs the greedy writeback: every bucket on the path to
-// leaf is refilled from the stash, deepest level first, with blocks whose
-// assigned leaf keeps them on this path.
-func (e *Engine) WritePath(leaf uint64) error {
+// writePath performs the greedy writeback: every bucket on the path to leaf
+// is refilled from the stash, deepest level first, with blocks whose
+// assigned leaf keeps them on this path. Ring mode leaves ringReserved
+// dummy slots per bucket so a freshly written bucket can absorb reads (slot
+// invalidations) before the pointer returns.
+func (e *Engine) writePath(leaf uint64) error {
 	if !e.pending || e.pendingLeaf != leaf {
-		return fmt.Errorf("oram: WritePath(%d) without matching ReadPath", leaf)
+		return fmt.Errorf("oram: writing back path %d without a matching read", leaf)
 	}
 	// Candidates are taken in address order, which is the order the stash
 	// keeps its blocks in; each block's deepest legal level on this path is
@@ -429,12 +447,7 @@ func (e *Engine) WritePath(leaf uint64) error {
 	e.depths, e.placed = depths, placed
 
 	z := e.store.Z()
-	fill := z
-	if e.ringA > 0 {
-		// Ring mode reserves dummy slots so a freshly written bucket can
-		// absorb reads (slot invalidations) before the pointer returns.
-		fill = z - e.ringReserved
-	}
+	fill := z - e.ringReserved
 	for lvl := e.geom.Levels - 1; lvl >= 0; lvl-- {
 		resetSlots(&e.writeBkt, z)
 		n := 0
@@ -452,10 +465,8 @@ func (e *Engine) WritePath(leaf uint64) error {
 		if err := e.store.WriteBucket(idx, e.writeBkt); err != nil {
 			return err
 		}
-		if e.ringA > 0 {
-			// Every slot in the bucket is fresh again.
-			delete(e.ringInvalid, idx)
-		}
+		// Every slot in the bucket is fresh again (a no-op in path mode).
+		delete(e.ringInvalid, idx)
 	}
 	// The tree now owns the placed blocks: their stash payload buffers are
 	// free for reuse, and the unplaced ones close up in place, still sorted.
@@ -474,30 +485,35 @@ func (e *Engine) WritePath(leaf uint64) error {
 	return nil
 }
 
-// DrainStash performs background-eviction dummy accesses (read a path,
-// write it back) while the stash exceeds the eviction threshold, up to the
-// per-access bound. Path mode draws each leaf uniformly; ring mode advances
-// the deterministic eviction pointer instead, so a drain consumes no
-// randomness. It returns the leaves of the accesses performed; the slice is
-// engine scratch, valid only until the next DrainStash.
-func (e *Engine) DrainStash() ([]uint64, error) {
-	e.leavesBuf = e.leavesBuf[:0]
+// drainStash performs eviction accesses while the stash exceeds the
+// eviction threshold, until leavesBuf holds maxBackgroundEvicts leaves (a
+// scheduled ring flush already there counts toward the bound).
+func (e *Engine) drainStash() error {
 	for e.stash.Len() > e.evictThreshold && len(e.leavesBuf) < maxBackgroundEvicts {
-		var leaf uint64
-		var err error
-		if e.ringA > 0 {
-			leaf, err = e.ringFlush()
-		} else {
-			leaf = e.RandomLeaf()
-			err = e.EvictPath(leaf)
+		if err := e.evictNext(); err != nil {
+			return err
 		}
-		if err != nil {
-			return e.leavesBuf, err
-		}
-		e.leavesBuf = append(e.leavesBuf, leaf)
 		e.stats.BackgroundEvicts++
 	}
-	return e.leavesBuf, nil
+	return nil
+}
+
+// evictNext performs one eviction access and appends its leaf to leavesBuf.
+// Path mode draws the leaf uniformly. Ring mode advances the eviction
+// pointer, which walks the leaves in reverse-lexicographic order — the
+// bit-reversed flush counter — so consecutive flushes touch maximally
+// distant subtrees, every leaf is flushed once per Leaves() steps, and no
+// randomness is drawn.
+func (e *Engine) evictNext() error {
+	var leaf uint64
+	if e.ringA > 0 {
+		leaf = reverseBits(e.ringCounter&(e.geom.Leaves()-1), e.geom.Levels-1)
+		e.ringCounter++
+	} else {
+		leaf = e.RandomLeaf()
+	}
+	e.leavesBuf = append(e.leavesBuf, leaf)
+	return e.EvictPath(leaf)
 }
 
 // EvictPath performs one externally-directed eviction access: it reads the
@@ -505,10 +521,10 @@ func (e *Engine) DrainStash() ([]uint64, error) {
 // controller calls this on every shard engine with the same leaf so shard
 // placements never diverge; it is also a dummy access for timing purposes.
 func (e *Engine) EvictPath(leaf uint64) error {
-	if _, err := e.ReadPath(leaf); err != nil {
+	if _, err := e.readPath(leaf, false, 0); err != nil {
 		return err
 	}
-	return e.WritePath(leaf)
+	return e.writePath(leaf)
 }
 
 // NeedsDrain reports whether the stash exceeds the eviction threshold.
@@ -522,15 +538,20 @@ func (e *Engine) StashInsert(b Block) error {
 	if !e.geom.ValidLeaf(b.Leaf) {
 		return fmt.Errorf("oram: inserting block with leaf %d out of range", b.Leaf)
 	}
-	if e.stash.Len() > e.stats.StashPeak {
-		e.stats.StashPeak = e.stash.Len()
-	}
 	b.Data = e.copyIn(b.Data)
 	if err := e.stash.Put(b); err != nil {
 		e.recycle(b.Data)
 		return err
 	}
+	e.notePeak()
 	return nil
+}
+
+// notePeak records the stash occupancy in StashPeak if it is a new high.
+func (e *Engine) notePeak() {
+	if e.stash.Len() > e.stats.StashPeak {
+		e.stats.StashPeak = e.stash.Len()
+	}
 }
 
 // StashRemove removes and returns the block for addr if present. Ownership

@@ -263,26 +263,26 @@ func TestAccessRequiresPosMap(t *testing.T) {
 
 func TestReadWritePathPairing(t *testing.T) {
 	e, _ := newTestEngine(t, 6, false)
-	if _, err := e.ReadPath(3); err != nil {
+	if _, err := e.readPath(3, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ReadPath(4); err == nil {
-		t.Fatal("second ReadPath while pending accepted")
+	if _, err := e.readPath(4, false, 0); err == nil {
+		t.Fatal("second readPath while pending accepted")
 	}
-	if err := e.WritePath(4); err == nil {
-		t.Fatal("WritePath on wrong leaf accepted")
+	if err := e.writePath(4); err == nil {
+		t.Fatal("writePath on wrong leaf accepted")
 	}
-	if err := e.WritePath(3); err != nil {
+	if err := e.writePath(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WritePath(3); err == nil {
-		t.Fatal("WritePath without pending read accepted")
+	if err := e.writePath(3); err == nil {
+		t.Fatal("writePath without pending read accepted")
 	}
 }
 
 func TestReadPathRejectsBadLeaf(t *testing.T) {
 	e, _ := newTestEngine(t, 6, false)
-	if _, err := e.ReadPath(1 << 40); err == nil {
+	if _, err := e.readPath(1<<40, false, 0); err == nil {
 		t.Fatal("out-of-range leaf accepted")
 	}
 }
@@ -345,6 +345,18 @@ func TestStashInsertAndRemove(t *testing.T) {
 	}
 	if _, ok := e.StashRemove(42); ok {
 		t.Fatal("double remove succeeded")
+	}
+}
+
+// TestStashInsertRecordsPeak: the block StashInsert adds counts toward the
+// stash peak — the check runs after the insert, not before it.
+func TestStashInsertRecordsPeak(t *testing.T) {
+	e, _ := newTestEngine(t, 6, false)
+	if err := e.StashInsert(Block{Addr: 42, Leaf: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().StashPeak; got != 1 {
+		t.Fatalf("StashPeak after one insert into an empty engine = %d, want 1", got)
 	}
 }
 
