@@ -114,7 +114,9 @@ profile-sim:
 
 # Wire-format decoders must never panic on hostile input. The durable-state
 # decoders (journal records, checkpoints) must additionally fail closed:
-# anything they accept is chain-authenticated and canonical. The stash's fuzz
+# anything they accept is chain-authenticated and canonical. Below the
+# checkpoint HMAC, FuzzCheckpointBody runs the one checkpoint field walk on
+# arbitrary bodies: an accepted body re-encodes to itself. The stash's fuzz
 # leg checks the sorted slice against a plain map. FuzzWritePath compares the
 # engine's greedy writeback, bucket for bucket, with the sorted-copy selection
 # it replaced. FuzzEngineModes runs one tape of reads, writes, keep and
@@ -129,6 +131,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalAppend -fuzztime=20s ./internal/sdimm
 	$(GO) test -run=NONE -fuzz=FuzzJournalDecode -fuzztime=20s ./internal/durable
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecode -fuzztime=20s ./internal/durable
+	$(GO) test -run=NONE -fuzz=FuzzCheckpointBody -fuzztime=20s ./internal/durable
 	$(GO) test -run=NONE -fuzz=FuzzStash -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzWritePath -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzEngineModes -fuzztime=20s ./internal/oram

@@ -379,7 +379,7 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 		if err := c.mkMember(i, 0); err != nil {
 			return nil, err
 		}
-		h := fault.NewHealth(degradeAfter, 0)
+		h := fault.NewHealth(degradeAfter)
 		watchHealth(opts.Telemetry, opts.Tracer, opts.Flight.Ring(i), h, i)
 		c.health = append(c.health, h)
 	}
@@ -870,7 +870,7 @@ func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 		if err := c.mkMember(i, 0); err != nil {
 			return nil, err
 		}
-		h := fault.NewHealth(degradeAfter, 0)
+		h := fault.NewHealth(degradeAfter)
 		watchHealth(opts.Telemetry, opts.Tracer, nil, h, i)
 		c.health = append(c.health, h)
 	}

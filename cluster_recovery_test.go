@@ -3,7 +3,6 @@ package sdimm
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -61,10 +60,20 @@ func driveCluster(t *testing.T, c *Cluster, ops []recOp, from, to int) [][]byte 
 // against an undisturbed reference cluster: identical read results and an
 // identical position map. The post-recovery segment runs sequentially and
 // through the pipeline at parallelism 4 — both must match the sequential
-// reference bit-for-bit (run under -race via `make race`).
+// reference bit-for-bit (run under -race via `make race`). The sync row runs
+// the sequential leg with DurabilityOptions.Sync on: every fsync path of the
+// state directory, with the same result.
 func TestRecoverClusterMatchesReference(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		par  int
+		sync bool
+	}{
+		{"parallelism-1", 1, false},
+		{"parallelism-4", 4, false},
+		{"parallelism-1-sync", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			opts := ClusterOptions{SDIMMs: 2, Levels: 7, Key: []byte("rec-test-key"), Seed: 9}
 			ops := recWorkload(5, 240, 48)
 			const crashAt = 150
@@ -76,7 +85,7 @@ func TestRecoverClusterMatchesReference(t *testing.T) {
 			refRes := driveCluster(t, ref, ops, 0, len(ops))
 
 			dopts := opts
-			dopts.Durability = &DurabilityOptions{Dir: t.TempDir(), Interval: 32}
+			dopts.Durability = &DurabilityOptions{Dir: t.TempDir(), Interval: 32, Sync: tc.sync}
 			dc, err := NewCluster(dopts)
 			if err != nil {
 				t.Fatalf("NewCluster (durable): %v", err)
@@ -120,8 +129,8 @@ func TestRecoverClusterMatchesReference(t *testing.T) {
 
 			// Finish the workload on the recovered cluster.
 			var got [][]byte
-			if par > 1 {
-				pipe := rc.Pipeline(PipelineOptions{Window: 8, Parallelism: par})
+			if tc.par > 1 {
+				pipe := rc.Pipeline(PipelineOptions{Window: 8, Parallelism: tc.par})
 				bops := make([]BatchOp, len(ops)-crashAt)
 				for j, op := range ops[crashAt:] {
 					bops[j] = BatchOp{Addr: op.addr, Write: op.write, Data: op.data}

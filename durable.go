@@ -42,8 +42,9 @@ type DurabilityOptions struct {
 	// Interval is the checkpoint cadence in committed accesses (default
 	// 256). Recovery replays at most this many journal records.
 	Interval int
-	// Sync fsyncs every commit. Off by default: the chaos harness simulates
-	// crashes by tearing the journal itself, and seeded sweeps stay fast.
+	// Sync fsyncs every commit, and every checkpoint with the state
+	// directory. Off by default: the chaos harness simulates crashes by
+	// tearing the journal itself, and seeded sweeps stay fast.
 	Sync bool
 }
 
@@ -334,24 +335,6 @@ func sortedKeys(set map[uint64]bool) []uint64 {
 	return out
 }
 
-// captureBlocks converts engine/buffer blocks into checkpoint form.
-func captureBlocks(blocks []oram.Block) []durable.BlockState {
-	out := make([]durable.BlockState, len(blocks))
-	for i, b := range blocks {
-		out[i] = durable.BlockState{Addr: b.Addr, Leaf: b.Leaf, Data: b.Data}
-	}
-	return out
-}
-
-// restoreBlocks is captureBlocks' inverse.
-func restoreBlocks(blocks []durable.BlockState) []oram.Block {
-	out := make([]oram.Block, len(blocks))
-	for i, b := range blocks {
-		out[i] = oram.Block{Addr: b.Addr, Leaf: b.Leaf, Data: b.Data}
-	}
-	return out
-}
-
 // memStore unwraps a buffer's functional store.
 func memStore(b *isdimm.Buffer) *oram.MemStore {
 	return b.Engine().Store().(*oram.MemStore)
@@ -363,8 +346,8 @@ func captureMember(b *isdimm.Buffer, h *fault.Health) durable.MemberState {
 	m := durable.MemberState{
 		EngineRNG: b.Engine().RandState(),
 		BufferRNG: b.RandState(),
-		Stash:     captureBlocks(b.Engine().StashBlocks()),
-		Transfer:  captureBlocks(b.TransferBlocks()),
+		Stash:     b.Engine().StashBlocks(),
+		Transfer:  b.TransferBlocks(),
 		Ring:      b.Engine().RingSnapshot(),
 	}
 	ms := memStore(b)
@@ -387,10 +370,10 @@ func captureMember(b *isdimm.Buffer, h *fault.Health) durable.MemberState {
 func restoreMember(b *isdimm.Buffer, h *fault.Health, m durable.MemberState) error {
 	b.Engine().RestoreRandState(m.EngineRNG)
 	b.RestoreRandState(m.BufferRNG)
-	if err := b.Engine().RestoreStash(restoreBlocks(m.Stash)); err != nil {
+	if err := b.Engine().RestoreStash(m.Stash); err != nil {
 		return err
 	}
-	if err := b.RestoreTransfer(restoreBlocks(m.Transfer)); err != nil {
+	if err := b.RestoreTransfer(m.Transfer); err != nil {
 		return err
 	}
 	if err := b.Engine().RestoreRingSnapshot(m.Ring); err != nil {

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"sdimm/internal/oram"
 )
 
 // checkpointMagic identifies a checkpoint file (version 3: version 2 plus
@@ -30,19 +32,11 @@ type PosEntry struct {
 	Value uint64
 }
 
-// BlockState is one ORAM block held outside the tree (stash or transfer
-// queue) at checkpoint time.
-type BlockState struct {
-	Addr uint64
-	Leaf uint64
-	Data []byte
-}
-
-// BucketState is one sealed tree bucket, captured verbatim from the store
-// (format 2: counter || AES-GCM ciphertext || 12-byte GCM tag; a format-1
-// directory still holds counter || AES-CTR ciphertext || 8-byte PMMAC tag).
-// Restoring the raw form keeps the at-rest tags intact so the recovery scrub
-// can re-verify every bucket.
+// BucketState is one sealed tree bucket at its store index, its bytes
+// captured verbatim (format 2: counter || AES-GCM ciphertext || 12-byte GCM
+// tag; a format-1 directory still holds counter || AES-CTR ciphertext ||
+// 8-byte PMMAC tag). Restoring the raw form keeps the at-rest tags intact so
+// the recovery scrub can re-verify every bucket.
 type BucketState struct {
 	Idx uint64
 	Raw []byte
@@ -57,13 +51,14 @@ type HealthState struct {
 }
 
 // MemberState is everything mutable inside one SDIMM plus its host-side
-// session: RNG streams, stash, transfer queue, sealed buckets, health, and
-// the seccomm send/receive counters of both link endpoints.
+// session: RNG streams, the blocks held outside the tree (stash and transfer
+// queue, as the engine and buffer hand them out), sealed buckets, health,
+// and the seccomm send/receive counters of both link endpoints.
 type MemberState struct {
 	EngineRNG [4]uint64
 	BufferRNG [4]uint64
-	Stash     []BlockState  // sorted by Addr
-	Transfer  []BlockState  // queue order (head first)
+	Stash     []oram.Block  // sorted by Addr
+	Transfer  []oram.Block  // queue order (head first)
 	Buckets   []BucketState // sorted by Idx
 	Health    HealthState
 	HostSend  uint64
@@ -106,188 +101,175 @@ type Checkpoint struct {
 	Drains    []DrainState // sorted by Member
 }
 
-// --- encoding ---
-
-type byteWriter struct{ b []byte }
-
-func (w *byteWriter) u8(v byte)    { w.b = append(w.b, v) }
-func (w *byteWriter) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *byteWriter) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *byteWriter) bytes(p []byte) {
-	w.u32(uint32(len(p)))
-	w.b = append(w.b, p...)
-}
-func (w *byteWriter) rng(s [4]uint64) {
-	for _, v := range s {
-		w.u64(v)
-	}
+// codec is a cursor over a checkpoint body that runs in one of two
+// directions: encoding appends each visited field to b, decoding consumes it
+// from the front of b into the field. All integers are big-endian. The first
+// decode error sticks; every later field is then a no-op.
+type codec struct {
+	b   []byte
+	dec bool
+	err error
 }
 
-func (w *byteWriter) block(b BlockState) {
-	w.u64(b.Addr)
-	w.u64(b.Leaf)
-	w.bytes(b.Data)
+func (c *codec) fail(why string) {
+	if c.err == nil {
+		c.err = errors.New("durable: corrupt checkpoint: " + why)
+	}
 }
 
-// encodeCheckpoint serializes and authenticates a checkpoint.
-func encodeCheckpoint(key []byte, cp *Checkpoint) []byte {
-	var w byteWriter
-	w.b = append(w.b, cp.FP[:]...)
-	w.u64(cp.Seq)
-	w.rng(cp.RNG)
-	w.u32(uint32(len(cp.Positions)))
-	for _, p := range cp.Positions {
-		w.u64(p.Addr)
-		w.u64(p.Value)
+// take consumes the next n body bytes, or returns nil once they run past
+// the body (a truncated field, or a byte string longer than the body) or an
+// earlier field failed.
+func (c *codec) take(n int) []byte {
+	if c.err != nil {
+		return nil
 	}
-	w.u32(uint32(len(cp.Members)))
-	for _, m := range cp.Members {
-		w.rng(m.EngineRNG)
-		w.rng(m.BufferRNG)
-		w.u32(uint32(len(m.Stash)))
-		for _, b := range m.Stash {
-			w.block(b)
-		}
-		w.u32(uint32(len(m.Transfer)))
-		for _, b := range m.Transfer {
-			w.block(b)
-		}
-		w.u32(uint32(len(m.Buckets)))
-		for _, b := range m.Buckets {
-			w.u64(b.Idx)
-			w.bytes(b.Raw)
-		}
-		w.u32(uint32(m.Health.State))
-		w.u32(uint32(m.Health.Consecutive))
-		w.u64(m.Health.Successes)
-		w.u64(m.Health.Failures)
-		w.u64(m.HostSend)
-		w.u64(m.HostRecv)
-		w.u64(m.DevSend)
-		w.u64(m.DevRecv)
-		w.u64(m.Incarnation)
-		if m.Detached {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.bytes(m.Ring)
+	if n > len(c.b) {
+		c.fail("truncated body")
+		return nil
 	}
-	w.u32(uint32(len(cp.Poisoned)))
-	for _, a := range cp.Poisoned {
-		w.u64(a)
-	}
-	w.u64(cp.MigSeq)
-	w.u64(cp.TopoSeq)
-	w.u32(uint32(len(cp.Drains)))
-	for _, d := range cp.Drains {
-		w.u64(d.Member)
-		w.u64(d.Moved)
-	}
-	body := w.b
-
-	out := make([]byte, 0, 8+8+len(body)+checkpointMACSize)
-	out = append(out, checkpointMagic...)
-	out = binary.BigEndian.AppendUint64(out, uint64(len(body)))
-	out = append(out, body...)
-	m := hmac.New(sha256.New, key)
-	m.Write(out)
-	return m.Sum(out)
+	p := c.b[:n]
+	c.b = c.b[n:]
+	return p
 }
 
-// --- decoding ---
-
-var errCheckpointCorrupt = errors.New("durable: corrupt checkpoint")
-
-type byteReader struct{ b []byte }
-
-func (r *byteReader) u8() (byte, error) {
-	if len(r.b) < 1 {
-		return 0, errCheckpointCorrupt
+// fixed codes a fixed-width byte field.
+func (c *codec) fixed(p []byte) {
+	if !c.dec {
+		c.b = append(c.b, p...)
+		return
 	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v, nil
+	copy(p, c.take(len(p)))
 }
 
-func (r *byteReader) u32() (uint32, error) {
-	if len(r.b) < 4 {
-		return 0, errCheckpointCorrupt
+func (c *codec) u64(v *uint64) {
+	if !c.dec {
+		c.b = binary.BigEndian.AppendUint64(c.b, *v)
+	} else if p := c.take(8); p != nil {
+		*v = binary.BigEndian.Uint64(p)
 	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v, nil
 }
 
-func (r *byteReader) u64() (uint64, error) {
-	if len(r.b) < 8 {
-		return 0, errCheckpointCorrupt
+// u32 codes an int as a 32-bit field (list counts, byte lengths, health).
+func (c *codec) u32(v *int) {
+	if !c.dec {
+		c.b = binary.BigEndian.AppendUint32(c.b, uint32(*v))
+	} else if p := c.take(4); p != nil {
+		*v = int(binary.BigEndian.Uint32(p))
 	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v, nil
 }
 
-func (r *byteReader) bytes() ([]byte, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(n) > uint64(len(r.b)) {
-		return nil, errCheckpointCorrupt
-	}
-	p := append([]byte(nil), r.b[:n]...)
-	r.b = r.b[n:]
-	return p, nil
-}
-
-func (r *byteReader) rng() (s [4]uint64, err error) {
+func (c *codec) rng(s *[4]uint64) {
 	for i := range s {
-		if s[i], err = r.u64(); err != nil {
-			return s, err
+		c.u64(&s[i])
+	}
+}
+
+// flag codes a bool as one byte that must decode as 0 or 1.
+func (c *codec) flag(v *bool) {
+	var b byte
+	if *v {
+		b = 1
+	}
+	if !c.dec {
+		c.b = append(c.b, b)
+	} else if p := c.take(1); p != nil {
+		if p[0] > 1 {
+			c.fail("flag byte not 0 or 1")
 		}
+		*v = p[0] == 1
 	}
-	return s, nil
 }
 
-// count reads a list length and rejects counts that could not possibly fit
-// in the remaining bytes at minSize bytes per entry (allocation guard).
-func (r *byteReader) count(minSize int) (int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
+// bytes codes a u32-length-prefixed byte string. A decoded length must fit
+// in the rest of the body (take checks it); an empty string decodes as nil.
+func (c *codec) bytes(p *[]byte) {
+	n := len(*p)
+	c.u32(&n)
+	if !c.dec {
+		c.b = append(c.b, *p...)
+	} else if src := c.take(n); len(src) > 0 {
+		*p = append([]byte(nil), src...)
 	}
-	if uint64(n)*uint64(minSize) > uint64(len(r.b)) {
-		return 0, errCheckpointCorrupt
-	}
-	return int(n), nil
 }
 
-func (r *byteReader) block() (BlockState, error) {
-	var b BlockState
-	var err error
-	if b.Addr, err = r.u64(); err != nil {
-		return b, err
-	}
-	if b.Leaf, err = r.u64(); err != nil {
-		return b, err
-	}
-	b.Data, err = r.bytes()
-	return b, err
-}
-
-func (r *byteReader) blockList() ([]BlockState, error) {
-	n, err := r.count(8 + 8 + 4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BlockState, n)
-	for i := range out {
-		if out[i], err = r.block(); err != nil {
-			return nil, err
+// list codes a u32 count followed by each element through f. A decoded
+// count is checked against the rest of the body at minSize bytes per entry
+// before anything is allocated, so a corrupt count cannot drive allocation.
+func list[T any](c *codec, s *[]T, minSize int, f func(*T)) {
+	n := len(*s)
+	c.u32(&n)
+	if c.dec {
+		if c.err != nil || uint64(n)*uint64(minSize) > uint64(len(c.b)) {
+			c.fail("list count exceeds body")
+			return
 		}
+		*s = make([]T, n)
 	}
-	return out, nil
+	for i := range *s {
+		f(&(*s)[i])
+	}
+}
+
+// walk visits every checkpoint field in file order. It is the one statement
+// of the checkpoint format: encodeCheckpoint and decodeCheckpoint both run
+// it, so a format change is a change here (and to checkpointMagic).
+func (c *codec) walk(cp *Checkpoint) {
+	block := func(b *oram.Block) { c.u64(&b.Addr); c.u64(&b.Leaf); c.bytes(&b.Data) }
+	const blockMin, memberMin = 8 + 8 + 4, 32 + 32 + 3*4 + 2*4 + 2*8 + 4*8 + 8 + 1 + 4
+	c.fixed(cp.FP[:])
+	c.u64(&cp.Seq)
+	c.rng(&cp.RNG)
+	list(c, &cp.Positions, 16, func(p *PosEntry) { c.u64(&p.Addr); c.u64(&p.Value) })
+	list(c, &cp.Members, memberMin, func(m *MemberState) {
+		c.rng(&m.EngineRNG)
+		c.rng(&m.BufferRNG)
+		list(c, &m.Stash, blockMin, block)
+		list(c, &m.Transfer, blockMin, block)
+		list(c, &m.Buckets, 8+4, func(b *BucketState) { c.u64(&b.Idx); c.bytes(&b.Raw) })
+		c.u32(&m.Health.State)
+		c.u32(&m.Health.Consecutive)
+		c.u64(&m.Health.Successes)
+		c.u64(&m.Health.Failures)
+		c.u64(&m.HostSend)
+		c.u64(&m.HostRecv)
+		c.u64(&m.DevSend)
+		c.u64(&m.DevRecv)
+		c.u64(&m.Incarnation)
+		c.flag(&m.Detached)
+		c.bytes(&m.Ring)
+	})
+	list(c, &cp.Poisoned, 8, c.u64)
+	c.u64(&cp.MigSeq)
+	c.u64(&cp.TopoSeq)
+	list(c, &cp.Drains, 16, func(d *DrainState) { c.u64(&d.Member); c.u64(&d.Moved) })
+}
+
+// encodeCheckpoint serializes and authenticates a checkpoint: magic, body
+// length, the walked body, and an HMAC-SHA256 over all of it.
+func encodeCheckpoint(key []byte, cp *Checkpoint) []byte {
+	c := codec{b: make([]byte, 16)}
+	copy(c.b, checkpointMagic)
+	c.walk(cp)
+	binary.BigEndian.PutUint64(c.b[8:16], uint64(len(c.b)-16))
+	m := hmac.New(sha256.New, key)
+	m.Write(c.b)
+	return m.Sum(c.b)
+}
+
+// decodeBody walks an authenticated checkpoint body, which must be consumed
+// exactly.
+func decodeBody(body []byte) (*Checkpoint, error) {
+	c := codec{b: body, dec: true}
+	cp := &Checkpoint{}
+	c.walk(cp)
+	if c.err != nil {
+		return nil, c.err
+	}
+	if len(c.b) != 0 {
+		return nil, fmt.Errorf("durable: %d trailing bytes after checkpoint body", len(c.b))
+	}
+	return cp, nil
 }
 
 // decodeCheckpoint authenticates and parses a checkpoint file. Any
@@ -310,140 +292,5 @@ func decodeCheckpoint(key, data []byte) (*Checkpoint, error) {
 	if !hmac.Equal(m.Sum(nil), data[macOff:]) {
 		return nil, errors.New("durable: checkpoint failed authentication")
 	}
-
-	r := &byteReader{b: data[16:macOff]}
-	cp := &Checkpoint{}
-	if len(r.b) < 8 {
-		return nil, errCheckpointCorrupt
-	}
-	copy(cp.FP[:], r.b[:8])
-	r.b = r.b[8:]
-	var err error
-	if cp.Seq, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if cp.RNG, err = r.rng(); err != nil {
-		return nil, err
-	}
-	nPos, err := r.count(16)
-	if err != nil {
-		return nil, err
-	}
-	cp.Positions = make([]PosEntry, nPos)
-	for i := range cp.Positions {
-		if cp.Positions[i].Addr, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if cp.Positions[i].Value, err = r.u64(); err != nil {
-			return nil, err
-		}
-	}
-	nMem, err := r.count(32 + 32 + 3*4 + 2*4 + 2*8 + 4*8 + 8 + 1 + 4)
-	if err != nil {
-		return nil, err
-	}
-	cp.Members = make([]MemberState, nMem)
-	for i := range cp.Members {
-		m := &cp.Members[i]
-		if m.EngineRNG, err = r.rng(); err != nil {
-			return nil, err
-		}
-		if m.BufferRNG, err = r.rng(); err != nil {
-			return nil, err
-		}
-		if m.Stash, err = r.blockList(); err != nil {
-			return nil, err
-		}
-		if m.Transfer, err = r.blockList(); err != nil {
-			return nil, err
-		}
-		nBk, err := r.count(8 + 4)
-		if err != nil {
-			return nil, err
-		}
-		m.Buckets = make([]BucketState, nBk)
-		for j := range m.Buckets {
-			if m.Buckets[j].Idx, err = r.u64(); err != nil {
-				return nil, err
-			}
-			if m.Buckets[j].Raw, err = r.bytes(); err != nil {
-				return nil, err
-			}
-		}
-		st, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		m.Health.State = int(st)
-		cons, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		m.Health.Consecutive = int(cons)
-		if m.Health.Successes, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Health.Failures, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.HostSend, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.HostRecv, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.DevSend, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.DevRecv, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Incarnation, err = r.u64(); err != nil {
-			return nil, err
-		}
-		det, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if det > 1 {
-			return nil, errCheckpointCorrupt
-		}
-		m.Detached = det == 1
-		if m.Ring, err = r.bytes(); err != nil {
-			return nil, err
-		}
-	}
-	nPoison, err := r.count(8)
-	if err != nil {
-		return nil, err
-	}
-	cp.Poisoned = make([]uint64, nPoison)
-	for i := range cp.Poisoned {
-		if cp.Poisoned[i], err = r.u64(); err != nil {
-			return nil, err
-		}
-	}
-	if cp.MigSeq, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if cp.TopoSeq, err = r.u64(); err != nil {
-		return nil, err
-	}
-	nDrain, err := r.count(16)
-	if err != nil {
-		return nil, err
-	}
-	cp.Drains = make([]DrainState, nDrain)
-	for i := range cp.Drains {
-		if cp.Drains[i].Member, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if cp.Drains[i].Moved, err = r.u64(); err != nil {
-			return nil, err
-		}
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("durable: %d trailing bytes after checkpoint body", len(r.b))
-	}
-	return cp, nil
+	return decodeBody(data[16:macOff])
 }

@@ -2,10 +2,15 @@ package durable
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
+
+	"sdimm/internal/oram"
 )
 
 var testFP = Fingerprint{Kind: "independent", Members: 4, Levels: 8, BlockSize: 32, Z: 4, Seed: 7}
@@ -31,8 +36,8 @@ func testCheckpoint(seq uint64) *Checkpoint {
 			{
 				EngineRNG: [4]uint64{5, 6, 7, 8},
 				BufferRNG: [4]uint64{9, 10, 11, 12},
-				Stash:     []BlockState{{Addr: 1, Leaf: 3, Data: []byte("stash-block")}},
-				Transfer:  []BlockState{{Addr: 5, Leaf: 0, Data: []byte("queued")}},
+				Stash:     []oram.Block{{Addr: 1, Leaf: 3, Data: []byte("stash-block")}},
+				Transfer:  []oram.Block{{Addr: 5, Leaf: 0, Data: []byte("queued")}},
 				Buckets:   []BucketState{{Idx: 0, Raw: bytes.Repeat([]byte{0xab}, 40)}},
 				Health:    HealthState{State: 1, Consecutive: 2, Successes: 10, Failures: 3},
 				HostSend:  4, HostRecv: 4, DevSend: 4, DevRecv: 4,
@@ -66,6 +71,86 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cp, got) {
 		t.Fatalf("round trip mismatch:\n want %+v\n got  %+v", cp, got)
+	}
+}
+
+// TestCheckpointEncodingGolden pins the checkpoint file format byte for
+// byte over a checkpoint that populates every field: two members, one
+// detached with ring bytes and one with every list empty, plus poison and
+// drain entries. A change to the digest is a checkpoint format break.
+func TestCheckpointEncodingGolden(t *testing.T) {
+	cp := &Checkpoint{
+		FP:        testFP.Hash(),
+		Seq:       0x0102030405060708,
+		RNG:       [4]uint64{1, 1 << 63, 3, ^uint64(0)},
+		Positions: []PosEntry{{Addr: 2, Value: 11}, {Addr: 9, Value: 1 << 40}},
+		Members: []MemberState{
+			{
+				EngineRNG: [4]uint64{5, 6, 7, 8},
+				BufferRNG: [4]uint64{9, 10, 11, 12},
+				Stash: []oram.Block{
+					{Addr: 2, Leaf: 7, Data: []byte("stash-two")},
+					{Addr: 4, Leaf: 0, Data: nil},
+				},
+				Transfer: []oram.Block{{Addr: 9, Leaf: 3, Data: bytes.Repeat([]byte{0x3c}, 17)}},
+				Buckets:  []BucketState{{Idx: 0, Raw: bytes.Repeat([]byte{0xab}, 40)}, {Idx: 6, Raw: []byte{1, 2, 3}}},
+				Health:   HealthState{State: 2, Consecutive: 5, Successes: 100, Failures: 7},
+				HostSend: 21, HostRecv: 22, DevSend: 23, DevRecv: 24,
+				Incarnation: 3,
+				Detached:    true,
+				Ring:        []byte{0, 0, 0, 4, 0xff, 0x10, 0x20},
+			},
+			{
+				EngineRNG: [4]uint64{13, 14, 15, 16},
+				BufferRNG: [4]uint64{17, 18, 19, 20},
+				Health:    HealthState{Successes: 1},
+			},
+		},
+		Poisoned: []uint64{3, 1 << 33},
+		MigSeq:   12,
+		TopoSeq:  4,
+		Drains:   []DrainState{{Member: 0, Moved: 9}, {Member: 1, Moved: 0}},
+	}
+	sum := sha256.Sum256(encodeCheckpoint([]byte("golden-checkpoint-key"), cp))
+	const want = "5706476701ab0111d1ef24d17428f0649cbc3e74bf927a5ce15fb4c70dc71192"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("checkpoint encoding digest %s, want %s", got, want)
+	}
+}
+
+// TestCheckpointBodyRejects hands the field walk one body per rejection
+// reason, each a single edit of a valid one-member body: the layout is the
+// 48-byte head, the positions count at 48, the members count at 52, then
+// the member from 56, whose Detached byte sits at 196 and Ring length at 197.
+func TestCheckpointBodyRejects(t *testing.T) {
+	var c codec
+	c.walk(&Checkpoint{Members: make([]MemberState, 1)})
+	body := c.b
+	if len(body) != 225 {
+		t.Fatalf("one-member body is %d bytes, want 225", len(body))
+	}
+	if _, err := decodeBody(body); err != nil {
+		t.Fatalf("valid body rejected: %v", err)
+	}
+	patch := func(off int, v ...byte) []byte {
+		b := append([]byte(nil), body...)
+		copy(b[off:], v)
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"truncated", body[:len(body)-1], "truncated body"},
+		{"list count past body", patch(48, 0xff, 0xff, 0xff, 0xff), "list count exceeds body"},
+		{"byte length past body", patch(197, 0, 0, 0, 25), "truncated body"},
+		{"detached flag 2", patch(196, 2), "flag byte not 0 or 1"},
+		{"trailing byte", append(patch(0), 0), "1 trailing bytes"},
+	} {
+		if _, err := decodeBody(tc.body); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decode error %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -96,3 +96,34 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckpointBody runs the checkpoint field walk on arbitrary bytes,
+// below the HMAC that stops every FuzzCheckpointDecode mutation at the
+// envelope, so the count guard, the byte-length guard, the flag check and
+// the trailing-byte check all see hostile input. The walk must not panic or
+// let a corrupt count drive allocation, and any body it accepts (accepted
+// means consumed exactly) must re-encode to the same bytes.
+func FuzzCheckpointBody(f *testing.F) {
+	var c codec
+	c.walk(testCheckpoint(3))
+	body := c.b
+	f.Add(body)
+	for _, n := range []int{len(body) - 1, len(body) / 2, 60, 8, 0} {
+		f.Add(body[:n])
+	}
+	huge := append([]byte(nil), body...)
+	binary.BigEndian.PutUint32(huge[48:], 0xffffffff) // the positions count
+	f.Add(huge)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeBody(data)
+		if err != nil {
+			return
+		}
+		var e codec
+		e.walk(got)
+		if !bytes.Equal(e.b, data) {
+			t.Fatal("walk accepted a body that does not re-encode to itself")
+		}
+	})
+}

@@ -180,6 +180,13 @@ func (m *Manager) WriteCheckpoint(cp *Checkpoint) error {
 			jf.Close()
 			return fmt.Errorf("durable: sync journal header: %w", err)
 		}
+		// The renamed checkpoint and the new journal are directory entries:
+		// without this a power cut could drop both after records appended to
+		// the new journal were already acknowledged.
+		if err := syncDir(m.dir); err != nil {
+			jf.Close()
+			return fmt.Errorf("durable: sync state dir: %w", err)
+		}
 	}
 	m.jf = jf
 	m.chain = integrity.NewChain(m.key, mac)
@@ -235,6 +242,17 @@ func (m *Manager) writeFile(path string, data []byte) error {
 		}
 	}
 	return f.Close()
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Append commits a batch of records to the journal as one chained group

@@ -34,7 +34,7 @@ func TestCapacityWeightLadder(t *testing.T) {
 // state machine — the admission layer polls State().CapacityWeight() and
 // needs no extra wiring.
 func TestCapacityWeightTracksTransitions(t *testing.T) {
-	h := NewHealth(3, 0)
+	h := NewHealth(3)
 	if w := h.State().CapacityWeight(); w != 1.0 {
 		t.Fatalf("fresh member weight %v, want 1", w)
 	}

@@ -115,7 +115,7 @@ func TestRetryPolicyBackoff(t *testing.T) {
 }
 
 func TestHealthStateMachine(t *testing.T) {
-	h := NewHealth(3, 0)
+	h := NewHealth(3)
 	if h.State() != Healthy {
 		t.Fatal("fresh tracker not healthy")
 	}
@@ -147,20 +147,5 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 	if h.LastError() == nil {
 		t.Fatal("last error lost")
-	}
-}
-
-func TestHealthFailAfterThreshold(t *testing.T) {
-	h := NewHealth(2, 4)
-	e := errors.New("noise")
-	for i := 0; i < 3; i++ {
-		h.Failure(e)
-	}
-	if h.State() != Degraded {
-		t.Fatalf("want degraded, got %v", h.State())
-	}
-	h.Failure(e)
-	if h.State() != Failed {
-		t.Fatalf("want failed after FailAfter streak, got %v", h.State())
 	}
 }

@@ -78,12 +78,10 @@ func (s State) CapacityWeight() float64 {
 
 // Health tracks one SDIMM's consecutive-failure state machine:
 // Healthy → (degradeAfter consecutive failures) → Degraded → (success) →
-// Healthy; ErrFailStop or FailAfter consecutive failures → Failed (sticky).
-// Health is safe for concurrent use.
+// Healthy; ErrFailStop → Failed (sticky). Health is safe for concurrent use.
 type Health struct {
 	mu           sync.Mutex
 	degradeAfter int
-	failAfter    int // 0: only ErrFailStop marks Failed
 	consecutive  int
 	state        State
 	successes    uint64
@@ -92,13 +90,13 @@ type Health struct {
 	observer     func(from, to State)
 }
 
-// NewHealth builds a tracker. degradeAfter ≤ 0 defaults to 3; failAfter 0
-// means only an explicit fail-stop marks the SDIMM Failed.
-func NewHealth(degradeAfter, failAfter int) *Health {
+// NewHealth builds a tracker. degradeAfter ≤ 0 defaults to 3; only an
+// explicit fail-stop marks the SDIMM Failed.
+func NewHealth(degradeAfter int) *Health {
 	if degradeAfter <= 0 {
 		degradeAfter = 3
 	}
-	return &Health{degradeAfter: degradeAfter, failAfter: failAfter}
+	return &Health{degradeAfter: degradeAfter}
 }
 
 // SetObserver registers a callback invoked on every state transition. It
@@ -156,15 +154,13 @@ func (h *Health) Failure(err error) {
 	// Transient failures during a drain do not demote it to Degraded — the
 	// member is already excluded from placement, and the drain loop retries.
 	if h.state == Draining {
-		if errors.Is(err, ErrFailStop) || (h.failAfter > 0 && h.consecutive >= h.failAfter) {
+		if errors.Is(err, ErrFailStop) {
 			h.setState(Failed)
 		}
 		return
 	}
 	switch {
 	case errors.Is(err, ErrFailStop):
-		h.setState(Failed)
-	case h.failAfter > 0 && h.consecutive >= h.failAfter:
 		h.setState(Failed)
 	case h.consecutive >= h.degradeAfter:
 		h.setState(Degraded)

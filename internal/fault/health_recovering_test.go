@@ -13,7 +13,7 @@ import (
 // Healthy, and Failed stays sticky against probation.
 func TestHealthRecoveringTransitionSequence(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	h := NewHealth(2, 0)
+	h := NewHealth(2)
 	w := &healthWatch{}
 	w.attach(reg, h)
 
@@ -56,7 +56,7 @@ func TestHealthRecoveringTransitionSequence(t *testing.T) {
 // counters attached to a freshly built tracker stay exact across recovery.
 func TestHealthRestoreFiresObserver(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	h := NewHealth(3, 0)
+	h := NewHealth(3)
 	w := &healthWatch{}
 	w.attach(reg, h)
 

@@ -52,7 +52,7 @@ func edgesEqual(got, want []string) bool {
 // sequence the observer reports.
 func TestHealthTransitionSequence(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	h := NewHealth(3, 0)
+	h := NewHealth(3)
 	w := &healthWatch{}
 	w.attach(reg, h)
 
@@ -90,13 +90,13 @@ func TestHealthTransitionSequence(t *testing.T) {
 
 // TestHealthConcurrentTransitions hammers one tracker from several
 // failure-reporting goroutines while readers poll the public accessors and
-// the registry snapshot. Because only failures are recorded, the machine
-// can move exactly healthy→degraded→failed no matter the interleaving —
-// the observer's ordered log must show precisely those two edges. Run with
-// -race to check the locking.
+// the registry snapshot, then fail-stops it. Because only failures are
+// recorded, the machine can move exactly healthy→degraded→failed no matter
+// the interleaving — the observer's ordered log must show precisely those
+// two edges. Run with -race to check the locking.
 func TestHealthConcurrentTransitions(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	h := NewHealth(3, 10)
+	h := NewHealth(3)
 	w := &healthWatch{}
 	w.attach(reg, h)
 
@@ -130,6 +130,7 @@ func TestHealthConcurrentTransitions(t *testing.T) {
 		}()
 	}
 	writers.Wait()
+	h.Failure(ErrFailStop)
 	close(stop)
 	readers.Wait()
 
@@ -140,8 +141,8 @@ func TestHealthConcurrentTransitions(t *testing.T) {
 	if h.State() != Failed {
 		t.Fatalf("state = %v, want Failed", h.State())
 	}
-	if _, failures := h.Totals(); failures != 100 {
-		t.Fatalf("failures = %d, want 100", failures)
+	if _, failures := h.Totals(); failures != 101 {
+		t.Fatalf("failures = %d, want 101", failures)
 	}
 	snap := reg.Snapshot()
 	if v := snap.Counters["fault.health.transitions{from=healthy,to=degraded}"]; v != 1 {

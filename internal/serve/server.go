@@ -81,7 +81,6 @@ type Server struct {
 	tenants map[string]*tenantCounters // guarded by mu
 	connWG  sync.WaitGroup
 	pipeWG  sync.WaitGroup
-	closing chan struct{}
 	down    atomic.Bool
 
 	start        time.Time
@@ -129,7 +128,6 @@ func build(cfg Config, mk func(sdimm.ClusterOptions) (*sdimm.Cluster, error)) (*
 		reg:     reg,
 		conns:   make(map[net.Conn]struct{}),
 		tenants: make(map[string]*tenantCounters),
-		closing: make(chan struct{}),
 		dumped:  make(map[string]bool),
 		start:   time.Now(),
 	}
