@@ -46,15 +46,22 @@ chaos:
 	! $(GO) run ./cmd/sdimm-chaos -resize -n 200 -crashes 5000
 	$(GO) test -race -count=1 -run 'TestDrainTrafficIndistinguishable' ./internal/attacker
 
-# End-to-end telemetry smoke: a short Independent run and a short Split run
-# with span tracing, exporting Chrome trace-event JSON. sdimm-sim re-validates
-# the written file against the trace schema and exits nonzero if it is
-# malformed; the grep asserts the validation line actually appeared and
-# counted at least one event (an empty file is a valid trace).
+# End-to-end telemetry smoke. The timing simulator: a short Independent run
+# and a short Split run with span tracing on simulated cycles. The functional
+# stack: a short sdimm-chaos run, sequential and with the pipeline, dumping
+# its flight recorder (wave phases on one clock, link and health events).
+# Both CLIs re-validate the written file against the trace schema and exit
+# nonzero if it is malformed; the grep asserts the validation line appeared
+# and counted at least one event (an empty file is a valid trace), and for
+# sdimm-chaos that the dump holds a cluster.wave span.
 telemetry-smoke:
 	@out=$$(mktemp -t sdimm-trace-XXXXXX.json) && \
 	for p in independent split; do \
 		$(GO) run ./cmd/sdimm-sim -protocol $$p -levels 20 -warmup 100 -measure 300 -trace $$out | grep -E '^trace .*\([1-9][0-9]* events, validated\)' || exit 1; \
+	done && \
+	for par in 1 4; do \
+		$(GO) run ./cmd/sdimm-chaos -n 300 -parallel $$par -trace $$out -snapshot=false | grep -E '^trace .*\([1-9][0-9]* events, validated\)' || exit 1; \
+		grep -q '"name":"cluster.wave"' $$out || { echo "no cluster.wave span in the sdimm-chaos trace"; exit 1; }; \
 	done && \
 	rm -f $$out
 
@@ -88,7 +95,8 @@ blame:
 # must stay at 0 allocs/op; a sequential cluster access within 1.7 objects,
 # counted exactly, and a warm 64-op Pipeline.Do within 128, inline and with
 # workers (TestPipelineDoAllocBudget: a hand-off allocates nothing); and the
-# flight recorder plus blame collector must add none to a pipelined access.
+# flight recorder plus blame collector, stamping every wave's record, must add
+# none to a pipelined or a sequential access.
 # The timing simulator has its own three: a warm event engine schedules and
 # fires at 0 allocs/op, a warm DRAM channel serves requests at 0, and a whole
 # sim.Run stays within its per-record budget for every protocol.

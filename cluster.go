@@ -56,20 +56,17 @@ type ClusterOptions struct {
 	// link-recovery counters, seccomm.* crypto counters, and per-SDIMM
 	// health-state gauges with transition counts.
 	Telemetry *telemetry.Registry
-	// Tracer, when set, records one span per access plus instants for
-	// re-homing and health transitions (wall-clock microseconds — the
-	// functional cluster has no simulated clock).
-	Tracer *telemetry.Tracer
-	// Blame, when set, receives per-wave phase intervals and per-SDIMM
-	// worker busy spans from the batched pipeline, feeding the
-	// critical-path profiler and its serialization ledger (see
-	// internal/blame). Attaching a collector never changes cluster
-	// behaviour — it draws no randomness and touches no shared state.
+	// Blame, when set, folds every wave record (sequential accesses
+	// included) and the per-SDIMM worker busy spans into the critical-path
+	// profiler and its serialization ledger (see internal/blame). Attaching
+	// a collector never changes cluster behaviour — it draws no randomness
+	// and touches no shared state.
 	Blame *blame.Collector
-	// Flight, when set, is the always-on flight recorder: pipeline wave and
-	// phase edges land on the coordinator ring, health transitions and
-	// link retry/ARQ activity on the owning SDIMM's ring. Recording is
-	// allocation-free; harnesses dump the rings when a check goes red.
+	// Flight, when set, is the always-on flight recorder: it keeps the
+	// recent wave records; checkpoints, recoveries, re-homes and membership
+	// changes land on the coordinator ring, health transitions and link
+	// retry/ARQ activity on the owning SDIMM's ring. Recording is
+	// allocation-free; harnesses dump the recorder when a check goes red.
 	Flight *flight.Recorder
 	// Durability, when set, gives the cluster crash consistency: every
 	// committed access is journaled, state is checkpointed every Interval
@@ -108,10 +105,9 @@ type clusterTelemetry struct {
 	scrubScanned, scrubRepaired     *telemetry.Counter
 	scrubUnrecoverable              *telemetry.Counter
 	poisonedReads                   *telemetry.Counter
-	tracer                          *telemetry.Tracer
 }
 
-func newClusterTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) clusterTelemetry {
+func newClusterTelemetry(reg *telemetry.Registry) clusterTelemetry {
 	return clusterTelemetry{
 		accesses:           reg.Counter("cluster.accesses"),
 		reads:              reg.Counter("cluster.reads"),
@@ -129,7 +125,6 @@ func newClusterTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) clusterT
 		scrubRepaired:      reg.Counter("cluster.scrub.repaired"),
 		scrubUnrecoverable: reg.Counter("cluster.scrub.unrecoverable"),
 		poisonedReads:      reg.Counter("cluster.poisoned_reads"),
-		tracer:             tr,
 	}
 }
 
@@ -151,9 +146,9 @@ func (t *clusterTelemetry) observe(op oram.Op, err error) {
 // every transition edge under
 // fault.health.transitions{from=...,to=...}. A flight ring, when given,
 // additionally records every transition edge in the member's ring buffer.
-// With no registry, tracer, or ring it leaves the Health unobserved.
-func watchHealth(reg *telemetry.Registry, tr *telemetry.Tracer, fr *flight.Ring, h *fault.Health, idx int) {
-	if reg == nil && tr == nil && fr == nil {
+// With neither a registry nor a ring it leaves the Health unobserved.
+func watchHealth(reg *telemetry.Registry, fr *flight.Ring, h *fault.Health, idx int) {
+	if reg == nil && fr == nil {
 		return
 	}
 	g := reg.Gauge("fault.health.state", "sdimm", strconv.Itoa(idx))
@@ -162,16 +157,12 @@ func watchHealth(reg *telemetry.Registry, tr *telemetry.Tracer, fr *flight.Ring,
 		g.Set(int64(to))
 		reg.Counter("fault.health.transitions", "from", from.String(), "to", to.String()).Inc()
 		fr.Record(flight.KindHealth, uint64(from), uint64(to))
-		if tr != nil {
-			tr.Instant(0, "health."+to.String(), "fault",
-				map[string]any{"sdimm": idx, "from": from.String()})
-		}
 	})
 }
 
 // flightKind maps a transactor recovery event onto its flight-recorder
 // event kind, so each member's ring shows retry/ARQ activity inline with
-// that member's phase edges and health transitions.
+// that member's health transitions.
 func flightKind(ev fault.NotifyEvent) flight.Kind {
 	switch ev {
 	case fault.NotifyRetry:
@@ -218,9 +209,10 @@ type Cluster struct {
 	levels    int
 	localBits uint
 	blame     *blame.Collector
-	flight    *flight.Recorder
+	// waves counts the wave records stamped so far: the next one's Index.
+	waves uint64
 	// Position map, RNG, the secure buffers (members) with their health and
-	// factory, telemetry, durability.
+	// factory, telemetry, flight recorder, durability.
 	durableState
 
 	// elig is pickLeaf's reusable eligible-member scratch.
@@ -283,11 +275,11 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 		levels:    opts.Levels,
 		localBits: uint(localLevels - 1),
 		blame:     opts.Blame,
-		flight:    opts.Flight,
 	}
 	c.pos = oram.NewSparsePosMap()
 	c.rnd = rng.New(opts.Seed)
-	c.tm = newClusterTelemetry(opts.Telemetry, opts.Tracer)
+	c.tm = newClusterTelemetry(opts.Telemetry)
+	c.flight = opts.Flight
 	c.poisoned = make(map[uint64]bool)
 	c.cmdBufs = make([][]byte, opts.SDIMMs)
 	c.serveBufs = make([][]byte, opts.SDIMMs)
@@ -380,7 +372,7 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 			return nil, err
 		}
 		h := fault.NewHealth(degradeAfter)
-		watchHealth(opts.Telemetry, opts.Tracer, opts.Flight.Ring(i), h, i)
+		watchHealth(opts.Telemetry, opts.Flight.Ring(i), h, i)
 		c.health = append(c.health, h)
 	}
 	c.initElastic(opts.SDIMMs)
@@ -406,7 +398,7 @@ func (c *Cluster) BlockSize() int { return c.blockSize }
 // Read returns the payload of addr (zeros if never written). A read of an
 // address lost to unrecoverable corruption returns ErrUnrecoverable.
 func (c *Cluster) Read(addr uint64) ([]byte, error) {
-	r := c.tracedAccess(BatchOp{Addr: addr})
+	r := c.access(BatchOp{Addr: addr})
 	if r.Err != nil {
 		return nil, r.Err
 	}
@@ -418,7 +410,7 @@ func (c *Cluster) Write(addr uint64, data []byte) error {
 	if len(data) > c.blockSize {
 		return fmt.Errorf("sdimm: payload %d exceeds block size %d", len(data), c.blockSize)
 	}
-	if r := c.tracedAccess(BatchOp{Addr: addr, Write: true, Data: data}); r.Err != nil {
+	if r := c.access(BatchOp{Addr: addr, Write: true, Data: data}); r.Err != nil {
 		return r.Err
 	}
 	return c.maybeCheckpoint(c.ForceCheckpoint)
@@ -442,20 +434,6 @@ func (c *Cluster) Close() error {
 		return c.dur.Close()
 	}
 	return nil
-}
-
-// tracedAccess wraps access in one tracer span per top-level operation.
-func (c *Cluster) tracedAccess(op BatchOp) BatchResult {
-	tr := c.tm.tracer
-	if tr == nil {
-		return c.access(op)
-	}
-	lane := tr.Lane()
-	sp := tr.Begin(lane, "cluster.access", "cluster")
-	r := c.access(op)
-	sp.EndArgs(map[string]any{"addr": op.Addr, "write": op.Write, "err": r.Err != nil})
-	tr.FreeLane(lane)
-	return r
 }
 
 // serve is the device-side command dispatcher: it runs inside the
@@ -725,9 +703,11 @@ type SplitClusterOptions struct {
 	// Telemetry, when set, receives cluster.* access counters (including
 	// cluster.reconstructions) and per-member health-state gauges.
 	Telemetry *telemetry.Registry
-	// Tracer, when set, records one span per access plus reconstruction
-	// and health-transition instants.
-	Tracer *telemetry.Tracer
+	// Flight, when set, is the flight recorder: health transitions land on
+	// the member's ring (the parity member's is ring SDIMMs, so size the
+	// recorder for every member), reconstructions, replacements and
+	// checkpoints on the coordinator ring.
+	Flight *flight.Recorder
 	// Durability, when set, journals committed accesses and checkpoints
 	// shard state for RecoverSplitCluster (see DESIGN.md, Durability &
 	// crash recovery).
@@ -764,7 +744,7 @@ type SplitCluster struct {
 	workers    *workerPool // one slot per member; inline at Parallelism ≤ 1
 	fanWG      sync.WaitGroup
 	// Position map, RNG, the member list with its health and factory,
-	// telemetry, durability.
+	// telemetry, flight recorder, durability.
 	durableState
 
 	// Per-access scratch, reused so the steady-state access path allocates
@@ -815,7 +795,8 @@ func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 	}
 	c.pos = oram.NewSparsePosMap()
 	c.rnd = rng.New(opts.Seed ^ 0x59117)
-	c.tm = newClusterTelemetry(opts.Telemetry, opts.Tracer)
+	c.tm = newClusterTelemetry(opts.Telemetry)
+	c.flight = opts.Flight
 	c.poisoned = make(map[uint64]bool)
 	if opts.Telemetry != nil && opts.Faults != nil {
 		opts.Faults.EnableTelemetry(opts.Telemetry)
@@ -871,7 +852,7 @@ func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 			return nil, err
 		}
 		h := fault.NewHealth(degradeAfter)
-		watchHealth(opts.Telemetry, opts.Tracer, nil, h, i)
+		watchHealth(opts.Telemetry, opts.Flight.Ring(i), h, i)
 		c.health = append(c.health, h)
 	}
 	c.workers = newWorkerPool(n, opts.Parallelism, 1)
@@ -1056,10 +1037,7 @@ func (c *SplitCluster) access(addr uint64, op oram.Op, data []byte) ([]byte, err
 		// simply skip the dead member: the parity slice carries the missing
 		// shard's information for later reconstruction.
 		c.tm.reconstructions.Inc()
-		if tr := c.tm.tracer; tr != nil {
-			tr.Instant(0, "cluster.reconstruct", "cluster",
-				map[string]any{"addr": addr, "shard": down})
-		}
+		c.flight.Coordinator().Record(flight.KindReconstruct, addr, uint64(down))
 		c.solveSlice(cw, down)
 	}
 

@@ -7,7 +7,7 @@ import (
 
 	"sdimm/internal/chaos"
 	"sdimm/internal/fault"
-	"sdimm/internal/telemetry"
+	"sdimm/internal/flight"
 )
 
 // chaosFaults is the acceptance schedule: ~1.7% of deliveries fault (the
@@ -246,11 +246,11 @@ func reconcileCounters(t *testing.T, res chaos.Result) {
 }
 
 // TestTelemetryCountersMatchResult runs the sequential acceptance campaign
-// with a tracer attached: the counters reconcile as they do under the
-// pipeline, and the tracer saw one cluster.access span per access.
+// with a flight recorder attached: the counters reconcile as they do under
+// the pipeline, and the recorder saw exactly one one-op wave per access.
 func TestTelemetryCountersMatchResult(t *testing.T) {
 	sc := acceptance(1500)
-	sc.Seed, sc.Tracer = 7, telemetry.NewTracer(nil)
+	sc.Seed, sc.Flight = 7, flight.New(4, 1024)
 	res, err := chaos.Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -259,14 +259,16 @@ func TestTelemetryCountersMatchResult(t *testing.T) {
 		t.Fatalf("payload mismatches: %d", res.Mismatches)
 	}
 	reconcileCounters(t, res)
-	var spans int
-	for _, e := range sc.Tracer.Events() {
-		if e.Ph == "X" && e.Name == "cluster.access" {
-			spans++
-		}
+	// The ring keeps the last 256 records; each wave's index counts the
+	// ones before it.
+	waves := sc.Flight.Waves()
+	if len(waves) == 0 || waves[len(waves)-1].Index+1 != uint64(res.Accesses) {
+		t.Fatalf("flight recorder saw %d waves (last %+v), accesses = %d", len(waves), waves[len(waves)-1:], res.Accesses)
 	}
-	if spans != res.Accesses {
-		t.Fatalf("cluster.access spans = %d, accesses = %d", spans, res.Accesses)
+	for _, w := range waves {
+		if w.Ops != 1 {
+			t.Fatalf("sequential wave %d ran %d ops", w.Index, w.Ops)
+		}
 	}
 }
 

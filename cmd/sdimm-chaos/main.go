@@ -54,7 +54,7 @@ func main() {
 		split     = flag.Bool("split", false, "run the Split protocol (with XOR parity) instead of Independent")
 		failShard = flag.Int("failshard", -1, "Split: member index to fail-stop a third of the way in (-1 = none)")
 		snapshot  = flag.Bool("snapshot", true, "print the final telemetry snapshot (cluster.*, fault.*, seccomm.*)")
-		traceOut  = flag.String("trace", "", "write cluster access spans as Chrome trace-event JSON to this file")
+		traceOut  = flag.String("trace", "", "at exit, write the flight recorder (wave phases, events) as Chrome trace-event JSON to this file")
 		parallel  = flag.Int("parallel", 1, "concurrent SDIMM workers (>1 drives the batched pipeline; results are bit-identical at any value)")
 		batch     = flag.Int("batch", 8, "pipeline window for -parallel > 1 runs")
 		crash     = flag.Bool("crash", false, "add seeded restart points; the recovered run must equal an uncrashed twin")
@@ -129,16 +129,17 @@ func main() {
 	if !*split {
 		sc.Witness = witness.New(witness.Options{Members: *sdimms, Registry: reg})
 	}
-	if *flightOut != "" {
-		sc.Flight = flight.New(*sdimms, 1024)
-	}
-	if *traceOut != "" {
-		sc.Tracer = telemetry.NewTracer(nil)
+	if *flightOut != "" || *traceOut != "" {
+		members := *sdimms
+		if *split {
+			members++ // the parity member has a ring too
+		}
+		sc.Flight = flight.New(members, 1024)
 	}
 
 	res, err := chaos.Run(sc)
-	if sc.Tracer != nil {
-		writeTrace(sc.Tracer, *traceOut)
+	if *traceOut != "" {
+		writeTrace(sc.Flight, *traceOut)
 	}
 	if err != nil && res.Snapshot == nil {
 		fmt.Fprintf(os.Stderr, "sdimm-chaos: %v\n", err)
@@ -176,18 +177,19 @@ func main() {
 	}
 }
 
-// writeTrace exports the recorded span trace.
-func writeTrace(tr *telemetry.Tracer, path string) {
-	f, err := os.Create(path)
+// writeTrace dumps the flight recorder to path and validates what it wrote.
+func writeTrace(fr *flight.Recorder, path string) {
+	n, err := 0, fr.DumpFile(path)
+	var data []byte
 	if err == nil {
-		err = tr.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		data, err = os.ReadFile(path)
+	}
+	if err == nil {
+		n, err = telemetry.ValidateTrace(data)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdimm-chaos: trace: %v\n", err)
+		fmt.Fprintf(os.Stderr, "sdimm-chaos: trace %s: %v\n", path, err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "sdimm-chaos: wrote %d trace events to %s\n", tr.Len(), path)
+	fmt.Printf("trace %s (%d events, validated)\n", path, n)
 }

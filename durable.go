@@ -112,6 +112,7 @@ type durableState struct {
 	// incarnation differs from the founding one.
 	mkMember func(i int, inc uint64) error
 	tm       clusterTelemetry
+	flight   *flight.Recorder // nil: nothing recorded
 
 	dur        *durable.Manager
 	interval   int
@@ -456,6 +457,7 @@ func (d *durableState) recoverDurable(opts *DurabilityOptions, fp durable.Finger
 	d.tm.scrubScanned.Add(uint64(report.BucketsScanned))
 	d.tm.scrubRepaired.Add(uint64(report.BucketsRepaired))
 	d.tm.scrubUnrecoverable.Add(uint64(report.BucketsUnrecoverable))
+	d.flight.Coordinator().Record(flight.KindRecovery, uint64(report.RecordsReplayed), uint64(report.BucketsRepaired))
 	return report, nil
 }
 
@@ -490,6 +492,7 @@ func (d *durableState) checkpoint(link func(i int, m *durable.MemberState)) erro
 	}
 	d.lastCkpt = d.seq
 	d.tm.checkpoints.Inc()
+	d.flight.Coordinator().Record(flight.KindCheckpoint, d.seq, 0)
 	return nil
 }
 
@@ -570,17 +573,13 @@ func (d *durableState) CorruptBucket(member, k int) (uint64, bool) {
 // ForceCheckpoint captures the cluster's full state and persists it,
 // rotating the journal. Callable any time the cluster is quiescent.
 func (c *Cluster) ForceCheckpoint() error {
-	err := c.checkpoint(func(i int, m *durable.MemberState) {
+	return c.checkpoint(func(i int, m *durable.MemberState) {
 		m.HostSend = c.links[i].Host.SendCounter()
 		m.HostRecv = c.links[i].Host.RecvCounter()
 		m.DevSend = c.links[i].Dev.SendCounter()
 		m.DevRecv = c.links[i].Dev.RecvCounter()
 		m.Detached = c.detached[i]
 	})
-	if err == nil {
-		c.flight.Coordinator().Record(flight.KindCheckpoint, c.seq, 0)
-	}
-	return err
 }
 
 // restoreLinks is restoreCheckpoint's per-member hook: the detach flag and
@@ -733,7 +732,6 @@ func RecoverCluster(opts ClusterOptions) (*Cluster, *durable.RecoveryReport, err
 		c.Close()
 		return nil, nil, err
 	}
-	c.flight.Coordinator().Record(flight.KindRecovery, uint64(report.RecordsReplayed), uint64(report.BucketsRepaired))
 	return c, report, nil
 }
 

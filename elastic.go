@@ -7,6 +7,7 @@ import (
 
 	"sdimm/internal/durable"
 	"sdimm/internal/fault"
+	"sdimm/internal/flight"
 	"sdimm/internal/oram"
 )
 
@@ -64,9 +65,7 @@ func (c *Cluster) applyDrainBegin(i int) error {
 	}
 	c.drainMember = i
 	c.drainMoved = 0
-	if tr := c.tm.tracer; tr != nil {
-		tr.Instant(0, "cluster.drain.begin", "cluster", map[string]any{"sdimm": i})
-	}
+	c.flight.Coordinator().Record(flight.KindDrainBegin, uint64(i), 0)
 	return c.commitTopoRecord(durable.KindDrainBegin, i)
 }
 
@@ -118,7 +117,7 @@ func (c *Cluster) DrainStep() (done bool, err error) {
 	if len(next) == 0 {
 		return true, nil
 	}
-	if r := c.tracedAccess(BatchOp{Addr: next[0], Migrate: true}); r.Err != nil {
+	if r := c.access(BatchOp{Addr: next[0], Migrate: true}); r.Err != nil {
 		return false, r.Err
 	}
 	if err := c.maybeCheckpoint(c.ForceCheckpoint); err != nil {
@@ -159,9 +158,7 @@ func (c *Cluster) CancelDrain() error {
 		return fmt.Errorf("sdimm: member %d is %s, not draining", i, c.health[i].State())
 	}
 	c.drainMember, c.drainMoved = -1, 0
-	if tr := c.tm.tracer; tr != nil {
-		tr.Instant(0, "cluster.drain.cancel", "cluster", map[string]any{"sdimm": i})
-	}
+	c.flight.Coordinator().Record(flight.KindDrainCancel, uint64(i), 0)
 	return c.commitTopoRecord(durable.KindDrainEnd, i)
 }
 
@@ -194,7 +191,6 @@ func (c *Cluster) applyDetach(i int) error {
 	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: detach member %d out of range", i)
 	}
-	wasDrain := c.drainMember == i
 	c.health[i].MarkRemoved()
 	c.detached[i] = true
 	if c.drainMember == i {
@@ -210,10 +206,7 @@ func (c *Cluster) applyDetach(i int) error {
 		c.pos.Set(a, g)
 		c.poisoned[a] = true
 	}
-	if tr := c.tm.tracer; tr != nil {
-		tr.Instant(0, "cluster.detach", "cluster",
-			map[string]any{"sdimm": i, "drained": wasDrain, "lost": len(orphans)})
-	}
+	c.flight.Coordinator().Record(flight.KindDetach, uint64(i), uint64(len(orphans)))
 	return c.commitTopoRecord(durable.KindDrainEnd, i)
 }
 
@@ -251,9 +244,7 @@ func (c *Cluster) applyJoin(i int) error {
 	// state machine restarts in probation with a clean streak.
 	succ, fail := c.health[i].Totals()
 	c.health[i].Restore(fault.Recovering, 0, succ, fail)
-	if tr := c.tm.tracer; tr != nil {
-		tr.Instant(0, "cluster.join", "cluster", map[string]any{"sdimm": i, "incarnation": inc})
-	}
+	c.flight.Coordinator().Record(flight.KindJoin, uint64(i), inc)
 	return c.commitTopoRecord(durable.KindJoin, i)
 }
 
@@ -309,9 +300,7 @@ func (c *SplitCluster) applySplitJoin(i int) error {
 	c.incarnations[i] = inc
 	succ, fail := c.health[i].Totals()
 	c.health[i].Restore(fault.Recovering, 0, succ, fail)
-	if tr := c.tm.tracer; tr != nil {
-		tr.Instant(0, "cluster.join", "cluster", map[string]any{"member": i, "incarnation": inc})
-	}
+	c.flight.Coordinator().Record(flight.KindJoin, uint64(i), inc)
 	return c.commitTopoRecord(durable.KindJoin, i)
 }
 

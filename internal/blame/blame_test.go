@@ -2,59 +2,44 @@ package blame
 
 import (
 	"testing"
+
+	"sdimm/internal/flight"
 )
 
-// fakeClock is a settable logical clock.
-type fakeClock struct{ now uint64 }
+// stamp sets bound b of rec the way the pipeline does: one clock reading
+// (here explicit) and the collector's idle meter at that reading.
+func stamp(col *Collector, rec *flight.WaveRecord, b int, now uint64) {
+	rec.Bounds[b], rec.Idle[b] = now, col.Idle(now)
+}
 
-func (c *fakeClock) read() uint64 { return c.now }
-
-func newTestCollector(members, ring int) (*Collector, *fakeClock) {
-	col := NewCollector(members, ring)
-	clk := &fakeClock{}
-	col.SetClock(clk.read)
-	return col, clk
+// stampAll stamps bounds 0..NumPhases at the given readings.
+func stampAll(col *Collector, rec *flight.WaveRecord, at ...uint64) {
+	for b, now := range at {
+		stamp(col, rec, b, now)
+	}
 }
 
 func TestWaveTiling(t *testing.T) {
-	col, clk := newTestCollector(2, 16)
-
-	clk.now = 100
-	w := col.BeginWave()
-	clk.now = 110
-	w.Mark(PhaseSchedule)
-	clk.now = 130
-	w.Mark(PhaseRetireWait)
-	clk.now = 145
-	w.Mark(PhaseFinalize)
-	clk.now = 185
-	w.Mark(PhaseAccessWait)
-	clk.now = 195
-	w.Mark(PhaseCommit)
-	clk.now = 200
-	w.Mark(PhaseDispatch)
-	clk.now = 210
-	w.End(8)
+	col := NewCollector(2, 16)
+	rec := flight.WaveRecord{Ops: 8}
+	stampAll(col, &rec, 100, 110, 130, 145, 185, 195, 200, 210)
+	col.Fold(&rec)
 
 	recs := col.Recent()
-	if len(recs) != 1 {
-		t.Fatalf("Recent() has %d records, want 1", len(recs))
-	}
-	rec := recs[0]
-	if rec.Ops != 8 || rec.Index != 0 {
-		t.Fatalf("record = %+v, want ops=8 index=0", rec)
+	if len(recs) != 1 || recs[0] != rec {
+		t.Fatalf("Recent() = %+v, want exactly the folded record", recs)
 	}
 	if rec.Wall() != 110 {
 		t.Fatalf("Wall() = %d, want 110", rec.Wall())
 	}
-	wantDur := map[Phase]uint64{
-		PhaseSchedule:   10,
-		PhaseRetireWait: 20,
-		PhaseFinalize:   15,
-		PhaseAccessWait: 40,
-		PhaseCommit:     10,
-		PhaseDispatch:   5,
-		PhaseCheckpoint: 10,
+	wantDur := map[flight.Phase]uint64{
+		flight.PhaseSchedule:   10,
+		flight.PhaseRetireWait: 20,
+		flight.PhaseFinalize:   15,
+		flight.PhaseAccessWait: 40,
+		flight.PhaseCommit:     10,
+		flight.PhaseDispatch:   5,
+		flight.PhaseCheckpoint: 10,
 	}
 	var sum uint64
 	for p, want := range wantDur {
@@ -76,41 +61,23 @@ func TestWaveTiling(t *testing.T) {
 	}
 }
 
-// TestSkippedPhases checks the early-exit contract: marking a later phase
-// closes every skipped phase with a zero-length interval at the same
-// boundary, and End closes the rest, so tiling stays exact.
+// TestSkippedPhases: a wave that skips phases carries them at zero length
+// on a shared bound — including the one-op wave's retire.wait, finalize and
+// checkpoint — and attribution stays exact.
 func TestSkippedPhases(t *testing.T) {
-	col, clk := newTestCollector(1, 16)
+	col := NewCollector(1, 16)
+	rec := flight.WaveRecord{Ops: 1}
+	stampAll(col, &rec, 10, 30, 30, 30, 45, 50, 60, 60)
+	col.Fold(&rec)
 
-	clk.now = 10
-	w := col.BeginWave()
-	clk.now = 30
-	w.Mark(PhaseAccessWait) // schedule, retire.wait, finalize, access.wait all end at 30
-	clk.now = 50
-	w.End(1) // commit, dispatch, checkpoint end at 50
-
-	rec := col.Recent()[0]
-	if rec.Wall() != 40 {
-		t.Fatalf("Wall() = %d, want 40", rec.Wall())
-	}
-	if d := rec.PhaseDur(PhaseSchedule); d != 20 {
-		t.Fatalf("schedule = %d, want 20 (first marked phase absorbs the span)", d)
-	}
-	for _, p := range []Phase{PhaseRetireWait, PhaseFinalize, PhaseAccessWait} {
-		if d := rec.PhaseDur(p); d != 0 {
-			t.Fatalf("%s = %d, want zero-length skipped interval", p, d)
+	want := [flight.NumPhases]uint64{20, 0, 0, 15, 5, 10, 0}
+	for p := flight.Phase(0); p < flight.NumPhases; p++ {
+		if d := rec.PhaseDur(p); d != want[p] {
+			t.Fatalf("%s = %d, want %d", p, d, want[p])
 		}
 	}
-	if d := rec.PhaseDur(PhaseCommit); d != 20 {
-		t.Fatalf("commit = %d, want 20", d)
-	}
-	for _, p := range []Phase{PhaseDispatch, PhaseCheckpoint} {
-		if d := rec.PhaseDur(p); d != 0 {
-			t.Fatalf("%s = %d, want 0", p, d)
-		}
-	}
-	if col.Report().AttributionRatio != 1.0 {
-		t.Fatal("attribution must stay exact on early-exit waves")
+	if rep := col.Report(); rep.AttributionRatio != 1.0 || rep.WallNS != 50 {
+		t.Fatalf("attribution must stay exact on waves with skipped phases: %+v", rep)
 	}
 }
 
@@ -119,41 +86,25 @@ func TestSkippedPhases(t *testing.T) {
 // flight may land in the ledger, attributed to the phase they fell inside,
 // and the worker span must show up in the busy totals.
 func TestIdleLedger(t *testing.T) {
-	col, clk := newTestCollector(2, 16)
+	col := NewCollector(2, 16)
+	rec := flight.WaveRecord{Ops: 4}
 
-	clk.now = 0
-	w := col.BeginWave()
-	clk.now = 10
-	w.Mark(PhaseSchedule)  // 0..10 idle: no task in flight
-	s := col.WorkerBegin() // task starts at 10
-	clk.now = 40
-	w.Mark(PhaseRetireWait) // 10..40 covered by the task: zero idle
-	col.WorkerEnd(WorkerAccess, s)
-	clk.now = 45
-	w.Mark(PhaseFinalize)   // 40..45 idle again
-	w.Mark(PhaseAccessWait) // zero-length
-	clk.now = 60
-	w.Mark(PhaseCommit) // 45..60 idle
-	clk.now = 65
-	w.Mark(PhaseDispatch) // 60..65 idle
-	w.End(4)              // checkpoint zero-length
+	stamp(col, &rec, 0, 0)
+	stamp(col, &rec, 1, 10) // schedule 0..10 idle: no task in flight
+	s := col.workerBegin(10)
+	stamp(col, &rec, 2, 40) // retire.wait 10..40 covered by the task: zero idle
+	col.workerEnd(WorkerAccess, s, 40)
+	stamp(col, &rec, 3, 45) // finalize 40..45 idle again
+	stamp(col, &rec, 4, 45) // access.wait zero-length
+	stamp(col, &rec, 5, 60) // commit 45..60 idle
+	stamp(col, &rec, 6, 65) // dispatch 60..65 idle
+	stamp(col, &rec, 7, 65) // checkpoint zero-length
+	col.Fold(&rec)
 
-	rec := col.Recent()[0]
-	wantIdle := map[Phase]uint64{
-		PhaseSchedule:   10,
-		PhaseRetireWait: 0,
-		PhaseFinalize:   5,
-		PhaseAccessWait: 0,
-		PhaseCommit:     15,
-		PhaseDispatch:   5,
-		PhaseCheckpoint: 0,
-	}
-	for p, want := range wantIdle {
-		if got := rec.IdleNS[p]; got != want {
-			t.Errorf("IdleNS[%s] = %d, want %d", p, got, want)
-		}
-		if rec.IdleNS[p] > rec.PhaseDur(p) {
-			t.Errorf("IdleNS[%s] = %d exceeds interval %d", p, rec.IdleNS[p], rec.PhaseDur(p))
+	wantIdle := [flight.NumPhases]uint64{10, 0, 5, 0, 15, 5, 0}
+	for p := flight.Phase(0); p < flight.NumPhases; p++ {
+		if got := rec.IdleDur(p); got != wantIdle[p] {
+			t.Errorf("IdleDur(%s) = %d, want %d", p, got, wantIdle[p])
 		}
 	}
 
@@ -170,8 +121,8 @@ func TestIdleLedger(t *testing.T) {
 	if got, want := rep.MaxSpeedup, 65.0/35.0; got != want {
 		t.Fatalf("MaxSpeedup = %v, want %v", got, want)
 	}
-	if len(rep.Ledger) != NumPhases() {
-		t.Fatalf("ledger has %d entries, want every phase (%d)", len(rep.Ledger), NumPhases())
+	if len(rep.Ledger) != int(flight.NumPhases) {
+		t.Fatalf("ledger has %d entries, want every phase (%d)", len(rep.Ledger), flight.NumPhases)
 	}
 	wantOrder := []string{"commit", "schedule", "finalize", "dispatch"}
 	for i, want := range wantOrder {
@@ -188,24 +139,24 @@ func TestIdleLedger(t *testing.T) {
 // measure: a coordinator phase fully covered by an in-flight worker task
 // (wave overlap) contributes interval time but zero serialized time.
 func TestOverlapHidesIdle(t *testing.T) {
-	col, clk := newTestCollector(2, 16)
+	col := NewCollector(2, 16)
+	rec := flight.WaveRecord{Ops: 2}
 
-	clk.now = 0
-	s := col.WorkerBegin() // previous wave's append still running
-	w := col.BeginWave()
-	clk.now = 30
-	w.Mark(PhaseSchedule) // whole schedule phase overlapped by the task
-	col.WorkerEnd(WorkerAppend, s)
-	clk.now = 50
-	w.End(2)
-
-	rec := col.Recent()[0]
-	if rec.PhaseDur(PhaseSchedule) != 30 || rec.IdleNS[PhaseSchedule] != 0 {
-		t.Fatalf("schedule dur=%d idle=%d, want 30/0 (hidden behind worker)",
-			rec.PhaseDur(PhaseSchedule), rec.IdleNS[PhaseSchedule])
+	s := col.workerBegin(0) // previous wave's append still running
+	stamp(col, &rec, 0, 0)
+	stamp(col, &rec, 1, 30) // whole schedule phase overlapped by the task
+	col.workerEnd(WorkerAppend, s, 30)
+	for b := 2; b <= int(flight.NumPhases); b++ {
+		stamp(col, &rec, b, 50)
 	}
-	if rec.IdleNS[PhaseRetireWait] != 20 {
-		t.Fatalf("retire.wait idle = %d, want 20 (meter restarts at WorkerEnd)", rec.IdleNS[PhaseRetireWait])
+	col.Fold(&rec)
+
+	if rec.PhaseDur(flight.PhaseSchedule) != 30 || rec.IdleDur(flight.PhaseSchedule) != 0 {
+		t.Fatalf("schedule dur=%d idle=%d, want 30/0 (hidden behind worker)",
+			rec.PhaseDur(flight.PhaseSchedule), rec.IdleDur(flight.PhaseSchedule))
+	}
+	if rec.IdleDur(flight.PhaseRetireWait) != 20 {
+		t.Fatalf("retire.wait idle = %d, want 20 (meter restarts at WorkerEnd)", rec.IdleDur(flight.PhaseRetireWait))
 	}
 	if rep := col.Report(); rep.AppendBusyNS != 30 {
 		t.Fatalf("AppendBusyNS = %d, want 30", rep.AppendBusyNS)
@@ -213,12 +164,11 @@ func TestOverlapHidesIdle(t *testing.T) {
 }
 
 func TestRingWraparoundOldestFirst(t *testing.T) {
-	col, clk := newTestCollector(1, 4)
+	col := NewCollector(1, 4)
 	for i := 0; i < 10; i++ {
-		clk.now = uint64(i * 100)
-		w := col.BeginWave()
-		clk.now = uint64(i*100 + 10)
-		w.End(i)
+		rec := flight.WaveRecord{Index: uint64(i), Ops: i}
+		stampAll(col, &rec, uint64(i*100), uint64(i*100+10))
+		col.Fold(&rec)
 	}
 	recs := col.Recent()
 	if len(recs) != 4 {
@@ -238,51 +188,41 @@ func TestRingWraparoundOldestFirst(t *testing.T) {
 // clusters run without one attached.
 func TestNilSafety(t *testing.T) {
 	var col *Collector
-	w := col.BeginWave()
-	w.Mark(PhaseSchedule)
+	if col.Idle(5) != 0 {
+		t.Fatal("nil collector meter should read 0")
+	}
 	s := col.WorkerBegin()
 	col.WorkerEnd(WorkerAccess, s)
-	w.End(5)
+	col.Fold(&flight.WaveRecord{Ops: 5})
 	if col.Recent() != nil {
 		t.Fatal("nil collector Recent() should be nil")
 	}
 	if rep := col.Report(); rep.Waves != 0 {
 		t.Fatal("nil collector Report() should be zero")
 	}
-	col.SetClock(func() uint64 { return 0 })
 }
 
-// TestWaveRecycling checks the free-list reuses scratch without leaking
-// state between waves, and that idle accrued between waves (no wave open)
-// never lands in any wave's ledger.
-func TestWaveRecycling(t *testing.T) {
-	col, clk := newTestCollector(2, 8)
+// TestInterWaveIdleExcluded: idle time accrued between waves (no wave
+// open) never lands in any wave's ledger — each wave's idle is the meter's
+// difference across its own bounds.
+func TestInterWaveIdleExcluded(t *testing.T) {
+	col := NewCollector(2, 8)
 
-	clk.now = 0
-	w := col.BeginWave()
-	clk.now = 50
-	w.End(1) // fully idle wave: 50ns of idle in its record
+	w0 := flight.WaveRecord{Ops: 1}
+	stampAll(col, &w0, 0, 50, 50, 50, 50, 50, 50, 50) // fully idle: 50ns
+	col.Fold(&w0)
+	// 50..100: idle with no wave open.
+	w1 := flight.WaveRecord{Ops: 1}
+	stampAll(col, &w1, 100, 120, 120, 120, 120, 120, 120, 120)
+	col.Fold(&w1)
 
-	// 50..100: idle with no wave open — must be excluded from both records.
-	clk.now = 100
-	w2 := col.BeginWave()
-	clk.now = 120
-	w2.End(1)
-
-	recs := col.Recent()
 	var idle0, idle1 uint64
-	for p := Phase(0); p < Phase(NumPhases()); p++ {
-		idle0 += recs[0].IdleNS[p]
-		idle1 += recs[1].IdleNS[p]
+	for p := flight.Phase(0); p < flight.NumPhases; p++ {
+		idle0 += w0.IdleDur(p)
+		idle1 += w1.IdleDur(p)
 	}
-	if idle0 != 50 {
-		t.Fatalf("wave 0 idle = %d, want 50", idle0)
-	}
-	if idle1 != 20 {
-		t.Fatalf("wave 1 idle = %d, want 20 (inter-wave gap leaked in)", idle1)
-	}
-	if recs[1].Bounds[0] != 100 {
-		t.Fatalf("recycled wave start = %d, want 100", recs[1].Bounds[0])
+	if idle0 != 50 || idle1 != 20 {
+		t.Fatalf("wave idle = %d, %d; want 50, 20 (inter-wave gap leaked in)", idle0, idle1)
 	}
 	if rep := col.Report(); rep.SerializedNS != 70 {
 		t.Fatalf("SerializedNS = %d, want 70", rep.SerializedNS)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdimm/internal/fault"
+	"sdimm/internal/flight"
 	"sdimm/internal/telemetry"
 )
 
@@ -122,7 +123,7 @@ func flightDumped(t *testing.T, sc Scenario, res Result) {
 	// Retries and abandons at this drop rate are guaranteed.
 	var linkEvents int
 	for i := 0; i < 4; i++ {
-		linkEvents += sc.Flight.Ring(i).Len()
+		linkEvents += len(sc.Flight.Ring(i).Events())
 	}
 	if linkEvents == 0 {
 		t.Fatal("no link-layer events in the member rings")
@@ -137,5 +138,26 @@ func flightKeptQuiet(t *testing.T, sc Scenario, res Result) {
 	}
 	if _, err := os.Stat(sc.FlightPath); !os.IsNotExist(err) {
 		t.Fatalf("dump file exists after a green run (stat err %v)", err)
+	}
+}
+
+// splitFlightRecorded: the fail-stopped member's ring holds its transition
+// to Failed, and the coordinator's ring the reconstructions around it.
+func splitFlightRecorded(t *testing.T, sc Scenario, _ Result) {
+	failed := false
+	for _, ev := range sc.Flight.Ring(sc.FailShard).Events() {
+		failed = failed || ev.Kind == flight.KindHealth && fault.State(ev.B) == fault.Failed
+	}
+	if !failed {
+		t.Fatalf("member %d's ring has no transition to failed: %+v", sc.FailShard, sc.Flight.Ring(sc.FailShard).Events())
+	}
+	var rebuilt int
+	for _, ev := range sc.Flight.Coordinator().Events() {
+		if ev.Kind == flight.KindReconstruct && ev.B == uint64(sc.FailShard) {
+			rebuilt++
+		}
+	}
+	if rebuilt == 0 {
+		t.Fatal("no reconstruct events on the coordinator's ring")
 	}
 }

@@ -126,7 +126,7 @@ func (r *run) open(recovering bool) (report *durable.RecoveryReport, err error) 
 			Parity:      sc.Parity,
 			Parallelism: sc.Parallelism,
 			Telemetry:   r.reg,
-			Tracer:      sc.Tracer,
+			Flight:      sc.Flight,
 			Durability:  dur,
 		}
 		var c *sdimm.SplitCluster
@@ -149,7 +149,6 @@ func (r *run) open(recovering bool) (report *durable.RecoveryReport, err error) 
 			Faults:            r.in,
 			Retry:             sc.Retry,
 			Telemetry:         r.reg,
-			Tracer:            sc.Tracer,
 			Flight:            sc.Flight,
 			Durability:        dur,
 		}

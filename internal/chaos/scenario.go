@@ -50,7 +50,7 @@ type Scenario struct {
 
 	// Split runs the Split protocol instead of Independent; Parity adds its
 	// XOR parity member. Split shards fan out in-process — no sealed links —
-	// so Faults, Retry, RingFlushInterval, Witness and Flight are rejected.
+	// so Faults, Retry, RingFlushInterval and Witness are rejected.
 	Split  bool
 	Parity bool
 	// RingFlushInterval > 0 gives the members ring-eviction ORAM engines
@@ -102,9 +102,9 @@ type Scenario struct {
 	Parallelism int
 	Window      int
 
-	// Tracer and Flight ride along on every cluster the run builds; a run
-	// that is not Green() dumps the flight rings to FlightPath, when set.
-	Tracer     *telemetry.Tracer
+	// Flight rides along on every cluster the run builds (with Split, size
+	// it for every member, parity included); a run that is not Green()
+	// dumps it to FlightPath, when set.
 	Flight     *flight.Recorder
 	FlightPath string
 	// Telemetry and Witness, like the harness's own link checkers, observe
@@ -141,7 +141,6 @@ func (sc Scenario) prepared() (Scenario, error) {
 		{sc.Split && retry, "Retry", "Split"},
 		{sc.Split && sc.RingFlushInterval != 0, "RingFlushInterval", "Split"},
 		{sc.Split && sc.Witness != nil, "Witness", "Split"},
-		{sc.Split && (sc.Flight != nil || sc.FlightPath != ""), "Flight", "Split"},
 		{sc.Split && sc.Window != 0, "Window", "Split"},
 		{!sc.Split && sc.Parity, "Parity", "Split=false"},
 		{!sc.Split && (sc.FailShard != 0 || sc.FailShardAt != 0), "FailShard", "Split=false"},

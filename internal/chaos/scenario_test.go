@@ -119,6 +119,12 @@ func legs(t *testing.T) []leg {
 			sc: cliAt(Scenario{Accesses: 1200, Parallelism: 4}, 0.05, 2)},
 		{name: "TestFlightNoDumpOnGreenRun", check: flightKeptQuiet,
 			sc: Scenario{Accesses: 200, Seed: 2, Flight: flight.New(4, 256), FlightPath: t.TempDir() + "/flight.json"}},
+		{name: "TestFlightNoDumpOnGreenRun/split", check: flightKeptQuiet,
+			sc: Scenario{Accesses: 200, Seed: 2, Split: true, Parity: true, Flight: flight.New(5, 256), FlightPath: t.TempDir() + "/flight.json"}},
+		// Split records on the recorder too: the fail-stop on the member's
+		// ring, every parity reconstruction on the coordinator's.
+		{name: "TestScenarioLegs/split-flight", check: splitFlightRecorded,
+			sc: Scenario{Accesses: 300, Seed: 4, Split: true, Parity: true, FailShard: 2, FailShardAt: 100, Flight: flight.New(5, 256)}},
 	}
 	// Different seeds shift the crash points to different record offsets —
 	// including inside migration batches and around the topology records.
@@ -192,7 +198,7 @@ func TestResizeEquivalenceSeedSweep(t *testing.T) { runLeg(t) }
 // error naming both fields, never a silently dropped setting, and a crash
 // plan larger than the record stream is refused rather than drawn forever.
 func TestScenarioValidation(t *testing.T) {
-	wit, fr := witness.New(witness.Options{Members: 4}), flight.New(4, 16)
+	wit := witness.New(witness.Options{Members: 4})
 	for _, tc := range []struct {
 		sc   Scenario
 		want string
@@ -201,7 +207,6 @@ func TestScenarioValidation(t *testing.T) {
 		{Scenario{Split: true, Retry: fault.RetryPolicy{MaxAttempts: 3}}, "Retry conflicts with Split"},
 		{Scenario{Split: true, RingFlushInterval: 4}, "RingFlushInterval conflicts with Split"},
 		{Scenario{Split: true, Witness: wit}, "Witness conflicts with Split"},
-		{Scenario{Split: true, Flight: fr}, "Flight conflicts with Split"},
 		{Scenario{Split: true, Parallelism: 4, Window: 8}, "Window conflicts with Split"},
 		{Scenario{Parity: true}, "Parity conflicts with Split=false"},
 		{Scenario{FailShard: 1, FailShardAt: 50}, "FailShard conflicts with Split=false"},

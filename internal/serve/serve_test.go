@@ -367,6 +367,61 @@ func TestServeFlightDumpOnWitnessViolation(t *testing.T) {
 	}
 }
 
+// TestServeFlightDumpUnderTraffic: the server dumps the flight recorder
+// while the cluster is writing it — here a witness violation fires while
+// four clients keep the pipeline busy, and the dump runs on the caller's
+// goroutine. Under -race the dump's copy must be synchronized with every
+// ring's writer.
+func TestServeFlightDumpUnderTraffic(t *testing.T) {
+	cfg := baseConfig(t)
+	cfg.FlightDir = t.TempDir()
+	s, addr := startServer(t, cfg)
+	defer s.Shutdown(context.Background())
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		cl, err := Dial(addr, fmt.Sprintf("t%d", w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				req := Request{Addr: uint64(w*16 + i%16), Write: i%3 == 0, Data: []byte{byte(i)}}
+				if resp, err := cl.Do(req); err != nil || resp.Status != StatusOK {
+					t.Errorf("client %d op %d: %v %s", w, i, err, StatusString(resp.Status))
+					return
+				}
+			}
+		}()
+	}
+	served := func(n uint64) {
+		for deadline := time.Now().Add(10 * time.Second); s.SLO().OK < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("served %d of %d ops in 10s", s.SLO().OK, n)
+			}
+		}
+	}
+	// Let the witness calibrate on live traffic, then show it a frame shape
+	// the link never produced while the clients keep going.
+	served(200)
+	s.Witness().Tap(0, fault.HostToDev, 0, make([]byte, 31337))
+	served(s.SLO().OK + 200)
+	close(stop)
+	wg.Wait()
+	if _, err := os.Stat(filepath.Join(cfg.FlightDir, "flight-witness-shape.trace.json")); err != nil {
+		t.Fatalf("flight recorder did not dump: %v", err)
+	}
+}
+
 // TestServeGracefulShutdownDurable: every write the server acknowledged
 // before Shutdown must read back identically from a recovered server — the
 // drain runs through the durable journal commit point.

@@ -110,8 +110,8 @@ type BusObserver func(channel string, local bool, now event.Time, kind dram.Comm
 // nil) is attached to every DRAM channel — package attacker captures address
 // traces this way. With tel (may be nil) the DRAM channels mirror their stats
 // into tel.Registry, the backend's miss-latency histogram is registered, and
-// — when tel.Trace is set — a tracer over the engine clock records access
-// spans (backends that implement SetTelemetry emit them; others run
+// — when tel.Trace is set — a tracer records access spans on the engine
+// clock (backends that implement SetTelemetry emit them; others run
 // untraced).
 func RunTrace(cfg config.Config, name string, recs []trace.Record, obs BusObserver, tel *Telemetry) (Result, error) {
 	eng := &event.Engine{}
@@ -121,7 +121,7 @@ func RunTrace(cfg config.Config, name string, recs []trace.Record, obs BusObserv
 	}
 	if tel != nil {
 		if tel.Trace {
-			tel.Tracer = telemetry.NewTracer(func() uint64 { return uint64(eng.Now()) })
+			tel.Tracer = telemetry.NewTracer()
 		}
 		if tb, ok := backend.(interface {
 			SetTelemetry(*telemetry.Registry, *telemetry.Tracer)

@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // Event is one Chrome trace-event (the JSON array format consumed by
-// Perfetto and chrome://tracing). Timestamps are in the tracer's clock
+// Perfetto and chrome://tracing). Timestamps are in the recording clock's
 // units, emitted in the "ts"/"dur" microsecond fields: the event-driven
 // simulator maps one CPU cycle to one displayed microsecond.
 type Event struct {
@@ -23,35 +22,21 @@ type Event struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Tracer records spans and instants and exports them as Chrome trace-event
-// JSON. All methods are safe on a nil receiver (no-ops), so components can
-// be instrumented unconditionally; non-nil tracers are safe for concurrent
-// use. Lanes stand in for thread IDs: one access holds a lane for its
-// lifetime so its spans nest properly in the viewer.
+// Tracer records finished spans, each with explicit start and end stamps in
+// the caller's clock units (the timing simulator's cycles; the flight
+// recorder's microseconds), and exports them as Chrome trace-event JSON. All
+// methods are safe on a nil receiver (no-ops), so components can be
+// instrumented unconditionally; non-nil tracers are safe for concurrent use.
+// Lanes stand in for thread IDs: one access holds a lane for its lifetime so
+// its spans nest properly in the viewer.
 type Tracer struct {
 	mu     sync.Mutex
-	clock  func() uint64
 	events []Event
 	lanes  []bool // lane allocation bitmap; index = tid
 }
 
-// NewTracer builds a tracer over the given clock (monotonic, in the units
-// to display as microseconds). A nil clock uses wall time in microseconds.
-func NewTracer(clock func() uint64) *Tracer {
-	if clock == nil {
-		start := time.Now()
-		clock = func() uint64 { return uint64(time.Since(start).Microseconds()) }
-	}
-	return &Tracer{clock: clock}
-}
-
-// Now returns the tracer's current clock reading (0 on a nil tracer).
-func (t *Tracer) Now() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.clock()
-}
+// NewTracer builds an empty tracer.
+func NewTracer() *Tracer { return &Tracer{} }
 
 // Lane allocates the lowest free lane (trace tid). Release it with
 // FreeLane when the access completes.
@@ -102,49 +87,6 @@ func (t *Tracer) CompleteArgs(lane int, name, cat string, start, end uint64, arg
 		PID: 1, TID: lane, Args: args,
 	})
 	t.mu.Unlock()
-}
-
-// Instant records a zero-duration marker (health transition, fault
-// injection, reconstruction) on the given lane.
-func (t *Tracer) Instant(lane int, name, cat string, args map[string]any) {
-	if t == nil {
-		return
-	}
-	now := t.clock()
-	t.mu.Lock()
-	t.events = append(t.events, Event{
-		Name: name, Cat: cat, Ph: "i", TS: now, PID: 1, TID: lane, Args: args,
-	})
-	t.mu.Unlock()
-}
-
-// Span is an open interval started by Begin; End closes it. The zero Span
-// (from a nil tracer) is a no-op.
-type Span struct {
-	t     *Tracer
-	lane  int
-	name  string
-	cat   string
-	start uint64
-}
-
-// Begin opens a span on the given lane at the current clock.
-func (t *Tracer) Begin(lane int, name, cat string) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, lane: lane, name: name, cat: cat, start: t.clock()}
-}
-
-// End closes the span at the current clock.
-func (s Span) End() { s.EndArgs(nil) }
-
-// EndArgs closes the span with arguments attached.
-func (s Span) EndArgs(args map[string]any) {
-	if s.t == nil {
-		return
-	}
-	s.t.CompleteArgs(s.lane, s.name, s.cat, s.start, s.t.clock(), args)
 }
 
 // Events returns a copy of the recorded events (tests and exporters).

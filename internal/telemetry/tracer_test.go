@@ -7,8 +7,7 @@ import (
 )
 
 func TestTracerSpansAndExport(t *testing.T) {
-	var now uint64
-	tr := NewTracer(func() uint64 { return now })
+	tr := NewTracer()
 
 	lane := tr.Lane()
 	if lane != 0 {
@@ -23,19 +22,16 @@ func TestTracerSpansAndExport(t *testing.T) {
 		t.Fatalf("freed lane not reused: got %d", got)
 	}
 
-	now = 100
-	sp := tr.Begin(lane, "miss", "access")
-	now = 150
 	tr.Complete(lane, "link.send", "link", 100, 120)
 	tr.CompleteArgs(lane, "dram.path", "dram", 120, 150, map[string]any{"sd": 3})
-	sp.EndArgs(map[string]any{"addr": 42})
-	tr.Instant(lane, "health", "fault", nil)
+	tr.CompleteArgs(lane, "miss", "access", 100, 150, map[string]any{"addr": 42})
+	tr.Complete(lane, "health", "fault", 150, 150)
 
 	evs := tr.Events()
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4", len(evs))
 	}
-	// The span closed by End covers [100, 150].
+	// The miss span covers [100, 150].
 	var miss *Event
 	for i := range evs {
 		if evs[i].Name == "miss" {
@@ -63,7 +59,7 @@ func TestTracerSpansAndExport(t *testing.T) {
 }
 
 func TestTracerBackwardsSpanClamped(t *testing.T) {
-	tr := NewTracer(func() uint64 { return 0 })
+	tr := NewTracer()
 	tr.Complete(0, "x", "c", 50, 40) // end < start must clamp, not underflow
 	ev := tr.Events()[0]
 	if ev.Dur != 0 || ev.TS != 50 {
@@ -76,10 +72,8 @@ func TestNilTracerIsSafe(t *testing.T) {
 	lane := tr.Lane()
 	tr.FreeLane(lane)
 	tr.Complete(lane, "a", "b", 0, 1)
-	sp := tr.Begin(lane, "a", "b")
-	sp.End()
-	tr.Instant(lane, "a", "b", nil)
-	if tr.Len() != 0 || tr.Events() != nil || tr.Now() != 0 {
+	tr.CompleteArgs(lane, "a", "b", 0, 1, nil)
+	if tr.Len() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer recorded something")
 	}
 }
@@ -101,14 +95,5 @@ func TestValidateTraceRejects(t *testing.T) {
 	}
 	if n, err := ValidateTrace([]byte(`{"traceEvents":[]}`)); err != nil || n != 0 {
 		t.Fatalf("empty trace: n=%d err=%v", n, err)
-	}
-}
-
-func TestDefaultClockMonotonic(t *testing.T) {
-	tr := NewTracer(nil)
-	a := tr.Now()
-	b := tr.Now()
-	if b < a {
-		t.Fatalf("default clock went backwards: %d then %d", a, b)
 	}
 }

@@ -3,6 +3,7 @@ package sdimm
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sdimm/internal/blame"
@@ -11,16 +12,18 @@ import (
 	"sdimm/internal/telemetry"
 )
 
-// TestPipelineWavePhaseTiling is the blame profiler's core contract on the
-// real pipeline: at parallelism 4 every recorded iteration's phase intervals
-// are contiguous and tile its wall-clock exactly — no unattributed gap, no
+// TestPipelineWavePhaseTiling is the wave record's core contract on the
+// real cluster, with the blame collector and the flight recorder attached
+// together: at parallelism 4 every pipelined wave's phase intervals are
+// contiguous and tile its wall-clock exactly — no unattributed gap, no
 // overlap — and the measured all-idle time inside a phase never exceeds the
-// phase's own interval. Runs under -race in CI: the coordinator marks
-// boundaries while workers stamp busy spans through the collector's idle
-// meter.
+// phase's own interval; the sequential path's one-op waves tile the same
+// way, with nothing to retire and no checkpoint. Both views hold the one
+// stamped record, bound for bound. Runs under -race in CI: the coordinator
+// stamps bounds while workers update the collector's idle meter.
 func TestPipelineWavePhaseTiling(t *testing.T) {
-	col := blame.NewCollector(4, 128)
-	c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 10, Seed: 42, Blame: col})
+	col, fr := blame.NewCollector(4, 128), flight.New(4, 512)
+	c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 10, Seed: 42, Blame: col, Flight: fr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,39 +42,56 @@ func TestPipelineWavePhaseTiling(t *testing.T) {
 			}
 		}
 	}
+	pipelined := len(col.Recent())
+	for _, op := range ops {
+		if err := c.Write(op.Addr, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	recs := col.Recent()
-	if len(recs) == 0 {
-		t.Fatal("pipeline recorded no waves")
+	if pipelined == 0 || len(recs) != pipelined+len(ops) {
+		t.Fatalf("%d records: %d pipelined, want %d more one-op waves", len(recs), pipelined, len(ops))
+	}
+	if waves := fr.Waves(); !slices.Equal(waves, recs) {
+		t.Fatalf("flight and blame hold different records:\n%+v\n%+v", waves, recs)
 	}
 	var totalOps int
-	for _, rec := range recs {
+	for i, rec := range recs {
+		if rec.Index != uint64(i) {
+			t.Fatalf("record %d has index %d", i, rec.Index)
+		}
 		var sum uint64
-		for p := blame.Phase(0); p < blame.Phase(blame.NumPhases()); p++ {
+		for p := flight.Phase(0); p < flight.NumPhases; p++ {
 			sum += rec.PhaseDur(p)
+			// Boundaries are monotone: no interval may run backwards.
+			if rec.Bounds[p+1] < rec.Bounds[p] {
+				t.Fatalf("wave %d: bounds not monotone: %v", rec.Index, rec.Bounds)
+			}
+			// Serialized (all-workers-idle) time within a phase is bounded
+			// by the phase interval itself.
+			if rec.IdleDur(p) > rec.PhaseDur(p) {
+				t.Fatalf("wave %d: %s idle %dns exceeds interval %dns",
+					rec.Index, p, rec.IdleDur(p), rec.PhaseDur(p))
+			}
 		}
 		if sum != rec.Wall() {
 			t.Fatalf("wave %d: phase intervals sum to %dns, wall is %dns — tiling broken: %+v",
 				rec.Index, sum, rec.Wall(), rec)
 		}
-		// Boundaries are monotone: no interval may run backwards.
-		for i := 0; i < blame.NumPhases(); i++ {
-			if rec.Bounds[i+1] < rec.Bounds[i] {
-				t.Fatalf("wave %d: bounds not monotone: %v", rec.Index, rec.Bounds)
-			}
-		}
-		// Serialized (all-workers-idle) time within a phase is bounded by the
-		// phase interval itself.
-		for p := blame.Phase(0); p < blame.Phase(blame.NumPhases()); p++ {
-			if rec.IdleNS[p] > rec.PhaseDur(p) {
-				t.Fatalf("wave %d: %s idle %dns exceeds interval %dns",
-					rec.Index, p, rec.IdleNS[p], rec.PhaseDur(p))
+		if i >= pipelined {
+			// Nothing to retire and no checkpoint; the exchange (access.wait)
+			// and the journal append, broadcast and retirement (dispatch)
+			// take time.
+			skipped := rec.PhaseDur(flight.PhaseRetireWait) + rec.PhaseDur(flight.PhaseFinalize) + rec.PhaseDur(flight.PhaseCheckpoint)
+			if rec.Ops != 1 || skipped != 0 || rec.PhaseDur(flight.PhaseAccessWait) == 0 || rec.PhaseDur(flight.PhaseDispatch) == 0 {
+				t.Fatalf("one-op wave %d is not schedule, access.wait, commit, dispatch: %+v", rec.Index, rec)
 			}
 		}
 		totalOps += rec.Ops
 	}
-	if totalOps != 6*32 {
-		t.Fatalf("waves account for %d ops, want %d", totalOps, 6*32)
+	if totalOps != 7*32 {
+		t.Fatalf("waves account for %d ops, want %d", totalOps, 7*32)
 	}
 
 	rep := col.Report()
@@ -137,52 +157,76 @@ func TestPipelineBlameRegression(t *testing.T) {
 }
 
 // TestObserversAddNoAllocs is the always-on-observability allocation gate:
-// the batched pipeline with the flight recorder and blame collector attached
-// must allocate no more per 64-op Do than the bare pipeline. The count is
-// taken whole over twenty Do's rather than divided down to one access —
-// three allocations per wave would vanish in that division — and without
-// testing.AllocsPerRun's integer average: the pipeline's own count is exact,
-// but the runtime adds zero to three allocations to either side's twenty
-// Do's, and a total that sits on a multiple of twenty (6999…7002 since the
-// link stopped allocating) then rounds to two different averages. Part of
-// `make alloc-gates`.
+// with the flight recorder and blame collector attached, a warm cluster must
+// allocate no more than bare over the same accesses — pipelined, twenty
+// 64-op Do's; sequential, the same ops twenty times through Read and Write,
+// each a one-op wave stamped into the same record. The count is taken whole
+// rather than divided down to one access — three allocations per wave would
+// vanish in that division — and without testing.AllocsPerRun's integer
+// average: the cluster's own count is exact, but the runtime adds zero to
+// three allocations to either side's total, and a total that sits on a
+// multiple of twenty then rounds to two different averages. Part of `make
+// alloc-gates`.
 func TestObserversAddNoAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc gates run without -race")
 	}
 	const batchLen, runs = 64, 20
-	allocs := func(fr *flight.Recorder, col *blame.Collector) int {
-		c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 12, Seed: 1, Flight: fr, Blame: col})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe := c.Pipeline(PipelineOptions{Window: 8, Parallelism: 4})
-		defer pipe.Close()
-		payload := make([]byte, 64)
-		ops := make([]BatchOp, batchLen)
-		for i := range ops {
-			ops[i] = BatchOp{Addr: uint64(i), Write: i%2 == 0, Data: payload}
-		}
-		do := func() {
-			for _, r := range pipe.Do(ops) {
-				if r.Err != nil {
-					t.Fatal(r.Err)
+	payload := make([]byte, 64)
+	ops := make([]BatchOp, batchLen)
+	for i := range ops {
+		ops[i] = BatchOp{Addr: uint64(i), Write: i%2 == 0, Data: payload}
+	}
+	drivers := map[string]func(t *testing.T, c *Cluster) func(){
+		"pipelined": func(t *testing.T, c *Cluster) func() {
+			pipe := c.Pipeline(PipelineOptions{Window: 8, Parallelism: 4})
+			t.Cleanup(pipe.Close)
+			return func() {
+				for _, r := range pipe.Do(ops) {
+					if r.Err != nil {
+						t.Fatal(r.Err)
+					}
 				}
 			}
-		}
-		// Warm the stash, the op pool and the collector's wave free-list.
-		for w := 0; w < 5; w++ {
-			do()
-		}
-		return mallocsOver(runs, do)
+		},
+		"sequential": func(t *testing.T, c *Cluster) func() {
+			return func() {
+				for _, op := range ops {
+					err := c.Write(op.Addr, op.Data)
+					if !op.Write {
+						_, err = c.Read(op.Addr)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		},
 	}
-	bare := allocs(nil, nil)
-	observed := allocs(flight.New(4, 1024), blame.NewCollector(4, 256))
-	// Half an allocation per Do is above the runtime's jitter and far below
-	// the least an observer could add (one per Do is +20, one per wave +160).
-	if observed-bare >= runs/2 {
-		t.Fatalf("flight recorder + blame collector add %d allocs over %d %d-op Do's (%d bare, %d observed), want +0",
-			observed-bare, runs, batchLen, bare, observed)
+	for name, drive := range drivers {
+		t.Run(name, func(t *testing.T) {
+			allocs := func(fr *flight.Recorder, col *blame.Collector) int {
+				c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 12, Seed: 1, Flight: fr, Blame: col})
+				if err != nil {
+					t.Fatal(err)
+				}
+				do := drive(t, c)
+				// Warm the stash and the op pool.
+				for w := 0; w < 5; w++ {
+					do()
+				}
+				return mallocsOver(runs, do)
+			}
+			bare := allocs(nil, nil)
+			observed := allocs(flight.New(4, 1024), blame.NewCollector(4, 256))
+			// Half an allocation per run is above the runtime's jitter and far
+			// below the least an observer could add (one per run is +20, one per
+			// wave at least +160).
+			if observed-bare >= runs/2 {
+				t.Fatalf("flight recorder + blame collector add %d allocs over %d runs of %d ops (%d bare, %d observed), want +0",
+					observed-bare, runs, batchLen, bare, observed)
+			}
+		})
 	}
 }
 

@@ -205,17 +205,21 @@ type Pipeline struct {
 	// coordinator plans the next wave.
 	healthSnap []fault.State
 
-	// waveN numbers the waves this pipeline has run — the wave id the blame
-	// profiler and flight recorder stamp on their records.
-	waveN uint64
+	// rec is the wave being stamped, its bounds [0, stamped) set so far.
+	// Only when observed (a blame collector or flight recorder is attached)
+	// is a clock read at all.
+	rec      flight.WaveRecord
+	stamped  int
+	observed bool
 }
 
 // Pipeline builds a batched access pipeline over the cluster.
 func (c *Cluster) Pipeline(opts PipelineOptions) *Pipeline {
 	opts = opts.withDefaults()
 	return &Pipeline{
-		c:    c,
-		opts: opts,
+		c:        c,
+		opts:     opts,
+		observed: c.blame != nil || c.flight != nil,
 		// One slot per member and one more, slot len(members), for the
 		// journal. Three shares are the most a member can have pending: the
 		// launching wave's ACCESS, the retiring wave's APPEND, a re-home.
@@ -242,10 +246,6 @@ type waveState struct {
 	// The wave's shares, bound once when the state is first allocated so a
 	// fan-out allocates nothing.
 	access, appends, journal func(member int)
-
-	waveID    uint64
-	traceEnd  func(map[string]any)
-	traceLane int
 }
 
 // touches reports whether the wave holds an op on addr.
@@ -295,7 +295,6 @@ func (p *Pipeline) releaseWave(w *waveState) {
 	clear(w.res)
 	w.res = w.res[:0]
 	w.jerr = nil
-	w.traceEnd = nil
 	p.wsFree = append(p.wsFree, w)
 }
 
@@ -357,6 +356,44 @@ func resized[T any](s []T, n int) []T {
 	return s
 }
 
+// begin opens the wave record: bound 0 is stamped now.
+func (p *Pipeline) begin() {
+	p.stamped = 0
+	p.stampTo(0)
+}
+
+// mark closes phase ph. Phases skipped since the last mark close at zero
+// length on the same bound, so the phases always tile the wave.
+func (p *Pipeline) mark(ph flight.Phase) { p.stampTo(int(ph) + 1) }
+
+// stampTo stamps every bound not yet stamped up to b with one clock read and
+// the blame collector's idle meter at that reading.
+func (p *Pipeline) stampTo(b int) {
+	if !p.observed || p.stamped > b {
+		return
+	}
+	now := flight.Now()
+	idle := p.c.blame.Idle(now)
+	for ; p.stamped <= b; p.stamped++ {
+		p.rec.Bounds[p.stamped], p.rec.Idle[p.stamped] = now, idle
+	}
+}
+
+// end closes the wave — a phase still open ends now — and hands the one
+// record to both views: the blame collector folds it, the flight recorder
+// keeps it.
+func (p *Pipeline) end(ops int) {
+	if !p.observed {
+		return
+	}
+	p.mark(flight.PhaseCheckpoint)
+	c := p.c
+	p.rec.Index, p.rec.Ops = c.waves, ops
+	c.waves++
+	c.blame.Fold(&p.rec)
+	c.flight.RecordWave(&p.rec)
+}
+
 // snapshotHealth refreshes the coordinator's health snapshot. Called only at
 // quiescent points (no worker task in flight), so the read is race-free and
 // the snapshot is a pure function of the completed exchange history.
@@ -397,13 +434,12 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 	pending, drained := p.pending[:0], false
 	defer func() { p.pending = pending }() // empty on every exit; keeps the capacity
 
-	// abort closes the iteration's blame record and answers every op that
+	// abort closes the iteration's wave record and answers every op that
 	// was never scheduled — pending here or still in the feeder — with err,
 	// preserving the write-ahead contract: nothing is acknowledged that the
 	// journal could not back.
-	var bw *blame.Wave
 	abort := func(err error) {
-		bw.End(0)
+		p.end(0)
 		for {
 			for range pending {
 				deliver(BatchResult{Err: err})
@@ -426,11 +462,11 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 			return
 		}
 
-		// Observability taps: nil-safe no-ops without a blame collector or
-		// flight recorder attached; neither draws randomness nor feeds state
+		// The wave record: no-ops without a blame collector or flight
+		// recorder attached; stamping draws no randomness and feeds nothing
 		// back, so attaching them cannot perturb the wave schedule or the
 		// bitwise-equivalence guarantee.
-		bw = c.blame.BeginWave()
+		p.begin()
 
 		// Crash gate: the cluster died at a planned crash point. Nothing new
 		// is scheduled; the in-flight wave still retires below — its journal
@@ -447,13 +483,12 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 				p.dispatchAccess(w)
 			}
 		}
-		bw.Mark(blame.PhaseSchedule)
+		p.mark(flight.PhaseSchedule)
 
 		if prev != nil {
 			prev.wgB.Wait()
-			bw.Mark(blame.PhaseRetireWait)
+			p.mark(flight.PhaseRetireWait)
 			p.retire(prev, globalLeaves)
-			c.flight.Coordinator().Record(flight.KindPhase, uint64(blame.PhaseFinalize), prev.waveID)
 			// Delivery comes last: a submitter that has its answer may inspect
 			// the cluster, so the wave's coordinator-side writes are done.
 			for _, r := range prev.res {
@@ -463,7 +498,7 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 			prev = nil
 		}
 		// With nothing to retire this closes both retire phases at zero length.
-		bw.Mark(blame.PhaseFinalize)
+		p.mark(flight.PhaseFinalize)
 		if dead {
 			abort(durable.ErrCrashed)
 			return
@@ -472,7 +507,7 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 		launched := 0
 		if w != nil {
 			w.wgA.Wait()
-			bw.Mark(blame.PhaseAccessWait)
+			p.mark(flight.PhaseAccessWait)
 			// Quiescent point: the previous wave is fully retired and this
 			// wave's ACCESS tasks have drained — no worker task is in flight.
 			p.snapshotHealth()
@@ -494,25 +529,24 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 				return
 			}
 			p.commit(w)
-			bw.Mark(blame.PhaseCommit)
+			p.mark(flight.PhaseCommit)
 			p.dispatchAppend(w)
-			c.flight.Coordinator().Record(flight.KindPhase, uint64(blame.PhaseDispatch), w.waveID)
 			launched = len(w.ops)
 			prev = w
-			bw.Mark(blame.PhaseDispatch)
+			p.mark(flight.PhaseDispatch)
 		} else if ckptDue {
 			// Fully drained (prev retired above, nothing launched): safe to
 			// capture. Close the unreached phases at zero length first so the
 			// checkpoint interval carries exactly the checkpoint time.
-			bw.Mark(blame.PhaseDispatch)
+			p.mark(flight.PhaseDispatch)
 			err := c.ForceCheckpoint()
-			bw.Mark(blame.PhaseCheckpoint)
+			p.mark(flight.PhaseCheckpoint)
 			if err != nil {
 				abort(err)
 				return
 			}
 		}
-		bw.End(launched)
+		p.end(launched)
 	}
 }
 
@@ -544,18 +578,24 @@ func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
 // executes and commits the access, journals its record synchronously — the
 // record lands before the broadcast, so a crash at the record leaves no
 // member appended — and broadcasts and retires it. Nothing overlaps the op,
-// and the caller checks the crash gate first.
+// and the caller checks the crash gate first. Its wave record has no wave to
+// retire (zero-length retire.wait and finalize) and no checkpoint; dispatch
+// covers the journal append, the broadcast and the retirement.
 func (p *Pipeline) one(op BatchOp) BatchResult {
 	c := p.c
 	globalLeaves := uint64(1) << (c.levels - 1)
+	p.begin()
 	p.snapshotHealth()
 	w := p.takeWave()
 	po := p.schedule(op, globalLeaves)
 	w.ops = append(w.ops, po)
+	p.mark(flight.PhaseFinalize) // nothing to retire: both close with schedule
 	if !po.skip {
 		p.accessTask(po)
 	}
+	p.mark(flight.PhaseAccessWait)
 	p.commit(w)
+	p.mark(flight.PhaseCommit)
 	w.jerr = c.appendRecords(w.recs)
 	// Emptied so dispatchAppend does not journal the record a second time.
 	clear(w.recs)
@@ -564,6 +604,8 @@ func (p *Pipeline) one(op BatchOp) BatchResult {
 		p.dispatchAppend(w)
 	}
 	p.retire(w, globalLeaves)
+	p.mark(flight.PhaseCheckpoint) // dispatch ends here; no checkpoint runs
+	p.end(1)
 	r := w.res[0]
 	p.releaseWave(w)
 	return r
@@ -591,8 +633,6 @@ func (p *Pipeline) scheduleWave(pending []BatchOp, prev *waveState, globalLeaves
 		p.releaseWave(w)
 		return nil
 	}
-	w.waveID = p.waveN
-	p.waveN++
 	return w
 }
 
@@ -644,17 +684,11 @@ func (p *Pipeline) schedule(op BatchOp, globalLeaves uint64) *pipeOp {
 	return po
 }
 
-// dispatchAccess opens the wave's trace span and hands every SDIMM that owns
-// one of the wave's accesses its share of them: the member walks the wave in
-// logical order and runs its own ops.
+// dispatchAccess hands every SDIMM that owns one of the wave's accesses its
+// share of them: the member walks the wave in logical order and runs its own
+// ops.
 func (p *Pipeline) dispatchAccess(w *waveState) {
 	c := p.c
-	c.flight.Coordinator().Record(flight.KindWave, w.waveID, uint64(len(w.ops)))
-	if tr := c.tm.tracer; tr != nil {
-		w.traceLane = tr.Lane()
-		sp := tr.Begin(w.traceLane, "cluster.wave", "cluster")
-		w.traceEnd = sp.EndArgs
-	}
 	w.owns = resized(w.owns, len(c.members))
 	for _, po := range w.ops {
 		if !po.skip {
@@ -806,14 +840,6 @@ func (p *Pipeline) retire(w *waveState, globalLeaves uint64) {
 		}
 		w.res = append(w.res, p.finalize(po, globalLeaves))
 	}
-	if w.traceEnd != nil {
-		if w.jerr != nil {
-			w.traceEnd(map[string]any{"ops": len(w.ops), "err": true})
-		} else {
-			w.traceEnd(map[string]any{"ops": len(w.ops)})
-		}
-		p.c.tm.tracer.FreeLane(w.traceLane)
-	}
 }
 
 // finalize resolves one access at retirement: lost-append accounting,
@@ -880,9 +906,7 @@ func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64) BatchResult {
 func (p *Pipeline) rehome(po *pipeOp, exclude int, globalLeaves uint64) error {
 	c := p.c
 	c.tm.rehomes.Inc()
-	if tr := c.tm.tracer; tr != nil {
-		tr.Instant(0, "cluster.rehome", "cluster", map[string]any{"addr": po.addr, "exclude": exclude})
-	}
+	c.flight.Coordinator().Record(flight.KindRehome, po.addr, uint64(exclude))
 	var lastErr error
 	for try := 0; try < 8*len(c.members); try++ {
 		g, err := c.pickLeaf(p.healthSnap, globalLeaves)

@@ -171,7 +171,7 @@ func TestPipelineSoakWindowOneMatchesSequential(t *testing.T) {
 			// DrainStep's access on an address of the stream's choosing: a
 			// read-shaped access whose payload is not delivered, counted under
 			// cluster.migrations instead of the workload observers.
-			seqResults[i].Err = cs.tracedAccess(op).Err
+			seqResults[i].Err = cs.access(op).Err
 		case op.Write:
 			seqResults[i].Err = cs.Write(op.Addr, op.Data)
 		default:
