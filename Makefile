@@ -124,7 +124,9 @@ profile-sim:
 # decoders (journal records, checkpoints) must additionally fail closed:
 # anything they accept is chain-authenticated and canonical. Below the
 # checkpoint HMAC, FuzzCheckpointBody runs the one checkpoint field walk on
-# arbitrary bodies: an accepted body re-encodes to itself. The stash's fuzz
+# arbitrary bodies, ring-eviction sections included (their decoder is the
+# same walk, so there is no separate ring-state fuzzer): an accepted body
+# re-encodes to itself. The stash's fuzz
 # leg checks the sorted slice against a plain map. FuzzWritePath compares the
 # engine's greedy writeback, bucket for bucket, with the sorted-copy selection
 # it replaced. FuzzEngineModes runs one tape of reads, writes, keep and
@@ -143,7 +145,6 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzStash -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzWritePath -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzEngineModes -fuzztime=20s ./internal/oram
-	$(GO) test -run=NONE -fuzz=FuzzRingStateDecode -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzMemStoreRestoreRaw -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzWireDecode -fuzztime=20s ./internal/serve
 

@@ -349,7 +349,7 @@ func captureMember(b *isdimm.Buffer, h *fault.Health) durable.MemberState {
 		BufferRNG: b.RandState(),
 		Stash:     b.Engine().StashBlocks(),
 		Transfer:  b.TransferBlocks(),
-		Ring:      b.Engine().RingSnapshot(),
+		Ring:      b.Engine().RingState(),
 	}
 	ms := memStore(b)
 	for _, idx := range ms.BucketIndices() {
@@ -377,7 +377,7 @@ func restoreMember(b *isdimm.Buffer, h *fault.Health, m durable.MemberState) err
 	if err := b.RestoreTransfer(m.Transfer); err != nil {
 		return err
 	}
-	if err := b.Engine().RestoreRingSnapshot(m.Ring); err != nil {
+	if err := b.Engine().RestoreRingState(m.Ring); err != nil {
 		return err
 	}
 	ms := memStore(b)

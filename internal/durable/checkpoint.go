@@ -73,10 +73,10 @@ type MemberState struct {
 	// Detached marks a slot whose member was removed and not yet replaced.
 	// A detached slot holds no blocks and serves no exchanges.
 	Detached bool
-	// Ring is the engine's opaque ring-eviction snapshot (oram.RingSnapshot):
-	// eviction pointer, flush phase, and dead-slot masks. Empty for
-	// path-mode members; the engine validates it on restore.
-	Ring []byte
+	// Ring is the engine's ring-eviction state (eviction pointer, flush
+	// phase, dead-slot masks), nil for a path-mode member. The codec walks
+	// it; the engine validates it on restore.
+	Ring *oram.RingState
 }
 
 // DrainState is one in-progress drain: how many migration steps have
@@ -101,10 +101,13 @@ type Checkpoint struct {
 	Drains    []DrainState // sorted by Member
 }
 
-// codec is a cursor over a checkpoint body that runs in one of two
+// codec is a cursor over persisted bytes that runs in one of two
 // directions: encoding appends each visited field to b, decoding consumes it
 // from the front of b into the field. All integers are big-endian. The first
-// decode error sticks; every later field is then a no-op.
+// error sticks; every later decoded field is then a no-op. Every durable
+// byte is a walk of it: the checkpoint envelope (envelope) and body (walk),
+// a member's ring section (ring), the journal header (header) and each
+// record group (group, of records).
 type codec struct {
 	b   []byte
 	dec bool
@@ -113,7 +116,7 @@ type codec struct {
 
 func (c *codec) fail(why string) {
 	if c.err == nil {
-		c.err = errors.New("durable: corrupt checkpoint: " + why)
+		c.err = errors.New(why)
 	}
 }
 
@@ -150,6 +153,24 @@ func (c *codec) u64(v *uint64) {
 	}
 }
 
+// magic codes a file's fixed identifier: decoding fails unless the next
+// bytes are exactly m.
+func (c *codec) magic(m string) {
+	p := []byte(m)
+	if c.fixed(p); string(p) != m {
+		c.fail("bad magic")
+	}
+}
+
+// u8 codes one byte.
+func (c *codec) u8(v *byte) {
+	if !c.dec {
+		c.b = append(c.b, *v)
+	} else if p := c.take(1); p != nil {
+		*v = p[0]
+	}
+}
+
 // u32 codes an int as a 32-bit field (list counts, byte lengths, health).
 func (c *codec) u32(v *int) {
 	if !c.dec {
@@ -171,14 +192,10 @@ func (c *codec) flag(v *bool) {
 	if *v {
 		b = 1
 	}
-	if !c.dec {
-		c.b = append(c.b, b)
-	} else if p := c.take(1); p != nil {
-		if p[0] > 1 {
-			c.fail("flag byte not 0 or 1")
-		}
-		*v = p[0] == 1
+	if c.u8(&b); b > 1 {
+		c.fail("flag byte not 0 or 1")
 	}
+	*v = b == 1
 }
 
 // bytes codes a u32-length-prefixed byte string. A decoded length must fit
@@ -190,6 +207,19 @@ func (c *codec) bytes(p *[]byte) {
 		c.b = append(c.b, *p...)
 	} else if src := c.take(n); len(src) > 0 {
 		*p = append([]byte(nil), src...)
+	}
+}
+
+// padded codes a payload as exactly n bytes, zero-padded. Encoding fails on
+// a longer payload; decoding takes exactly n bytes and leaves *p a view of
+// them, not a copy.
+func (c *codec) padded(p *[]byte, n int) {
+	if c.dec {
+		*p = c.take(n)
+	} else if len(*p) > n {
+		c.fail(fmt.Sprintf("payload %d bytes exceeds %d", len(*p), n))
+	} else {
+		c.b = append(append(c.b, *p...), make([]byte, n-len(*p))...)
 	}
 }
 
@@ -237,7 +267,7 @@ func (c *codec) walk(cp *Checkpoint) {
 		c.u64(&m.DevRecv)
 		c.u64(&m.Incarnation)
 		c.flag(&m.Detached)
-		c.bytes(&m.Ring)
+		c.ring(&m.Ring)
 	})
 	list(c, &cp.Poisoned, 8, c.u64)
 	c.u64(&cp.MigSeq)
@@ -245,13 +275,54 @@ func (c *codec) walk(cp *Checkpoint) {
 	list(c, &cp.Drains, 16, func(d *DrainState) { c.u64(&d.Member); c.u64(&d.Moved) })
 }
 
-// encodeCheckpoint serializes and authenticates a checkpoint: magic, body
-// length, the walked body, and an HMAC-SHA256 over all of it.
+// ring codes a member's ring-eviction section behind a u32 byte length: 0
+// for nil (a path-mode member), else 16 + 16·n for the counter, the phase,
+// the entry count and n (bucket, mask) entries. The length prefix is what
+// the section carried when it was an opaque byte string, so every file
+// decodes and re-encodes unchanged; a decoder walks the section inside
+// exactly that many bytes and fails on any left over.
+func (c *codec) ring(p **oram.RingState) {
+	n := 0
+	if *p != nil {
+		n = 16 + 16*len((*p).Dead)
+	}
+	c.u32(&n)
+	s := c
+	if c.dec {
+		s = &codec{b: c.take(n), dec: true, err: c.err}
+		if n > 0 {
+			*p = new(oram.RingState)
+		}
+	}
+	if st := *p; st != nil {
+		s.u64(&st.Counter)
+		s.u32(&st.Phase)
+		list(s, &st.Dead, 16, func(d *oram.DeadSlots) { s.u64(&d.Bucket); s.u64(&d.Mask) })
+	}
+	if len(s.b) != 0 && s.dec {
+		s.fail("ring section length does not match its entry count")
+	}
+	c.err = s.err
+}
+
+// envelope codes a checkpoint file's frame ahead of the body: the magic and
+// the body length. The HMAC-SHA256 trailer follows the body.
+func (c *codec) envelope(n *uint64) {
+	c.magic(checkpointMagic)
+	c.u64(n)
+}
+
+// encodeCheckpoint serializes and authenticates a checkpoint: the envelope,
+// the walked body, and an HMAC-SHA256 over all of it. The envelope goes out
+// first with a zero length and is walked again in place once the body's
+// length is known.
 func encodeCheckpoint(key []byte, cp *Checkpoint) []byte {
-	c := codec{b: make([]byte, 16)}
-	copy(c.b, checkpointMagic)
+	var c codec
+	c.envelope(new(uint64))
+	head := len(c.b)
 	c.walk(cp)
-	binary.BigEndian.PutUint64(c.b[8:16], uint64(len(c.b)-16))
+	n := uint64(len(c.b) - head)
+	(&codec{b: c.b[:0]}).envelope(&n)
 	m := hmac.New(sha256.New, key)
 	m.Write(c.b)
 	return m.Sum(c.b)
@@ -264,7 +335,7 @@ func decodeBody(body []byte) (*Checkpoint, error) {
 	cp := &Checkpoint{}
 	c.walk(cp)
 	if c.err != nil {
-		return nil, c.err
+		return nil, fmt.Errorf("durable: corrupt checkpoint: %w", c.err)
 	}
 	if len(c.b) != 0 {
 		return nil, fmt.Errorf("durable: %d trailing bytes after checkpoint body", len(c.b))
@@ -276,21 +347,17 @@ func decodeBody(body []byte) (*Checkpoint, error) {
 // truncation, trailing garbage, or MAC failure rejects the whole file —
 // recovery then falls back to the previous checkpoint.
 func decodeCheckpoint(key, data []byte) (*Checkpoint, error) {
-	if len(data) < 8+8+checkpointMACSize {
-		return nil, errors.New("durable: checkpoint shorter than envelope")
+	c := codec{b: data, dec: true}
+	var n uint64
+	c.envelope(&n)
+	if c.err != nil || n > maxCheckpointBody || uint64(len(c.b)) != n+checkpointMACSize {
+		return nil, errors.New("durable: bad checkpoint magic or length")
 	}
-	if string(data[:8]) != checkpointMagic {
-		return nil, errors.New("durable: bad checkpoint magic")
-	}
-	bodyLen := binary.BigEndian.Uint64(data[8:16])
-	if bodyLen > maxCheckpointBody || uint64(len(data)) != 16+bodyLen+checkpointMACSize {
-		return nil, errors.New("durable: checkpoint length mismatch")
-	}
-	macOff := 16 + bodyLen
+	macOff := len(data) - checkpointMACSize
 	m := hmac.New(sha256.New, key)
 	m.Write(data[:macOff])
 	if !hmac.Equal(m.Sum(nil), data[macOff:]) {
 		return nil, errors.New("durable: checkpoint failed authentication")
 	}
-	return decodeBody(data[16:macOff])
+	return decodeBody(c.b[:n])
 }

@@ -43,6 +43,7 @@ func testCheckpoint(seq uint64) *Checkpoint {
 				HostSend:  4, HostRecv: 4, DevSend: 4, DevRecv: 4,
 				Incarnation: 2,
 				Detached:    true,
+				Ring:        &oram.RingState{Counter: 9, Phase: 1, Dead: []oram.DeadSlots{{Bucket: 3, Mask: 0x06}}},
 			},
 		},
 		Poisoned: []uint64{17},
@@ -76,8 +77,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // TestCheckpointEncodingGolden pins the checkpoint file format byte for
 // byte over a checkpoint that populates every field: two members, one
-// detached with ring bytes and one with every list empty, plus poison and
-// drain entries. A change to the digest is a checkpoint format break.
+// detached with a ring section (counter, flush phase and two dead-slot
+// entries) and one with every list empty, plus poison and drain entries. A
+// change to the digest is a checkpoint format break.
 func TestCheckpointEncodingGolden(t *testing.T) {
 	cp := &Checkpoint{
 		FP:        testFP.Hash(),
@@ -98,7 +100,7 @@ func TestCheckpointEncodingGolden(t *testing.T) {
 				HostSend: 21, HostRecv: 22, DevSend: 23, DevRecv: 24,
 				Incarnation: 3,
 				Detached:    true,
-				Ring:        []byte{0, 0, 0, 4, 0xff, 0x10, 0x20},
+				Ring:        &oram.RingState{Counter: 37, Phase: 3, Dead: []oram.DeadSlots{{Bucket: 5, Mask: 0x0a}, {Bucket: 12, Mask: 0x01}}},
 			},
 			{
 				EngineRNG: [4]uint64{13, 14, 15, 16},
@@ -112,7 +114,7 @@ func TestCheckpointEncodingGolden(t *testing.T) {
 		Drains:   []DrainState{{Member: 0, Moved: 9}, {Member: 1, Moved: 0}},
 	}
 	sum := sha256.Sum256(encodeCheckpoint([]byte("golden-checkpoint-key"), cp))
-	const want = "5706476701ab0111d1ef24d17428f0649cbc3e74bf927a5ce15fb4c70dc71192"
+	const want = "2d7e9ef84a8781321df64b2289d899d4f258172ddad10a40a600c995a052162e"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("checkpoint encoding digest %s, want %s", got, want)
 	}
@@ -122,17 +124,26 @@ func TestCheckpointEncodingGolden(t *testing.T) {
 // reason, each a single edit of a valid one-member body: the layout is the
 // 48-byte head, the positions count at 48, the members count at 52, then
 // the member from 56, whose Detached byte sits at 196 and Ring length at 197.
+// The ring rows edit the same body with a one-entry ring section: its length
+// (32) at 197, counter at 201, phase at 209, entry count at 213.
 func TestCheckpointBodyRejects(t *testing.T) {
-	var c codec
-	c.walk(&Checkpoint{Members: make([]MemberState, 1)})
-	body := c.b
+	encode := func(m MemberState) []byte {
+		var c codec
+		c.walk(&Checkpoint{Members: []MemberState{m}})
+		if _, err := decodeBody(c.b); err != nil {
+			t.Fatalf("valid body rejected: %v", err)
+		}
+		return c.b
+	}
+	body := encode(MemberState{})
 	if len(body) != 225 {
 		t.Fatalf("one-member body is %d bytes, want 225", len(body))
 	}
-	if _, err := decodeBody(body); err != nil {
-		t.Fatalf("valid body rejected: %v", err)
+	ring := encode(MemberState{Ring: &oram.RingState{Counter: 1, Dead: []oram.DeadSlots{{Bucket: 2, Mask: 3}}}})
+	if len(ring) != 225+32 {
+		t.Fatalf("one-member body with a ring entry is %d bytes, want 257", len(ring))
 	}
-	patch := func(off int, v ...byte) []byte {
+	patch := func(body []byte, off int, v ...byte) []byte {
 		b := append([]byte(nil), body...)
 		copy(b[off:], v)
 		return b
@@ -143,10 +154,13 @@ func TestCheckpointBodyRejects(t *testing.T) {
 		want string
 	}{
 		{"truncated", body[:len(body)-1], "truncated body"},
-		{"list count past body", patch(48, 0xff, 0xff, 0xff, 0xff), "list count exceeds body"},
-		{"byte length past body", patch(197, 0, 0, 0, 25), "truncated body"},
-		{"detached flag 2", patch(196, 2), "flag byte not 0 or 1"},
-		{"trailing byte", append(patch(0), 0), "1 trailing bytes"},
+		{"list count past body", patch(body, 48, 0xff, 0xff, 0xff, 0xff), "list count exceeds body"},
+		{"byte length past body", patch(body, 197, 0, 0, 0, 25), "truncated body"},
+		{"detached flag 2", patch(body, 196, 2), "flag byte not 0 or 1"},
+		{"trailing byte", append(patch(body, 0), 0), "1 trailing bytes"},
+		{"ring length not 16+16n", patch(ring, 197, 0, 0, 0, 48), "ring section length does not match its entry count"},
+		{"ring length under 16", patch(ring, 197, 0, 0, 0, 15), "truncated body"},
+		{"ring entry count past body", patch(ring, 213, 0xff, 0xff, 0xff, 0xff), "list count exceeds body"},
 	} {
 		if _, err := decodeBody(tc.body); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: decode error %v, want one naming %q", tc.name, err, tc.want)
@@ -201,9 +215,6 @@ func TestJournalAppendAndRecover(t *testing.T) {
 	}
 	if err := m.Append(recs); err != nil {
 		t.Fatalf("Append: %v", err)
-	}
-	if got := m.LastSeq(); got != 3 {
-		t.Fatalf("LastSeq = %d, want 3", got)
 	}
 
 	m2 := testManager(t, dir)
@@ -360,9 +371,9 @@ func TestPruneKeepsFallback(t *testing.T) {
 			t.Fatalf("WriteCheckpoint %d: %v", seq, err)
 		}
 	}
-	seqs, err := checkpointSeqs(dir)
+	seqs, err := fileSeqs(dir, checkpointName)
 	if err != nil {
-		t.Fatalf("checkpointSeqs: %v", err)
+		t.Fatalf("fileSeqs: %v", err)
 	}
 	if !reflect.DeepEqual(seqs, []uint64{3, 4}) {
 		t.Fatalf("kept checkpoints %v, want [3 4]", seqs)

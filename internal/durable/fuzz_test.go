@@ -3,46 +3,52 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"testing"
-
-	"sdimm/internal/integrity"
 )
 
 // FuzzJournalDecode asserts the journal decoder fails closed on arbitrary
 // bytes: it never panics, and whatever it accepts is a contiguous,
 // chain-authenticated record prefix of whole groups. Seeded with a valid
-// journal mixing a multi-record group (a pipeline wave) and singleton groups
-// (sequential appends) so mutations explore the interesting paths.
+// journal, written by a Manager through the header and group walks, mixing
+// a multi-record group (a pipeline wave) and singleton groups (sequential
+// appends) so mutations explore the interesting paths.
 func FuzzJournalDecode(f *testing.F) {
 	key := []byte("fuzz-journal-key")
-	fp := testFP.Hash()
-	hdr, mac := encodeJournalHeader(key, fp, 7, 16)
-	file := append([]byte(nil), hdr...)
-	chain := integrity.NewChain(key, mac)
-	writeGroup := func(recs ...Record) {
-		group := make([]byte, groupCountSize)
-		binary.BigEndian.PutUint32(group, uint32(len(recs)))
-		for i, rec := range recs {
-			var err error
-			if group, err = appendRecord(group, rec, 16); err != nil {
-				f.Fatalf("encode seed record %d: %v", i, err)
-			}
-		}
-		file = append(file, chain.AppendNext(group, group)...)
+	dir := f.TempDir()
+	m, err := Open(dir, key, testFP, 16, false)
+	if err != nil {
+		f.Fatal(err)
 	}
-	writeGroup(
-		Record{Seq: 8, Addr: 3, Kind: KindWrite, Data: bytes.Repeat([]byte{0x5a}, 16)},
-		Record{Seq: 9, Addr: 4},
-		Record{Seq: 10, Addr: 1, Kind: KindDrainBegin},
-	)
-	writeGroup(Record{Seq: 11, Addr: 6, Kind: KindMigrate})
-	writeGroup(
-		Record{Seq: 12, Addr: 1, Kind: KindDrainEnd},
-		Record{Seq: 13, Addr: 1, Kind: KindJoin},
-	)
+	if err := m.WriteCheckpoint(testCheckpoint(7)); err != nil {
+		f.Fatal(err)
+	}
+	path := journalPath(dir, 7)
+	empty, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, group := range [][]Record{
+		{
+			{Seq: 8, Addr: 3, Kind: KindWrite, Data: bytes.Repeat([]byte{0x5a}, 16)},
+			{Seq: 9, Addr: 4},
+			{Seq: 10, Addr: 1, Kind: KindDrainBegin},
+		},
+		{{Seq: 11, Addr: 6, Kind: KindMigrate}},
+		{{Seq: 12, Addr: 1, Kind: KindDrainEnd}, {Seq: 13, Addr: 1, Kind: KindJoin}},
+	} {
+		if err := m.Append(group); err != nil {
+			f.Fatalf("append seed group: %v", err)
+		}
+	}
+	m.Close()
+	file, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(file)
-	f.Add(file[:len(file)-5])       // torn tail
-	f.Add(file[:journalHeaderSize]) // empty journal
+	f.Add(file[:len(file)-5]) // torn tail
+	f.Add(empty)              // empty journal
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -99,10 +105,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 
 // FuzzCheckpointBody runs the checkpoint field walk on arbitrary bytes,
 // below the HMAC that stops every FuzzCheckpointDecode mutation at the
-// envelope, so the count guard, the byte-length guard, the flag check and
-// the trailing-byte check all see hostile input. The walk must not panic or
-// let a corrupt count drive allocation, and any body it accepts (accepted
-// means consumed exactly) must re-encode to the same bytes.
+// envelope, so the count guard, the byte-length guard, the flag check, the
+// ring section's length check and the trailing-byte check all see hostile
+// input (the seed's member carries a ring section). The walk must not panic
+// or let a corrupt count drive allocation, and any body it accepts (accepted
+// means consumed exactly) must re-encode to the same bytes: the canonical-
+// encoding property of the ring section included.
 func FuzzCheckpointBody(f *testing.F) {
 	var c codec
 	c.walk(testCheckpoint(3))

@@ -10,12 +10,14 @@
 // for checkpoints, a hash chain over record groups for the journal),
 // truncation and bit flips are detected rather than consumed, and a torn
 // journal tail yields the valid prefix — never a partial record or group.
+// One codec states every persisted byte: the checkpoint body and its ring
+// sections, the journal header, and each record group are walks of it, run
+// appending to write and consuming to read.
 package durable
 
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -26,10 +28,6 @@ import (
 // chain-tagged record groups — one tag per appended batch, amortizing the
 // HMAC extension over a pipeline wave instead of paying it per record).
 const journalMagic = "SDIMMWL2"
-
-// journalHeaderSize is magic(8) + fingerprint(8) + baseSeq(8) +
-// blockSize(4) + headerMAC(ChainTagSize).
-const journalHeaderSize = 8 + 8 + 8 + 4 + integrity.ChainTagSize
 
 // maxJournalBlockSize bounds the per-record payload a decoder will believe,
 // so a corrupted header cannot drive allocation (fuzzing hits this).
@@ -73,69 +71,53 @@ type Record struct {
 	Data []byte
 }
 
-// journalHeader is the decoded fixed prefix of a journal file.
+// journalHeader is the fixed prefix of a journal file, before its tag.
 type journalHeader struct {
 	FP        [8]byte
 	BaseSeq   uint64
-	BlockSize uint32
+	BlockSize int
 }
 
-// groupCountSize is the fixed prefix of a record group: a big-endian u32
-// count of the record bodies that follow, sealed together under one chain
-// tag. A group is the journal's atomic append unit (one per Manager.Append
-// call — a pipeline wave, or a singleton for the sequential path), but NOT
-// its durability unit: the writer never starts a group it does not finish,
-// so a torn tail still yields every previously sealed group intact.
-const groupCountSize = 4
-
-// recordBodySize returns the encoded size of one record body (seq + addr +
-// kind + zero-padded payload) for a payload size. Bodies inside a group are
-// not individually tagged — the group's single chain tag covers the count
-// and every body.
-func recordBodySize(blockSize int) int {
-	return 8 + 8 + 1 + blockSize
+// header codes the journal header's fields in file order: magic,
+// fingerprint, base seq, and the block size every record pads its payload to.
+func (c *codec) header(h *journalHeader) {
+	c.magic(journalMagic)
+	c.fixed(h.FP[:])
+	c.u64(&h.BaseSeq)
+	c.u32(&h.BlockSize)
 }
 
-// encodeJournalHeader serializes and MACs the header. The returned mac (the
-// trailing ChainTagSize bytes) seeds the record hash chain, binding every
-// record to this specific file.
-func encodeJournalHeader(key []byte, fp [8]byte, baseSeq uint64, blockSize int) (hdr, mac []byte) {
-	hdr = make([]byte, journalHeaderSize)
-	copy(hdr[:8], journalMagic)
-	copy(hdr[8:16], fp[:])
-	binary.BigEndian.PutUint64(hdr[16:24], baseSeq)
-	binary.BigEndian.PutUint32(hdr[24:28], uint32(blockSize))
+// headerTag is the HMAC of the walked header fields, cut to a chain tag: it
+// follows them on disk and seeds the record chain, binding it to the file.
+func headerTag(key, fields []byte) []byte {
 	m := hmac.New(sha256.New, key)
-	m.Write(hdr[:28])
-	mac = m.Sum(nil)[:integrity.ChainTagSize]
-	copy(hdr[28:], mac)
-	return hdr, mac
+	m.Write(fields)
+	return m.Sum(nil)[:integrity.ChainTagSize]
 }
 
-// appendRecord appends one record body (without its chain tag) to dst and
-// returns the extended slice. The payload region is exactly blockSize bytes,
-// zero-padded.
-func appendRecord(dst []byte, rec Record, blockSize int) ([]byte, error) {
-	if len(rec.Data) > blockSize {
-		return nil, fmt.Errorf("durable: record %d payload %d exceeds block size %d", rec.Seq, len(rec.Data), blockSize)
-	}
-	base := len(dst)
-	n := 8 + 8 + 1 + blockSize
-	if cap(dst)-base >= n {
-		dst = dst[:base+n]
-		clear(dst[base:])
-	} else {
-		dst = append(dst, make([]byte, n)...)
-	}
-	if rec.Kind >= kindCount {
-		return nil, fmt.Errorf("durable: record %d has unknown kind %d", rec.Seq, rec.Kind)
-	}
-	body := dst[base:]
-	binary.BigEndian.PutUint64(body[0:8], rec.Seq)
-	binary.BigEndian.PutUint64(body[8:16], rec.Addr)
-	body[16] = byte(rec.Kind)
-	copy(body[17:], rec.Data)
-	return dst, nil
+// recordSize is the encoded size of one record for a block size: seq, addr,
+// kind, and the payload zero-padded to the block size.
+func recordSize(blockSize int) int { return 8 + 8 + 1 + blockSize }
+
+// record codes one record's fields in file order. Decoding leaves Data a
+// view of the padded payload bytes, not a copy.
+func (c *codec) record(r *Record, blockSize int) {
+	c.u64(&r.Seq)
+	c.u64(&r.Addr)
+	c.u8((*byte)(&r.Kind))
+	c.padded(&r.Data, blockSize)
+}
+
+// group codes one record group in file order: a u32 count, then each
+// record. A group is the journal's atomic append unit (one per
+// Manager.Append call — a pipeline wave, or a singleton for the sequential
+// path), sealed as a whole under one chain tag, but NOT its durability
+// unit: the writer never starts a group it does not finish, so a torn tail
+// still yields every previously sealed group intact. decodeJournal reads the
+// count first, to check the tag before any record, then walks the records
+// itself.
+func (c *codec) group(recs *[]Record, blockSize int) {
+	list(c, recs, recordSize(blockSize), func(r *Record) { c.record(r, blockSize) })
 }
 
 // decodeJournal parses a journal file. It returns the header, the longest
@@ -144,73 +126,58 @@ func appendRecord(dst []byte, rec Record, blockSize int) ([]byte, error) {
 // corruption is an error: with an unauthenticated header nothing after it
 // can be trusted, so the whole file is rejected.
 func decodeJournal(key, data []byte) (hdr journalHeader, recs []Record, torn bool, err error) {
-	if len(data) < journalHeaderSize {
-		return hdr, nil, false, errors.New("durable: journal shorter than header")
+	c := codec{b: data, dec: true}
+	c.header(&hdr)
+	fields := data[:len(data)-len(c.b)]
+	tag := c.take(integrity.ChainTagSize)
+	if c.err != nil {
+		return hdr, nil, false, fmt.Errorf("durable: corrupt journal header: %w", c.err)
 	}
-	if string(data[:8]) != journalMagic {
-		return hdr, nil, false, errors.New("durable: bad journal magic")
-	}
-	m := hmac.New(sha256.New, key)
-	m.Write(data[:28])
-	headerMAC := m.Sum(nil)[:integrity.ChainTagSize]
-	if !hmac.Equal(headerMAC, data[28:journalHeaderSize]) {
+	want := headerTag(key, fields)
+	if !hmac.Equal(want, tag) {
 		return hdr, nil, false, errors.New("durable: journal header failed authentication")
 	}
-	copy(hdr.FP[:], data[8:16])
-	hdr.BaseSeq = binary.BigEndian.Uint64(data[16:24])
-	hdr.BlockSize = binary.BigEndian.Uint32(data[24:28])
 	if hdr.BlockSize == 0 || hdr.BlockSize > maxJournalBlockSize {
 		return hdr, nil, false, fmt.Errorf("durable: journal block size %d out of range", hdr.BlockSize)
 	}
 
-	chain := integrity.NewChain(key, headerMAC)
-	bodySize := recordBodySize(int(hdr.BlockSize))
-	rest := data[journalHeaderSize:]
-	for len(rest) > 0 {
-		if len(rest) < groupCountSize {
+	chain := integrity.NewChain(key, want)
+	size := recordSize(hdr.BlockSize)
+	for len(c.b) > 0 {
+		// The count alone sizes the group, so its tag is checked before any
+		// record is parsed. A group the remaining bytes cannot hold (bounds in
+		// uint64, so a hostile count cannot overflow) is torn: unfinished,
+		// and by construction holding nothing durable.
+		g := c
+		var count int
+		g.u32(&count)
+		end := 4 + uint64(count)*uint64(size)
+		if g.err != nil || count == 0 || uint64(len(c.b)) < end+integrity.ChainTagSize {
 			return hdr, recs, true, nil
 		}
-		count := binary.BigEndian.Uint32(rest[:groupCountSize])
-		// Bounds in uint64 so a hostile count cannot overflow the length
-		// arithmetic: anything the remaining bytes cannot hold is a torn
-		// (unfinished) group, which by construction holds nothing durable.
-		need := uint64(groupCountSize) + uint64(count)*uint64(bodySize) + integrity.ChainTagSize
-		if count == 0 || uint64(len(rest)) < need {
-			return hdr, recs, true, nil
-		}
-		msgLen := groupCountSize + int(count)*bodySize
-		msg := rest[:msgLen]
-		tag := rest[msgLen : msgLen+integrity.ChainTagSize]
 		// On mismatch the chain has advanced past a group we discard, but
 		// decoding stops here so the stale chain state is never reused.
-		want := chain.Next(msg)
-		if !hmac.Equal(want, tag) {
+		msg, tag := c.take(int(end)), c.take(integrity.ChainTagSize)
+		if !hmac.Equal(chain.Next(msg), tag) {
 			return hdr, recs, true, nil
 		}
-		for i := 0; i < int(count); i++ {
-			body := msg[groupCountSize+i*bodySize:][:bodySize]
-			rec := Record{
-				Seq:  binary.BigEndian.Uint64(body[0:8]),
-				Addr: binary.BigEndian.Uint64(body[8:16]),
-				Kind: RecordKind(body[16]),
-			}
-			if rec.Kind >= kindCount {
-				// An authenticated record with an unknown kind can only come
-				// from a broken (e.g. newer-versioned) writer; stop trusting
-				// the tail rather than misreplaying it.
-				return hdr, recs, true, nil
-			}
-			if rec.Seq != hdr.BaseSeq+1+uint64(len(recs)) {
-				// A record authenticated under this chain can only be out of
-				// sequence if the writer was broken; stop trusting the tail.
+		g.b = msg[4:]
+		for range count {
+			var rec Record
+			g.record(&rec, hdr.BlockSize)
+			if rec.Kind >= kindCount || rec.Seq != hdr.BaseSeq+1+uint64(len(recs)) {
+				// An authenticated record with an unknown kind, or out of
+				// sequence, can only come from a broken (e.g. newer-versioned)
+				// writer; stop trusting the tail rather than misreplaying it.
 				return hdr, recs, true, nil
 			}
 			if rec.Kind == KindWrite {
-				rec.Data = append([]byte(nil), body[17:]...)
+				rec.Data = append([]byte(nil), rec.Data...)
+			} else {
+				rec.Data = nil
 			}
 			recs = append(recs, rec)
 		}
-		rest = rest[msgLen+integrity.ChainTagSize:]
 	}
 	return hdr, recs, false, nil
 }

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -99,17 +98,20 @@ func Open(dir string, key []byte, fp Fingerprint, blockSize int, fsync bool) (*M
 	}, nil
 }
 
+// The state directory's file names, each by its base sequence number.
+const checkpointName, journalName = "checkpoint-%016x.ckpt", "journal-%016x.wal"
+
 func checkpointPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.ckpt", seq))
+	return filepath.Join(dir, fmt.Sprintf(checkpointName, seq))
 }
 
 func journalPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("journal-%016x.wal", seq))
+	return filepath.Join(dir, fmt.Sprintf(journalName, seq))
 }
 
-// checkpointSeqs lists the base sequence numbers of all checkpoint files in
-// dir, ascending.
-func checkpointSeqs(dir string) ([]uint64, error) {
+// fileSeqs lists the sequence numbers of the files in dir named by name
+// (checkpointName or journalName), ascending.
+func fileSeqs(dir, name string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -117,7 +119,7 @@ func checkpointSeqs(dir string) ([]uint64, error) {
 	var seqs []uint64
 	for _, e := range ents {
 		var seq uint64
-		if n, _ := fmt.Sscanf(e.Name(), "checkpoint-%016x.ckpt", &seq); n == 1 {
+		if n, _ := fmt.Sscanf(e.Name(), name, &seq); n == 1 {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -130,15 +132,8 @@ func checkpointSeqs(dir string) ([]uint64, error) {
 func (m *Manager) HasState() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	seqs, err := checkpointSeqs(m.dir)
+	seqs, err := fileSeqs(m.dir, checkpointName)
 	return err == nil && len(seqs) > 0
-}
-
-// LastSeq returns the sequence number of the last committed record.
-func (m *Manager) LastSeq() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.nextSeq - 1
 }
 
 // WriteCheckpoint atomically persists cp, rotates the journal to a fresh
@@ -170,8 +165,10 @@ func (m *Manager) WriteCheckpoint(cp *Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("durable: open journal: %w", err)
 	}
-	hdr, mac := encodeJournalHeader(m.key, m.fp, cp.Seq, m.blockSize)
-	if _, err := jf.Write(hdr); err != nil {
+	var h codec
+	h.header(&journalHeader{FP: m.fp, BaseSeq: cp.Seq, BlockSize: m.blockSize})
+	mac := headerTag(m.key, h.b)
+	if _, err := jf.Write(append(h.b, mac...)); err != nil {
 		jf.Close()
 		return fmt.Errorf("durable: write journal header: %w", err)
 	}
@@ -200,7 +197,7 @@ func (m *Manager) WriteCheckpoint(cp *Checkpoint) error {
 // checkpoints (the newest plus one fallback), and journals older than the
 // fallback checkpoint's base.
 func (m *Manager) prune(newest uint64) {
-	seqs, err := checkpointSeqs(m.dir)
+	seqs, err := fileSeqs(m.dir, checkpointName)
 	if err != nil {
 		return
 	}
@@ -213,14 +210,10 @@ func (m *Manager) prune(newest uint64) {
 			os.Remove(checkpointPath(m.dir, s))
 		}
 	}
-	ents, err := os.ReadDir(m.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		var seq uint64
-		if n, _ := fmt.Sscanf(e.Name(), "journal-%016x.wal", &seq); n == 1 && seq < keepFrom {
-			os.Remove(filepath.Join(m.dir, e.Name()))
+	journals, _ := fileSeqs(m.dir, journalName)
+	for _, s := range journals {
+		if s < keepFrom {
+			os.Remove(journalPath(m.dir, s))
 		}
 	}
 }
@@ -258,12 +251,13 @@ func syncDir(dir string) error {
 // Append commits a batch of records to the journal as one chained group
 // (one group per pipeline wave; a singleton group per sequential access), so
 // the HMAC chain extension is paid once per batch rather than once per
-// record. Records must continue the committed sequence exactly. When a
-// planned crash point falls inside the batch, the records before it are
-// sealed as their own group (they were "written" before the crash), the
-// group holding the crash record is torn mid-group, the manager dies, and
-// ErrCrashed is returned — records before the tear are durable and
-// recoverable, the torn group is not.
+// record. Records must continue the committed sequence exactly, carry a
+// known kind and fit the block size; a batch that does not is rejected
+// before anything is written. When a planned crash point falls inside the
+// batch, the records before it are sealed as their own group (they were
+// "written" before the crash), the group holding the crash record is torn
+// mid-group, the manager dies, and ErrCrashed is returned — records before
+// the tear are durable and recoverable, the torn group is not.
 func (m *Manager) Append(recs []Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -277,30 +271,25 @@ func (m *Manager) Append(recs []Record) error {
 		return nil
 	}
 	for i, rec := range recs {
-		if rec.Seq != m.nextSeq+uint64(i) {
-			return fmt.Errorf("durable: append seq %d, want %d", rec.Seq, m.nextSeq+uint64(i))
+		if want := m.nextSeq + uint64(i); rec.Seq != want || rec.Kind >= kindCount || len(rec.Data) > m.blockSize {
+			return fmt.Errorf("durable: append seq %d kind %d with %d payload bytes, want seq %d, a known kind and at most %d bytes",
+				rec.Seq, rec.Kind, len(rec.Data), want, m.blockSize)
 		}
 	}
 	if m.crashAfter >= 0 && m.crashAfter < len(recs) {
 		// The crash point falls inside this batch: seal the records before it
 		// as a complete (durable) group, then tear the group carrying the
-		// crash record and die.
+		// crash record and die. The records were checked above, so the torn
+		// write's own error is all writeGroup can report, and the crash
+		// supersedes it.
 		k := m.crashAfter
 		if k > 0 {
-			if err := m.writeGroup(recs[:k]); err != nil {
+			if err := m.writeGroup(recs[:k], -1); err != nil {
 				return err
 			}
 			m.nextSeq += uint64(k)
 		}
-		full, err := m.encodeGroup(recs[k:])
-		if err != nil {
-			return err
-		}
-		tear := m.tearBytes
-		if tear > len(full) {
-			tear = len(full)
-		}
-		m.jf.Write(full[:tear])
+		m.writeGroup(recs[k:], m.tearBytes)
 		m.jf.Close()
 		m.jf = nil
 		m.crashed = true
@@ -309,7 +298,7 @@ func (m *Manager) Append(recs []Record) error {
 	if m.crashAfter > 0 {
 		m.crashAfter -= len(recs)
 	}
-	if err := m.writeGroup(recs); err != nil {
+	if err := m.writeGroup(recs, -1); err != nil {
 		return err
 	}
 	m.nextSeq += uint64(len(recs))
@@ -321,31 +310,18 @@ func (m *Manager) Append(recs []Record) error {
 	return nil
 }
 
-// encodeGroup serializes recs as one wire group — count prefix, record
-// bodies, one chain tag over all of it — reusing the manager's scratch
-// buffer. Calling it advances the chain, so the group must then be written
-// (or deliberately torn).
-func (m *Manager) encodeGroup(recs []Record) ([]byte, error) {
-	buf := append(m.recBuf[:0], 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(recs)))
-	var err error
-	for _, rec := range recs {
-		if buf, err = appendRecord(buf, rec, m.blockSize); err != nil {
-			return nil, err
-		}
+// writeGroup walks recs into one wire group plus its chain tag, in the
+// manager's reused scratch, and writes it whole, or only its first tear
+// bytes when tear >= 0. It advances the chain either way.
+func (m *Manager) writeGroup(recs []Record, tear int) error {
+	c := codec{b: m.recBuf[:0]}
+	if c.group(&recs, m.blockSize); c.err != nil {
+		return fmt.Errorf("durable: records %d..%d: %w", recs[0].Seq, recs[len(recs)-1].Seq, c.err)
 	}
-	// The chain tag extends the group in place: full is the exact wire
-	// group, and the scratch is kept for the next append.
-	full := m.chain.AppendNext(buf, buf)
-	m.recBuf = full
-	return full, nil
-}
-
-// writeGroup encodes and writes one complete group.
-func (m *Manager) writeGroup(recs []Record) error {
-	full, err := m.encodeGroup(recs)
-	if err != nil {
-		return err
+	m.recBuf = m.chain.AppendNext(c.b, c.b)
+	full := m.recBuf
+	if tear >= 0 {
+		full = full[:min(tear, len(full))]
 	}
 	if _, err := m.jf.Write(full); err != nil {
 		return fmt.Errorf("durable: append records %d..%d: %w", recs[0].Seq, recs[len(recs)-1].Seq, err)
@@ -359,14 +335,8 @@ func (m *Manager) writeGroup(recs []Record) error {
 func (m *Manager) PlanCrash(afterRecords, tearBytes int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if afterRecords < 0 {
-		afterRecords = 0
-	}
-	if tearBytes < 0 {
-		tearBytes = 0
-	}
-	m.crashAfter = afterRecords
-	m.tearBytes = tearBytes
+	m.crashAfter = max(afterRecords, 0)
+	m.tearBytes = max(tearBytes, 0)
 }
 
 // Crashed reports whether a planned crash point has fired.
@@ -385,7 +355,7 @@ func (m *Manager) Crashed() bool {
 func (m *Manager) Recover() (*Checkpoint, []Record, *RecoveryReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	seqs, err := checkpointSeqs(m.dir)
+	seqs, err := fileSeqs(m.dir, checkpointName)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("durable: list checkpoints: %w", err)
 	}
@@ -428,7 +398,7 @@ func (m *Manager) Recover() (*Checkpoint, []Record, *RecoveryReport, error) {
 			// An unreadable journal loses nothing that was acknowledged
 			// with fsync off; fail closed to the checkpoint alone.
 			report.TornTail = true
-		} else if hdr.FP != m.fp || hdr.BaseSeq != cp.Seq || int(hdr.BlockSize) != m.blockSize {
+		} else if hdr.FP != m.fp || hdr.BaseSeq != cp.Seq || hdr.BlockSize != m.blockSize {
 			return nil, nil, nil, errors.New("durable: journal does not continue the recovered checkpoint")
 		} else {
 			recs = jrecs

@@ -1,7 +1,6 @@
 package oram
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -24,6 +23,10 @@ import (
 // stash blocks back into fresh buckets and clears their dead-slot masks.
 // readPath and the recovery scrub both consult ringInvalid so stale slots
 // are never resurrected.
+//
+// A durable checkpoint carries this state as a RingState value; its bytes
+// are stated by the checkpoint codec in internal/durable, so the only byte
+// format oram owns is the sealed bucket's.
 
 // Ring reports whether the engine runs in ring-eviction mode.
 func (e *Engine) Ring() bool { return e.ringA > 0 }
@@ -45,120 +48,63 @@ func reverseBits(x uint64, bits int) uint64 {
 	return r
 }
 
-// Ring-state snapshot wire format (durable checkpoints):
-//
-//	u64 ringCounter | u32 ringSince | u32 n | n × (u64 bucket, u64 mask)
-//
-// with buckets strictly increasing and every mask nonzero. The decoder is
-// total — hostile input fails closed with an error, never a panic — and
-// RestoreRingSnapshot additionally validates the decoded state against the
-// engine's geometry and bucket shape.
-
-const ringStateHeader = 8 + 4 + 4
-const ringStateEntry = 8 + 8
-
-// ringState is the decoded durable ring-eviction state.
-type ringState struct {
-	counter uint64
-	since   uint32
-	buckets []uint64
-	masks   []uint64
+// RingState is the engine's ring-eviction state as a value: the eviction
+// pointer's position, the flush phase (accesses since the last scheduled
+// flush), and the dead-slot masks in bucket order. A durable checkpoint
+// carries it per member; the checkpoint codec states its bytes.
+type RingState struct {
+	Counter uint64
+	Phase   int
+	Dead    []DeadSlots // strictly increasing Bucket, nonzero Mask
 }
 
-// RingSnapshot serializes the engine's ring-eviction state for a durable
-// checkpoint (nil in path mode). The dead-slot map is emitted in bucket
-// order, so the snapshot is byte-stable.
-func (e *Engine) RingSnapshot() []byte {
+// DeadSlots is one bucket's dead-slot mask (see RingInvalidSlots).
+type DeadSlots struct{ Bucket, Mask uint64 }
+
+// RingState returns the engine's ring-eviction state (nil in path mode).
+func (e *Engine) RingState() *RingState {
 	if e.ringA == 0 {
 		return nil
 	}
-	idxs := make([]uint64, 0, len(e.ringInvalid))
-	for idx, mask := range e.ringInvalid {
-		if mask != 0 {
-			idxs = append(idxs, idx)
-		}
+	st := &RingState{Counter: e.ringCounter, Phase: int(e.ringSince)}
+	for idx, mask := range e.ringInvalid { // every stored mask is nonzero
+		st.Dead = append(st.Dead, DeadSlots{idx, mask})
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	out := make([]byte, ringStateHeader+len(idxs)*ringStateEntry)
-	binary.BigEndian.PutUint64(out[0:], e.ringCounter)
-	binary.BigEndian.PutUint32(out[8:], e.ringSince)
-	binary.BigEndian.PutUint32(out[12:], uint32(len(idxs)))
-	off := ringStateHeader
-	for _, idx := range idxs {
-		binary.BigEndian.PutUint64(out[off:], idx)
-		binary.BigEndian.PutUint64(out[off+8:], e.ringInvalid[idx])
-		off += ringStateEntry
-	}
-	return out
+	sort.Slice(st.Dead, func(i, j int) bool { return st.Dead[i].Bucket < st.Dead[j].Bucket })
+	return st
 }
 
-// decodeRingState parses a RingSnapshot payload. It accepts exactly the
-// canonical encoding: the declared entry count must match the remaining
-// length, buckets must be strictly increasing, and masks must be nonzero.
-func decodeRingState(raw []byte) (ringState, error) {
-	var st ringState
-	if len(raw) < ringStateHeader {
-		return st, fmt.Errorf("oram: ring state %d bytes, want >= %d", len(raw), ringStateHeader)
+// RestoreRingState replaces the engine's ring-eviction state with st (nil
+// for a path-mode engine). It fails closed: a state for the other mode, a
+// phase at or past the flush interval, or a dead-slot list that leaves the
+// geometry or bucket shape or is not in canonical form (strictly increasing
+// buckets, nonzero masks) leaves the current state untouched.
+func (e *Engine) RestoreRingState(st *RingState) error {
+	switch {
+	case st == nil && e.ringA == 0:
+		return nil
+	case st == nil:
+		return fmt.Errorf("oram: ring-mode engine restored without ring state")
+	case e.ringA == 0:
+		return fmt.Errorf("oram: ring state restored into a path-mode engine")
+	case st.Phase < 0 || st.Phase >= e.ringA:
+		return fmt.Errorf("oram: ring state phase %d outside flush interval %d", st.Phase, e.ringA)
 	}
-	st.counter = binary.BigEndian.Uint64(raw[0:])
-	st.since = binary.BigEndian.Uint32(raw[8:])
-	n := binary.BigEndian.Uint32(raw[12:])
-	body := raw[ringStateHeader:]
-	if uint64(len(body)) != uint64(n)*ringStateEntry {
-		return st, fmt.Errorf("oram: ring state body %d bytes, want %d entries", len(body), n)
-	}
-	st.buckets = make([]uint64, n)
-	st.masks = make([]uint64, n)
-	var prev uint64
-	for i := uint32(0); i < n; i++ {
-		off := int(i) * ringStateEntry
-		idx := binary.BigEndian.Uint64(body[off:])
-		mask := binary.BigEndian.Uint64(body[off+8:])
-		if i > 0 && idx <= prev {
-			return st, fmt.Errorf("oram: ring state buckets not strictly increasing at entry %d", i)
-		}
-		if mask == 0 {
-			return st, fmt.Errorf("oram: ring state entry %d has empty mask", i)
-		}
-		st.buckets[i] = idx
-		st.masks[i] = mask
-		prev = idx
-	}
-	return st, nil
-}
-
-// RestoreRingSnapshot loads a RingSnapshot payload into the engine,
-// replacing the current ring-eviction state. It fails closed: a snapshot
-// that does not decode canonically, or whose contents exceed the engine's
-// geometry or bucket shape, leaves the current state untouched.
-func (e *Engine) RestoreRingSnapshot(raw []byte) error {
-	if e.ringA == 0 {
-		if len(raw) == 0 {
-			return nil
-		}
-		return fmt.Errorf("oram: ring snapshot restored into a path-mode engine")
-	}
-	st, err := decodeRingState(raw)
-	if err != nil {
-		return err
-	}
-	if st.since >= uint32(e.ringA) {
-		return fmt.Errorf("oram: ring state since=%d exceeds flush interval %d", st.since, e.ringA)
-	}
-	z := e.store.Z()
-	for i, idx := range st.buckets {
-		if idx >= e.geom.Buckets() {
-			return fmt.Errorf("oram: ring state bucket %d out of range", idx)
-		}
-		if st.masks[i]>>uint(z) != 0 {
-			return fmt.Errorf("oram: ring state mask %#x exceeds Z=%d slots", st.masks[i], z)
+	for i, d := range st.Dead {
+		switch {
+		case d.Bucket >= e.geom.Buckets():
+			return fmt.Errorf("oram: ring state bucket %d out of range", d.Bucket)
+		case d.Mask == 0 || d.Mask>>uint(e.store.Z()) != 0:
+			return fmt.Errorf("oram: ring state mask %#x empty or beyond Z=%d slots", d.Mask, e.store.Z())
+		case i > 0 && d.Bucket <= st.Dead[i-1].Bucket:
+			return fmt.Errorf("oram: ring state buckets not strictly increasing at entry %d", i)
 		}
 	}
-	e.ringCounter = st.counter
-	e.ringSince = st.since
+	e.ringCounter = st.Counter
+	e.ringSince = uint32(st.Phase)
 	clear(e.ringInvalid)
-	for i, idx := range st.buckets {
-		e.ringInvalid[idx] = st.masks[i]
+	for _, d := range st.Dead {
+		e.ringInvalid[d.Bucket] = d.Mask
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package oram
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"sdimm/internal/rng"
@@ -245,9 +246,9 @@ func TestRingFlushOrderCoversAllLeaves(t *testing.T) {
 	}
 }
 
-// TestRingSnapshotRoundTrip: snapshot + restore reproduces the engine
+// TestRingStateRoundTrip: capture + restore reproduces the engine
 // bit-for-bit — the continuation of a restored clone matches the original.
-func TestRingSnapshotRoundTrip(t *testing.T) {
+func TestRingStateRoundTrip(t *testing.T) {
 	a, as := newRingEngine(t, 7, 3)
 	data := make([]byte, 64)
 	for i := 0; i < 123; i++ {
@@ -279,12 +280,15 @@ func TestRingSnapshotRoundTrip(t *testing.T) {
 	if err := b.RestoreStash(a.StashBlocks()); err != nil {
 		t.Fatal(err)
 	}
-	snap := a.RingSnapshot()
-	if err := b.RestoreRingSnapshot(snap); err != nil {
+	st := a.RingState()
+	if len(st.Dead) == 0 {
+		t.Fatal("workload left no dead slots to round-trip")
+	}
+	if err := b.RestoreRingState(st); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(snap, b.RingSnapshot()) {
-		t.Fatal("restored ring snapshot differs from captured one")
+	if !reflect.DeepEqual(st, b.RingState()) {
+		t.Fatal("restored ring state differs from captured one")
 	}
 	for i := 0; i < 30; i++ {
 		leaf, ok := a.PositionOf(uint64(i))
@@ -303,117 +307,57 @@ func TestRingSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("addr %d: clone read diverged", i)
 		}
 	}
-	if !bytes.Equal(a.RingSnapshot(), b.RingSnapshot()) {
+	if !reflect.DeepEqual(a.RingState(), b.RingState()) {
 		t.Fatal("ring state diverged after identical continuations")
 	}
 }
 
-func TestRestoreRingSnapshotFailsClosed(t *testing.T) {
+// TestRestoreRingStateFailsClosed: every invalid state is rejected and
+// leaves the engine's state as it was.
+func TestRestoreRingStateFailsClosed(t *testing.T) {
 	e, _ := newRingEngine(t, 6, 4)
 	data := make([]byte, 64)
-	for i := 0; i < 20; i++ {
-		if _, _, err := e.Access(uint64(i), OpWrite, data); err != nil {
+	for i := 0; i < 40; i++ {
+		if _, _, err := e.Access(uint64(i%20), OpWrite, data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	good := e.RingSnapshot()
-	bad := [][]byte{
-		good[:len(good)-1],            // torn tail
-		append([]byte{0}, good...),    // shifted
-		make([]byte, 4),               // short header
-		ringStateWith(t, 0, 99, 1),    // since >= interval
-		ringStateWith(t, 1<<40, 0, 1), // bucket out of range
-		ringStateWith(t, 3, 0, 1<<10), // mask exceeds Z
+	good := e.RingState()
+	if len(good.Dead) == 0 {
+		t.Fatal("workload left no dead slots")
 	}
-	for i, raw := range bad {
-		if err := e.RestoreRingSnapshot(raw); err == nil {
-			t.Errorf("bad snapshot %d accepted", i)
-		}
+	with := func(phase int, dead ...DeadSlots) *RingState {
+		return &RingState{Counter: good.Counter + 1, Phase: phase, Dead: dead}
 	}
-	if err := e.RestoreRingSnapshot(good); err != nil {
-		t.Fatalf("good snapshot rejected after bad attempts: %v", err)
-	}
-	// Path-mode engines refuse non-empty ring snapshots.
+	last := e.geom.Buckets() - 1
 	p, _ := newTestEngine(t, 6, true)
-	if err := p.RestoreRingSnapshot(good); err == nil {
-		t.Error("path-mode engine accepted a ring snapshot")
-	}
-	if err := p.RestoreRingSnapshot(nil); err != nil {
-		t.Errorf("path-mode engine rejected the empty snapshot: %v", err)
-	}
-}
-
-// ringStateWith hand-builds a one-entry snapshot for validation tests.
-func ringStateWith(t *testing.T, bucket uint64, since uint32, mask uint64) []byte {
-	t.Helper()
-	st := ringState{counter: 1, since: since, buckets: []uint64{bucket}, masks: []uint64{mask}}
-	out := make([]byte, ringStateHeader+ringStateEntry)
-	be := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			out[off+i] = byte(v >> uint(56-8*i))
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+		st   *RingState
+	}{
+		{"phase at flush interval", e, with(4)},
+		{"negative phase", e, with(-1)},
+		{"bucket out of range", e, with(0, DeadSlots{last + 1, 1})},
+		{"mask beyond Z", e, with(0, DeadSlots{3, 1 << 4})},
+		{"buckets not increasing", e, with(0, DeadSlots{5, 1}, DeadSlots{5, 2})},
+		{"buckets decreasing", e, with(0, DeadSlots{5, 1}, DeadSlots{3, 2})},
+		{"zero mask", e, with(0, DeadSlots{last, 0})},
+		{"nil into a ring engine", e, nil},
+		{"state into a path engine", p, good},
+	} {
+		before := tc.e.RingState()
+		if err := tc.e.RestoreRingState(tc.st); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if !reflect.DeepEqual(before, tc.e.RingState()) {
+			t.Errorf("%s: rejected restore changed the engine's ring state", tc.name)
 		}
 	}
-	be(0, st.counter)
-	out[8] = byte(st.since >> 24)
-	out[9] = byte(st.since >> 16)
-	out[10] = byte(st.since >> 8)
-	out[11] = byte(st.since)
-	out[15] = 1 // count
-	be(16, bucket)
-	be(24, mask)
-	return out
-}
-
-// FuzzRingStateDecode: the ring-state decoder must be total — no panics on
-// hostile bytes — and must reject every non-canonical encoding.
-func FuzzRingStateDecode(f *testing.F) {
-	e, _ := newRingFuzzEngine(f)
-	data := make([]byte, 64)
-	for i := 0; i < 40; i++ {
-		if _, _, err := e.Access(uint64(i%16), OpWrite, data); err != nil {
-			f.Fatal(err)
-		}
+	if err := e.RestoreRingState(good); err != nil {
+		t.Fatalf("good state rejected after bad attempts: %v", err)
 	}
-	valid := e.RingSnapshot()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3]) // torn tail
-	f.Add([]byte{})
-	f.Add(make([]byte, ringStateHeader))
-	f.Add(make([]byte, ringStateHeader+ringStateEntry))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		st, err := decodeRingState(raw)
-		if err != nil {
-			return
-		}
-		// Anything accepted must re-encode canonically: strictly increasing
-		// buckets, nonzero masks, exact length.
-		if len(raw) != ringStateHeader+len(st.buckets)*ringStateEntry {
-			t.Fatalf("accepted %d bytes for %d entries", len(raw), len(st.buckets))
-		}
-		for i := range st.buckets {
-			if st.masks[i] == 0 {
-				t.Fatal("accepted empty mask")
-			}
-			if i > 0 && st.buckets[i] <= st.buckets[i-1] {
-				t.Fatal("accepted unsorted buckets")
-			}
-		}
-	})
-}
-
-func newRingFuzzEngine(f *testing.F) (*Engine, *MemStore) {
-	f.Helper()
-	ms, err := NewMemStore(4, 64, []byte("ring-fuzz-key"))
-	if err != nil {
-		f.Fatal(err)
+	if err := p.RestoreRingState(nil); err != nil {
+		t.Errorf("path-mode engine rejected the nil state: %v", err)
 	}
-	e, err := NewEngine(ms, NewSparsePosMap(), Options{
-		Geometry:      MustGeometry(6),
-		StashCapacity: 200, EvictThreshold: 150, Rand: rng.New(7),
-		RingFlushInterval: 2,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	return e, ms
 }

@@ -70,6 +70,20 @@ func (th traceHash) bytes(b []byte) {
 	th.h.Write(b)
 }
 
+// ring hashes a ring-eviction state as th.bytes of the byte string the
+// engine once serialized it to — u64 counter | u32 phase | u32 n | n × (u64
+// bucket, u64 mask), nil in path mode — so the pinned digests still hold.
+func (th traceHash) ring(st *RingState) {
+	if st == nil {
+		th.bytes(nil)
+		return
+	}
+	th.u64(uint64(16+16*len(st.Dead)), st.Counter, uint64(st.Phase)<<32|uint64(len(st.Dead)))
+	for _, d := range st.Dead {
+		th.u64(d.Bucket, d.Mask)
+	}
+}
+
 func (th traceHash) bool(v bool) {
 	if v {
 		th.u64(1)
@@ -172,7 +186,7 @@ func runTrace(t *testing.T, c traceCase) string {
 	}
 	rs := e.RandState()
 	th.u64(rs[:]...)
-	th.bytes(e.RingSnapshot())
+	th.ring(e.RingState())
 	if ms != nil {
 		th.u64(ms.Writes())
 		for _, idx := range ms.BucketIndices() {
