@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"sdimm/internal/blame"
 	"sdimm/internal/durable"
@@ -18,39 +17,53 @@ import (
 	"sdimm/internal/telemetry"
 )
 
-// ClusterOptions sizes a distributed functional ORAM (the Independent
-// protocol of Section III-C with real payloads and real link cryptography).
+// ClusterOptions sizes a distributed functional ORAM with real payloads:
+// the Independent protocol of Section III-C (whole accessORAM operations on
+// the owning SDIMM, over sealed links) or, with Split set, the Split
+// protocol of Section III-D (every block bit-sliced across all members).
 type ClusterOptions struct {
 	// SDIMMs is the number of secure buffers; must be a power of two ≥ 2.
 	SDIMMs int
 	// Levels is the global tree height (each SDIMM holds a subtree of
-	// Levels - log2(SDIMMs) levels).
+	// Levels - log2(SDIMMs) levels; a Split member holds a shard tree of
+	// all Levels).
 	Levels int
-	// BlockSize is the payload bytes per block (default 64).
+	// BlockSize is the payload bytes per block (default 64; with Split it
+	// must divide by SDIMMs, each member holding BlockSize/SDIMMs bytes).
 	BlockSize int
 	// Z is the bucket capacity (default 4).
 	Z int
+	// Split runs the Split protocol: the host owns one shared tree's
+	// position map, every access goes to every member, and each member holds
+	// one slice of every block (see DESIGN.md, the Split stage set).
+	Split bool
+	// Parity, with Split, adds one more member holding the XOR of the data
+	// slices, so an access survives the loss of any one member.
+	Parity bool
 	// RingFlushInterval, when > 0, runs every member's engine in
 	// ring-eviction mode: reads lift only the target block off the path and
 	// writeback is deferred to a deterministic reverse-lexicographic
 	// eviction pointer that flushes one path per RingFlushInterval accesses
 	// (see DESIGN.md, Backends). 0 keeps the Path ORAM engines. Requires
-	// Z ≥ 2 (each written bucket reserves dummy slots).
+	// Z ≥ 2 (each written bucket reserves dummy slots); Independent only.
 	RingFlushInterval int
 	// Key seeds the bucket encryption/MAC keys.
 	Key []byte
 	// Seed drives leaf assignment (0 uses 1).
 	Seed uint64
 	// Faults optionally injects deterministic channel faults between
-	// seccomm Seal and Open (nil = perfect links).
+	// seccomm Seal and Open (nil = perfect links). A Split cluster has no
+	// links and honours only the injector's per-member fail-stops (member
+	// i; the parity member is SDIMMs).
 	Faults *fault.Injector
 	// Retry bounds per-exchange retransmission and backoff (zero value =
-	// defaults: 8 attempts, 50µs base backoff, 5ms cap).
+	// defaults: 8 attempts, 50µs base backoff, 5ms cap). A link setting: a
+	// Split cluster has no links and never consults it.
 	Retry fault.RetryPolicy
 	// LinkTap, when set, observes every frame put on a link before fault
 	// injection (attempt 0 = original transmission, >0 = retransmission).
 	// The chaos harness uses it to assert retries never change the
-	// observable traffic.
+	// observable traffic. A link setting: a Split cluster never calls it.
 	LinkTap func(sd int, dir fault.Direction, attempt int, frame []byte)
 	// Telemetry, when set, receives cluster.* access counters, fault.*
 	// link-recovery counters, seccomm.* crypto counters, and per-SDIMM
@@ -63,10 +76,12 @@ type ClusterOptions struct {
 	// and touches no shared state.
 	Blame *blame.Collector
 	// Flight, when set, is the always-on flight recorder: it keeps the
-	// recent wave records; checkpoints, recoveries, re-homes and membership
-	// changes land on the coordinator ring, health transitions and link
-	// retry/ARQ activity on the owning SDIMM's ring. Recording is
-	// allocation-free; harnesses dump the recorder when a check goes red.
+	// recent wave records; checkpoints, recoveries, re-homes, reconstructions
+	// and membership changes land on the coordinator ring, health
+	// transitions and link retry/ARQ activity on the owning member's ring
+	// (the parity member's is ring SDIMMs, so size the recorder for every
+	// member). Recording is allocation-free; harnesses dump the recorder
+	// when a check goes red.
 	Flight *flight.Recorder
 	// Durability, when set, gives the cluster crash consistency: every
 	// committed access is journaled, state is checkpointed every Interval
@@ -185,7 +200,7 @@ const (
 )
 
 // degradeAfter is how many consecutive failed exchanges mark a member
-// Degraded, on either cluster flavour.
+// Degraded, on either protocol.
 const degradeAfter = 3
 
 // appendAckBody is the shared APPEND acknowledgement body. It is read-only
@@ -194,21 +209,32 @@ const degradeAfter = 3
 var appendAckBody = []byte{appendAck}
 
 // Cluster is a functional distributed ORAM: the host side (position map,
-// request routing, APPEND broadcast) runs here; each SDIMM's secure buffer
-// executes whole accessORAM operations against its own encrypted tree. All
-// host<->buffer messages cross an (in-process) untrusted channel sealed
-// with the session cryptography of the paper's Section III-B — and, unlike
-// the seed implementation, that channel is allowed to fail: every exchange
-// runs through a fault.Transactor that retries transient faults with
+// request routing, the post-commit step) runs here; the members' secure
+// buffers execute the accesses against their own encrypted trees. On an
+// Independent cluster each access is a whole accessORAM operation on the
+// owning SDIMM, and all host<->buffer messages cross an (in-process)
+// untrusted channel sealed with the session cryptography of the paper's
+// Section III-B — a channel that is allowed to fail: every exchange runs
+// through a fault.Transactor that retries transient faults with
 // byte-identical retransmissions, position-map updates commit only after
 // the owning buffer has executed the access, and per-SDIMM health tracking
-// degrades buffers instead of bricking addresses.
+// degrades buffers instead of bricking addresses. On a Split cluster every
+// block is bit-sliced across members holding shard trees of identical
+// shape; each shard tree is independently encrypted and MACed (the n-MAC
+// overhead the paper accepts), and the members' placements never diverge
+// because greedy eviction is a pure function of (identical) stash contents.
+// With Parity one more member holds the XOR of the data slices; it is an
+// ordinary member that is handed a different slice, evolves in the same
+// lockstep, and makes the loss of any single member survivable.
 type Cluster struct {
-	links     []*fault.Transactor
+	links     []*fault.Transactor // nil on a Split cluster
 	blockSize int
 	levels    int
+	leaves    uint64 // leaves of the global (Independent) or shared (Split) tree
 	localBits uint
 	blame     *blame.Collector
+	// st is the protocol's stage set, chosen once by buildCluster.
+	st stages
 	// waves counts the wave records stamped so far: the next one's Index.
 	waves uint64
 	// Position map, RNG, the secure buffers (members) with their health and
@@ -232,12 +258,13 @@ type Cluster struct {
 	serveBufs [][]byte // device-side response body
 }
 
-// NewCluster builds a cluster: it mints a device identity per SDIMM,
-// registers them with an authority, and performs the SEND_PKEY /
-// RECEIVE_SECRET handshake for each. With Durability set the state
-// directory must be empty (recovering an existing one is RecoverCluster's
-// job — silently reinitializing it would clobber recoverable state) and a
-// genesis checkpoint is written before the cluster accepts traffic.
+// NewCluster builds a cluster. An Independent cluster mints a device
+// identity per SDIMM, registers them with an authority, and performs the
+// SEND_PKEY / RECEIVE_SECRET handshake for each. With Durability set the
+// state directory must be empty (recovering an existing one is
+// RecoverCluster's job — silently reinitializing it would clobber
+// recoverable state) and a genesis checkpoint is written before the cluster
+// accepts traffic.
 func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	opts = opts.withDefaults()
 	c, err := buildCluster(opts)
@@ -245,8 +272,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		return nil, err
 	}
 	if opts.Durability != nil {
-		if err := c.createDurable(opts.Durability, independentFingerprint(opts), opts.Key,
-			"RecoverCluster", c.ForceCheckpoint); err != nil {
+		if err := c.createDurable(opts); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -254,33 +280,64 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	return c, nil
 }
 
-// buildCluster builds the cluster core (buffers, links, health) with no
-// durability attached. opts must already be defaulted.
+// buildCluster builds the cluster core (members, health, the protocol's
+// stage set) with no durability attached. opts must already be defaulted.
 func buildCluster(opts ClusterOptions) (*Cluster, error) {
 	if opts.SDIMMs < 2 || opts.SDIMMs&(opts.SDIMMs-1) != 0 {
 		return nil, errors.New("sdimm: SDIMM count must be a power of two ≥ 2")
 	}
-	localLevels := opts.Levels - log2int(opts.SDIMMs)
-	if localLevels < 2 {
-		return nil, fmt.Errorf("sdimm: %d levels too shallow for %d SDIMMs", opts.Levels, opts.SDIMMs)
-	}
-	geom, err := oram.NewGeometry(localLevels)
-	if err != nil {
-		return nil, err
-	}
-
-	auth := seccomm.NewAuthority()
 	c := &Cluster{
 		blockSize: opts.BlockSize,
 		levels:    opts.Levels,
-		localBits: uint(localLevels - 1),
+		leaves:    uint64(1) << (opts.Levels - 1),
 		blame:     opts.Blame,
 	}
 	c.pos = oram.NewSparsePosMap()
-	c.rnd = rng.New(opts.Seed)
 	c.tm = newClusterTelemetry(opts.Telemetry)
 	c.flight = opts.Flight
 	c.poisoned = make(map[uint64]bool)
+	if opts.Telemetry != nil && opts.Faults != nil {
+		opts.Faults.EnableTelemetry(opts.Telemetry)
+	}
+	var err error
+	if opts.Split {
+		err = c.buildShards(opts)
+	} else {
+		err = c.buildLinks(opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i := range c.members {
+		if err := c.mkMember(i, 0); err != nil {
+			return nil, err
+		}
+		h := fault.NewHealth(degradeAfter)
+		watchHealth(opts.Telemetry, opts.Flight.Ring(i), h, i)
+		c.health = append(c.health, h)
+	}
+	c.initElastic(len(c.members))
+	c.inline = c.Pipeline(PipelineOptions{Window: 1, Parallelism: 1})
+	return c, nil
+}
+
+// buildLinks sets an Independent cluster up: one secure buffer per SDIMM
+// behind a sealed link, each holding a subtree of the global tree.
+func (c *Cluster) buildLinks(opts ClusterOptions) error {
+	if opts.Parity {
+		return errors.New("sdimm: Parity needs Split")
+	}
+	localLevels := opts.Levels - log2int(opts.SDIMMs)
+	if localLevels < 2 {
+		return fmt.Errorf("sdimm: %d levels too shallow for %d SDIMMs", opts.Levels, opts.SDIMMs)
+	}
+	geom, err := oram.NewGeometry(localLevels)
+	if err != nil {
+		return err
+	}
+	c.localBits = uint(localLevels - 1)
+	c.rnd = rng.New(opts.Seed)
+	c.st = independentStages{c}
 	c.cmdBufs = make([][]byte, opts.SDIMMs)
 	c.serveBufs = make([][]byte, opts.SDIMMs)
 	// Link-recovery and crypto counters aggregate across all SDIMMs, so the
@@ -290,10 +347,8 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 	if opts.Telemetry != nil {
 		linkMetrics = fault.NewLinkMetrics(opts.Telemetry)
 		commMetrics = seccomm.NewMetrics(opts.Telemetry)
-		if opts.Faults != nil {
-			opts.Faults.EnableTelemetry(opts.Telemetry)
-		}
 	}
+	auth := seccomm.NewAuthority()
 	c.members = make([]*isdimm.Buffer, opts.SDIMMs)
 	c.links = make([]*fault.Transactor, opts.SDIMMs)
 
@@ -367,17 +422,7 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 		c.links[i] = tr
 		return nil
 	}
-	for i := 0; i < opts.SDIMMs; i++ {
-		if err := c.mkMember(i, 0); err != nil {
-			return nil, err
-		}
-		h := fault.NewHealth(degradeAfter)
-		watchHealth(opts.Telemetry, opts.Flight.Ring(i), h, i)
-		c.health = append(c.health, h)
-	}
-	c.initElastic(opts.SDIMMs)
-	c.inline = c.Pipeline(PipelineOptions{Window: 1, Parallelism: 1})
-	return c, nil
+	return nil
 }
 
 func log2int(n int) int {
@@ -389,7 +434,8 @@ func log2int(n int) int {
 	return b
 }
 
-// SDIMMs returns the number of secure buffers.
+// SDIMMs returns the number of members (on a Split cluster the parity
+// member included).
 func (c *Cluster) SDIMMs() int { return len(c.members) }
 
 // BlockSize returns the payload size per block.
@@ -402,7 +448,7 @@ func (c *Cluster) Read(addr uint64) ([]byte, error) {
 	if r.Err != nil {
 		return nil, r.Err
 	}
-	return r.Data, c.maybeCheckpoint(c.ForceCheckpoint)
+	return r.Data, c.maybeCheckpoint()
 }
 
 // Write stores up to BlockSize bytes at addr.
@@ -413,7 +459,7 @@ func (c *Cluster) Write(addr uint64, data []byte) error {
 	if r := c.access(BatchOp{Addr: addr, Write: true, Data: data}); r.Err != nil {
 		return r.Err
 	}
-	return c.maybeCheckpoint(c.ForceCheckpoint)
+	return c.maybeCheckpoint()
 }
 
 // padInto returns data zero-padded to size, staged in *buf's backing array
@@ -428,7 +474,8 @@ func padInto(buf *[]byte, data []byte, size int) []byte {
 	return b
 }
 
-// Close releases the durability manager (no-op without one).
+// Close releases the durability manager (no-op without one) and returns its
+// close error. Idempotent.
 func (c *Cluster) Close() error {
 	if c.dur != nil {
 		return c.dur.Close()
@@ -525,12 +572,12 @@ var ErrNoHealthySDIMM = errors.New("sdimm: no healthy SDIMM available for placem
 // once and a single draw spans (eligible × local leaves): unlike the old
 // bounded-retry loop this cannot spuriously fail while healthy SDIMMs remain,
 // and with every member eligible it consumes exactly the same single
-// Uint64n(globalLeaves) draw (the eligible count is a power of two), so
+// Uint64n(c.leaves) draw (the eligible count is a power of two), so
 // seeded histories are unchanged. An access reads the coordinator's
 // snapshot (Pipeline.healthSnap), a membership change the live records;
 // identical views consume identical draws. A failed/draining/removed SDIMM is
 // public knowledge on the channel, so the skew is not an access-pattern leak.
-func (c *Cluster) pickLeaf(states []fault.State, globalLeaves uint64) (uint64, error) {
+func (c *Cluster) pickLeaf(states []fault.State) (uint64, error) {
 	c.elig = c.elig[:0]
 	for i, st := range states {
 		if placeable(st) {
@@ -661,146 +708,38 @@ func (c *Cluster) HealthStates() []fault.State {
 	return out
 }
 
-// Health returns the current per-SDIMM health view.
+// Health returns the current per-member health view (on a Split cluster
+// the data shards first, then the parity member when present).
 func (c *Cluster) Health() ClusterHealth {
 	out := ClusterHealth{SDIMMs: make([]SDIMMHealth, len(c.members))}
 	for i, b := range c.members {
-		out.SDIMMs[i] = healthEntry(i, b.ID(), c.health[i], c.links[i].Stats())
+		var ts fault.TransactorStats
+		if c.links != nil {
+			ts = c.links[i].Stats()
+		}
+		out.SDIMMs[i] = healthEntry(i, b.ID(), c.health[i], ts)
 	}
 	return out
 }
 
-// SplitClusterOptions sizes a functional Split-protocol ORAM.
-type SplitClusterOptions struct {
-	// SDIMMs is the number of shard holders (power of two ≥ 2); each holds
-	// BlockSize/SDIMMs bytes of every block.
-	SDIMMs int
-	// Levels is the (single, shared) tree height.
-	Levels int
-	// BlockSize is the payload bytes per block (default 64; must divide by
-	// SDIMMs).
-	BlockSize int
-	// Key seeds the per-shard bucket encryption/MAC keys.
-	Key []byte
-	// Seed drives leaf assignment (0 uses 1).
-	Seed uint64
-	// Parity adds one extra shard holder storing the XOR of all data
-	// shards, so a read can be reconstructed when exactly one member is
-	// down (fail-stop tolerance at 1/SDIMMs extra capacity).
-	Parity bool
-	// Faults optionally supplies an injector whose per-shard fail-stop
-	// state the cluster honours (shard index i; the parity shard is index
-	// SDIMMs).
-	Faults *fault.Injector
-	// Parallelism decides where each member's share of an access runs: 1
-	// (or unset) = inline on the caller, one member after the other, no
-	// goroutine at all — the reference; > 1 = one persistent goroutine per
-	// member joined on a barrier, however large the value. Every member
-	// executes the same operation sequence either way, so clusters with the
-	// same seed evolve bit-identically (see DESIGN.md, Concurrency model).
-	// Call Close when done to stop the workers.
-	Parallelism int
-	// Telemetry, when set, receives cluster.* access counters (including
-	// cluster.reconstructions) and per-member health-state gauges.
-	Telemetry *telemetry.Registry
-	// Flight, when set, is the flight recorder: health transitions land on
-	// the member's ring (the parity member's is ring SDIMMs, so size the
-	// recorder for every member), reconstructions, replacements and
-	// checkpoints on the coordinator ring.
-	Flight *flight.Recorder
-	// Durability, when set, journals committed accesses and checkpoints
-	// shard state for RecoverSplitCluster (see DESIGN.md, Durability &
-	// crash recovery).
-	Durability *DurabilityOptions
-}
-
-// withDefaults normalizes the option fields that have defaults.
-func (o SplitClusterOptions) withDefaults() SplitClusterOptions {
-	if o.BlockSize == 0 {
-		o.BlockSize = 64
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// SplitCluster is the functional form of the Split protocol (Section
-// III-D): every block is bit-sliced across the member buffers, which hold
-// shard trees of identical shape. The host owns the position map, routes
-// each access to all members, and reassembles the shards. Each shard tree
-// is independently encrypted and MACed (the n-MAC overhead the paper
-// accepts), and the members' placements never diverge because greedy
-// eviction is a pure function of (identical) stash contents. With Parity
-// enabled one more member holds the XOR of the data shards; it is an
-// ordinary member that is handed a different slice, evolves in the same
-// lockstep, and makes the loss of any single member survivable.
-type SplitCluster struct {
-	faults     *fault.Injector
-	blockSize  int
-	shard      int // bytes of every block each member holds
-	dataShards int // members[:dataShards] hold data slices; the parity member, if any, follows
-	leaves     uint64
-	workers    *workerPool // one slot per member; inline at Parallelism ≤ 1
-	fanWG      sync.WaitGroup
-	// Position map, RNG, the member list with its health and factory,
-	// telemetry, flight recorder, durability.
-	durableState
-
-	// Per-access scratch, reused so the steady-state access path allocates
-	// only what escapes to the caller: fanOut's per-member error slots and a
-	// write's codeword.
-	errScratch []error
-	cwScratch  []byte
-}
-
-// NewSplitCluster builds a functional split ORAM. With Durability set the
-// state directory must be empty (RecoverSplitCluster owns non-empty ones)
-// and a genesis checkpoint is written before the cluster accepts traffic.
-func NewSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
-	opts = opts.withDefaults()
-	c, err := buildSplitCluster(opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Durability != nil {
-		if err := c.createDurable(opts.Durability, splitFingerprint(opts), opts.Key,
-			"RecoverSplitCluster", c.ForceCheckpoint); err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// buildSplitCluster builds the cluster core with no durability attached.
-// opts must already be defaulted.
-func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
-	if opts.SDIMMs < 2 || opts.SDIMMs&(opts.SDIMMs-1) != 0 {
-		return nil, errors.New("sdimm: SDIMM count must be a power of two ≥ 2")
-	}
-	if opts.BlockSize%opts.SDIMMs != 0 {
-		return nil, fmt.Errorf("sdimm: block size %d not divisible by %d shards", opts.BlockSize, opts.SDIMMs)
+// buildShards sets a Split cluster up: one shard holder per data slice, then
+// the parity member when there is one, each with a shard tree of all Levels
+// and no link.
+func (c *Cluster) buildShards(opts ClusterOptions) error {
+	switch {
+	case opts.BlockSize%opts.SDIMMs != 0:
+		return fmt.Errorf("sdimm: block size %d not divisible by %d shards", opts.BlockSize, opts.SDIMMs)
+	case opts.RingFlushInterval > 0:
+		return errors.New("sdimm: RingFlushInterval conflicts with Split")
 	}
 	geom, err := oram.NewGeometry(opts.Levels)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c := &SplitCluster{
-		blockSize:  opts.BlockSize,
-		shard:      opts.BlockSize / opts.SDIMMs,
-		dataShards: opts.SDIMMs,
-		leaves:     geom.Leaves(),
-		faults:     opts.Faults,
-	}
-	c.pos = oram.NewSparsePosMap()
 	c.rnd = rng.New(opts.Seed ^ 0x59117)
-	c.tm = newClusterTelemetry(opts.Telemetry)
-	c.flight = opts.Flight
-	c.poisoned = make(map[uint64]bool)
-	if opts.Telemetry != nil && opts.Faults != nil {
-		opts.Faults.EnableTelemetry(opts.Telemetry)
-	}
+	s := &splitStages{c: c, shard: opts.BlockSize / opts.SDIMMs, dataShards: opts.SDIMMs, faults: opts.Faults}
+	s.evict = s.evictShare
+	c.st = s
 	n := opts.SDIMMs
 	if opts.Parity {
 		n++
@@ -827,7 +766,7 @@ func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 			id, keyPrefix = fmt.Sprintf("%s.%d", id, inc), fmt.Sprintf("%s.%d", keyPrefix, inc)
 			bufSeed = rng.Stream(opts.Seed, "elastic.shard", int(inc)<<8|i).Uint64()
 		}
-		store, err := oram.NewMemStore(4, c.shard, append([]byte(keyPrefix+"|"), opts.Key...))
+		store, err := oram.NewMemStore(opts.Z, s.shard, append([]byte(keyPrefix+"|"), opts.Key...))
 		if err != nil {
 			return err
 		}
@@ -836,8 +775,8 @@ func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 			StashCapacity:  200,
 			EvictThreshold: 150,
 			// All shards must evolve in lockstep: the host directs
-			// eviction with shared randomness (see access), so the engines'
-			// own background eviction stays off.
+			// eviction with shared randomness (see postCommit), so the
+			// engines' own background eviction stays off.
 			DisableAutoDrain: true,
 			Rand:             rng.New(opts.Seed ^ 0x3b1d), // same stream: lockstep
 		})
@@ -847,65 +786,34 @@ func buildSplitCluster(opts SplitClusterOptions) (*SplitCluster, error) {
 		c.members[i], err = isdimm.NewBuffer(id, engine, 64, 0, rng.New(bufSeed))
 		return err
 	}
-	for i := range c.members {
-		if err := c.mkMember(i, 0); err != nil {
-			return nil, err
-		}
-		h := fault.NewHealth(degradeAfter)
-		watchHealth(opts.Telemetry, opts.Flight.Ring(i), h, i)
-		c.health = append(c.health, h)
-	}
-	c.workers = newWorkerPool(n, opts.Parallelism, 1)
-	c.initElastic(n)
-	return c, nil
+	return nil
 }
 
-// Close stops the fan-out workers and releases the durability manager.
-// Idempotent.
-func (c *SplitCluster) Close() {
-	c.workers.close()
-	if c.dur != nil {
-		c.dur.Close()
-	}
+// splitSet returns the Split stage set, nil on an Independent cluster.
+func (c *Cluster) splitSet() *splitStages {
+	s, _ := c.st.(*splitStages)
+	return s
 }
 
-// Read returns the payload of addr, reassembled from all shards.
-func (c *SplitCluster) Read(addr uint64) ([]byte, error) {
-	out, err := c.access(addr, oram.OpRead, nil)
-	return out, c.observed(oram.OpRead, err, c.ForceCheckpoint)
+// HasParity reports whether the cluster carries a parity member (Split
+// only).
+func (c *Cluster) HasParity() bool {
+	s := c.splitSet()
+	return s != nil && len(c.members) > s.dataShards
 }
 
-// Write stores up to BlockSize bytes at addr, splitting it across shards.
-func (c *SplitCluster) Write(addr uint64, data []byte) error {
-	if len(data) > c.blockSize {
-		return fmt.Errorf("sdimm: payload %d exceeds block size %d", len(data), c.blockSize)
-	}
-	_, err := c.access(addr, oram.OpWrite, data)
-	return c.observed(oram.OpWrite, err, c.ForceCheckpoint)
-}
-
-// FailShard marks member i (data shards 0..SDIMMs-1; SDIMMs = parity)
-// fail-stopped. Tests and the chaos harness use it to model a member
-// dying mid-run.
-func (c *SplitCluster) FailShard(i int) {
+// FailShard marks member i (on a Split cluster: data shards 0..SDIMMs-1,
+// SDIMMs = parity) fail-stopped. Tests and the chaos harness use it to model
+// a member dying mid-run.
+func (c *Cluster) FailShard(i int) {
 	if i >= 0 && i < len(c.health) {
 		c.health[i].MarkFailed(fault.ErrFailStop)
 	}
 }
 
-// memberDown reports whether member i is fail-stopped, folding in the
-// injector's fail-stop schedule on first observation.
-func (c *SplitCluster) memberDown(i int) bool {
-	h := c.health[i]
-	if h.State() != fault.Failed && c.faults != nil && c.faults.IsFailStopped(i) {
-		h.MarkFailed(fault.ErrFailStop)
-	}
-	return h.State() == fault.Failed
-}
-
 // others lists every member index but i, ascending: the sources member i's
 // slices and buckets are the XOR of.
-func (c *SplitCluster) others(i int) []int {
+func (c *Cluster) others(i int) []int {
 	out := make([]int, 0, len(c.members)-1)
 	for j := range c.members {
 		if j != i {
@@ -926,159 +834,4 @@ func xorAcross(dst []byte, sources []int, slice func(j int) []byte) []byte {
 		subtle.XORBytes(dst, dst, slice(j))
 	}
 	return dst
-}
-
-// solveSlice recomputes member i's slice of codeword cw (one shard-sized
-// slice per member, in member order) from every other member's.
-func (c *SplitCluster) solveSlice(cw []byte, i int) {
-	xorAcross(cw[i*c.shard:(i+1)*c.shard], c.others(i), func(j int) []byte { return cw[j*c.shard : (j+1)*c.shard] })
-}
-
-// fanOut runs step as every live member's share of one lockstep operation —
-// wherever the pool runs shares — and joins. Either way each member executes
-// the identical operation sequence. step touches only member-owned state plus
-// that member's own region of whatever the caller shares, so the fan-out is
-// race-free; after the barrier the coordinator observes every write a step
-// made, and the lowest-index error wins at any parallelism.
-func (c *SplitCluster) fanOut(op string, step func(i int, b *isdimm.Buffer) error) error {
-	errs := resized(c.errScratch, len(c.members))
-	c.errScratch = errs
-	share := func(i int) {
-		if err := step(i, c.members[i]); err != nil {
-			c.health[i].Failure(err)
-			errs[i] = c.wrapErr(i, op, err)
-		}
-	}
-	for i := range c.members {
-		if c.health[i].State() != fault.Failed {
-			c.workers.submitWG(i, &c.fanWG, share)
-		}
-	}
-	c.fanWG.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-func (c *SplitCluster) access(addr uint64, op oram.Op, data []byte) ([]byte, error) {
-	if c.crashedNow() {
-		return nil, durable.ErrCrashed
-	}
-	// Coordinator phase: fold the injector's fail-stop schedule into the
-	// health records and find the (at most one) member the access must do
-	// without. A loss the redundancy cannot cover is refused here — before
-	// the leaf draws and before any member touches its tree — so a refused
-	// access leaves the survivors, the RNG and the position map as they were.
-	down := -1
-	for i := range c.members {
-		if !c.memberDown(i) {
-			continue
-		}
-		if down >= 0 {
-			return nil, c.wrapErr(i, "shard access",
-				fmt.Errorf("sdimm: members %d and %d both down: %w", down, i, fault.ErrUnavailable))
-		}
-		down = i
-	}
-	if down >= 0 && !c.HasParity() {
-		return nil, c.wrapErr(down, "shard access",
-			fmt.Errorf("sdimm: shard down and no parity to reconstruct from: %w", fault.ErrUnavailable))
-	}
-	oldLeaf, ok := c.pos.Get(addr)
-	if !ok {
-		oldLeaf = c.rnd.Uint64n(c.leaves)
-	}
-	newLeaf := c.rnd.Uint64n(c.leaves)
-
-	// The access's codeword: one shard-sized slice per member, the block's
-	// data slices followed (with parity) by their XOR. A write hands member
-	// i slice i, a read lands member i's slice at i — the parity member is
-	// not special. Reads allocate (the data prefix escapes to the caller);
-	// writes stage the zero-padded payload in cluster scratch.
-	var cw []byte
-	if op == oram.OpRead {
-		cw = make([]byte, len(c.members)*c.shard)
-	} else {
-		cw = resized(c.cwScratch, len(c.members)*c.shard)
-		c.cwScratch = cw
-		copy(cw, data)
-		data = cw[:c.blockSize]
-		if c.HasParity() {
-			c.solveSlice(cw, c.dataShards)
-		}
-	}
-
-	// Shard fan-out: every live member (the parity member too, also on
-	// reads, so its tree stays in lockstep) executes its slice of the access.
-	err := c.fanOut("shard access", func(i int, b *isdimm.Buffer) error {
-		slice := cw[i*c.shard : (i+1)*c.shard]
-		req := isdimm.AccessRequest{Addr: addr, Op: op, OldLeaf: oldLeaf, NewLeaf: newLeaf}
-		if op == oram.OpWrite {
-			req.Data = slice
-		}
-		blk, _, err := b.ShardAccess(req)
-		if err != nil {
-			return err
-		}
-		c.health[i].Success()
-		if op == oram.OpRead && blk.Data != nil {
-			copy(slice, blk.Data)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if op == oram.OpRead && down >= 0 && down < c.dataShards {
-		// Reconstruct the missing data slice from the survivors. Writes
-		// simply skip the dead member: the parity slice carries the missing
-		// shard's information for later reconstruction.
-		c.tm.reconstructions.Inc()
-		c.flight.Coordinator().Record(flight.KindReconstruct, addr, uint64(down))
-		c.solveSlice(cw, down)
-	}
-
-	// Staged commit: the shard fan-out succeeded, so newLeaf is now the
-	// truth everywhere. The journal record lands at the same point — a crash
-	// before it means the access never happened.
-	c.pos.Set(addr, newLeaf)
-	if err := c.commitRecord(addr, op, data, false); err != nil {
-		return nil, err
-	}
-
-	// Host-directed background eviction: the leaf is drawn once on the
-	// coordinator, then every live member evicts it — one fan-out per round,
-	// since NeedsDrain must observe the finished round. The members are in
-	// lockstep, so any live one answers NeedsDrain for the group, and at
-	// most one is down.
-	ref := c.members[0]
-	if down == 0 {
-		ref = c.members[1]
-	}
-	for n := 0; n < 8 && ref.Engine().NeedsDrain(); n++ {
-		leaf := c.rnd.Uint64n(c.leaves)
-		if err := c.fanOut("shard eviction", func(_ int, b *isdimm.Buffer) error { return b.EvictLocal(leaf) }); err != nil {
-			return nil, err
-		}
-	}
-	if op == oram.OpRead {
-		return cw[:c.blockSize:c.blockSize], nil
-	}
-	return nil, nil
-}
-
-// HasParity reports whether the cluster carries a parity shard.
-func (c *SplitCluster) HasParity() bool { return len(c.members) > c.dataShards }
-
-// Health returns the current per-member health view (data shards first,
-// then the parity shard when present).
-func (c *SplitCluster) Health() ClusterHealth {
-	out := ClusterHealth{SDIMMs: make([]SDIMMHealth, len(c.members))}
-	for i, b := range c.members {
-		out.SDIMMs[i] = healthEntry(i, b.ID(), c.health[i], fault.TransactorStats{})
-	}
-	return out
 }

@@ -298,8 +298,8 @@ func TestChaosDeterminismAcrossParallelism(t *testing.T) {
 }
 
 // TestChaosSplitParityFailStopParallel re-runs the Split member-loss
-// campaign with the per-member fan-out workers enabled; the result must be
-// identical to the inline run.
+// campaign through the pipeline's per-member workers, one access per wave;
+// the result must be identical to the inline run.
 func TestChaosSplitParityFailStopParallel(t *testing.T) {
 	accesses := 1800
 	if testing.Short() {
@@ -310,7 +310,7 @@ func TestChaosSplitParityFailStopParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Parallelism = 4
+	sc.Parallelism, sc.Window = 4, 1
 	par, err := chaos.Run(sc)
 	if err != nil {
 		t.Fatal(err)

@@ -314,9 +314,10 @@ func TestClusterRehomeFollowsBroadcast(t *testing.T) {
 	t.Fatal("no access re-homed a block")
 }
 
-func newParityCluster(t *testing.T, k int) *SplitCluster {
+func newParityCluster(t *testing.T, k int) *Cluster {
 	t.Helper()
-	c, err := NewSplitCluster(SplitClusterOptions{
+	c, err := NewCluster(ClusterOptions{
+		Split:  true,
 		SDIMMs: k,
 		Levels: 10,
 		Key:    []byte("parity-key"),
@@ -395,7 +396,7 @@ func TestSplitParityShardDownStillServes(t *testing.T) {
 // splitFootprint is what a refused access must leave untouched: every
 // member's stash occupancy and physical bucket-write count, the committed
 // sequence and the position map.
-func splitFootprint(c *SplitCluster) string {
+func splitFootprint(c *Cluster) string {
 	var writes []uint64
 	for _, b := range c.members {
 		writes = append(writes, memStore(b).Writes())

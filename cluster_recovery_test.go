@@ -186,21 +186,22 @@ func TestNewClusterRefusesRecoverableState(t *testing.T) {
 }
 
 // TestNewSplitClusterFailureStopsWorkers is the worker-leak regression test:
-// a parallel Split cluster starts its per-member worker goroutines before
-// the state directory is opened, so refusing a directory that already holds
-// checkpoints must stop them again.
+// refusing a Split cluster's state directory that already holds checkpoints
+// must leave no goroutine behind.
 func TestNewSplitClusterFailureStopsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	opts := SplitClusterOptions{SDIMMs: 2, Levels: 7, Key: []byte("split-leak-key"), Seed: 5,
-		Parity: true, Parallelism: 4, Durability: &DurabilityOptions{Dir: t.TempDir()}}
-	c, err := NewSplitCluster(opts)
+	opts := ClusterOptions{Split: true, SDIMMs: 2, Levels: 7, Key: []byte("split-leak-key"), Seed: 5,
+		Parity: true, Durability: &DurabilityOptions{Dir: t.TempDir()}}
+	c, err := NewCluster(opts)
 	if err != nil {
-		t.Fatalf("NewSplitCluster: %v", err)
+		t.Fatalf("NewCluster: %v", err)
 	}
-	c.Close()
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 	for i := 0; i < 8; i++ {
-		if _, err := NewSplitCluster(opts); !errors.Is(err, ErrStateExists) {
-			t.Fatalf("NewSplitCluster on a directory holding recoverable state: %v, want ErrStateExists", err)
+		if _, err := NewCluster(opts); !errors.Is(err, ErrStateExists) {
+			t.Fatalf("NewCluster on a directory holding recoverable state: %v, want ErrStateExists", err)
 		}
 	}
 	// Closed workers exit asynchronously; give them a moment.
@@ -209,7 +210,7 @@ func TestNewSplitClusterFailureStopsWorkers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if after > before {
-		t.Fatalf("failed NewSplitCluster leaked goroutines: %d before, %d after", before, after)
+		t.Fatalf("failed NewCluster leaked goroutines: %d before, %d after", before, after)
 	}
 }
 
@@ -222,11 +223,11 @@ func TestNewSplitClusterFailureStopsWorkers(t *testing.T) {
 // taken before the corruption. Member 1 is a data shard, member 2 the parity.
 func TestSplitScrubRepairsCorruptBucket(t *testing.T) {
 	for _, member := range []int{1, 2} {
-		opts := SplitClusterOptions{SDIMMs: 2, Levels: 7, Key: []byte("split-rec-key"), Seed: 3,
+		opts := ClusterOptions{Split: true, SDIMMs: 2, Levels: 7, Key: []byte("split-rec-key"), Seed: 3,
 			Parity: true, Durability: &DurabilityOptions{Dir: t.TempDir(), Interval: 64}}
-		c, err := NewSplitCluster(opts)
+		c, err := NewCluster(opts)
 		if err != nil {
-			t.Fatalf("NewSplitCluster: %v", err)
+			t.Fatalf("NewCluster: %v", err)
 		}
 		ops := recWorkload(11, 120, 32)
 		final := map[uint64][]byte{}
@@ -254,9 +255,9 @@ func TestSplitScrubRepairsCorruptBucket(t *testing.T) {
 		}
 		c.Close()
 
-		rc, report, err := RecoverSplitCluster(opts)
+		rc, report, err := RecoverCluster(opts)
 		if err != nil {
-			t.Fatalf("RecoverSplitCluster: %v", err)
+			t.Fatalf("RecoverCluster: %v", err)
 		}
 		defer rc.Close()
 		if report.BucketsRepaired != 1 || report.BucketsUnrecoverable != 0 || len(report.Poisoned) != 0 {
@@ -285,11 +286,11 @@ func TestSplitScrubRepairsCorruptBucket(t *testing.T) {
 // member marked Failed, and the cluster refuses traffic rather than serve a
 // garbage rebuild.
 func TestSplitScrubDoubleLossFailsClosed(t *testing.T) {
-	opts := SplitClusterOptions{SDIMMs: 2, Levels: 7, Key: []byte("split-double-loss-key"), Seed: 3,
+	opts := ClusterOptions{Split: true, SDIMMs: 2, Levels: 7, Key: []byte("split-double-loss-key"), Seed: 3,
 		Parity: true, Durability: &DurabilityOptions{Dir: t.TempDir(), Interval: 64}}
-	c, err := NewSplitCluster(opts)
+	c, err := NewCluster(opts)
 	if err != nil {
-		t.Fatalf("NewSplitCluster: %v", err)
+		t.Fatalf("NewCluster: %v", err)
 	}
 	drive := func(ops []recOp) {
 		t.Helper()
@@ -320,9 +321,9 @@ func TestSplitScrubDoubleLossFailsClosed(t *testing.T) {
 	}
 	c.Close()
 
-	rc, report, err := RecoverSplitCluster(opts)
+	rc, report, err := RecoverCluster(opts)
 	if err != nil {
-		t.Fatalf("RecoverSplitCluster: %v", err)
+		t.Fatalf("RecoverCluster: %v", err)
 	}
 	defer rc.Close()
 	if report.BucketsRepaired != 0 || report.BucketsUnrecoverable == 0 {

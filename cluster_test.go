@@ -198,9 +198,10 @@ func TestClusterAccessorMethods(t *testing.T) {
 	}
 }
 
-func newSplitCluster(t *testing.T, k int) *SplitCluster {
+func newSplitCluster(t *testing.T, k int) *Cluster {
 	t.Helper()
-	c, err := NewSplitCluster(SplitClusterOptions{
+	c, err := NewCluster(ClusterOptions{
+		Split:  true,
 		SDIMMs: k,
 		Levels: 10,
 		Key:    []byte("split-key"),
@@ -212,11 +213,17 @@ func newSplitCluster(t *testing.T, k int) *SplitCluster {
 }
 
 func TestSplitClusterValidation(t *testing.T) {
-	if _, err := NewSplitCluster(SplitClusterOptions{SDIMMs: 3, Levels: 10}); err == nil {
+	if _, err := NewCluster(ClusterOptions{Split: true, SDIMMs: 3, Levels: 10}); err == nil {
 		t.Error("non-power-of-two accepted")
 	}
-	if _, err := NewSplitCluster(SplitClusterOptions{SDIMMs: 2, Levels: 10, BlockSize: 63}); err == nil {
+	if _, err := NewCluster(ClusterOptions{Split: true, SDIMMs: 2, Levels: 10, BlockSize: 63}); err == nil {
 		t.Error("indivisible block size accepted")
+	}
+	if _, err := NewCluster(ClusterOptions{Split: true, SDIMMs: 2, Levels: 10, RingFlushInterval: 4}); err == nil {
+		t.Error("ring eviction accepted on Split")
+	}
+	if _, err := NewCluster(ClusterOptions{SDIMMs: 2, Levels: 10, Parity: true}); err == nil {
+		t.Error("parity accepted without Split")
 	}
 }
 

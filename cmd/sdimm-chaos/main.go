@@ -10,7 +10,9 @@
 // -crash adds seeded restart points that tear the journal mid-record (or,
 // with -corrupt, flip a sealed-bucket bit and checkpoint the damage); the
 // cluster restarts from its state directory, and the recovered run must be
-// bitwise-equivalent to an uncrashed twin:
+// bitwise-equivalent to an uncrashed twin (a -split run at -parallel > 1
+// and -batch > 1 in its results and payloads: its position map follows how
+// the ops were grouped into waves, which a restart changes):
 //
 //	sdimm-chaos -crash -n 1200 -crashes 4
 //	sdimm-chaos -crash -corrupt           # exercise the scrub pass
@@ -120,7 +122,7 @@ func main() {
 	if *resize || explicit["member"] {
 		sc.Member = *member
 	}
-	if *parallel > 1 && !*split || explicit["batch"] {
+	if *parallel > 1 || explicit["batch"] {
 		sc.Window = *batch
 	}
 	// The witness rides along wherever there are links to watch; its

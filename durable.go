@@ -13,8 +13,8 @@ import (
 	isdimm "sdimm/internal/sdimm"
 )
 
-// This file wires crash consistency (internal/durable) into both cluster
-// flavours: journaling at the commit point, periodic checkpoints, and the
+// This file wires crash consistency (internal/durable) into the cluster, on
+// either protocol: journaling at the commit point, periodic checkpoints, and the
 // recovery sequence restore → scrub → replay → probation. See DESIGN.md,
 // "Durability & crash recovery", for the invariants.
 
@@ -24,10 +24,10 @@ import (
 // the address.
 var ErrUnrecoverable = errors.New("sdimm: block lost to unrecoverable corruption")
 
-// ErrStateExists is returned (wrapped) by NewCluster and NewSplitCluster
-// when the state directory already holds checkpoints: the directory belongs
-// to RecoverCluster / RecoverSplitCluster, and a caller that restarts on it
-// tests for this with errors.Is.
+// ErrStateExists is returned (wrapped) by NewCluster when the state
+// directory already holds checkpoints: the directory belongs to
+// RecoverCluster, and a caller that restarts on it tests for this with
+// errors.Is.
 var ErrStateExists = errors.New("sdimm: state directory already holds checkpoints")
 
 // DurabilityOptions configures a cluster's crash consistency.
@@ -59,13 +59,16 @@ func (o *DurabilityOptions) withDefaults(clusterKey []byte) DurabilityOptions {
 	return d
 }
 
-// independentFingerprint pins an Independent cluster's shape. opts must be
-// defaulted. Ring-eviction clusters get their own kind (including the flush
-// interval): their engines hold extra durable state (eviction pointer,
-// dead-slot masks) that a path-mode recovery could not interpret.
-func independentFingerprint(opts ClusterOptions) durable.Fingerprint {
+// fingerprint pins a cluster's shape. opts must be defaulted.
+// Ring-eviction clusters get their own kind (including the flush interval):
+// their engines hold extra durable state (eviction pointer, dead-slot masks)
+// that a path-mode recovery could not interpret.
+func fingerprint(opts ClusterOptions) durable.Fingerprint {
 	kind := "independent"
-	if opts.RingFlushInterval > 0 {
+	switch {
+	case opts.Split:
+		kind = "split"
+	case opts.RingFlushInterval > 0:
 		kind = fmt.Sprintf("independent-ring%d", opts.RingFlushInterval)
 	}
 	return durable.Fingerprint{
@@ -75,39 +78,27 @@ func independentFingerprint(opts ClusterOptions) durable.Fingerprint {
 		BlockSize: opts.BlockSize,
 		Z:         opts.Z,
 		Seed:      opts.Seed,
-	}
-}
-
-// splitFingerprint pins a Split cluster's shape. opts must be defaulted.
-func splitFingerprint(opts SplitClusterOptions) durable.Fingerprint {
-	return durable.Fingerprint{
-		Kind:      "split",
-		Members:   opts.SDIMMs,
-		Levels:    opts.Levels,
-		BlockSize: opts.BlockSize,
-		Z:         4,
-		Seed:      opts.Seed,
 		Parity:    opts.Parity,
 	}
 }
 
-// durableState is the state both cluster flavours embed: the host-side ORAM
-// state every checkpoint captures (position map, shared RNG, the members
-// and their health) with its telemetry handles, and the durability
-// bookkeeping around it. seq counts committed logical records of every kind
+// durableState is the part of the cluster every checkpoint captures: the
+// host-side ORAM state (position map, shared RNG, the members and their
+// health) with its telemetry handles, and the durability bookkeeping around
+// it. seq counts committed logical records of every kind
 // (workload accesses, migration steps, topology changes); poisoned tracks
 // addresses lost to unrecoverable corruption (always allocated, usually
 // empty).
 type durableState struct {
 	pos oram.PositionMap
 	rnd *rng.Source
-	// members is the flavour's member list — Independent: one secure buffer
-	// per SDIMM; Split: the data shards, then the parity member when there
-	// is one — and health its index-aligned health records.
+	// members is the member list — Independent: one secure buffer per SDIMM;
+	// Split: the data shards, then the parity member when there is one — and
+	// health its index-aligned health records.
 	members []*isdimm.Buffer
 	health  []*fault.Health
 	// mkMember builds incarnation inc of slot i and installs it in place.
-	// Set by the flavour's builder; used for the founding members, by joins
+	// Set by the protocol's builder; used for the founding members, by joins
 	// and replacements, and by checkpoint restore when the checkpointed
 	// incarnation differs from the founding one.
 	mkMember func(i int, inc uint64) error
@@ -135,7 +126,7 @@ type durableState struct {
 }
 
 // initElastic sets up the elastic-membership fields for members slots.
-// Called by both cluster builders (the zero value of drainMember would
+// Called by buildCluster (the zero value of drainMember would
 // otherwise mean "slot 0 is draining").
 func (d *durableState) initElastic(members int) {
 	d.drainMember = -1
@@ -275,11 +266,6 @@ func (d *durableState) appendRecords(recs []durable.Record) error {
 	return d.dur.Append(recs)
 }
 
-// commitRecord journals one access at its commit point.
-func (d *durableState) commitRecord(addr uint64, op oram.Op, data []byte, migrate bool) error {
-	return d.appendOne(d.makeRecord(addr, op, data, migrate))
-}
-
 // checkpointDue reports that the checkpoint interval has elapsed. The
 // pipeline polls it at wave boundaries to decide when to stall the schedule
 // and drain for a quiescent capture; the sequential path checks it through
@@ -288,22 +274,12 @@ func (d *durableState) checkpointDue() bool {
 	return d.dur != nil && !d.replaying && d.seq-d.lastCkpt >= uint64(d.interval)
 }
 
-// maybeCheckpoint runs force when the checkpoint interval has elapsed.
-func (d *durableState) maybeCheckpoint(force func() error) error {
-	if !d.checkpointDue() {
+// maybeCheckpoint takes the checkpoint when the interval has elapsed.
+func (c *Cluster) maybeCheckpoint() error {
+	if !c.checkpointDue() {
 		return nil
 	}
-	return force()
-}
-
-// observed is the tail of every top-level sequential access: count it, and
-// after a success take the checkpoint if one has come due.
-func (d *durableState) observed(op oram.Op, err error, force func() error) error {
-	d.tm.observe(op, err)
-	if err == nil {
-		err = d.maybeCheckpoint(force)
-	}
-	return err
+	return c.ForceCheckpoint()
 }
 
 // PlanCrash arms a simulated crash after afterRecords more journal records,
@@ -390,141 +366,157 @@ func restoreMember(b *isdimm.Buffer, h *fault.Health, m durable.MemberState) err
 	return nil
 }
 
-// --- Shared by both flavours ---
-
 // createDurable is the durable tail of construction: the state directory
-// must be empty (recovering an existing one is the job of the function
-// recoverer names — silently reinitializing it would clobber recoverable
-// state) and a genesis checkpoint is written before the cluster accepts
-// traffic.
-func (d *durableState) createDurable(opts *DurabilityOptions, fp durable.Fingerprint, clusterKey []byte,
-	recoverer string, checkpoint func() error) error {
-	if err := d.attachDurability(opts, fp, clusterKey); err != nil {
+// must be empty (recovering an existing one is RecoverCluster's job —
+// silently reinitializing it would clobber recoverable state) and a genesis
+// checkpoint is written before the cluster accepts traffic.
+func (c *Cluster) createDurable(opts ClusterOptions) error {
+	if err := c.attachDurability(opts.Durability, fingerprint(opts), opts.Key); err != nil {
 		return err
 	}
-	if d.dur.HasState() {
-		return fmt.Errorf("%w: %s; use %s", ErrStateExists, opts.Dir, recoverer)
+	if c.dur.HasState() {
+		return fmt.Errorf("%w: %s; use RecoverCluster", ErrStateExists, opts.Durability.Dir)
 	}
-	return checkpoint()
+	return c.ForceCheckpoint()
 }
 
-// recoverDurable is the recovery sequence on a freshly built cluster (new
-// link sessions): open the state directory, load the newest valid
-// checkpoint, scrub every bucket's tag, replay the journal to the last
-// committed access, put all members into Recovering probation, and persist
-// a post-recovery checkpoint — only then is traffic admitted. The flavour
-// supplies what genuinely differs: extras (its per-member additions to a
-// restored member, may be nil), its scrub, apply (one journal record → its
-// access or topology change) and its checkpoint.
+// RecoverCluster rebuilds a durable cluster from its state directory on a
+// freshly built one (new link sessions): open the state directory, load the
+// newest valid checkpoint, scrub every bucket's tag, replay the journal to
+// the last committed access, put all members into Recovering probation, and
+// persist a post-recovery checkpoint — only then is traffic admitted.
 //
 // The scrub runs before replay on purpose: replay re-executes accesses
 // against the restored image, so the image must be navigable first, and a
 // replayed write to a poisoned address heals it exactly as the original
 // execution did.
-func (d *durableState) recoverDurable(opts *DurabilityOptions, fp durable.Fingerprint, clusterKey []byte,
-	extras func(i int, m durable.MemberState) error, scrub func(*durable.RecoveryReport) error,
-	apply func(durable.Record) error, checkpoint func() error) (*durable.RecoveryReport, error) {
-	if err := d.attachDurability(opts, fp, clusterKey); err != nil {
+func RecoverCluster(opts ClusterOptions) (*Cluster, *durable.RecoveryReport, error) {
+	opts = opts.withDefaults()
+	if opts.Durability == nil {
+		return nil, nil, errors.New("sdimm: RecoverCluster requires Durability options")
+	}
+	c, err := buildCluster(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	report, err := c.recoverDurable(opts)
+	if err != nil {
+		c.Close()
+		return nil, nil, err
+	}
+	return c, report, nil
+}
+
+// recoverDurable is RecoverCluster's sequence on the built cluster.
+func (c *Cluster) recoverDurable(opts ClusterOptions) (*durable.RecoveryReport, error) {
+	if err := c.attachDurability(opts.Durability, fingerprint(opts), opts.Key); err != nil {
 		return nil, err
 	}
-	cp, recs, report, err := d.dur.Recover()
+	cp, recs, report, err := c.dur.Recover()
 	if err != nil {
 		return nil, err
 	}
-	if err := d.restoreCheckpoint(cp, extras); err != nil {
+	if err := c.restoreCheckpoint(cp); err != nil {
 		return nil, err
 	}
-	if err := scrub(report); err != nil {
+	if err := c.st.scrub(report); err != nil {
 		return nil, err
 	}
-	d.replaying = true // left set by a failed replay: the caller discards the cluster
+	c.replaying = true // left set by a failed replay: the caller discards the cluster
 	for _, rec := range recs {
-		if rec.Seq != d.seq+1 {
-			return nil, fmt.Errorf("sdimm: replay record %d does not follow committed seq %d", rec.Seq, d.seq)
+		if rec.Seq != c.seq+1 {
+			return nil, fmt.Errorf("sdimm: replay record %d does not follow committed seq %d", rec.Seq, c.seq)
 		}
-		if err := apply(rec); err != nil {
+		if err := c.replayRecord(rec); err != nil {
 			return nil, fmt.Errorf("sdimm: replay record %d (seq %d, kind %d): %w", rec.Addr, rec.Seq, rec.Kind, err)
 		}
-		d.tm.replayed.Inc()
+		c.tm.replayed.Inc()
 	}
-	d.replaying = false
-	for _, h := range d.health {
+	c.replaying = false
+	for _, h := range c.health {
 		h.MarkRecovering()
 	}
-	if err := checkpoint(); err != nil {
+	if err := c.ForceCheckpoint(); err != nil {
 		return nil, err
 	}
-	d.tm.scrubScanned.Add(uint64(report.BucketsScanned))
-	d.tm.scrubRepaired.Add(uint64(report.BucketsRepaired))
-	d.tm.scrubUnrecoverable.Add(uint64(report.BucketsUnrecoverable))
-	d.flight.Coordinator().Record(flight.KindRecovery, uint64(report.RecordsReplayed), uint64(report.BucketsRepaired))
+	c.tm.scrubScanned.Add(uint64(report.BucketsScanned))
+	c.tm.scrubRepaired.Add(uint64(report.BucketsRepaired))
+	c.tm.scrubUnrecoverable.Add(uint64(report.BucketsUnrecoverable))
+	c.flight.Coordinator().Record(flight.KindRecovery, uint64(report.RecordsReplayed), uint64(report.BucketsRepaired))
 	return report, nil
 }
 
-// checkpoint captures the cluster's full state — the shared head plus one
-// MemberState per member, which link (when set) completes with the
-// flavour's per-member extras — and persists it, rotating the journal.
-func (d *durableState) checkpoint(link func(i int, m *durable.MemberState)) error {
-	if d.dur == nil {
+// ForceCheckpoint captures the cluster's full state — the shared head plus
+// one MemberState per member, with its link counters when there are links —
+// and persists it, rotating the journal. Callable any time the cluster is
+// quiescent.
+func (c *Cluster) ForceCheckpoint() error {
+	if c.dur == nil {
 		return errors.New("sdimm: ForceCheckpoint without durability")
 	}
 	cp := &durable.Checkpoint{
-		Seq:       d.seq,
-		RNG:       d.rnd.State(),
-		Positions: capturePositions(d.pos),
-		Poisoned:  sortedKeys(d.poisoned),
-		MigSeq:    d.migSeq,
-		TopoSeq:   d.topoSeq,
+		Seq:       c.seq,
+		RNG:       c.rnd.State(),
+		Positions: capturePositions(c.pos),
+		Poisoned:  sortedKeys(c.poisoned),
+		MigSeq:    c.migSeq,
+		TopoSeq:   c.topoSeq,
 	}
-	if d.drainMember >= 0 {
-		cp.Drains = []durable.DrainState{{Member: uint64(d.drainMember), Moved: d.drainMoved}}
+	if c.drainMember >= 0 {
+		cp.Drains = []durable.DrainState{{Member: uint64(c.drainMember), Moved: c.drainMoved}}
 	}
-	for i, b := range d.members {
-		m := captureMember(b, d.health[i])
-		m.Incarnation = d.incarnations[i]
-		if link != nil {
-			link(i, &m)
+	for i, b := range c.members {
+		m := captureMember(b, c.health[i])
+		m.Incarnation = c.incarnations[i]
+		m.Detached = c.detached[i]
+		if c.links != nil {
+			m.HostSend = c.links[i].Host.SendCounter()
+			m.HostRecv = c.links[i].Host.RecvCounter()
+			m.DevSend = c.links[i].Dev.SendCounter()
+			m.DevRecv = c.links[i].Dev.RecvCounter()
 		}
 		cp.Members = append(cp.Members, m)
 	}
-	if err := d.dur.WriteCheckpoint(cp); err != nil {
+	if err := c.dur.WriteCheckpoint(cp); err != nil {
 		return err
 	}
-	d.lastCkpt = d.seq
-	d.tm.checkpoints.Inc()
-	d.flight.Coordinator().Record(flight.KindCheckpoint, d.seq, 0)
+	c.lastCkpt = c.seq
+	c.tm.checkpoints.Inc()
+	c.flight.Coordinator().Record(flight.KindCheckpoint, c.seq, 0)
 	return nil
 }
 
-// restoreCheckpoint loads cp into the (freshly constructed) cluster: the
-// flavour-independent head, then every member, which extras (when set)
-// completes with the flavour's per-member additions — checkpoint's link in
-// reverse.
-func (d *durableState) restoreCheckpoint(cp *durable.Checkpoint, extras func(i int, m durable.MemberState) error) error {
-	if len(cp.Members) != len(d.members) {
-		return fmt.Errorf("sdimm: checkpoint has %d members, cluster has %d", len(cp.Members), len(d.members))
+// restoreCheckpoint loads cp into the (freshly built) cluster: the head,
+// then every member with its detach flag and, when there are links, their
+// counters. The links run fresh post-restart ECDH sessions (new keys, so
+// restored counters can never reuse a pad); restoring the counters forward
+// keeps both endpoints in lockstep and the counters monotonic across the
+// crash.
+func (c *Cluster) restoreCheckpoint(cp *durable.Checkpoint) error {
+	if len(cp.Members) != len(c.members) {
+		return fmt.Errorf("sdimm: checkpoint has %d members, cluster has %d", len(cp.Members), len(c.members))
 	}
-	d.seq = cp.Seq
-	d.lastCkpt = cp.Seq
-	d.rnd.Restore(cp.RNG)
+	c.seq = cp.Seq
+	c.lastCkpt = cp.Seq
+	c.rnd.Restore(cp.RNG)
 	for _, p := range cp.Positions {
-		d.pos.Set(p.Addr, p.Value)
+		c.pos.Set(p.Addr, p.Value)
 	}
-	d.poisoned = make(map[uint64]bool, len(cp.Poisoned))
+	c.poisoned = make(map[uint64]bool, len(cp.Poisoned))
 	for _, a := range cp.Poisoned {
-		d.poisoned[a] = true
+		c.poisoned[a] = true
 	}
-	d.migSeq = cp.MigSeq
-	d.topoSeq = cp.TopoSeq
-	d.drainMember, d.drainMoved = -1, 0
+	c.migSeq = cp.MigSeq
+	c.topoSeq = cp.TopoSeq
+	c.drainMember, c.drainMoved = -1, 0
 	if len(cp.Drains) > 0 {
 		if len(cp.Drains) > 1 {
 			return fmt.Errorf("sdimm: checkpoint records %d concurrent drains, at most 1 supported", len(cp.Drains))
 		}
-		d.drainMember = int(cp.Drains[0].Member)
-		d.drainMoved = cp.Drains[0].Moved
-		if d.drainMember < 0 || d.drainMember >= len(d.members) {
-			return fmt.Errorf("sdimm: checkpoint drain member %d out of range", d.drainMember)
+		c.drainMember = int(cp.Drains[0].Member)
+		c.drainMoved = cp.Drains[0].Moved
+		if c.drainMember < 0 || c.drainMember >= len(c.members) {
+			return fmt.Errorf("sdimm: checkpoint drain member %d out of range", c.drainMember)
 		}
 	}
 	for i, m := range cp.Members {
@@ -532,17 +524,21 @@ func (d *durableState) restoreCheckpoint(cp *durable.Checkpoint, extras func(i i
 		// incarnation-derived store keys (and, on an Independent cluster, a
 		// distinct device identity) — rebuild it before restoring its state
 		// into place.
-		if m.Incarnation != d.incarnations[i] {
-			if err := d.mkMember(i, m.Incarnation); err != nil {
+		if m.Incarnation != c.incarnations[i] {
+			if err := c.mkMember(i, m.Incarnation); err != nil {
 				return err
 			}
-			d.incarnations[i] = m.Incarnation
+			c.incarnations[i] = m.Incarnation
 		}
-		if err := restoreMember(d.members[i], d.health[i], m); err != nil {
+		if err := restoreMember(c.members[i], c.health[i], m); err != nil {
 			return err
 		}
-		if extras != nil {
-			if err := extras(i, m); err != nil {
+		c.detached[i] = m.Detached
+		if c.links != nil {
+			if err := c.links[i].Host.RestoreCounters(m.HostSend, m.HostRecv); err != nil {
+				return err
+			}
+			if err := c.links[i].Dev.RestoreCounters(m.DevSend, m.DevRecv); err != nil {
 				return err
 			}
 		}
@@ -568,41 +564,16 @@ func (d *durableState) CorruptBucket(member, k int) (uint64, bool) {
 	return idx, ms.Corrupt(idx)
 }
 
-// --- Independent cluster ---
-
-// ForceCheckpoint captures the cluster's full state and persists it,
-// rotating the journal. Callable any time the cluster is quiescent.
-func (c *Cluster) ForceCheckpoint() error {
-	return c.checkpoint(func(i int, m *durable.MemberState) {
-		m.HostSend = c.links[i].Host.SendCounter()
-		m.HostRecv = c.links[i].Host.RecvCounter()
-		m.DevSend = c.links[i].Dev.SendCounter()
-		m.DevRecv = c.links[i].Dev.RecvCounter()
-		m.Detached = c.detached[i]
-	})
-}
-
-// restoreLinks is restoreCheckpoint's per-member hook: the detach flag and
-// the link counters. The links run fresh post-restart ECDH sessions (new
-// keys, so restored counters can never reuse a pad); restoring the counters
-// forward keeps both endpoints in lockstep and the counters monotonic across
-// the crash.
-func (c *Cluster) restoreLinks(i int, m durable.MemberState) error {
-	c.detached[i] = m.Detached
-	if err := c.links[i].Host.RestoreCounters(m.HostSend, m.HostRecv); err != nil {
-		return err
-	}
-	return c.links[i].Dev.RestoreCounters(m.DevSend, m.DevRecv)
-}
-
-// scrub runs the post-restore integrity pass over every member's tree: verify
-// every materialized bucket, quarantine the ones whose tag fails, and
+// scrub is the Independent recovery's integrity pass over every member's
+// tree (a Split cluster repairs from parity instead, see
+// splitStages.scrub): verify every materialized bucket, quarantine the ones whose tag fails, and
 // poison any mapped address whose block can no longer be found anywhere
 // (corrupt bucket on its path, not in the stash or transfer queue). The
 // Independent protocol has no cross-SDIMM redundancy, so a corrupt bucket
 // is always unrecoverable — the pass bounds the damage to provably-lost
 // addresses and keeps the tree navigable.
-func (c *Cluster) scrub(report *durable.RecoveryReport) error {
+func (s independentStages) scrub(report *durable.RecoveryReport) error {
+	c := s.c
 	corrupt := make([]map[uint64]bool, len(c.members))
 	for i, b := range c.members {
 		ms := memStore(b)
@@ -694,7 +665,9 @@ func (c *Cluster) scrub(report *durable.RecoveryReport) error {
 	return nil
 }
 
-// replayRecord re-executes one journal record during recovery.
+// replayRecord re-executes one journal record during recovery. A Split
+// journal holds only reads, writes and replacements (KindJoin): the
+// protocol has no routing, so drains and migrations never occur.
 func (c *Cluster) replayRecord(rec durable.Record) (err error) {
 	switch rec.Kind {
 	case durable.KindRead:
@@ -715,41 +688,17 @@ func (c *Cluster) replayRecord(rec durable.Record) (err error) {
 	return err
 }
 
-// RecoverCluster rebuilds a durable Independent cluster from its state
-// directory (see recoverDurable for the sequence).
-func RecoverCluster(opts ClusterOptions) (*Cluster, *durable.RecoveryReport, error) {
-	opts = opts.withDefaults()
-	if opts.Durability == nil {
-		return nil, nil, errors.New("sdimm: RecoverCluster requires Durability options")
-	}
-	c, err := buildCluster(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	report, err := c.recoverDurable(opts.Durability, independentFingerprint(opts), opts.Key,
-		c.restoreLinks, c.scrub, c.replayRecord, c.ForceCheckpoint)
-	if err != nil {
-		c.Close()
-		return nil, nil, err
-	}
-	return c, report, nil
-}
-
-// --- Split cluster ---
-
-// ForceCheckpoint captures the cluster's full state and persists it,
-// rotating the journal.
-func (c *SplitCluster) ForceCheckpoint() error { return c.checkpoint(nil) }
-
-// scrub verifies every live member's buckets and repairs a corrupt one from
-// the others (see rebuildBucket). A Failed member is neither scanned nor a
-// source: its tree stopped at the fail-stop, so its buckets are stale however
-// valid their tags. A corrupt bucket is repairable only when there is a
-// parity member and every other member is live with a verified copy; anything
-// less — no parity, a second corrupt copy, a member already down — is a loss
-// the XOR cannot cover, so the corrupt members are marked Failed and the
-// damage is reported unrecoverable, never "repaired".
-func (c *SplitCluster) scrub(report *durable.RecoveryReport) error {
+// scrub is the Split recovery's integrity pass. It verifies every live
+// member's buckets and repairs a corrupt one from the others (see
+// rebuildBucket). A Failed member is neither scanned nor a source: its tree
+// stopped at the fail-stop, so its buckets are stale however valid their
+// tags. A corrupt bucket is repairable only when there is a parity member
+// and every other member is live with a verified copy; anything less — no
+// parity, a second corrupt copy, a member already down — is a loss the XOR
+// cannot cover, so the corrupt members are marked Failed and the damage is
+// reported unrecoverable, never "repaired".
+func (s *splitStages) scrub(report *durable.RecoveryReport) error {
+	c := s.c
 	live := func(i int) bool { return c.health[i].State() != fault.Failed }
 	idxSet := make(map[uint64]bool)
 	for i, b := range c.members {
@@ -778,7 +727,7 @@ func (c *SplitCluster) scrub(report *durable.RecoveryReport) error {
 			continue
 		}
 		if c.HasParity() && len(bad) == 1 && len(good) == len(c.members)-1 {
-			if err := c.rebuildBucket(idx, bad[0], good); err != nil {
+			if err := s.rebuildBucket(idx, bad[0], good); err != nil {
 				return err
 			}
 			report.BucketsRepaired++
@@ -799,7 +748,8 @@ func (c *SplitCluster) scrub(report *durable.RecoveryReport) error {
 // data XORs to zero across them: the target's data is the XOR of the
 // sources', and sealing it under their counter reproduces the lost bucket
 // bit-exactly and keeps the write counters aligned.
-func (c *SplitCluster) rebuildBucket(idx uint64, target int, sources []int) error {
+func (s *splitStages) rebuildBucket(idx uint64, target int, sources []int) error {
+	c := s.c
 	bkts := make([]oram.Bucket, len(c.members))
 	for _, j := range sources {
 		var err error
@@ -809,50 +759,12 @@ func (c *SplitCluster) rebuildBucket(idx uint64, target int, sources []int) erro
 	}
 	tpl := bkts[sources[0]]
 	rebuilt := oram.NewBucket(len(tpl.Slots))
-	for s, slot := range tpl.Slots {
-		rebuilt.Slots[s].Addr, rebuilt.Slots[s].Leaf = slot.Addr, slot.Leaf
+	for i, slot := range tpl.Slots {
+		rebuilt.Slots[i].Addr, rebuilt.Slots[i].Leaf = slot.Addr, slot.Leaf
 		if !slot.IsDummy() {
-			rebuilt.Slots[s].Data = xorAcross(make([]byte, c.shard), sources,
-				func(j int) []byte { return bkts[j].Slots[s].Data })
+			rebuilt.Slots[i].Data = xorAcross(make([]byte, s.shard), sources,
+				func(j int) []byte { return bkts[j].Slots[i].Data })
 		}
 	}
 	return memStore(c.members[target]).PutBucketAt(idx, rebuilt, tpl.Counter)
-}
-
-// replayRecord re-executes one journal record during recovery. The split
-// protocol has no routing, so drains and migrations never occur; replacement
-// is the only topology change.
-func (c *SplitCluster) replayRecord(rec durable.Record) (err error) {
-	switch rec.Kind {
-	case durable.KindRead:
-		_, err = c.access(rec.Addr, oram.OpRead, nil)
-	case durable.KindWrite:
-		_, err = c.access(rec.Addr, oram.OpWrite, rec.Data)
-	case durable.KindJoin:
-		err = c.applySplitJoin(int(rec.Addr))
-	default:
-		err = fmt.Errorf("sdimm: record kind %d unsupported by split clusters", rec.Kind)
-	}
-	return err
-}
-
-// RecoverSplitCluster rebuilds a durable Split cluster from its state
-// directory (see recoverDurable for the sequence; the scrub repairs from
-// parity).
-func RecoverSplitCluster(opts SplitClusterOptions) (*SplitCluster, *durable.RecoveryReport, error) {
-	opts = opts.withDefaults()
-	if opts.Durability == nil {
-		return nil, nil, errors.New("sdimm: RecoverSplitCluster requires Durability options")
-	}
-	c, err := buildSplitCluster(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	report, err := c.recoverDurable(opts.Durability, splitFingerprint(opts), opts.Key,
-		nil, c.scrub, c.replayRecord, c.ForceCheckpoint)
-	if err != nil {
-		c.Close()
-		return nil, nil, err
-	}
-	return c, report, nil
 }

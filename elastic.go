@@ -12,12 +12,25 @@ import (
 )
 
 // This file implements elastic cluster membership: online drain/remove/join
-// for the Independent cluster and failed-member replacement for the Split
-// cluster. Every topology change is journaled through internal/durable
+// on an Independent cluster and failed-member replacement on a Split one.
+// A call made on the other protocol's cluster fails and changes nothing.
+// Every topology change is journaled through internal/durable
 // (KindDrainBegin / KindDrainEnd / KindJoin), and every migration step is a
 // normal-shaped access journaled as KindMigrate — a crash at any point
 // recovers to the state before or after the interrupted step, never between.
 // See DESIGN.md, "Elasticity & rebalancing".
+
+// protocolErr refuses call unless the cluster runs the protocol it belongs
+// to (split: the Split protocol).
+func (c *Cluster) protocolErr(call string, split bool) error {
+	if (c.splitSet() != nil) == split {
+		return nil
+	}
+	if split {
+		return fmt.Errorf("sdimm: %s needs a Split cluster", call)
+	}
+	return fmt.Errorf("sdimm: %s is not supported by a Split cluster", call)
+}
 
 // --- Independent cluster: drain / remove / join ---
 
@@ -27,6 +40,9 @@ import (
 // is unchanged. At most one drain runs at a time. The drain itself advances
 // via DrainStep and ends with CompleteDrain.
 func (c *Cluster) BeginDrain(i int) error {
+	if err := c.protocolErr("BeginDrain", false); err != nil {
+		return err
+	}
 	if c.crashedNow() {
 		return durable.ErrCrashed
 	}
@@ -107,6 +123,9 @@ func (c *Cluster) mappedTo(i int) []uint64 {
 // cannot tell it from workload traffic. done reports that nothing was left
 // to migrate (the step performed no access).
 func (c *Cluster) DrainStep() (done bool, err error) {
+	if err := c.protocolErr("DrainStep", false); err != nil {
+		return false, err
+	}
 	if c.crashedNow() {
 		return false, durable.ErrCrashed
 	}
@@ -120,7 +139,7 @@ func (c *Cluster) DrainStep() (done bool, err error) {
 	if r := c.access(BatchOp{Addr: next[0], Migrate: true}); r.Err != nil {
 		return false, r.Err
 	}
-	if err := c.maybeCheckpoint(c.ForceCheckpoint); err != nil {
+	if err := c.maybeCheckpoint(); err != nil {
 		return false, err
 	}
 	return false, nil
@@ -146,6 +165,9 @@ func (c *Cluster) CompleteDrain() error {
 // just placement — no state needs undoing). The cancellation journals as a
 // DrainEnd record without a detach.
 func (c *Cluster) CancelDrain() error {
+	if err := c.protocolErr("CancelDrain", false); err != nil {
+		return err
+	}
 	if c.crashedNow() {
 		return durable.ErrCrashed
 	}
@@ -167,6 +189,9 @@ func (c *Cluster) CancelDrain() error {
 // until a write heals the address) and remapped to a surviving member so
 // the tree stays navigable and future accesses keep their normal shape.
 func (c *Cluster) RemoveFailed(i int) error {
+	if err := c.protocolErr("RemoveFailed", false); err != nil {
+		return err
+	}
 	if c.crashedNow() {
 		return durable.ErrCrashed
 	}
@@ -197,9 +222,9 @@ func (c *Cluster) applyDetach(i int) error {
 		c.drainMember, c.drainMoved = -1, 0
 	}
 	orphans := c.mappedTo(i)
-	globalLeaves, states := uint64(1)<<(c.levels-1), c.HealthStates()
+	states := c.HealthStates()
 	for _, a := range orphans {
-		g, err := c.pickLeaf(states, globalLeaves)
+		g, err := c.pickLeaf(states)
 		if err != nil {
 			return err
 		}
@@ -217,6 +242,9 @@ func (c *Cluster) applyDetach(i int) error {
 // capacity changes reuse slots, keeping the global tree geometry (and with
 // it the oblivious routing arithmetic) fixed.
 func (c *Cluster) AddSDIMM(i int) error {
+	if err := c.protocolErr("AddSDIMM", false); err != nil {
+		return err
+	}
 	if c.crashedNow() {
 		return durable.ErrCrashed
 	}
@@ -229,13 +257,25 @@ func (c *Cluster) AddSDIMM(i int) error {
 	return c.applyJoin(i)
 }
 
-// applyJoin is AddSDIMM's committed effect, shared with replay.
+// applyJoin is the committed effect of AddSDIMM and ReplaceMember, shared
+// with replay. On a Split cluster the fresh member is rebuilt from the
+// others. That must not require the member to be Failed: during replay the
+// slot's buffer participated in the replayed accesses (the replayed cluster
+// has no knowledge of the original fail-stop), but its state is provably
+// identical to what reconstruction yields — every member's tree is a pure
+// function of the shared access history — so rebuilding over it is a no-op
+// disguised as a rebuild, and the RNG/journal effects match the original run
+// exactly.
 func (c *Cluster) applyJoin(i int) error {
 	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: join member %d out of range", i)
 	}
-	inc := c.incarnations[i] + 1
+	inc, old := c.incarnations[i]+1, c.members[i]
 	if err := c.mkMember(i, inc); err != nil {
+		return err
+	}
+	if err := c.st.rebuildMember(i); err != nil {
+		c.members[i] = old // a failed rebuild leaves the slot as it was
 		return err
 	}
 	c.incarnations[i] = inc
@@ -251,13 +291,16 @@ func (c *Cluster) applyJoin(i int) error {
 // --- Split cluster: failed-member replacement ---
 
 // ReplaceMember rebuilds failed member i (data shards 0..SDIMMs-1; SDIMMs =
-// parity) from the surviving members. Shard trees evolve in lockstep and
-// the parity member holds the XOR of the data shards, so the missing
-// member's entire tree — buckets and stash — is the XOR of all other
+// parity) of a Split cluster from the surviving members. Shard trees evolve
+// in lockstep and the parity member holds the XOR of the data shards, so the
+// missing member's entire tree — buckets and stash — is the XOR of all other
 // members', resealed under the new incarnation's keys. There is no drain
 // flavour for Split: the protocol has no routing, so membership can only
 // change by whole-member replacement.
-func (c *SplitCluster) ReplaceMember(i int) error {
+func (c *Cluster) ReplaceMember(i int) error {
+	if err := c.protocolErr("ReplaceMember", true); err != nil {
+		return err
+	}
 	if c.crashedNow() {
 		return durable.ErrCrashed
 	}
@@ -268,40 +311,11 @@ func (c *SplitCluster) ReplaceMember(i int) error {
 		return fmt.Errorf("sdimm: member %d is %s, not failed", i, c.health[i].State())
 	}
 	for _, j := range c.others(i) {
-		if c.memberDown(j) {
+		if c.splitSet().memberDown(j) {
 			return fmt.Errorf("sdimm: cannot rebuild member %d: member %d also down", i, j)
 		}
 	}
-	return c.applySplitJoin(i)
-}
-
-// applySplitJoin is ReplaceMember's committed effect, shared with replay.
-// It must not require the member to be Failed: during replay the slot's
-// buffer participated in the replayed accesses (the replayed cluster has no
-// knowledge of the original fail-stop), but its state is provably identical
-// to what reconstruction yields — every member's tree is a pure function of
-// the shared access history — so rebuilding over it is a no-op disguised as
-// a rebuild, and the RNG/journal effects match the original run exactly.
-func (c *SplitCluster) applySplitJoin(i int) error {
-	if i < 0 || i >= len(c.members) {
-		return fmt.Errorf("sdimm: join member %d out of range", i)
-	}
-	if !c.HasParity() {
-		return errors.New("sdimm: replacement requires a parity member")
-	}
-	inc, old := c.incarnations[i]+1, c.members[i]
-	if err := c.mkMember(i, inc); err != nil {
-		return err
-	}
-	if err := c.rebuildMember(i); err != nil {
-		c.members[i] = old // a failed rebuild leaves the slot as it was
-		return err
-	}
-	c.incarnations[i] = inc
-	succ, fail := c.health[i].Totals()
-	c.health[i].Restore(fault.Recovering, 0, succ, fail)
-	c.flight.Coordinator().Record(flight.KindJoin, uint64(i), inc)
-	return c.commitTopoRecord(durable.KindJoin, i)
+	return c.applyJoin(i)
 }
 
 // rebuildMember fills the freshly built member i from every other member:
@@ -309,11 +323,15 @@ func (c *SplitCluster) applySplitJoin(i int) error {
 // every member, data XOR-aligned) through the same XOR, and the engine RNG
 // copied from a live sibling so the lockstep eviction draws stay identical
 // from the next access on.
-func (c *SplitCluster) rebuildMember(i int) error {
+func (s *splitStages) rebuildMember(i int) error {
+	c := s.c
+	if !c.HasParity() {
+		return errors.New("sdimm: replacement requires a parity member")
+	}
 	sources := c.others(i)
 	sibling := c.members[sources[0]]
 	for _, idx := range memStore(sibling).BucketIndices() {
-		if err := c.rebuildBucket(idx, i, sources); err != nil {
+		if err := s.rebuildBucket(idx, i, sources); err != nil {
 			return err
 		}
 	}
@@ -322,9 +340,9 @@ func (c *SplitCluster) rebuildMember(i int) error {
 		stashes[j] = c.members[j].Engine().StashBlocks()
 	}
 	rebuilt := make([]oram.Block, len(stashes[sources[0]]))
-	for s, blk := range stashes[sources[0]] {
-		rebuilt[s] = oram.Block{Addr: blk.Addr, Leaf: blk.Leaf, Data: xorAcross(make([]byte, c.shard), sources,
-			func(j int) []byte { return stashes[j][s].Data })}
+	for k, blk := range stashes[sources[0]] {
+		rebuilt[k] = oram.Block{Addr: blk.Addr, Leaf: blk.Leaf, Data: xorAcross(make([]byte, s.shard), sources,
+			func(j int) []byte { return stashes[j][k].Data })}
 	}
 	if err := c.members[i].Engine().RestoreStash(rebuilt); err != nil {
 		return err

@@ -466,3 +466,66 @@ func TestSplitReplaceMemberRebuildsFromParity(t *testing.T) {
 		}
 	}
 }
+
+// TestWrongProtocolCallsFailClosed: a membership call that belongs to the
+// other protocol returns an error and changes nothing — the committed
+// sequence, position map, stashes and health states are as they were — and
+// a Migrate op on a Split cluster fails at schedule and commits nothing.
+func TestWrongProtocolCallsFailClosed(t *testing.T) {
+	ind, split := newCluster(t, 4), newParityCluster(t, 4)
+	for _, c := range []*Cluster{ind, split} {
+		for a := uint64(0); a < 20; a++ {
+			if err := c.Write(a, []byte{byte(a)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.FailShard(2)
+	}
+	footprint := func(c *Cluster) string {
+		return fmt.Sprint(c.Seq(), c.Positions(), c.StashLens(), c.HealthStates())
+	}
+	migrate := func(c *Cluster) error {
+		p := c.Pipeline(PipelineOptions{Window: 4, Parallelism: 2})
+		defer p.Close()
+		return p.Do([]BatchOp{{Addr: 3, Migrate: true}})[0].Err
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Cluster
+		call func(c *Cluster) error
+	}{
+		{"split/BeginDrain", split, func(c *Cluster) error { return c.BeginDrain(0) }},
+		{"split/CancelDrain", split, func(c *Cluster) error { return c.CancelDrain() }},
+		{"split/DrainStep", split, func(c *Cluster) error { _, err := c.DrainStep(); return err }},
+		{"split/RemoveFailed", split, func(c *Cluster) error { return c.RemoveFailed(2) }},
+		{"split/AddSDIMM", split, func(c *Cluster) error { return c.AddSDIMM(2) }},
+		{"split/Migrate", split, migrate},
+		{"independent/ReplaceMember", ind, func(c *Cluster) error { return c.ReplaceMember(2) }},
+	} {
+		before := footprint(tc.c)
+		if err := tc.call(tc.c); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if after := footprint(tc.c); after != before {
+			t.Errorf("%s: refused call changed the cluster:\nbefore %s\nafter  %s", tc.name, before, after)
+		}
+	}
+}
+
+// TestReplaceMemberWithoutParityFailsClosed: with no parity member a failed
+// Split slot cannot be rebuilt, and the refusal leaves the slot's member,
+// its incarnation and the cluster's state as they were.
+func TestReplaceMemberWithoutParityFailsClosed(t *testing.T) {
+	c := newSplitCluster(t, 4)
+	if err := c.Write(1, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	c.FailShard(2)
+	before := fmt.Sprint(c.Health().SDIMMs[2].ID, c.Incarnation(2), c.Seq(), c.Positions(), c.StashLens(), c.HealthStates())
+	if err := c.ReplaceMember(2); err == nil {
+		t.Fatal("rebuilt a member without a parity member")
+	}
+	if after := fmt.Sprint(c.Health().SDIMMs[2].ID, c.Incarnation(2), c.Seq(), c.Positions(), c.StashLens(), c.HealthStates()); after != before {
+		t.Fatalf("refused replacement changed the cluster:\nbefore %s\nafter  %s", before, after)
+	}
+}

@@ -52,9 +52,10 @@ func ExampleCluster() {
 	// Output: distributed
 }
 
-// ExampleSplitCluster bit-slices each block across four shard trees.
-func ExampleSplitCluster() {
-	c, err := sdimm.NewSplitCluster(sdimm.SplitClusterOptions{
+// ExampleCluster_split bit-slices each block across four shard trees.
+func ExampleCluster_split() {
+	c, err := sdimm.NewCluster(sdimm.ClusterOptions{
+		Split:  true,
 		SDIMMs: 4,
 		Levels: 10,
 		Key:    []byte("demo"),

@@ -78,14 +78,14 @@ func TestRecoverFormat1StateDir(t *testing.T) {
 	}
 	key := []byte("format1-fixture-key")
 	iopts := ClusterOptions{SDIMMs: 2, Levels: 7, Key: key, Seed: 5}
-	sopts := SplitClusterOptions{SDIMMs: 2, Levels: 6, Key: key, Seed: 9, Parity: true}
+	sopts := ClusterOptions{Split: true, SDIMMs: 2, Levels: 6, Key: key, Seed: 9, Parity: true}
 	for _, tc := range []struct {
 		name    string
 		fp      durable.Fingerprint
 		plain   int // plaintext bytes of one member's bucket
 		recover func(dir string) (recovered, *durable.RecoveryReport, func(), error)
 	}{
-		{"independent", independentFingerprint(iopts.withDefaults()), 4 * (16 + 64),
+		{"independent", fingerprint(iopts.withDefaults()), 4 * (16 + 64),
 			func(dir string) (recovered, *durable.RecoveryReport, func(), error) {
 				iopts.Durability = &DurabilityOptions{Dir: dir, Interval: 48}
 				c, rep, err := RecoverCluster(iopts)
@@ -94,14 +94,14 @@ func TestRecoverFormat1StateDir(t *testing.T) {
 				}
 				return c, rep, func() { c.Close() }, nil
 			}},
-		{"split", splitFingerprint(sopts.withDefaults()), 4 * (16 + 32),
+		{"split", fingerprint(sopts.withDefaults()), 4 * (16 + 32),
 			func(dir string) (recovered, *durable.RecoveryReport, func(), error) {
 				sopts.Durability = &DurabilityOptions{Dir: dir, Interval: 40}
-				c, rep, err := RecoverSplitCluster(sopts)
+				c, rep, err := RecoverCluster(sopts)
 				if err != nil {
 					return nil, nil, nil, err
 				}
-				return c, rep, c.Close, nil
+				return c, rep, func() { c.Close() }, nil
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

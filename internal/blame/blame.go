@@ -32,11 +32,12 @@ import (
 type WorkerKind uint8
 
 const (
-	// WorkerAccess is an ACCESS exchange task (path read + worker-side
-	// position-map commit).
+	// WorkerAccess is one access in a member's access share (an ACCESS
+	// exchange, or a Split member's shard access).
 	WorkerAccess WorkerKind = iota
-	// WorkerAppend is an APPEND broadcast task (one per SDIMM per wave,
-	// plus pooled re-home appends).
+	// WorkerAppend is post-commit work: an APPEND broadcast task (one per
+	// SDIMM per wave, plus pooled re-home appends) or a Split member's
+	// share of an eviction round.
 	WorkerAppend
 
 	numWorkerKinds

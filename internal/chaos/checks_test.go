@@ -17,6 +17,18 @@ func replayed(t *testing.T, _ Scenario, res Result) {
 	}
 }
 
+// multiOpWaves checks that the recoveries replayed journals written by
+// waves of more than one op.
+func multiOpWaves(t *testing.T, sc Scenario, res Result) {
+	replayed(t, sc, res)
+	for _, w := range sc.Flight.Waves() {
+		if w.Ops > 1 {
+			return
+		}
+	}
+	t.Fatalf("no wave carried more than one op:\n%s", res)
+}
+
 func replayedAndTorn(t *testing.T, sc Scenario, res Result) {
 	if replayed(t, sc, res); res.TornTails == 0 {
 		t.Fatalf("no torn journal tail observed across %d tears:\n%s", sc.Crashes, res)

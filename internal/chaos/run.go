@@ -39,22 +39,6 @@ func buildWorkload(sc Scenario) []sdimm.BatchOp {
 	return ops
 }
 
-// cluster is what the harness needs from either protocol flavour beyond the
-// flavour's own topology calls.
-type cluster interface {
-	Read(addr uint64) ([]byte, error)
-	Write(addr uint64, data []byte) error
-	Health() sdimm.ClusterHealth
-	Seq() uint64
-	WorkloadSeq() uint64
-	MigrationSeq() uint64
-	Incarnation(i int) uint64
-	Positions() map[uint64]uint64
-	PlanCrash(afterRecords, tearBytes int) error
-	ForceCheckpoint() error
-	CorruptBucket(member, k int) (uint64, bool)
-}
-
 // run is one execution of the scenario's workload and topology schedule:
 // the subject (killed and recovered per the crash plan) or its uncrashed
 // twin. It keeps no driver state across restarts — workload position, drain
@@ -72,11 +56,9 @@ type run struct {
 	tap                *linkTap        // Independent observed run only
 	exchangeViolations uint64          // error-free batches with an unexpected exchange count
 
-	// The current incarnation. Exactly one of ind and split is set; pipe is
-	// set when Independent traffic goes through the batched engine.
-	c        cluster
-	ind      *sdimm.Cluster
-	split    *sdimm.SplitCluster
+	// The current incarnation; pipe is set when traffic goes through the
+	// batched engine.
+	c        *sdimm.Cluster
 	pipe     *sdimm.Pipeline
 	reg      *telemetry.Registry
 	segStart int // workload position this incarnation started from
@@ -117,60 +99,42 @@ func (r *run) open(recovering bool) (report *durable.RecoveryReport, err error) 
 	if r.observed && sc.Telemetry != nil {
 		r.reg = sc.Telemetry
 	}
+	key, seed := []byte("chaos-campaign-key"), sc.Seed^0xc0ffee
 	if sc.Split {
-		opts := sdimm.SplitClusterOptions{
-			SDIMMs:      sc.SDIMMs,
-			Levels:      sc.Levels,
-			Key:         []byte("chaos-split-key"),
-			Seed:        sc.Seed ^ 0x5eed,
-			Parity:      sc.Parity,
-			Parallelism: sc.Parallelism,
-			Telemetry:   r.reg,
-			Flight:      sc.Flight,
-			Durability:  dur,
+		key, seed = []byte("chaos-split-key"), sc.Seed^0x5eed
+	}
+	opts := sdimm.ClusterOptions{
+		SDIMMs:            sc.SDIMMs,
+		Levels:            sc.Levels,
+		Split:             sc.Split,
+		Parity:            sc.Parity,
+		RingFlushInterval: sc.RingFlushInterval,
+		Key:               key,
+		Seed:              seed,
+		Faults:            r.in,
+		Retry:             sc.Retry,
+		Telemetry:         r.reg,
+		Flight:            sc.Flight,
+		Durability:        dur,
+	}
+	if r.tap != nil {
+		opts.LinkTap = func(sd int, dir fault.Direction, attempt int, frame []byte) {
+			r.tap.tap(sd, dir, attempt, frame)
+			sc.Witness.Tap(sd, dir, attempt, frame)
 		}
-		var c *sdimm.SplitCluster
-		if recovering {
-			c, report, err = sdimm.RecoverSplitCluster(opts)
-		} else {
-			c, err = sdimm.NewSplitCluster(opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		r.c, r.split = c, c
+	}
+	var c *sdimm.Cluster
+	if recovering {
+		c, report, err = sdimm.RecoverCluster(opts)
 	} else {
-		opts := sdimm.ClusterOptions{
-			SDIMMs:            sc.SDIMMs,
-			Levels:            sc.Levels,
-			RingFlushInterval: sc.RingFlushInterval,
-			Key:               []byte("chaos-campaign-key"),
-			Seed:              sc.Seed ^ 0xc0ffee,
-			Faults:            r.in,
-			Retry:             sc.Retry,
-			Telemetry:         r.reg,
-			Flight:            sc.Flight,
-			Durability:        dur,
-		}
-		if r.tap != nil {
-			opts.LinkTap = func(sd int, dir fault.Direction, attempt int, frame []byte) {
-				r.tap.tap(sd, dir, attempt, frame)
-				sc.Witness.Tap(sd, dir, attempt, frame)
-			}
-		}
-		var c *sdimm.Cluster
-		if recovering {
-			c, report, err = sdimm.RecoverCluster(opts)
-		} else {
-			c, err = sdimm.NewCluster(opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		r.c, r.ind = c, c
-		if sc.Parallelism > 1 {
-			r.pipe = c.Pipeline(sdimm.PipelineOptions{Window: sc.Window, Parallelism: sc.Parallelism})
-		}
+		c, err = sdimm.NewCluster(opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.c = c
+	if sc.Parallelism > 1 {
+		r.pipe = r.c.Pipeline(sdimm.PipelineOptions{Window: sc.Window, Parallelism: sc.Parallelism})
 	}
 	r.next = int(r.c.WorkloadSeq())
 	r.segStart = r.next
@@ -185,11 +149,7 @@ func (r *run) close() {
 		r.pipe.Close()
 		r.pipe = nil
 	}
-	if r.split != nil {
-		r.split.Close()
-	} else {
-		r.ind.Close() // the sweep is over; a journal close error changes no verdict
-	}
+	r.c.Close() // the sweep is over; a journal close error changes no verdict
 }
 
 // exec runs one batch on whichever engine home the scenario selects —
@@ -213,7 +173,7 @@ func (r *run) exec(batch []sdimm.BatchOp) (out []sdimm.BatchResult, crashed bool
 			case op.Migrate:
 				// DrainStep picks the lowest address still on the draining
 				// member — the order NextMigrations listed them in.
-				_, out[k].Err = r.ind.DrainStep()
+				_, out[k].Err = r.c.DrainStep()
 			case op.Write:
 				out[k].Err = r.c.Write(op.Addr, op.Data)
 			default:
@@ -249,14 +209,14 @@ func abandonedTotal(h sdimm.ClusterHealth) uint64 {
 // state, q) — exactly what crash resumption needs. The drain completes the
 // moment nothing is left, whatever q says.
 func (r *run) topUp(q uint64) error {
-	for r.ind != nil {
-		m, moved := r.ind.Draining()
+	for !r.sc.Split {
+		m, moved := r.c.Draining()
 		if m < 0 || moved >= q {
 			break
 		}
-		addrs := r.ind.NextMigrations(int(q - moved))
+		addrs := r.c.NextMigrations(int(q - moved))
 		if len(addrs) == 0 {
-			if err := r.ind.CompleteDrain(); err != nil {
+			if err := r.c.CompleteDrain(); err != nil {
 				return err
 			}
 			r.setPhase(2)
@@ -286,23 +246,20 @@ func (r *run) setPhase(p int32) {
 // workload op i, derived from (i, cluster state) alone.
 func (r *run) topology(i int) error {
 	sc := r.sc
-	if r.split != nil {
+	if sc.Split {
 		// On Split both plans are a fail-stop; the topology plan adds the
 		// rebuild. The fail-stop is not journaled (it is an external event,
 		// not a committed state change), so after a restart it is re-applied
 		// here before any further traffic — the same rule the twin follows.
-		member, failAt, joinAt := sc.FailShard, sc.FailShardAt, math.MaxInt
-		if sc.Resize {
-			member, failAt, joinAt = sc.Member, sc.beginAt(), sc.joinAt()
-		}
+		member, failAt, joinAt := sc.splitPlan()
 		if failAt == 0 || i < failAt || r.c.Incarnation(member) != 0 {
 			return nil
 		}
 		if !slices.Contains(r.c.Health().Failed(), member) {
-			r.split.FailShard(member)
+			r.c.FailShard(member)
 		}
 		if i >= joinAt {
-			return r.split.ReplaceMember(member)
+			return r.c.ReplaceMember(member)
 		}
 		return nil
 	}
@@ -310,28 +267,42 @@ func (r *run) topology(i int) error {
 		return nil
 	}
 	m := sc.Member
-	if draining, _ := r.ind.Draining(); i >= sc.beginAt() && draining < 0 &&
-		r.c.Incarnation(m) == 0 && !r.ind.Detached(m) {
+	if draining, _ := r.c.Draining(); i >= sc.beginAt() && draining < 0 &&
+		r.c.Incarnation(m) == 0 && !r.c.Detached(m) {
 		r.setPhase(1)
-		if err := r.ind.BeginDrain(m); err != nil {
+		if err := r.c.BeginDrain(m); err != nil {
 			return err
 		}
 	}
-	if i >= sc.joinAt() && r.ind.Detached(m) {
-		return r.ind.AddSDIMM(m)
+	if i >= sc.joinAt() && r.c.Detached(m) {
+		return r.c.AddSDIMM(m)
 	}
 	return nil
 }
 
 // chunkEnd bounds the batch of workload ops starting at the cursor: one op
-// on the sequential homes and under a topology plan (its actions and the
-// drain's pacing sit between ops); otherwise everything up to the record at
-// which a corrupt point stops the incarnation, so waves fill and overlap.
+// on the sequential homes and under an Independent topology plan (its
+// actions and the drain's pacing sit between ops); otherwise everything up
+// to the record at which a corrupt point stops the incarnation (or, with
+// the stop waiting out a Split member's loss, to the end), cut where a Split
+// fail-stop or rebuild sits between two ops, so waves fill and overlap.
 func (r *run) chunkEnd(stopSeq uint64) int {
-	if r.pipe == nil || r.sc.Resize {
+	sc := r.sc
+	if r.pipe == nil || sc.Resize && !sc.Split {
 		return r.next + 1
 	}
-	return r.next + int(min(uint64(len(r.ops)-r.next), stopSeq-r.c.Seq()))
+	end := len(r.ops)
+	if seq := r.c.Seq(); seq < stopSeq {
+		end = r.next + int(min(uint64(end-r.next), stopSeq-seq))
+	}
+	if _, failAt, joinAt := sc.splitPlan(); sc.Split {
+		for _, at := range []int{failAt, joinAt} {
+			if r.next < at && at < end {
+				end = at
+			}
+		}
+	}
+	return end
 }
 
 // drive advances the current incarnation from wherever its own state says
@@ -355,7 +326,7 @@ func (r *run) drive(stopSeq uint64) error {
 		}
 		// A stop waits while a Split member is down: the bucket about to be
 		// corrupted would be a second loss, and one parity member absorbs one.
-		if r.next == len(r.ops) || r.c.Seq() >= stopSeq && !(r.split != nil && len(r.c.Health().Failed()) > 0) {
+		if r.next == len(r.ops) || r.c.Seq() >= stopSeq && !(r.sc.Split && len(r.c.Health().Failed()) > 0) {
 			return nil
 		}
 		i, j := r.next, r.chunkEnd(stopSeq)
@@ -367,7 +338,7 @@ func (r *run) drive(stopSeq uint64) error {
 		r.next = j
 		// A Split member lost without parity headroom is fatal for the whole
 		// run, not just this address.
-		if err := out[len(out)-1].Err; r.split != nil && errors.Is(err, fault.ErrUnavailable) {
+		if err := out[len(out)-1].Err; r.sc.Split && errors.Is(err, fault.ErrUnavailable) {
 			return err
 		}
 	}
@@ -446,7 +417,7 @@ func Run(sc Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{FaultRate: sc.Faults.Rate(), wantCrashes: sc.Crashes, resize: sc.Resize}
+	res := Result{FaultRate: sc.Faults.Rate(), wantCrashes: sc.Crashes, resize: sc.Resize, positions: sc.twinPositions()}
 	ops := buildWorkload(sc)
 	sub := newRun(sc, ops, sc.Crashes == 0)
 
@@ -546,7 +517,7 @@ func Run(sc Scenario) (Result, error) {
 	if twin != nil && err == nil {
 		// Position-map and migration-count equivalence, before the sweep
 		// below disturbs the map.
-		if !maps.Equal(sub.c.Positions(), twin.c.Positions()) {
+		if sc.twinPositions() && !maps.Equal(sub.c.Positions(), twin.c.Positions()) {
 			res.PositionMismatches++
 		}
 		if sub.c.MigrationSeq() != twin.c.MigrationSeq() {

@@ -125,6 +125,32 @@ func legs(t *testing.T) []leg {
 		// ring, every parity reconstruction on the coordinator's.
 		{name: "TestScenarioLegs/split-flight", check: splitFlightRecorded,
 			sc: Scenario{Accesses: 300, Seed: 4, Split: true, Parity: true, FailShard: 2, FailShardAt: 100, Flight: flight.New(5, 256)}},
+		// Split on the wave driver: parity × crash × resize through
+		// Pipeline.Do at Parallelism 4 and Window 8. The waves carry up to 8
+		// ops, so the tears land inside multi-op journal groups; every
+		// completed read, the twin's results and the final sweep must match
+		// the reference map (the position map follows the wave grouping, so
+		// it is not compared: twinPositions). The first is sdimm-chaos -split
+		// -parallel 4 -batch 8 -crash -resize -n 600 -crashes 3.
+		{name: "TestScenarioLegs/split-parallel-resize-crash", check: replayed,
+			sc: cli(Scenario{Accesses: size(600), Crashes: 3, Resize: true, Split: true, Parity: true, Parallelism: 4, Window: 8})},
+		{name: "TestScenarioLegs/split-parallel-crash", check: multiOpWaves,
+			sc: Scenario{Levels: 8, Accesses: size(600), Crashes: 3, Seed: 11, Interval: 48, Split: true, Parity: true, Parallelism: 4, Window: 8,
+				Flight: flight.New(5, 4096)}},
+		{name: "TestScenarioLegs/split-parallel-corrupt", check: repairedEveryFlip,
+			sc: cli(Scenario{Accesses: size(800), Crashes: 3, Corrupt: true, Split: true, Parity: true, Parallelism: 4, Window: 8})},
+		// At Window 1 every wave is one op, which is what replay runs, so
+		// the crashed run must end with the twin's position map too.
+		{name: "TestScenarioLegs/split-window1-resize-crash", check: replayed,
+			sc: Scenario{Levels: 8, Accesses: size(600), Crashes: 3, Seed: 5, Interval: 48, Resize: true, Split: true, Parity: true, Parallelism: 4, Window: 1}},
+		// A tree this small for 230 addresses keeps the stash past the
+		// eviction threshold, so multi-op waves evict after their last op
+		// and recovery replays what they journaled one op at a time.
+		{name: "TestScenarioLegs/split-parallel-evict",
+			sc: Scenario{Levels: 4, Addresses: 230, Accesses: 700, Seed: 11, Split: true, Parity: true, Parallelism: 4, Window: 8}},
+		{name: "TestScenarioLegs/split-parallel-evict-crash", check: multiOpWaves,
+			sc: Scenario{Levels: 4, Addresses: 230, Accesses: 1100, Seed: 11, Crashes: 3, Interval: 48, Split: true, Parity: true, Parallelism: 4, Window: 8,
+				Flight: flight.New(5, 4096)}},
 	}
 	// Different seeds shift the crash points to different record offsets —
 	// including inside migration batches and around the topology records.
@@ -207,7 +233,6 @@ func TestScenarioValidation(t *testing.T) {
 		{Scenario{Split: true, Retry: fault.RetryPolicy{MaxAttempts: 3}}, "Retry conflicts with Split"},
 		{Scenario{Split: true, RingFlushInterval: 4}, "RingFlushInterval conflicts with Split"},
 		{Scenario{Split: true, Witness: wit}, "Witness conflicts with Split"},
-		{Scenario{Split: true, Parallelism: 4, Window: 8}, "Window conflicts with Split"},
 		{Scenario{Parity: true}, "Parity conflicts with Split=false"},
 		{Scenario{FailShard: 1, FailShardAt: 50}, "FailShard conflicts with Split=false"},
 		{Scenario{Split: true, FailShard: 1}, "FailShard conflicts with FailShardAt=0"},

@@ -13,45 +13,66 @@ import (
 )
 
 // TestPipelineWavePhaseTiling is the wave record's core contract on the
-// real cluster, with the blame collector and the flight recorder attached
-// together: at parallelism 4 every pipelined wave's phase intervals are
-// contiguous and tile its wall-clock exactly — no unattributed gap, no
-// overlap — and the measured all-idle time inside a phase never exceeds the
-// phase's own interval; the sequential path's one-op waves tile the same
-// way, with nothing to retire and no checkpoint. Both views hold the one
-// stamped record, bound for bound. Runs under -race in CI: the coordinator
-// stamps bounds while workers update the collector's idle meter.
+// real cluster, on both protocols, with the blame collector and the flight
+// recorder attached together: at parallelism 4 every pipelined wave's phase
+// intervals are contiguous and tile its wall-clock exactly — no
+// unattributed gap, no overlap — and the measured all-idle time inside a
+// phase never exceeds the phase's own interval; the sequential path's
+// one-op waves tile the same way, one record per access, with nothing to
+// retire and no checkpoint. Both views hold the one stamped record, bound
+// for bound. Runs under -race in CI: the coordinator stamps bounds while
+// workers update the collector's idle meter.
 func TestPipelineWavePhaseTiling(t *testing.T) {
-	col, fr := blame.NewCollector(4, 128), flight.New(4, 512)
-	c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 10, Seed: 42, Blame: col, Flight: fr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe := c.Pipeline(PipelineOptions{Window: 8, Parallelism: 4})
-	defer pipe.Close()
-
-	ops := make([]BatchOp, 32)
-	payload := make([]byte, 64)
-	for i := range ops {
-		ops[i] = BatchOp{Addr: uint64(i), Write: i%2 == 0, Data: payload}
-	}
-	for b := 0; b < 6; b++ {
-		for _, r := range pipe.Do(ops) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
+	for _, tc := range []struct {
+		name string
+		opts ClusterOptions
+	}{
+		{"independent", ClusterOptions{SDIMMs: 4, Levels: 10, Seed: 42}},
+		{"split-parity", ClusterOptions{SDIMMs: 4, Levels: 10, Seed: 42, Split: true, Parity: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col, fr := blame.NewCollector(4, 128), flight.New(5, 512)
+			tc.opts.Blame, tc.opts.Flight = col, fr
+			c, err := NewCluster(tc.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	pipelined := len(col.Recent())
-	for _, op := range ops {
-		if err := c.Write(op.Addr, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
+			pipe := c.Pipeline(PipelineOptions{Window: 8, Parallelism: 4})
+			defer pipe.Close()
 
+			ops := make([]BatchOp, 32)
+			payload := make([]byte, 64)
+			for i := range ops {
+				ops[i] = BatchOp{Addr: uint64(i), Write: i%2 == 0, Data: payload}
+			}
+			for b := 0; b < 6; b++ {
+				for _, r := range pipe.Do(ops) {
+					if r.Err != nil {
+						t.Fatal(r.Err)
+					}
+				}
+			}
+			pipelined := len(col.Recent())
+			for i, op := range ops {
+				if err := c.Write(op.Addr, payload); err != nil {
+					t.Fatal(err)
+				}
+				if n := len(col.Recent()); n != pipelined+i+1 {
+					t.Fatalf("sequential access %d left %d records, want exactly one more than %d", i, n, pipelined+i)
+				}
+			}
+			checkWaveTiling(t, col, fr, pipelined, len(ops), tc.opts.Split)
+		})
+	}
+}
+
+// checkWaveTiling holds the records of 7 passes over 32 ops — pipelined
+// ones first, then seq one-op waves — to the tiling contract.
+func checkWaveTiling(t *testing.T, col *blame.Collector, fr *flight.Recorder, pipelined, seq int, split bool) {
+	t.Helper()
 	recs := col.Recent()
-	if pipelined == 0 || len(recs) != pipelined+len(ops) {
-		t.Fatalf("%d records: %d pipelined, want %d more one-op waves", len(recs), pipelined, len(ops))
+	if pipelined == 0 || len(recs) != pipelined+seq {
+		t.Fatalf("%d records: %d pipelined, want %d more one-op waves", len(recs), pipelined, seq)
 	}
 	if waves := fr.Waves(); !slices.Equal(waves, recs) {
 		t.Fatalf("flight and blame hold different records:\n%+v\n%+v", waves, recs)
@@ -80,18 +101,18 @@ func TestPipelineWavePhaseTiling(t *testing.T) {
 				rec.Index, sum, rec.Wall(), rec)
 		}
 		if i >= pipelined {
-			// Nothing to retire and no checkpoint; the exchange (access.wait)
-			// and the journal append, broadcast and retirement (dispatch)
-			// take time.
+			// Nothing to retire and no checkpoint; the access (access.wait)
+			// takes time, and on Independent so do the journal append,
+			// broadcast and retirement (dispatch).
 			skipped := rec.PhaseDur(flight.PhaseRetireWait) + rec.PhaseDur(flight.PhaseFinalize) + rec.PhaseDur(flight.PhaseCheckpoint)
-			if rec.Ops != 1 || skipped != 0 || rec.PhaseDur(flight.PhaseAccessWait) == 0 || rec.PhaseDur(flight.PhaseDispatch) == 0 {
+			if rec.Ops != 1 || skipped != 0 || rec.PhaseDur(flight.PhaseAccessWait) == 0 || !split && rec.PhaseDur(flight.PhaseDispatch) == 0 {
 				t.Fatalf("one-op wave %d is not schedule, access.wait, commit, dispatch: %+v", rec.Index, rec)
 			}
 		}
 		totalOps += rec.Ops
 	}
-	if totalOps != 7*32 {
-		t.Fatalf("waves account for %d ops, want %d", totalOps, 7*32)
+	if totalOps != 7*seq {
+		t.Fatalf("waves account for %d ops, want %d", totalOps, 7*seq)
 	}
 
 	rep := col.Report()
@@ -104,8 +125,10 @@ func TestPipelineWavePhaseTiling(t *testing.T) {
 	if rep.SerializedNS > rep.WallNS {
 		t.Fatalf("serialized %dns exceeds wall %dns", rep.SerializedNS, rep.WallNS)
 	}
-	// The exchanges ran somewhere: worker busy time must be nonzero.
-	if rep.AccessBusyNS == 0 || rep.AppendBusyNS == 0 {
+	// The accesses ran somewhere: worker busy time must be nonzero (a Split
+	// cluster this small never needs an eviction round, its post-commit
+	// work).
+	if rep.AccessBusyNS == 0 || !split && rep.AppendBusyNS == 0 {
 		t.Fatalf("no worker busy time recorded: access %dns append %dns",
 			rep.AccessBusyNS, rep.AppendBusyNS)
 	}

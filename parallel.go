@@ -15,29 +15,36 @@ import (
 )
 
 // This file is the execution engine for functional clusters: a pool of
-// per-SDIMM workers and, on top of it, the Independent protocol's access as
-// one set of stages — schedule (route by the old leaf, draw the new one),
-// accessTask (ACCESS + FETCH_RESULT on the owning member), commit (position
-// and journal record), appendTask (the APPEND broadcast), and retire /
-// finalize (re-homing, the poison veto, delivery, counting). Two drivers run
-// those stages. The wave loop (Pipeline.run) keeps a window of independent
-// accesses in flight behind the fault.Transactor links; Do and Serve are a
-// slice feeder and a channel feeder over it. Pipeline.one runs a single op
-// as a one-op wave on the caller; every sequential Cluster access (Read,
-// Write, DrainStep, journal replay) goes through it.
+// per-member workers and, on top of it, an access as one set of stages —
+// schedule (every shared-RNG draw), the access share (each member's part of
+// the wave's ops), commit (position and journal record), the post-commit
+// step, and retire / finalize (the poison veto, delivery, counting). Each
+// protocol supplies its half of those stages as a stage set (stages):
+// Independent routes an op to the SDIMM owning its old leaf (accessTask:
+// ACCESS + FETCH_RESULT there), broadcasts APPENDs after commit (appendTask)
+// and re-homes lost blocks at finalize; Split stages a codeword, runs every
+// op on every live member (ShardAccess), evicts after commit and rebuilds a
+// down member's slice at finalize. Two drivers run the stages, and neither
+// tests the protocol. The wave loop (Pipeline.run) keeps a window of
+// independent accesses in flight; Do and Serve are a slice feeder and a
+// channel feeder over it. Pipeline.one runs a single op as a one-op wave on
+// the caller; every sequential Cluster access (Read, Write, DrainStep,
+// journal replay) goes through it.
 //
 // One thing leaves the coordinator: a member's share of a fan-out, a
-// func(member) handed to workerPool.submitWG — a wave's ACCESS exchanges (one
-// share per owning member), its APPEND broadcast (one per member), its
-// journal append (the pool's extra slot), a re-home, a SplitCluster fan-out.
+// func(member) handed to workerPool.submitWG — a wave's access shares (one
+// per owning member), its APPEND broadcast or Split eviction round (one per
+// member), its journal append (the pool's extra slot), a re-home.
 // At Parallelism > 1 every slot is a persistent goroutine draining its shares
 // FIFO; the Go scheduler caps how many run at once, so there is no
 // concurrency token. At Parallelism 1 no goroutine exists and submitWG runs
 // the share on the caller: the reference the equivalence suites compare
 // every other setting against.
 //
-// The wave loop is decoupled: wave N+1's ACCESS exchanges run while wave N's
-// APPEND broadcast and journal append are still in flight. The coordinator
+// The wave loop is decoupled: wave N+1's access shares run while wave N's
+// APPEND broadcast and journal append are still in flight (a Split wave's
+// eviction is barrier'd on the coordinator, so only its journal append
+// overlaps the next wave). The coordinator
 // holds at most two waves — the one being launched and the one being retired
 // — and its serialized work per wave is scheduling, the commit walk, and
 // result finalization. A lost real APPEND is re-homed at retirement, after
@@ -45,9 +52,9 @@ import (
 //
 // Determinism is preserved by construction, not by luck:
 //
-//   - Every draw from the cluster's shared RNG (leaf picks, re-homing)
-//     happens on the coordinator goroutine, in logical-access order. Shares
-//     never touch shared randomness.
+//   - Every draw from the cluster's shared RNG (leaf picks, re-homing, Split
+//     eviction leaves) happens on the coordinator goroutine, in
+//     logical-access order. Shares never touch shared randomness.
 //   - Each member slot owns exactly one SDIMM's link, buffer, and health
 //     record, and runs its shares FIFO in submission (= logical) order. The
 //     submission order per member — wave N's ACCESS share, wave N's APPEND
@@ -139,7 +146,8 @@ func (p *workerPool) close() {
 // as a rebalance migration step (a read journaled as KindMigrate whose
 // payload is not delivered); drivers build migration batches from
 // Cluster.NextMigrations and interleave them with workload ops — on the
-// channel the two are indistinguishable.
+// channel the two are indistinguishable. A Split cluster has no migrations
+// and refuses such an op.
 type BatchOp struct {
 	Addr    uint64
 	Write   bool
@@ -179,10 +187,11 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 }
 
 // Pipeline is a batched access engine over a Cluster: it keeps up to two
-// waves of up to Window independent accesses in flight, fanning whole
-// accessORAM operations out to the owning SDIMMs' workers (the Independent
-// protocol's unit of distribution) and overlapping each wave's APPEND
-// broadcast and journal append with the next wave's ACCESS exchanges.
+// waves of up to Window independent accesses in flight, fanning each
+// member's share of them out to that member's worker — whole accessORAM
+// operations on the owning SDIMMs (Independent), every op's slice on every
+// member (Split) — and overlapping each wave's post-commit work and journal
+// append with the next wave's access shares.
 //
 // The pipeline owns the cluster's request stream while in use: do not call
 // Read/Write on the underlying Cluster concurrently with Do. Close stops
@@ -222,7 +231,7 @@ func (c *Cluster) Pipeline(opts PipelineOptions) *Pipeline {
 		observed: c.blame != nil || c.flight != nil,
 		// One slot per member and one more, slot len(members), for the
 		// journal. Three shares are the most a member can have pending: the
-		// launching wave's ACCESS, the retiring wave's APPEND, a re-home.
+		// launching wave's access, the retiring wave's APPEND, a re-home.
 		pool: newWorkerPool(len(c.members)+1, opts.Parallelism, 3),
 	}
 }
@@ -264,13 +273,7 @@ func (p *Pipeline) takeWave() *waveState {
 	n := len(p.wsFree)
 	if n == 0 {
 		w := &waveState{}
-		w.access = func(member int) {
-			for _, po := range w.ops {
-				if !po.skip && po.sd == member {
-					p.accessTask(po)
-				}
-			}
-		}
+		w.access = func(member int) { p.c.st.share(p, w, member) }
 		w.appends = func(member int) { p.appendTask(w, member) }
 		w.journal = func(int) { w.jerr = p.c.appendRecords(w.recs) }
 		return w
@@ -308,9 +311,11 @@ type pipeOp struct {
 	migrate bool   // rebalance migration step (journals as KindMigrate)
 	data    []byte // padded write payload (nil for reads; aliases dataBuf)
 
-	oldG, newG uint64
-	sd, sdNew  int
+	oldG, newG uint64 // old and new leaf (global on Independent)
+	sd, sdNew  int    // Independent: owner of oldG and of newG
 	keep       bool
+	down       int    // Split: the member the access does without (-1: none)
+	cw         []byte // Split: the codeword, one shard-sized slice per member
 
 	err       error  // first error on the access (scheduling, exchange, ack)
 	decodeErr error  // response decode failure (folded into err after commit)
@@ -321,6 +326,7 @@ type pipeOp struct {
 	blk       oram.Block
 	out       []byte // read payload for delivery (worker-built, escapes)
 
+	shareErr  []error  // Split: per-member failed access share (phase A)
 	appendErr []error  // per-SDIMM failed append exchange (phase B)
 	appendBad [][]byte // per-SDIMM malformed append ack (phase B)
 
@@ -340,6 +346,7 @@ func (p *Pipeline) takeOp() *pipeOp {
 	*po = pipeOp{
 		dataBuf:   po.dataBuf,
 		respBody:  po.respBody[:0],
+		shareErr:  po.shareErr[:0],
 		appendErr: po.appendErr[:0],
 		appendBad: po.appendBad[:0],
 	}
@@ -427,7 +434,6 @@ func (p *Pipeline) snapshotHealth() {
 // arrivals coalesce behind the in-flight wave, so no fill timer is needed.
 func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool), deliver func(BatchResult)) {
 	c := p.c
-	globalLeaves := uint64(1) << (c.levels - 1)
 	p.snapshotHealth()
 
 	var prev *waveState
@@ -479,7 +485,7 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 
 		var w *waveState
 		if len(pending) > 0 && !dead && !ckptDue {
-			if w = p.scheduleWave(pending, prev, globalLeaves); w != nil {
+			if w = p.scheduleWave(pending, prev); w != nil {
 				p.dispatchAccess(w)
 			}
 		}
@@ -488,7 +494,7 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 		if prev != nil {
 			prev.wgB.Wait()
 			p.mark(flight.PhaseRetireWait)
-			p.retire(prev, globalLeaves)
+			p.retire(prev)
 			// Delivery comes last: a submitter that has its answer may inspect
 			// the cluster, so the wave's coordinator-side writes are done.
 			for _, r := range prev.res {
@@ -509,7 +515,7 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 			w.wgA.Wait()
 			p.mark(flight.PhaseAccessWait)
 			// Quiescent point: the previous wave is fully retired and this
-			// wave's ACCESS tasks have drained — no worker task is in flight.
+			// wave's access shares have drained — no worker task is in flight.
 			p.snapshotHealth()
 			pending = slices.Delete(pending, 0, len(w.ops))
 			if c.crashedNow() {
@@ -530,7 +536,7 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 			}
 			p.commit(w)
 			p.mark(flight.PhaseCommit)
-			p.dispatchAppend(w)
+			p.postCommit(w)
 			launched = len(w.ops)
 			prev = w
 			p.mark(flight.PhaseDispatch)
@@ -576,34 +582,31 @@ func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
 // one runs op as a one-op wave on the caller: the sequential driver of the
 // stages run drives in waves. It takes one health snapshot, then schedules,
 // executes and commits the access, journals its record synchronously — the
-// record lands before the broadcast, so a crash at the record leaves no
-// member appended — and broadcasts and retires it. Nothing overlaps the op,
-// and the caller checks the crash gate first. Its wave record has no wave to
-// retire (zero-length retire.wait and finalize) and no checkpoint; dispatch
-// covers the journal append, the broadcast and the retirement.
+// record lands before the post-commit step, so a crash at the record leaves
+// no member appended to or evicted — and runs the post-commit step and
+// retires it. Nothing overlaps the op, and the caller checks the crash gate
+// first. Its wave record has no wave to retire (zero-length retire.wait and
+// finalize) and no checkpoint; dispatch covers the journal append, the
+// post-commit step and the retirement.
 func (p *Pipeline) one(op BatchOp) BatchResult {
 	c := p.c
-	globalLeaves := uint64(1) << (c.levels - 1)
 	p.begin()
 	p.snapshotHealth()
 	w := p.takeWave()
-	po := p.schedule(op, globalLeaves)
-	w.ops = append(w.ops, po)
+	w.ops = append(w.ops, p.schedule(op))
 	p.mark(flight.PhaseFinalize) // nothing to retire: both close with schedule
-	if !po.skip {
-		p.accessTask(po)
-	}
+	p.dispatchAccess(w)          // the inline pool runs every share here
 	p.mark(flight.PhaseAccessWait)
 	p.commit(w)
 	p.mark(flight.PhaseCommit)
 	w.jerr = c.appendRecords(w.recs)
-	// Emptied so dispatchAppend does not journal the record a second time.
+	// Emptied so postCommit does not journal the record a second time.
 	clear(w.recs)
 	w.recs = w.recs[:0]
 	if w.jerr == nil {
-		p.dispatchAppend(w)
+		p.postCommit(w)
 	}
-	p.retire(w, globalLeaves)
+	p.retire(w)
 	p.mark(flight.PhaseCheckpoint) // dispatch ends here; no checkpoint runs
 	p.end(1)
 	r := w.res[0]
@@ -617,7 +620,7 @@ func (p *Pipeline) one(op BatchOp) BatchResult {
 // conflicts with the in-flight wave — the caller retires it and retries, so
 // progress is guaranteed (with no wave in flight the first op never
 // conflicts).
-func (p *Pipeline) scheduleWave(pending []BatchOp, prev *waveState, globalLeaves uint64) *waveState {
+func (p *Pipeline) scheduleWave(pending []BatchOp, prev *waveState) *waveState {
 	w := p.takeWave()
 	for _, op := range pending[:min(len(pending), p.opts.Window)] {
 		a := op.Addr
@@ -627,7 +630,7 @@ func (p *Pipeline) scheduleWave(pending []BatchOp, prev *waveState, globalLeaves
 			// wave ends here.
 			break
 		}
-		w.ops = append(w.ops, p.schedule(op, globalLeaves))
+		w.ops = append(w.ops, p.schedule(op))
 	}
 	if len(w.ops) == 0 {
 		p.releaseWave(w)
@@ -636,65 +639,37 @@ func (p *Pipeline) scheduleWave(pending []BatchOp, prev *waveState, globalLeaves
 	return w
 }
 
-// schedule prepares one access: position lookup and every shared-RNG draw,
-// in logical order on the coordinator. Health reads go through the snapshot.
-func (p *Pipeline) schedule(op BatchOp, globalLeaves uint64) *pipeOp {
+// schedule prepares one access on the coordinator, in logical order: the
+// checks every protocol shares, then the stage set's routing with every
+// shared-RNG draw the access needs. A refused op is skipped by every later
+// stage and reported at retirement.
+func (p *Pipeline) schedule(op BatchOp) *pipeOp {
 	c := p.c
 	po := p.takeOp()
 	po.addr, po.op = op.Addr, oram.OpRead
 	po.migrate = op.Migrate
-	if op.Write {
-		if op.Migrate {
-			po.err = fmt.Errorf("sdimm: migration op %d cannot be a write", op.Addr)
-			po.skip = true
-			return po
-		}
+	if op.Write && !op.Migrate {
 		po.op = oram.OpWrite
-		if len(op.Data) > c.blockSize {
-			po.err = fmt.Errorf("sdimm: payload %d exceeds block size %d", len(op.Data), c.blockSize)
-			po.skip = true
-			return po
-		}
-		po.data = padInto(&po.dataBuf, op.Data, c.blockSize)
 	}
-
-	oldG, mapped := c.pos.Get(po.addr)
-	if !mapped {
-		var err error
-		if oldG, err = c.pickLeaf(p.healthSnap, globalLeaves); err != nil {
-			po.err, po.skip = err, true
-			return po
-		}
+	var err error
+	switch {
+	case op.Write && op.Migrate:
+		err = fmt.Errorf("sdimm: migration op %d cannot be a write", op.Addr)
+	case op.Write && len(op.Data) > c.blockSize:
+		err = fmt.Errorf("sdimm: payload %d exceeds block size %d", len(op.Data), c.blockSize)
+	default:
+		err = c.st.schedule(p, po, op.Data)
 	}
-	po.oldG = oldG
-	po.sd = int(oldG >> c.localBits)
-	if st := p.healthSnap[po.sd]; st == fault.Failed || st == fault.Removed {
-		po.err = c.wrapErr(po.sd, "access", fault.ErrUnavailable)
-		po.skip = true
-		return po
-	}
-	newG, err := c.pickLeaf(p.healthSnap, globalLeaves)
-	if err != nil {
-		po.err, po.skip = err, true
-		return po
-	}
-	po.newG = newG
-	po.sdNew = int(newG >> c.localBits)
-	po.keep = po.sd == po.sdNew
+	po.err, po.skip = err, err != nil
 	return po
 }
 
-// dispatchAccess hands every SDIMM that owns one of the wave's accesses its
-// share of them: the member walks the wave in logical order and runs its own
-// ops.
+// dispatchAccess hands every member the stage set names its access share of
+// the wave: the member walks the wave in logical order and runs its part of
+// each op.
 func (p *Pipeline) dispatchAccess(w *waveState) {
-	c := p.c
-	w.owns = resized(w.owns, len(c.members))
-	for _, po := range w.ops {
-		if !po.skip {
-			w.owns[po.sd] = true
-		}
-	}
+	w.owns = resized(w.owns, len(p.c.members))
+	p.c.st.owners(w)
 	for sd, owns := range w.owns {
 		if owns {
 			p.pool.submitWG(sd, &w.wgA, w.access)
@@ -758,6 +733,13 @@ func (p *Pipeline) accessTask(po *pipeOp) {
 func (p *Pipeline) commit(w *waveState) {
 	c := p.c
 	for _, po := range w.ops {
+		// A failed Split share fails its op before commit; the lowest member
+		// index wins, at any parallelism.
+		for _, e := range po.shareErr {
+			if e != nil && po.err == nil {
+				po.err = e
+			}
+		}
 		if po.skip || po.err != nil {
 			continue
 		}
@@ -774,21 +756,15 @@ func (p *Pipeline) commit(w *waveState) {
 	}
 }
 
-// dispatchAppend launches the wave's APPEND broadcast — one share per SDIMM,
-// outcomes landing in per-(op, SDIMM) slots resolved at retirement — and the
-// journal append of its batch, which seals as one chained group (one tag per
-// wave) on the pool's extra slot while the next wave's ACCESS exchanges run.
-// Retirement waits for both before any of the wave's results are
+// postCommit launches the wave's post-commit step — the stage set's
+// (Independent: the APPEND broadcast; Split: host-directed eviction) — and
+// the journal append of its batch, which seals as one chained group (one tag
+// per wave) on the pool's extra slot while the next wave's access shares
+// run. Retirement waits for both before any of the wave's results are
 // acknowledged: the write-ahead contract.
-func (p *Pipeline) dispatchAppend(w *waveState) {
+func (p *Pipeline) postCommit(w *waveState) {
 	c := p.c
-	for _, po := range w.ops {
-		po.appendErr = resized(po.appendErr, len(c.members))
-		po.appendBad = resized(po.appendBad, len(c.members))
-	}
-	for j := range c.members {
-		p.pool.submitWG(j, &w.wgB, w.appends)
-	}
+	c.st.postCommit(p, w)
 	if len(w.recs) > 0 && c.dur != nil && !c.replaying {
 		p.pool.submitWG(len(c.members), &w.wgB, w.journal)
 	}
@@ -825,10 +801,9 @@ func (p *Pipeline) appendTask(w *waveState, j int) {
 	}
 }
 
-// retire resolves a dispatched wave whose APPEND broadcast and journal
-// append (outcome w.jerr) have completed: append outcomes (lost-append
-// accounting, re-homing, malformed acks) and the results, in logical order.
-func (p *Pipeline) retire(w *waveState, globalLeaves uint64) {
+// retire resolves a dispatched wave whose post-commit step and journal
+// append (outcome w.jerr) have completed: the results, in logical order.
+func (p *Pipeline) retire(w *waveState) {
 	for _, po := range w.ops {
 		if w.jerr != nil && po.committed {
 			// The journal append died mid-wave (a planned crash point, or real
@@ -838,33 +813,15 @@ func (p *Pipeline) retire(w *waveState, globalLeaves uint64) {
 			// prefix.
 			po.err = w.jerr
 		}
-		w.res = append(w.res, p.finalize(po, globalLeaves))
+		w.res = append(w.res, p.finalize(po))
 	}
 }
 
-// finalize resolves one access at retirement: lost-append accounting,
-// re-homing, malformed-ack detection, the poison veto, payload delivery,
-// and the cluster.* observation.
-func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64) BatchResult {
+// finalize resolves one access at retirement: the stage set's part, then
+// the poison veto, payload delivery, and the cluster.* observation.
+func (p *Pipeline) finalize(po *pipeOp) BatchResult {
 	c := p.c
-	if po.err == nil {
-		for j := range c.members {
-			if po.appendErr[j] != nil {
-				c.tm.appendsLost.Inc()
-				if !po.keep && j == po.sdNew && !po.resp.Dummy {
-					// The migrating block was in this exchange: re-home it
-					// instead of losing the payload.
-					if rerr := p.rehome(po, j, globalLeaves); rerr != nil && po.err == nil {
-						po.err = rerr
-					}
-				}
-				continue
-			}
-			if po.appendBad[j] != nil && po.err == nil {
-				po.err = c.wrapErr(j, "append", fmt.Errorf("sdimm: malformed append ack %x", po.appendBad[j]))
-			}
-		}
-	}
+	c.st.finalize(p, po)
 
 	// Poison veto at delivery: the access ran normally (keeping every RNG
 	// draw and placement identical to an uncorrupted run), but a payload lost
@@ -903,13 +860,13 @@ func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64) BatchResult {
 // channel-visible event — so the extra exchange leaks nothing the failure
 // itself did not. Leaf draws read the health snapshot and happen on the
 // coordinator, in logical order.
-func (p *Pipeline) rehome(po *pipeOp, exclude int, globalLeaves uint64) error {
+func (p *Pipeline) rehome(po *pipeOp, exclude int) error {
 	c := p.c
 	c.tm.rehomes.Inc()
 	c.flight.Coordinator().Record(flight.KindRehome, po.addr, uint64(exclude))
 	var lastErr error
 	for try := 0; try < 8*len(c.members); try++ {
-		g, err := c.pickLeaf(p.healthSnap, globalLeaves)
+		g, err := c.pickLeaf(p.healthSnap)
 		if err != nil {
 			return err
 		}
@@ -1021,4 +978,313 @@ func (p *Pipeline) Serve(in <-chan *AsyncOp) {
 		acks[head].Done <- r
 		head++
 	})
+}
+
+// stages is one protocol's half of the wave engine. The drivers (run, one)
+// and the shared steps (schedule, dispatchAccess, commit, postCommit,
+// retire) call it and never test the protocol: buildCluster picks the stage
+// set once.
+type stages interface {
+	// schedule routes po — addr, op and migrate set, checks passed — with
+	// every shared-RNG draw it needs and stages the write payload data, on
+	// the coordinator. An error refuses the op.
+	schedule(p *Pipeline, po *pipeOp, data []byte) error
+	// owners marks w.owns for every member that gets an access share of w.
+	owners(w *waveState)
+	// share is member's access share of w: its part of each op, in logical
+	// order, on member's worker.
+	share(p *Pipeline, w *waveState, member int)
+	// postCommit is the step after the commit walk, launched (Independent)
+	// or run (Split) before the journal append is dispatched.
+	postCommit(p *Pipeline, w *waveState)
+	// finalize settles po at retirement, before the poison veto and
+	// delivery.
+	finalize(p *Pipeline, po *pipeOp)
+
+	// scrub is recovery's integrity pass over the restored members, before
+	// the journal replay.
+	scrub(report *durable.RecoveryReport) error
+	// rebuildMember fills member i's freshly built incarnation at a join
+	// (Independent: a join starts empty, so nothing).
+	rebuildMember(i int) error
+}
+
+// independentStages is the Independent protocol: an op runs whole on the
+// SDIMM owning its old leaf, its block moves with the APPEND broadcast, and
+// a block whose APPEND was lost is re-homed at retirement.
+type independentStages struct{ c *Cluster }
+
+// schedule stages the write payload, routes po by its old leaf (drawn on a
+// first touch) and draws the new one. Health reads go through the snapshot.
+func (independentStages) schedule(p *Pipeline, po *pipeOp, data []byte) error {
+	c := p.c
+	if po.op == oram.OpWrite {
+		po.data = padInto(&po.dataBuf, data, c.blockSize)
+	}
+	oldG, mapped := c.pos.Get(po.addr)
+	if !mapped {
+		var err error
+		if oldG, err = c.pickLeaf(p.healthSnap); err != nil {
+			return err
+		}
+	}
+	po.oldG = oldG
+	po.sd = int(oldG >> c.localBits)
+	if st := p.healthSnap[po.sd]; st == fault.Failed || st == fault.Removed {
+		return c.wrapErr(po.sd, "access", fault.ErrUnavailable)
+	}
+	newG, err := c.pickLeaf(p.healthSnap)
+	if err != nil {
+		return err
+	}
+	po.newG = newG
+	po.sdNew = int(newG >> c.localBits)
+	po.keep = po.sd == po.sdNew
+	return nil
+}
+
+// owners marks every SDIMM that owns one of the wave's accesses.
+func (independentStages) owners(w *waveState) {
+	for _, po := range w.ops {
+		if !po.skip {
+			w.owns[po.sd] = true
+		}
+	}
+}
+
+// share runs the member's own ops of the wave.
+func (independentStages) share(p *Pipeline, w *waveState, member int) {
+	for _, po := range w.ops {
+		if !po.skip && po.sd == member {
+			p.accessTask(po)
+		}
+	}
+}
+
+// postCommit launches the wave's APPEND broadcast — one share per SDIMM,
+// outcomes landing in per-(op, SDIMM) slots resolved at retirement.
+func (independentStages) postCommit(p *Pipeline, w *waveState) {
+	c := p.c
+	for _, po := range w.ops {
+		po.appendErr = resized(po.appendErr, len(c.members))
+		po.appendBad = resized(po.appendBad, len(c.members))
+	}
+	for j := range c.members {
+		p.pool.submitWG(j, &w.wgB, w.appends)
+	}
+}
+
+// finalize resolves po's APPEND outcomes: lost-append accounting,
+// re-homing and malformed-ack detection.
+func (independentStages) finalize(p *Pipeline, po *pipeOp) {
+	c := p.c
+	if po.err != nil {
+		return
+	}
+	for j := range c.members {
+		if po.appendErr[j] != nil {
+			c.tm.appendsLost.Inc()
+			if !po.keep && j == po.sdNew && !po.resp.Dummy {
+				// The migrating block was in this exchange: re-home it
+				// instead of losing the payload.
+				if rerr := p.rehome(po, j); rerr != nil && po.err == nil {
+					po.err = rerr
+				}
+			}
+			continue
+		}
+		if po.appendBad[j] != nil && po.err == nil {
+			po.err = c.wrapErr(j, "append", fmt.Errorf("sdimm: malformed append ack %x", po.appendBad[j]))
+		}
+	}
+}
+
+func (independentStages) rebuildMember(int) error { return nil }
+
+// splitStages is the Split protocol: every op runs on every live member,
+// each holding one shard-sized slice of every block — the data slices, then
+// with parity their XOR — and the host directs eviction with shared
+// randomness so the shard trees stay in lockstep.
+type splitStages struct {
+	c          *Cluster
+	faults     *fault.Injector // honoured for its per-member fail-stops only
+	shard      int             // bytes of every block each member holds
+	dataShards int             // members[:dataShards] hold data slices; the parity member, if any, follows
+
+	// Eviction round scratch: the round's leaf and per-member errors, and
+	// the share bound once so a round allocates nothing.
+	leaf  uint64
+	errs  []error
+	wg    sync.WaitGroup
+	evict func(member int)
+}
+
+// memberDown reports whether member i is fail-stopped, folding in the
+// injector's fail-stop schedule on first observation.
+func (s *splitStages) memberDown(i int) bool {
+	h := s.c.health[i]
+	if h.State() != fault.Failed && s.faults != nil && s.faults.IsFailStopped(i) {
+		h.MarkFailed(fault.ErrFailStop)
+	}
+	return h.State() == fault.Failed
+}
+
+// solveSlice recomputes member i's slice of codeword cw (one shard-sized
+// slice per member, in member order) from every other member's.
+func (s *splitStages) solveSlice(cw []byte, i int) {
+	xorAcross(cw[i*s.shard:(i+1)*s.shard], s.c.others(i), func(j int) []byte { return cw[j*s.shard : (j+1)*s.shard] })
+}
+
+// schedule folds the injector's fail-stop schedule into the health records
+// and finds the (at most one) member the access must do without. A loss the
+// redundancy cannot cover is refused here — before the leaf draws and before
+// any member touches its tree — so a refused access leaves the survivors,
+// the RNG and the position map as they were. It then draws the old (on a
+// first touch) and new leaf of the shared tree and stages the codeword: a
+// write hands member i slice i, a read lands member i's slice at i — the
+// parity member is not special. A read's codeword escapes to the caller (its
+// data prefix); a write's is staged in the op's reusable buffer.
+func (s *splitStages) schedule(p *Pipeline, po *pipeOp, data []byte) error {
+	c := s.c
+	if po.migrate {
+		return fmt.Errorf("sdimm: migration op %d: a Split cluster has no routing to migrate", po.addr)
+	}
+	po.down = -1
+	for i := range c.members {
+		if !s.memberDown(i) {
+			continue
+		}
+		if po.down >= 0 {
+			return c.wrapErr(i, "shard access",
+				fmt.Errorf("sdimm: members %d and %d both down: %w", po.down, i, fault.ErrUnavailable))
+		}
+		po.down = i
+	}
+	if po.down >= 0 && !c.HasParity() {
+		return c.wrapErr(po.down, "shard access",
+			fmt.Errorf("sdimm: shard down and no parity to reconstruct from: %w", fault.ErrUnavailable))
+	}
+	oldLeaf, ok := c.pos.Get(po.addr)
+	if !ok {
+		oldLeaf = c.rnd.Uint64n(c.leaves)
+	}
+	po.oldG, po.newG = oldLeaf, c.rnd.Uint64n(c.leaves)
+	n := len(c.members) * s.shard
+	if po.op == oram.OpRead {
+		po.cw = make([]byte, n)
+		po.out = po.cw[:c.blockSize:c.blockSize]
+	} else {
+		po.cw = padInto(&po.dataBuf, data, n)
+		po.data = po.cw[:c.blockSize]
+		if c.HasParity() {
+			s.solveSlice(po.cw, s.dataShards)
+		}
+	}
+	po.shareErr = resized(po.shareErr, len(c.members))
+	return nil
+}
+
+// owners gives every live member — the parity member too, also on reads, so
+// its tree stays in lockstep — a share, unless every op was refused.
+func (s *splitStages) owners(w *waveState) {
+	for _, po := range w.ops {
+		if !po.skip {
+			for i, h := range s.c.health {
+				w.owns[i] = h.State() != fault.Failed
+			}
+			return
+		}
+	}
+}
+
+// share runs member's slice of every op of the wave, in logical order, into
+// the member's own region of each codeword. A failure lands in the member's
+// own error slot, so shares are race-free.
+func (s *splitStages) share(p *Pipeline, w *waveState, member int) {
+	c := s.c
+	for _, po := range w.ops {
+		if po.skip {
+			continue
+		}
+		st := c.blame.WorkerBegin()
+		slice := po.cw[member*s.shard : (member+1)*s.shard]
+		req := isdimm.AccessRequest{Addr: po.addr, Op: po.op, OldLeaf: po.oldG, NewLeaf: po.newG}
+		if po.op == oram.OpWrite {
+			req.Data = slice
+		}
+		if blk, _, err := c.members[member].ShardAccess(req); err != nil {
+			c.health[member].Failure(err)
+			po.shareErr[member] = c.wrapErr(member, "shard access", err)
+		} else {
+			c.health[member].Success()
+			if po.op == oram.OpRead && blk.Data != nil {
+				copy(slice, blk.Data)
+			}
+		}
+		c.blame.WorkerEnd(blame.WorkerAccess, st)
+	}
+}
+
+// postCommit is host-directed background eviction, up to 8 rounds per
+// committed op while the group needs it. Each round's leaf is drawn on the
+// coordinator, then every live member evicts it — one barrier'd fan-out per
+// round, since NeedsDrain must observe the finished round. The members are
+// in lockstep, so any live one answers NeedsDrain for the group. A failed
+// round fails every op of the wave that committed and ends the eviction.
+func (s *splitStages) postCommit(p *Pipeline, w *waveState) {
+	c := s.c
+	rounds := 0
+	for _, po := range w.ops {
+		if po.committed {
+			rounds += 8
+		}
+	}
+	if rounds == 0 {
+		return
+	}
+	ref := c.members[slices.IndexFunc(c.health, func(h *fault.Health) bool { return h.State() != fault.Failed })]
+	for n := 0; n < rounds && ref.Engine().NeedsDrain(); n++ {
+		s.leaf = c.rnd.Uint64n(c.leaves)
+		s.errs = resized(s.errs, len(c.members))
+		for i, h := range c.health {
+			if h.State() != fault.Failed {
+				p.pool.submitWG(i, &s.wg, s.evict)
+			}
+		}
+		s.wg.Wait()
+		for _, err := range s.errs {
+			if err == nil {
+				continue
+			}
+			for _, po := range w.ops {
+				if po.committed && po.err == nil {
+					po.err = err
+				}
+			}
+			return
+		}
+	}
+}
+
+// evictShare is member's share of an eviction round.
+func (s *splitStages) evictShare(member int) {
+	c := s.c
+	st := c.blame.WorkerBegin()
+	defer c.blame.WorkerEnd(blame.WorkerAppend, st)
+	if err := c.members[member].EvictLocal(s.leaf); err != nil {
+		c.health[member].Failure(err)
+		s.errs[member] = c.wrapErr(member, "shard eviction", err)
+	}
+}
+
+// finalize rebuilds a read's data slice held by the down member from the
+// survivors. Writes simply skip the dead member: the parity slice carries
+// the missing shard's information for later reconstruction.
+func (s *splitStages) finalize(p *Pipeline, po *pipeOp) {
+	if po.committed && po.op == oram.OpRead && po.down >= 0 && po.down < s.dataShards {
+		c := s.c
+		c.tm.reconstructions.Inc()
+		c.flight.Coordinator().Record(flight.KindReconstruct, po.addr, uint64(po.down))
+		s.solveSlice(po.cw, po.down)
+	}
 }

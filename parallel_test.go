@@ -90,9 +90,9 @@ func TestWorkerPoolCloseIdempotent(t *testing.T) {
 }
 
 // TestPipelineParallelismOneStartsNoGoroutines: Parallelism 1 is the inline
-// reference on both cluster flavours — building the pipeline or the Split
-// cluster starts no goroutine, and neither does work on it, the journal
-// append of a durable cluster included.
+// reference on both protocols — building the cluster or its pipeline starts
+// no goroutine, and neither does work on it, sequential or batched, the
+// journal append of a durable cluster included.
 func TestPipelineParallelismOneStartsNoGoroutines(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 64)
 	ops := make([]BatchOp, 32)
@@ -108,7 +108,7 @@ func TestPipelineParallelismOneStartsNoGoroutines(t *testing.T) {
 	for _, dur := range []bool{false, true} {
 		name := map[bool]string{false: "plain", true: "durable"}[dur]
 		copts := ClusterOptions{SDIMMs: 4, Levels: 8, Seed: 3}
-		sopts := SplitClusterOptions{SDIMMs: 2, Levels: 7, Seed: 3, Parity: true, Parallelism: 1}
+		sopts := ClusterOptions{Split: true, SDIMMs: 2, Levels: 7, Seed: 3, Parity: true}
 		if dur {
 			copts.Durability = &DurabilityOptions{Dir: t.TempDir(), Interval: 16}
 			sopts.Durability = &DurabilityOptions{Dir: t.TempDir(), Interval: 16}
@@ -130,18 +130,27 @@ func TestPipelineParallelismOneStartsNoGoroutines(t *testing.T) {
 		grew(name+" Do", before)
 
 		before = runtime.NumGoroutine()
-		sc, err := NewSplitCluster(sopts)
+		sc, err := NewCluster(sopts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sc.Close()
-		grew(name+" NewSplitCluster", before)
+		grew(name+" split NewCluster", before)
+		spipe := sc.Pipeline(PipelineOptions{Window: 4, Parallelism: 1})
+		defer spipe.Close()
+		grew(name+" split Pipeline", before)
+		for _, r := range spipe.Do(ops) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		grew(name+" split Do", before)
 		for _, op := range ops {
 			if err := sc.Write(op.Addr, payload); err != nil {
 				t.Fatal(err)
 			}
 		}
-		grew(name+" SplitCluster.Write", before)
+		grew(name+" split Write", before)
 	}
 }
 
@@ -427,48 +436,68 @@ func TestPipelineOversizedWriteFails(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Split cluster fan-out equivalence.
+// Split wave equivalence.
 // ---------------------------------------------------------------------------
 
-// runSplit executes a deterministic workload on a Split cluster with the
-// given fan-out parallelism, optionally failing a shard halfway through.
+// runSplit executes a deterministic workload on a Split cluster —
+// sequentially through Read/Write (window 0) or through Pipeline.Do at the
+// given window and parallelism — optionally failing a shard halfway through.
 // With rebuild the run is durable and goes on through both users of the
 // single rebuild: the failed shard is replaced three quarters of the way in,
 // and at the end a corrupt bucket is persisted into a checkpoint, the cluster
 // recovered (the scrub repairs it) and driven a little further. The final
 // checkpoint file rides along as one more result, so sealed bytes are part
-// of what the parallelisms must agree on.
-func runSplit(t *testing.T, par int, parity bool, failShard int, rebuild bool) engineState {
+// of what the runs must agree on.
+func runSplit(t *testing.T, window, par int, parity bool, failShard int, rebuild bool) engineState {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	opts := SplitClusterOptions{
-		SDIMMs:      4,
-		Levels:      10,
-		Key:         []byte("split-equivalence-key"),
-		Seed:        13,
-		Parity:      parity,
-		Parallelism: par,
-		Telemetry:   reg,
+	opts := ClusterOptions{
+		Split:     true,
+		SDIMMs:    4,
+		Levels:    10,
+		Key:       []byte("split-equivalence-key"),
+		Seed:      13,
+		Parity:    parity,
+		Telemetry: reg,
 	}
 	if rebuild {
 		opts.Durability = &DurabilityOptions{Dir: t.TempDir(), Interval: 64}
 	}
-	c, err := NewSplitCluster(opts)
+	c, err := NewCluster(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { c.Close() }()
+	var p *Pipeline
+	if window > 0 {
+		p = c.Pipeline(PipelineOptions{Window: window, Parallelism: par})
+	}
+	defer func() {
+		if p != nil {
+			p.Close()
+		}
+		c.Close()
+	}()
 	r := rng.Stream(11, "split-workload", 0)
 	const n = 240
+	ops := make([]BatchOp, n+40)
+	for i := range ops {
+		ops[i].Addr = r.Uint64n(70)
+		if r.Bool(0.5) {
+			ops[i].Write, ops[i].Data = true, []byte(fmt.Sprintf("s%04d@%d", i, ops[i].Addr))
+		}
+	}
 	var results []BatchResult
 	drive := func(from, to int) {
-		for i := from; i < to; i++ {
+		if p != nil {
+			results = append(results, p.Do(ops[from:to])...)
+			return
+		}
+		for _, op := range ops[from:to] {
 			var res BatchResult
-			addr := r.Uint64n(70)
-			if r.Bool(0.5) {
-				res.Err = c.Write(addr, []byte(fmt.Sprintf("s%04d@%d", i, addr)))
+			if op.Write {
+				res.Err = c.Write(op.Addr, op.Data)
 			} else {
-				res.Data, res.Err = c.Read(addr)
+				res.Data, res.Err = c.Read(op.Addr)
 			}
 			results = append(results, res)
 		}
@@ -491,13 +520,19 @@ func runSplit(t *testing.T, par int, parity bool, failShard int, rebuild bool) e
 		if err := c.ForceCheckpoint(); err != nil {
 			t.Fatal(err)
 		}
+		if p != nil {
+			p.Close()
+		}
 		c.Close()
 		var report *durable.RecoveryReport
-		if c, report, err = RecoverSplitCluster(opts); err != nil {
-			t.Fatalf("RecoverSplitCluster: %v", err)
+		if c, report, err = RecoverCluster(opts); err != nil {
+			t.Fatalf("RecoverCluster: %v", err)
 		}
 		if report.BucketsRepaired != 1 || report.BucketsUnrecoverable != 0 {
 			t.Fatalf("scrub did not repair cleanly: %+v", report)
+		}
+		if p != nil {
+			p = c.Pipeline(PipelineOptions{Window: window, Parallelism: par})
 		}
 		drive(n, n+40)
 		if err := c.ForceCheckpoint(); err != nil {
@@ -508,10 +543,12 @@ func runSplit(t *testing.T, par int, parity bool, failShard int, rebuild bool) e
 	return captureState(results, c.Positions(), c.StashLens(), reg, c.Health())
 }
 
-// TestSplitParallelismEquivalence: the Split fan-out path must evolve
-// bit-identically at any parallelism, with and without a parity member,
-// including across a mid-run shard loss with XOR reconstruction, a
-// replacement rebuilt from the survivors and a scrub repair after recovery.
+// TestSplitParallelismEquivalence: Split waves must evolve bit-identically
+// at any parallelism, with and without a parity member, including across a
+// mid-run shard loss with XOR reconstruction, a replacement rebuilt from the
+// survivors and a scrub repair after recovery. Sequential calls are one-op
+// waves, so they must equal Window 1 at every parallelism; a Window 8 wave
+// evicts after its last op, so it is compared across parallelisms only.
 func TestSplitParallelismEquivalence(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -526,7 +563,7 @@ func TestSplitParallelismEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runSplit(t, 1, tc.parity, tc.failShard, tc.rebuild)
+			base := runSplit(t, 0, 1, tc.parity, tc.failShard, tc.rebuild)
 			if len(base.Positions) == 0 {
 				t.Fatal("baseline split run touched no addresses")
 			}
@@ -536,9 +573,14 @@ func TestSplitParallelismEquivalence(t *testing.T) {
 					t.Fatal("shard-loss scenario never reconstructed")
 				}
 			}
+			for _, par := range []int{1, 2, 4, 8} {
+				diffState(t, fmt.Sprintf("%s sequential vs window=1 parallelism=%d", tc.name, par),
+					base, runSplit(t, 1, par, tc.parity, tc.failShard, tc.rebuild))
+			}
+			wide := runSplit(t, 8, 1, tc.parity, tc.failShard, tc.rebuild)
 			for _, par := range []int{2, 4, 8} {
-				diffState(t, fmt.Sprintf("%s parallelism=%d", tc.name, par),
-					base, runSplit(t, par, tc.parity, tc.failShard, tc.rebuild))
+				diffState(t, fmt.Sprintf("%s window=8 parallelism=%d", tc.name, par),
+					wide, runSplit(t, 8, par, tc.parity, tc.failShard, tc.rebuild))
 			}
 		})
 	}

@@ -251,10 +251,12 @@ func TestPipelineDoServeEquivalence(t *testing.T) {
 	scenarios := []struct {
 		name       string
 		faulty     bool
-		crashAfter int // journal records before the planned crash; 0 = none
-	}{{"clean", false, 0}, {"faulty", true, 0}, {"crash", false, 301}}
+		crashAfter int  // journal records before the planned crash; 0 = none
+		split      bool // Split with parity instead of Independent
+	}{{"clean", false, 0, false}, {"faulty", true, 0, false}, {"crash", false, 301, false},
+		{"split-parity", false, 0, true}, {"split-parity-crash", false, 301, true}}
 
-	run := func(t *testing.T, faulty bool, crashAfter, par int, serve bool) (engineState, map[string][]byte) {
+	run := func(t *testing.T, faulty bool, crashAfter int, split bool, par int, serve bool) (engineState, map[string][]byte) {
 		var inj *fault.Injector
 		if faulty {
 			inj = fault.NewInjector(fault.Config{Seed: 0xd05e,
@@ -263,7 +265,7 @@ func TestPipelineDoServeEquivalence(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		dir := t.TempDir()
 		c, err := NewCluster(ClusterOptions{
-			SDIMMs: 4, Levels: 10, Key: []byte("feeder-key"), Seed: 41,
+			SDIMMs: 4, Levels: 10, Key: []byte("feeder-key"), Seed: 41, Split: split, Parity: split,
 			Faults: inj, Retry: fault.RetryPolicy{MaxAttempts: 4, Sleep: nop},
 			Telemetry:  reg,
 			Durability: &DurabilityOptions{Dir: dir, Interval: 64},
@@ -315,8 +317,8 @@ func TestPipelineDoServeEquivalence(t *testing.T) {
 	for _, sc := range scenarios {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/par%d", sc.name, par), func(t *testing.T) {
-				do, doFiles := run(t, sc.faulty, sc.crashAfter, par, false)
-				srv, srvFiles := run(t, sc.faulty, sc.crashAfter, par, true)
+				do, doFiles := run(t, sc.faulty, sc.crashAfter, sc.split, par, false)
+				srv, srvFiles := run(t, sc.faulty, sc.crashAfter, sc.split, par, true)
 				diffState(t, "Do vs Serve", do, srv)
 				if len(doFiles) == 0 {
 					t.Fatal("state directory is empty")

@@ -28,15 +28,15 @@ func readCheckpoint(t *testing.T, dir string, seq uint64) []byte {
 // exported surface is used, so the identical function runs at any commit.
 func splitGoldenRun(t *testing.T, levels int, addrs uint64, fill, ops int) string {
 	t.Helper()
-	opts := SplitClusterOptions{SDIMMs: 4, Levels: levels, Key: []byte("split-golden-key"), Seed: 21,
+	opts := ClusterOptions{Split: true, SDIMMs: 4, Levels: levels, Key: []byte("split-golden-key"), Seed: 21,
 		Parity: true, Durability: &DurabilityOptions{Dir: t.TempDir(), Interval: 32}}
-	c, err := NewSplitCluster(opts)
+	c, err := NewCluster(opts)
 	if err != nil {
-		t.Fatalf("NewSplitCluster: %v", err)
+		t.Fatalf("NewCluster: %v", err)
 	}
 	work := recWorkload(31, ops, addrs)
 	final := map[uint64][]byte{}
-	drive := func(c *SplitCluster, from, to int) {
+	drive := func(c *Cluster, from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
 			if op := work[i]; op.write {
@@ -72,9 +72,9 @@ func splitGoldenRun(t *testing.T, levels int, addrs uint64, fill, ops int) strin
 	}
 	c.Close()
 
-	rc, report, err := RecoverSplitCluster(opts)
+	rc, report, err := RecoverCluster(opts)
 	if err != nil {
-		t.Fatalf("RecoverSplitCluster: %v", err)
+		t.Fatalf("RecoverCluster: %v", err)
 	}
 	defer rc.Close()
 	if report.BucketsRepaired != 1 || report.BucketsUnrecoverable != 0 {

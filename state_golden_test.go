@@ -70,7 +70,7 @@ func TestStateDirGolden(t *testing.T) {
 
 	// Recover replays the newest checkpoint's journal; with that checkpoint
 	// gone it falls back to the older one and replays the older journal.
-	fp := independentFingerprint(opts.withDefaults())
+	fp := fingerprint(opts.withDefaults())
 	cp, recs := newestCheckpoint(t, dir, opts.Key, fp)
 	older := copyStateDir(t, dir)
 	if err := os.Remove(filepath.Join(older, fmt.Sprintf("checkpoint-%016x.ckpt", cp.Seq))); err != nil {

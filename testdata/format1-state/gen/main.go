@@ -98,7 +98,7 @@ func main() {
 	// the newest checkpoint holds a member of incarnation 1 (its own store
 	// key) beside two founders. The replacement journals a topology record.
 	dir = filepath.Join(root, "split")
-	sc, err := sdimm.NewSplitCluster(sdimm.SplitClusterOptions{SDIMMs: 2, Levels: 6, Key: []byte("format1-fixture-key"), Seed: 9,
+	sc, err := sdimm.NewCluster(sdimm.ClusterOptions{Split: true, SDIMMs: 2, Levels: 6, Key: []byte("format1-fixture-key"), Seed: 9,
 		Parity: true, Durability: &sdimm.DurabilityOptions{Dir: dir, Interval: 40}})
 	if err != nil {
 		log.Fatal(err)
