@@ -134,7 +134,11 @@ profile-sim:
 # engine against a plain map: read-your-writes, one live copy per address,
 # stash within capacity. MemStore.RestoreRaw takes sealed buckets of both formats off
 # disk: a wrong length is an error, and nothing a seal under the store's key
-# did not produce may open.
+# did not produce may open. FuzzServeConn drives a tenant connection with
+# arbitrary client bytes: no panic, the handler returns when the client
+# closes, admission depth returns to 0 and Shutdown completes. Each of its
+# inputs builds a cluster, so minimizing an input is capped by count, not
+# the default minute.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalAccess -fuzztime=20s ./internal/sdimm
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalResponse -fuzztime=20s ./internal/sdimm
@@ -147,6 +151,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzEngineModes -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzMemStoreRestoreRaw -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzWireDecode -fuzztime=20s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzServeConn -fuzztime=20s -fuzzminimizetime=200x ./internal/serve
 
 # Serving front-end smoke: the in-process sdimm-serve run (two tenants,
 # closed-loop load, graceful drain, witness + zero-accepted-deadline-miss

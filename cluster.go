@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"sdimm/internal/blame"
-	"sdimm/internal/durable"
 	"sdimm/internal/fault"
 	"sdimm/internal/flight"
 	"sdimm/internal/oram"
@@ -599,12 +598,12 @@ func placeable(st fault.State) bool {
 }
 
 // access runs one sequential access — Read, Write, DrainStep or a replayed
-// record — as a one-op wave of the wave engine (Pipeline.one). A cluster that
-// died at a planned crash point refuses it uncounted, as the wave loop's
-// abort does.
+// record — as a one-op wave of the wave engine (Pipeline.one). A cluster
+// whose durability failed (a planned crash point or a real write error)
+// refuses it uncounted, as the wave loop's abort does.
 func (c *Cluster) access(op BatchOp) BatchResult {
-	if c.crashedNow() {
-		return BatchResult{Err: durable.ErrCrashed}
+	if err := c.failed(); err != nil {
+		return BatchResult{Err: err}
 	}
 	return c.inline.one(op)
 }

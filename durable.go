@@ -193,9 +193,15 @@ func (d *durableState) wrapErr(i int, op string, err error) error {
 	return &fault.SDIMMError{Index: i, ID: d.members[i].ID(), Op: op, Err: err}
 }
 
-// crashedNow reports whether a planned crash point has fired — the cluster
-// is "dead" and refuses further work.
-func (d *durableState) crashedNow() bool { return d.dur != nil && d.dur.Crashed() }
+// failed returns the durability manager's latched failure — a planned crash
+// point (durable.ErrCrashed) or a real journal or checkpoint write error —
+// after which the cluster is "dead" and refuses further work with it.
+func (d *durableState) failed() error {
+	if d.dur == nil {
+		return nil
+	}
+	return d.dur.Err()
+}
 
 // attachDurability opens the state directory. Shared by construction and
 // recovery.

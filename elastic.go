@@ -43,8 +43,8 @@ func (c *Cluster) BeginDrain(i int) error {
 	if err := c.protocolErr("BeginDrain", false); err != nil {
 		return err
 	}
-	if c.crashedNow() {
-		return durable.ErrCrashed
+	if err := c.failed(); err != nil {
+		return err
 	}
 	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: member slot %d out of range", i)
@@ -126,8 +126,8 @@ func (c *Cluster) DrainStep() (done bool, err error) {
 	if err := c.protocolErr("DrainStep", false); err != nil {
 		return false, err
 	}
-	if c.crashedNow() {
-		return false, durable.ErrCrashed
+	if err := c.failed(); err != nil {
+		return false, err
 	}
 	if c.drainMember < 0 {
 		return false, errors.New("sdimm: no drain in progress")
@@ -148,8 +148,8 @@ func (c *Cluster) DrainStep() (done bool, err error) {
 // CompleteDrain detaches the drained member once nothing is mapped to it.
 // The slot becomes Removed (terminal until a join repopulates it).
 func (c *Cluster) CompleteDrain() error {
-	if c.crashedNow() {
-		return durable.ErrCrashed
+	if err := c.failed(); err != nil {
+		return err
 	}
 	if c.drainMember < 0 {
 		return errors.New("sdimm: no drain in progress")
@@ -168,8 +168,8 @@ func (c *Cluster) CancelDrain() error {
 	if err := c.protocolErr("CancelDrain", false); err != nil {
 		return err
 	}
-	if c.crashedNow() {
-		return durable.ErrCrashed
+	if err := c.failed(); err != nil {
+		return err
 	}
 	if c.drainMember < 0 {
 		return errors.New("sdimm: no drain in progress")
@@ -192,8 +192,8 @@ func (c *Cluster) RemoveFailed(i int) error {
 	if err := c.protocolErr("RemoveFailed", false); err != nil {
 		return err
 	}
-	if c.crashedNow() {
-		return durable.ErrCrashed
+	if err := c.failed(); err != nil {
+		return err
 	}
 	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: member slot %d out of range", i)
@@ -245,8 +245,8 @@ func (c *Cluster) AddSDIMM(i int) error {
 	if err := c.protocolErr("AddSDIMM", false); err != nil {
 		return err
 	}
-	if c.crashedNow() {
-		return durable.ErrCrashed
+	if err := c.failed(); err != nil {
+		return err
 	}
 	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: member slot %d out of range", i)
@@ -301,8 +301,8 @@ func (c *Cluster) ReplaceMember(i int) error {
 	if err := c.protocolErr("ReplaceMember", true); err != nil {
 		return err
 	}
-	if c.crashedNow() {
-		return durable.ErrCrashed
+	if err := c.failed(); err != nil {
+		return err
 	}
 	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: member slot %d out of range", i)

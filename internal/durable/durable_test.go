@@ -251,6 +251,44 @@ func TestJournalSeqGapRejected(t *testing.T) {
 	}
 }
 
+// TestJournalWriteFailureLatches: a journal write that fails — here the
+// file is closed under the manager — is latched like a planned crash: that
+// append and every later Append and WriteCheckpoint return the same error,
+// so no checkpoint can persist state the journal lost, and the directory
+// still recovers the records written before the failure.
+func TestJournalWriteFailureLatches(t *testing.T) {
+	dir := t.TempDir()
+	m := testManager(t, dir)
+	if err := m.WriteCheckpoint(testCheckpoint(0)); err != nil {
+		t.Fatalf("WriteCheckpoint: %v", err)
+	}
+	if err := m.Append([]Record{record(1, 10, true, []byte("a"))}); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	m.jf.Close()
+	failed := m.Append([]Record{record(2, 11, true, []byte("b"))})
+	if failed == nil {
+		t.Fatal("append to a closed journal succeeded")
+	}
+	if err := m.Err(); err != failed {
+		t.Fatalf("Err = %v, want the failed append's %v", err, failed)
+	}
+	if err := m.Append([]Record{record(2, 11, true, []byte("b"))}); err != failed {
+		t.Fatalf("append after the failure = %v, want %v", err, failed)
+	}
+	if err := m.WriteCheckpoint(testCheckpoint(2)); err != failed {
+		t.Fatalf("checkpoint after the failure = %v, want %v", err, failed)
+	}
+
+	cp, recs, _, err := testManager(t, dir).Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if cp.Seq != 0 || len(recs) != 1 || recs[0].Seq != 1 {
+		t.Fatalf("recovered checkpoint %d with %d records, want checkpoint 0 and record 1", cp.Seq, len(recs))
+	}
+}
+
 func TestTornTailYieldsValidPrefix(t *testing.T) {
 	dir := t.TempDir()
 	m := testManager(t, dir)
@@ -266,7 +304,7 @@ func TestTornTailYieldsValidPrefix(t *testing.T) {
 	if err != ErrCrashed {
 		t.Fatalf("Append after crash plan = %v, want ErrCrashed", err)
 	}
-	if !m.Crashed() {
+	if m.Err() != ErrCrashed {
 		t.Fatal("manager not marked crashed")
 	}
 	if err := m.WriteCheckpoint(testCheckpoint(3)); err != ErrCrashed {

@@ -14,7 +14,8 @@ import (
 
 // ErrCrashed is returned by every durable operation after a planned crash
 // point fires (or once the manager is torn down by one). The cluster treats
-// it as fail-stop: the process is "dead" and must be recovered from disk.
+// it, like any failure the manager latches (see Manager.Err), as fail-stop:
+// the process is "dead" and must be recovered from disk.
 var ErrCrashed = errors.New("durable: simulated crash")
 
 // Fingerprint identifies the cluster shape a state directory belongs to.
@@ -73,7 +74,7 @@ type Manager struct {
 
 	crashAfter int // records until the planned crash; -1 when disarmed
 	tearBytes  int
-	crashed    bool
+	err        error // the first failure, latched: see Err
 
 	recBuf []byte // reusable encoded-record scratch (body + chain tag)
 }
@@ -139,12 +140,17 @@ func (m *Manager) HasState() bool {
 // WriteCheckpoint atomically persists cp, rotates the journal to a fresh
 // file based at cp.Seq, and prunes files made redundant. On return the
 // checkpoint alone reproduces all state up to and including access cp.Seq.
+// A failure at any step is latched (see Err).
 func (m *Manager) WriteCheckpoint(cp *Checkpoint) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.crashed {
-		return ErrCrashed
+	if m.err == nil {
+		m.err = m.writeCheckpoint(cp)
 	}
+	return m.err
+}
+
+func (m *Manager) writeCheckpoint(cp *Checkpoint) error {
 	cp.FP = m.fp
 	enc := encodeCheckpoint(m.key, cp)
 	final := checkpointPath(m.dir, cp.Seq)
@@ -257,12 +263,13 @@ func syncDir(dir string) error {
 // batch, the records before it are sealed as their own group (they were
 // "written" before the crash), the group holding the crash record is torn
 // mid-group, the manager dies, and ErrCrashed is returned — records before
-// the tear are durable and recoverable, the torn group is not.
+// the tear are durable and recoverable, the torn group is not. A write or
+// sync failure is latched like the crash (see Err); a rejected batch is not.
 func (m *Manager) Append(recs []Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.crashed {
-		return ErrCrashed
+	if m.err != nil {
+		return m.err
 	}
 	if m.jf == nil {
 		return errors.New("durable: append with no open journal (write a checkpoint first)")
@@ -276,10 +283,17 @@ func (m *Manager) Append(recs []Record) error {
 				rec.Seq, rec.Kind, len(rec.Data), want, m.blockSize)
 		}
 	}
+	m.err = m.append(recs)
+	return m.err
+}
+
+// append writes a checked batch, firing the planned crash point if it falls
+// inside.
+func (m *Manager) append(recs []Record) error {
 	if m.crashAfter >= 0 && m.crashAfter < len(recs) {
 		// The crash point falls inside this batch: seal the records before it
 		// as a complete (durable) group, then tear the group carrying the
-		// crash record and die. The records were checked above, so the torn
+		// crash record and die. Append checked the records, so the torn
 		// write's own error is all writeGroup can report, and the crash
 		// supersedes it.
 		k := m.crashAfter
@@ -292,7 +306,6 @@ func (m *Manager) Append(recs []Record) error {
 		m.writeGroup(recs[k:], m.tearBytes)
 		m.jf.Close()
 		m.jf = nil
-		m.crashed = true
 		return ErrCrashed
 	}
 	if m.crashAfter > 0 {
@@ -339,11 +352,15 @@ func (m *Manager) PlanCrash(afterRecords, tearBytes int) {
 	m.tearBytes = max(tearBytes, 0)
 }
 
-// Crashed reports whether a planned crash point has fired.
-func (m *Manager) Crashed() bool {
+// Err returns the manager's first failure: ErrCrashed once a planned crash
+// point fires, or the error of a journal write or sync or of any checkpoint
+// step. Once set it never changes, and every later Append and
+// WriteCheckpoint returns it: after a failed commit the caller's memory may
+// hold state the journal does not, and no checkpoint may persist it.
+func (m *Manager) Err() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.crashed
+	return m.err
 }
 
 // Recover loads the newest valid checkpoint and the valid prefix of its

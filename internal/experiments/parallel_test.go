@@ -98,9 +98,6 @@ func diffSnapshots(t *testing.T, a, b telemetry.Snapshot) {
 	if !reflect.DeepEqual(a.Gauges, b.Gauges) {
 		t.Errorf("gauges diverged: %v vs %v", a.Gauges, b.Gauges)
 	}
-	if !reflect.DeepEqual(a.Means, b.Means) {
-		t.Errorf("means diverged: %v vs %v", a.Means, b.Means)
-	}
 	if !reflect.DeepEqual(a.Histograms, b.Histograms) {
 		for k, v := range a.Histograms {
 			if !reflect.DeepEqual(b.Histograms[k], v) {

@@ -21,10 +21,10 @@ import (
 //     stays under the configured overflow target. Beyond the limit,
 //     requests shed instead of queueing into certain deadline misses.
 //   - Deadline feasibility: a request whose slack is smaller than the
-//     queue's estimated drain time (depth × an EWMA of recent service
-//     times) is shed on arrival. Accepting it would burn pipeline work on
-//     a response the client will discard — the "zero accepted requests
-//     miss their deadline" discipline.
+//     queue's estimated drain time ((depth+1) × an EWMA of recent service
+//     times, see Done) is shed on arrival. Accepting it would burn pipeline
+//     work on a response the client will discard — the "zero accepted
+//     requests miss their deadline" discipline.
 //   - A retry token bucket: client retries of shed requests spend tokens
 //     that refill at a bounded rate, so retry storms decay geometrically
 //     instead of amplifying the overload that caused them.
@@ -40,7 +40,7 @@ type Admission struct {
 	depth    int     // admitted, not yet completed
 	peak     int     // high-water depth since last SLO snapshot
 	closed   bool    // draining: everything sheds with StatusClosing
-	svcEWMA  float64 // seconds per op, exponentially weighted
+	svcEWMA  float64 // service seconds per op, exponentially weighted
 	tokens   float64 // retry budget
 	rate     float64 // tokens per second
 	burst    float64
@@ -185,15 +185,17 @@ func (a *Admission) Admit(slack time.Duration, retry bool) Decision {
 	return Accepted
 }
 
-// Done completes one accepted request, feeding its service time into the
-// drain-time estimate.
+// Done completes one accepted request. elapsed is its sojourn (wait plus
+// service), about depth service times, so the drain-time estimate is fed
+// elapsed over the depth the request completed at: one service time.
 func (a *Admission) Done(elapsed time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	s := elapsed.Seconds() / float64(max(a.depth, 1))
 	if a.depth > 0 {
 		a.depth--
 	}
-	if s := elapsed.Seconds(); s > 0 {
+	if s > 0 {
 		const alpha = 0.1
 		if a.svcEWMA == 0 {
 			a.svcEWMA = s

@@ -83,6 +83,40 @@ func TestAdmissionDeadlineInfeasibleSheds(t *testing.T) {
 	}
 }
 
+// TestAdmissionDeadlineUsesServiceTime: at depth 32 each completion's
+// sojourn is 32 service times, and the drain-time estimate must be built
+// from the service time, not the sojourn — or a request with four times the
+// slack its real wait needs is shed as infeasible.
+func TestAdmissionDeadlineUsesServiceTime(t *testing.T) {
+	const depth, svc = 32, 30 * time.Microsecond
+	clk := newFakeClock()
+	a := admWithClock(t, AdmissionOptions{}, clk)
+	if a.Limit() <= depth+1 {
+		t.Fatalf("default limit %d too small for the scenario", a.Limit())
+	}
+	for i := 0; i < depth; i++ {
+		if a.Admit(time.Second, false) != Accepted {
+			t.Fatal("fill admit refused")
+		}
+	}
+	// Steady state: one completion per service time, each after a sojourn of
+	// depth service times, and one arrival to replace it.
+	for i := 0; i < 200; i++ {
+		clk.advance(svc)
+		a.Done(depth * svc)
+		if a.Admit(time.Second, false) != Accepted {
+			t.Fatal("steady-state admit refused")
+		}
+	}
+	wait := (depth + 1) * svc
+	if d := a.Admit(4*wait, false); d != Accepted {
+		t.Fatalf("admit with 4x the real wait as slack = %v, want Accepted", d)
+	}
+	if d := a.Admit(wait/4, false); d != ShedDeadline {
+		t.Fatalf("admit with a quarter of the real wait as slack = %v, want ShedDeadline", d)
+	}
+}
+
 func TestAdmissionRetryBudget(t *testing.T) {
 	clk := newFakeClock()
 	a := admWithClock(t, AdmissionOptions{RetryRate: 2, RetryBurst: 4}, clk)

@@ -46,12 +46,15 @@ type Config struct {
 }
 
 // Serving constants. A connection's slow-start request window starts at
-// initialCredit and grows to at most maxCredit; stormFactor × the admission
-// queue limit consecutive sheds (no accept in between) are a shed storm.
+// initialCredit and grows to at most maxCredit, the most requests it may hold
+// unanswered; stormFactor × the admission queue limit consecutive sheds (no
+// accept in between) are a shed storm. writeTimeout bounds one response
+// write, well inside sdimm-serve's 30 s drain budget.
 const (
 	initialCredit = 1
 	maxCredit     = 32
 	stormFactor   = 4
+	writeTimeout  = 10 * time.Second
 )
 
 func (c Config) withDefaults() Config {
@@ -306,47 +309,46 @@ func (s *Server) tenantCounters(tenant string) *tenantCounters {
 	return tc
 }
 
-// servConn is per-connection state: the response writer lock, the
-// slow-start credit window and the tenant's counters.
+// servConn is one connection's state. Its reader and writer pass requests
+// through maxCredit fixed slots: free holds the window's room, replies the
+// requests awaiting an answer, in arrival order. Only the writer uses credit.
 type servConn struct {
-	conn   net.Conn
-	wmu    sync.Mutex
-	cmu    sync.Mutex
-	credit int
-	tc     *tenantCounters
+	conn    net.Conn
+	tc      *tenantCounters
+	credit  int
+	free    chan *slot
+	replies chan *slot
+	slots   [maxCredit]slot
 }
 
-func (cn *servConn) send(resp Response) error {
-	b, err := resp.Encode()
-	if err != nil {
-		return err
-	}
-	cn.wmu.Lock()
-	defer cn.wmu.Unlock()
-	return WriteFrame(cn.conn, b)
+// slot is one request between reader and writer: admission's decision and
+// the reusable op that carries an accepted request through the pipeline. All
+// of a connection's ops answer on one channel in submission order, as the
+// pipeline delivers, so the next result is the oldest accepted request's.
+type slot struct {
+	op                sdimm.AsyncOp
+	id                uint64
+	decision          Decision
+	arrived, deadline time.Time
 }
 
 // adjustCredit applies slow-start: grow multiplicatively while the server
 // is unpressured, halve on pressure or shed. Returns the window to
 // advertise.
 func (s *Server) adjustCredit(cn *servConn, ok bool) uint16 {
-	cn.cmu.Lock()
-	defer cn.cmu.Unlock()
 	if ok && !s.adm.Pressure() {
-		cn.credit *= 2
-		if cn.credit > maxCredit {
-			cn.credit = maxCredit
-		}
+		cn.credit = min(cn.credit*2, maxCredit)
 	} else {
-		cn.credit /= 2
-		if cn.credit < 1 {
-			cn.credit = 1
-		}
+		cn.credit = max(cn.credit/2, 1)
 		s.backpressure.Inc()
 	}
 	return uint16(cn.credit)
 }
 
+// handleConn serves one connection: after the hello it is the reader, and a
+// writer goroutine answers. The reader takes a free slot before it runs
+// admission, so a client past its window stops being read (TCP pushes back)
+// and an admitted op reaches the pipeline at once, whatever the client does.
 func (s *Server) handleConn(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -359,119 +361,135 @@ func (s *Server) handleConn(conn net.Conn) {
 	// payload come out of one read. Deadlines stay on the conn.
 	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	payload, err := ReadFrame(br)
-	if err != nil {
-		return
-	}
-	msg, err := Decode(payload)
-	if err != nil {
-		return
-	}
-	hello, ok := msg.(Hello)
+	hello, ok := readMsg(br).(Hello)
 	if !ok {
 		return
 	}
-	cn := &servConn{conn: conn, credit: initialCredit, tc: s.tenantCounters(tenantLabel(hello.Tenant))}
-	if err := func() error {
-		cn.wmu.Lock()
-		defer cn.wmu.Unlock()
-		return WriteFrame(conn, HelloAck{
-			Credit:    uint16(cn.credit),
-			BlockSize: uint32(s.c.BlockSize()),
-		}.Encode())
-	}(); err != nil {
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if WriteFrame(conn, HelloAck{Credit: initialCredit, BlockSize: uint32(s.c.BlockSize())}.Encode()) != nil {
 		return
 	}
+	cn := &servConn{conn: conn, credit: initialCredit, tc: s.tenantCounters(tenantLabel(hello.Tenant)),
+		free: make(chan *slot, maxCredit), replies: make(chan *slot, maxCredit)}
 	cn.tc.connections.Inc()
+	results := make(chan sdimm.BatchResult, maxCredit)
+	for i := range cn.slots {
+		cn.slots[i].op.Done = results
+		cn.free <- &cn.slots[i]
+	}
+	written := make(chan struct{})
+	go s.writeLoop(cn, written)
+	defer func() {
+		close(cn.replies)
+		<-written
+	}()
 
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
 	for {
 		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		payload, err := ReadFrame(br)
-		if err != nil {
-			return
-		}
-		msg, err := Decode(payload)
-		if err != nil {
-			return
-		}
-		req, ok := msg.(Request)
+		req, ok := readMsg(br).(Request)
 		if !ok {
 			return
 		}
-		reqWG.Add(1)
-		go func() {
-			defer reqWG.Done()
-			s.handleRequest(cn, req)
-		}()
+		cn.tc.requests.Inc()
+		sl := <-cn.free
+		budget := time.Duration(req.DeadlineMS) * time.Millisecond
+		if budget == 0 {
+			budget = s.cfg.DefaultDeadline
+		}
+		sl.id, sl.arrived = req.ID, time.Now()
+		sl.deadline = sl.arrived.Add(budget)
+		// The tenant is used for telemetry only — it is not passed to the
+		// admission layer, whose Admit signature cannot even express it.
+		switch sl.decision = s.adm.Admit(budget, req.Retry); sl.decision {
+		case ShedOverload:
+			s.noteShed(cn.tc.shedOverload)
+		case ShedDeadline:
+			s.noteShed(cn.tc.shedDeadline)
+		case Accepted:
+			s.shedStreak.Store(0)
+			sl.op.Op = sdimm.BatchOp{Addr: req.Addr, Write: req.Write}
+			if req.Write {
+				sl.op.Op.Data = req.Data
+			}
+			s.in <- &sl.op
+		}
+		cn.replies <- sl
 	}
 }
 
-// handleRequest runs one request through admission and (if accepted) the
-// pipeline. The tenant is used for telemetry only — it is not passed to the
-// admission layer, whose Admit signature cannot even express it.
-func (s *Server) handleRequest(cn *servConn, req Request) {
-	cn.tc.requests.Inc()
-	budget := time.Duration(req.DeadlineMS) * time.Millisecond
-	if budget == 0 {
-		budget = s.cfg.DefaultDeadline
+// readMsg reads and decodes one frame: nil on a read or decode error.
+func readMsg(br *bufio.Reader) any {
+	payload, err := ReadFrame(br)
+	if err != nil {
+		return nil
 	}
-	arrived := time.Now()
-	deadline := arrived.Add(budget)
+	msg, _ := Decode(payload)
+	return msg
+}
 
-	switch s.adm.Admit(budget, req.Retry) {
-	case ShedOverload:
-		s.noteShed(cn.tc.shedOverload)
-		cn.send(Response{ID: req.ID, Status: StatusShed, Credit: s.adjustCredit(cn, false)})
-		return
-	case ShedDeadline:
-		s.noteShed(cn.tc.shedDeadline)
-		cn.send(Response{ID: req.ID, Status: StatusDeadline, Credit: s.adjustCredit(cn, false)})
-		return
-	case ShedClosing:
-		cn.send(Response{ID: req.ID, Status: StatusClosing, Credit: 1})
-		return
-	}
-	s.shedStreak.Store(0)
-
-	op := sdimm.BatchOp{Addr: req.Addr, Write: req.Write}
-	if req.Write {
-		op.Data = req.Data
-	}
-	a := sdimm.NewAsyncOp(op)
-	s.in <- a
-	r := <-a.Done
-	elapsed := time.Since(arrived)
-	s.adm.Done(elapsed)
-	s.latency.Add(uint64(elapsed.Microseconds()))
-
-	resp := Response{ID: req.ID}
-	switch {
-	case r.Err != nil:
-		resp.Status = StatusError
-		resp.Data = []byte(r.Err.Error())
-		cn.tc.errors.Inc()
-		resp.Credit = s.adjustCredit(cn, false)
-	case time.Now().After(deadline):
-		// Accepted and executed, but too late: this is the SLO breach the
-		// admission layer exists to prevent — count it loudly and snapshot
-		// the flight rings.
-		resp.Status = StatusDeadline
-		s.acceptedDM.Add(1)
-		cn.tc.missed.Inc()
-		s.dumpFlight("deadline-miss")
-		resp.Credit = s.adjustCredit(cn, false)
-	default:
-		resp.Status = StatusOK
-		if !req.Write {
-			resp.Data = r.Data
+// writeLoop answers cn's requests in arrival order, one frame each, and
+// frees each slot once its answer is written; it closes done after replies.
+// A failed or timed-out write closes the connection, ending the reader, but
+// every accepted op's result is still collected, so depth and counters stay
+// exact.
+func (s *Server) writeLoop(cn *servConn, done chan<- struct{}) {
+	defer close(done)
+	var err error
+	for sl := range cn.replies {
+		resp := s.answer(cn, sl)
+		if err == nil {
+			var b []byte
+			if b, err = resp.Encode(); err == nil {
+				cn.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+				err = WriteFrame(cn.conn, b)
+			}
+			if err != nil {
+				cn.conn.Close()
+			}
 		}
-		s.okCount.Add(1)
-		cn.tc.ok.Inc()
-		resp.Credit = s.adjustCredit(cn, true)
+		cn.free <- sl
 	}
-	cn.send(resp)
+}
+
+// answer is one request's response. For an accepted request it waits for
+// the result and settles its accounting: admission's service-time feed, the
+// latency histogram and the SLO counters.
+func (s *Server) answer(cn *servConn, sl *slot) Response {
+	resp := Response{ID: sl.id, Status: StatusOK}
+	switch sl.decision {
+	case ShedClosing:
+		return Response{ID: sl.id, Status: StatusClosing, Credit: 1}
+	case ShedOverload:
+		resp.Status = StatusShed
+	case ShedDeadline:
+		resp.Status = StatusDeadline
+	case Accepted:
+		r := <-sl.op.Done
+		elapsed := time.Since(sl.arrived)
+		s.adm.Done(elapsed)
+		s.latency.Add(uint64(elapsed.Microseconds()))
+		switch {
+		case r.Err != nil:
+			resp.Status, resp.Data = StatusError, []byte(r.Err.Error())
+			cn.tc.errors.Inc()
+		case time.Now().After(sl.deadline):
+			// Accepted and executed, but too late: this is the SLO breach the
+			// admission layer exists to prevent — count it loudly and
+			// snapshot the flight rings.
+			resp.Status = StatusDeadline
+			s.acceptedDM.Add(1)
+			cn.tc.missed.Inc()
+			s.dumpFlight("deadline-miss")
+		default:
+			if !sl.op.Op.Write {
+				resp.Data = r.Data
+			}
+			s.okCount.Add(1)
+			cn.tc.ok.Inc()
+		}
+	}
+	resp.Credit = s.adjustCredit(cn, resp.Status == StatusOK)
+	return resp
 }
 
 func (s *Server) noteShed(shed *telemetry.Counter) {
@@ -576,7 +594,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 
 	// Drain accepted requests: depth falls to zero once every in-flight op
-	// has retired and answered.
+	// has retired and its connection's writer has collected the result.
 	drained := false
 	for !drained {
 		select {

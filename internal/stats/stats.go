@@ -1,8 +1,8 @@
-// Package stats reports simulation statistics: scalar counters, running
-// means, latency histograms, and the tabular output used by the experiment
-// harness to print paper-style tables.
+// Package stats reports simulation statistics: scalar counters, latency
+// histograms, and the tabular output used by the experiment harness to
+// print paper-style tables.
 //
-// The scalar primitives (Counter, Mean, Histogram) are aliases for the
+// The scalar primitives (Counter, Histogram) are aliases for the
 // concurrency-safe implementations in internal/telemetry, so a histogram
 // feeding a paper table can simultaneously be registered in a
 // telemetry.Registry without double bookkeeping. Table and Series remain
@@ -21,9 +21,6 @@ import (
 
 // Counter is a monotonically growing event count.
 type Counter = telemetry.Counter
-
-// Mean accumulates samples and reports their running mean.
-type Mean = telemetry.Mean
 
 // Histogram is a latency histogram with fixed-width buckets plus an
 // overflow bucket, retaining enough information for mean and quantiles.
@@ -72,30 +69,21 @@ func (t *Table) Get(row, col string) (float64, bool) {
 // Rows returns the row labels in insertion order.
 func (t *Table) Rows() []string { return append([]string(nil), t.rows...) }
 
-// ColMean returns the mean over all set cells in the column.
-func (t *Table) ColMean(col string) float64 {
-	var m Mean
-	for _, r := range t.rows {
-		if v, ok := t.Get(r, col); ok {
-			m.Add(v)
-		}
-	}
-	return m.Value()
-}
-
-// ColGeoMean returns the geometric mean over all set cells in the column.
-// Non-positive cells are skipped.
+// ColGeoMean returns the geometric mean over all set cells in the column,
+// summing their logs in row order. Non-positive cells are skipped.
 func (t *Table) ColGeoMean(col string) float64 {
-	var logs Mean
+	var sum float64
+	n := 0
 	for _, r := range t.rows {
 		if v, ok := t.Get(r, col); ok && v > 0 {
-			logs.Add(math.Log(v))
+			sum += math.Log(v)
+			n++
 		}
 	}
-	if logs.N() == 0 {
+	if n == 0 {
 		return 0
 	}
-	return math.Exp(logs.Value())
+	return math.Exp(sum / float64(n))
 }
 
 // String renders the table with a gmean summary row, fixed to 4 significant

@@ -19,19 +19,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	var m Mean
-	if m.Value() != 0 {
-		t.Fatal("empty mean not 0")
-	}
-	for _, v := range []float64{1, 2, 3, 4} {
-		m.Add(v)
-	}
-	if m.Value() != 2.5 || m.N() != 4 || m.Sum() != 10 {
-		t.Fatalf("mean=%v n=%d sum=%v", m.Value(), m.N(), m.Sum())
-	}
-}
-
 func TestHistogramMeanMax(t *testing.T) {
 	h := NewHistogram(10, 10)
 	for _, v := range []uint64{5, 15, 25, 95, 250} {
@@ -151,9 +138,6 @@ func TestTableMeans(t *testing.T) {
 	tb := NewTable("t", "c")
 	tb.Set("r1", "c", 2)
 	tb.Set("r2", "c", 8)
-	if m := tb.ColMean("c"); m != 5 {
-		t.Fatalf("ColMean = %v, want 5", m)
-	}
 	if g := tb.ColGeoMean("c"); math.Abs(g-4) > 1e-9 {
 		t.Fatalf("ColGeoMean = %v, want 4", g)
 	}

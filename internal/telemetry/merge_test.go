@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"reflect"
 	"testing"
 )
@@ -41,14 +40,12 @@ func TestRegistryMerge(t *testing.T) {
 	dst := NewRegistry()
 	dst.Counter("c").Add(3)
 	dst.Gauge("g").Set(1)
-	dst.Mean("m").Add(2)
 	dst.Histogram("h", 10, 4).Add(15)
 
 	src := NewRegistry()
 	src.Counter("c").Add(4)
 	src.Counter("only-src").Inc()
 	src.Gauge("g").Set(9)
-	src.Mean("m").Add(4)
 	src.Histogram("h", 10, 4).Add(25)
 
 	dst.Merge(src)
@@ -61,10 +58,6 @@ func TestRegistryMerge(t *testing.T) {
 	}
 	if v := dst.Gauge("g").Value(); v != 9 {
 		t.Errorf("gauge g = %d, want 9 (src wins)", v)
-	}
-	m := dst.Mean("m")
-	if m.N() != 2 || m.Value() != 3 {
-		t.Errorf("mean m: n=%d value=%v, want 2 samples mean 3", m.N(), m.Value())
 	}
 	h := dst.Histogram("h", 10, 4)
 	if h.N() != 2 || h.Sum() != 40 {
@@ -87,7 +80,6 @@ func TestRegistryMergeDeterministic(t *testing.T) {
 			r := NewRegistry()
 			r.Counter("c").Add(uint64(i * 3))
 			r.Gauge("last").Set(int64(i))
-			r.Mean("m").Add(float64(i) * 0.1)
 			r.Histogram("h", 5, 8).Add(uint64(i * 7))
 			shards = append(shards, r)
 		}
@@ -110,64 +102,17 @@ func TestRegistryMergeDeterministic(t *testing.T) {
 	}
 }
 
-// TestMeanExactAccumulation proves the superaccumulator is exact over
-// samples a plain float sum destroys: adding 1e17, 1.0, -1e17 in any order
-// yields exactly 1 (the naive left-to-right float sum yields 0 because 1.0
-// vanishes into 1e17's rounding error).
-func TestMeanExactAccumulation(t *testing.T) {
-	orders := [][]float64{
-		{1e17, 1.0, -1e17},
-		{1e17, -1e17, 1.0},
-		{1.0, 1e17, -1e17},
-	}
-	for _, vals := range orders {
-		var m Mean
-		for _, v := range vals {
-			m.Add(v)
-		}
-		if got := m.Sum(); got != 1.0 {
-			t.Errorf("sum of %v = %v, want exactly 1", vals, got)
-		}
-	}
-	// Subnormals, sign cancellation, and fractional values stay exact too.
-	var m Mean
-	tiny := math.SmallestNonzeroFloat64
-	for _, v := range []float64{tiny, 0.5, -tiny, 0.25, -0.75} {
-		m.Add(v)
-	}
-	if got := m.Sum(); got != 0 {
-		t.Errorf("cancelled sum = %v, want exactly 0", got)
-	}
-	// A negative total must round-trip through the two's-complement state.
-	var neg Mean
-	neg.Add(1.5)
-	neg.Add(-4.0)
-	if got := neg.Sum(); got != -2.5 {
-		t.Errorf("negative sum = %v, want -2.5", got)
-	}
-}
-
-// TestRegistryMergeOrderIndependent is the regression test for the float
-// accumulation-order bug: merging the same shard registries in different
-// orders must produce bitwise-identical means and histograms. The shard
-// means deliberately carry catastrophically-cancelling magnitudes so a
-// float-ordered accumulator would disagree between orders.
+// TestRegistryMergeOrderIndependent: merging the same shard registries in
+// different orders, or pairwise through intermediates, must produce
+// bitwise-identical counters and histograms.
 func TestRegistryMergeOrderIndependent(t *testing.T) {
 	build := func() []*Registry {
-		samples := [][]float64{
-			{1e17, 3.25},
-			{1.0, -2.5e16},
-			{-1e17, 0.125},
-			{-7.5e16, 1e-300},
-		}
 		var shards []*Registry
-		for i, vs := range samples {
+		for i := 0; i < 4; i++ {
 			r := NewRegistry()
-			for _, v := range vs {
-				r.Mean("m").Add(v)
-			}
 			r.Counter("c").Add(uint64(i + 1))
 			r.Histogram("h", 5, 8).Add(uint64(i * 3))
+			r.Histogram("h", 5, 8).Add(uint64(100 + i))
 			shards = append(shards, r)
 		}
 		return shards

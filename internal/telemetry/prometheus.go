@@ -17,7 +17,6 @@ import (
 //
 //   - Counter  -> counter
 //   - Gauge    -> gauge
-//   - Mean     -> summary (_sum / _count, no quantiles)
 //   - Histogram-> histogram (cumulative le buckets from the full dump,
 //                 +Inf bucket, _sum / _count)
 
@@ -33,7 +32,7 @@ type promSeries struct {
 // promFamily groups the series sharing one sanitized family name.
 type promFamily struct {
 	name   string
-	kind   string // counter | gauge | summary | histogram
+	kind   string // counter | gauge | histogram
 	series []promSeries
 }
 
@@ -105,12 +104,6 @@ func mergeLabels(labels string, extra string) string {
 	return labels[:len(labels)-1] + "," + extra + "}"
 }
 
-// formatFloat renders a float the way Prometheus clients do: shortest
-// round-trip representation.
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format. Families are sorted by name and series within a family by label
 // block, so the output for a quiescent registry is deterministic.
@@ -126,14 +119,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	gauges := make(map[string]int64, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v.Value()
-	}
-	type meanVal struct {
-		sum float64
-		n   uint64
-	}
-	means := make(map[string]meanVal, len(r.means))
-	for k, v := range r.means {
-		means[k] = meanVal{sum: v.Sum(), n: v.N()}
 	}
 	hists := make(map[string]HistogramDump, len(r.hists))
 	for k, v := range r.hists {
@@ -161,13 +146,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		base, labels := splitFolded(folded)
 		family(base, "gauge").series = append(family(base, "gauge").series,
 			promSeries{group: labels, labels: labels, value: strconv.FormatInt(v, 10)})
-	}
-	for folded, v := range means {
-		base, labels := splitFolded(folded)
-		f := family(base, "summary")
-		f.series = append(f.series,
-			promSeries{group: labels, labels: labels, suffix: "_sum", value: formatFloat(v.sum), order: 0},
-			promSeries{group: labels, labels: labels, suffix: "_count", value: strconv.FormatUint(v.n, 10), order: 1})
 	}
 	for folded, d := range hists {
 		base, labels := splitFolded(folded)

@@ -8,7 +8,7 @@ import (
 
 // TestWritePrometheusGolden pins the exposition byte-for-byte: families
 // sorted by sanitized name, label folding undone into quoted Prometheus
-// labels, means as summaries, histograms as cumulative le buckets.
+// labels, histograms as cumulative le buckets.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("cluster.accesses").Add(42)
@@ -16,9 +16,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter("fault.retries", "sdimm", "0").Inc()
 	r.Counter("witness.violations", "kind", "shape") // registered, zero
 	r.Gauge("fault.health.state", "sdimm", "0").Set(2)
-	m := r.Mean("stash.occupancy")
-	m.Add(1.5)
-	m.Add(2.5)
 	h := r.Histogram("access.latency", 10, 3)
 	h.Add(5)
 	h.Add(15)
@@ -42,9 +39,6 @@ fault_health_state{sdimm="0"} 2
 # TYPE fault_retries counter
 fault_retries{sdimm="0"} 1
 fault_retries{sdimm="3"} 7
-# TYPE stash_occupancy summary
-stash_occupancy_sum 4
-stash_occupancy_count 2
 # TYPE witness_violations counter
 witness_violations{kind="shape"} 0
 `

@@ -1,6 +1,6 @@
 // Package telemetry is the single metrics source of truth for SDIMM
 // clusters and the event-driven simulator: a concurrency-safe registry of
-// counters, gauges, means, and latency histograms (all allocation-free on
+// counters, gauges and latency histograms (all allocation-free on
 // the update path), a span-based access tracer exporting Chrome
 // trace-event JSON (openable in Perfetto / chrome://tracing), a live
 // expvar-style HTTP endpoint, and a periodic snapshot logger.
@@ -15,7 +15,6 @@ package telemetry
 
 import (
 	"math"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -50,160 +49,6 @@ func (g *Gauge) Add(d int64) { atomic.AddInt64(&g.v, d) }
 
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return atomic.LoadInt64(&g.v) }
-
-// meanLimbs sizes the Mean superaccumulator: every finite float64 is a
-// 53-bit integer scaled by 2^e with e in [-1074, 970], so the exact sum
-// spans at most 2098 bits; 34 limbs (2176 bits) add 78 bits of carry
-// headroom — enough for far more than 2^64 maximal samples.
-const meanLimbs = 34
-
-// Mean accumulates float64 samples and reports their running mean, safe for
-// concurrent use. The sum is kept in an exact fixed-point superaccumulator
-// (a two's-complement integer in units of 2^-1074, the smallest subnormal),
-// so accumulation is associative and commutative: any interleaving or merge
-// order of the same samples yields bit-identical state. A plain floating
-// sum would make merged telemetry depend on worker scheduling — exactly the
-// nondeterminism the equivalence suites forbid. Updates are allocation-free.
-type Mean struct {
-	mu        sync.Mutex
-	limbs     [meanLimbs]uint64 // exact two's-complement sum, unit 2^-1074
-	nonFinite float64           // ±Inf/NaN samples fold here (absorbing anyway)
-	hasNF     bool
-	n         uint64
-}
-
-// Add records one sample.
-func (m *Mean) Add(v float64) {
-	m.mu.Lock()
-	m.addLocked(v)
-	m.n++
-	m.mu.Unlock()
-}
-
-// addLocked folds one sample into the superaccumulator.
-func (m *Mean) addLocked(v float64) {
-	fb := math.Float64bits(v)
-	exp := int(fb >> 52 & 0x7FF)
-	mant := fb & (1<<52 - 1)
-	switch exp {
-	case 0x7FF: // ±Inf or NaN: exactness is meaningless, track separately
-		m.nonFinite += v
-		m.hasNF = true
-		return
-	case 0:
-		if mant == 0 {
-			return // ±0 contributes nothing
-		}
-		exp = 1 // subnormal: no implicit bit, same scale as exp 1
-	default:
-		mant |= 1 << 52
-	}
-	// The sample is mant * 2^(exp-1075); in accumulator units that is mant
-	// shifted left by exp-1 bits.
-	pos := uint(exp - 1)
-	l, s := int(pos/64), pos%64
-	lo, hi := mant<<s, uint64(0)
-	if s > 0 {
-		hi = mant >> (64 - s)
-	}
-	var limbs = &m.limbs
-	if fb>>63 == 0 {
-		c := uint64(0)
-		limbs[l], c = bits.Add64(limbs[l], lo, 0)
-		limbs[l+1], c = bits.Add64(limbs[l+1], hi, c)
-		for i := l + 2; c != 0 && i < meanLimbs; i++ {
-			limbs[i], c = bits.Add64(limbs[i], 0, c)
-		}
-	} else {
-		b := uint64(0)
-		limbs[l], b = bits.Sub64(limbs[l], lo, 0)
-		limbs[l+1], b = bits.Sub64(limbs[l+1], hi, b)
-		for i := l + 2; b != 0 && i < meanLimbs; i++ {
-			limbs[i], b = bits.Sub64(limbs[i], 0, b)
-		}
-	}
-}
-
-// N returns the number of samples.
-func (m *Mean) N() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.n
-}
-
-// meanState is a Mean's complete transferable state (Registry.Merge moves
-// these between registries so pooling stays exact).
-type meanState struct {
-	limbs     [meanLimbs]uint64
-	nonFinite float64
-	hasNF     bool
-	n         uint64
-}
-
-// state snapshots the accumulator.
-func (m *Mean) state() meanState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return meanState{limbs: m.limbs, nonFinite: m.nonFinite, hasNF: m.hasNF, n: m.n}
-}
-
-// mergeState pools another mean's samples into this one. Limb addition is
-// exact integer addition, so merging is associative and commutative —
-// registries merged in any order agree bitwise.
-func (m *Mean) mergeState(s meanState) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := uint64(0)
-	for i := range m.limbs {
-		m.limbs[i], c = bits.Add64(m.limbs[i], s.limbs[i], c)
-	}
-	if s.hasNF {
-		m.nonFinite += s.nonFinite
-		m.hasNF = true
-	}
-	m.n += s.n
-}
-
-// Sum returns the total of all samples (plus any non-finite contribution),
-// a pure function of the accumulator state.
-func (m *Mean) Sum() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mag := m.limbs
-	neg := mag[meanLimbs-1]>>63 == 1
-	if neg { // two's-complement negate to get the magnitude
-		c := uint64(1)
-		for i := range mag {
-			mag[i], c = bits.Add64(^mag[i], 0, c)
-		}
-	}
-	// Convert most-significant limb down: each partial add is a pure
-	// function of the limbs, so the rounded result is deterministic.
-	sum := 0.0
-	for i := meanLimbs - 1; i >= 0; i-- {
-		if mag[i] != 0 {
-			sum += math.Ldexp(float64(mag[i]), i*64-1074)
-		}
-	}
-	if neg {
-		sum = -sum
-	}
-	if m.hasNF {
-		return m.nonFinite + sum
-	}
-	return sum
-}
-
-// Value returns the mean of the samples, or 0 with no samples.
-func (m *Mean) Value() float64 {
-	m.mu.Lock()
-	n := m.n
-	m.mu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	return m.Sum() / float64(n)
-}
 
 // Histogram is a latency histogram with fixed-width buckets plus an
 // overflow bucket, retaining enough information for mean and quantiles.
@@ -383,7 +228,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	means    map[string]*Mean
 	hists    map[string]*Histogram
 }
 
@@ -392,7 +236,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		means:    make(map[string]*Mean),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -430,23 +273,6 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	return g
 }
 
-// Mean returns the running mean registered under name, creating it on
-// first use.
-func (r *Registry) Mean(name string, labels ...string) *Mean {
-	if r == nil {
-		return &Mean{}
-	}
-	name = Name(name, labels...)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.means[name]
-	if !ok {
-		m = &Mean{}
-		r.means[name] = m
-	}
-	return m
-}
-
 // Histogram returns the histogram registered under name, creating it with
 // the given shape on first use (the shape of an existing histogram wins).
 func (r *Registry) Histogram(name string, width uint64, nbuckets int, labels ...string) *Histogram {
@@ -464,15 +290,14 @@ func (r *Registry) Histogram(name string, width uint64, nbuckets int, labels ...
 	return h
 }
 
-// Merge folds every metric of src into r: counters and histograms add,
-// means pool their samples, and gauges take src's level (a gauge is an
-// instantaneous reading, so the most recently merged source wins). Missing
-// metrics are created; histograms adopt src's shape on first sight.
+// Merge folds every metric of src into r: counters and histograms add, and
+// gauges take src's level (a gauge is an instantaneous reading, so the most
+// recently merged source wins). Missing metrics are created; histograms
+// adopt src's shape on first sight.
 //
-// Merging is order-independent for counters, means, and histograms: their
-// accumulation is exact integer arithmetic (means use a fixed-point
-// superaccumulator), so any merge order of the same sources produces a
-// bit-identical aggregate. Gauges are the exception by design — an
+// Merging is order-independent for counters and histograms: their
+// accumulation is exact integer arithmetic, so any merge order of the same
+// sources produces a bit-identical aggregate. Gauges are the exception by design — an
 // instantaneous reading has no meaningful pooled value. The parallel
 // campaign runner relies on this: per-shard registries merged in any job
 // order agree bitwise no matter how many workers ran the shards.
@@ -492,10 +317,6 @@ func (r *Registry) Merge(src *Registry) {
 	for k, v := range src.gauges {
 		gauges[k] = v.Value()
 	}
-	means := make(map[string]meanState, len(src.means))
-	for k, v := range src.means {
-		means[k] = v.state()
-	}
 	hists := make(map[string]*Histogram, len(src.hists))
 	for k, v := range src.hists {
 		hists[k] = v
@@ -507,9 +328,6 @@ func (r *Registry) Merge(src *Registry) {
 	}
 	for k, v := range gauges {
 		r.Gauge(k).Set(v)
-	}
-	for k, v := range means {
-		r.Mean(k).mergeState(v)
 	}
 	for k, h := range hists {
 		r.Histogram(k, h.width, len(h.buckets)).Merge(h)

@@ -23,7 +23,6 @@ type HistogramSnapshot struct {
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
-	Means      map[string]float64           `json:"means"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
@@ -33,7 +32,6 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]uint64),
 		Gauges:     make(map[string]int64),
-		Means:      make(map[string]float64),
 		Histograms: make(map[string]HistogramSnapshot),
 	}
 	if r == nil {
@@ -48,10 +46,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	means := make(map[string]*Mean, len(r.means))
-	for k, v := range r.means {
-		means[k] = v
-	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for k, v := range r.hists {
 		hists[k] = v
@@ -63,9 +57,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, g := range gauges {
 		s.Gauges[k] = g.Value()
-	}
-	for k, m := range means {
-		s.Means[k] = m.Value()
 	}
 	for k, h := range hists {
 		s.Histograms[k] = HistogramSnapshot{
@@ -123,16 +114,6 @@ func (s Snapshot) WriteText(w io.Writer, prefixes ...string) {
 	sort.Strings(names)
 	for _, k := range names {
 		fmt.Fprintf(w, "%-52s %d\n", k, s.Gauges[k])
-	}
-	names = names[:0]
-	for k := range s.Means {
-		if keep(k) {
-			names = append(names, k)
-		}
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(w, "%-52s %.4g\n", k, s.Means[k])
 	}
 	names = names[:0]
 	for k := range s.Histograms {

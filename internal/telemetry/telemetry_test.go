@@ -35,12 +35,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if h1 != h2 {
 		t.Fatal("same name resolved to different histograms")
 	}
-	m := r.Mean("util")
-	m.Add(1)
-	m.Add(3)
-	if got := r.Mean("util").Value(); got != 2 {
-		t.Fatalf("mean = %v, want 2", got)
-	}
 }
 
 func TestName(t *testing.T) {
@@ -59,7 +53,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(1)
-	r.Mean("z").Add(1)
 	r.Histogram("h", 1, 4).Add(2)
 	r.AddHistogram("h2", NewHistogram(1, 4))
 	s := r.Snapshot()
@@ -78,12 +71,10 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("c")
 			h := r.Histogram("h", 8, 64)
-			m := r.Mean("m")
 			g := r.Gauge("g")
 			for i := 0; i < per; i++ {
 				c.Inc()
 				h.Add(uint64(i % 700))
-				m.Add(1)
 				g.Add(1)
 			}
 		}()
@@ -94,9 +85,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if got := r.Histogram("h", 8, 64).N(); got != workers*per {
 		t.Fatalf("histogram n = %d, want %d", got, workers*per)
-	}
-	if got := r.Mean("m").Sum(); got != workers*per {
-		t.Fatalf("mean sum = %v, want %d", got, workers*per)
 	}
 	if got := r.Gauge("g").Value(); got != workers*per {
 		t.Fatalf("gauge = %d, want %d", got, workers*per)
@@ -218,7 +206,6 @@ func TestRegistryHotPathAllocs(t *testing.T) {
 	c := r.Counter("hot.counter")
 	g := r.Gauge("hot.gauge")
 	h := r.Histogram("hot.hist", 64, 1024)
-	m := r.Mean("hot.mean")
 	var i uint64
 	allocs := testing.AllocsPerRun(1000, func() {
 		i++
@@ -227,7 +214,6 @@ func TestRegistryHotPathAllocs(t *testing.T) {
 		g.Set(int64(i))
 		g.Add(-1)
 		h.Add(i * 37 % 100000)
-		m.Add(float64(i))
 	})
 	if allocs != 0 {
 		t.Fatalf("hot path allocates %.1f allocs/op, want 0", allocs)

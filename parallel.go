@@ -474,17 +474,18 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 		// bitwise-equivalence guarantee.
 		p.begin()
 
-		// Crash gate: the cluster died at a planned crash point. Nothing new
-		// is scheduled; the in-flight wave still retires below — its journal
-		// outcome decides its results — and then everything else fails.
-		dead := c.crashedNow()
+		// Crash gate: the cluster died at a planned crash point or a durable
+		// write failure. Nothing new is scheduled; the in-flight wave still
+		// retires below — its journal outcome decides its results — and then
+		// everything else fails with the latched error.
+		dead := c.failed()
 		// Checkpoint gate: when a checkpoint is due the pipeline stalls the
 		// schedule and drains, so the checkpoint captures a quiescent image at
 		// the same committed-sequence boundary the sequential path would.
 		ckptDue := c.checkpointDue()
 
 		var w *waveState
-		if len(pending) > 0 && !dead && !ckptDue {
+		if len(pending) > 0 && dead == nil && !ckptDue {
 			if w = p.scheduleWave(pending, prev); w != nil {
 				p.dispatchAccess(w)
 			}
@@ -505,8 +506,8 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 		}
 		// With nothing to retire this closes both retire phases at zero length.
 		p.mark(flight.PhaseFinalize)
-		if dead {
-			abort(durable.ErrCrashed)
+		if dead != nil {
+			abort(dead)
 			return
 		}
 
@@ -518,20 +519,20 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 			// wave's access shares have drained — no worker task is in flight.
 			p.snapshotHealth()
 			pending = slices.Delete(pending, 0, len(w.ops))
-			if c.crashedNow() {
-				// The previous wave's journal share hit the crash point while
-				// this wave's exchanges ran (inline it ran first, and the gate
-				// above caught it). Nothing of this wave may commit; results
-				// keep any per-op exchange error (so they match the race-free
-				// outcome) and report the crash otherwise.
+			if err := c.failed(); err != nil {
+				// The previous wave's journal share failed while this wave's
+				// exchanges ran (inline it ran first, and the gate above
+				// caught it). Nothing of this wave may commit; results keep
+				// any per-op exchange error (so they match the race-free
+				// outcome) and report the failure otherwise.
 				for _, po := range w.ops {
 					if po.err == nil {
-						po.err = durable.ErrCrashed
+						po.err = err
 					}
 					deliver(BatchResult{Err: po.err})
 				}
 				p.releaseWave(w)
-				abort(durable.ErrCrashed)
+				abort(err)
 				return
 			}
 			p.commit(w)
