@@ -707,6 +707,21 @@ func (c *Cluster) HealthStates() []fault.State {
 	return out
 }
 
+// Capacity is the mean CapacityWeight of the members' health states: the
+// fraction of full service the cluster can give. It reads only the
+// mutex-guarded state machines and allocates nothing, so the serving
+// front end's admission calls it on every request.
+func (c *Cluster) Capacity() float64 {
+	if len(c.health) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, h := range c.health {
+		sum += h.State().CapacityWeight()
+	}
+	return sum / float64(len(c.health))
+}
+
 // Health returns the current per-member health view (on a Split cluster
 // the data shards first, then the parity member when present).
 func (c *Cluster) Health() ClusterHealth {

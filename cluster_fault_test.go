@@ -314,6 +314,174 @@ func TestClusterRehomeFollowsBroadcast(t *testing.T) {
 	t.Fatal("no access re-homed a block")
 }
 
+// ackDropper delivers every request and drops every response: the device
+// runs each command, the host never sees an answer.
+type ackDropper struct{}
+
+func (ackDropper) Deliver(dir fault.Direction, frame []byte) ([][]byte, error) {
+	if dir == fault.DevToHost {
+		return nil, nil
+	}
+	return [][]byte{append([]byte(nil), frame...)}, nil
+}
+
+// frameLog records the direction and length of every frame sent on a link,
+// before passing it to the wrapped link: what an observer on the bus sees.
+type frameLog struct {
+	inner  fault.Link
+	frames []string
+}
+
+func (l *frameLog) Deliver(dir fault.Direction, frame []byte) ([][]byte, error) {
+	l.frames = append(l.frames, fmt.Sprintf("%d:%d", dir, len(frame)))
+	return l.inner.Deliver(dir, frame)
+}
+
+// movingOp builds a cluster and a same-seed twin, writes "v1" to addresses
+// from 0 up on both, and stops at the first address where the twin shows
+// that op moves the block from one member (owner) to another (dest). The
+// returned cluster has not run that op yet; until then it ran every op the
+// twin did.
+func movingOp(t *testing.T, opts ClusterOptions, op func(*Cluster, uint64) error) (c *Cluster, addr uint64, owner, dest int) {
+	t.Helper()
+	twin, err := NewCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err = NewCluster(opts); err != nil {
+		t.Fatal(err)
+	}
+	for ; addr < 64; addr++ {
+		for _, x := range []*Cluster{twin, c} {
+			if err := x.Write(addr, []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		owner = member(twin, addr)
+		if err := op(twin, addr); err != nil {
+			t.Fatal(err)
+		}
+		if dest = member(twin, addr); dest != owner {
+			return c, addr, owner, dest
+		}
+		if err := op(c, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Fatal("no op moved its block between members")
+	return
+}
+
+func member(c *Cluster, addr uint64) int {
+	g, _ := c.pos.Get(addr)
+	return int(g >> c.localBits)
+}
+
+func readOp(c *Cluster, addr uint64) error { _, err := c.Read(addr); return err }
+
+func writeOp(c *Cluster, addr uint64) error { return c.Write(addr, []byte("v2")) }
+
+// TestClusterExecutedExchangeIsNotLost drops every response of one member
+// during one op that moves a block between members. The member executed
+// every command it got, so nothing is lost: the block is not re-homed (that
+// would leave a second, stale copy), a write succeeds, and a read whose block
+// left inside the lost response fails closed until a write heals the
+// address. The address is then mapped back onto the member and must read
+// its latest payload.
+func TestClusterExecutedExchangeIsNotLost(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		read    bool // the op is a read, else a write
+		onOwner bool // drop the owner's responses (its ACCESS), else the destination's (the real APPEND)
+	}{
+		{"append-ack", false, false},
+		{"write-access-response", false, true},
+		{"read-access-response", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			opts := ClusterOptions{SDIMMs: 4, Levels: 10, Key: []byte("ack-loss-key"), Seed: 23,
+				Retry: fault.RetryPolicy{MaxAttempts: 2, Sleep: nop}, Telemetry: reg}
+			op := writeOp
+			if tc.read {
+				op = readOp
+			}
+			c, addr, owner, dest := movingOp(t, opts, op)
+			dropped := dest
+			if tc.onOwner {
+				dropped = owner
+			}
+			c.links[dropped].Link = ackDropper{}
+			err := op(c, addr)
+			c.links[dropped].Link = nil
+			want := []byte("v2")
+			if tc.read {
+				if !fault.Executed(err) {
+					t.Fatalf("read whose response was lost: %v, want an executed abandonment", err)
+				}
+				if _, err := c.Read(addr); !errors.Is(err, ErrUnrecoverable) {
+					t.Fatalf("read after the block was lost: %v, want ErrUnrecoverable", err)
+				}
+				want = []byte("v3")
+				if err := c.Write(addr, want); err != nil {
+					t.Fatal(err)
+				}
+			} else if err != nil {
+				t.Fatalf("write whose responses were lost: %v", err)
+			}
+			if n := reg.Counter("cluster.rehomes").Value(); n != 0 {
+				t.Fatalf("cluster.rehomes = %d: an executed exchange was re-homed", n)
+			}
+			for i := 0; i < 256; i++ {
+				back := member(c, addr) == dropped
+				got, err := c.Read(addr)
+				if err != nil {
+					t.Fatalf("read %d: %v", i, err)
+				}
+				if !bytes.Equal(got[:len(want)], want) {
+					t.Fatalf("read %d = %q, want %q", i, got[:len(want)], want)
+				}
+				if back {
+					return
+				}
+			}
+			t.Fatal("the address never mapped back onto the member")
+		})
+	}
+}
+
+// TestClusterLostAccessResponseHidesOp drops every response of one ACCESS,
+// once for a read and once for a write with the same seed and history. Every
+// link must carry the same frames, in count and length, for both: the bus
+// must not tell which op the abandoned access was.
+func TestClusterLostAccessResponseHidesOp(t *testing.T) {
+	opts := ClusterOptions{SDIMMs: 4, Levels: 10, Key: []byte("ack-loss-key"), Seed: 23,
+		Retry: fault.RetryPolicy{MaxAttempts: 2, Sleep: nop}}
+	var logs [2][]*frameLog
+	var at [2][3]uint64
+	for i, op := range []func(*Cluster, uint64) error{readOp, writeOp} {
+		c, addr, owner, dest := movingOp(t, opts, op)
+		at[i] = [3]uint64{addr, uint64(owner), uint64(dest)}
+		for j, l := range c.links {
+			fl := &frameLog{inner: fault.Perfect{}}
+			if j == owner {
+				fl.inner = ackDropper{}
+			}
+			l.Link = fl
+			logs[i] = append(logs[i], fl)
+		}
+		op(c, addr)
+	}
+	if at[0] != at[1] {
+		t.Fatalf("read and write took different routes: %v vs %v", at[0], at[1])
+	}
+	for j := range logs[0] {
+		if r, w := logs[0][j].frames, logs[1][j].frames; !slices.Equal(r, w) {
+			t.Fatalf("member %d: read sent %v, write sent %v", j, r, w)
+		}
+	}
+}
+
 func newParityCluster(t *testing.T, k int) *Cluster {
 	t.Helper()
 	c, err := NewCluster(ClusterOptions{

@@ -27,11 +27,8 @@ type Result struct {
 // Cache is a set-associative LRU cache. Not safe for concurrent use.
 type Cache struct {
 	sets  [][]line
-	ways  int
 	clock uint64
 	mask  uint64
-
-	hits, misses uint64
 }
 
 // New builds a cache with totalLines entries and the given associativity.
@@ -50,7 +47,7 @@ func New(totalLines, ways int) (*Cache, error) {
 	for i := range sets {
 		sets[i], backing = backing[:ways], backing[ways:]
 	}
-	return &Cache{sets: sets, ways: ways, mask: uint64(nsets - 1)}, nil
+	return &Cache{sets: sets, mask: uint64(nsets - 1)}, nil
 }
 
 // MustNew is New for static configurations; it panics on error.
@@ -60,18 +57,6 @@ func MustNew(totalLines, ways int) *Cache {
 		panic(err)
 	}
 	return c
-}
-
-// Lines returns the capacity in lines.
-func (c *Cache) Lines() int { return len(c.sets) * c.ways }
-
-// HitRate returns hits/(hits+misses), or 0 before any access.
-func (c *Cache) HitRate() float64 {
-	t := c.hits + c.misses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(t)
 }
 
 func (c *Cache) set(key uint64) []line {
@@ -89,11 +74,9 @@ func (c *Cache) Access(key uint64, write bool) Result {
 			if write {
 				s[i].dirty = true
 			}
-			c.hits++
 			return Result{Hit: true}
 		}
 	}
-	c.misses++
 	// Choose victim: an invalid way, else LRU.
 	vi := 0
 	for i := range s {
@@ -120,19 +103,6 @@ func (c *Cache) Contains(key uint64) bool {
 	for _, l := range c.set(key) {
 		if l.valid && l.key == key {
 			return true
-		}
-	}
-	return false
-}
-
-// Invalidate drops key if present, returning whether it was dirty.
-func (c *Cache) Invalidate(key uint64) (wasDirty bool) {
-	s := c.set(key)
-	for i := range s {
-		if s[i].valid && s[i].key == key {
-			wasDirty = s[i].dirty
-			s[i] = line{}
-			return wasDirty
 		}
 	}
 	return false

@@ -75,20 +75,6 @@ func TestWriteMarksDirtyOnHit(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := MustNew(4, 2)
-	c.Access(1, true)
-	if !c.Invalidate(1) {
-		t.Fatal("Invalidate lost dirty state")
-	}
-	if c.Contains(1) {
-		t.Fatal("line survived invalidation")
-	}
-	if c.Invalidate(1) {
-		t.Fatal("double invalidate reported dirty")
-	}
-}
-
 func TestSetIsolation(t *testing.T) {
 	c := MustNew(8, 2) // 4 sets
 	// Fill set 0 (keys ≡ 0 mod 4); keys in other sets must survive.
@@ -99,18 +85,6 @@ func TestSetIsolation(t *testing.T) {
 	c.Access(8, false) // evicts in set 0 only
 	if !c.Contains(1) {
 		t.Fatal("eviction crossed sets")
-	}
-}
-
-func TestHitRate(t *testing.T) {
-	c := MustNew(4, 4)
-	c.Access(1, false)
-	c.Access(1, false)
-	if got := c.HitRate(); got != 0.5 {
-		t.Fatalf("HitRate = %v, want 0.5", got)
-	}
-	if MustNew(4, 4).HitRate() != 0 {
-		t.Fatal("empty cache hit rate nonzero")
 	}
 }
 

@@ -72,17 +72,23 @@ func shardOneDead(t *testing.T, _ Scenario, res Result) {
 }
 
 // rehomed: abandoned real APPENDs were re-homed, and the surfaced errors are
-// the only red in the verdict — no payload lost, no traffic shape bent.
+// the only red in the verdict.
 func rehomed(t *testing.T, sc Scenario, res Result) {
 	if res.Snapshot.Counters["cluster.rehomes"] == 0 {
 		t.Fatalf("no block re-homed — row needs a harsher config:\n%s", res)
 	}
+	onlyErrors(t, sc, res)
+	witnessSaw(t, sc, res)
+}
+
+// onlyErrors: the surfaced errors of an exhausted retry budget are the only
+// red in the verdict — no payload lost, no traffic shape bent.
+func onlyErrors(t *testing.T, _ Scenario, res Result) {
 	clean := res
 	clean.Errors = 0
-	if res.Mismatches != 0 || res.TrafficViolations != 0 || !clean.Green() {
-		t.Fatalf("re-homing run went red beyond its surfaced errors:\n%s", res)
+	if res.Mismatches != 0 || !clean.Green() {
+		t.Fatalf("run went red beyond its surfaced errors:\n%s", res)
 	}
-	witnessSaw(t, sc, res)
 }
 
 // witnessSaw: recovery traffic — retries, ARQ, duplicates, migrations — is

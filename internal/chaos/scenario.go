@@ -135,7 +135,7 @@ func (sc Scenario) prepared() (Scenario, error) {
 
 	// Every rule names the two fields that cannot be combined; nothing a
 	// caller sets is silently dropped.
-	retry := sc.Retry.MaxAttempts != 0 || sc.Retry.BaseBackoff != 0 || sc.Retry.MaxBackoff != 0 || sc.Retry.Sleep != nil
+	retry := sc.Retry.MaxAttempts != 0 || sc.Retry.Sleep != nil
 	for _, rule := range []struct {
 		bad  bool
 		a, b string

@@ -152,6 +152,18 @@ func legs(t *testing.T) []leg {
 			sc: Scenario{Levels: 4, Addresses: 230, Accesses: 1100, Seed: 11, Crashes: 3, Interval: 48, Split: true, Parity: true, Parallelism: 4, Window: 8,
 				Flight: flight.New(5, 4096)}},
 	}
+	// A 2-attempt budget at a 10% fault mix abandons exchanges the device
+	// already ran: an executed APPEND is delivered, an executed ACCESS
+	// commits, and a block lost inside a response poisons its address. The
+	// exhausted budget surfaces errors; a wrong payload is never allowed.
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, par := range []int{1, 4} {
+			sc := cliAt(Scenario{Accesses: size(1200), Parallelism: par}, 0.1, 2)
+			sc.Seed, sc.Faults.Seed = seed, seed^0xfa417
+			rows = append(rows, leg{name: fmt.Sprintf("TestScenarioLegs/payload-loss-seed%d-parallel%d", seed, par),
+				red: true, check: onlyErrors, sc: sc})
+		}
+	}
 	// Different seeds shift the crash points to different record offsets —
 	// including inside migration batches and around the topology records.
 	for _, seed := range []uint64{2, 3, 5, 8} {

@@ -233,16 +233,6 @@ func (o ORAM) MetaLinesPerBucket() int {
 // LinesPerBucket returns the total cache lines per bucket (data + metadata).
 func (o ORAM) LinesPerBucket() int { return o.Z + o.MetaLinesPerBucket() }
 
-// EffectiveLevels returns tree levels that live in DRAM after on-chip
-// caching of the top CachedLevels levels.
-func (o ORAM) EffectiveLevels() int {
-	l := o.Levels - o.CachedLevels
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
 // Config is the complete simulation configuration.
 type Config struct {
 	Protocol Protocol
@@ -366,9 +356,4 @@ func (c Config) Validate() error {
 		return errors.New("config: non-positive ROB size")
 	}
 	return nil
-}
-
-// MemCycles converts memory command cycles to CPU cycles.
-func (c Config) MemCycles(n int) uint64 {
-	return uint64(n) * uint64(c.Org.CPUCyclesPerMemCycle)
 }

@@ -84,13 +84,6 @@ func TestORAMDerivations(t *testing.T) {
 	if o.LinesPerBucket() != 5 {
 		t.Errorf("lines/bucket = %d, want 5", o.LinesPerBucket())
 	}
-	if o.EffectiveLevels() != 21 {
-		t.Errorf("effective levels = %d, want 21", o.EffectiveLevels())
-	}
-	o.CachedLevels = 27
-	if o.EffectiveLevels() != 1 {
-		t.Errorf("effective levels floor = %d, want 1", o.EffectiveLevels())
-	}
 }
 
 func TestValidateRejections(t *testing.T) {
@@ -137,13 +130,6 @@ func TestProtocolString(t *testing.T) {
 	}
 	if s := Protocol(99).String(); !strings.Contains(s, "99") {
 		t.Errorf("unknown protocol string = %q", s)
-	}
-}
-
-func TestMemCycles(t *testing.T) {
-	c := Default(NonSecure, 1)
-	if got := c.MemCycles(11); got != 22 {
-		t.Fatalf("MemCycles(11) = %d, want 22", got)
 	}
 }
 

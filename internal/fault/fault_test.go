@@ -91,7 +91,7 @@ func TestInjectorFailStop(t *testing.T) {
 }
 
 func TestInjectorStallWindow(t *testing.T) {
-	in := NewInjector(Config{Seed: 5, StallOps: 3})
+	in := NewInjector(Config{Seed: 5})
 	in.StallFor(0, 3)
 	l := in.Link(0)
 	for i := 0; i < 3; i++ {
@@ -105,10 +105,10 @@ func TestInjectorStallWindow(t *testing.T) {
 }
 
 func TestRetryPolicyBackoff(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}.withDefaults()
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond}
+	us := time.Microsecond
+	want := []time.Duration{50 * us, 100 * us, 200 * us, 400 * us, 800 * us, 1600 * us, 3200 * us, 5 * time.Millisecond, 5 * time.Millisecond}
 	for i, w := range want {
-		if got := p.backoff(i + 1); got != w {
+		if got := backoff(i + 1); got != w {
 			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}

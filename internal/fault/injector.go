@@ -15,13 +15,10 @@ type Config struct {
 	// flight (channel noise or an active attacker poking ciphertext).
 	BitFlip float64
 	// MACCorrupt is the probability of entering a transient MAC-key
-	// corruption window: for MACOps deliveries every frame's tag is
+	// corruption window: for macOps deliveries every frame's tag is
 	// damaged, modelling a flipped key register rather than per-frame
 	// noise.
 	MACCorrupt float64
-	// MACOps is the length of a MAC corruption window in deliveries
-	// (default 2).
-	MACOps int
 	// Drop is the probability a frame vanishes entirely.
 	Drop float64
 	// Duplicate is the probability a frame is delivered twice.
@@ -29,12 +26,16 @@ type Config struct {
 	// Replay is the probability a stale captured frame is re-delivered
 	// alongside the current one.
 	Replay float64
-	// Stall is the probability the link wedges for StallOps deliveries,
+	// Stall is the probability the link wedges for stallOps deliveries,
 	// during which nothing moves in either direction.
 	Stall float64
-	// StallOps is the length of a stall in deliveries (default 2).
-	StallOps int
 }
+
+// The lengths, in deliveries, of a MAC corruption window and of a stall.
+const (
+	macOps   = 2
+	stallOps = 2
+)
 
 // Rate returns the total per-delivery probability that some fault fires —
 // the chaos harness uses it to report the effective fault rate.
@@ -117,12 +118,6 @@ func (in *Injector) EnableTelemetry(reg *telemetry.Registry) {
 func NewInjector(cfg Config) *Injector {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.StallOps <= 0 {
-		cfg.StallOps = 2
-	}
-	if cfg.MACOps <= 0 {
-		cfg.MACOps = 2
 	}
 	return &Injector{cfg: cfg, links: make(map[int]*FaultyLink)}
 }
@@ -231,8 +226,8 @@ func (l *FaultyLink) Deliver(dir Direction, frame []byte) ([][]byte, error) {
 		bump(l.tm.replays)
 		out = [][]byte{f, append([]byte(nil), stale...)}
 	case r < l.cfg.Drop+l.cfg.BitFlip+l.cfg.Duplicate+l.cfg.Replay+l.cfg.Stall:
-		// The stall swallows this frame and the next StallOps-1 deliveries.
-		l.stalled = l.cfg.StallOps - 1
+		// The stall swallows this frame and the next stallOps-1 deliveries.
+		l.stalled = stallOps - 1
 		l.stats.Stalls++
 		bump(l.tm.stalls)
 		return nil, ErrStalled
@@ -243,7 +238,7 @@ func (l *FaultyLink) Deliver(dir Direction, frame []byte) ([][]byte, error) {
 	// A MAC-corruption window damages every frame passing while it lasts,
 	// independent of the per-frame fault drawn above.
 	if l.macOps == 0 && l.cfg.MACCorrupt > 0 && l.rnd.Bool(l.cfg.MACCorrupt) {
-		l.macOps = l.cfg.MACOps
+		l.macOps = macOps
 	}
 	if l.macOps > 0 {
 		l.macOps--

@@ -8,26 +8,22 @@ type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per exchange, including the
 	// first (default 8).
 	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; each further retry
-	// doubles it (default 50µs — exchanges are in-process, so the backoff
-	// models controller turnaround, not network RTTs).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 5ms).
-	MaxBackoff time.Duration
 	// Sleep performs the backoff wait. Nil uses time.Sleep; deterministic
 	// tests and the chaos harness install a no-op or recording func.
 	Sleep func(time.Duration)
 }
 
+// The delay before the first retry, which each further retry doubles up to
+// maxBackoff. Exchanges are in-process, so the backoff models controller
+// turnaround, not network RTTs.
+const (
+	baseBackoff = 50 * time.Microsecond
+	maxBackoff  = 5 * time.Millisecond
+)
+
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 8
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 50 * time.Microsecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 5 * time.Millisecond
 	}
 	if p.Sleep == nil {
 		p.Sleep = time.Sleep
@@ -37,16 +33,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 
 // backoff returns the exponential delay before retry number attempt
 // (attempt ≥ 1).
-func (p RetryPolicy) backoff(attempt int) time.Duration {
-	d := p.BaseBackoff
-	for i := 1; i < attempt; i++ {
+func backoff(attempt int) time.Duration {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
-		if d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
+	return min(d, maxBackoff)
 }

@@ -82,12 +82,12 @@ type TransactorStats struct {
 //     exchange starts clean; abandoned counters become permanently
 //     unacceptable (no pad reuse, no replay window).
 //
-// The exactly-once guarantee has one unavoidable distributed-systems hole:
-// if the device served the request but every response was lost until
-// abandonment, the host cannot know whether the handler ran. The caller
-// sees the exchange fail and must treat the device's state as unknown —
-// the cluster layer handles this by marking the SDIMM degraded/failed
-// before any further routing decision.
+// From the frames alone the host cannot tell a lost request from a lost
+// response. The resync is a control transaction that reads the device's
+// counters anyway, so before it the transactor checks whether the device
+// opened the abandoned request, and reports the answer as
+// AbandonedError.Executed: an executed exchange changed the device's state
+// and only its response is missing.
 type Transactor struct {
 	// Host is the CPU endpoint (seals requests, opens responses).
 	Host *seccomm.Session
@@ -160,7 +160,7 @@ func (t *Transactor) Exchange(body []byte) ([]byte, error) {
 			if t.Notify != nil {
 				t.Notify(NotifyRetry, attempt)
 			}
-			p.Sleep(p.backoff(attempt))
+			p.Sleep(backoff(attempt))
 			// Rewind so the retry re-seals the identical frame.
 			if err := t.Host.ResendFrom(base); err != nil {
 				return nil, err
@@ -188,9 +188,11 @@ func (t *Transactor) Exchange(body []byte) ([]byte, error) {
 			break
 		}
 	}
-	// Abandon the exchange: realign both directions so the link is usable
-	// for the next one, and drop the cached response (its counter is now
-	// unacceptable to the host anyway).
+	// Abandon the exchange: note whether the device opened the request, then
+	// realign both directions so the link is usable for the next one, and
+	// drop the cached response (its counter is now unacceptable to the host
+	// anyway).
+	executed := t.Dev.RecvCounter() > base
 	seccomm.Resync(t.Host, t.Dev)
 	t.lastResp = nil
 	t.stats.Resyncs++
@@ -203,7 +205,33 @@ func (t *Transactor) Exchange(body []byte) ([]byte, error) {
 		t.Notify(NotifyResync, used)
 		t.Notify(NotifyAbandon, used)
 	}
-	return nil, fmt.Errorf("fault: exchange abandoned after %d attempts: %w", used, lastErr)
+	return nil, &AbandonedError{Attempts: used, Executed: executed, Err: lastErr}
+}
+
+// AbandonedError is an exchange that exhausted its retry budget. Executed
+// reports that the device opened the request, so its handler ran and only
+// the response was lost; otherwise the request never took effect.
+type AbandonedError struct {
+	Attempts int
+	Executed bool
+	Err      error // the last fault
+}
+
+func (e *AbandonedError) Error() string {
+	return fmt.Sprintf("fault: exchange abandoned after %d attempts: %v", e.Attempts, e.Err)
+}
+
+// Unwrap exposes the last fault.
+func (e *AbandonedError) Unwrap() error { return e.Err }
+
+// Executed reports whether err carries an abandoned exchange the device
+// executed. A nil err returns before anything is allocated.
+func Executed(err error) bool {
+	if err == nil {
+		return false
+	}
+	var a *AbandonedError
+	return errors.As(err, &a) && a.Executed
 }
 
 // deliver carries frame across the link. The fault-free link (nil or

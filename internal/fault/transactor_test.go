@@ -252,6 +252,36 @@ func TestAbandonmentAfterDeviceServed(t *testing.T) {
 	}
 }
 
+// TestAbandonmentReportsExecuted: an abandoned exchange says whether the
+// device ran the handler. With every response dropped it did, and the
+// caller must not treat the request as lost; with every request dropped it
+// did not.
+func TestAbandonmentReportsExecuted(t *testing.T) {
+	ok := func(_ Direction, f []byte) ([][]byte, error) { return [][]byte{f}, nil }
+	for _, tc := range []struct {
+		name     string
+		step     []func(Direction, []byte) ([][]byte, error)
+		executed bool
+	}{
+		{"responses dropped", []func(Direction, []byte) ([][]byte, error){ok, drop}, true},
+		{"requests dropped", []func(Direction, []byte) ([][]byte, error){drop}, false},
+	} {
+		var script []func(Direction, []byte) ([][]byte, error)
+		for i := 0; i < 5; i++ {
+			script = append(script, tc.step...)
+		}
+		tr, _ := newTransactor(t, &scriptLink{script: script})
+		_, err := tr.Exchange([]byte("x"))
+		var ab *AbandonedError
+		if !errors.As(err, &ab) || ab.Attempts != 5 || !errors.Is(err, ErrNoResponse) {
+			t.Fatalf("%s: want an AbandonedError after 5 attempts wrapping ErrNoResponse, got %v", tc.name, err)
+		}
+		if ab.Executed != tc.executed || Executed(err) != tc.executed {
+			t.Errorf("%s: Executed = %v, want %v", tc.name, ab.Executed, tc.executed)
+		}
+	}
+}
+
 // TestLateFaultAfterResponseAccepted pins a nasty interaction: the request
 // is duplicated, so the device emits two response frames (the second from
 // its ARQ cache); the host authenticates the first, then delivery of the

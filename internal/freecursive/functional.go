@@ -21,10 +21,8 @@ type Functional struct {
 	oram   *oram.Engine
 	rnd    *rng.Source
 
-	scale      uint64
-	nPosMaps   int
-	blockBytes int
-	leaves     uint64 // tree leaf count
+	nPosMaps int
+	leaves   uint64 // tree leaf count
 
 	onchip []uint32 // leaves of the top PosMap's blocks
 
@@ -66,37 +64,34 @@ type plbEntry struct {
 
 const unassigned = ^uint32(0)
 
+// The functional ORAM's fixed geometry: Z blocks of blockBytes per bucket,
+// and scale 4-byte leaves per PosMap block, so one PosMap block fills one
+// data block.
+const (
+	z          = 4
+	blockBytes = 64
+	scale      = blockBytes / 4
+)
+
 // FunctionalOptions sizes a Functional instance.
 type FunctionalOptions struct {
 	DataBlocks uint64 // data-ORAM address space
 	PosMaps    int    // recursive PosMap levels (≥ 1)
-	Scale      int    // leaves per PosMap block (entries are 4 bytes each)
 	PLBEntries int    // PLB capacity in PosMap blocks
 	Levels     int    // tree levels (capacity must hold data + posmaps)
-	Z          int
-	BlockBytes int
 	Key        []byte
 	Seed       uint64
 }
 
 // NewFunctional builds the full recursive ORAM.
 func NewFunctional(o FunctionalOptions) (*Functional, error) {
-	if o.Z == 0 {
-		o.Z = 4
-	}
-	if o.BlockBytes == 0 {
-		o.BlockBytes = 64
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	if o.PosMaps < 1 {
 		return nil, errors.New("freecursive: functional ORAM needs ≥ 1 recursive PosMap")
 	}
-	if o.Scale < 2 || o.Scale*4 > o.BlockBytes {
-		return nil, fmt.Errorf("freecursive: scale %d does not fit %d-byte blocks", o.Scale, o.BlockBytes)
-	}
-	fe, err := New(o.DataBlocks, o.PosMaps, o.Scale, max(o.PLBEntries, 8))
+	fe, err := New(o.DataBlocks, o.PosMaps, scale, max(o.PLBEntries, 8))
 	if err != nil {
 		return nil, err
 	}
@@ -107,11 +102,11 @@ func NewFunctional(o FunctionalOptions) (*Functional, error) {
 	if o.Levels > 32 {
 		return nil, errors.New("freecursive: leaves must fit 32-bit PosMap entries")
 	}
-	if geom.CapacityBlocks(o.Z) < fe.TotalBlocks() {
+	if geom.CapacityBlocks(z) < fe.TotalBlocks() {
 		return nil, fmt.Errorf("freecursive: tree of %d levels holds %d blocks, need %d",
-			o.Levels, geom.CapacityBlocks(o.Z), fe.TotalBlocks())
+			o.Levels, geom.CapacityBlocks(z), fe.TotalBlocks())
 	}
-	store, err := oram.NewMemStore(o.Z, o.BlockBytes, o.Key)
+	store, err := oram.NewMemStore(z, blockBytes, o.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -129,16 +124,14 @@ func NewFunctional(o FunctionalOptions) (*Functional, error) {
 	}
 	top := fe.counts[o.PosMaps]
 	f := &Functional{
-		engine:     fe,
-		oram:       eng,
-		rnd:        rng.New(o.Seed ^ 0xfc02),
-		scale:      uint64(o.Scale),
-		nPosMaps:   o.PosMaps,
-		blockBytes: o.BlockBytes,
-		leaves:     geom.Leaves(),
-		onchip:     make([]uint32, top),
-		plb:        make(map[uint64]*plbEntry),
-		plbCap:     o.PLBEntries,
+		engine:   fe,
+		oram:     eng,
+		rnd:      rng.New(o.Seed ^ 0xfc02),
+		nPosMaps: o.PosMaps,
+		leaves:   geom.Leaves(),
+		onchip:   make([]uint32, top),
+		plb:      make(map[uint64]*plbEntry),
+		plbCap:   o.PLBEntries,
 	}
 	for i := range f.onchip {
 		f.onchip[i] = unassigned
@@ -183,7 +176,7 @@ func (f *Functional) Access(addr uint64, op oram.Op, data []byte) ([]byte, error
 	_ = fresh
 	if op == oram.OpRead {
 		if blk.Data == nil {
-			return make([]byte, f.blockBytes), nil
+			return make([]byte, blockBytes), nil
 		}
 		return append([]byte(nil), blk.Data...), nil
 	}
@@ -232,7 +225,7 @@ func (f *Functional) storeLeaf(lvl int, child uint64, leaf uint32) error {
 }
 
 func (f *Functional) entryIndex(lvl int, child uint64) int {
-	return int((child - f.engine.bases[lvl-1]) % f.scale)
+	return int((child - f.engine.bases[lvl-1]) % scale)
 }
 
 // ensureCached brings the level-lvl PosMap block at addr into the PLB
@@ -260,7 +253,7 @@ func (f *Functional) ensureCached(lvl int, addr uint64) (*plbEntry, error) {
 	}
 	f.stats.ORAMAccesses++
 
-	e := &plbEntry{addr: addr, level: lvl, leaves: make([]uint32, f.scale)}
+	e := &plbEntry{addr: addr, level: lvl, leaves: make([]uint32, scale)}
 	if plan.Found && blk.Data != nil {
 		for i := range e.leaves {
 			e.leaves[i] = binary.LittleEndian.Uint32(blk.Data[4*i:])
@@ -315,7 +308,7 @@ func (f *Functional) writeback(v *plbEntry) error {
 	if err := f.storeLeaf(v.level+1, v.addr, newLeaf); err != nil {
 		return err
 	}
-	buf := make([]byte, f.blockBytes)
+	buf := make([]byte, blockBytes)
 	for i, l := range v.leaves {
 		binary.LittleEndian.PutUint32(buf[4*i:], l)
 	}

@@ -14,7 +14,6 @@ func newFunctional(t *testing.T, plbEntries int) *Functional {
 	f, err := NewFunctional(FunctionalOptions{
 		DataBlocks: 4096,
 		PosMaps:    2,
-		Scale:      16,
 		PLBEntries: plbEntries,
 		Levels:     12, // capacity 2*(2^12-1) = 8190 ≥ 4096+256+16
 		Key:        []byte("recursive"),
@@ -28,11 +27,9 @@ func newFunctional(t *testing.T, plbEntries int) *Functional {
 
 func TestFunctionalValidation(t *testing.T) {
 	bad := []FunctionalOptions{
-		{DataBlocks: 100, PosMaps: 0, Scale: 16, Levels: 10},
-		{DataBlocks: 100, PosMaps: 2, Scale: 1, Levels: 10},
-		{DataBlocks: 100, PosMaps: 2, Scale: 32, BlockBytes: 64, Levels: 10},  // 32*4 > 64
-		{DataBlocks: 1 << 20, PosMaps: 2, Scale: 16, Levels: 8},               // too small a tree
-		{DataBlocks: 100, PosMaps: 2, Scale: 16, Levels: 40, BlockBytes: 256}, // leaves exceed 32-bit entries
+		{DataBlocks: 100, PosMaps: 0, Levels: 10},
+		{DataBlocks: 1 << 20, PosMaps: 2, Levels: 8}, // too small a tree
+		{DataBlocks: 100, PosMaps: 2, Levels: 40},    // leaves exceed 32-bit entries
 	}
 	for i, o := range bad {
 		if _, err := NewFunctional(o); err == nil {

@@ -113,17 +113,6 @@ func (r *Source) Geometric(p float64) uint64 {
 	return n
 }
 
-// Perm fills out with a uniform random permutation of [0, len(out)).
-func (r *Source) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-}
-
 // State snapshots the generator's internal state. Together with Restore it
 // lets a checkpoint capture every randomness stream in the system, so a
 // recovered run replays exactly the draws the crashed run would have made.
@@ -137,12 +126,6 @@ func (r *Source) Restore(s [4]uint64) {
 		s[0] = 1
 	}
 	r.s = s
-}
-
-// Fork derives an independent generator from this one. Streams forked at
-// different points are statistically independent for simulation purposes.
-func (r *Source) Fork() *Source {
-	return New(r.Uint64())
 }
 
 // Stream derives an independent generator from (seed, domain, index) — the

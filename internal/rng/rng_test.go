@@ -130,19 +130,6 @@ func TestGeometricEdge(t *testing.T) {
 	r.Geometric(0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(19)
-	out := make([]int, 64)
-	r.Perm(out)
-	seen := make(map[int]bool, len(out))
-	for _, v := range out {
-		if v < 0 || v >= len(out) || seen[v] {
-			t.Fatalf("Perm produced invalid permutation %v", out)
-		}
-		seen[v] = true
-	}
-}
-
 func TestStreamDerivation(t *testing.T) {
 	a := Stream(42, "worker", 3)
 	b := Stream(42, "worker", 3)
@@ -161,21 +148,6 @@ func TestStreamDerivation(t *testing.T) {
 		if s.Uint64() == base {
 			t.Errorf("Stream variation %q produced the same first output", name)
 		}
-	}
-}
-
-func TestForkIndependence(t *testing.T) {
-	r := New(23)
-	f := r.Fork()
-	// The fork and parent should not track each other.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if r.Uint64() == f.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("fork mirrors parent: %d/100 identical draws", same)
 	}
 }
 

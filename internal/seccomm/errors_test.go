@@ -105,7 +105,7 @@ func TestErrorPathsDistinct(t *testing.T) {
 }
 
 // TestCounterErrorDetails checks that counter diagnoses expose the expected
-// and observed counters — the fault layer keys its ARQ retransmission on
+// and observed counters: a retransmission of the last accepted frame is
 // Got == Expected-1.
 func TestCounterErrorDetails(t *testing.T) {
 	host, dev := pair(t)

@@ -78,8 +78,8 @@ const counterWindow = 16
 // CounterError carries the diagnosis of a counter-mismatched frame: it
 // wraps ErrOutOfOrder or ErrReplayed (and therefore ErrAuth) and records
 // both the expected counter and the counter the frame authenticated under.
-// The fault layer uses Got == Expected-1 to recognize a link-layer
-// retransmission of the last accepted frame.
+// The fault layer tests only ErrReplayed, not the counters: a device that
+// sees one re-emits its cached response.
 type CounterError struct {
 	Expected uint64
 	Got      uint64

@@ -17,9 +17,9 @@ import (
 // Three mechanisms bound overload:
 //
 //   - A queue-depth limit sized by queueing.QueueLimitFor — the smallest
-//     M/M/1/K queue whose full-queue probability at the target utilization
-//     stays under the configured overflow target. Beyond the limit,
-//     requests shed instead of queueing into certain deadline misses.
+//     M/M/1/K queue whose full-queue probability at utilization rho stays
+//     under overflowTarget: 66. Beyond the limit, requests shed instead of
+//     queueing into certain deadline misses.
 //   - Deadline feasibility: a request whose slack is smaller than the
 //     queue's estimated drain time ((depth+1) × an EWMA of recent service
 //     times, see Done) is shed on arrival. Accepting it would burn pipeline
@@ -42,35 +42,30 @@ type Admission struct {
 	closed   bool    // draining: everything sheds with StatusClosing
 	svcEWMA  float64 // service seconds per op, exponentially weighted
 	tokens   float64 // retry budget
-	rate     float64 // tokens per second
-	burst    float64
 	last     time.Time
 	capacity func() float64 // ∈ [0,1]; nil = always 1
 	now      func() time.Time
 }
 
-// maxDepth caps the queue-depth limit computed from Rho and OverflowTarget.
-const maxDepth = 4096
+// The admission design point, fixed once as the paper fixes its transfer
+// queue (Section IV-C): the queue is sized for utilization rho at full-queue
+// probability overflowTarget (capped at maxDepth), and client retries spend
+// tokens refilled at retryRate per second into a bucket of retryBurst.
+const (
+	rho            = 0.9
+	overflowTarget = 1e-4
+	maxDepth       = 4096
+	retryRate      = 16
+	retryBurst     = 2 * retryRate
+)
 
 // AdmissionOptions size an Admission controller.
 type AdmissionOptions struct {
-	// Rho is the design utilization the queue limit is sized for
-	// (default 0.9).
-	Rho float64
-	// OverflowTarget is the acceptable full-queue probability at Rho
-	// (default 1e-4). Together with Rho it yields the depth limit via
-	// queueing.QueueLimitFor.
-	OverflowTarget float64
-	// RetryRate is the retry token refill rate per second (default 16).
-	RetryRate float64
-	// RetryBurst is the bucket capacity (default 2 × RetryRate).
-	RetryBurst float64
 	// Capacity reports the cluster's current capacity fraction; nil means
-	// full capacity. Typically health-state CapacityWeights averaged over
-	// the members.
+	// full capacity. The server installs the cluster's Capacity.
 	Capacity func() float64
-	// Now injects a clock for tests (default time.Now).
-	Now func() time.Time
+
+	now func() time.Time // the package's tests inject a clock (nil = time.Now)
 }
 
 // Decision is an admission outcome.
@@ -91,32 +86,18 @@ const (
 
 // NewAdmission builds the controller.
 func NewAdmission(o AdmissionOptions) (*Admission, error) {
-	if o.Rho == 0 {
-		o.Rho = 0.9
+	if o.now == nil {
+		o.now = time.Now
 	}
-	if o.OverflowTarget == 0 {
-		o.OverflowTarget = 1e-4
-	}
-	if o.RetryRate == 0 {
-		o.RetryRate = 16
-	}
-	if o.RetryBurst == 0 {
-		o.RetryBurst = 2 * o.RetryRate
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
-	limit, err := queueing.QueueLimitFor(o.Rho, o.OverflowTarget, maxDepth)
+	limit, err := queueing.QueueLimitFor(rho, overflowTarget, maxDepth)
 	if err != nil {
 		return nil, err
 	}
 	a := &Admission{
 		limit:    limit,
-		tokens:   o.RetryBurst,
-		rate:     o.RetryRate,
-		burst:    o.RetryBurst,
+		tokens:   retryBurst,
 		capacity: o.Capacity,
-		now:      o.Now,
+		now:      o.now,
 	}
 	a.last = a.now()
 	return a, nil
@@ -154,10 +135,7 @@ func (a *Admission) Admit(slack time.Duration, retry bool) Decision {
 		return ShedClosing
 	}
 	now := a.now()
-	a.tokens += now.Sub(a.last).Seconds() * a.rate
-	if a.tokens > a.burst {
-		a.tokens = a.burst
-	}
+	a.tokens = min(a.tokens+now.Sub(a.last).Seconds()*retryRate, retryBurst)
 	a.last = now
 
 	if retry {

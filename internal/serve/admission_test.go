@@ -16,7 +16,7 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1700000000, 0)} }
 func admWithClock(t *testing.T, o AdmissionOptions, c *fakeClock) *Admission {
 	t.Helper()
-	o.Now = c.now
+	o.now = c.now
 	a, err := NewAdmission(o)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +25,7 @@ func admWithClock(t *testing.T, o AdmissionOptions, c *fakeClock) *Admission {
 }
 
 func TestAdmissionLimitFromQueueing(t *testing.T) {
-	a, err := NewAdmission(AdmissionOptions{Rho: 0.9, OverflowTarget: 1e-4})
+	a, err := NewAdmission(AdmissionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,14 @@ func TestAdmissionLimitFromQueueing(t *testing.T) {
 	if a.Limit() != want {
 		t.Fatalf("Limit = %d, want QueueLimitFor's %d", a.Limit(), want)
 	}
-	if a.Limit() < 10 {
-		t.Fatalf("implausibly small limit %d", a.Limit())
+	if a.Limit() != 66 {
+		t.Fatalf("Limit = %d, want the design point's 66", a.Limit())
 	}
 }
 
 func TestAdmissionDepthLimitSheds(t *testing.T) {
 	clk := newFakeClock()
-	a := admWithClock(t, AdmissionOptions{Rho: 0.5, OverflowTarget: 0.01}, clk)
+	a := admWithClock(t, AdmissionOptions{}, clk)
 	limit := a.Limit()
 	for i := 0; i < limit; i++ {
 		if d := a.Admit(time.Second, false); d != Accepted {
@@ -119,9 +119,9 @@ func TestAdmissionDeadlineUsesServiceTime(t *testing.T) {
 
 func TestAdmissionRetryBudget(t *testing.T) {
 	clk := newFakeClock()
-	a := admWithClock(t, AdmissionOptions{RetryRate: 2, RetryBurst: 4}, clk)
-	// Burst of 4 retries passes, the fifth sheds.
-	for i := 0; i < 4; i++ {
+	a := admWithClock(t, AdmissionOptions{}, clk)
+	// A burst of retryBurst retries passes, the next one sheds.
+	for i := 0; i < retryBurst; i++ {
 		if d := a.Admit(time.Second, true); d != Accepted {
 			t.Fatalf("retry %d = %v", i, d)
 		}
@@ -135,9 +135,9 @@ func TestAdmissionRetryBudget(t *testing.T) {
 		t.Fatalf("fresh request during retry exhaustion = %v", d)
 	}
 	a.Done(time.Millisecond)
-	// One second refills two tokens.
+	// One second refills retryRate tokens.
 	clk.advance(time.Second)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < retryRate; i++ {
 		if d := a.Admit(time.Second, true); d != Accepted {
 			t.Fatalf("refilled retry %d = %v", i, d)
 		}
@@ -151,7 +151,7 @@ func TestAdmissionRetryBudget(t *testing.T) {
 func TestAdmissionCapacityShrinksLimit(t *testing.T) {
 	clk := newFakeClock()
 	cap := 1.0
-	o := AdmissionOptions{Rho: 0.5, OverflowTarget: 0.01, Capacity: func() float64 { return cap }}
+	o := AdmissionOptions{Capacity: func() float64 { return cap }}
 	a := admWithClock(t, o, clk)
 	full := a.Limit()
 
@@ -215,7 +215,7 @@ func TestAdmissionPermutationInvariance(t *testing.T) {
 	}
 	replay := func() []Decision {
 		clk := newFakeClock()
-		a := admWithClock(t, AdmissionOptions{Rho: 0.5, OverflowTarget: 0.05, RetryRate: 4}, clk)
+		a := admWithClock(t, AdmissionOptions{}, clk)
 		outstanding := 0
 		out := make([]Decision, len(seq))
 		for i, ar := range seq {
@@ -255,11 +255,11 @@ func TestAdmissionPermutationInvariance(t *testing.T) {
 func TestAdmissionUnderBurstyArrivals(t *testing.T) {
 	run := func(m queueing.MMPP, seed uint64) (accepted, shed int) {
 		clk := newFakeClock()
-		a := admWithClock(t, AdmissionOptions{Rho: 0.5, OverflowTarget: 0.2}, clk) // limit 2
+		a := admWithClock(t, AdmissionOptions{}, clk)
 		r := rng.Stream(seed, "admission-mmpp", 0)
 		high := false
 		outstanding := 0
-		for tick := 0; tick < 6000; tick++ {
+		for tick := 0; tick < 20000; tick++ {
 			clk.advance(time.Millisecond)
 			rate := m.LowRate
 			if high {
@@ -287,8 +287,8 @@ func TestAdmissionUnderBurstyArrivals(t *testing.T) {
 		}
 		return accepted, shed
 	}
-	uniform := queueing.MMPP{LowRate: 0.25, HighRate: 0.25, PUp: 0.05, PDown: 0.05}
-	bursty := queueing.MMPP{LowRate: 0.05, HighRate: 0.45, PUp: 0.05, PDown: 0.05}
+	uniform := queueing.MMPP{LowRate: 0.25, HighRate: 0.25, PUp: 0.002, PDown: 0.002}
+	bursty := queueing.MMPP{LowRate: 0.05, HighRate: 0.45, PUp: 0.002, PDown: 0.002}
 	ua, us := run(uniform, 21)
 	ba, bs := run(bursty, 21)
 	if ua == 0 || ba == 0 {

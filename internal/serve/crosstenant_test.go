@@ -148,9 +148,7 @@ func TestServeCrossTenantLinkInvariance(t *testing.T) {
 // observable traffic — shapes stay calibrated, balance holds, and the
 // victim still gets goodput.
 func TestServeCrossTenantOverloadWitness(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Admission = AdmissionOptions{Rho: 0.5, OverflowTarget: 0.2} // tiny queue
-	s, addr := startServer(t, cfg)
+	s, addr := startServer(t, baseConfig(t))
 	defer s.Shutdown(context.Background())
 
 	var wg sync.WaitGroup
@@ -160,8 +158,8 @@ func TestServeCrossTenantOverloadWitness(t *testing.T) {
 		defer wg.Done()
 		var err error
 		stormRep, err = RunLoad(LoadOptions{
-			Addr: addr, Tenant: "storm", Workers: 12, Ops: 400,
-			Space: 64, AddrOffset: 5000, DeadlineMS: 2000, Seed: 13,
+			Addr: addr, Tenant: "storm", Workers: 160, Ops: 1600,
+			Space: 64, DeadlineMS: 2000, Seed: 13,
 		})
 		if err != nil {
 			t.Errorf("storm: %v", err)

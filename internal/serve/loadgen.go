@@ -25,18 +25,17 @@ type LoadOptions struct {
 	// Space is the block address space the workload draws from (default
 	// 256).
 	Space uint64
-	// AddrOffset shifts the address range, so co-tenant generators can use
-	// disjoint spaces.
-	AddrOffset uint64
-	// WriteFrac is the write fraction (default 0.5).
-	WriteFrac float64
 	// DeadlineMS is the per-request budget (0 = server default).
 	DeadlineMS uint32
 	// Seed makes the workload deterministic (default 1).
 	Seed uint64
-	// Payload is the write payload size (default 32; must fit the block).
-	Payload int
 }
+
+// Half the generated requests are writes, each of a loadPayload-byte value.
+const (
+	loadWriteFrac = 0.5
+	loadPayload   = 32
+)
 
 // LoadReport summarizes one load run.
 type LoadReport struct {
@@ -66,14 +65,8 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 	if o.Space == 0 {
 		o.Space = 256
 	}
-	if o.WriteFrac == 0 {
-		o.WriteFrac = 0.5
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Payload == 0 {
-		o.Payload = 32
 	}
 
 	var (
@@ -104,12 +97,12 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 			var myLats []float64
 			for budget.Add(-1) >= 0 {
 				req := Request{
-					Addr:       o.AddrOffset + r.Uint64n(o.Space),
+					Addr:       r.Uint64n(o.Space),
 					DeadlineMS: o.DeadlineMS,
 				}
-				if r.Bool(o.WriteFrac) {
+				if r.Bool(loadWriteFrac) {
 					req.Write = true
-					req.Data = []byte(fmt.Sprintf("%-*d", o.Payload, r.Uint64n(1<<32)))
+					req.Data = []byte(fmt.Sprintf("%-*d", loadPayload, r.Uint64n(1<<32)))
 				}
 				t0 := time.Now()
 				resp, err := cl.Do(req)

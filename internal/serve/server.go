@@ -21,8 +21,9 @@ import (
 	"sdimm/internal/witness"
 )
 
-// Config assembles a Server: the cluster it fronts, the pipeline shape, the
-// admission controller, and the serving knobs.
+// Config assembles a Server: the cluster it fronts, the pipeline shape, and
+// the serving knobs. The admission controller and the witness monitor run at
+// their package constants.
 type Config struct {
 	// Cluster configures the backing cluster. The server wires its own
 	// witness monitor and flight recorder into these options; a LinkTap
@@ -30,15 +31,9 @@ type Config struct {
 	Cluster sdimm.ClusterOptions
 	// Pipeline shapes the streaming pipeline (zero value = defaults).
 	Pipeline sdimm.PipelineOptions
-	// Admission sizes the admission controller (zero value = defaults).
-	// Its Capacity hook is installed by the server.
-	Admission AdmissionOptions
 	// DefaultDeadline applies to requests with DeadlineMS 0 (default
 	// 250ms).
 	DefaultDeadline time.Duration
-	// Witness configures the obliviousness monitor; Members is set by the
-	// server. Calibration and Window keep their package defaults when 0.
-	Witness witness.Options
 	// FlightDir, when set, is where the flight recorder auto-dumps on a
 	// shed storm, an accepted-request deadline miss, or a witness
 	// violation (one dump per trigger kind per process).
@@ -135,17 +130,11 @@ func build(cfg Config, mk func(sdimm.ClusterOptions) (*sdimm.Cluster, error)) (*
 		start:   time.Now(),
 	}
 
-	wopts := cfg.Witness
-	wopts.Members = cfg.Cluster.SDIMMs
-	wopts.Registry = reg
-	userViolation := wopts.OnViolation
-	wopts.OnViolation = func(kind string) {
-		s.dumpFlight("witness-" + kind)
-		if userViolation != nil {
-			userViolation(kind)
-		}
-	}
-	s.wit = witness.New(wopts)
+	s.wit = witness.New(witness.Options{
+		Members:     cfg.Cluster.SDIMMs,
+		Registry:    reg,
+		OnViolation: func(kind string) { s.dumpFlight("witness-" + kind) },
+	})
 
 	if cfg.Cluster.Flight == nil {
 		cfg.Cluster.Flight = flight.New(cfg.Cluster.SDIMMs, 4096)
@@ -167,9 +156,7 @@ func build(cfg Config, mk func(sdimm.ClusterOptions) (*sdimm.Cluster, error)) (*
 	s.c = c
 	s.cfg = cfg
 
-	admOpts := cfg.Admission
-	admOpts.Capacity = s.capacity
-	adm, err := NewAdmission(admOpts)
+	adm, err := NewAdmission(AdmissionOptions{Capacity: c.Capacity})
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -203,21 +190,6 @@ func (s *Server) Admission() *Admission { return s.adm }
 
 // Registry exposes the telemetry registry.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
-// capacity is the advertised capacity fraction: the mean CapacityWeight of
-// the members' health states. Reading only the mutex-guarded state
-// machines, it is safe concurrent with the pipeline.
-func (s *Server) capacity() float64 {
-	states := s.c.HealthStates()
-	if len(states) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, st := range states {
-		sum += st.CapacityWeight()
-	}
-	return sum / float64(len(states))
-}
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves connections until
 // Shutdown. It returns the bound address.
@@ -554,7 +526,7 @@ func (s *Server) SLO() SLOSnapshot {
 		QueueDepth:             s.adm.Depth(),
 		QueuePeak:              s.adm.PeakDepth(),
 		QueueLimit:             s.adm.Limit(),
-		Capacity:               s.capacity(),
+		Capacity:               s.c.Capacity(),
 		LatencyP50US:           s.latency.Quantile(0.5),
 		LatencyP99US:           s.latency.Quantile(0.99),
 		Health:                 names,

@@ -113,7 +113,6 @@ func (t *Tracer) Len() int {
 type traceFile struct {
 	TraceEvents     []Event `json:"traceEvents"`
 	DisplayTimeUnit string  `json:"displayTimeUnit,omitempty"`
-	Comment         string  `json:"otherData,omitempty"`
 }
 
 // WriteJSON exports the recorded events as a Chrome trace-event JSON

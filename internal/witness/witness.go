@@ -19,7 +19,7 @@
 // assert it stays silent.
 //
 // Memory is bounded by construction: per (member, direction) the monitor
-// retains at most MaxShapes frame lengths, plus one counter per member for
+// retains at most maxShapes frame lengths, plus one counter per member for
 // the balance window — nothing grows with traffic.
 package witness
 
@@ -36,16 +36,6 @@ import (
 type Options struct {
 	// Members is the cluster's member (link) count. Required.
 	Members int
-	// Calibration is how many frames per (member, direction) may introduce
-	// new lengths before the shape set freezes (default 64). Every
-	// steady-state shape appears within the first access, so the default
-	// leaves generous slack without weakening the check materially.
-	Calibration int
-	// MaxShapes caps the learned length set per (member, direction)
-	// (default 8). Exceeding it during calibration is itself a violation —
-	// a channel with unbounded frame-length diversity is not
-	// shape-oblivious.
-	MaxShapes int
 	// Window is the traffic-balance sliding window in frames (default
 	// 4096). The check fires each time a window fills; runs shorter than
 	// one window get shape checking only.
@@ -61,13 +51,18 @@ type Options struct {
 	OnViolation func(kind string)
 }
 
+// calibration is how many frames per (member, direction) may introduce new
+// lengths before the shape set freezes. Every steady-state shape appears
+// within the first access, so it leaves generous slack without weakening the
+// check materially. maxShapes caps the learned length set per (member,
+// direction); exceeding it during calibration is itself a violation — a
+// channel with unbounded frame-length diversity is not shape-oblivious.
+const (
+	calibration = 64
+	maxShapes   = 8
+)
+
 func (o Options) withDefaults() Options {
-	if o.Calibration <= 0 {
-		o.Calibration = 64
-	}
-	if o.MaxShapes <= 0 {
-		o.MaxShapes = 8
-	}
 	if o.Window <= 0 {
 		o.Window = 4096
 	}
@@ -141,7 +136,7 @@ func (m *Monitor) Tap(sd int, dir fault.Direction, attempt int, frame []byte) {
 		}
 	}
 	if !known {
-		if m.seen[sd][d] < m.opt.Calibration && len(m.shapes[sd][d]) < m.opt.MaxShapes {
+		if m.seen[sd][d] < calibration && len(m.shapes[sd][d]) < maxShapes {
 			m.shapes[sd][d] = append(m.shapes[sd][d], l)
 		} else {
 			m.shapeV++

@@ -14,10 +14,10 @@ func frame(n int) []byte { return make([]byte, n) }
 
 func TestShapeViolationAfterCalibration(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	m := New(Options{Members: 2, Calibration: 4, Registry: reg})
+	m := New(Options{Members: 2, Registry: reg})
 
 	// Calibrate both directions of member 0 with two legitimate lengths.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < calibration; i++ {
 		m.Tap(0, fault.HostToDev, 0, frame(64))
 		m.Tap(0, fault.DevToHost, 0, frame(128))
 	}
@@ -50,14 +50,14 @@ func TestShapeViolationAfterCalibration(t *testing.T) {
 }
 
 func TestShapeDiversityCapDuringCalibration(t *testing.T) {
-	m := New(Options{Members: 1, Calibration: 100, MaxShapes: 3})
-	for i := 0; i < 3; i++ {
+	m := New(Options{Members: 1})
+	for i := 0; i < maxShapes; i++ {
 		m.Tap(0, fault.HostToDev, 0, frame(10+i))
 	}
 	if !m.Verdict().OK {
-		t.Fatal("three shapes within cap must pass")
+		t.Fatal("shapes within the cap must pass")
 	}
-	// A fourth distinct length exceeds MaxShapes even inside calibration.
+	// One more distinct length exceeds maxShapes even inside calibration.
 	m.Tap(0, fault.HostToDev, 0, frame(99))
 	if v := m.Verdict(); v.OK || v.ShapeViolations != 1 {
 		t.Fatalf("verdict = %+v, want shape violation for unbounded diversity", v)
@@ -159,8 +159,10 @@ func TestConcurrentTaps(t *testing.T) {
 }
 
 func TestHandlerVerdict(t *testing.T) {
-	m := New(Options{Members: 1, Calibration: 1})
-	m.Tap(0, fault.HostToDev, 0, frame(64))
+	m := New(Options{Members: 1})
+	for i := 0; i < calibration; i++ {
+		m.Tap(0, fault.HostToDev, 0, frame(64))
+	}
 
 	req := httptest.NewRequest("GET", "/witness", nil)
 	rec := httptest.NewRecorder()
@@ -172,7 +174,7 @@ func TestHandlerVerdict(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
 		t.Fatalf("verdict not JSON: %v", err)
 	}
-	if !v.OK || v.Frames != 1 {
+	if !v.OK || v.Frames != calibration {
 		t.Fatalf("verdict body = %+v", v)
 	}
 
@@ -194,7 +196,7 @@ func TestHandlerVerdict(t *testing.T) {
 func TestOnViolationCallback(t *testing.T) {
 	var fired []string
 	var m *Monitor
-	m = New(Options{Members: 2, Calibration: 2, Window: 4, OnViolation: func(kind string) {
+	m = New(Options{Members: 2, Window: 4, OnViolation: func(kind string) {
 		fired = append(fired, kind)
 		// Re-entrancy: the serving front end snapshots the verdict from the
 		// callback while dumping the flight recorder.
@@ -202,7 +204,7 @@ func TestOnViolationCallback(t *testing.T) {
 			t.Errorf("callback saw OK verdict after a violation")
 		}
 	}})
-	for i := 0; i < 2; i++ {
+	for i := 0; i < calibration; i++ {
 		m.Tap(0, fault.HostToDev, 0, frame(64))
 		m.Tap(1, fault.HostToDev, 0, frame(64))
 	}
@@ -216,7 +218,7 @@ func TestOnViolationCallback(t *testing.T) {
 	// Starve (but do not silence) member 1 for a full window: its share
 	// drops below fair/4 and the balance check fires the callback.
 	var kinds []string
-	m2 := New(Options{Members: 2, Calibration: 1, Window: 32,
+	m2 := New(Options{Members: 2, Window: 32,
 		OnViolation: func(kind string) { kinds = append(kinds, kind) }})
 	m2.Tap(0, fault.HostToDev, 0, frame(64))
 	m2.Tap(1, fault.HostToDev, 0, frame(64))

@@ -318,7 +318,7 @@ type pipeOp struct {
 	cw         []byte // Split: the codeword, one shard-sized slice per member
 
 	err       error  // first error on the access (scheduling, exchange, ack)
-	decodeErr error  // response decode failure (folded into err after commit)
+	respErr   error  // a read the buffer ran, its response lost or unreadable (err at retirement)
 	skip      bool   // scheduling failed: no exchanges at all
 	committed bool   // commit walk journaled this op
 	respBody  []byte // exchange response copy (phase A, written by owner worker)
@@ -697,28 +697,39 @@ func (p *Pipeline) accessTask(po *pipeOp) {
 		Keep:    po.keep,
 	}
 	resp, err := c.exchange(po.sd, "access", c.accessBody(po.sd, req))
-	if err != nil {
+	if err != nil && !fault.Executed(err) {
 		po.err = err
 		return
 	}
-	// Exchange hands back transactor-owned scratch; a later op sharing this
-	// link overwrites it, so the op keeps a copy, and the block decodes as a
-	// view into it.
-	po.respBody = append(po.respBody[:0], resp...)
-	r, derr := isdimm.UnmarshalResponse(po.respBody, c.blockSize)
-	if derr != nil {
-		// Decode failure is held apart from err: the buffer executed the
-		// access, so the commit walk must still commit and journal it.
-		po.decodeErr = c.wrapErr(po.sd, "access response", derr)
-		return
+	if err == nil {
+		// Exchange hands back transactor-owned scratch; a later op sharing
+		// this link overwrites it, so the op keeps a copy, and the block
+		// decodes as a view into it.
+		po.respBody = append(po.respBody[:0], resp...)
+		r, derr := isdimm.UnmarshalResponse(po.respBody, c.blockSize)
+		if derr == nil {
+			po.resp = r
+			po.blk = r.Block
+			po.blk.Addr = po.addr
+			po.blk.Leaf = po.newG & mask
+			if po.op == oram.OpRead && !po.migrate {
+				po.out = make([]byte, c.blockSize) // zeros for a dummy
+				copy(po.out, r.Block.Data)
+			}
+			return
+		}
+		err = c.wrapErr(po.sd, "access response", derr)
 	}
-	po.resp = r
-	po.blk = r.Block
-	po.blk.Addr = po.addr
-	po.blk.Leaf = po.newG & mask
-	if po.op == oram.OpRead && !po.migrate {
-		po.out = make([]byte, c.blockSize) // zeros for a dummy
-		copy(po.out, r.Block.Data)
+	// The buffer executed the access, but its response was lost or cannot
+	// be decoded. The op still commits and runs its APPEND broadcast, so the
+	// links carry the same frames for a read as for a write. A write's block
+	// is its own payload: the write rebuilds it and succeeds. A read has no
+	// block to carry, so every APPEND of its broadcast is a dummy, and it
+	// fails at retirement.
+	po.blk = oram.Block{Addr: po.addr, Leaf: po.newG & mask, Data: po.data}
+	if po.op == oram.OpRead {
+		po.resp.Dummy = true
+		po.respErr = err
 	}
 }
 
@@ -727,10 +738,12 @@ func (p *Pipeline) accessTask(po *pipeOp) {
 // its journal record. This is the staged-commit rule: the map moves only
 // after the owning buffer has executed the access, so a fault before that
 // point (however the retries end) leaves host and buffers exactly as they
-// were and the address stays readable. A failed exchange leaves the map
-// untouched and journals nothing; later append failures cannot move the
-// block again (a lost real append is re-homed). A crash before the record is
-// durable means the access never happened; after it, recovery replays it.
+// were and the address stays readable. An exchange abandoned before the
+// buffer opened it leaves the map untouched and journals nothing; one the
+// buffer executed commits, whether or not its response arrived. Later append
+// failures cannot move the block again (a real append the buffer never
+// opened is re-homed). A crash before the record is durable means the
+// access never happened; after it, recovery replays it.
 func (p *Pipeline) commit(w *waveState) {
 	c := p.c
 	for _, po := range w.ops {
@@ -749,10 +762,10 @@ func (p *Pipeline) commit(w *waveState) {
 		c.pos.Set(po.addr, po.newG)
 		w.recs = append(w.recs, c.makeRecord(po.addr, po.op, po.data, po.migrate))
 		po.committed = true
-		if po.decodeErr != nil {
-			// Journaled but undeliverable: surface the decode failure now that
-			// the record exists, so the append walk skips the op.
-			po.err = po.decodeErr
+		if po.respErr != nil && !po.keep {
+			// The read's block left its buffer inside the unusable response:
+			// the address fails closed until a write heals it.
+			c.poisoned[po.addr] = true
 		}
 	}
 }
@@ -794,6 +807,8 @@ func (p *Pipeline) appendTask(w *waveState, j int) {
 		}
 		ack, err := c.exchange(j, "append", c.appendBody(j, po.blk, !real))
 		switch {
+		case fault.Executed(err):
+			// The buffer took the block; only its ack was lost.
 		case err != nil:
 			po.appendErr[j] = err
 		case len(ack) != 1 || ack[0] != appendAck:
@@ -823,6 +838,9 @@ func (p *Pipeline) retire(w *waveState) {
 func (p *Pipeline) finalize(po *pipeOp) BatchResult {
 	c := p.c
 	c.st.finalize(p, po)
+	if po.err == nil {
+		po.err = po.respErr
+	}
 
 	// Poison veto at delivery: the access ran normally (keeping every RNG
 	// draw and placement identical to an uncorrupted run), but a payload lost
@@ -879,11 +897,13 @@ func (p *Pipeline) rehome(po *pipeOp, exclude int) error {
 		nb.Leaf = g & (uint64(1)<<c.localBits - 1)
 		c.tm.rehomeAttempts.Inc()
 		ack, err := p.rehomeAppend(sd, nb)
-		if err != nil {
+		switch {
+		case fault.Executed(err):
+			// The block landed; only its ack was lost.
+		case err != nil:
 			lastErr = err
 			continue
-		}
-		if len(ack) != 1 || ack[0] != appendAck {
+		case len(ack) != 1 || ack[0] != appendAck:
 			return c.wrapErr(sd, "rehome append", fmt.Errorf("sdimm: malformed append ack %x", ack))
 		}
 		c.pos.Set(po.addr, g)

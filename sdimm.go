@@ -214,7 +214,6 @@ func NewRecursiveORAM(opts RecursiveORAMOptions) (*RecursiveORAM, error) {
 	f, err := freecursive.NewFunctional(freecursive.FunctionalOptions{
 		DataBlocks: opts.DataBlocks,
 		PosMaps:    opts.PosMaps,
-		Scale:      16,
 		PLBEntries: opts.PLBEntries,
 		Levels:     opts.Levels,
 		Key:        opts.Key,
