@@ -102,8 +102,8 @@ blame:
 # CTR keystream, its seal/open (CTR pad + AES-GMAC tag) and a whole
 # fault.Transactor exchange over the fault-free link, a MemStore bucket open
 # and reseal (one AES-GCM call each), Engine.Access, and the journal commit
-# must stay at 0 allocs/op; a sequential cluster access within 1.7 objects,
-# counted exactly, and a warm 64-op Pipeline.Do within 128, inline and with
+# must stay at 0 allocs/op; a sequential cluster access within 0.6 objects,
+# counted exactly, and a warm 64-op Pipeline.Do within 40, inline and with
 # workers (TestPipelineDoAllocBudget: a hand-off allocates nothing); and the
 # flight recorder plus blame collector, stamping every wave's record, must add
 # none to a pipelined or a sequential access.
@@ -116,10 +116,12 @@ alloc-gates:
 	$(GO) test -run 'ZeroAlloc|AllocBudget|AddNoAllocs' -count=1 . ./internal/ctrmode ./internal/seccomm ./internal/fault ./internal/oram ./internal/durable ./internal/event ./internal/dram ./internal/sim
 
 # CPU and heap profiles of the access hot path, for digging into a
-# regression the alloc gates or the benchmark surfaced. Inspect with
+# regression the alloc gates or the benchmark surfaced: the sequential
+# cluster access at the gating benchmark's shape (4 SDIMMs, Levels 16, 4096
+# addresses), whose trees do not fit in a cache. Inspect with
 # `go tool pprof hotpath.cpu.pprof` (then `top`, `list <func>`, `web`).
 profile:
-	$(GO) test -run NONE -bench BenchmarkAccessHotPath -benchmem \
+	$(GO) test -run NONE -bench 'BenchmarkAccessHotPath/cluster-access-l16$$' -benchmem \
 		-cpuprofile hotpath.cpu.pprof -memprofile hotpath.heap.pprof .
 	@echo "profiles: hotpath.cpu.pprof hotpath.heap.pprof (go tool pprof <file>)"
 

@@ -608,10 +608,12 @@ func (c *Cluster) access(op BatchOp) BatchResult {
 	return c.inline.one(op)
 }
 
-// BucketWrites sums physical bucket writes across every member's store.
-// This is the on-DIMM write-traffic metric TestClusterRingWriteReduction
-// pins: ring engines defer path writeback to the eviction pointer, so
-// the count grows much slower than under Path ORAM at the same workload.
+// BucketWrites sums physical bucket writes across every member's store:
+// DRAM seals only, so the tree-top rows each secure buffer keeps on chip
+// are not counted. This is the on-DIMM write-traffic metric
+// TestClusterRingWriteReduction pins: ring engines defer path writeback to
+// the eviction pointer, so the count grows much slower than under Path
+// ORAM at the same workload.
 func (c *Cluster) BucketWrites() uint64 {
 	var n uint64
 	for _, b := range c.members {

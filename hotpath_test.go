@@ -5,7 +5,7 @@
 // hard 0-alloc gates live next to each layer (ctrmode, seccomm, fault, oram,
 // durable) and the cluster's and pipeline's budgets at the end of this file;
 // all run in `make ci` as `make alloc-gates`. `make profile` takes CPU and
-// heap profiles of these loops.
+// heap profiles of the cluster access at the gating benchmark's shape.
 package sdimm
 
 import (
@@ -24,6 +24,7 @@ func BenchmarkAccessHotPath(b *testing.B) {
 	b.Run("engine-access", benchEngineAccess)
 	b.Run("journal-append", benchJournalAppend)
 	b.Run("cluster-access", benchClusterAccess)
+	b.Run("cluster-access-l16", benchClusterAccessL16)
 }
 
 // benchSealOpen measures one authenticated frame round trip (host seals,
@@ -131,6 +132,40 @@ func benchClusterAccess(b *testing.B) {
 	}
 }
 
+// benchClusterAccessL16 is benchClusterAccess at the gating benchmark's
+// common shape: 4 SDIMMs, Levels 16, 4096 prefilled addresses drawn
+// uniformly, half of the accesses writes. Its trees and sealed buckets
+// (about 20 MB) do not fit in a cache, so the DRAM misses of a path read
+// show here; the 64-address loop above stays cache-resident and hides them.
+// The alloc gates stay on that loop.
+func benchClusterAccessL16(b *testing.B) {
+	const space = 4096
+	c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 16, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	for a := uint64(0); a < space; a++ {
+		if err := c.Write(a, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r := rng.New(7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := r.Uint64n(space)
+		if i%2 == 0 {
+			err = c.Write(a, payload)
+		} else {
+			_, err = c.Read(a)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // warmCluster builds the hot-path cluster over n SDIMMs and warms its
 // stashes, free lists and link scratch over addresses 0…63.
 func warmCluster(tb testing.TB, n int) *Cluster {
@@ -164,18 +199,19 @@ func warmClusterAccess(tb testing.TB) func(i int) {
 	}
 }
 
-// TestClusterAccessAllocBudget holds the sequential cluster access at 1.7
-// objects an access, counted exactly over a warm write/read alternation:
-// the real APPEND's copy into the receiving buffer's transfer queue and, on a
-// read, the payload handed to the caller. The response decodes as a view
-// into cluster scratch, the position map is a plain map, and the link
-// allocates nothing (TestExchangeZeroAlloc in internal/fault). The count is
-// bounded by design, and it must not grow. Part of `make alloc-gates`.
+// TestClusterAccessAllocBudget holds the sequential cluster access at 0.6
+// objects an access, counted exactly over a warm write/read alternation: on
+// a read, the payload handed to the caller. The response decodes as a view
+// into cluster scratch, the position map is a plain map, the link allocates
+// nothing (TestExchangeZeroAlloc in internal/fault), and a secure buffer
+// reuses its drain plans and the transfer queue's payload buffers (the real
+// APPEND's copy once cost about one object an access). The count is bounded
+// by design, and it must not grow. Part of `make alloc-gates`.
 func TestClusterAccessAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc gates run without -race")
 	}
-	const runs, budget = 1000, 1.7
+	const runs, budget = 1000, 0.6
 	access := warmClusterAccess(t)
 	i := 0
 	perAccess := float64(mallocsOver(runs, func() {
@@ -203,19 +239,19 @@ func mallocsOver(runs int, f func()) int {
 }
 
 // TestPipelineDoAllocBudget holds a warm 64-op Pipeline.Do (Window 8, 8
-// SDIMMs, half reads) at 128 objects, inline and with workers: two an
-// access. What is left is Do's own result slice and feeder closures, and per
-// access the real APPEND's copy into the receiving buffer's transfer queue
-// and the read payload handed to the caller; the response decodes as a view
-// into the op's pooled copy. A hand-off allocates nothing: a wave's shares
-// are bound once per pooled waveState. (With a closure pair per ACCESS op, a
-// closure per APPEND member and a goroutine per journal batch the same Do
-// allocated 426.) Part of `make alloc-gates`.
+// SDIMMs, half reads) at 40 objects, inline and with workers. What is left
+// is Do's own result slice and feeder closures, and per read the payload
+// handed to the caller; the response decodes as a view into the op's pooled
+// copy, and a secure buffer reuses its transfer queue's payload buffers. A
+// hand-off allocates nothing: a wave's shares are bound once per pooled
+// waveState. (With a closure pair per ACCESS op, a closure per APPEND member
+// and a goroutine per journal batch the same Do allocated 426; with a fresh
+// copy per real APPEND, 111.) Part of `make alloc-gates`.
 func TestPipelineDoAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc gates run without -race")
 	}
-	const batchLen, runs, budget = 64, 20, 128
+	const batchLen, runs, budget = 64, 20, 40
 	for _, parallelism := range []int{1, 4} {
 		pipe := warmCluster(t, 8).Pipeline(PipelineOptions{Window: 8, Parallelism: parallelism})
 		defer pipe.Close()

@@ -84,6 +84,7 @@ type Options struct {
 type Engine struct {
 	geom  Geometry
 	store Store
+	mem   *MemStore // store, when it is the functional one
 	pos   PositionMap
 	stash *Stash
 	rand  *rng.Source
@@ -191,6 +192,10 @@ func NewEngine(store Store, pos PositionMap, opts Options) (*Engine, error) {
 		rand:           opts.Rand,
 		evictThreshold: opts.EvictThreshold,
 		autoDrain:      !opts.DisableAutoDrain,
+	}
+	if ms, ok := store.(*MemStore); ok {
+		ms.setTop(topLevels(opts.Geometry.Levels))
+		e.mem = ms
 	}
 	if opts.RingFlushInterval < 0 {
 		return nil, errors.New("oram: negative ring flush interval")
@@ -367,8 +372,8 @@ func (e *Engine) accessPath(addr uint64, op Op, data []byte, oldLeaf, newLeaf ui
 
 // blockBytesHint infers the payload size from the store (functional mode).
 func (e *Engine) blockBytesHint() int {
-	if ms, ok := e.store.(*MemStore); ok {
-		return ms.blockBytes
+	if e.mem != nil {
+		return e.mem.blockBytes
 	}
 	return 0
 }
@@ -392,6 +397,9 @@ func (e *Engine) readPath(leaf uint64, liftOne bool, addr uint64) ([]uint64, err
 		e.pathBuf = make([]uint64, e.geom.Levels)
 	}
 	path := e.geom.Path(leaf, e.pathBuf[:e.geom.Levels])
+	if e.mem != nil {
+		e.mem.touch(path)
+	}
 	for _, idx := range path {
 		if err := e.store.ReadBucketInto(idx, &e.readBkt); err != nil {
 			return nil, err

@@ -179,6 +179,11 @@ var ErrIntegrity = errors.New("oram: bucket failed integrity verification")
 // reaches the leaf level, so it is sized once); the rare index at or past
 // denseLimit — no tree that fits in memory has one — is kept in far, a list
 // sorted by index.
+//
+// An engine may hand the top rows of its tree to trusted memory (setTop):
+// those buckets then live in rows as plaintext, and only the rest of each
+// path is sealed into the arena. Every accessor answers for a row exactly
+// as it would for the same bucket in DRAM — see row.
 type MemStore struct {
 	z          int
 	blockBytes int
@@ -190,12 +195,31 @@ type MemStore struct {
 	slabs      [][]byte    // slot n (1-based) is the (n-1)th rawSize run across the slabs
 	slots      uint32      // slots claimed so far
 	writes     uint64      // physical bucket seals (see Writes)
+	rows       []row       // rows[idx]: bucket idx held in trusted memory (setTop)
+	rowPT      []byte      // the rows' plaintexts, plainSize bytes each
+	rowWrites  uint64      // writes of rows, the seals they stand in for
 
 	// Reusable scratch: the GCM nonce and AAD, and the plaintext staging
 	// buffer shared by open (decrypt) and put (encode).
 	nonce [12]byte // idx(6) || counter(6)
 	aad   [8]byte  // idx
 	ptBuf []byte
+
+	touched byte // touch's loads land here, so they are not dead code
+}
+
+// row is one bucket of the tree top held in trusted memory. Its write
+// counter advances exactly as the arena's would, and its sealed form is
+// produced on demand (RawBucket) by the same seal at that counter, so no
+// byte a caller can observe differs from the DRAM bucket it replaces.
+// Sealed bytes that arrive from outside (RestoreRaw, Corrupt) are held as
+// they came until the first read opens and verifies them, exactly as a DRAM
+// bucket's would be. A row is empty (never written), plain (its plaintext in
+// rowPT, counter its write counter) or sealed (raw non-nil).
+type row struct {
+	raw     []byte
+	counter uint64
+	plain   bool
 }
 
 // farBucket is one entry of MemStore.far.
@@ -219,7 +243,17 @@ const (
 	// 48-bit field of the nonce. NewGeometry caps a tree at 48 levels, so
 	// its largest index is 2^48 - 2.
 	nonceFieldLimit = 1 << 48
+
+	// maxTopLevels is how many tree levels the secure buffer keeps on chip:
+	// the paper's "7-level cache" (Fig. 11), config.ORAM.CachedLevels in
+	// the timing model.
+	maxTopLevels = 7
 )
+
+// topLevels is how many levels of a tree of levels levels an engine keeps
+// in trusted memory: the paper's seven, but never more than half the path,
+// so a small test tree still seals its lower half into the arena.
+func topLevels(levels int) int { return min(maxTopLevels, levels/2) }
 
 // NewMemStore builds a functional store. key seeds the bucket cipher (see
 // MemStore for the derivation); blockBytes is the payload size of every block.
@@ -245,6 +279,76 @@ func NewMemStore(z, blockBytes int, key []byte) (*MemStore, error) {
 	}, nil
 }
 
+// setTop moves the top k levels of the tree — the buckets at heap indices
+// below 2^k - 1 — into trusted memory. A bucket of those already in the
+// arena (a store restored before its engine was built) is lifted into its
+// row as sealed bytes; its arena slot stays claimed but unreachable. The
+// first call fixes k: the store is built for one tree.
+func (s *MemStore) setTop(k int) {
+	n := 1<<k - 1
+	if s.rows != nil || n == 0 {
+		return
+	}
+	s.rows = make([]row, n)
+	s.rowPT = make([]byte, n*s.plainSize())
+	for idx := range min(n, len(s.index)) {
+		if slot := s.index[idx]; slot != 0 {
+			s.rows[idx].raw = append([]byte(nil), s.at(slot)...)
+			s.index[idx] = 0
+		}
+	}
+}
+
+// row returns bucket idx's row, or nil when idx is not in the tree top.
+func (s *MemStore) row(idx uint64) *row {
+	if idx < uint64(len(s.rows)) {
+		return &s.rows[idx]
+	}
+	return nil
+}
+
+// plainRow returns bucket idx's row if it holds plaintext, else nil.
+func (s *MemStore) plainRow(idx uint64) *row {
+	if r := s.row(idx); r != nil && r.plain {
+		return r
+	}
+	return nil
+}
+
+// rowText returns the plaintext of row idx.
+func (s *MemStore) rowText(idx uint64) []byte {
+	ps := s.plainSize()
+	off := int(idx) * ps
+	return s.rowPT[off : off+ps : off+ps]
+}
+
+// sealRow seals plain row idx into dst (rawSize bytes) at its counter: the
+// bytes a DRAM bucket written the same way would hold.
+func (s *MemStore) sealRow(idx uint64, r *row, dst []byte) []byte {
+	binary.BigEndian.PutUint64(dst[:8], r.counter)
+	s.bind(idx, r.counter)
+	s.gcm.Seal(dst[:8], s.nonce[:], s.rowText(idx), s.aad[:])
+	return dst
+}
+
+// touch loads one byte of every 64-byte line of each arena bucket on path,
+// so the path's cache misses are in flight together before the first open
+// waits on its bytes, the way the secure buffer issues a path's DRAM reads
+// back to back. Rows are skipped: they are already on chip.
+func (s *MemStore) touch(path []uint64) {
+	var x byte
+	for _, idx := range path {
+		if idx < uint64(len(s.rows)) {
+			continue
+		}
+		raw := s.sealed(idx)
+		for i := 0; i < len(raw); i += 64 {
+			x ^= raw[i]
+		}
+	}
+	s.touched = x
+}
+
 // farAt returns where idx sits, or would be inserted, in s.far.
 func (s *MemStore) farAt(idx uint64) (int, bool) {
 	return slices.BinarySearchFunc(s.far, idx, func(f farBucket, idx uint64) int {
@@ -253,8 +357,12 @@ func (s *MemStore) farAt(idx uint64) (int, bool) {
 }
 
 // sealed returns the stored bytes of bucket idx — the arena's own, not a
-// copy — or nil if the bucket was never written.
+// copy — or nil if the bucket was never written. A row has sealed bytes
+// only while it is sealed (see row).
 func (s *MemStore) sealed(idx uint64) []byte {
+	if r := s.row(idx); r != nil {
+		return r.raw
+	}
 	var slot uint32
 	if idx < uint64(len(s.index)) {
 		slot = s.index[idx]
@@ -276,8 +384,16 @@ func (s *MemStore) at(slot uint32) []byte {
 }
 
 // claim is sealed for a bucket about to be written: a first touch takes the
-// next arena slot, opening a new slab when the last one is full.
+// next arena slot, opening a new slab when the last one is full. A row
+// claimed this way becomes sealed.
 func (s *MemStore) claim(idx uint64) []byte {
+	if r := s.row(idx); r != nil {
+		if r.raw == nil {
+			r.raw = make([]byte, s.rawSize)
+		}
+		r.plain = false
+		return r.raw
+	}
 	if raw := s.sealed(idx); raw != nil {
 		return raw
 	}
@@ -338,10 +454,17 @@ func (s *MemStore) open(idx uint64, raw []byte) (pt []byte, counter uint64, err 
 
 // seal encrypts and tags pt as bucket idx under counter, straight into the
 // bucket's arena slot: the slot is the bucket's for life, and its capacity
-// ends with it, so the tag lands in its last bytes.
+// ends with it, so the tag lands in its last bytes. A row keeps pt as it is
+// instead, under the same counter.
 func (s *MemStore) seal(idx, counter uint64, pt []byte) error {
 	if idx >= nonceFieldLimit || counter >= nonceFieldLimit {
 		return fmt.Errorf("oram: bucket %d at write counter %d: both must be below 2^48", idx, counter)
+	}
+	if r := s.row(idx); r != nil {
+		copy(s.rowText(idx), pt)
+		*r = row{counter: counter, plain: true}
+		s.rowWrites++
+		return nil
 	}
 	raw := s.claim(idx)
 	binary.BigEndian.PutUint64(raw[:8], counter)
@@ -368,19 +491,35 @@ func (s *MemStore) ReadBucket(idx uint64) (Bucket, error) {
 }
 
 // ReadBucketInto implements Store: verify and decrypt into b without
-// allocating. Non-dummy slot Data aliases the store's plaintext scratch —
-// valid only until the next call on the store.
+// allocating. Non-dummy slot Data aliases the store's plaintext scratch (a
+// row's own plaintext for the tree top) — valid only until the next call on
+// the store. A sealed row that verifies is kept as plaintext from then on.
 func (s *MemStore) ReadBucketInto(idx uint64, b *Bucket) error {
-	raw := s.sealed(idx)
-	if raw == nil {
-		resetSlots(b, s.z)
-		b.Counter = 0
-		return nil
+	r := s.plainRow(idx)
+	if r == nil {
+		raw := s.sealed(idx)
+		if raw == nil {
+			resetSlots(b, s.z)
+			b.Counter = 0
+			return nil
+		}
+		pt, counter, err := s.open(idx, raw)
+		if err != nil {
+			return err
+		}
+		if r = s.row(idx); r == nil {
+			s.decode(pt, counter, b)
+			return nil
+		}
+		copy(s.rowText(idx), pt)
+		*r = row{counter: counter, plain: true}
 	}
-	pt, counter, err := s.open(idx, raw)
-	if err != nil {
-		return err
-	}
+	s.decode(s.rowText(idx), r.counter, b)
+	return nil
+}
+
+// decode fills b from a bucket's plaintext; non-dummy slot Data aliases pt.
+func (s *MemStore) decode(pt []byte, counter uint64, b *Bucket) {
 	if cap(b.Slots) < s.z {
 		b.Slots = make([]Block, s.z)
 	}
@@ -396,7 +535,6 @@ func (s *MemStore) ReadBucketInto(idx uint64, b *Bucket) error {
 			b.Slots[i].Data = pt[off+slotHeader : off+slotHeader+s.blockBytes]
 		}
 	}
-	return nil
 }
 
 // WriteBucket implements Store: it bumps the counter and reseals the bucket
@@ -418,6 +556,9 @@ func (s *MemStore) WriteBucket(idx uint64, b Bucket) error {
 // scratch: payloads obtained from ReadBucketInto have to be copied before
 // being written back.
 func (s *MemStore) PutBucketAt(idx uint64, b Bucket, counter uint64) error {
+	if r := s.plainRow(idx); r != nil && counter <= r.counter {
+		return fmt.Errorf("oram: bucket %d resealed at counter %d, not past its verified counter %d", idx, counter, r.counter)
+	}
 	if raw := s.sealed(idx); raw != nil && counter <= binary.BigEndian.Uint64(raw[:8]) {
 		if _, stored, err := s.open(idx, raw); err == nil {
 			return fmt.Errorf("oram: bucket %d resealed at counter %d, not past its verified counter %d", idx, counter, stored)
@@ -450,17 +591,24 @@ func (s *MemStore) put(idx uint64, b Bucket, counter uint64) error {
 }
 
 // Writes returns the number of physical bucket seals this store has
-// performed — every encrypt-and-tag of a bucket, whatever triggered it.
-// The ring-eviction write-traffic gate compares this across backends at
-// equal workload.
+// performed — every encrypt-and-tag of a DRAM bucket, whatever triggered
+// it. Writes of the tree-top rows stay on chip and are not counted. The
+// ring-eviction write-traffic gate compares this across backends at equal
+// workload.
 func (s *MemStore) Writes() uint64 { return s.writes }
 
 // BucketIndices returns the indices of every bucket ever written, ascending
-// (the dense index is walked in order and far is kept sorted, so nothing is
-// sorted here). Checkpoint capture and the recovery scrub pass iterate it so
-// their work (and any RNG-free repair decisions) is deterministic.
+// (the rows, the dense index and far each hold a larger range of indices
+// than the one before and are walked in order, so nothing is sorted here).
+// Checkpoint capture and the recovery scrub pass iterate it so their work
+// (and any RNG-free repair decisions) is deterministic.
 func (s *MemStore) BucketIndices() []uint64 {
 	idxs := make([]uint64, 0, s.slots)
+	for idx, r := range s.rows {
+		if r.plain || r.raw != nil {
+			idxs = append(idxs, uint64(idx))
+		}
+	}
 	for idx, slot := range s.index {
 		if slot != 0 {
 			idxs = append(idxs, uint64(idx))
@@ -475,8 +623,12 @@ func (s *MemStore) BucketIndices() []uint64 {
 // RawBucket returns a copy of the sealed on-"DRAM" bytes of a bucket
 // (counter || ciphertext || tag) and whether the bucket exists. Checkpoints
 // persist the sealed form verbatim so a restore is bit-exact and the
-// stored tags keep protecting the payload at rest.
+// stored tags keep protecting the payload at rest. A plain row is sealed
+// here, at its counter, into the bytes DRAM would have held.
 func (s *MemStore) RawBucket(idx uint64) ([]byte, bool) {
+	if r := s.plainRow(idx); r != nil {
+		return s.sealRow(idx, r, make([]byte, s.rawSize)), true
+	}
 	raw := s.sealed(idx)
 	if raw == nil {
 		return nil, false
@@ -539,6 +691,9 @@ func (s *MemStore) format1(idx uint64, raw []byte) error {
 // never written). The Split scrub pass reads a healthy sibling's counter to
 // reseal a reconstructed shard bucket bit-exactly.
 func (s *MemStore) Counter(idx uint64) uint64 {
+	if r := s.plainRow(idx); r != nil {
+		return r.counter
+	}
 	raw := s.sealed(idx)
 	if raw == nil {
 		return 0
@@ -547,8 +702,12 @@ func (s *MemStore) Counter(idx uint64) uint64 {
 }
 
 // Corrupt flips a ciphertext bit in a stored bucket (test hook for
-// integrity-failure injection). It reports whether the bucket existed.
+// integrity-failure injection). It reports whether the bucket existed. A
+// plain row is sealed first, so the flip lands where it would in DRAM.
 func (s *MemStore) Corrupt(idx uint64) bool {
+	if r := s.plainRow(idx); r != nil {
+		r.raw, r.plain = s.sealRow(idx, r, make([]byte, s.rawSize)), false
+	}
 	raw := s.sealed(idx)
 	if raw == nil {
 		return false

@@ -32,14 +32,18 @@ type traceCase struct {
 // MemStore), the stash, the randomness state and the ring snapshot. The
 // digests were generated at 1442751, while path and ring mode still had
 // separate access bodies; any drift in either mode's behaviour shows up here.
+// The four /mem digests were re-pinned when the tree top moved into trusted
+// memory, which changes only the store's write count (DRAM seals only):
+// hashing Writes() plus the rows' writes in its place reproduces the
+// earlier digests exactly.
 var traceDigests = []traceCase{
-	{name: "path-z4-drain/mem", levels: 5, addrs: 55, z: 4, threshold: 1, digest: "3cc5b029226b3657e510ee38c8697efd04cb2fa21f6d33ed8793de18b4f2387d"},
+	{name: "path-z4-drain/mem", levels: 5, addrs: 55, z: 4, threshold: 1, digest: "40b074483afef06c9a8af9cbf065c8ae7306b33df3e86467cebc0c884c7db56b"},
 	{name: "path-z4-drain/sparse", levels: 5, addrs: 55, z: 4, threshold: 1, sparse: true, digest: "915ac08422615b474f35e6685b5ae06c1cfb77cd5513cac7de5269f1e9313f7c"},
-	{name: "path-z4-nodrain/mem", levels: 5, addrs: 55, z: 4, threshold: 1, noDrain: true, digest: "0764e8c3701057a10a61b243480f415134252b9b189fc7bcf0e0c387d250ee08"},
+	{name: "path-z4-nodrain/mem", levels: 5, addrs: 55, z: 4, threshold: 1, noDrain: true, digest: "c1dcee2abf6b9806a1164d16d68c23eb750cddafee78c7d1b478a8a54389b04e"},
 	{name: "path-z4-nodrain/sparse", levels: 5, addrs: 55, z: 4, threshold: 1, noDrain: true, sparse: true, digest: "690205fbd9e2ff98f9797add86f72e59ff75cd636a969ff0e10d839d30774ce3"},
-	{name: "ring-a4-z4/mem", levels: 6, addrs: 40, z: 4, ring: 4, threshold: 2, digest: "5ff55893d348167e8e0b32df15232e79f9b37b3eb566c1bd5274f1e29aef3fd4"},
+	{name: "ring-a4-z4/mem", levels: 6, addrs: 40, z: 4, ring: 4, threshold: 2, digest: "7d41fe4044c9eaef7e60171af962b7f5032132b01b2323215847a1533cae35a4"},
 	{name: "ring-a4-z4/sparse", levels: 6, addrs: 40, z: 4, ring: 4, threshold: 2, sparse: true, digest: "08bf93019fb672ea9e422e979536c41289c870bda8d504a346d099d67339909e"},
-	{name: "ring-a2-z2/mem", levels: 7, addrs: 40, z: 2, ring: 2, threshold: 3, digest: "f659e05564c065e524b4b49e09896889c6e495d417b94d830502292c9728e8f6"},
+	{name: "ring-a2-z2/mem", levels: 7, addrs: 40, z: 2, ring: 2, threshold: 3, digest: "566b794311354434201c0474a1b73acd074b65f247f1bfd9c0e8902fbabe2df9"},
 	{name: "ring-a2-z2/sparse", levels: 7, addrs: 40, z: 2, ring: 2, threshold: 3, sparse: true, digest: "82caa22e34acecf5eff375dc3739e898fbfcfd57ae0dfbdea4d26f04e4f1e519"},
 }
 

@@ -136,6 +136,18 @@ func (b *IndependentBackend) accessORAM(addr uint64, op oram.Op, posted bool, la
 	if err != nil {
 		panic(fmt.Sprintf("protocol: independent access on sdimm %d (%s): %v", sd, b.buffers[sd].ID(), err))
 	}
+	// The buffers' plans alias buffer and engine scratch that later
+	// operations overwrite (an APPEND's forced drain below among them); the
+	// replay closures run after arbitrary interleaved accesses, so every
+	// path kept is a copy taken at once.
+	paths := [][]uint64{append([]uint64(nil), plan.Path...)}
+	geom := b.buffers[sd].Engine().Geometry()
+	for _, l := range plan.BackgroundLeaves {
+		paths = append(paths, geom.Path(l, nil))
+	}
+	for _, ex := range extras {
+		paths = append(paths, append([]uint64(nil), ex.Path...))
+	}
 	b.st.BgEvictions += uint64(plan.BackgroundEvicts)
 	b.st.ExtraDrains += uint64(len(extras))
 	if !b.buffers[sd].HandleProbe() {
@@ -147,7 +159,7 @@ func (b *IndependentBackend) accessORAM(addr uint64, op oram.Op, posted bool, la
 	}
 	blk := resp.Block
 	blk.Leaf = newG & mask
-	appendForced := make([]*oram.AccessPlan, b.cfg.NumSDIMMs)
+	appendForced := make([][]uint64, b.cfg.NumSDIMMs)
 	for j := 0; j < b.cfg.NumSDIMMs; j++ {
 		real := !keep && j == sdNew && !resp.Dummy
 		var forced *oram.AccessPlan
@@ -161,23 +173,11 @@ func (b *IndependentBackend) accessORAM(addr uint64, op oram.Op, posted bool, la
 		}
 		if forced != nil {
 			b.st.ExtraDrains++
+			appendForced[j] = append([]uint64(nil), forced.Path...)
 		}
-		appendForced[j] = forced
 	}
 
 	// --- Timing replay ---
-	// plan.Path and plan.BackgroundLeaves alias engine scratch that later
-	// accesses overwrite; the replay closures below run after arbitrary
-	// interleaved accesses, so capture an owned copy now.
-	paths := [][]uint64{append([]uint64(nil), plan.Path...)}
-	geom := b.buffers[sd].Engine().Geometry()
-	for _, l := range plan.BackgroundLeaves {
-		paths = append(paths, geom.Path(l, nil))
-	}
-	for _, ex := range extras {
-		paths = append(paths, ex.Path)
-	}
-
 	// 1. ACCESS command (always carries one block of data), then the
 	// SDIMM's controller performs the path access(es).
 	b.send(sd, msgAccess, func(event.Time) {
@@ -220,7 +220,7 @@ func (b *IndependentBackend) accessORAM(addr uint64, op oram.Op, posted bool, la
 					return
 				}
 				b.enqueueWork(j, false, func(workDone func()) {
-					b.runLocalPaths(j, [][]uint64{forced.Path}, 0, workDone)
+					b.runLocalPaths(j, [][]uint64{forced}, 0, workDone)
 				})
 			})
 		}

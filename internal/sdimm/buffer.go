@@ -3,6 +3,7 @@ package sdimm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sdimm/internal/oram"
 	"sdimm/internal/rng"
@@ -54,6 +55,17 @@ type Buffer struct {
 	mailbox []AccessResponse
 
 	stats BufferStats
+
+	// Reusable scratch, so a steady-state command allocates nothing: the
+	// drain plan's path, HandleAccess's extra plans and HandleAppend's forced
+	// plan (each valid until the next operation on the buffer, like the
+	// engine's plans), and the payload buffers of blocks that left the
+	// transfer queue for the stash (StashInsert copied them), which the next
+	// APPENDs reuse.
+	drainPath []uint64
+	extra     []oram.AccessPlan
+	forced    oram.AccessPlan
+	freeData  [][]byte
 }
 
 // NewBuffer builds a secure buffer around a local ORAM engine.
@@ -91,14 +103,14 @@ func (b *Buffer) TransferQueueLen() int { return len(b.transferQ) }
 // (a departing block creates a vacancy filled from the queue; with
 // probability p an extra accessORAM drains one more queued block). It
 // returns the access plan plus any extra eviction plans for the timing
-// layer.
+// layer; both are valid until the next operation on the buffer.
 func (b *Buffer) HandleAccess(req AccessRequest) (oram.AccessPlan, []oram.AccessPlan, error) {
 	// A block still sitting in the transfer queue must be visible to the
 	// access: promote it to the stash first.
 	for i, q := range b.transferQ {
 		if q.Addr == req.Addr {
-			b.transferQ = append(b.transferQ[:i], b.transferQ[i+1:]...)
-			if err := b.engine.StashInsert(q); err != nil {
+			b.transferQ = slices.Delete(b.transferQ, i, i+1)
+			if err := b.stashQueued(q); err != nil {
 				return oram.AccessPlan{}, nil, fmt.Errorf("sdimm %s: promoting queued block: %w", b.id, err)
 			}
 			break
@@ -131,9 +143,23 @@ func (b *Buffer) HandleAccess(req AccessRequest) (oram.AccessPlan, []oram.Access
 		if err != nil {
 			return plan, extra, err
 		}
-		extra = append(extra, p2)
+		b.extra = append(b.extra[:0], p2)
+		extra = b.extra
 	}
 	return plan, extra, nil
+}
+
+// stashQueued moves a block that left the transfer queue into the stash.
+// StashInsert copies the payload, so its buffer goes back to the free list
+// for the next APPEND.
+func (b *Buffer) stashQueued(blk oram.Block) error {
+	if err := b.engine.StashInsert(blk); err != nil {
+		return err
+	}
+	if blk.Data != nil {
+		b.freeData = append(b.freeData, blk.Data)
+	}
+	return nil
 }
 
 // popTransfer removes and returns the transfer-queue head, sliding the
@@ -152,32 +178,34 @@ func (b *Buffer) admitOne() error {
 	if len(b.transferQ) == 0 {
 		return nil
 	}
-	blk := b.popTransfer()
-	if err := b.engine.StashInsert(blk); err != nil {
+	if err := b.stashQueued(b.popTransfer()); err != nil {
 		return fmt.Errorf("sdimm %s: admitting transferred block: %w", b.id, err)
 	}
 	return nil
 }
 
 // drainOne admits a queued block and immediately performs an eviction
-// access along the block's own path so it finds a home in the tree.
+// access along the block's own path so it finds a home in the tree. The
+// plan's path is buffer scratch.
 func (b *Buffer) drainOne() (oram.AccessPlan, error) {
 	blk := b.popTransfer()
-	if err := b.engine.StashInsert(blk); err != nil {
+	leaf := blk.Leaf
+	if err := b.stashQueued(blk); err != nil {
 		return oram.AccessPlan{}, fmt.Errorf("sdimm %s: draining transferred block: %w", b.id, err)
 	}
-	leaf := blk.Leaf
 	if err := b.engine.EvictPath(leaf); err != nil {
 		return oram.AccessPlan{}, fmt.Errorf("sdimm %s: drain eviction: %w", b.id, err)
 	}
 	b.stats.ExtraAccesses++
-	return oram.AccessPlan{OldLeaf: leaf, NewLeaf: leaf, Path: b.engine.Geometry().Path(leaf, nil)}, nil
+	b.drainPath = b.engine.Geometry().Path(leaf, b.drainPath)
+	return oram.AccessPlan{OldLeaf: leaf, NewLeaf: leaf, Path: b.drainPath}, nil
 }
 
 // HandleAppend executes an APPEND command. Dummies are discarded (their
 // only purpose is making every SDIMM receive one block per access). A full
 // transfer queue forces an immediate drain access, whose plan is returned
-// so the timing layer can charge it.
+// so the timing layer can charge it (valid until the next operation on the
+// buffer).
 func (b *Buffer) HandleAppend(blk oram.Block, dummy bool) (*oram.AccessPlan, error) {
 	if dummy {
 		b.stats.DummyAppends++
@@ -190,12 +218,19 @@ func (b *Buffer) HandleAppend(blk oram.Block, dummy bool) (*oram.AccessPlan, err
 		if err != nil {
 			return nil, err
 		}
-		forced = &p
+		b.forced = p
+		forced = &b.forced
 	}
 	// The queue owns its payloads: the caller's buffer is typically the
 	// source engine's response scratch, which the next access overwrites.
 	if blk.Data != nil {
-		blk.Data = append([]byte(nil), blk.Data...)
+		var buf []byte
+		if n := len(b.freeData); n > 0 {
+			buf = b.freeData[n-1][:0]
+			b.freeData[n-1] = nil
+			b.freeData = b.freeData[:n-1]
+		}
+		blk.Data = append(buf, blk.Data...)
 	}
 	b.transferQ = append(b.transferQ, blk)
 	if len(b.transferQ) > b.stats.TransferPeak {
