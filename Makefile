@@ -184,13 +184,15 @@ soak:
 	$(GO) test -race -count=1 -run 'TestPipelineSoak' -soak.long -timeout 30m .
 
 # Fast pipeline gates, run explicitly in ci on top of the full race suite:
-# the short-tier soak plus the blame regression (top serialization phase
-# must hold <25% of wall-clock at 4 workers on a multicore host). The witness
+# the short-tier soak, the blame regression (top serialization phase must
+# hold <25% of wall-clock at 4 workers on a multicore host) and, uncached,
+# the driver-identity suites (*MatchesSequential: a Window-1 Do, Serve, the
+# soak and a migration against the same ops issued one at a time). The witness
 # package runs twenty times over: its tests race goroutines against the
 # monitor, and an assertion that depends on the schedule must not be able to
 # hide behind one lucky run or the test cache.
 soak-short:
-	$(GO) test -race -count=1 -short -run 'TestPipelineSoak|TestPipelineBlameRegression' .
+	$(GO) test -race -count=1 -short -run 'TestPipelineSoak|TestPipelineBlameRegression|MatchesSequential' .
 	$(GO) test -race -count=20 ./internal/witness
 
 ci: fmt build vet race soak-short alloc-gates telemetry-smoke serve-smoke bench-smoke chaos

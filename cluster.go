@@ -190,13 +190,8 @@ func flightKind(ev fault.NotifyEvent) flight.Kind {
 	}
 }
 
-// Command kinds for the 1-byte envelope prefixed to every sealed body, so
-// the secure buffer can dispatch without relying on message length.
-const (
-	msgKindAccess byte = 0x01
-	msgKindAppend byte = 0x02
-	appendAck     byte = 0x06
-)
+// appendAck is the one-byte body of an APPEND acknowledgement.
+const appendAck byte = 0x06
 
 // degradeAfter is how many consecutive failed exchanges mark a member
 // Degraded, on either protocol.
@@ -243,9 +238,9 @@ type Cluster struct {
 	// elig is pickLeaf's reusable eligible-member scratch.
 	elig []int
 
-	// inline runs every sequential access as a one-op wave (Window 1,
-	// Parallelism 1: no goroutine), so Read, Write, DrainStep and replay
-	// drive the same stages as Pipeline.Do.
+	// inline runs every sequential access as a one-op run of the wave loop
+	// (Window 1, Parallelism 1: no goroutine), so Read, Write, DrainStep and
+	// replay take the same path as Pipeline.Do.
 	inline *Pipeline
 
 	// Per-SDIMM reusable message scratch. Commands to (and the serve
@@ -444,10 +439,7 @@ func (c *Cluster) BlockSize() int { return c.blockSize }
 // address lost to unrecoverable corruption returns ErrUnrecoverable.
 func (c *Cluster) Read(addr uint64) ([]byte, error) {
 	r := c.access(BatchOp{Addr: addr})
-	if r.Err != nil {
-		return nil, r.Err
-	}
-	return r.Data, c.maybeCheckpoint()
+	return r.Data, r.Err
 }
 
 // Write stores up to BlockSize bytes at addr.
@@ -455,10 +447,7 @@ func (c *Cluster) Write(addr uint64, data []byte) error {
 	if len(data) > c.blockSize {
 		return fmt.Errorf("sdimm: payload %d exceeds block size %d", len(data), c.blockSize)
 	}
-	if r := c.access(BatchOp{Addr: addr, Write: true, Data: data}); r.Err != nil {
-		return r.Err
-	}
-	return c.maybeCheckpoint()
+	return c.access(BatchOp{Addr: addr, Write: true, Data: data}).Err
 }
 
 // padInto returns data zero-padded to size, staged in *buf's backing array
@@ -491,9 +480,11 @@ func (c *Cluster) serve(sd int, body []byte) ([]byte, error) {
 	if len(body) == 0 {
 		return nil, fmt.Errorf("sdimm %d: empty command body", sd)
 	}
+	// The body opens with its command's Table I opcode, so the buffer
+	// dispatches without relying on message length.
 	kind, payload := body[0], body[1:]
-	switch kind {
-	case msgKindAccess:
+	switch isdimm.Command(kind) {
+	case isdimm.CmdAccess:
 		// Zero-copy decode: req.Data aliases the opened frame, which stays
 		// valid through HandleAccess (the engine copies write payloads in).
 		req, err := isdimm.UnmarshalAccessView(payload, c.blockSize)
@@ -515,7 +506,7 @@ func (c *Cluster) serve(sd int, body []byte) ([]byte, error) {
 		// invocation on this SDIMM, so per-SDIMM scratch is safe to hand out.
 		c.serveBufs[sd] = isdimm.AppendResponse(c.serveBufs[sd][:0], resp, c.blockSize)
 		return c.serveBufs[sd], nil
-	case msgKindAppend:
+	case isdimm.CmdAppend:
 		blk, dummy, err := isdimm.UnmarshalAppendView(payload, c.blockSize)
 		if err != nil {
 			return nil, err
@@ -532,7 +523,7 @@ func (c *Cluster) serve(sd int, body []byte) ([]byte, error) {
 // The body is consumed (copied into the link's seal buffer) before the next
 // command to the same SDIMM is built.
 func (c *Cluster) accessBody(sd int, req isdimm.AccessRequest) []byte {
-	b := append(c.cmdBufs[sd][:0], msgKindAccess)
+	b := append(c.cmdBufs[sd][:0], byte(isdimm.CmdAccess))
 	b = isdimm.AppendAccess(b, req, c.blockSize)
 	c.cmdBufs[sd] = b
 	return b
@@ -540,7 +531,7 @@ func (c *Cluster) accessBody(sd int, req isdimm.AccessRequest) []byte {
 
 // appendBody marshals an APPEND command into SDIMM sd's command scratch.
 func (c *Cluster) appendBody(sd int, blk oram.Block, dummy bool) []byte {
-	b := append(c.cmdBufs[sd][:0], msgKindAppend)
+	b := append(c.cmdBufs[sd][:0], byte(isdimm.CmdAppend))
 	b = isdimm.AppendAppend(b, blk, dummy, c.blockSize)
 	c.cmdBufs[sd] = b
 	return b
@@ -598,14 +589,24 @@ func placeable(st fault.State) bool {
 }
 
 // access runs one sequential access — Read, Write, DrainStep or a replayed
-// record — as a one-op wave of the wave engine (Pipeline.one). A cluster
-// whose durability failed (a planned crash point or a real write error)
-// refuses it uncounted, as the wave loop's abort does.
+// record — as a one-op run of the wave loop on the inline pipeline: its one
+// wave launches and retires in a single iteration, followed by the
+// checkpoint it makes due. An access that succeeded before its checkpoint
+// failed reports the checkpoint's error with its payload. A cluster whose
+// durability failed (a planned crash point or a real write error) refuses it
+// uncounted, as the wave loop's abort does.
 func (c *Cluster) access(op BatchOp) BatchResult {
 	if err := c.failed(); err != nil {
 		return BatchResult{Err: err}
 	}
-	return c.inline.one(op)
+	var r BatchResult
+	err := c.inline.run(func(pending []BatchOp, _ bool) ([]BatchOp, bool) {
+		return append(pending, op), true
+	}, func(res BatchResult) { r = res })
+	if r.Err == nil {
+		r.Err = err
+	}
+	return r
 }
 
 // BucketWrites sums physical bucket writes across every member's store:

@@ -272,20 +272,11 @@ func (d *durableState) appendRecords(recs []durable.Record) error {
 	return d.dur.Append(recs)
 }
 
-// checkpointDue reports that the checkpoint interval has elapsed. The
-// pipeline polls it at wave boundaries to decide when to stall the schedule
-// and drain for a quiescent capture; the sequential path checks it through
-// maybeCheckpoint after every access.
+// checkpointDue reports that the checkpoint interval has elapsed. The wave
+// loop polls it once a wave has retired, or is about to, to decide when to
+// stall the schedule and drain for a quiescent capture.
 func (d *durableState) checkpointDue() bool {
 	return d.dur != nil && !d.replaying && d.seq-d.lastCkpt >= uint64(d.interval)
-}
-
-// maybeCheckpoint takes the checkpoint when the interval has elapsed.
-func (c *Cluster) maybeCheckpoint() error {
-	if !c.checkpointDue() {
-		return nil
-	}
-	return c.ForceCheckpoint()
 }
 
 // PlanCrash arms a simulated crash after afterRecords more journal records,

@@ -136,13 +136,7 @@ func (c *Cluster) DrainStep() (done bool, err error) {
 	if len(next) == 0 {
 		return true, nil
 	}
-	if r := c.access(BatchOp{Addr: next[0], Migrate: true}); r.Err != nil {
-		return false, r.Err
-	}
-	if err := c.maybeCheckpoint(); err != nil {
-		return false, err
-	}
-	return false, nil
+	return false, c.access(BatchOp{Addr: next[0], Migrate: true}).Err
 }
 
 // CompleteDrain detaches the drained member once nothing is mapped to it.

@@ -7,11 +7,11 @@
 //
 // Two things are recorded, both on the one clock Now:
 //
-//   - Every wave the cluster pipeline runs — a wave-loop iteration or a
-//     sequential one-op wave — is one WaveRecord. The coordinator stamps each
-//     of its eight phase bounds once and hands the finished record to the
-//     recorder, which keeps the most recent ones, and to the blame collector,
-//     which folds it into its totals (internal/blame).
+//   - Every iteration of the cluster's wave loop — pipelined, or the one-op
+//     run behind a sequential access — is one WaveRecord. The coordinator
+//     stamps each of its eight phase bounds once and hands the finished
+//     record to the recorder, which keeps the most recent ones, and to the
+//     blame collector, which folds it into its totals (internal/blame).
 //   - Everything else is an Event on a ring: health transitions and link
 //     retry/ARQ activity on the ring of the member they concern; checkpoints,
 //     recoveries, re-homes, membership changes and reconstructions on the
@@ -40,10 +40,11 @@ var epoch = time.Now()
 // directly.
 func Now() uint64 { return uint64(time.Since(epoch)) }
 
-// Phase identifies one interval of a wave. A wave passes through all of
-// them in this order; one that skips work (no previous wave to retire, no
-// checkpoint due) closes the skipped phases at zero length, keeping the
-// tiling exact.
+// Phase identifies one interval of a wave-loop iteration. An iteration
+// passes through all of them in this order; one that skips work (no
+// previous wave to retire, no checkpoint due) closes the skipped phases at
+// zero length, keeping the tiling exact. With no previous wave, retire.wait
+// and finalize close with schedule, before the access shares run.
 type Phase uint8
 
 const (
@@ -64,7 +65,8 @@ const (
 	// PhaseAccessWait is the merge barrier: the coordinator waits for the
 	// current wave's ACCESS exchanges (exchange, response decode, read
 	// payload copy), so on a loaded pipeline it is worker-busy time, not
-	// serialization. In a one-op wave it is the inline exchange.
+	// serialization. At Parallelism 1 with no wave to retire it is the
+	// inline exchange.
 	PhaseAccessWait
 	// PhaseCommit is the commit walk over the finished ACCESS wave: each
 	// executed op's position-map write, journal record construction and
@@ -72,12 +74,12 @@ const (
 	PhaseCommit
 	// PhaseDispatch is the APPEND broadcast submit plus the journal
 	// hand-off; the wave then retires during the next iteration's
-	// PhaseRetireWait. A one-op wave appends its record, broadcasts and
-	// retires here, synchronously.
+	// PhaseRetireWait, or here when nothing is queued behind it.
 	PhaseDispatch
-	// PhaseCheckpoint is a checkpoint interval — zero-length on every wave
-	// that does not checkpoint. The pipeline drains to a quiescent point
-	// first, so this is honest coordinator serialization.
+	// PhaseCheckpoint is a checkpoint interval — zero-length on every
+	// iteration that does not checkpoint. A checkpoint runs right after the
+	// retirement that made it due, at a quiescent point, so this is honest
+	// coordinator serialization.
 	PhaseCheckpoint
 
 	// NumPhases counts the phases; a record has NumPhases+1 bounds.

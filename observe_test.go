@@ -20,7 +20,9 @@ import (
 // phase never exceeds the phase's own interval; the sequential path's
 // one-op waves tile the same way, one record per access, with nothing to
 // retire and no checkpoint. Both views hold the one stamped record, bound
-// for bound. Runs under -race in CI: the coordinator stamps bounds while
+// for bound. On a durable cluster the sequential access that makes a
+// checkpoint due carries the checkpoint's time in its own record, which still
+// tiles exactly. Runs under -race in CI: the coordinator stamps bounds while
 // workers update the collector's idle meter.
 func TestPipelineWavePhaseTiling(t *testing.T) {
 	for _, tc := range []struct {
@@ -64,6 +66,41 @@ func TestPipelineWavePhaseTiling(t *testing.T) {
 			checkWaveTiling(t, col, fr, pipelined, len(ops), tc.opts.Split)
 		})
 	}
+	t.Run("independent-durable-sequential", func(t *testing.T) {
+		col := blame.NewCollector(4, 128)
+		c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 10, Seed: 42, Blame: col,
+			Durability: &DurabilityOptions{Dir: t.TempDir(), Interval: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		payload := make([]byte, 64)
+		for i := range 16 {
+			if err := c.Write(uint64(i), payload); err != nil {
+				t.Fatal(err)
+			}
+			recs := col.Recent()
+			if len(recs) != i+1 {
+				t.Fatalf("sequential access %d left %d records, want %d", i, len(recs), i+1)
+			}
+			rec := recs[i]
+			var sum uint64
+			for p := flight.Phase(0); p < flight.NumPhases; p++ {
+				if rec.Bounds[p+1] < rec.Bounds[p] {
+					t.Fatalf("wave %d: bounds not monotone: %v", rec.Index, rec.Bounds)
+				}
+				sum += rec.PhaseDur(p)
+			}
+			if sum != rec.Wall() {
+				t.Fatalf("wave %d: phase intervals sum to %dns, wall is %dns: %+v", rec.Index, sum, rec.Wall(), rec)
+			}
+			due := c.Seq()%4 == 0
+			if ckpt := rec.PhaseDur(flight.PhaseCheckpoint); rec.Ops != 1 || due != (ckpt > 0) {
+				t.Fatalf("access %d (seq %d, checkpoint due %v): %d ops, checkpoint phase %dns: %+v",
+					i, c.Seq(), due, rec.Ops, ckpt, rec)
+			}
+		}
+	})
 }
 
 // checkWaveTiling holds the records of 7 passes over 32 ops — pipelined

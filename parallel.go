@@ -24,12 +24,12 @@ import (
 // ACCESS + FETCH_RESULT there), broadcasts APPENDs after commit (appendTask)
 // and re-homes lost blocks at finalize; Split stages a codeword, runs every
 // op on every live member (ShardAccess), evicts after commit and rebuilds a
-// down member's slice at finalize. Two drivers run the stages, and neither
-// tests the protocol. The wave loop (Pipeline.run) keeps a window of
-// independent accesses in flight; Do and Serve are a slice feeder and a
-// channel feeder over it. Pipeline.one runs a single op as a one-op wave on
-// the caller; every sequential Cluster access (Read, Write, DrainStep,
-// journal replay) goes through it.
+// down member's slice at finalize. One driver runs the stages, and it never
+// tests the protocol: the wave loop (Pipeline.run) keeps a window of
+// independent accesses in flight. Do and Serve are a slice feeder and a
+// channel feeder over it; every sequential Cluster access (Read, Write,
+// DrainStep, journal replay) is a one-op feeder over the cluster's inline
+// pipeline, whose one wave launches and retires in a single iteration.
 //
 // One thing leaves the coordinator: a member's share of a fan-out, a
 // func(member) handed to workerPool.submitWG — a wave's access shares (one
@@ -67,9 +67,9 @@ import (
 //     order (then journals it), and finalize's re-homes repoint it. Shares
 //     never read or write it, so it is a plain unlocked map.
 //   - Health is read through a coordinator-owned snapshot refreshed at the
-//     quiescent points (one per wave-loop iteration, one per Pipeline.one
-//     op), so scheduling and re-homing decisions never race worker-side
-//     health transitions. In the wave loop the snapshot is at most one wave
+//     quiescent points (the start of a run and one per wave-loop iteration),
+//     so scheduling and re-homing decisions never race worker-side health
+//     transitions. In the wave loop the snapshot is at most one wave
 //     stale — a member that fails mid-wave is seen by the schedule one wave
 //     later, exactly as a sequential client discovers a failure on its next
 //     access.
@@ -317,9 +317,8 @@ type pipeOp struct {
 	down       int    // Split: the member the access does without (-1: none)
 	cw         []byte // Split: the codeword, one shard-sized slice per member
 
-	err       error  // first error on the access (scheduling, exchange, ack)
+	err       error  // first error on the access (a refusal at scheduling skips every exchange; exchange; ack)
 	respErr   error  // a read the buffer ran, its response lost or unreadable (err at retirement)
-	skip      bool   // scheduling failed: no exchanges at all
 	committed bool   // commit walk journaled this op
 	respBody  []byte // exchange response copy (phase A, written by owner worker)
 	resp      isdimm.AccessResponse
@@ -415,24 +414,30 @@ func (p *Pipeline) snapshotHealth() {
 	}
 }
 
-// run is the wave loop — the only one. Each iteration launches at most one
-// new wave and retires the previous one, so wave N+1's ACCESS exchanges
-// overlap wave N's APPEND broadcast and journal append. Checkpoints run only
-// at fully drained points, so the checkpoint cadence (in committed-access
-// terms) is identical to the sequential path's.
+// run is the wave loop, the one driver of the stages: Do, Serve and every
+// sequential Cluster access feed it. Each iteration launches at most one new
+// wave and retires the previous one, so wave N+1's ACCESS exchanges overlap
+// wave N's APPEND broadcast and journal append. A wave with nothing behind it
+// — the source exhausted and nothing pending, as for a lone access or the
+// last wave of a Do — retires in the iteration that launched it. A checkpoint
+// falls due only when a wave has retired, never before a run's first wave,
+// and runs at the fully drained point right after that retirement; a Window-1
+// run therefore checkpoints at the same committed sequence numbers as the
+// same ops issued one at a time.
 //
-// The two front ends differ only in the feeder they pass. fill tops pending
-// up to Window from the feeder's source — waiting for the first op when block
-// is set — and reports that the source is exhausted. deliver receives exactly
+// The front ends differ only in the feeder they pass. fill tops pending up to
+// Window from the feeder's source — waiting for the first op when block is
+// set — and reports that the source is exhausted. deliver receives exactly
 // one result per fed op, in feed order: waves retire FIFO, a wave finalizes
 // in logical order, and an abort answers the never-scheduled tail only after
-// everything in flight has retired.
+// everything in flight has retired. run returns the error that ended it early
+// (a crash, a journal or checkpoint failure), nil once the source ran dry.
 //
 // Wave-fill policy: block is set only when the pipeline is idle (nothing in
 // flight, nothing pending). With a wave in flight there is retirement work to
 // do, and whatever the source queued while that wave ran joins the next one —
 // arrivals coalesce behind the in-flight wave, so no fill timer is needed.
-func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool), deliver func(BatchResult)) {
+func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool), deliver func(BatchResult)) error {
 	c := p.c
 	p.snapshotHealth()
 
@@ -440,32 +445,13 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 	pending, drained := p.pending[:0], false
 	defer func() { p.pending = pending }() // empty on every exit; keeps the capacity
 
-	// abort closes the iteration's wave record and answers every op that
-	// was never scheduled — pending here or still in the feeder — with err,
-	// preserving the write-ahead contract: nothing is acknowledged that the
-	// journal could not back.
-	abort := func(err error) {
-		p.end(0)
-		for {
-			for range pending {
-				deliver(BatchResult{Err: err})
-			}
-			clear(pending)
-			pending = pending[:0]
-			if drained {
-				break
-			}
-			pending, drained = fill(pending, true)
-		}
-	}
-
 	for {
 		if !drained && len(pending) < p.opts.Window {
 			pending, drained = fill(pending, prev == nil && len(pending) == 0)
 		}
 		if len(pending) == 0 && prev == nil {
 			// An idle fill comes back empty-handed only from an exhausted source.
-			return
+			return nil
 		}
 
 		// The wave record: no-ops without a blame collector or flight
@@ -479,39 +465,34 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 		// retires below — its journal outcome decides its results — and then
 		// everything else fails with the latched error.
 		dead := c.failed()
-		// Checkpoint gate: when a checkpoint is due the pipeline stalls the
-		// schedule and drains, so the checkpoint captures a quiescent image at
-		// the same committed-sequence boundary the sequential path would.
-		ckptDue := c.checkpointDue()
+		// Checkpoint gate: a checkpoint falls due only when a wave retires,
+		// never before a run's first. Due with a wave in flight, the pipeline
+		// stalls the schedule and drains, and the checkpoint below captures a
+		// quiescent image once that wave has retired.
+		ckptDue := prev != nil && c.checkpointDue()
 
 		var w *waveState
 		if len(pending) > 0 && dead == nil && !ckptDue {
-			if w = p.scheduleWave(pending, prev); w != nil {
-				p.dispatchAccess(w)
-			}
+			w = p.scheduleWave(pending, prev)
+		}
+		if prev == nil {
+			// Nothing to retire: both retire phases close with schedule,
+			// before the access shares run (on the caller at Parallelism 1).
+			p.mark(flight.PhaseFinalize)
+		}
+		if w != nil {
+			p.dispatchAccess(w)
 		}
 		p.mark(flight.PhaseSchedule)
-
 		if prev != nil {
 			prev.wgB.Wait()
 			p.mark(flight.PhaseRetireWait)
-			p.retire(prev)
-			// Delivery comes last: a submitter that has its answer may inspect
-			// the cluster, so the wave's coordinator-side writes are done.
-			for _, r := range prev.res {
-				deliver(r)
-			}
-			p.releaseWave(prev)
+			p.retire(prev, deliver)
 			prev = nil
-		}
-		// With nothing to retire this closes both retire phases at zero length.
-		p.mark(flight.PhaseFinalize)
-		if dead != nil {
-			abort(dead)
-			return
+			p.mark(flight.PhaseFinalize)
 		}
 
-		launched := 0
+		err, launched := dead, 0
 		if w != nil {
 			w.wgA.Wait()
 			p.mark(flight.PhaseAccessWait)
@@ -519,7 +500,7 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 			// wave's access shares have drained — no worker task is in flight.
 			p.snapshotHealth()
 			pending = slices.Delete(pending, 0, len(w.ops))
-			if err := c.failed(); err != nil {
+			if err = c.failed(); err != nil {
 				// The previous wave's journal share failed while this wave's
 				// exchanges ran (inline it ran first, and the gate above
 				// caught it). Nothing of this wave may commit; results keep
@@ -532,28 +513,46 @@ func (p *Pipeline) run(fill func(pending []BatchOp, block bool) ([]BatchOp, bool
 					deliver(BatchResult{Err: po.err})
 				}
 				p.releaseWave(w)
-				abort(err)
-				return
-			}
-			p.commit(w)
-			p.mark(flight.PhaseCommit)
-			p.postCommit(w)
-			launched = len(w.ops)
-			prev = w
-			p.mark(flight.PhaseDispatch)
-		} else if ckptDue {
-			// Fully drained (prev retired above, nothing launched): safe to
-			// capture. Close the unreached phases at zero length first so the
-			// checkpoint interval carries exactly the checkpoint time.
-			p.mark(flight.PhaseDispatch)
-			err := c.ForceCheckpoint()
-			p.mark(flight.PhaseCheckpoint)
-			if err != nil {
-				abort(err)
-				return
+			} else {
+				p.commit(w)
+				p.mark(flight.PhaseCommit)
+				p.postCommit(w)
+				launched = len(w.ops)
+				if drained && len(pending) == 0 {
+					// Nothing behind the wave: it retires now, inside dispatch.
+					w.wgB.Wait()
+					err = w.jerr
+					p.retire(w, deliver)
+					ckptDue = c.checkpointDue()
+				} else {
+					prev = w
+				}
 			}
 		}
+		if ckptDue && err == nil {
+			// Fully drained: no wave in flight. Dispatch ends here, so the
+			// checkpoint interval carries exactly the checkpoint time.
+			p.mark(flight.PhaseDispatch)
+			err = c.ForceCheckpoint()
+		}
 		p.end(launched)
+		if err != nil {
+			// Answer every op that was never scheduled — pending here or
+			// still in the feeder — with err, preserving the write-ahead
+			// contract: nothing is acknowledged that the journal could not
+			// back.
+			for {
+				for range pending {
+					deliver(BatchResult{Err: err})
+				}
+				clear(pending)
+				pending = pending[:0]
+				if drained {
+					return err
+				}
+				pending, drained = fill(pending, true)
+			}
+		}
 	}
 }
 
@@ -578,41 +577,6 @@ func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
 		return pending, next == len(ops)
 	}, func(r BatchResult) { res = append(res, r) })
 	return res
-}
-
-// one runs op as a one-op wave on the caller: the sequential driver of the
-// stages run drives in waves. It takes one health snapshot, then schedules,
-// executes and commits the access, journals its record synchronously — the
-// record lands before the post-commit step, so a crash at the record leaves
-// no member appended to or evicted — and runs the post-commit step and
-// retires it. Nothing overlaps the op, and the caller checks the crash gate
-// first. Its wave record has no wave to retire (zero-length retire.wait and
-// finalize) and no checkpoint; dispatch covers the journal append, the
-// post-commit step and the retirement.
-func (p *Pipeline) one(op BatchOp) BatchResult {
-	c := p.c
-	p.begin()
-	p.snapshotHealth()
-	w := p.takeWave()
-	w.ops = append(w.ops, p.schedule(op))
-	p.mark(flight.PhaseFinalize) // nothing to retire: both close with schedule
-	p.dispatchAccess(w)          // the inline pool runs every share here
-	p.mark(flight.PhaseAccessWait)
-	p.commit(w)
-	p.mark(flight.PhaseCommit)
-	w.jerr = c.appendRecords(w.recs)
-	// Emptied so postCommit does not journal the record a second time.
-	clear(w.recs)
-	w.recs = w.recs[:0]
-	if w.jerr == nil {
-		p.postCommit(w)
-	}
-	p.retire(w)
-	p.mark(flight.PhaseCheckpoint) // dispatch ends here; no checkpoint runs
-	p.end(1)
-	r := w.res[0]
-	p.releaseWave(w)
-	return r
 }
 
 // scheduleWave admits up to Window ops with addresses distinct from each
@@ -642,8 +606,8 @@ func (p *Pipeline) scheduleWave(pending []BatchOp, prev *waveState) *waveState {
 
 // schedule prepares one access on the coordinator, in logical order: the
 // checks every protocol shares, then the stage set's routing with every
-// shared-RNG draw the access needs. A refused op is skipped by every later
-// stage and reported at retirement.
+// shared-RNG draw the access needs. A refused op carries its error, is
+// skipped by every later stage and reported at retirement.
 func (p *Pipeline) schedule(op BatchOp) *pipeOp {
 	c := p.c
 	po := p.takeOp()
@@ -661,7 +625,7 @@ func (p *Pipeline) schedule(op BatchOp) *pipeOp {
 	default:
 		err = c.st.schedule(p, po, op.Data)
 	}
-	po.err, po.skip = err, err != nil
+	po.err = err
 	return po
 }
 
@@ -754,7 +718,7 @@ func (p *Pipeline) commit(w *waveState) {
 				po.err = e
 			}
 		}
-		if po.skip || po.err != nil {
+		if po.err != nil {
 			continue
 		}
 		// Built in the coordinator's logical order: the journal carries
@@ -792,7 +756,7 @@ func (p *Pipeline) appendTask(w *waveState, j int) {
 	st := c.blame.WorkerBegin()
 	defer c.blame.WorkerEnd(blame.WorkerAppend, st)
 	for _, po := range w.ops {
-		if po.skip || po.err != nil {
+		if po.err != nil {
 			continue
 		}
 		real := !po.keep && j == po.sdNew && !po.resp.Dummy
@@ -818,8 +782,11 @@ func (p *Pipeline) appendTask(w *waveState, j int) {
 }
 
 // retire resolves a dispatched wave whose post-commit step and journal
-// append (outcome w.jerr) have completed: the results, in logical order.
-func (p *Pipeline) retire(w *waveState) {
+// append (outcome w.jerr) have completed, delivers its results in logical
+// order and returns it to the pool. Delivery comes last: a submitter that
+// has its answer may inspect the cluster, so the wave's coordinator-side
+// writes are done.
+func (p *Pipeline) retire(w *waveState, deliver func(BatchResult)) {
 	for _, po := range w.ops {
 		if w.jerr != nil && po.committed {
 			// The journal append died mid-wave (a planned crash point, or real
@@ -831,6 +798,10 @@ func (p *Pipeline) retire(w *waveState) {
 		}
 		w.res = append(w.res, p.finalize(po))
 	}
+	for _, r := range w.res {
+		deliver(r)
+	}
+	p.releaseWave(w)
 }
 
 // finalize resolves one access at retirement: the stage set's part, then
@@ -1001,8 +972,8 @@ func (p *Pipeline) Serve(in <-chan *AsyncOp) {
 	})
 }
 
-// stages is one protocol's half of the wave engine. The drivers (run, one)
-// and the shared steps (schedule, dispatchAccess, commit, postCommit,
+// stages is one protocol's half of the wave engine. The driver (run) and
+// the shared steps (schedule, dispatchAccess, commit, postCommit,
 // retire) call it and never test the protocol: buildCluster picks the stage
 // set once.
 type stages interface {
@@ -1067,16 +1038,17 @@ func (independentStages) schedule(p *Pipeline, po *pipeOp, data []byte) error {
 // owners marks every SDIMM that owns one of the wave's accesses.
 func (independentStages) owners(w *waveState) {
 	for _, po := range w.ops {
-		if !po.skip {
+		if po.err == nil {
 			w.owns[po.sd] = true
 		}
 	}
 }
 
-// share runs the member's own ops of the wave.
+// share runs the member's own ops of the wave. It tests ownership first: an
+// op of another member has its err written by that member's share.
 func (independentStages) share(p *Pipeline, w *waveState, member int) {
 	for _, po := range w.ops {
-		if !po.skip && po.sd == member {
+		if po.sd == member && po.err == nil {
 			p.accessTask(po)
 		}
 	}
@@ -1209,7 +1181,7 @@ func (s *splitStages) schedule(p *Pipeline, po *pipeOp, data []byte) error {
 // its tree stays in lockstep — a share, unless every op was refused.
 func (s *splitStages) owners(w *waveState) {
 	for _, po := range w.ops {
-		if !po.skip {
+		if po.err == nil {
 			for i, h := range s.c.health {
 				w.owns[i] = h.State() != fault.Failed
 			}
@@ -1224,7 +1196,7 @@ func (s *splitStages) owners(w *waveState) {
 func (s *splitStages) share(p *Pipeline, w *waveState, member int) {
 	c := s.c
 	for _, po := range w.ops {
-		if po.skip {
+		if po.err != nil {
 			continue
 		}
 		st := c.blame.WorkerBegin()

@@ -3,6 +3,7 @@ package sdimm
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
 	"sync"
@@ -160,7 +161,9 @@ func TestPipelineParallelismOneStartsNoGoroutines(t *testing.T) {
 
 // engineState is everything the equivalence suite compares bit-for-bit:
 // every read payload, the final position map, per-SDIMM stash occupancy,
-// the full telemetry snapshot, and the per-SDIMM health/link accounting.
+// the full telemetry snapshot, the per-SDIMM health/link accounting, and
+// for a durable run the state directory's file names (which name the
+// sequence number of every checkpoint it keeps).
 type engineState struct {
 	Results   []BatchResult
 	Errors    []string
@@ -168,6 +171,7 @@ type engineState struct {
 	StashLens []int
 	Telemetry telemetry.Snapshot
 	Health    []SDIMMHealth
+	Files     []string
 }
 
 func captureState(results []BatchResult, pos map[uint64]uint64, lens []int,
@@ -213,6 +217,27 @@ func diffState(t *testing.T, tag string, a, b engineState) {
 	if !reflect.DeepEqual(a.Health, b.Health) {
 		t.Errorf("%s: health accounting diverged:\n%+v\nvs\n%+v", tag, a.Health, b.Health)
 	}
+	if !reflect.DeepEqual(a.Files, b.Files) {
+		t.Errorf("%s: state directories diverged: %v vs %v", tag, a.Files, b.Files)
+	}
+}
+
+// stateFiles lists the file names in a state directory, nil for "" (no
+// durability).
+func stateFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	if dir == "" {
+		return nil
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // pipelineWorkload builds a deterministic mixed read/write op stream with
@@ -235,10 +260,12 @@ func pipelineWorkload(n int, space uint64) []BatchOp {
 }
 
 // newEquivalenceCluster builds the cluster every equivalence run starts
-// from.
-func newEquivalenceCluster(t *testing.T, faults *fault.Injector, reg *telemetry.Registry) *Cluster {
+// from. With dir set it is durable there, checkpointing every 11 records, so
+// the workload's first half (120 accesses) ends one record short of a
+// checkpoint.
+func newEquivalenceCluster(t *testing.T, faults *fault.Injector, dir string, reg *telemetry.Registry) *Cluster {
 	t.Helper()
-	c, err := NewCluster(ClusterOptions{
+	opts := ClusterOptions{
 		SDIMMs:    4,
 		Levels:    10,
 		Key:       []byte("equivalence-key"),
@@ -246,21 +273,27 @@ func newEquivalenceCluster(t *testing.T, faults *fault.Injector, reg *telemetry.
 		Faults:    faults,
 		Retry:     fault.RetryPolicy{MaxAttempts: 4, Sleep: nop},
 		Telemetry: reg,
-	})
+	}
+	if dir != "" {
+		opts.Durability = &DurabilityOptions{Dir: dir, Interval: 11}
+	}
+	c, err := NewCluster(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	return c
 }
 
 // runPipeline executes the workload through a fresh cluster + pipeline and
-// captures the full state fingerprint. mid, when non-nil, runs between the
-// two halves of the workload (fault scheduling hooks).
-func runPipeline(t *testing.T, par, window int, faults *fault.Injector,
+// captures the full state fingerprint. dir, when set, makes the cluster
+// durable there. mid, when non-nil, runs between the two halves of the
+// workload (fault scheduling and membership hooks).
+func runPipeline(t *testing.T, par, window int, faults *fault.Injector, dir string,
 	mid func(*Cluster)) engineState {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	c := newEquivalenceCluster(t, faults, reg)
+	c := newEquivalenceCluster(t, faults, dir, reg)
 	p := c.Pipeline(PipelineOptions{Window: window, Parallelism: par})
 	defer p.Close()
 	ops := pipelineWorkload(240, 60)
@@ -270,15 +303,17 @@ func runPipeline(t *testing.T, par, window int, faults *fault.Injector,
 		mid(c)
 	}
 	results = append(results, p.Do(ops[half:])...)
-	return captureState(results, c.Positions(), c.StashLens(), reg, c.Health())
+	st := captureState(results, c.Positions(), c.StashLens(), reg, c.Health())
+	st.Files = stateFiles(t, dir)
+	return st
 }
 
 // runSequential is runPipeline on the sequential path: the same cluster,
-// workload and mid hook, one Read or Write per op.
-func runSequential(t *testing.T, faults *fault.Injector, mid func(*Cluster)) engineState {
+// workload and hooks, one Read or Write per op.
+func runSequential(t *testing.T, faults *fault.Injector, dir string, mid func(*Cluster)) engineState {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	c := newEquivalenceCluster(t, faults, reg)
+	c := newEquivalenceCluster(t, faults, dir, reg)
 	ops := pipelineWorkload(240, 60)
 	results := make([]BatchResult, len(ops))
 	for i, op := range ops {
@@ -291,7 +326,9 @@ func runSequential(t *testing.T, faults *fault.Injector, mid func(*Cluster)) eng
 			results[i].Data, results[i].Err = c.Read(op.Addr)
 		}
 	}
-	return captureState(results, c.Positions(), c.StashLens(), reg, c.Health())
+	st := captureState(results, c.Positions(), c.StashLens(), reg, c.Health())
+	st.Files = stateFiles(t, dir)
+	return st
 }
 
 // TestPipelineWindowOneMatchesSequential pins the pipeline's semantics to
@@ -301,16 +338,21 @@ func runSequential(t *testing.T, faults *fault.Injector, mid func(*Cluster)) eng
 // order, commit order, and append order are identical, so the two engines
 // must agree bit-for-bit on everything observable. The rows cover perfect
 // links, transient link faults the retry budget absorbs, and a fail-stop
-// between the two halves; none of them re-homes.
+// between the two halves; none of them re-homes. The durable row journals a
+// topology record (a drain begins) between the halves, one access short of
+// a checkpoint, so both sides must also agree on where every checkpoint
+// falls: never before a run's first wave.
 func TestPipelineWindowOneMatchesSequential(t *testing.T) {
 	rows := []struct {
 		name     string
 		faults   *fault.Config // nil = perfect links
 		failStop int           // member fail-stopped between the halves; -1 none
+		drain    int           // member whose drain begins between the halves, durable; -1 none
 	}{
-		{"perfect", nil, -1},
-		{"transient", &fault.Config{Seed: 99, BitFlip: 0.01, Drop: 0.01, Duplicate: 0.01, Stall: 0.005}, -1},
-		{"failstop", &fault.Config{Seed: 5}, 2},
+		{"perfect", nil, -1, -1},
+		{"transient", &fault.Config{Seed: 99, BitFlip: 0.01, Drop: 0.01, Duplicate: 0.01, Stall: 0.005}, -1, -1},
+		{"failstop", &fault.Config{Seed: 5}, 2, -1},
+		{"durable-drain", nil, -1, 1},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -323,10 +365,19 @@ func TestPipelineWindowOneMatchesSequential(t *testing.T) {
 				if row.failStop >= 0 {
 					mid = func(*Cluster) { in.FailStop(row.failStop) }
 				}
-				if seq {
-					return runSequential(t, in, mid)
+				dir := ""
+				if row.drain >= 0 {
+					dir = t.TempDir()
+					mid = func(c *Cluster) {
+						if err := c.BeginDrain(row.drain); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-				return runPipeline(t, 1, 1, in, mid)
+				if seq {
+					return runSequential(t, in, dir, mid)
+				}
+				return runPipeline(t, 1, 1, in, dir, mid)
 			}
 			seq := run(true)
 			if n := seq.Telemetry.Counters["cluster.rehomes"]; n != 0 {
@@ -352,13 +403,13 @@ func TestPipelineParallelismEquivalence(t *testing.T) {
 					Seed: 99, BitFlip: 0.01, Drop: 0.01, Duplicate: 0.01, Stall: 0.005,
 				})
 			}
-			base := runPipeline(t, 1, window, mkInjector(), nil)
+			base := runPipeline(t, 1, window, mkInjector(), "", nil)
 			if len(base.Positions) == 0 {
 				t.Fatalf("window %d: baseline run touched no addresses", window)
 			}
 			for _, par := range []int{2, 4, 8} {
 				tag := fmt.Sprintf("window=%d faulty=%v parallelism=%d", window, faulty, par)
-				got := runPipeline(t, par, window, mkInjector(), nil)
+				got := runPipeline(t, par, window, mkInjector(), "", nil)
 				diffState(t, tag, base, got)
 			}
 		}
@@ -371,7 +422,7 @@ func TestPipelineParallelismEquivalence(t *testing.T) {
 func TestPipelineEquivalenceAcrossFailStop(t *testing.T) {
 	run := func(par int) engineState {
 		in := fault.NewInjector(fault.Config{Seed: 5})
-		return runPipeline(t, par, 6, in, func(*Cluster) { in.FailStop(2) })
+		return runPipeline(t, par, 6, in, "", func(*Cluster) { in.FailStop(2) })
 	}
 	base := run(1)
 	found := false
