@@ -504,10 +504,10 @@ func (c *Cluster) serve(sd int, body []byte) ([]byte, error) {
 		}
 		// The body is sealed (copied) by the transactor before serve's next
 		// invocation on this SDIMM, so per-SDIMM scratch is safe to hand out.
-		c.serveBufs[sd] = isdimm.AppendResponse(c.serveBufs[sd][:0], resp, c.blockSize)
+		c.serveBufs[sd] = isdimm.AppendBlock(c.serveBufs[sd][:0], resp.Block, resp.Dummy, c.blockSize)
 		return c.serveBufs[sd], nil
 	case isdimm.CmdAppend:
-		blk, dummy, err := isdimm.UnmarshalAppendView(payload, c.blockSize)
+		blk, dummy, err := isdimm.UnmarshalBlockView(payload, c.blockSize)
 		if err != nil {
 			return nil, err
 		}
@@ -532,7 +532,7 @@ func (c *Cluster) accessBody(sd int, req isdimm.AccessRequest) []byte {
 // appendBody marshals an APPEND command into SDIMM sd's command scratch.
 func (c *Cluster) appendBody(sd int, blk oram.Block, dummy bool) []byte {
 	b := append(c.cmdBufs[sd][:0], byte(isdimm.CmdAppend))
-	b = isdimm.AppendAppend(b, blk, dummy, c.blockSize)
+	b = isdimm.AppendBlock(b, blk, dummy, c.blockSize)
 	c.cmdBufs[sd] = b
 	return b
 }

@@ -2,8 +2,8 @@
 // isolates one layer of the stack — seccomm framing, the ORAM engine, the
 // journal commit, the full cluster access — and reports allocs/op so a
 // regression in any layer's memory discipline is visible at a glance. The
-// hard 0-alloc gates live next to each layer (ctrmode, seccomm, fault, oram,
-// durable) and the cluster's and pipeline's budgets at the end of this file;
+// hard 0-alloc gates live next to each layer (seccomm, fault, oram, durable)
+// and the cluster's and pipeline's budgets at the end of this file;
 // all run in `make ci` as `make alloc-gates`. `make profile` takes CPU and
 // heap profiles of the cluster access at the gating benchmark's shape.
 package sdimm
@@ -28,7 +28,7 @@ func BenchmarkAccessHotPath(b *testing.B) {
 }
 
 // benchSealOpen measures one authenticated frame round trip (host seals,
-// device opens) with caller-supplied buffers — the per-message cost of every
+// device opens: one AES-GCM call each) with caller-supplied buffers — the per-message cost of every
 // host↔buffer exchange. Steady state is 0 allocs/op.
 func benchSealOpen(b *testing.B) {
 	dev, err := seccomm.NewDevice("bench-0", nil)

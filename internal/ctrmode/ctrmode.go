@@ -5,18 +5,17 @@
 // into the message with one subtle.XORBytes. The Encrypt calls of a batch
 // do not depend on each other, so the core overlaps their AES rounds; a
 // block-at-a-time loop chains pad → XOR → increment and cannot. The pad
-// lives in the Stream, so steady-state use allocates nothing — which is why
-// the callers do not use cipher.NewCTR, whose stream object and buffer are
-// two heap allocations on every seal, open and bucket read or write.
+// lives in the Stream, so steady-state use allocates nothing, where
+// cipher.NewCTR allocates its stream object and buffer per message.
 //
 // Output is bit-identical to crypto/cipher.NewCTR(b, iv): the full 16-byte
 // IV is one big-endian 128-bit counter, incremented once per block, carry
-// out of the low 64 bits included. Both seccomm (IV = counter || zeros) and
-// the bucket stores (IV = bucket || write counter) persist or transmit
-// ciphertext produced this way — sealed buckets sit in checkpoints that a
-// later build must still open — so bit compatibility is load-bearing, not
-// cosmetic; ctrmode_test.go proves it against the stdlib over every length
-// and every carry position a batch can meet.
+// out of the low 64 bits included; ctrmode_test.go proves it against the
+// stdlib over every length and every carry position a batch can meet.
+//
+// The link and the bucket store seal with AES-GCM, and the format-1 bucket
+// upgrade runs once per bucket on the standard library's CTR, so the
+// package's one user is the benchmark's crypto probe.
 package ctrmode
 
 import (

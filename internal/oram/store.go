@@ -11,7 +11,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"sdimm/internal/ctrmode"
 	"sdimm/internal/integrity"
 )
 
@@ -683,7 +682,7 @@ func (s *MemStore) format1(idx uint64, raw []byte) error {
 	binary.BigEndian.PutUint64(iv[:8], idx)
 	binary.BigEndian.PutUint64(iv[8:], counter)
 	pt := s.scratch()
-	new(ctrmode.Stream).XORKeyStream(blk, &iv, pt, ct)
+	cipher.NewCTR(blk, iv[:]).XORKeyStream(pt, ct)
 	return s.seal(idx, counter, pt)
 }
 

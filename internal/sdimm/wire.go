@@ -10,8 +10,9 @@ import (
 // Wire marshalling for the message bodies that travel (sealed by package
 // seccomm) between the CPU and the secure buffers. Fixed-size layouts keep
 // every message of a given kind the same length on the bus — part of the
-// protocol's obliviousness argument. Each message has one encoder, which
-// appends, and one decoder, whose payload is a view into the decoded body.
+// protocol's obliviousness argument. There are two layouts, ACCESS and the
+// block message that FETCH_RESULT and APPEND share; each has one encoder,
+// which appends, and one decoder, whose payload is a view into the body.
 
 const wireHeader = 8 + 1 + 8 + 8 + 1 // addr, op, oldLeaf, newLeaf, keep
 
@@ -65,50 +66,15 @@ func appendZeros(dst []byte, n int) []byte {
 	return append(dst, make([]byte, n)...)
 }
 
-const respHeader = 1 + 8 + 8 // dummy flag, addr, leaf
+const blockHeader = 1 + 8 + 8 // dummy flag, addr, leaf
 
-// AppendResponse appends the encoded AccessResponse (with a blockBytes
-// payload slot) to dst and returns the extended slice.
-func AppendResponse(dst []byte, r AccessResponse, blockBytes int) []byte {
+// AppendBlock appends the encoded block message to dst and returns the
+// extended slice. The FETCH_RESULT response and the APPEND command carry
+// the same body: a dummy flag, the block's addr and leaf, and a blockBytes
+// payload slot, all zero for a dummy.
+func AppendBlock(dst []byte, blk oram.Block, dummy bool, blockBytes int) []byte {
 	base := len(dst)
-	dst = appendZeros(dst, respHeader+blockBytes)
-	out := dst[base:]
-	if r.Dummy {
-		out[0] = 1
-		return dst
-	}
-	binary.BigEndian.PutUint64(out[1:], r.Block.Addr)
-	binary.BigEndian.PutUint64(out[9:], r.Block.Leaf)
-	copy(out[respHeader:], r.Block.Data)
-	return dst
-}
-
-// UnmarshalResponse decodes an AccessResponse whose Block.Data (real
-// responses only) aliases b — the caller owns b and copies out what must
-// outlive it.
-func UnmarshalResponse(b []byte, blockBytes int) (AccessResponse, error) {
-	if len(b) != respHeader+blockBytes {
-		return AccessResponse{}, fmt.Errorf("sdimm: response body %d bytes, want %d", len(b), respHeader+blockBytes)
-	}
-	if b[0] == 1 {
-		return AccessResponse{Dummy: true}, nil
-	}
-	return AccessResponse{
-		Block: oram.Block{
-			Addr: binary.BigEndian.Uint64(b[1:]),
-			Leaf: binary.BigEndian.Uint64(b[9:]),
-			Data: b[respHeader:],
-		},
-	}, nil
-}
-
-const appendHeader = 1 + 8 + 8 // dummy flag, addr, leaf
-
-// AppendAppend appends the encoded APPEND body (block or dummy) to dst and
-// returns the extended slice.
-func AppendAppend(dst []byte, blk oram.Block, dummy bool, blockBytes int) []byte {
-	base := len(dst)
-	dst = appendZeros(dst, appendHeader+blockBytes)
+	dst = appendZeros(dst, blockHeader+blockBytes)
 	out := dst[base:]
 	if dummy {
 		out[0] = 1
@@ -116,16 +82,16 @@ func AppendAppend(dst []byte, blk oram.Block, dummy bool, blockBytes int) []byte
 	}
 	binary.BigEndian.PutUint64(out[1:], blk.Addr)
 	binary.BigEndian.PutUint64(out[9:], blk.Leaf)
-	copy(out[appendHeader:], blk.Data)
+	copy(out[blockHeader:], blk.Data)
 	return dst
 }
 
-// UnmarshalAppendView decodes an APPEND body whose Data aliases b —
-// zero-copy for dispatchers that consume the block before the frame is
-// reused.
-func UnmarshalAppendView(b []byte, blockBytes int) (blk oram.Block, dummy bool, err error) {
-	if len(b) != appendHeader+blockBytes {
-		return oram.Block{}, false, fmt.Errorf("sdimm: APPEND body %d bytes, want %d", len(b), appendHeader+blockBytes)
+// UnmarshalBlockView decodes a block message (a FETCH_RESULT response or an
+// APPEND body) whose Data aliases b — zero-copy: the caller owns b and
+// copies out what must outlive it.
+func UnmarshalBlockView(b []byte, blockBytes int) (blk oram.Block, dummy bool, err error) {
+	if len(b) != blockHeader+blockBytes {
+		return oram.Block{}, false, fmt.Errorf("sdimm: block message %d bytes, want %d", len(b), blockHeader+blockBytes)
 	}
 	if b[0] == 1 {
 		return oram.Block{}, true, nil
@@ -133,6 +99,6 @@ func UnmarshalAppendView(b []byte, blockBytes int) (blk oram.Block, dummy bool, 
 	return oram.Block{
 		Addr: binary.BigEndian.Uint64(b[1:]),
 		Leaf: binary.BigEndian.Uint64(b[9:]),
-		Data: b[appendHeader:],
+		Data: b[blockHeader:],
 	}, false, nil
 }

@@ -46,31 +46,27 @@ func TestWireLengthChecks(t *testing.T) {
 	if _, err := UnmarshalAccessView([]byte{1, 2, 3}, 64); err == nil {
 		t.Error("short ACCESS accepted")
 	}
-	if _, err := UnmarshalResponse([]byte{1}, 64); err == nil {
-		t.Error("short response accepted")
-	}
-	if _, _, err := UnmarshalAppendView([]byte{1}, 64); err == nil {
-		t.Error("short APPEND accepted")
+	if _, _, err := UnmarshalBlockView([]byte{1}, 64); err == nil {
+		t.Error("short block message accepted")
 	}
 }
 
 func TestResponseWire(t *testing.T) {
 	resp := AccessResponse{Block: oram.Block{Addr: 7, Leaf: 3, Data: bytes.Repeat([]byte{9}, 64)}}
-	got, err := UnmarshalResponse(AppendResponse(nil, resp, 64), 64)
+	got, dummy, err := UnmarshalBlockView(AppendBlock(nil, resp.Block, resp.Dummy, 64), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Dummy || got.Block.Addr != 7 || got.Block.Leaf != 3 || !bytes.Equal(got.Block.Data, resp.Block.Data) {
-		t.Fatalf("round trip: %+v", got)
+	if dummy || got.Addr != 7 || got.Leaf != 3 || !bytes.Equal(got.Data, resp.Block.Data) {
+		t.Fatalf("round trip: %v %+v", dummy, got)
 	}
 	// Dummy responses look identical in length.
-	d := AppendResponse(nil, AccessResponse{Dummy: true}, 64)
-	if len(d) != len(AppendResponse(nil, resp, 64)) {
+	d := AppendBlock(nil, oram.Block{}, true, 64)
+	if len(d) != len(AppendBlock(nil, resp.Block, false, 64)) {
 		t.Fatal("dummy response length differs")
 	}
-	gd, err := UnmarshalResponse(d, 64)
-	if err != nil || !gd.Dummy {
-		t.Fatalf("dummy round trip: %+v %v", gd, err)
+	if _, dummy, err := UnmarshalBlockView(d, 64); err != nil || !dummy {
+		t.Fatalf("dummy round trip: %v %v", dummy, err)
 	}
 }
 
@@ -91,15 +87,8 @@ func TestWireDecodersReturnViews(t *testing.T) {
 			}
 			return r.Data
 		}},
-		{"response", AppendResponse(nil, AccessResponse{Block: oram.Block{Addr: 1, Data: data}}, 64), func(b []byte) []byte {
-			r, err := UnmarshalResponse(b, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r.Block.Data
-		}},
-		{"APPEND", AppendAppend(nil, oram.Block{Addr: 1, Data: data}, false, 64), func(b []byte) []byte {
-			blk, _, err := UnmarshalAppendView(b, 64)
+		{"block", AppendBlock(nil, oram.Block{Addr: 1, Data: data}, false, 64), func(b []byte) []byte {
+			blk, _, err := UnmarshalBlockView(b, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,11 +112,11 @@ func TestWireDecodersReturnViews(t *testing.T) {
 func TestPropertyAppendWire(t *testing.T) {
 	f := func(addr, leaf uint64, payload [64]byte, dummy bool) bool {
 		blk := oram.Block{Addr: addr, Leaf: leaf, Data: payload[:]}
-		frame := AppendAppend(nil, blk, dummy, 64)
-		if len(frame) != len(AppendAppend(nil, oram.Block{}, true, 64)) {
+		frame := AppendBlock(nil, blk, dummy, 64)
+		if len(frame) != len(AppendBlock(nil, oram.Block{}, true, 64)) {
 			return false
 		}
-		got, gotDummy, err := UnmarshalAppendView(frame, 64)
+		got, gotDummy, err := UnmarshalBlockView(frame, 64)
 		if err != nil || gotDummy != dummy {
 			return false
 		}

@@ -14,7 +14,7 @@ import (
 
 // katSessions derives a host/device pair from a fixed shared secret (the
 // handshake's ECDH output is random, so the known-answer tests skip it).
-func katSessions(t *testing.T, secret []byte, id string) (host, dev *Session) {
+func katSessions(t testing.TB, secret []byte, id string) (host, dev *Session) {
 	t.Helper()
 	host, err := deriveSession(secret, id, true)
 	if err != nil {
@@ -28,12 +28,12 @@ func katSessions(t *testing.T, secret []byte, id string) (host, dev *Session) {
 }
 
 // TestFrameKnownAnswer rebuilds sealed frames without the package's seal
-// path: the direction keys are derived by hand, the ciphertext must be the
-// standard library's CTR pad XOR and the tag the first MACSize bytes of a
-// test-local AES-GCM seal of nothing with the ciphertext as additional data.
-// An edit that MACs the plaintext, tags with the pad key, or leaves the
-// message counter out of the nonce fails here (counters 1 and 2 catch the
-// last; at counter 0 the nonce is all zero either way).
+// path: the direction key is derived by hand, and a frame must be a
+// test-local standard AES-GCM seal (16-byte tag, no additional data) with
+// its tag cut to the first MACSize bytes. An edit that keys a direction
+// with the wrong bytes of its expansion, adds additional data, or leaves
+// the message counter out of the nonce fails here (counters 1 and 2 catch
+// the last; at counter 0 the nonce is all zero either way).
 func TestFrameKnownAnswer(t *testing.T) {
 	secret := bytes.Repeat([]byte{0x5d}, 32)
 	const id = "sdimm-kat"
@@ -54,16 +54,11 @@ func TestFrameKnownAnswer(t *testing.T) {
 		m := hmac.New(sha256.New, secret)
 		m.Write([]byte(dir.label))
 		m.Write([]byte(id))
-		keys := m.Sum(nil)
-		padBlock, err := aes.NewCipher(keys[:16])
+		block, err := aes.NewCipher(m.Sum(nil)[:16])
 		if err != nil {
 			t.Fatal(err)
 		}
-		tagBlock, err := aes.NewCipher(keys[16:32])
-		if err != nil {
-			t.Fatal(err)
-		}
-		gcm, err := cipher.NewGCM(tagBlock)
+		gcm, err := cipher.NewGCM(block)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,21 +67,12 @@ func TestFrameKnownAnswer(t *testing.T) {
 			if len(frame) != len(pt)+MACSize {
 				t.Fatalf("%s frame %d: %d bytes for a %d-byte payload", dir.label, ctr, len(frame), len(pt))
 			}
-			ct, tag := frame[:len(pt)], frame[len(pt):]
-
-			var iv [aes.BlockSize]byte
-			binary.BigEndian.PutUint64(iv[:8], uint64(ctr))
-			wantCT := make([]byte, len(pt))
-			cipher.NewCTR(padBlock, iv[:]).XORKeyStream(wantCT, pt)
-			if !bytes.Equal(ct, wantCT) {
-				t.Errorf("%s frame %d: ciphertext %x, want CTR pad XOR %x", dir.label, ctr, ct, wantCT)
-			}
 
 			var nonce [12]byte
 			binary.BigEndian.PutUint64(nonce[4:], uint64(ctr))
-			wantTag := gcm.Seal(nil, nonce[:], nil, wantCT)[:MACSize]
-			if !bytes.Equal(tag, wantTag) {
-				t.Errorf("%s frame %d: tag %x, want GMAC %x", dir.label, ctr, tag, wantTag)
+			want := gcm.Seal(nil, nonce[:], pt, nil)[:len(pt)+MACSize]
+			if !bytes.Equal(frame, want) {
+				t.Errorf("%s frame %d: %x, want AES-GCM %x", dir.label, ctr, frame, want)
 			}
 
 			if got, err := dir.onto.Open(frame); err != nil || !bytes.Equal(got, pt) {
@@ -96,10 +82,11 @@ func TestFrameKnownAnswer(t *testing.T) {
 	}
 
 	// One frame as literal bytes (computed outside Go, with Python's
-	// cryptography package), so the test's own derivation cannot drift
+	// cryptography package: AESGCM under the upstream key, nonce 0^96, the
+	// 16-byte tag cut to 12), so the test's own derivation cannot drift
 	// together with the package's.
 	host, _ = katSessions(t, secret, id)
-	const want = "8887276dad896c641dfd7ded54cb9c17cd"
+	const want = "c8c0e46295c11dfd83435662b0a667112fccbf6fd9"
 	if got := hex.EncodeToString(host.Seal([]byte("known ans"))); got != want {
 		t.Errorf("upstream frame 0 = %s, want %s", got, want)
 	}
@@ -136,5 +123,31 @@ func TestDirectionKeysSeparate(t *testing.T) {
 	down := dev.Seal([]byte("downstream frame 0"))
 	if _, err := dev.Open(down); !errors.Is(err, ErrAuth) {
 		t.Fatalf("device opened its own downstream frame with the upstream key: %v", err)
+	}
+}
+
+// TestSealWritesOnlyItsFrame seals every payload length across two AES
+// blocks into a dst whose capacity ends exactly at the frame, inside a
+// larger buffer: the bytes after the frame must be untouched (they belong
+// to whatever the caller keeps there), and the frame must open. Go 1.24's
+// amd64 GCM writes up to 3 bytes past a 12-byte tag when the payload ends
+// 1-3 bytes into a block, so a direct aead.Seal into dst fails this.
+func TestSealWritesOnlyItsFrame(t *testing.T) {
+	host, dev := pair(t)
+	for n := 0; n <= 2*16+4; n++ {
+		pt := bytes.Repeat([]byte{0x3e}, n)
+		buf := bytes.Repeat([]byte{0xaa}, n+MACSize+16)
+		frame := host.SealAppend(buf[:0:n+MACSize], pt)
+		if &frame[0] != &buf[0] {
+			t.Fatalf("%d-byte payload: SealAppend reallocated a dst with room for the frame", n)
+		}
+		for i, b := range buf[n+MACSize:] {
+			if b != 0xaa {
+				t.Fatalf("%d-byte payload: byte %d after the frame overwritten (%#02x)", n, i, b)
+			}
+		}
+		if got, err := dev.Open(frame); err != nil || !bytes.Equal(got, pt) {
+			t.Fatalf("%d-byte payload does not open: %v", n, err)
+		}
 	}
 }

@@ -10,26 +10,21 @@
 // two endpoints advance their counters in lockstep and no counter needs to
 // travel with the data.
 //
-// A frame is ct || tag(8): CTR-then-GMAC. Each direction has two AES-128
-// keys, one per purpose, both taken from that direction's 32-byte HMAC-SHA256
-// expansion of the ECDH secret: bytes 0..15 key the CTR pad, bytes 16..31 key
-// AES-GMAC (crypto/cipher's GCM with the ciphertext as additional data and
-// nothing encrypted), whose 16-byte tag is truncated to MACSize. The GMAC
-// nonce is 0x00000000 || counter(8). It is unique per direction key because a
-// counter is only ever sealed twice through ResendFrom, whose contract — seal
-// the identical bytes again — makes the second seal the same nonce over the
-// same data giving the same tag, which is a retransmission and not a nonce
-// reuse. Breaking that contract would expose the GMAC hash key as well as the
-// XOR of two plaintexts. A 64-bit truncated GMAC tag bounds one forgery
-// attempt on an l-block frame at about l/2^64 (NIST SP 800-38D, Appendix C);
-// attempts are online only, and each failed one is an ErrAuth the fault layer
-// counts toward abandoning the exchange and failing the SDIMM. Sessions are
-// keyed afresh by every Handshake and never persisted.
-//
-// One AEAD call per frame (as the bucket store does) is not used: the
-// standard library's smallest GCM tag is 12 bytes, and the 8-byte tag is part
-// of the wire format — every frame size the witness and the link observables
-// pin includes it.
+// A frame is AES-GCM's ciphertext || tag(12): GCM is that counter-mode pad
+// plus a GHASH tag, so one AEAD call seals a frame and one opens it. Each
+// direction has one AES-128 key, bytes 0..15 of that direction's HMAC-SHA256
+// expansion of the ECDH secret. The nonce is 0x00000000 || counter(8), with
+// no additional data, and the tag is GCM's 16-byte tag truncated to MACSize.
+// The nonce is unique per direction key because a counter is only ever
+// sealed twice through ResendFrom, whose contract — seal the identical bytes
+// again — makes the second seal the same nonce over the same plaintext giving
+// the same frame, which is a retransmission and not a nonce reuse. Breaking
+// that contract would expose GHASH's key as well as the XOR of two
+// plaintexts. A 96-bit truncated GCM tag bounds one forgery attempt on an
+// l-block frame at about l/2^96 (NIST SP 800-38D, Appendix C); attempts are
+// online only, and each failed one is an ErrAuth the fault layer counts
+// toward abandoning the exchange and failing the SDIMM. Sessions are keyed
+// afresh by every Handshake and never persisted.
 package seccomm
 
 import (
@@ -39,18 +34,17 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
-	"sdimm/internal/ctrmode"
 	"sdimm/internal/telemetry"
 )
 
-// MACSize is the truncated MAC length appended to every sealed message.
-const MACSize = 8
+// MACSize is the truncated GCM tag length appended to every sealed message.
+const MACSize = 12
 
 // Errors returned by the package. ErrOutOfOrder and ErrReplayed wrap
 // ErrAuth: both are authentication failures first, with a counter-based
@@ -213,7 +207,7 @@ func (m *Metrics) observeResync() {
 // an upstream (CPU -> SDIMM) and downstream (SDIMM -> CPU) cipher state;
 // Seal uses the endpoint's send direction and Open its receive direction.
 // A Session is not safe for concurrent use: the cipher states carry
-// reusable keystream and tag scratch so seal/open never allocate.
+// reusable nonce and frame scratch so seal/open never allocate.
 type Session struct {
 	send cipherState
 	recv cipherState
@@ -225,23 +219,15 @@ type Session struct {
 func (s *Session) SetMetrics(m *Metrics) { s.m = m }
 
 type cipherState struct {
-	block   cipher.Block // CTR pad key
-	gmac    cipher.AEAD  // GCM under the direction's second key, used for its tag only
+	aead    cipher.AEAD // AES-128-GCM with a MACSize tag under the direction's key
 	counter uint64
 
-	// Reusable scratch: the CTR stream state and IV, the GMAC nonce (its
-	// first four bytes stay zero), and the untruncated tag.
-	stream ctrmode.Stream
-	iv     [aes.BlockSize]byte
-	nonce  [gmacNonceSize]byte
-	sum    [gmacTagSize]byte
+	// Reusable scratch: the nonce 0^32 || counter (its first four bytes stay
+	// zero), and the buffer a send state seals into and a receive state's
+	// classify probes open into.
+	nonce [12]byte
+	buf   []byte
 }
-
-// The standard GCM nonce and tag sizes (cipher.NewGCM).
-const (
-	gmacNonceSize = 12
-	gmacTagSize   = 16
-)
 
 // Handshake establishes a session pair. The host verifies the device
 // against the authority, generates an ephemeral key (the RECEIVE_SECRET
@@ -288,30 +274,22 @@ func Handshake(host io.Reader, dev *Device, auth *Authority) (*Session, *Session
 }
 
 // deriveSession expands the shared secret via HMAC-SHA256 with direction
-// labels into one 32-byte block per direction: an AES-128 CTR key and an
-// AES-128 GMAC key.
+// labels into one 32-byte block per direction, whose first 16 bytes are that
+// direction's AES-128 GCM key.
 func deriveSession(secret []byte, id string, isHost bool) (*Session, error) {
-	expand := func(label string) []byte {
+	mk := func(label string) (cipherState, error) {
 		m := hmac.New(sha256.New, secret)
 		m.Write([]byte(label))
 		m.Write([]byte(id))
-		return m.Sum(nil)
-	}
-	mk := func(label string) (cipherState, error) {
-		keys := expand(label)
-		block, err := aes.NewCipher(keys[:16])
+		block, err := aes.NewCipher(m.Sum(nil)[:16])
 		if err != nil {
 			return cipherState{}, fmt.Errorf("seccomm: aes: %w", err)
 		}
-		macBlock, err := aes.NewCipher(keys[16:32])
-		if err != nil {
-			return cipherState{}, fmt.Errorf("seccomm: aes: %w", err)
-		}
-		gmac, err := cipher.NewGCM(macBlock)
+		aead, err := cipher.NewGCMWithTagSize(block, MACSize)
 		if err != nil {
 			return cipherState{}, fmt.Errorf("seccomm: gcm: %w", err)
 		}
-		return cipherState{block: block, gmac: gmac}, nil
+		return cipherState{aead: aead}, nil
 	}
 	up, err := mk("upstream")
 	if err != nil {
@@ -327,20 +305,11 @@ func deriveSession(secret []byte, id string, isHost bool) (*Session, error) {
 	return &Session{send: down, recv: up}, nil
 }
 
-// pad XORs data with the AES-CTR keystream for message counter ctr. The IV
-// layout (counter in the high 8 bytes, zeros below) and the keystream are
-// bit-identical to the stdlib CTR the package originally used.
-func (cs *cipherState) pad(ctr uint64, data []byte) {
-	binary.BigEndian.PutUint64(cs.iv[:8], ctr)
-	cs.stream.XORKeyStream(cs.block, &cs.iv, data, data)
-}
-
-// mac returns the truncated frame tag — AES-GMAC over the ciphertext under
-// nonce 0^32 || ctr — in cs's reusable output buffer, valid only until the
-// next mac call on cs. GCM encrypts nothing here: ct is the additional data.
-func (cs *cipherState) mac(ctr uint64, ct []byte) []byte {
-	binary.BigEndian.PutUint64(cs.nonce[gmacNonceSize-8:], ctr)
-	return cs.gmac.Seal(cs.sum[:0], cs.nonce[:], nil, ct)[:MACSize]
+// nonceAt returns the GCM nonce for message counter ctr in cs's scratch,
+// valid until the next nonceAt call on cs.
+func (cs *cipherState) nonceAt(ctr uint64) []byte {
+	binary.BigEndian.PutUint64(cs.nonce[4:], ctr)
+	return cs.nonce[:]
 }
 
 // Seal encrypts and authenticates a message for the peer, returning
@@ -353,21 +322,18 @@ func (s *Session) Seal(plaintext []byte) []byte {
 }
 
 // SealAppend is Seal appending the sealed frame to dst, allocating only if
-// dst lacks capacity. plaintext must not alias dst's spare capacity.
+// dst lacks capacity. It writes nothing of dst past the frame.
 func (s *Session) SealAppend(dst, plaintext []byte) []byte {
 	s.m.observeSeal()
 	cs := &s.send
-	start := len(dst)
-	dst = append(dst, plaintext...)
-	dst = append(dst, zeroMAC[:]...)
-	ct := dst[start : len(dst)-MACSize]
-	cs.pad(cs.counter, ct)
-	copy(dst[len(dst)-MACSize:], cs.mac(cs.counter, ct))
+	// The frame is sealed into cs.buf with room for a whole 16-byte tag and
+	// then copied out: Go 1.24's amd64 GCM stores a partial last block as
+	// 16 bytes, which runs up to 3 bytes past a 12-byte tag.
+	room := slices.Grow(cs.buf[:0], len(plaintext)+aes.BlockSize)
+	cs.buf = cs.aead.Seal(room, cs.nonceAt(cs.counter), plaintext, nil)
 	cs.counter++
-	return dst
+	return append(dst, cs.buf...)
 }
-
-var zeroMAC [MACSize]byte
 
 // Open authenticates and decrypts a message produced by the peer's Seal.
 // A frame that fails at the expected counter is diagnosed against nearby
@@ -393,32 +359,32 @@ func (s *Session) openAppend(dst, msg []byte) ([]byte, error) {
 	if len(msg) < MACSize {
 		return nil, ErrShortMessage
 	}
-	ct := msg[:len(msg)-MACSize]
-	tag := msg[len(msg)-MACSize:]
-	want := cs.mac(cs.counter, ct)
-	if subtle.ConstantTimeCompare(tag, want) != 1 {
-		return nil, cs.classify(ct, tag)
+	out, err := cs.aead.Open(dst, cs.nonceAt(cs.counter), msg, nil)
+	if err != nil {
+		return nil, cs.classify(msg)
 	}
-	start := len(dst)
-	dst = append(dst, ct...)
-	cs.pad(cs.counter, dst[start:])
 	cs.counter++
-	return dst, nil
+	return out, nil
 }
 
 // classify diagnoses a frame that failed authentication at the expected
-// counter by probing nearby counters. An attacker gains nothing from the
-// probing: forging any of the probed MACs is as hard as forging the
-// expected one, and the frame is rejected either way.
-func (cs *cipherState) classify(ct, tag []byte) error {
+// counter by opening it at nearby counters into cs.buf. An
+// attacker gains nothing from the probing: forging a tag at any of the
+// probed counters is as hard as forging it at the expected one, and the
+// frame is rejected either way.
+func (cs *cipherState) classify(msg []byte) error {
+	cs.buf = slices.Grow(cs.buf[:0], len(msg)-MACSize)
+	opens := func(ctr uint64) bool {
+		pt, err := cs.aead.Open(cs.buf, cs.nonceAt(ctr), msg, nil)
+		clear(pt)
+		return err == nil
+	}
 	for j := uint64(1); j <= counterWindow; j++ {
-		if subtle.ConstantTimeCompare(tag, cs.mac(cs.counter+j, ct)) == 1 {
+		if opens(cs.counter + j) {
 			return &CounterError{Expected: cs.counter, Got: cs.counter + j, kind: ErrOutOfOrder}
 		}
-		if j <= cs.counter {
-			if subtle.ConstantTimeCompare(tag, cs.mac(cs.counter-j, ct)) == 1 {
-				return &CounterError{Expected: cs.counter, Got: cs.counter - j, kind: ErrReplayed}
-			}
+		if j <= cs.counter && opens(cs.counter-j) {
+			return &CounterError{Expected: cs.counter, Got: cs.counter - j, kind: ErrReplayed}
 		}
 	}
 	return ErrAuth
@@ -435,9 +401,9 @@ func (s *Session) RecvCounter() uint64 { return s.recv.counter }
 // (crash recovery: the durability checkpoint carries each link's logical
 // message indices). SECURITY: this is only safe on a freshly handshaken
 // session — the restart derives new ephemeral session keys, so no counter
-// value can reuse a pad from the pre-crash keys. Counters may only move
-// forward from the session's current position; rewinding (which on a
-// long-lived session would reuse pads and reopen the replay window) is
+// value can reuse a GCM nonce under the pre-crash keys. Counters may only
+// move forward from the session's current position; rewinding (which on a
+// long-lived session would reuse nonces and reopen the replay window) is
 // rejected.
 func (s *Session) RestoreCounters(send, recv uint64) error {
 	if send < s.send.counter || recv < s.recv.counter {
@@ -452,8 +418,8 @@ func (s *Session) RestoreCounters(send, recv uint64) error {
 // ResendFrom rewinds the send counter to ctr so an unacknowledged frame can
 // be retransmitted. SECURITY: the caller must re-Seal the exact bytes it
 // sealed at ctr the first time — sealing a different plaintext at a reused
-// counter reuses the CTR pad and leaks the XOR of the two plaintexts, and
-// reuses the GMAC nonce over different data, which gives away the tag key.
+// counter reuses the GCM nonce: it leaks the XOR of the two plaintexts and
+// gives away GHASH's key, with which tags can be forged.
 // The counter can only move backwards (over frames the peer never accepted);
 // skipping ahead is rejected.
 func (s *Session) ResendFrom(ctr uint64) error {
@@ -471,7 +437,7 @@ func (s *Session) ResendFrom(ctr uint64) error {
 // FORWARD, to the peer's send counter: abandoned frames become permanently
 // unacceptable and no counter can be consumed twice, so replay safety is
 // preserved. Send counters are untouched — the next Seal uses a fresh
-// counter and no pad is ever reused.
+// counter and no nonce is ever reused.
 func Resync(a, b *Session) {
 	a.m.observeResync()
 	if b.m != a.m {

@@ -321,7 +321,7 @@ type pipeOp struct {
 	respErr   error  // a read the buffer ran, its response lost or unreadable (err at retirement)
 	committed bool   // commit walk journaled this op
 	respBody  []byte // exchange response copy (phase A, written by owner worker)
-	resp      isdimm.AccessResponse
+	dummy     bool   // the owner answered with a dummy, or a read's answer was lost
 	blk       oram.Block
 	out       []byte // read payload for delivery (worker-built, escapes)
 
@@ -670,15 +670,15 @@ func (p *Pipeline) accessTask(po *pipeOp) {
 		// this link overwrites it, so the op keeps a copy, and the block
 		// decodes as a view into it.
 		po.respBody = append(po.respBody[:0], resp...)
-		r, derr := isdimm.UnmarshalResponse(po.respBody, c.blockSize)
+		blk, dummy, derr := isdimm.UnmarshalBlockView(po.respBody, c.blockSize)
 		if derr == nil {
-			po.resp = r
-			po.blk = r.Block
+			po.dummy = dummy
+			po.blk = blk
 			po.blk.Addr = po.addr
 			po.blk.Leaf = po.newG & mask
 			if po.op == oram.OpRead && !po.migrate {
 				po.out = make([]byte, c.blockSize) // zeros for a dummy
-				copy(po.out, r.Block.Data)
+				copy(po.out, blk.Data)
 			}
 			return
 		}
@@ -692,7 +692,7 @@ func (p *Pipeline) accessTask(po *pipeOp) {
 	// fails at retirement.
 	po.blk = oram.Block{Addr: po.addr, Leaf: po.newG & mask, Data: po.data}
 	if po.op == oram.OpRead {
-		po.resp.Dummy = true
+		po.dummy = true
 		po.respErr = err
 	}
 }
@@ -759,7 +759,7 @@ func (p *Pipeline) appendTask(w *waveState, j int) {
 		if po.err != nil {
 			continue
 		}
-		real := !po.keep && j == po.sdNew && !po.resp.Dummy
+		real := !po.keep && j == po.sdNew && !po.dummy
 		if !real {
 			// Own-health read: only this member's exchanges mutate
 			// health[j], so the read is race-free and deterministic.
@@ -1077,7 +1077,7 @@ func (independentStages) finalize(p *Pipeline, po *pipeOp) {
 	for j := range c.members {
 		if po.appendErr[j] != nil {
 			c.tm.appendsLost.Inc()
-			if !po.keep && j == po.sdNew && !po.resp.Dummy {
+			if !po.keep && j == po.sdNew && !po.dummy {
 				// The migrating block was in this exchange: re-home it
 				// instead of losing the payload.
 				if rerr := p.rehome(po, j); rerr != nil && po.err == nil {
