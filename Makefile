@@ -106,14 +106,16 @@ blame:
 # counted exactly, and a warm 64-op Pipeline.Do within 40, inline and with
 # workers (TestPipelineDoAllocBudget: a hand-off allocates nothing); and the
 # flight recorder plus blame collector, stamping every wave's record, must add
-# none to a pipelined or a sequential access.
+# none to a pipelined or a sequential access. One served round trip, client
+# and server in one process as the benchmark runs them, stays at 10 objects
+# for a write and 11 for a read.
 # The timing simulator has its own three: a warm event engine schedules and
 # fires at 0 allocs/op, a warm DRAM channel serves requests at 0, and a whole
 # sim.Run stays within its per-record budget for every protocol.
 # These run without -race on purpose — race instrumentation allocates, so the
 # gate tests skip themselves under it (see internal/raceflag).
 alloc-gates:
-	$(GO) test -run 'ZeroAlloc|AllocBudget|AddNoAllocs' -count=1 . ./internal/ctrmode ./internal/seccomm ./internal/fault ./internal/oram ./internal/durable ./internal/event ./internal/dram ./internal/sim
+	$(GO) test -run 'ZeroAlloc|AllocBudget|AddNoAllocs' -count=1 . ./internal/ctrmode ./internal/seccomm ./internal/fault ./internal/oram ./internal/durable ./internal/event ./internal/dram ./internal/sim ./internal/serve
 
 # CPU and heap profiles of the access hot path, for digging into a
 # regression the alloc gates or the benchmark surfaced: the sequential
@@ -152,7 +154,9 @@ profile-sim:
 # arbitrary client bytes: no panic, the handler returns when the client
 # closes, admission depth returns to 0 and Shutdown completes. Each of its
 # inputs builds a cluster, so minimizing an input is capped by count, not
-# the default minute.
+# the default minute. FuzzClientConn is its mirror: arbitrary server bytes
+# after a valid HelloAck at any credit, with concurrent callers: no panic,
+# every Do returns once the server closes, and no goroutine is left behind.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalAccess -fuzztime=20s ./internal/sdimm
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalResponse -fuzztime=20s ./internal/sdimm
@@ -166,6 +170,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzMemStoreRestoreRaw -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzWireDecode -fuzztime=20s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzServeConn -fuzztime=20s -fuzzminimizetime=200x ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzClientConn -fuzztime=20s ./internal/serve
 
 # Serving front-end smoke: the in-process sdimm-serve run (two tenants,
 # closed-loop load, graceful drain, witness + zero-accepted-deadline-miss

@@ -187,11 +187,12 @@ type MemStore struct {
 	z          int
 	blockBytes int
 	rawSize    int // counter (8) || ciphertext || tag, fixed by the shape
+	room       int // rawSize plus what a seal writes past its tag (see NewMemStore)
 	gcm        cipher.AEAD
 	key        []byte      // as given to NewMemStore; format1 derives the old schedule from it
 	index      []uint32    // idx -> slot, 0 = never written; len is a power of two
 	far        []farBucket // buckets at idx >= denseLimit, ascending
-	slabs      [][]byte    // slot n (1-based) is the (n-1)th rawSize run across the slabs
+	slabs      [][]byte    // slot n (1-based) is the (n-1)th room run across the slabs
 	slots      uint32      // slots claimed so far
 	writes     uint64      // physical bucket seals (see Writes)
 	rows       []row       // rows[idx]: bucket idx held in trusted memory (setTop)
@@ -269,10 +270,18 @@ func NewMemStore(z, blockBytes int, key []byte) (*MemStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oram: store cipher: %w", err)
 	}
+	// Go 1.24's amd64 GCM stores a partial last block as 16 bytes, which
+	// runs up to 3 bytes past a 12-byte tag when the plaintext ends 1-3
+	// bytes into an AES block. Every sealed destination has room bytes of
+	// capacity, so those stores land in the bucket's own slack; at Z = 4,
+	// or any shape whose plaintext ends elsewhere, room is rawSize.
+	pt := z * (slotHeader + blockBytes)
+	rawSize := 8 + pt + tagSize
 	return &MemStore{
 		z:          z,
 		blockBytes: blockBytes,
-		rawSize:    8 + z*(slotHeader+blockBytes) + tagSize,
+		rawSize:    rawSize,
+		room:       max(rawSize, 8+(pt+aes.BlockSize-1)/aes.BlockSize*aes.BlockSize),
 		gcm:        gcm,
 		key:        append([]byte(nil), key...),
 	}, nil
@@ -292,7 +301,7 @@ func (s *MemStore) setTop(k int) {
 	s.rowPT = make([]byte, n*s.plainSize())
 	for idx := range min(n, len(s.index)) {
 		if slot := s.index[idx]; slot != 0 {
-			s.rows[idx].raw = append([]byte(nil), s.at(slot)...)
+			s.rows[idx].raw = append(s.newRaw()[:0], s.at(slot)...)
 			s.index[idx] = 0
 		}
 	}
@@ -321,7 +330,10 @@ func (s *MemStore) rowText(idx uint64) []byte {
 	return s.rowPT[off : off+ps : off+ps]
 }
 
-// sealRow seals plain row idx into dst (rawSize bytes) at its counter: the
+// newRaw returns a zeroed rawSize buffer with the room a seal needs.
+func (s *MemStore) newRaw() []byte { return make([]byte, s.rawSize, s.room) }
+
+// sealRow seals plain row idx into dst (newRaw's shape) at its counter: the
 // bytes a DRAM bucket written the same way would hold.
 func (s *MemStore) sealRow(idx uint64, r *row, dst []byte) []byte {
 	binary.BigEndian.PutUint64(dst[:8], r.counter)
@@ -376,10 +388,11 @@ func (s *MemStore) sealed(idx uint64) []byte {
 	return s.at(slot)
 }
 
-// at returns the bytes of a claimed slot, capacity clipped to the slot.
+// at returns the bytes of a claimed slot, capacity clipped to the slot's
+// room.
 func (s *MemStore) at(slot uint32) []byte {
-	off := int((slot-1)%slabBuckets) * s.rawSize
-	return s.slabs[(slot-1)/slabBuckets][off : off+s.rawSize : off+s.rawSize]
+	off := int((slot-1)%slabBuckets) * s.room
+	return s.slabs[(slot-1)/slabBuckets][off : off+s.rawSize : off+s.room]
 }
 
 // claim is sealed for a bucket about to be written: a first touch takes the
@@ -388,7 +401,7 @@ func (s *MemStore) at(slot uint32) []byte {
 func (s *MemStore) claim(idx uint64) []byte {
 	if r := s.row(idx); r != nil {
 		if r.raw == nil {
-			r.raw = make([]byte, s.rawSize)
+			r.raw = s.newRaw()
 		}
 		r.plain = false
 		return r.raw
@@ -397,7 +410,7 @@ func (s *MemStore) claim(idx uint64) []byte {
 		return raw
 	}
 	if s.slots%slabBuckets == 0 {
-		s.slabs = append(s.slabs, make([]byte, slabBuckets*s.rawSize))
+		s.slabs = append(s.slabs, make([]byte, slabBuckets*s.room))
 	}
 	s.slots++
 	if idx < denseLimit {
@@ -453,7 +466,7 @@ func (s *MemStore) open(idx uint64, raw []byte) (pt []byte, counter uint64, err 
 
 // seal encrypts and tags pt as bucket idx under counter, straight into the
 // bucket's arena slot: the slot is the bucket's for life, and its capacity
-// ends with it, so the tag lands in its last bytes. A row keeps pt as it is
+// runs to its room, so the seal stays inside it. A row keeps pt as it is
 // instead, under the same counter.
 func (s *MemStore) seal(idx, counter uint64, pt []byte) error {
 	if idx >= nonceFieldLimit || counter >= nonceFieldLimit {
@@ -626,7 +639,7 @@ func (s *MemStore) BucketIndices() []uint64 {
 // here, at its counter, into the bytes DRAM would have held.
 func (s *MemStore) RawBucket(idx uint64) ([]byte, bool) {
 	if r := s.plainRow(idx); r != nil {
-		return s.sealRow(idx, r, make([]byte, s.rawSize)), true
+		return s.sealRow(idx, r, s.newRaw()), true
 	}
 	raw := s.sealed(idx)
 	if raw == nil {
@@ -705,7 +718,7 @@ func (s *MemStore) Counter(idx uint64) uint64 {
 // plain row is sealed first, so the flip lands where it would in DRAM.
 func (s *MemStore) Corrupt(idx uint64) bool {
 	if r := s.plainRow(idx); r != nil {
-		r.raw, r.plain = s.sealRow(idx, r, make([]byte, s.rawSize)), false
+		r.raw, r.plain = s.sealRow(idx, r, s.newRaw()), false
 	}
 	raw := s.sealed(idx)
 	if raw == nil {

@@ -14,23 +14,42 @@ import (
 // died).
 var ErrClientClosed = errors.New("serve: client closed")
 
-// Client is a connection to a Server. Do is safe for concurrent use; the
-// client paces submissions to the server-granted credit window, so a
-// backpressured connection slows its callers instead of flooding the
-// server.
+// Client is a connection to a Server. Do is safe for concurrent use. The
+// server answers a connection's requests in the order it reads them, so the
+// client matches replies by position: callers wait in a queue of at most
+// maxCredit reusable calls, a caller's place in the queue is its request's
+// place on the wire, and the reader answers the oldest call. A reply that
+// echoes another request's ID, or a frame that is not a Response, fails the
+// connection and every caller. Submissions are paced to the server-granted
+// credit window, so a backpressured connection slows its callers instead of
+// flooding the server.
 type Client struct {
 	conn      net.Conn
 	br        *bufio.Reader // over conn; owned by readLoop after Dial
 	blockSize int
+	free      chan *call    // calls no caller holds
+	readDone  chan struct{} // closed when readLoop returns
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	credit      int
-	outstanding int
-	nextID      uint64
-	pending     map[uint64]chan Response
-	err         error
-	wmu         sync.Mutex
+	// wmu orders the callers: one at a time waits for credit, queues its
+	// call and writes its request. The reader never takes it.
+	wmu    sync.Mutex
+	nextID uint64
+
+	mu      sync.Mutex
+	cond    *sync.Cond // broadcast when credit frees or the connection fails
+	credit  int        // the last advertised window, clamped to [1, maxCredit]
+	err     error
+	queue   [maxCredit]*call // queue[head], … : the n unanswered requests, in wire order
+	head, n int
+}
+
+// call carries one request from Do to its reply; one caller holds it at a
+// time, from taking it off free to putting it back.
+type call struct {
+	id   uint64
+	resp Response
+	err  error
+	done chan struct{}
 }
 
 // Dial connects and performs the hello handshake. tenant is the
@@ -40,139 +59,131 @@ func Dial(addr, tenant string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	hello, err := Hello{Tenant: tenant}.Encode()
+	c, err := newClient(conn, tenant)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
+	return c, nil
+}
+
+// newClient performs the hello handshake over conn and starts the reader.
+func newClient(conn net.Conn, tenant string) (*Client, error) {
+	hello, err := Hello{Tenant: tenant}.Encode()
+	if err != nil {
+		return nil, err
+	}
 	if err := WriteFrame(conn, hello); err != nil {
-		conn.Close()
 		return nil, err
 	}
 	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	payload, err := ReadFrame(br)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	msg, err := Decode(payload)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	ack, ok := msg.(HelloAck)
+	ack, ok := readMsg(br).(HelloAck)
 	if !ok {
-		conn.Close()
-		return nil, fmt.Errorf("serve: handshake got %T", msg)
+		return nil, errors.New("serve: handshake got no HelloAck")
 	}
 	conn.SetReadDeadline(time.Time{})
-	c := &Client{
-		conn:      conn,
-		br:        br,
-		blockSize: int(ack.BlockSize),
-		credit:    int(ack.Credit),
-		pending:   make(map[uint64]chan Response),
-	}
-	if c.credit < 1 {
-		c.credit = 1
-	}
+	c := &Client{conn: conn, br: br, blockSize: int(ack.BlockSize), credit: clampCredit(ack.Credit),
+		free: make(chan *call, maxCredit), readDone: make(chan struct{})}
 	c.cond = sync.NewCond(&c.mu)
+	for range maxCredit {
+		c.free <- &call{done: make(chan struct{}, 1)}
+	}
 	go c.readLoop()
 	return c, nil
 }
 
+// clampCredit is an advertised window as the client obeys it.
+func clampCredit(credit uint16) int { return min(max(int(credit), 1), maxCredit) }
+
 // BlockSize is the server's block payload size.
 func (c *Client) BlockSize() int { return c.blockSize }
 
+// readLoop answers the oldest call with each reply until the connection
+// fails.
 func (c *Client) readLoop() {
+	defer close(c.readDone)
 	for {
-		payload, err := ReadFrame(c.br)
-		if err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrClientClosed, err))
-			return
-		}
-		msg, err := Decode(payload)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		resp, ok := msg.(Response)
-		if !ok {
-			c.fail(fmt.Errorf("serve: unexpected %T mid-stream", msg))
-			return
-		}
+		resp, ok := readMsg(c.br).(Response)
 		c.mu.Lock()
-		if ch, ok := c.pending[resp.ID]; ok {
-			delete(c.pending, resp.ID)
-			c.outstanding--
-			ch <- resp
+		if !ok || c.n == 0 || resp.ID != c.queue[c.head].id {
+			c.fail(fmt.Errorf("%w: connection broken or reply out of order", ErrClientClosed))
+			c.mu.Unlock()
+			return
 		}
-		if resp.Credit > 0 {
-			c.credit = int(resp.Credit)
-		}
+		cl := c.queue[c.head]
+		c.head, c.n = (c.head+1)%maxCredit, c.n-1
+		c.credit = clampCredit(resp.Credit)
+		cl.resp = resp
+		cl.done <- struct{}{}
 		c.cond.Broadcast()
 		c.mu.Unlock()
 	}
 }
 
+// fail ends the connection on its first failure: it closes the socket, so a
+// write in flight returns, and answers every queued call with err. c.mu is
+// held.
 func (c *Client) fail(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == nil {
-		c.err = err
+	if c.err != nil {
+		return
 	}
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		ch <- Response{ID: id, Status: StatusError, Data: []byte(err.Error())}
+	c.err = err
+	c.conn.Close()
+	for ; c.n > 0; c.n-- {
+		c.queue[c.head].err = err
+		c.queue[c.head].done <- struct{}{}
+		c.head = (c.head + 1) % maxCredit
 	}
-	c.outstanding = 0
 	c.cond.Broadcast()
 }
 
 // Do submits one request and blocks for its response, waiting first for
 // credit if the window is full. The ID field is assigned by the client.
 func (c *Client) Do(req Request) (Response, error) {
-	ch := make(chan Response, 1)
+	cl := <-c.free
+	defer func() { c.free <- cl }()
+	c.wmu.Lock()
+	req.ID = c.nextID + 1
+	frame, err := req.Encode()
+	if err != nil {
+		c.wmu.Unlock()
+		return Response{}, err
+	}
 	c.mu.Lock()
-	for c.err == nil && c.outstanding >= c.credit {
+	for c.err == nil && c.n >= c.credit {
 		c.cond.Wait()
 	}
-	if c.err != nil {
-		err := c.err
+	if err := c.err; err != nil {
 		c.mu.Unlock()
+		c.wmu.Unlock()
 		return Response{}, err
 	}
-	c.nextID++
-	req.ID = c.nextID
-	c.pending[req.ID] = ch
-	c.outstanding++
+	c.nextID = req.ID
+	cl.id, cl.resp, cl.err = req.ID, Response{}, nil
+	c.queue[(c.head+c.n)%maxCredit] = cl
+	c.n++
 	c.mu.Unlock()
-
-	b, err := req.Encode()
-	if err == nil {
-		c.wmu.Lock()
-		err = WriteFrame(c.conn, b)
-		c.wmu.Unlock()
-	}
+	err = WriteFrame(c.conn, frame)
+	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
-		if _, ok := c.pending[req.ID]; ok {
-			delete(c.pending, req.ID)
-			c.outstanding--
-			c.cond.Broadcast()
-		}
+		c.fail(fmt.Errorf("%w: %v", ErrClientClosed, err))
 		c.mu.Unlock()
-		return Response{}, err
 	}
-	return <-ch, nil
+	<-cl.done
+	return cl.resp, cl.err
 }
 
-// Close tears the connection down; in-flight Dos fail with ErrClientClosed.
+// Close tears the connection down and returns once the reader has exited;
+// in-flight and later Dos fail with ErrClientClosed unless the connection
+// had already failed.
 func (c *Client) Close() error {
-	err := c.conn.Close()
+	c.mu.Lock()
 	c.fail(ErrClientClosed)
-	return err
+	c.mu.Unlock()
+	<-c.readDone
+	return nil
 }
 
 // Doer submits one request and blocks for its response. *Client implements

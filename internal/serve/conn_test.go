@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -144,4 +146,178 @@ func FuzzServeConn(f *testing.F) {
 			t.Fatalf("Shutdown: %v", err)
 		}
 	})
+}
+
+// creditTap sits between a Client and its connection. It parses every frame
+// the client reads, keeping each reply's credit, and counts every request
+// the client writes (WriteFrame writes one frame a call). allowed is the
+// most requests any window received so far let the client have sent: the
+// HelloAck's credit, or j plus the credit of reply j. A client that obeys
+// each window as it reads it never writes request number allowed+1, and the
+// tap reads a window no later than the client does.
+type creditTap struct {
+	net.Conn
+	mu      sync.Mutex
+	in      []byte
+	credits []uint16
+	allowed int
+	sent    int
+	over    int // requests written past allowed
+}
+
+func (c *creditTap) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.in = append(c.in, p[:n]...)
+	for len(c.in) >= 4 && len(c.in) >= 4+int(binary.BigEndian.Uint32(c.in)) {
+		size := 4 + int(binary.BigEndian.Uint32(c.in))
+		switch m, _ := Decode(c.in[4:size]); m := m.(type) {
+		case HelloAck:
+			c.allowed = int(m.Credit)
+		case Response:
+			c.credits = append(c.credits, m.Credit)
+			c.allowed = max(c.allowed, len(c.credits)+int(m.Credit))
+		}
+		c.in = c.in[size:]
+	}
+	return n, err
+}
+
+func (c *creditTap) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	if len(p) > 4 && p[4] == MsgRequest {
+		if c.sent++; c.sent > c.allowed {
+			c.over++
+		}
+	}
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestServeCreditSlowStart checks the connection window over a real Server:
+// credit starts at 1 and doubles on each OK up to maxCredit; it halves,
+// never below 1, on a reply under admission pressure (OK or not) and on a
+// shed; and a Client never has more requests outstanding than the last
+// window it read, here with 48 callers while pressure comes and goes.
+func TestServeCreditSlowStart(t *testing.T) {
+	s, err := New(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	conn, done := serveOverPipe(s)
+	tap := &creditTap{Conn: conn}
+	cl, err := newClient(tap, "slow-start")
+	if err != nil {
+		t.Fatal(err)
+	}
+	adm := s.Admission()
+
+	// credit is the window slow start should give; step makes one request
+	// and checks its reply's credit.
+	credit := initialCredit
+	if tap.allowed != credit {
+		t.Fatalf("HelloAck credit %d, want %d", tap.allowed, credit)
+	}
+	step := func(req Request, pressure bool) byte {
+		t.Helper()
+		resp, err := cl.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status == StatusOK && !pressure {
+			credit = min(credit*2, maxCredit)
+		} else {
+			credit = max(credit/2, 1)
+		}
+		if int(resp.Credit) != credit {
+			t.Fatalf("%s reply (pressure %v): credit %d, want %d", StatusString(resp.Status), pressure, resp.Credit, credit)
+		}
+		return resp.Status
+	}
+	write := Request{Addr: 3, Write: true, Data: []byte("w")}
+	for i := 0; i < 8; i++ {
+		step(write, false)
+	}
+
+	// Pressure: admission depth held at the watermark by admits of the
+	// test's own. Requests are still accepted and answered OK.
+	held := 0
+	for ; !adm.Pressure(); held++ {
+		if adm.Admit(0, false) != Accepted {
+			t.Fatal("admission refused the depth hold")
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if st := step(write, true); st != StatusOK {
+			t.Fatalf("under pressure: %s, want ok", StatusString(st))
+		}
+	}
+	for ; held > 0; held-- {
+		adm.Done(0)
+	}
+	for i := 0; i < 4; i++ {
+		step(write, false)
+	}
+
+	// Sheds without pressure: retries spend the retry budget until it is
+	// gone, and then they shed.
+	retry := write
+	retry.Retry = true
+	for sheds := 0; sheds < 8; {
+		if step(retry, false) == StatusShed {
+			sheds++
+		}
+	}
+
+	// Many callers while pressure comes and goes.
+	stop := make(chan struct{})
+	toggled := make(chan struct{})
+	go func() {
+		defer close(toggled)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(300 * time.Microsecond):
+			}
+			n := 0
+			for ; !adm.Pressure(); n++ {
+				adm.Admit(0, false)
+			}
+			time.Sleep(300 * time.Microsecond)
+			for ; n > 0; n-- {
+				adm.Done(0)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < 48; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 40; j++ {
+				if _, err := cl.Do(Request{Addr: uint64(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-toggled
+
+	cl.Close()
+	<-done
+	waitDepthZero(t, s)
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	if tap.over != 0 {
+		t.Errorf("%d of %d requests sent past the window the client had read", tap.over, tap.sent)
+	}
+	if tap.sent != len(tap.credits) {
+		t.Errorf("%d requests sent, %d replies read", tap.sent, len(tap.credits))
+	}
 }

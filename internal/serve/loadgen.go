@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,8 +46,6 @@ type LoadReport struct {
 	Errors        uint64  `json:"errors"`
 	ElapsedSec    float64 `json:"elapsed_sec"`
 	GoodputPerSec float64 `json:"goodput_per_sec"`
-	P50MS         float64 `json:"p50_ms"`
-	P99MS         float64 `json:"p99_ms"`
 }
 
 // RunLoad runs the closed-loop generator to its op budget and reports.
@@ -73,7 +70,6 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 		rep     LoadReport
 		budget  atomic.Int64
 		mu      sync.Mutex
-		lats    []float64 // ms, successful ops only
 		firstEr error
 		wg      sync.WaitGroup
 	)
@@ -94,7 +90,6 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 			}
 			defer cl.Close()
 			r := rng.Stream(o.Seed, "loadgen/"+o.Tenant, w)
-			var myLats []float64
 			for budget.Add(-1) >= 0 {
 				req := Request{
 					Addr:       r.Uint64n(o.Space),
@@ -104,7 +99,6 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 					req.Write = true
 					req.Data = []byte(fmt.Sprintf("%-*d", loadPayload, r.Uint64n(1<<32)))
 				}
-				t0 := time.Now()
 				resp, err := cl.Do(req)
 				atomic.AddUint64(&rep.Offered, 1)
 				if err != nil {
@@ -119,7 +113,6 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 				switch resp.Status {
 				case StatusOK:
 					atomic.AddUint64(&rep.OK, 1)
-					myLats = append(myLats, float64(time.Since(t0).Microseconds())/1000)
 				case StatusShed:
 					atomic.AddUint64(&rep.Shed, 1)
 				case StatusDeadline:
@@ -131,20 +124,12 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 					atomic.AddUint64(&rep.Errors, 1)
 				}
 			}
-			mu.Lock()
-			lats = append(lats, myLats...)
-			mu.Unlock()
 		}(w)
 	}
 	wg.Wait()
 	rep.ElapsedSec = time.Since(start).Seconds()
 	if rep.ElapsedSec > 0 {
 		rep.GoodputPerSec = float64(rep.OK) / rep.ElapsedSec
-	}
-	if len(lats) > 0 {
-		sort.Float64s(lats)
-		rep.P50MS = lats[len(lats)/2]
-		rep.P99MS = lats[(len(lats)*99)/100]
 	}
 	return rep, firstEr
 }

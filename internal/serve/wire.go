@@ -194,7 +194,8 @@ func (r Response) Encode() ([]byte, error) {
 
 // Decode parses one message payload. It is total: any input either decodes
 // into one of the four message structs or returns ErrMalformed — never a
-// panic (FuzzWireDecode pins this).
+// panic (FuzzWireDecode pins this). A Request's or Response's Data is a view
+// into b, not a copy: ReadFrame returns a fresh payload for every frame.
 func Decode(b []byte) (any, error) {
 	if len(b) == 0 {
 		return nil, ErrMalformed
@@ -233,7 +234,7 @@ func Decode(b []byte) (any, error) {
 			DeadlineMS: binary.BigEndian.Uint32(b[18:22]),
 		}
 		if n > 0 {
-			r.Data = append([]byte(nil), b[24:]...)
+			r.Data = b[24:]
 		}
 		return r, nil
 	case MsgResponse:
@@ -250,7 +251,7 @@ func Decode(b []byte) (any, error) {
 			Credit: binary.BigEndian.Uint16(b[10:12]),
 		}
 		if n > 0 {
-			r.Data = append([]byte(nil), b[14:]...)
+			r.Data = b[14:]
 		}
 		return r, nil
 	}

@@ -908,18 +908,14 @@ func (p *Pipeline) rehomeAppend(sd int, blk oram.Block) (ack []byte, err error) 
 }
 
 // AsyncOp is one operation submitted to the streaming pipeline front
-// (Serve): the op plus a buffered channel that receives exactly one result
-// when the op retires. Every submitted op is answered — delivered, failed,
-// or failed-on-crash — before Serve returns.
+// (Serve): the op plus the channel that receives its one result when the op
+// retires. Every submitted op is answered — delivered, failed, or
+// failed-on-crash — before Serve returns. Ops may share a Done channel: it
+// then answers them in submission order, and it must be buffered for every
+// op submitted on it and not yet received, or delivery blocks the pipeline.
 type AsyncOp struct {
 	Op   BatchOp
 	Done chan BatchResult
-}
-
-// NewAsyncOp wraps op with a result channel sized so the pipeline never
-// blocks on delivery.
-func NewAsyncOp(op BatchOp) *AsyncOp {
-	return &AsyncOp{Op: op, Done: make(chan BatchResult, 1)}
 }
 
 // Serve is the pipeline's streaming front end: the channel feeder over run.

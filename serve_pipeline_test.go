@@ -44,8 +44,8 @@ func TestPipelineServePartialWaveNoStall(t *testing.T) {
 	_, _, in, done := serveCluster(t, nil, PipelineOptions{Window: 8})
 	ops := make([]*AsyncOp, 3)
 	for i := range ops {
-		ops[i] = NewAsyncOp(BatchOp{Addr: uint64(10 + i), Write: true,
-			Data: []byte(fmt.Sprintf("partial-%d", i))})
+		ops[i] = &AsyncOp{Op: BatchOp{Addr: uint64(10 + i), Write: true,
+			Data: []byte(fmt.Sprintf("partial-%d", i))}, Done: make(chan BatchResult, 1)}
 		in <- ops[i]
 	}
 	deadline := time.After(5 * time.Second) // generous; expected ~one wave
@@ -92,7 +92,7 @@ func TestPipelineServeMatchesSequential(t *testing.T) {
 	c, _, in, done := serveCluster(t, regSrv, PipelineOptions{Window: 8})
 	srvResults := make([]BatchResult, len(ops))
 	for i, op := range ops {
-		a := NewAsyncOp(op)
+		a := &AsyncOp{Op: op, Done: make(chan BatchResult, 1)}
 		in <- a
 		srvResults[i] = <-a.Done
 	}
@@ -115,8 +115,8 @@ func TestPipelineServeWindowBoundaryBursts(t *testing.T) {
 	for round := 0; round < 60; round++ {
 		n := 3 + round%3 // 3, 4, 5 ops: under, at, and over the window
 		for i := 0; i < n; i++ {
-			a := NewAsyncOp(BatchOp{Addr: addr % 64, Write: true,
-				Data: []byte(fmt.Sprintf("burst-%d", addr))})
+			a := &AsyncOp{Op: BatchOp{Addr: addr % 64, Write: true,
+				Data: []byte(fmt.Sprintf("burst-%d", addr))}, Done: make(chan BatchResult, 1)}
 			addr++
 			in <- a
 			acks = append(acks, a)
@@ -157,13 +157,13 @@ func TestPipelineServeConcurrentSmoke(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				addr := base + uint64(i%10)
 				want := []byte(fmt.Sprintf("g%d-i%d", g, i))
-				w := NewAsyncOp(BatchOp{Addr: addr, Write: true, Data: want})
+				w := &AsyncOp{Op: BatchOp{Addr: addr, Write: true, Data: want}, Done: make(chan BatchResult, 1)}
 				in <- w
 				if r := <-w.Done; r.Err != nil {
 					errs <- fmt.Errorf("client %d write %d: %v", g, i, r.Err)
 					return
 				}
-				rd := NewAsyncOp(BatchOp{Addr: addr})
+				rd := &AsyncOp{Op: BatchOp{Addr: addr}, Done: make(chan BatchResult, 1)}
 				in <- rd
 				r := <-rd.Done
 				if r.Err != nil {
@@ -214,8 +214,8 @@ func TestPipelineServeCrashFailsPending(t *testing.T) {
 	}()
 	sawCrash := false
 	for i := 0; i < 200 && !sawCrash; i++ {
-		a := NewAsyncOp(BatchOp{Addr: uint64(i % 16), Write: true,
-			Data: []byte(fmt.Sprintf("pre-crash-%d", i))})
+		a := &AsyncOp{Op: BatchOp{Addr: uint64(i % 16), Write: true,
+			Data: []byte(fmt.Sprintf("pre-crash-%d", i))}, Done: make(chan BatchResult, 1)}
 		in <- a
 		if r := <-a.Done; r.Err != nil {
 			if !errors.Is(r.Err, durable.ErrCrashed) {
@@ -229,7 +229,7 @@ func TestPipelineServeCrashFailsPending(t *testing.T) {
 	}
 	// Ops submitted after the crash must be answered (with the crash error),
 	// not dropped.
-	post := NewAsyncOp(BatchOp{Addr: 3})
+	post := &AsyncOp{Op: BatchOp{Addr: 3}, Done: make(chan BatchResult, 1)}
 	in <- post
 	if r := <-post.Done; !errors.Is(r.Err, durable.ErrCrashed) {
 		t.Fatalf("post-crash op = %v, want ErrCrashed", r.Err)
@@ -284,7 +284,7 @@ func TestPipelineDoServeEquivalence(t *testing.T) {
 			in := make(chan *AsyncOp, len(ops))
 			acks := make([]*AsyncOp, len(ops))
 			for i, op := range ops {
-				acks[i] = NewAsyncOp(op)
+				acks[i] = &AsyncOp{Op: op, Done: make(chan BatchResult, 1)}
 				in <- acks[i]
 			}
 			close(in)
