@@ -82,8 +82,11 @@ telemetry-smoke:
 # apparatus: sdimm-bench must refuse the names of the harnesses that once
 # stood beside it (exit 1, "unknown experiment"), as serve-smoke pins
 # sdimm-serve -bench, so a half-removed experiment or flag cannot linger.
+# One tiny run of every paper table with telemetry on fails on a broken
+# table or a telemetry merge of mismatched runs.
 bench-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
+	$(GO) run ./cmd/sdimm-bench -workloads milc -warmup 20 -measure 40 -levels 16 -csv -snapshot >/dev/null
 	! $(GO) run ./cmd/sdimm-bench -exp parbench
 	! $(GO) run ./cmd/sdimm-bench -exp recbench
 	! $(GO) run ./cmd/sdimm-bench -exp hotpath

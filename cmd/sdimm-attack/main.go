@@ -30,7 +30,7 @@ func main() {
 	)
 	flag.Parse()
 
-	proto, err := parseProtocol(*protoName)
+	proto, err := config.ParseProtocol(*protoName)
 	if err != nil {
 		fatal(err)
 	}
@@ -73,16 +73,6 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Println("verdict: indistinguishable within sampling noise")
-}
-
-func parseProtocol(s string) (config.Protocol, error) {
-	for _, p := range []config.Protocol{config.NonSecure, config.Freecursive,
-		config.Independent, config.Split, config.IndepSplit, config.Ring} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown protocol %q", s)
 }
 
 func fatal(err error) {

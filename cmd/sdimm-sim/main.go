@@ -15,7 +15,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"sdimm/internal/config"
 	"sdimm/internal/sim"
@@ -52,7 +51,7 @@ func main() {
 		return
 	}
 
-	proto, err := parseProtocol(*protoName)
+	proto, err := config.ParseProtocol(*protoName)
 	if err != nil {
 		fatal(err)
 	}
@@ -69,17 +68,10 @@ func main() {
 		tel = &sim.Telemetry{Registry: telemetry.NewRegistry(), Trace: *traceOut != ""}
 	}
 
-	// A comma-separated -workload list shards the runs across -parallel
-	// workers. Each run gets a private registry; the shards are merged in
-	// list order, so output and telemetry match a sequential run exactly.
-	if names := strings.Split(*workload, ","); len(names) > 1 {
-		if *replay != "" || *traceOut != "" {
-			fatal(fmt.Errorf("-replay and -trace need a single workload"))
-		}
-		runSharded(cfg, names, *parallel, tel, *telAddr, *telLog, *snapshot)
-		return
+	names := strings.Split(*workload, ",")
+	if len(names) > 1 && (*replay != "" || *traceOut != "") {
+		fatal(fmt.Errorf("-replay and -trace need a single workload"))
 	}
-
 	if *telAddr != "" {
 		addr, stop, err := telemetry.Serve(*telAddr, tel.Registry)
 		if err != nil {
@@ -93,34 +85,18 @@ func main() {
 		defer stop()
 	}
 
-	var res sim.Result
-	if *replay != "" {
-		f, err := os.Open(*replay)
-		if err != nil {
-			fatal(err)
-		}
-		recs, err := trace.Read(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		if cfg.WarmupAccesses+cfg.MeasureAccesses > len(recs) {
-			fatal(fmt.Errorf("trace has %d records, need %d", len(recs), cfg.WarmupAccesses+cfg.MeasureAccesses))
-		}
-		res, err = sim.RunTrace(cfg, *replay, recs[:cfg.WarmupAccesses+cfg.MeasureAccesses], nil, tel)
-		if err != nil {
-			fatal(err)
-		}
+	// A comma-separated -workload list shards the runs across -parallel
+	// workers. Each run gets a private registry; the shards are merged in
+	// list order, so output and telemetry match a sequential run exactly.
+	if len(names) > 1 {
+		runSharded(cfg, names, *parallel, tel)
 	} else {
-		var err error
-		res, err = sim.Run(cfg, *workload, tel)
+		res, err := runOne(cfg, *workload, *replay, tel)
 		if err != nil {
 			fatal(err)
 		}
+		printResult(res)
 	}
-
-	printResult(res)
-
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, tel.Tracer); err != nil {
 			fatal(err)
@@ -130,6 +106,28 @@ func main() {
 		fmt.Println()
 		tel.Registry.Snapshot().WriteText(os.Stdout)
 	}
+}
+
+// runOne runs cfg on a generated workload, or on the records of the trace
+// file replay when it is set.
+func runOne(cfg config.Config, workload, replay string, tel *sim.Telemetry) (sim.Result, error) {
+	if replay == "" {
+		return sim.Run(cfg, workload, tel)
+	}
+	f, err := os.Open(replay)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	recs, err := trace.Read(f)
+	f.Close()
+	if err != nil {
+		return sim.Result{}, err
+	}
+	n := cfg.WarmupAccesses + cfg.MeasureAccesses
+	if n > len(recs) {
+		return sim.Result{}, fmt.Errorf("trace has %d records, need %d", len(recs), n)
+	}
+	return sim.RunTrace(cfg, replay, recs[:n], nil, tel)
 }
 
 func printResult(res sim.Result) {
@@ -155,21 +153,7 @@ func printResult(res sim.Result) {
 // bounded worker pool. Per-shard results and registries land in
 // list-indexed slots and are printed/merged in list order after the pool
 // drains, so -parallel changes only the wall clock.
-func runSharded(cfg config.Config, names []string, parallel int, tel *sim.Telemetry, telAddr string, telLog time.Duration, snapshot bool) {
-	if tel != nil {
-		if telAddr != "" {
-			addr, stop, err := telemetry.Serve(telAddr, tel.Registry)
-			if err != nil {
-				fatal(err)
-			}
-			defer stop()
-			fmt.Fprintf(os.Stderr, "sdimm-sim: telemetry at http://%s (?text=1 for plain text)\n", addr)
-		}
-		if telLog != 0 {
-			stop := telemetry.StartLogger(tel.Registry, os.Stderr, telLog)
-			defer stop()
-		}
-	}
+func runSharded(cfg config.Config, names []string, parallel int, tel *sim.Telemetry) {
 	if parallel < 1 {
 		parallel = 1
 	}
@@ -205,10 +189,6 @@ func runSharded(cfg config.Config, names []string, parallel int, tel *sim.Teleme
 			tel.Registry.Merge(regs[i])
 		}
 	}
-	if snapshot {
-		fmt.Println()
-		tel.Registry.Snapshot().WriteText(os.Stdout)
-	}
 }
 
 // writeTrace exports the collected spans as Chrome trace-event JSON and
@@ -238,16 +218,6 @@ func writeTrace(path string, tr *telemetry.Tracer) error {
 	}
 	fmt.Printf("trace              %s (%d events, validated)\n", path, n)
 	return nil
-}
-
-func parseProtocol(s string) (config.Protocol, error) {
-	for _, p := range []config.Protocol{config.NonSecure, config.Freecursive,
-		config.Independent, config.Split, config.IndepSplit, config.Ring} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown protocol %q", s)
 }
 
 func fatal(err error) {

@@ -54,6 +54,16 @@ func (p Protocol) String() string {
 	return fmt.Sprintf("protocol(%d)", int(p))
 }
 
+// ParseProtocol is the inverse of String over the six protocols.
+func ParseProtocol(s string) (Protocol, error) {
+	for p := NonSecure; p <= Ring; p++ {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown protocol %q", s)
+}
+
 // Timing holds DDR3 device timing in memory-controller (command) clock
 // cycles. The simulator's base clock is the CPU clock; Org.CPUCyclesPerMemCycle
 // converts. Values follow DDR3-1600 (tCK = 1.25 ns) for an MT41J256M8-class

@@ -167,3 +167,15 @@ func TestDDR4RunsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestParseProtocolInvertsString(t *testing.T) {
+	for p := NonSecure; p <= Ring; p++ {
+		got, err := ParseProtocol(p.String())
+		if err != nil || got != p {
+			t.Errorf("ParseProtocol(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	if _, err := ParseProtocol("protocol(6)"); err == nil {
+		t.Error("unknown protocol name accepted")
+	}
+}

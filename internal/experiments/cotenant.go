@@ -24,11 +24,11 @@ func CoTenant(o Options) (*stats.Table, error) {
 
 	t := stats.NewTable("Co-tenant memory latency vs running alone",
 		"with-freecursive", "with-indep-sdimm")
+	alone, err := tenantAlone(o, tenantWorkload)
+	if err != nil {
+		return nil, err
+	}
 	for _, w := range o.Workloads {
-		alone, err := tenantAlone(o, tenantWorkload)
-		if err != nil {
-			return nil, err
-		}
 		shared, err := tenantWith(o, config.Freecursive, w, tenantWorkload)
 		if err != nil {
 			return nil, err
@@ -95,10 +95,7 @@ func tenantWith(o Options, p config.Protocol, secureWorkload, tenantWorkload str
 	if err != nil {
 		return 0, err
 	}
-	secureCore, err := cpusim.New(eng, backend, cpusim.Config{
-		LLCLines: cfg.LLCBytes / cfg.Org.LineBytes, LLCWays: cfg.LLCWays,
-		LLCLatency: cfg.LLCLatency, ROB: cfg.ROBSize,
-	}, secureRecs)
+	secureCore, err := cpusim.New(eng, backend, coreConfig(cfg), secureRecs)
 	if err != nil {
 		return 0, err
 	}
@@ -129,8 +126,13 @@ func tenantCore(eng *event.Engine, cfg config.Config, mem cpusim.Memory, workloa
 	if err != nil {
 		return nil, err
 	}
-	return cpusim.New(eng, mem, cpusim.Config{
+	return cpusim.New(eng, mem, coreConfig(cfg), recs)
+}
+
+// coreConfig is the core and LLC both tenants run on.
+func coreConfig(cfg config.Config) cpusim.Config {
+	return cpusim.Config{
 		LLCLines: cfg.LLCBytes / cfg.Org.LineBytes, LLCWays: cfg.LLCWays,
 		LLCLatency: cfg.LLCLatency, ROB: cfg.ROBSize,
-	}, recs)
+	}
 }

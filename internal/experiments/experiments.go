@@ -135,7 +135,8 @@ func runAll(jobs []job, o Options) (map[string]sim.Result, error) {
 
 // Campaign runs the full workload × backend grid — every configured
 // workload against every protocol at the given channel count — across the
-// worker pool and returns the per-run results keyed by Key. It is the
+// worker pool and returns the per-run results keyed
+// "<protocol>/<channels>ch/<workload>" (e.g. "split/2ch/mcf"). It is the
 // building block the determinism-equivalence suite compares across
 // Parallel settings, and the unit sdimm-bench shards when regenerating the
 // paper tables.
@@ -144,56 +145,100 @@ func Campaign(o Options, protos []config.Protocol, channels int) (map[string]sim
 	var jobs []job
 	for _, w := range o.Workloads {
 		for _, p := range protos {
-			jobs = append(jobs, job{key(p, channels, w), w, o.configFor(p, channels)})
+			jobs = append(jobs, job{design(p, channels).name + "/" + w, w, o.configFor(p, channels)})
 		}
 	}
 	return runAll(jobs, o)
 }
 
-// Key names one campaign run: protocol, channel count, workload.
-func Key(p config.Protocol, channels int, workload string) string {
-	return key(p, channels, workload)
+// run is one simulated design: a protocol at a channel count, optionally
+// with a named tweak of its config. Its name prefixes each of its job keys.
+type run struct {
+	name  string
+	p     config.Protocol
+	ch    int
+	tweak func(*config.Config)
 }
 
-func key(p config.Protocol, ch int, w string) string {
-	return fmt.Sprintf("%v/%dch/%s", p, ch, w)
+// design is the untweaked run of protocol p on ch channels.
+func design(p config.Protocol, ch int) run {
+	return run{name: fmt.Sprintf("%v/%dch", p, ch), p: p, ch: ch}
 }
 
-// Fig6 reproduces Figure 6: the slowdown of Freecursive ORAM relative to a
-// non-secure memory system, for 1 and 2 channels, plus the accessORAM-per-
-// LLC-miss ratio the paper reports (~1.4).
-func Fig6(o Options) (*stats.Table, error) {
+// column is one table column: a metric of run of, divided by the same
+// metric of run ref unless ref is the zero run.
+type column struct {
+	name    string
+	of, ref run
+	metric  func(sim.Result) float64
+}
+
+// table is one paper table: the runs it simulates on every workload and the
+// columns filled from them. runs is the job order, which a merged
+// Options.Telemetry shows (the last job's gauges win), so it is listed, not
+// derived from the columns.
+type table struct {
+	title string
+	runs  []run
+	cols  []column
+}
+
+// build runs every run of the table on every workload in one runAll and
+// fills one row per workload.
+func (tb table) build(o Options) (*stats.Table, error) {
 	o = o.withDefaults()
 	var jobs []job
 	for _, w := range o.Workloads {
-		for _, ch := range []int{1, 2} {
-			jobs = append(jobs,
-				job{key(config.NonSecure, ch, w), w, o.configFor(config.NonSecure, ch)},
-				job{key(config.Freecursive, ch, w), w, o.configFor(config.Freecursive, ch)})
+		for _, r := range tb.runs {
+			cfg := o.configFor(r.p, r.ch)
+			if r.tweak != nil {
+				r.tweak(&cfg)
+			}
+			jobs = append(jobs, job{r.name + "/" + w, w, cfg})
 		}
 	}
 	res, err := runAll(jobs, o)
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("Figure 6: Freecursive slowdown vs non-secure",
-		"slowdown-1ch", "slowdown-2ch", "accessORAM/miss")
+	names := make([]string, len(tb.cols))
+	for i, c := range tb.cols {
+		names[i] = c.name
+	}
+	t := stats.NewTable(tb.title, names...)
 	for _, w := range o.Workloads {
-		for _, ch := range []int{1, 2} {
-			ns := res[key(config.NonSecure, ch, w)]
-			fc := res[key(config.Freecursive, ch, w)]
-			t.Set(w, fmt.Sprintf("slowdown-%dch", ch),
-				float64(fc.MeasuredCycles)/float64(ns.MeasuredCycles))
+		for _, c := range tb.cols {
+			v := c.metric(res[c.of.name+"/"+w])
+			if c.ref.name != "" {
+				v /= c.metric(res[c.ref.name+"/"+w])
+			}
+			t.Set(w, c.name, v)
 		}
-		t.Set(w, "accessORAM/miss", res[key(config.Freecursive, 1, w)].AccessesPerMiss)
 	}
 	return t, nil
+}
+
+// The metrics the tables report.
+func cycles(r sim.Result) float64        { return float64(r.MeasuredCycles) }
+func energyPerMiss(r sim.Result) float64 { return r.EnergyPerMiss }
+func missLatency(r sim.Result) float64   { return r.AvgMissLatency }
+
+// Fig6 reproduces Figure 6: the slowdown of Freecursive ORAM relative to a
+// non-secure memory system, for 1 and 2 channels, plus the accessORAM-per-
+// LLC-miss ratio the paper reports (~1.4).
+func Fig6(o Options) (*stats.Table, error) {
+	ns1, fc1 := design(config.NonSecure, 1), design(config.Freecursive, 1)
+	ns2, fc2 := design(config.NonSecure, 2), design(config.Freecursive, 2)
+	return table{"Figure 6: Freecursive slowdown vs non-secure", []run{ns1, fc1, ns2, fc2}, []column{
+		{"slowdown-1ch", fc1, ns1, cycles},
+		{"slowdown-2ch", fc2, ns2, cycles},
+		{"accessORAM/miss", fc1, run{}, func(r sim.Result) float64 { return r.AccessesPerMiss }},
+	}}.build(o)
 }
 
 // Fig8 reproduces Figure 8: normalized execution time of the single-channel
 // SDIMM designs (INDEP-2, SPLIT-2) relative to single-channel Freecursive.
 func Fig8(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
 	return normalizedTime(o, 1, []config.Protocol{config.Independent, config.Split},
 		"Figure 8: single-channel normalized execution time")
 }
@@ -201,127 +246,61 @@ func Fig8(o Options) (*stats.Table, error) {
 // Fig9 reproduces Figure 9: normalized execution time of the double-channel
 // designs (INDEP-4, SPLIT-4, INDEP-SPLIT) relative to 2-channel Freecursive.
 func Fig9(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
 	return normalizedTime(o, 2,
 		[]config.Protocol{config.Independent, config.Split, config.IndepSplit},
 		"Figure 9: double-channel normalized execution time")
 }
 
 func normalizedTime(o Options, channels int, protos []config.Protocol, title string) (*stats.Table, error) {
-	var jobs []job
-	for _, w := range o.Workloads {
-		jobs = append(jobs, job{key(config.Freecursive, channels, w), w, o.configFor(config.Freecursive, channels)})
-		for _, p := range protos {
-			jobs = append(jobs, job{key(p, channels, w), w, o.configFor(p, channels)})
-		}
+	base := design(config.Freecursive, channels)
+	tb := table{title: title, runs: []run{base}}
+	for _, p := range protos {
+		r := design(p, channels)
+		tb.runs = append(tb.runs, r)
+		tb.cols = append(tb.cols, column{p.String(), r, base, cycles})
 	}
-	res, err := runAll(jobs, o)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]string, len(protos))
-	for i, p := range protos {
-		cols[i] = p.String()
-	}
-	t := stats.NewTable(title, cols...)
-	for _, w := range o.Workloads {
-		base := res[key(config.Freecursive, channels, w)]
-		for _, p := range protos {
-			r := res[key(p, channels, w)]
-			t.Set(w, p.String(), float64(r.MeasuredCycles)/float64(base.MeasuredCycles))
-		}
-	}
-	return t, nil
+	return tb.build(o)
 }
 
 // Fig10 reproduces Figure 10: memory energy per access normalized to the
 // non-secure baseline, for Freecursive and the best SDIMM design on each
 // channel count (SPLIT-2 and INDEP-SPLIT in the paper).
 func Fig10(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	type cfgRow struct {
-		name string
-		p    config.Protocol
-		ch   int
-	}
-	rows := []cfgRow{
-		{"freecursive-1ch", config.Freecursive, 1},
-		{"split2-1ch", config.Split, 1},
-		{"freecursive-2ch", config.Freecursive, 2},
-		{"indep-split-2ch", config.IndepSplit, 2},
-	}
-	var jobs []job
-	for _, w := range o.Workloads {
-		for _, ch := range []int{1, 2} {
-			jobs = append(jobs, job{key(config.NonSecure, ch, w), w, o.configFor(config.NonSecure, ch)})
-		}
-		for _, r := range rows {
-			jobs = append(jobs, job{key(r.p, r.ch, w), w, o.configFor(r.p, r.ch)})
-		}
-	}
-	res, err := runAll(jobs, o)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]string, len(rows))
-	for i, r := range rows {
-		cols[i] = r.name
-	}
-	t := stats.NewTable("Figure 10: memory energy overhead vs non-secure", cols...)
-	for _, w := range o.Workloads {
-		for _, r := range rows {
-			ns := res[key(config.NonSecure, r.ch, w)]
-			pr := res[key(r.p, r.ch, w)]
-			t.Set(w, r.name, pr.EnergyPerMiss/ns.EnergyPerMiss)
-		}
-	}
-	return t, nil
+	ns1, fc1, s1 := design(config.NonSecure, 1), design(config.Freecursive, 1), design(config.Split, 1)
+	ns2, fc2, is2 := design(config.NonSecure, 2), design(config.Freecursive, 2), design(config.IndepSplit, 2)
+	return table{"Figure 10: memory energy overhead vs non-secure", []run{ns1, ns2, fc1, s1, fc2, is2}, []column{
+		{"freecursive-1ch", fc1, ns1, energyPerMiss},
+		{"split2-1ch", s1, ns1, energyPerMiss},
+		{"freecursive-2ch", fc2, ns2, energyPerMiss},
+		{"indep-split-2ch", is2, ns2, energyPerMiss},
+	}}.build(o)
 }
 
 // Fig11 reproduces Figure 11: normalized execution time (best SDIMM design
 // vs Freecursive) across ORAM tree depths, with and without the on-chip
 // ORAM cache. Columns are labelled L<levels>[-nc].
 func Fig11(o Options, levels []int) (*stats.Table, error) {
-	o = o.withDefaults()
 	if len(levels) == 0 {
 		levels = []int{20, 22, 24, 26, 28}
 	}
-	var jobs []job
-	for _, w := range o.Workloads {
-		for _, l := range levels {
-			for _, cached := range []int{7, 0} {
-				for _, p := range []config.Protocol{config.Freecursive, config.Split} {
-					cfg := o.configFor(p, 1)
-					cfg.ORAM.Levels = l
-					cfg.ORAM.CachedLevels = cached
-					jobs = append(jobs, job{fmt.Sprintf("%v/L%d/c%d/%s", p, l, cached, w), w, cfg})
-				}
-			}
-		}
-	}
-	res, err := runAll(jobs, o)
-	if err != nil {
-		return nil, err
-	}
-	var cols []string
+	tb := table{title: "Figure 11: normalized time (SPLIT-2 vs Freecursive) across ORAM depth"}
 	for _, l := range levels {
-		cols = append(cols, fmt.Sprintf("L%d", l), fmt.Sprintf("L%d-nc", l))
-	}
-	t := stats.NewTable("Figure 11: normalized time (SPLIT-2 vs Freecursive) across ORAM depth", cols...)
-	for _, w := range o.Workloads {
-		for _, l := range levels {
-			for _, cached := range []int{7, 0} {
-				base := res[fmt.Sprintf("%v/L%d/c%d/%s", config.Freecursive, l, cached, w)]
-				sp := res[fmt.Sprintf("%v/L%d/c%d/%s", config.Split, l, cached, w)]
-				col := fmt.Sprintf("L%d", l)
-				if cached == 0 {
-					col += "-nc"
-				}
-				t.Set(w, col, float64(sp.MeasuredCycles)/float64(base.MeasuredCycles))
+		for _, cached := range []int{7, 0} {
+			at := func(p config.Protocol) run {
+				return run{fmt.Sprintf("%v/L%d/c%d", p, l, cached), p, 1, func(c *config.Config) {
+					c.ORAM.Levels, c.ORAM.CachedLevels = l, cached
+				}}
 			}
+			fc, sp := at(config.Freecursive), at(config.Split)
+			col := fmt.Sprintf("L%d", l)
+			if cached == 0 {
+				col += "-nc"
+			}
+			tb.runs = append(tb.runs, fc, sp)
+			tb.cols = append(tb.cols, column{col, sp, fc, cycles})
 		}
 	}
-	return t, nil
+	return tb.build(o)
 }
 
 // Fig13a reproduces Figure 13a: the probability a transfer queue of the
@@ -376,32 +355,14 @@ func Fig13b(probs []float64, sizes []int) ([]stats.Series, error) {
 // OffDIMM reproduces the off-DIMM traffic numbers of Section IV-B: host-
 // channel bytes per accessORAM as a fraction of the Freecursive baseline.
 func OffDIMM(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	var jobs []job
-	for _, w := range o.Workloads {
-		jobs = append(jobs,
-			job{key(config.Freecursive, 1, w), w, o.configFor(config.Freecursive, 1)},
-			job{key(config.Independent, 1, w), w, o.configFor(config.Independent, 1)},
-			job{key(config.Split, 1, w), w, o.configFor(config.Split, 1)},
-			job{key(config.Independent, 2, w), w, o.configFor(config.Independent, 2)})
-	}
-	res, err := runAll(jobs, o)
-	if err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Off-DIMM traffic fraction vs Freecursive",
-		"indep-2", "split-2", "indep-4")
-	for _, w := range o.Workloads {
-		base := res[key(config.Freecursive, 1, w)]
-		perBase := float64(base.HostBytes) / float64(base.AccessORAMs)
-		set := func(col string, r sim.Result) {
-			t.Set(w, col, (float64(r.HostBytes)/float64(r.AccessORAMs))/perBase)
-		}
-		set("indep-2", res[key(config.Independent, 1, w)])
-		set("split-2", res[key(config.Split, 1, w)])
-		set("indep-4", res[key(config.Independent, 2, w)])
-	}
-	return t, nil
+	fc1, i1, s1, i2 := design(config.Freecursive, 1), design(config.Independent, 1),
+		design(config.Split, 1), design(config.Independent, 2)
+	perAccess := func(r sim.Result) float64 { return float64(r.HostBytes) / float64(r.AccessORAMs) }
+	return table{"Off-DIMM traffic fraction vs Freecursive", []run{fc1, i1, s1, i2}, []column{
+		{"indep-2", i1, fc1, perAccess},
+		{"split-2", s1, fc1, perAccess},
+		{"indep-4", i2, fc1, perAccess},
+	}}.build(o)
 }
 
 // Ring compares the ring-eviction backend against Independent at one
@@ -411,79 +372,34 @@ func OffDIMM(o Options) (*stats.Table, error) {
 // traffic drops well below Independent's full read+write paths while the
 // host-visible wire shape stays identical.
 func Ring(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	var jobs []job
-	for _, w := range o.Workloads {
-		jobs = append(jobs,
-			job{key(config.Independent, 1, w), w, o.configFor(config.Independent, 1)},
-			job{key(config.Ring, 1, w), w, o.configFor(config.Ring, 1)})
-	}
-	res, err := runAll(jobs, o)
-	if err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Ring eviction vs Independent (1ch)", "rel-time", "local-bytes")
-	for _, w := range o.Workloads {
-		base := res[key(config.Independent, 1, w)]
-		r := res[key(config.Ring, 1, w)]
-		t.Set(w, "rel-time", r.CyclesPerMiss()/base.CyclesPerMiss())
-		t.Set(w, "local-bytes", float64(r.LocalBytes)/float64(base.LocalBytes))
-	}
-	return t, nil
+	i1, r1 := design(config.Independent, 1), design(config.Ring, 1)
+	return table{"Ring eviction vs Independent (1ch)", []run{i1, r1}, []column{
+		{"rel-time", r1, i1, sim.Result.CyclesPerMiss},
+		{"local-bytes", r1, i1, func(r sim.Result) float64 { return float64(r.LocalBytes) }},
+	}}.build(o)
 }
 
 // Latency reproduces the Section IV-B latency claim: average LLC-miss
 // latency of SPLIT-4 and INDEP-SPLIT relative to 2-channel Freecursive
 // (the paper reports reductions of 41% and 63%).
 func Latency(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	var jobs []job
-	for _, w := range o.Workloads {
-		jobs = append(jobs,
-			job{key(config.Freecursive, 2, w), w, o.configFor(config.Freecursive, 2)},
-			job{key(config.Split, 2, w), w, o.configFor(config.Split, 2)},
-			job{key(config.IndepSplit, 2, w), w, o.configFor(config.IndepSplit, 2)})
-	}
-	res, err := runAll(jobs, o)
-	if err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Relative LLC-miss latency vs 2ch Freecursive", "split-4", "indep-split")
-	for _, w := range o.Workloads {
-		base := res[key(config.Freecursive, 2, w)]
-		t.Set(w, "split-4", res[key(config.Split, 2, w)].AvgMissLatency/base.AvgMissLatency)
-		t.Set(w, "indep-split", res[key(config.IndepSplit, 2, w)].AvgMissLatency/base.AvgMissLatency)
-	}
-	return t, nil
+	fc2, s2, is2 := design(config.Freecursive, 2), design(config.Split, 2), design(config.IndepSplit, 2)
+	return table{"Relative LLC-miss latency vs 2ch Freecursive", []run{fc2, s2, is2}, []column{
+		{"split-4", s2, fc2, missLatency},
+		{"indep-split", is2, fc2, missLatency},
+	}}.build(o)
 }
 
 // LowPower reproduces the Section III-E claim: the rank-per-subtree layout
 // costs at most a few percent of performance (the paper says ≤ 4%) while
 // enabling rank power-down.
 func LowPower(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	var jobs []job
-	for _, w := range o.Workloads {
-		on := o.configFor(config.Independent, 1)
-		off := o.configFor(config.Independent, 1)
-		off.LowPower = false
-		jobs = append(jobs,
-			job{"lp-on/" + w, w, on},
-			job{"lp-off/" + w, w, off})
-	}
-	res, err := runAll(jobs, o)
-	if err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Low-power layout: perf cost and background saving",
-		"time-ratio", "bg-energy-ratio")
-	for _, w := range o.Workloads {
-		on := res["lp-on/"+w]
-		off := res["lp-off/"+w]
-		t.Set(w, "time-ratio", float64(on.MeasuredCycles)/float64(off.MeasuredCycles))
-		t.Set(w, "bg-energy-ratio", on.Energy.Background/off.Energy.Background)
-	}
-	return t, nil
+	on := run{name: "lp-on", p: config.Independent, ch: 1}
+	off := run{"lp-off", config.Independent, 1, func(c *config.Config) { c.LowPower = false }}
+	return table{"Low-power layout: perf cost and background saving", []run{on, off}, []column{
+		{"time-ratio", on, off, cycles},
+		{"bg-energy-ratio", on, off, func(r sim.Result) float64 { return r.Energy.Background }},
+	}}.build(o)
 }
 
 // Area reports the secure-buffer area estimate (Section IV-B).
@@ -494,23 +410,11 @@ func Area() sdimm.AreaEstimate { return sdimm.Area() }
 // Section IV-C models (Figure 13): with the drain policy on, neither the
 // normal stash nor the transfer queue should approach its capacity.
 func Overflow(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	var jobs []job
-	for _, w := range o.Workloads {
-		jobs = append(jobs, job{key(config.Independent, 2, w), w, o.configFor(config.Independent, 2)})
-	}
-	res, err := runAll(jobs, o)
-	if err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Independent protocol: stash / transfer-queue maxima",
-		"stash-peak", "transfer-peak", "overflows", "extra-drains")
-	for _, w := range o.Workloads {
-		r := res[key(config.Independent, 2, w)]
-		t.Set(w, "stash-peak", float64(r.Backend.StashPeak))
-		t.Set(w, "transfer-peak", float64(r.Backend.TransferPeak))
-		t.Set(w, "overflows", float64(r.Backend.TransferOverflows))
-		t.Set(w, "extra-drains", float64(r.Backend.ExtraDrains))
-	}
-	return t, nil
+	i2 := design(config.Independent, 2)
+	return table{"Independent protocol: stash / transfer-queue maxima", []run{i2}, []column{
+		{"stash-peak", i2, run{}, func(r sim.Result) float64 { return float64(r.Backend.StashPeak) }},
+		{"transfer-peak", i2, run{}, func(r sim.Result) float64 { return float64(r.Backend.TransferPeak) }},
+		{"overflows", i2, run{}, func(r sim.Result) float64 { return float64(r.Backend.TransferOverflows) }},
+		{"extra-drains", i2, run{}, func(r sim.Result) float64 { return float64(r.Backend.ExtraDrains) }},
+	}}.build(o)
 }

@@ -130,3 +130,30 @@ func TestCampaignErrorDeterminism(t *testing.T) {
 		t.Errorf("error nondeterministic across Parallel: %q vs %q", seq, par)
 	}
 }
+
+// TestCampaignMergesEveryBackendTelemetry pins that runs of all six backends
+// merge into one registry: every backend's miss-latency histogram has the
+// same shape, and the merged count is the sum of the runs' own counts.
+func TestCampaignMergesEveryBackendTelemetry(t *testing.T) {
+	o := Options{Warmup: 20, Measure: 40, Levels: 16, Seed: 1, Parallel: 2,
+		Workloads: []string{"milc"}, Telemetry: telemetry.NewRegistry()}
+	res, err := Campaign(o, []config.Protocol{config.NonSecure, config.Freecursive,
+		config.Independent, config.Split, config.IndepSplit, config.Ring}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 6 {
+		t.Fatalf("campaign returned %d results, want 6", len(res))
+	}
+	var want uint64
+	for _, r := range res {
+		want += r.Backend.MissLatency.N()
+	}
+	h, ok := o.Telemetry.Snapshot().Histograms["protocol.miss_latency"]
+	if !ok {
+		t.Fatal("protocol.miss_latency not merged")
+	}
+	if h.N != want || want == 0 {
+		t.Fatalf("merged protocol.miss_latency count %d, runs sum to %d", h.N, want)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"sdimm/internal/config"
 	"sdimm/internal/dram"
 	"sdimm/internal/event"
-	"sdimm/internal/stats"
 )
 
 // TenantMem is the memory system of a non-secure co-tenant VM sharing a
@@ -31,6 +30,16 @@ type TenantMem struct {
 	st BackendStats
 }
 
+// NewNonSecure builds the insecure baseline: the tenant memory with the
+// machine to itself, each LLC miss one DRAM line access striped across the
+// host channels.
+func NewNonSecure(eng *event.Engine, cfg config.Config) (*TenantMem, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return NewTenantOnChannels(eng, cfg.Org, hostChannels(eng, cfg))
+}
+
 // NewTenantOnChannels attaches the tenant to existing bank-modelled
 // channels (shared with the ORAM backend that owns them).
 func NewTenantOnChannels(eng *event.Engine, org config.Org, chans []*dram.Channel) (*TenantMem, error) {
@@ -38,7 +47,7 @@ func NewTenantOnChannels(eng *event.Engine, org config.Org, chans []*dram.Channe
 		return nil, errors.New("protocol: tenant needs at least one channel")
 	}
 	t := &TenantMem{eng: eng, chans: chans}
-	t.st.MissLatency = stats.NewHistogram(64, 4096)
+	t.st.MissLatency = newMissLatency()
 	for _, ch := range chans {
 		t.mappers = append(t.mappers, dram.NewMapper(org, ch.Ranks()))
 	}
@@ -52,7 +61,7 @@ func NewTenantOnLinks(eng *event.Engine, cfg config.Config, links []*dram.Link) 
 		return nil, errors.New("protocol: tenant needs at least one link")
 	}
 	t := &TenantMem{eng: eng, links: links}
-	t.st.MissLatency = stats.NewHistogram(64, 4096)
+	t.st.MissLatency = newMissLatency()
 	for i := range links {
 		ch := dram.NewChannel(eng, "lrdimm"+string(rune('0'+i)), cfg.Org, cfg.Timing, cfg.Org.RanksPerDIMM)
 		t.chans = append(t.chans, ch)

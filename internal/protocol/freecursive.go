@@ -9,7 +9,6 @@ import (
 	"sdimm/internal/freecursive"
 	"sdimm/internal/oram"
 	"sdimm/internal/rng"
-	"sdimm/internal/stats"
 )
 
 // request is one pending line operation.
@@ -68,10 +67,8 @@ func NewFreecursive(eng *event.Engine, cfg config.Config) (*FreecursiveBackend, 
 		engine: engine,
 		enc:    event.Time(cfg.ORAM.EncLatency),
 	}
-	b.st.MissLatency = stats.NewHistogram(256, 4096)
-	for c := 0; c < cfg.Org.Channels; c++ {
-		b.chans = append(b.chans, dram.NewChannel(eng, chName(c), cfg.Org, cfg.Timing, cfg.Org.RanksPerChannel()))
-	}
+	b.st.MissLatency = newMissLatency()
+	b.chans = hostChannels(eng, cfg)
 	layout, err := buildLayout(cfg, cfg.ORAM.Levels, cfg.ORAM.LinesPerBucket(), 0)
 	if err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ import (
 	"sdimm/internal/freecursive"
 	"sdimm/internal/oram"
 	"sdimm/internal/rng"
-	"sdimm/internal/stats"
 	"sdimm/internal/telemetry"
 )
 
@@ -96,7 +95,7 @@ func newSDIMMFront(eng *event.Engine, cfg config.Config, posSalt uint64) (*sdimm
 		rnd: rng.New(cfg.Seed ^ posSalt),
 		enc: event.Time(cfg.ORAM.EncLatency),
 	}
-	f.st.MissLatency = stats.NewHistogram(256, 4096)
+	f.st.MissLatency = newMissLatency()
 	for c := 0; c < cfg.Org.Channels; c++ {
 		f.links = append(f.links, dram.NewLink(eng, cfg.Org, cfg.Timing))
 	}

@@ -2,7 +2,8 @@
 // evaluates (the paper's Figure 7, its two baselines, and a ring-eviction
 // variant), each as a cpusim.Memory:
 //
-//   - NonSecure: LLC misses go straight to DRAM (the insecure reference).
+//   - TenantMem over the host channels (NewNonSecure): LLC misses go
+//     straight to DRAM (the insecure reference; cotenant.go).
 //   - FreecursiveBackend: CPU-side Freecursive ORAM striped over the host
 //     channels — the paper's baseline.
 //   - IndependentBackend (NewIndependent): one whole ORAM per SDIMM; the
@@ -72,6 +73,20 @@ type BackendStats struct {
 	StashPeak         int
 	TransferPeak      int
 	TransferOverflows uint64
+}
+
+// newMissLatency is every backend's miss-latency histogram, in CPU cycles.
+// One shape for all, so the histograms of runs on different backends merge
+// into one telemetry registry.
+func newMissLatency() *stats.Histogram { return stats.NewHistogram(256, 4096) }
+
+// hostChannels builds the bank-modelled host channels A-host, B-host, ….
+func hostChannels(eng *event.Engine, cfg config.Config) []*dram.Channel {
+	chans := make([]*dram.Channel, cfg.Org.Channels)
+	for c := range chans {
+		chans[c] = dram.NewChannel(eng, string(rune('A'+c))+"-host", cfg.Org, cfg.Timing, cfg.Org.RanksPerChannel())
+	}
+	return chans
 }
 
 // treeMem issues ORAM path traffic against one set of DRAM channels. For

@@ -7,15 +7,16 @@ import (
 	"sdimm/internal/raceflag"
 )
 
-// TestServeRoundTripAllocBudget holds one served round trip at 10 objects
-// for a write and 11 for a read, counted over both ends of the wire in one
+// TestServeRoundTripAllocBudget holds one served round trip at 8 objects
+// for a write and 9 for a read, counted over both ends of the wire in one
 // process as the benchmark runs them: a warm client's Do over loopback TCP,
 // through admission and the pipeline, and back. Each end still encodes,
 // frames, reads and boxes a decoded message per frame; a read adds the
 // payload the pipeline hands back. The client's reusable calls and Decode's
 // views into the frame took off three: 13 and 14 when each Do made a result
-// channel (two objects) and Decode copied the payload. Part of `make
-// alloc-gates`.
+// channel (two objects) and Decode copied the payload. Peeking each frame's
+// length from the bufio.Reader took off two more, one header per end. Part
+// of `make alloc-gates`.
 func TestServeRoundTripAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc gates run without -race")
@@ -33,8 +34,8 @@ func TestServeRoundTripAllocBudget(t *testing.T) {
 		req    Request
 		budget float64
 	}{
-		{"write", Request{Addr: 5, Write: true, Data: payload}, 10},
-		{"read", Request{Addr: 5}, 11},
+		{"write", Request{Addr: 5, Write: true, Data: payload}, 8},
+		{"read", Request{Addr: 5}, 9},
 	} {
 		do := func() {
 			if resp, err := cl.Do(tc.req); err != nil || resp.Status != StatusOK {

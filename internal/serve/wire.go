@@ -13,6 +13,7 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -116,13 +117,28 @@ func WriteFrame(w io.Writer, payload []byte) error {
 }
 
 // ReadFrame reads one length-prefixed payload. Hand it a bufio.Reader over a
-// connection, not the connection, or each frame costs two reads.
+// connection, not the connection: from a bufio.Reader the length is peeked
+// in place, from any other reader each frame costs two reads and a header on
+// the heap.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+	var n uint32
+	if br, ok := r.(*bufio.Reader); ok {
+		hdr, err := br.Peek(4)
+		if err != nil {
+			if err == io.EOF && len(hdr) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		n = binary.BigEndian.Uint32(hdr)
+		br.Discard(4)
+	} else {
+		var hdr [4]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil, err
+		}
+		n = binary.BigEndian.Uint32(hdr[:])
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}

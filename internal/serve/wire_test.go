@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -77,6 +79,36 @@ func TestWireFraming(t *testing.T) {
 	// Hostile length prefix.
 	if _, err := ReadFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); err != ErrFrameTooLarge {
 		t.Fatalf("oversized frame err = %v", err)
+	}
+}
+
+// TestReadFrameErrorsAnyReader pins that a bufio.Reader, whose length
+// ReadFrame peeks, and a plain reader end a stream with the same errors.
+func TestReadFrameErrorsAnyReader(t *testing.T) {
+	frame := []byte{0, 0, 0, 2, 7, 8}
+	for _, tc := range []struct {
+		in   []byte
+		want error
+	}{
+		{nil, io.EOF},
+		{frame[:3], io.ErrUnexpectedEOF},
+		{frame[:5], io.ErrUnexpectedEOF},
+		{[]byte{0xff, 0xff, 0xff, 0xff}, ErrFrameTooLarge},
+	} {
+		for _, r := range []io.Reader{bytes.NewReader(tc.in), bufio.NewReader(bytes.NewReader(tc.in))} {
+			if _, err := ReadFrame(r); err != tc.want {
+				t.Errorf("%T over % x: err = %v, want %v", r, tc.in, err, tc.want)
+			}
+		}
+	}
+	br := bufio.NewReader(bytes.NewReader(append(frame, frame...)))
+	for i := 0; i < 2; i++ {
+		if got, err := ReadFrame(br); err != nil || !bytes.Equal(got, frame[4:]) {
+			t.Fatalf("frame %d = %v, %v", i, got, err)
+		}
+	}
+	if _, err := ReadFrame(br); err != io.EOF {
+		t.Fatalf("after the last frame err = %v, want io.EOF", err)
 	}
 }
 
