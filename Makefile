@@ -118,7 +118,7 @@ blame:
 # These run without -race on purpose — race instrumentation allocates, so the
 # gate tests skip themselves under it (see internal/raceflag).
 alloc-gates:
-	$(GO) test -run 'ZeroAlloc|AllocBudget|AddNoAllocs' -count=1 . ./internal/ctrmode ./internal/seccomm ./internal/fault ./internal/oram ./internal/durable ./internal/event ./internal/dram ./internal/sim ./internal/serve
+	$(GO) test -run 'ZeroAlloc|AllocBudget|AddNoAllocs|HotPathAllocs' -count=1 . ./internal/ctrmode ./internal/seccomm ./internal/fault ./internal/oram ./internal/durable ./internal/event ./internal/dram ./internal/sim ./internal/serve ./internal/telemetry
 
 # CPU and heap profiles of the access hot path, for digging into a
 # regression the alloc gates or the benchmark surfaced: the sequential
@@ -160,6 +160,9 @@ profile-sim:
 # the default minute. FuzzClientConn is its mirror: arbitrary server bytes
 # after a valid HelloAck at any credit, with concurrent callers: no panic,
 # every Do returns once the server closes, and no goroutine is left behind.
+# FuzzHistogram adds arbitrary uint64 samples to the one histogram layout:
+# every value lands in the array, quantiles sit within 1/32 above the exact
+# order statistic, and two merged halves equal the whole.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalAccess -fuzztime=20s ./internal/sdimm
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalResponse -fuzztime=20s ./internal/sdimm
@@ -174,6 +177,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWireDecode -fuzztime=20s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzServeConn -fuzztime=20s -fuzzminimizetime=200x ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzClientConn -fuzztime=20s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzHistogram -fuzztime=20s ./internal/telemetry
 
 # Serving front-end smoke: the in-process sdimm-serve run (two tenants,
 # closed-loop load, graceful drain, witness + zero-accepted-deadline-miss

@@ -260,7 +260,7 @@ func (c *Channel) EnableTelemetry(reg *telemetry.Registry) {
 		refreshes:          reg.Counter("dram.refreshes", "chan", c.Name),
 		refreshStallCycles: reg.Counter("dram.refresh_stall_cycles", "chan", c.Name),
 		pending:            reg.Gauge("dram.pending", "chan", c.Name),
-		readLatency:        reg.Histogram("dram.read_latency", 32, 2048, "chan", c.Name),
+		readLatency:        reg.Histogram("dram.read_latency", "chan", c.Name),
 	}
 	for i := range c.ranks {
 		r := strconv.Itoa(i)

@@ -13,7 +13,7 @@ import (
 // the campaign runner: for every backend, a Parallel: 4 campaign must
 // reproduce the Parallel: 1 campaign bit-for-bit from the same seed — every
 // sim.Result field including the protocol.miss_latency histogram and stash
-// peaks, and the merged telemetry registry (counters, gauges, means,
+// peaks, and the merged telemetry registry (counters, gauges,
 // histograms). Cluster-level state (final position map, per-buffer stash
 // contents) is pinned by the pipeline equivalence tests in the root package;
 // this test pins the experiment layer above it.
@@ -132,8 +132,9 @@ func TestCampaignErrorDeterminism(t *testing.T) {
 }
 
 // TestCampaignMergesEveryBackendTelemetry pins that runs of all six backends
-// merge into one registry: every backend's miss-latency histogram has the
-// same shape, and the merged count is the sum of the runs' own counts.
+// merge into one registry: the merged miss-latency count is the sum of the
+// runs' own counts, and the merged sim.llc_misses is the sum of the runs'
+// LLC misses.
 func TestCampaignMergesEveryBackendTelemetry(t *testing.T) {
 	o := Options{Warmup: 20, Measure: 40, Levels: 16, Seed: 1, Parallel: 2,
 		Workloads: []string{"milc"}, Telemetry: telemetry.NewRegistry()}
@@ -145,15 +146,20 @@ func TestCampaignMergesEveryBackendTelemetry(t *testing.T) {
 	if len(res) != 6 {
 		t.Fatalf("campaign returned %d results, want 6", len(res))
 	}
-	var want uint64
+	var want, misses uint64
 	for _, r := range res {
 		want += r.Backend.MissLatency.N()
+		misses += r.LLCMisses
 	}
-	h, ok := o.Telemetry.Snapshot().Histograms["protocol.miss_latency"]
+	snap := o.Telemetry.Snapshot()
+	h, ok := snap.Histograms["protocol.miss_latency"]
 	if !ok {
 		t.Fatal("protocol.miss_latency not merged")
 	}
 	if h.N != want || want == 0 {
 		t.Fatalf("merged protocol.miss_latency count %d, runs sum to %d", h.N, want)
+	}
+	if got := snap.Counters["sim.llc_misses"]; got != misses {
+		t.Fatalf("merged sim.llc_misses %d, runs sum to %d", got, misses)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sdimm/internal/config"
 	"sdimm/internal/dram"
 	"sdimm/internal/event"
+	"sdimm/internal/telemetry"
 )
 
 // TenantMem is the memory system of a non-secure co-tenant VM sharing a
@@ -47,7 +48,7 @@ func NewTenantOnChannels(eng *event.Engine, org config.Org, chans []*dram.Channe
 		return nil, errors.New("protocol: tenant needs at least one channel")
 	}
 	t := &TenantMem{eng: eng, chans: chans}
-	t.st.MissLatency = newMissLatency()
+	t.st.MissLatency = &telemetry.Histogram{}
 	for _, ch := range chans {
 		t.mappers = append(t.mappers, dram.NewMapper(org, ch.Ranks()))
 	}
@@ -61,7 +62,7 @@ func NewTenantOnLinks(eng *event.Engine, cfg config.Config, links []*dram.Link) 
 		return nil, errors.New("protocol: tenant needs at least one link")
 	}
 	t := &TenantMem{eng: eng, links: links}
-	t.st.MissLatency = newMissLatency()
+	t.st.MissLatency = &telemetry.Histogram{}
 	for i := range links {
 		ch := dram.NewChannel(eng, "lrdimm"+string(rune('0'+i)), cfg.Org, cfg.Timing, cfg.Org.RanksPerDIMM)
 		t.chans = append(t.chans, ch)

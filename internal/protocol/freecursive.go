@@ -9,6 +9,7 @@ import (
 	"sdimm/internal/freecursive"
 	"sdimm/internal/oram"
 	"sdimm/internal/rng"
+	"sdimm/internal/telemetry"
 )
 
 // request is one pending line operation.
@@ -67,7 +68,7 @@ func NewFreecursive(eng *event.Engine, cfg config.Config) (*FreecursiveBackend, 
 		engine: engine,
 		enc:    event.Time(cfg.ORAM.EncLatency),
 	}
-	b.st.MissLatency = newMissLatency()
+	b.st.MissLatency = &telemetry.Histogram{}
 	b.chans = hostChannels(eng, cfg)
 	layout, err := buildLayout(cfg, cfg.ORAM.Levels, cfg.ORAM.LinesPerBucket(), 0)
 	if err != nil {

@@ -95,7 +95,7 @@ func newSDIMMFront(eng *event.Engine, cfg config.Config, posSalt uint64) (*sdimm
 		rnd: rng.New(cfg.Seed ^ posSalt),
 		enc: event.Time(cfg.ORAM.EncLatency),
 	}
-	f.st.MissLatency = newMissLatency()
+	f.st.MissLatency = &telemetry.Histogram{}
 	for c := 0; c < cfg.Org.Channels; c++ {
 		f.links = append(f.links, dram.NewLink(eng, cfg.Org, cfg.Timing))
 	}

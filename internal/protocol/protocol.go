@@ -40,7 +40,7 @@ import (
 	"sdimm/internal/dram"
 	"sdimm/internal/event"
 	"sdimm/internal/oram"
-	"sdimm/internal/stats"
+	"sdimm/internal/telemetry"
 )
 
 // Backend is a memory backend plus the introspection the simulator needs.
@@ -64,9 +64,9 @@ type BackendStats struct {
 	Writes      uint64
 	AccessORAMs uint64
 	Probes      uint64
-	HostBytes   uint64 // protocol bytes moved over host links
-	MissLatency *stats.Histogram
-	ExtraDrains uint64 // Independent transfer-queue drain accesses
+	HostBytes   uint64               // protocol bytes moved over host links
+	MissLatency *telemetry.Histogram // CPU cycles
+	ExtraDrains uint64               // Independent transfer-queue drain accesses
 	BgEvictions uint64
 	// StashPeak / TransferPeak are in-vivo maxima across all secure
 	// buffers (Independent protocol), validating the Section IV-C sizing.
@@ -74,11 +74,6 @@ type BackendStats struct {
 	TransferPeak      int
 	TransferOverflows uint64
 }
-
-// newMissLatency is every backend's miss-latency histogram, in CPU cycles.
-// One shape for all, so the histograms of runs on different backends merge
-// into one telemetry registry.
-func newMissLatency() *stats.Histogram { return stats.NewHistogram(256, 4096) }
 
 // hostChannels builds the bank-modelled host channels A-host, B-host, ….
 func hostChannels(eng *event.Engine, cfg config.Config) []*dram.Channel {

@@ -164,9 +164,7 @@ func build(cfg Config, mk func(sdimm.ClusterOptions) (*sdimm.Cluster, error)) (*
 	s.adm = adm
 	s.stormThresh = uint64(stormFactor * adm.Limit())
 
-	// Latency in microseconds, 250µs buckets out to 100ms (the tail rides
-	// in the overflow bucket; Max is exact).
-	s.latency = reg.Histogram("serve.latency_us", 250, 400)
+	s.latency = reg.Histogram("serve.latency_us")
 	s.backpressure = reg.Counter("serve.backpressure")
 
 	s.pipe = c.Pipeline(cfg.Pipeline)

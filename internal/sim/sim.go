@@ -185,9 +185,9 @@ func RunTrace(cfg config.Config, name string, recs []trace.Record, obs BusObserv
 		res.AccessesPerMiss = fe.Frontend().Stats().AccessesPerMiss()
 	}
 	if tel != nil && tel.Registry != nil {
-		tel.Registry.Gauge("sim.cycles").Set(int64(cs.Cycles))
-		tel.Registry.Gauge("sim.llc_misses").Set(int64(res.LLCMisses))
-		tel.Registry.Gauge("sim.records").Set(int64(cs.Records))
+		tel.Registry.Counter("sim.cycles").Add(cs.Cycles)
+		tel.Registry.Counter("sim.llc_misses").Add(res.LLCMisses)
+		tel.Registry.Counter("sim.records").Add(cs.Records)
 	}
 
 	params := energy.Default()

@@ -164,8 +164,8 @@ func TestIndependentTraceReconstruction(t *testing.T) {
 	if hs.N != h.N() {
 		t.Fatalf("registry histogram N = %d, backend N = %d", hs.N, h.N())
 	}
-	if snap.Gauges["sim.cycles"] == 0 {
-		t.Fatal("sim.cycles gauge not set")
+	if snap.Counters["sim.cycles"] == 0 {
+		t.Fatal("sim.cycles counter not set")
 	}
 }
 

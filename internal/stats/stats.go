@@ -1,12 +1,6 @@
-// Package stats reports simulation statistics: scalar counters, latency
-// histograms, and the tabular output used by the experiment harness to
-// print paper-style tables.
-//
-// The scalar primitives (Counter, Histogram) are aliases for the
-// concurrency-safe implementations in internal/telemetry, so a histogram
-// feeding a paper table can simultaneously be registered in a
-// telemetry.Registry without double bookkeeping. Table and Series remain
-// here as presentation-layer views.
+// Package stats renders simulation statistics as the paper-style tables
+// and curves the experiment harness prints. The counters and latency
+// histograms behind them live in internal/telemetry.
 package stats
 
 import (
@@ -15,21 +9,8 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"sdimm/internal/telemetry"
+	"unicode/utf8"
 )
-
-// Counter is a monotonically growing event count.
-type Counter = telemetry.Counter
-
-// Histogram is a latency histogram with fixed-width buckets plus an
-// overflow bucket, retaining enough information for mean and quantiles.
-type Histogram = telemetry.Histogram
-
-// NewHistogram builds a histogram with nbuckets buckets of the given width.
-func NewHistogram(width uint64, nbuckets int) *Histogram {
-	return telemetry.NewHistogram(width, nbuckets)
-}
 
 // Table is a simple named-rows/named-columns table of float64 cells used to
 // print figure data in the same layout as the paper.
@@ -87,7 +68,8 @@ func (t *Table) ColGeoMean(col string) float64 {
 }
 
 // String renders the table with a gmean summary row, fixed to 4 significant
-// decimals, in the row/column order given.
+// decimals, in the row/column order given. Each column is right-aligned to
+// its name plus one space, and at least 14 wide.
 func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", t.Title)
@@ -99,16 +81,16 @@ func (t *Table) String() string {
 	}
 	fmt.Fprintf(&b, "%-*s", w, "")
 	for _, c := range t.Cols {
-		fmt.Fprintf(&b, "%14s", c)
+		fmt.Fprintf(&b, "%*s", colWidth(c), c)
 	}
 	b.WriteByte('\n')
 	writeRow := func(label string, get func(col string) (float64, bool)) {
 		fmt.Fprintf(&b, "%-*s", w, label)
 		for _, c := range t.Cols {
 			if v, ok := get(c); ok {
-				fmt.Fprintf(&b, "%14.4f", v)
+				fmt.Fprintf(&b, "%*.4f", colWidth(c), v)
 			} else {
-				fmt.Fprintf(&b, "%14s", "-")
+				fmt.Fprintf(&b, "%*s", colWidth(c), "-")
 			}
 		}
 		b.WriteByte('\n')
@@ -125,6 +107,9 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
+
+// colWidth is the printed width of column c.
+func colWidth(c string) int { return max(14, utf8.RuneCountInString(c)+1) }
 
 // Series is an ordered (x, y) sequence used for figure-style curves.
 type Series struct {

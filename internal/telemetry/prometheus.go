@@ -17,13 +17,16 @@ import (
 //
 //   - Counter  -> counter
 //   - Gauge    -> gauge
-//   - Histogram-> histogram (cumulative le buckets from the full dump,
-//                 +Inf bucket, _sum / _count)
+//   - Histogram-> histogram (cumulative le buckets, one per non-empty
+//                 bucket at its upper edge, +Inf bucket, _sum / _count)
+//
+// Every histogram shares one bucket layout, so each le value comes from one
+// edge set and the same le means the same bucket in every series and run.
 
 // promSeries is one rendered sample line (everything after the TYPE header).
 type promSeries struct {
-	group  string // the metric's own label block (before any le label)
-	labels string // rendered {...} label block, "" for none
+	group  string // the metric's own rendered {...} label block, "" for none
+	le     string // a histogram bucket's upper edge, "" off a _bucket line
 	suffix string // family-name suffix (_sum, _count, _bucket)
 	value  string
 	order  int // tie-break so _sum/_count/bucket lines keep their order
@@ -106,69 +109,47 @@ func mergeLabels(labels string, extra string) string {
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format. Families are sorted by name and series within a family by label
-// block, so the output for a quiescent registry is deterministic.
+// block, so the output for a quiescent registry is deterministic. A
+// histogram's +Inf bucket and _count are the total of the buckets read.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	counters := make(map[string]uint64, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v.Value()
-	}
-	gauges := make(map[string]int64, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v.Value()
-	}
-	hists := make(map[string]HistogramDump, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v.Dump()
-	}
-	r.mu.Unlock()
-
+	counters, gauges, hists := r.handles()
 	fams := make(map[string]*promFamily)
-	family := func(base, kind string) *promFamily {
+	family := func(folded, kind string) (*promFamily, string) {
+		base, labels := splitFolded(folded)
 		name := sanitizeMetricName(base)
 		f, ok := fams[name]
 		if !ok {
 			f = &promFamily{name: name, kind: kind}
 			fams[name] = f
 		}
-		return f
+		return f, labels
 	}
 
-	for folded, v := range counters {
-		base, labels := splitFolded(folded)
-		family(base, "counter").series = append(family(base, "counter").series,
-			promSeries{group: labels, labels: labels, value: strconv.FormatUint(v, 10)})
+	for folded, c := range counters {
+		f, g := family(folded, "counter")
+		f.series = append(f.series, promSeries{group: g, value: strconv.FormatUint(c.Value(), 10)})
 	}
 	for folded, v := range gauges {
-		base, labels := splitFolded(folded)
-		family(base, "gauge").series = append(family(base, "gauge").series,
-			promSeries{group: labels, labels: labels, value: strconv.FormatInt(v, 10)})
+		f, g := family(folded, "gauge")
+		f.series = append(f.series, promSeries{group: g, value: strconv.FormatInt(v.Value(), 10)})
 	}
-	for folded, d := range hists {
-		base, labels := splitFolded(folded)
-		f := family(base, "histogram")
-		cum := uint64(0)
-		for i, n := range d.Buckets {
+	for folded, h := range hists {
+		f, g := family(folded, "histogram")
+		var cum uint64
+		for i := range h.buckets {
+			n := h.buckets[i].Load()
+			if n == 0 {
+				continue
+			}
 			cum += n
-			le := `le="` + strconv.FormatUint(uint64(i+1)*d.Width, 10) + `"`
-			f.series = append(f.series, promSeries{
-				group:  labels,
-				labels: mergeLabels(labels, le),
-				suffix: "_bucket",
-				value:  strconv.FormatUint(cum, 10),
-				order:  i,
-			})
+			f.series = append(f.series, promSeries{group: g, le: strconv.FormatUint(upperEdge(i), 10),
+				suffix: "_bucket", value: strconv.FormatUint(cum, 10), order: i})
 		}
+		count := strconv.FormatUint(cum, 10)
 		f.series = append(f.series,
-			promSeries{group: labels, labels: mergeLabels(labels, `le="+Inf"`), suffix: "_bucket",
-				value: strconv.FormatUint(d.N, 10), order: len(d.Buckets)},
-			promSeries{group: labels, labels: labels, suffix: "_sum",
-				value: strconv.FormatUint(d.Sum, 10), order: len(d.Buckets) + 1},
-			promSeries{group: labels, labels: labels, suffix: "_count",
-				value: strconv.FormatUint(d.N, 10), order: len(d.Buckets) + 2})
+			promSeries{group: g, le: "+Inf", suffix: "_bucket", value: count, order: histBuckets},
+			promSeries{group: g, suffix: "_sum", value: strconv.FormatUint(h.Sum(), 10), order: histBuckets + 1},
+			promSeries{group: g, suffix: "_count", value: count, order: histBuckets + 2})
 	}
 
 	names := make([]string, 0, len(fams))
@@ -189,7 +170,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return a.order < b.order
 		})
 		for _, s := range f.series {
-			if _, err := fmt.Fprintf(w, "%s%s%s %s\n", f.name, s.suffix, s.labels, s.value); err != nil {
+			labels := s.group
+			if s.le != "" {
+				labels = mergeLabels(s.group, `le="`+s.le+`"`)
+			}
+			if _, err := fmt.Fprintf(w, "%s%s%s %s\n", f.name, s.suffix, labels, s.value); err != nil {
 				return err
 			}
 		}

@@ -8,7 +8,8 @@ import (
 
 // TestWritePrometheusGolden pins the exposition byte-for-byte: families
 // sorted by sanitized name, label folding undone into quoted Prometheus
-// labels, histograms as cumulative le buckets.
+// labels, histograms as cumulative le buckets at the shared bucket edges,
+// empty buckets left out.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("cluster.accesses").Add(42)
@@ -16,7 +17,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter("fault.retries", "sdimm", "0").Inc()
 	r.Counter("witness.violations", "kind", "shape") // registered, zero
 	r.Gauge("fault.health.state", "sdimm", "0").Set(2)
-	h := r.Histogram("access.latency", 10, 3)
+	h := r.Histogram("access.latency")
 	h.Add(5)
 	h.Add(15)
 	h.Add(100)
@@ -26,9 +27,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	want := `# TYPE access_latency histogram
-access_latency_bucket{le="10"} 1
-access_latency_bucket{le="20"} 2
-access_latency_bucket{le="30"} 2
+access_latency_bucket{le="5"} 1
+access_latency_bucket{le="15"} 2
+access_latency_bucket{le="101"} 3
 access_latency_bucket{le="+Inf"} 3
 access_latency_sum 120
 access_latency_count 3

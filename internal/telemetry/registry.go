@@ -14,7 +14,9 @@
 package telemetry
 
 import (
+	"maps"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -50,50 +52,68 @@ func (g *Gauge) Add(d int64) { atomic.AddInt64(&g.v, d) }
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return atomic.LoadInt64(&g.v) }
 
-// Histogram is a latency histogram with fixed-width buckets plus an
-// overflow bucket, retaining enough information for mean and quantiles.
-// Updates are atomic and allocation-free; a concurrent Quantile sees a
-// near-point-in-time view.
+// Histogram is a latency histogram with one log-linear bucket layout
+// shared by every histogram: each value below 32 has its own bucket, and
+// each power-of-two range [2^e, 2^(e+1)) above is cut into 32 equal
+// buckets, so 1 920 buckets cover all of uint64 and a bucket is never
+// wider than 1/32 of its lower edge. The zero value is ready to
+// use; a quiesced histogram compares with ==. Updates are atomic and
+// allocation-free; a concurrent Quantile sees a near-point-in-time view.
 type Histogram struct {
-	width   uint64
-	buckets []uint64
-	over    uint64
-	sum     uint64
-	n       uint64
-	max     uint64
+	buckets [histBuckets]atomic.Uint64
+	sum     atomic.Uint64
+	n       atomic.Uint64
+	max     atomic.Uint64
 }
 
-// NewHistogram builds a histogram with nbuckets buckets of the given width.
-func NewHistogram(width uint64, nbuckets int) *Histogram {
-	if width == 0 || nbuckets <= 0 {
-		panic("telemetry: invalid histogram shape")
+const (
+	subBits     = 5
+	subBuckets  = 1 << subBits                // buckets per power-of-two range
+	histBuckets = (65 - subBits) * subBuckets // 0 … 31, then 32 per range 2^5 … 2^63
+)
+
+// bucketOf returns the index of the bucket holding v.
+func bucketOf(v uint64) int {
+	if v < subBuckets {
+		return int(v)
 	}
-	return &Histogram{width: width, buckets: make([]uint64, nbuckets)}
+	shift := bits.Len64(v) - 1 - subBits
+	return shift*subBuckets + int(v>>shift)
+}
+
+// upperEdge returns the largest value bucket i holds.
+func upperEdge(i int) uint64 {
+	if i < subBuckets {
+		return uint64(i)
+	}
+	shift := i/subBuckets - 1
+	lo := uint64(subBuckets+i%subBuckets) << shift
+	return lo + (1<<shift - 1)
 }
 
 // Add records one sample.
 func (h *Histogram) Add(v uint64) {
-	atomic.AddUint64(&h.sum, v)
-	atomic.AddUint64(&h.n, 1)
+	h.sum.Add(v)
+	h.n.Add(1)
+	h.raiseMax(v)
+	h.buckets[bucketOf(v)].Add(1)
+}
+
+// raiseMax lifts the recorded max to v if v is larger.
+func (h *Histogram) raiseMax(v uint64) {
 	for {
-		old := atomic.LoadUint64(&h.max)
-		if v <= old || atomic.CompareAndSwapUint64(&h.max, old, v) {
-			break
+		old := h.max.Load()
+		if v <= old || h.max.CompareAndSwap(old, v) {
+			return
 		}
 	}
-	i := v / h.width
-	if i >= uint64(len(h.buckets)) {
-		atomic.AddUint64(&h.over, 1)
-		return
-	}
-	atomic.AddUint64(&h.buckets[i], 1)
 }
 
 // N returns the number of samples.
-func (h *Histogram) N() uint64 { return atomic.LoadUint64(&h.n) }
+func (h *Histogram) N() uint64 { return h.n.Load() }
 
 // Sum returns the total of all samples.
-func (h *Histogram) Sum() uint64 { return atomic.LoadUint64(&h.sum) }
+func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
 // Mean returns the mean sample, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
@@ -105,84 +125,37 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Max returns the largest sample seen.
-func (h *Histogram) Max() uint64 { return atomic.LoadUint64(&h.max) }
-
-// HistogramDump is the full bucket-level content of a histogram — unlike
-// HistogramSnapshot it loses nothing, so two dumps are equal exactly when
-// the histograms would answer every query identically. Equivalence tests
-// compare dumps to prove bitwise-identical stats.
-type HistogramDump struct {
-	Width   uint64   `json:"width"`
-	Buckets []uint64 `json:"buckets"`
-	Over    uint64   `json:"over"`
-	Sum     uint64   `json:"sum"`
-	N       uint64   `json:"n"`
-	Max     uint64   `json:"max"`
-}
-
-// Dump returns the histogram's complete state. Concurrent updates yield a
-// near-point-in-time view; quiesce writers for an exact one.
-func (h *Histogram) Dump() HistogramDump {
-	d := HistogramDump{
-		Width:   h.width,
-		Buckets: make([]uint64, len(h.buckets)),
-		Over:    atomic.LoadUint64(&h.over),
-		Sum:     atomic.LoadUint64(&h.sum),
-		N:       atomic.LoadUint64(&h.n),
-		Max:     atomic.LoadUint64(&h.max),
-	}
-	for i := range h.buckets {
-		d.Buckets[i] = atomic.LoadUint64(&h.buckets[i])
-	}
-	return d
-}
+func (h *Histogram) Max() uint64 { return h.max.Load() }
 
 // Merge folds another histogram's samples into this one, bucket by bucket.
-// Both histograms must have the same shape (width and bucket count); Merge
-// panics otherwise, because silently re-bucketing would corrupt quantiles.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil {
 		return
 	}
-	if h.width != o.width || len(h.buckets) != len(o.buckets) {
-		panic("telemetry: merging histograms of different shapes")
-	}
-	atomic.AddUint64(&h.sum, atomic.LoadUint64(&o.sum))
-	atomic.AddUint64(&h.n, atomic.LoadUint64(&o.n))
-	atomic.AddUint64(&h.over, atomic.LoadUint64(&o.over))
-	om := atomic.LoadUint64(&o.max)
-	for {
-		old := atomic.LoadUint64(&h.max)
-		if om <= old || atomic.CompareAndSwapUint64(&h.max, old, om) {
-			break
-		}
-	}
+	h.sum.Add(o.sum.Load())
+	h.n.Add(o.n.Load())
+	h.raiseMax(o.max.Load())
 	for i := range h.buckets {
-		atomic.AddUint64(&h.buckets[i], atomic.LoadUint64(&o.buckets[i]))
+		h.buckets[i].Add(o.buckets[i].Load())
 	}
 }
 
-// Quantile returns an upper bound for the q-quantile (0 < q ≤ 1), using
-// bucket upper edges. With no samples it returns 0; samples landing in the
-// overflow bucket report the observed max rather than the last bucket
-// boundary.
+// Quantile returns an upper bound for the q-quantile (q is clamped to
+// (0, 1]): the upper edge of the bucket holding that order statistic,
+// capped at Max, so it exceeds the exact value by at most 1/32 of it. With
+// no samples it returns 0.
 func (h *Histogram) Quantile(q float64) uint64 {
 	n := h.N()
 	if n == 0 {
 		return 0
 	}
-	if q <= 0 {
-		q = math.SmallestNonzeroFloat64
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(math.Ceil(q * float64(n)))
+	q = min(max(q, 0), 1)
+	target := min(max(uint64(math.Ceil(q*float64(n))), 1), n) // the order statistic's rank
 	var cum uint64
 	for i := range h.buckets {
-		cum += atomic.LoadUint64(&h.buckets[i])
+		cum += h.buckets[i].Load()
 		if cum >= target {
-			return (uint64(i) + 1) * h.width
+			return min(upperEdge(i), h.Max())
 		}
 	}
 	return h.Max()
@@ -273,27 +246,38 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it with
-// the given shape on first use (the shape of an existing histogram wins).
-func (r *Registry) Histogram(name string, width uint64, nbuckets int, labels ...string) *Histogram {
+// Histogram returns the histogram registered under name, creating it on
+// first use.
+func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 	if r == nil {
-		return NewHistogram(width, nbuckets)
+		return &Histogram{}
 	}
 	name = Name(name, labels...)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogram(width, nbuckets)
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h
 }
 
+// handles copies the name-to-handle maps under the lock, so Merge, Snapshot
+// and WritePrometheus read the metrics without holding it. A nil registry
+// has none.
+func (r *Registry) handles() (map[string]*Counter, map[string]*Gauge, map[string]*Histogram) {
+	if r == nil {
+		return nil, nil, nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.hists)
+}
+
 // Merge folds every metric of src into r: counters and histograms add, and
 // gauges take src's level (a gauge is an instantaneous reading, so the most
-// recently merged source wins). Missing metrics are created; histograms
-// adopt src's shape on first sight.
+// recently merged source wins). Missing metrics are created.
 //
 // Merging is order-independent for counters and histograms: their
 // accumulation is exact integer arithmetic, so any merge order of the same
@@ -305,32 +289,18 @@ func (r *Registry) Histogram(name string, width uint64, nbuckets int, labels ...
 // A nil receiver or nil src is a no-op. src must be quiescent (no
 // concurrent writers) for an exact merge.
 func (r *Registry) Merge(src *Registry) {
-	if r == nil || src == nil {
+	if r == nil {
 		return
 	}
-	src.mu.Lock()
-	counters := make(map[string]uint64, len(src.counters))
-	for k, v := range src.counters {
-		counters[k] = v.Value()
+	counters, gauges, hists := src.handles()
+	for k, c := range counters {
+		r.Counter(k).Add(c.Value())
 	}
-	gauges := make(map[string]int64, len(src.gauges))
-	for k, v := range src.gauges {
-		gauges[k] = v.Value()
-	}
-	hists := make(map[string]*Histogram, len(src.hists))
-	for k, v := range src.hists {
-		hists[k] = v
-	}
-	src.mu.Unlock()
-
-	for k, v := range counters {
-		r.Counter(k).Add(v)
-	}
-	for k, v := range gauges {
-		r.Gauge(k).Set(v)
+	for k, g := range gauges {
+		r.Gauge(k).Set(g.Value())
 	}
 	for k, h := range hists {
-		r.Histogram(k, h.width, len(h.buckets)).Merge(h)
+		r.Histogram(k).Merge(h)
 	}
 }
 

@@ -34,24 +34,7 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]HistogramSnapshot),
 	}
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-
+	counters, gauges, hists := r.handles()
 	for k, c := range counters {
 		s.Counters[k] = c.Value()
 	}

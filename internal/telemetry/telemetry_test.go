@@ -30,8 +30,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if got := r.Gauge("queue.depth", "sdimm", "2").Value(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
 	}
-	h1 := r.Histogram("lat", 10, 100)
-	h2 := r.Histogram("lat", 99, 5) // existing shape wins
+	h1 := r.Histogram("lat")
+	h2 := r.Histogram("lat")
 	if h1 != h2 {
 		t.Fatal("same name resolved to different histograms")
 	}
@@ -53,8 +53,8 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(1)
-	r.Histogram("h", 1, 4).Add(2)
-	r.AddHistogram("h2", NewHistogram(1, 4))
+	r.Histogram("h").Add(2)
+	r.AddHistogram("h2", &Histogram{})
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", s)
@@ -70,7 +70,7 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := r.Counter("c")
-			h := r.Histogram("h", 8, 64)
+			h := r.Histogram("h")
 			g := r.Gauge("g")
 			for i := 0; i < per; i++ {
 				c.Inc()
@@ -83,7 +83,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Counter("c").Value(); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
-	if got := r.Histogram("h", 8, 64).N(); got != workers*per {
+	if got := r.Histogram("h").N(); got != workers*per {
 		t.Fatalf("histogram n = %d, want %d", got, workers*per)
 	}
 	if got := r.Gauge("g").Value(); got != workers*per {
@@ -91,25 +91,11 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(10, 4)
-	for v := uint64(1); v <= 30; v++ {
-		h.Add(v)
-	}
-	if q := h.Quantile(0.5); q != 20 {
-		t.Fatalf("p50 = %d, want 20", q)
-	}
-	h.Add(1000) // overflow bucket
-	if q := h.Quantile(1); q != 1000 {
-		t.Fatalf("p100 with overflow = %d, want observed max 1000", q)
-	}
-}
-
 func TestSnapshotTextAndJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("cluster.reads").Add(5)
 	r.Gauge("fault.health.state", "sdimm", "0").Set(2)
-	r.Histogram("lat", 16, 8).Add(33)
+	r.Histogram("lat").Add(33)
 	s := r.Snapshot()
 
 	var b strings.Builder
@@ -205,7 +191,7 @@ func TestRegistryHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hot.counter")
 	g := r.Gauge("hot.gauge")
-	h := r.Histogram("hot.hist", 64, 1024)
+	h := r.Histogram("hot.hist")
 	var i uint64
 	allocs := testing.AllocsPerRun(1000, func() {
 		i++
@@ -225,7 +211,7 @@ func TestRegistryHotPathAllocs(t *testing.T) {
 func BenchmarkRegistryHotPath(b *testing.B) {
 	r := NewRegistry()
 	c := r.Counter("hot.counter")
-	h := r.Histogram("hot.hist", 64, 1024)
+	h := r.Histogram("hot.hist")
 	g := r.Gauge("hot.gauge")
 	b.ReportAllocs()
 	b.ResetTimer()
