@@ -7,16 +7,17 @@ import (
 	"sdimm/internal/raceflag"
 )
 
-// TestServeRoundTripAllocBudget holds one served round trip at 8 objects
-// for a write and 9 for a read, counted over both ends of the wire in one
+// TestServeRoundTripAllocBudget holds one served round trip at 0 objects
+// for a write and 2 for a read, counted over both ends of the wire in one
 // process as the benchmark runs them: a warm client's Do over loopback TCP,
-// through admission and the pipeline, and back. Each end still encodes,
-// frames, reads and boxes a decoded message per frame; a read adds the
-// payload the pipeline hands back. The client's reusable calls and Decode's
-// views into the frame took off three: 13 and 14 when each Do made a result
-// channel (two objects) and Decode copied the payload. Peeking each frame's
-// length from the bufio.Reader took off two more, one header per end. Part
-// of `make alloc-gates`.
+// through admission and the pipeline, and back. Nothing on the wire
+// allocates once a connection is warm: each end frames into and reads into
+// buffers it reuses, the typed decoders box no message, and the server's
+// reader swaps frames with the slot it takes. A read's 2 objects are its
+// block, copied once by the pipeline out of the access response and once by
+// the client for the caller, who owns resp.Data. Before the wire reused its
+// frames the budget was 8 and 9: each end encoded, framed, read and boxed a
+// message per frame. Part of `make alloc-gates`.
 func TestServeRoundTripAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc gates run without -race")
@@ -34,8 +35,8 @@ func TestServeRoundTripAllocBudget(t *testing.T) {
 		req    Request
 		budget float64
 	}{
-		{"write", Request{Addr: 5, Write: true, Data: payload}, 8},
-		{"read", Request{Addr: 5}, 9},
+		{"write", Request{Addr: 5, Write: true, Data: payload}, 0},
+		{"read", Request{Addr: 5}, 2},
 	} {
 		do := func() {
 			if resp, err := cl.Do(tc.req); err != nil || resp.Status != StatusOK {

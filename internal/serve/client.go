@@ -31,9 +31,10 @@ type Client struct {
 	readDone  chan struct{} // closed when readLoop returns
 
 	// wmu orders the callers: one at a time waits for credit, queues its
-	// call and writes its request. The reader never takes it.
+	// call and writes its request, framed in wbuf. The reader never takes it.
 	wmu    sync.Mutex
 	nextID uint64
+	wbuf   []byte
 
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast when credit frees or the connection fails
@@ -100,13 +101,22 @@ func clampCredit(credit uint16) int { return min(max(int(credit), 1), maxCredit)
 func (c *Client) BlockSize() int { return c.blockSize }
 
 // readLoop answers the oldest call with each reply until the connection
-// fails.
+// fails. Every frame is read into one buffer; a reply's Data is copied out
+// for its caller.
 func (c *Client) readLoop() {
 	defer close(c.readDone)
+	var buf []byte
 	for {
-		resp, ok := readMsg(c.br).(Response)
+		payload, err := readFrame(c.br, buf)
+		var resp Response
+		if err == nil {
+			buf = payload
+			if resp, err = decodeResponse(payload); len(resp.Data) > 0 {
+				resp.Data = append([]byte(nil), resp.Data...)
+			}
+		}
 		c.mu.Lock()
-		if !ok || c.n == 0 || resp.ID != c.queue[c.head].id {
+		if err != nil || c.n == 0 || resp.ID != c.queue[c.head].id {
 			c.fail(fmt.Errorf("%w: connection broken or reply out of order", ErrClientClosed))
 			c.mu.Unlock()
 			return
@@ -145,7 +155,7 @@ func (c *Client) Do(req Request) (Response, error) {
 	defer func() { c.free <- cl }()
 	c.wmu.Lock()
 	req.ID = c.nextID + 1
-	frame, err := req.Encode()
+	frame, err := req.appendFrame(c.wbuf[:0])
 	if err != nil {
 		c.wmu.Unlock()
 		return Response{}, err
@@ -164,7 +174,8 @@ func (c *Client) Do(req Request) (Response, error) {
 	c.queue[(c.head+c.n)%maxCredit] = cl
 	c.n++
 	c.mu.Unlock()
-	err = WriteFrame(c.conn, frame)
+	c.wbuf = frame
+	_, err = c.conn.Write(frame)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()

@@ -1,15 +1,19 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"sdimm"
 )
 
 // serveOverPipe runs handleConn on the server end of a net.Pipe and returns
@@ -148,17 +152,28 @@ func FuzzServeConn(f *testing.F) {
 	})
 }
 
+// eachFrame calls fn with the payload of every whole frame at the front of
+// stream and returns what is left, the start of a frame still to come.
+func eachFrame(stream []byte, fn func(payload []byte)) []byte {
+	for len(stream) >= 4 && len(stream) >= 4+int(binary.BigEndian.Uint32(stream)) {
+		size := 4 + int(binary.BigEndian.Uint32(stream))
+		fn(stream[4:size])
+		stream = stream[size:]
+	}
+	return stream
+}
+
 // creditTap sits between a Client and its connection. It parses every frame
-// the client reads, keeping each reply's credit, and counts every request
-// the client writes (WriteFrame writes one frame a call). allowed is the
-// most requests any window received so far let the client have sent: the
-// HelloAck's credit, or j plus the credit of reply j. A client that obeys
-// each window as it reads it never writes request number allowed+1, and the
-// tap reads a window no later than the client does.
+// the client reads, keeping each reply's credit, and every frame the client
+// writes, counting each request however many frames one Write carries.
+// allowed is the most requests any window received so far let the client
+// have sent: the HelloAck's credit, or j plus the credit of reply j. A
+// client that obeys each window as it reads it never writes request number
+// allowed+1, and the tap reads a window no later than the client does.
 type creditTap struct {
 	net.Conn
 	mu      sync.Mutex
-	in      []byte
+	in, out []byte // partial frames read and written
 	credits []uint16
 	allowed int
 	sent    int
@@ -169,28 +184,27 @@ func (c *creditTap) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.in = append(c.in, p[:n]...)
-	for len(c.in) >= 4 && len(c.in) >= 4+int(binary.BigEndian.Uint32(c.in)) {
-		size := 4 + int(binary.BigEndian.Uint32(c.in))
-		switch m, _ := Decode(c.in[4:size]); m := m.(type) {
+	c.in = eachFrame(append(c.in, p[:n]...), func(payload []byte) {
+		switch m, _ := Decode(payload); m := m.(type) {
 		case HelloAck:
 			c.allowed = int(m.Credit)
 		case Response:
 			c.credits = append(c.credits, m.Credit)
 			c.allowed = max(c.allowed, len(c.credits)+int(m.Credit))
 		}
-		c.in = c.in[size:]
-	}
+	})
 	return n, err
 }
 
 func (c *creditTap) Write(p []byte) (int, error) {
 	c.mu.Lock()
-	if len(p) > 4 && p[4] == MsgRequest {
-		if c.sent++; c.sent > c.allowed {
-			c.over++
+	c.out = eachFrame(append(c.out, p...), func(payload []byte) {
+		if len(payload) > 0 && payload[0] == MsgRequest {
+			if c.sent++; c.sent > c.allowed {
+				c.over++
+			}
 		}
-	}
+	})
 	c.mu.Unlock()
 	return c.Conn.Write(p)
 }
@@ -320,4 +334,157 @@ func TestServeCreditSlowStart(t *testing.T) {
 	if tap.sent != len(tap.credits) {
 		t.Errorf("%d requests sent, %d replies read", tap.sent, len(tap.credits))
 	}
+}
+
+// replyTap wraps the server end of a connection. It counts the Writes that
+// carry replies and decodes every frame in each, keeping the replies in
+// wire order; bad notes a Write that is not whole frames.
+type replyTap struct {
+	net.Conn
+	mu      sync.Mutex
+	writes  int
+	replies []Response
+	bad     []string
+}
+
+func (c *replyTap) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	n := len(c.replies)
+	if rest := eachFrame(p, func(payload []byte) {
+		if resp, err := decodeResponse(payload); err == nil {
+			resp.Data = bytes.Clone(resp.Data)
+			c.replies = append(c.replies, resp)
+		} else if _, err := Decode(payload); err != nil {
+			c.bad = append(c.bad, fmt.Sprintf("undecodable frame % x", payload))
+		}
+	}); len(rest) > 0 {
+		c.bad = append(c.bad, fmt.Sprintf("a Write ends %d bytes into a frame", len(rest)))
+	}
+	if len(c.replies) > n {
+		c.writes++
+	}
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestServeCoalescesReadyReplies: the server writes the replies that are
+// ready in one Write and writes before it would wait. Sequential Dos, each
+// waiting for its reply, therefore get exactly one Write per reply, while 32
+// callers in flight get fewer Writes than replies. Either way every reply
+// arrives whole, in request order, with the block its caller wrote.
+func TestServeCoalescesReadyReplies(t *testing.T) {
+	s, err := New(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	cli, srv := net.Pipe()
+	tap := &replyTap{Conn: srv}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.handleConn(tap)
+	}()
+	cl, err := newClient(cli, "coalesce")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := func(addr int) []byte { return bytes.Repeat([]byte{byte(addr)}, cl.BlockSize()) }
+
+	const seq, callers, each = 64, 32, 20
+	for i := 0; i < seq; i++ {
+		if resp, err := cl.Do(Request{Addr: uint64(i), Write: true, Data: block(i)}); err != nil || resp.Status != StatusOK {
+			t.Fatalf("write %d: %v %s", i, err, StatusString(resp.Status))
+		}
+	}
+	tap.mu.Lock()
+	if tap.writes != seq || len(tap.replies) != seq {
+		t.Errorf("%d sequential replies took %d Writes (%d replies seen), want one each", seq, tap.writes, len(tap.replies))
+	}
+	tap.mu.Unlock()
+
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				addr := (i*each + j) % seq
+				resp, err := cl.Do(Request{Addr: uint64(addr)})
+				if err != nil || resp.Status != StatusOK || !bytes.Equal(resp.Data, block(addr)) {
+					t.Errorf("read %d: %v %s, %d bytes", addr, err, StatusString(resp.Status), len(resp.Data))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	cl.Close()
+	<-done
+
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	for _, b := range tap.bad {
+		t.Error(b)
+	}
+	if len(tap.replies) != seq+callers*each {
+		t.Fatalf("%d replies on the wire, want %d", len(tap.replies), seq+callers*each)
+	}
+	writes := tap.writes - seq
+	t.Logf("%d replies to %d callers in flight: %d Writes", callers*each, callers, writes)
+	if writes >= callers*each {
+		t.Errorf("%d replies to %d callers in flight took %d Writes, want fewer", callers*each, callers, writes)
+	}
+	for i, resp := range tap.replies {
+		if resp.ID != uint64(i+1) {
+			t.Fatalf("reply %d has ID %d: not in request order", i, resp.ID)
+		}
+	}
+}
+
+// TestServeWritesBeforeWaiting: the writer sends the replies it has before
+// it waits for a result, so a ready reply never waits behind a slow one.
+// Here the second request's result is held back until the first reply has
+// arrived.
+func TestServeWritesBeforeWaiting(t *testing.T) {
+	s, err := New(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	cn := &servConn{conn: srv, credit: initialCredit, tc: s.tenantCounters("wait"),
+		free: make(chan *slot, maxCredit), replies: make(chan *slot, maxCredit)}
+	results := make(chan sdimm.BatchResult, 2)
+	for i := range 2 {
+		sl := &cn.slots[i]
+		if sl.decision = s.Admission().Admit(time.Minute, false); sl.decision != Accepted {
+			t.Fatalf("admission: %v", sl.decision)
+		}
+		sl.op.Done, sl.id, sl.arrived = results, uint64(i+1), time.Now()
+		sl.deadline = sl.arrived.Add(time.Minute)
+		cn.replies <- sl
+	}
+	close(cn.replies)
+	results <- sdimm.BatchResult{}
+	done := make(chan struct{})
+	go s.writeLoop(cn, done)
+
+	br := bufio.NewReader(cli)
+	reply := func() Response {
+		cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+		payload, err := ReadFrame(br)
+		if err != nil {
+			t.Errorf("no reply: %v", err)
+		}
+		resp, _ := decodeResponse(payload)
+		return resp
+	}
+	first := reply()
+	results <- sdimm.BatchResult{} // the second result, once the first reply is out
+	if second := reply(); first.ID != 1 || second.ID != 2 || first.Status != StatusOK || second.Status != StatusOK {
+		t.Errorf("replies %+v then %+v, want IDs 1 and 2, both ok", first, second)
+	}
+	<-done
 }

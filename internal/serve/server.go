@@ -291,15 +291,18 @@ type servConn struct {
 	slots   [maxCredit]slot
 }
 
-// slot is one request between reader and writer: admission's decision and
-// the reusable op that carries an accepted request through the pipeline. All
-// of a connection's ops answer on one channel in submission order, as the
-// pipeline delivers, so the next result is the oldest accepted request's.
+// slot is one request between reader and writer: admission's decision, the
+// reusable op that carries an accepted request through the pipeline, and
+// the frame the request was read into, which a write's Data views until the
+// slot is freed. All of a connection's ops answer on one channel in
+// submission order, as the pipeline delivers, so the next result is the
+// oldest accepted request's.
 type slot struct {
 	op                sdimm.AsyncOp
 	id                uint64
 	decision          Decision
 	arrived, deadline time.Time
+	frame             []byte
 }
 
 // adjustCredit applies slow-start: grow multiplicatively while the server
@@ -354,14 +357,22 @@ func (s *Server) handleConn(conn net.Conn) {
 		<-written
 	}()
 
+	// The reader reads one frame ahead into spare, then trades it for the
+	// frame of the slot it takes: that slot's request has been answered.
+	var spare []byte
 	for {
 		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		req, ok := readMsg(br).(Request)
-		if !ok {
+		payload, err := readFrame(br, spare)
+		if err != nil {
+			return
+		}
+		req, err := decodeRequest(payload)
+		if err != nil {
 			return
 		}
 		cn.tc.requests.Inc()
 		sl := <-cn.free
+		sl.frame, spare = payload, sl.frame
 		budget := time.Duration(req.DeadlineMS) * time.Millisecond
 		if budget == 0 {
 			budget = s.cfg.DefaultDeadline
@@ -387,7 +398,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// readMsg reads and decodes one frame: nil on a read or decode error.
+// readMsg reads and decodes one handshake frame: nil on any error.
 func readMsg(br *bufio.Reader) any {
 	payload, err := ReadFrame(br)
 	if err != nil {
@@ -397,27 +408,43 @@ func readMsg(br *bufio.Reader) any {
 	return msg
 }
 
-// writeLoop answers cn's requests in arrival order, one frame each, and
-// frees each slot once its answer is written; it closes done after replies.
-// A failed or timed-out write closes the connection, ending the reader, but
-// every accepted op's result is still collected, so depth and counters stay
-// exact.
+// writeLoop answers cn's requests in arrival order and closes done after
+// replies. Ready replies are framed into one reused buffer, which goes out in
+// one Write before the loop would block: when no request awaits an answer, or
+// when the next one's result has not arrived. A slot is freed once its reply
+// is written. A failed or timed-out write closes the connection, ending the
+// reader, but every accepted op's result is still collected, so depth and
+// counters stay exact.
 func (s *Server) writeLoop(cn *servConn, done chan<- struct{}) {
 	defer close(done)
 	var err error
-	for sl := range cn.replies {
-		resp := s.answer(cn, sl)
-		if err == nil {
-			var b []byte
-			if b, err = resp.Encode(); err == nil {
-				cn.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-				err = WriteFrame(cn.conn, b)
-			}
-			if err != nil {
+	var buf []byte
+	held := make([]*slot, 0, maxCredit) // slots whose replies are in buf
+	flush := func() {
+		if err == nil && len(buf) > 0 {
+			cn.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+			if _, err = cn.conn.Write(buf); err != nil {
 				cn.conn.Close()
 			}
 		}
-		cn.free <- sl
+		for _, sl := range held {
+			cn.free <- sl
+		}
+		buf, held = buf[:0], held[:0]
+	}
+	for sl := range cn.replies {
+		if sl.decision == Accepted && len(sl.op.Done) == 0 {
+			flush()
+		}
+		resp := s.answer(cn, sl)
+		if err == nil {
+			if buf, err = resp.appendFrame(buf); err != nil {
+				cn.conn.Close()
+			}
+		}
+		if held = append(held, sl); len(cn.replies) == 0 {
+			flush()
+		}
 	}
 }
 

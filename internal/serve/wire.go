@@ -109,10 +109,8 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	frame := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	copy(frame[4:], payload)
-	_, err := w.Write(frame)
+	frame := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(payload)), uint32(len(payload)))
+	_, err := w.Write(append(frame, payload...))
 	return err
 }
 
@@ -121,6 +119,12 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // in place, from any other reader each frame costs two reads and a header on
 // the heap.
 func ReadFrame(r io.Reader) ([]byte, error) {
+	return readFrame(r, nil)
+}
+
+// readFrame is ReadFrame into buf's backing array, grown only when a payload
+// does not fit: the payload is valid until the caller reads into buf again.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var n uint32
 	if br, ok := r.(*bufio.Reader); ok {
 		hdr, err := br.Peek(4)
@@ -142,7 +146,10 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
@@ -173,13 +180,24 @@ func (a HelloAck) Encode() []byte {
 	return out
 }
 
+// unframed is an encoded frame's payload, or the encoder's error.
+func unframed(frame []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return frame[4:], nil
+}
+
 // Encode serializes r.
 func (r Request) Encode() ([]byte, error) {
+	return unframed(r.appendFrame(make([]byte, 0, 4+24+len(r.Data))))
+}
+
+// appendFrame appends r's whole frame, length prefix and payload, to dst.
+func (r Request) appendFrame(dst []byte) ([]byte, error) {
 	if len(r.Data) > MaxFrame-24 {
-		return nil, fmt.Errorf("serve: request payload %d bytes", len(r.Data))
+		return dst, fmt.Errorf("serve: request payload %d bytes", len(r.Data))
 	}
-	out := make([]byte, 0, 24+len(r.Data))
-	out = append(out, MsgRequest)
 	var flags byte
 	if r.Write {
 		flags |= flagWrite
@@ -187,31 +205,35 @@ func (r Request) Encode() ([]byte, error) {
 	if r.Retry {
 		flags |= flagRetry
 	}
-	out = append(out, flags)
-	out = binary.BigEndian.AppendUint64(out, r.ID)
-	out = binary.BigEndian.AppendUint64(out, r.Addr)
-	out = binary.BigEndian.AppendUint32(out, r.DeadlineMS)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(r.Data)))
-	return append(out, r.Data...), nil
+	dst = append(binary.BigEndian.AppendUint32(dst, uint32(24+len(r.Data))), MsgRequest, flags)
+	dst = binary.BigEndian.AppendUint64(dst, r.ID)
+	dst = binary.BigEndian.AppendUint64(dst, r.Addr)
+	dst = binary.BigEndian.AppendUint32(dst, r.DeadlineMS)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Data)))
+	return append(dst, r.Data...), nil
 }
 
 // Encode serializes r.
 func (r Response) Encode() ([]byte, error) {
+	return unframed(r.appendFrame(make([]byte, 0, 4+16+len(r.Data))))
+}
+
+// appendFrame appends r's whole frame, length prefix and payload, to dst.
+func (r Response) appendFrame(dst []byte) ([]byte, error) {
 	if len(r.Data) > MaxFrame-16 {
-		return nil, fmt.Errorf("serve: response payload %d bytes", len(r.Data))
+		return dst, fmt.Errorf("serve: response payload %d bytes", len(r.Data))
 	}
-	out := make([]byte, 0, 16+len(r.Data))
-	out = append(out, MsgResponse, r.Status)
-	out = binary.BigEndian.AppendUint64(out, r.ID)
-	out = binary.BigEndian.AppendUint16(out, r.Credit)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(r.Data)))
-	return append(out, r.Data...), nil
+	dst = append(binary.BigEndian.AppendUint32(dst, uint32(14+len(r.Data))), MsgResponse, r.Status)
+	dst = binary.BigEndian.AppendUint64(dst, r.ID)
+	dst = binary.BigEndian.AppendUint16(dst, r.Credit)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Data)))
+	return append(dst, r.Data...), nil
 }
 
 // Decode parses one message payload. It is total: any input either decodes
 // into one of the four message structs or returns ErrMalformed — never a
 // panic (FuzzWireDecode pins this). A Request's or Response's Data is a view
-// into b, not a copy: ReadFrame returns a fresh payload for every frame.
+// into b, not a copy.
 func Decode(b []byte) (any, error) {
 	if len(b) == 0 {
 		return nil, ErrMalformed
@@ -235,41 +257,61 @@ func Decode(b []byte) (any, error) {
 			BlockSize: binary.BigEndian.Uint32(b[3:7]),
 		}, nil
 	case MsgRequest:
-		if len(b) < 24 || b[1]&^(flagWrite|flagRetry) != 0 {
-			return nil, ErrMalformed
-		}
-		n := int(binary.BigEndian.Uint16(b[22:24]))
-		if len(b) != 24+n {
-			return nil, ErrMalformed
-		}
-		r := Request{
-			Write:      b[1]&flagWrite != 0,
-			Retry:      b[1]&flagRetry != 0,
-			ID:         binary.BigEndian.Uint64(b[2:10]),
-			Addr:       binary.BigEndian.Uint64(b[10:18]),
-			DeadlineMS: binary.BigEndian.Uint32(b[18:22]),
-		}
-		if n > 0 {
-			r.Data = b[24:]
-		}
-		return r, nil
+		return boxed(decodeRequest(b))
 	case MsgResponse:
-		if len(b) < 14 {
-			return nil, ErrMalformed
-		}
-		n := int(binary.BigEndian.Uint16(b[12:14]))
-		if len(b) != 14+n {
-			return nil, ErrMalformed
-		}
-		r := Response{
-			Status: b[1],
-			ID:     binary.BigEndian.Uint64(b[2:10]),
-			Credit: binary.BigEndian.Uint16(b[10:12]),
-		}
-		if n > 0 {
-			r.Data = b[14:]
-		}
-		return r, nil
+		return boxed(decodeResponse(b))
 	}
 	return nil, ErrMalformed
+}
+
+// boxed is a typed decoder's result as Decode returns it: nil on error.
+func boxed[M any](m M, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decodeRequest is Decode for a payload that must be a Request, without
+// boxing it. Data is a view into b.
+func decodeRequest(b []byte) (Request, error) {
+	if len(b) < 24 || b[0] != MsgRequest || b[1]&^(flagWrite|flagRetry) != 0 {
+		return Request{}, ErrMalformed
+	}
+	n := int(binary.BigEndian.Uint16(b[22:24]))
+	if len(b) != 24+n {
+		return Request{}, ErrMalformed
+	}
+	r := Request{
+		Write:      b[1]&flagWrite != 0,
+		Retry:      b[1]&flagRetry != 0,
+		ID:         binary.BigEndian.Uint64(b[2:10]),
+		Addr:       binary.BigEndian.Uint64(b[10:18]),
+		DeadlineMS: binary.BigEndian.Uint32(b[18:22]),
+	}
+	if n > 0 {
+		r.Data = b[24:]
+	}
+	return r, nil
+}
+
+// decodeResponse is Decode for a payload that must be a Response, without
+// boxing it. Data is a view into b.
+func decodeResponse(b []byte) (Response, error) {
+	if len(b) < 14 || b[0] != MsgResponse {
+		return Response{}, ErrMalformed
+	}
+	n := int(binary.BigEndian.Uint16(b[12:14]))
+	if len(b) != 14+n {
+		return Response{}, ErrMalformed
+	}
+	r := Response{
+		Status: b[1],
+		ID:     binary.BigEndian.Uint64(b[2:10]),
+		Credit: binary.BigEndian.Uint16(b[10:12]),
+	}
+	if n > 0 {
+		r.Data = b[14:]
+	}
+	return r, nil
 }

@@ -17,8 +17,9 @@ import (
 //
 //   - Counter  -> counter
 //   - Gauge    -> gauge
-//   - Histogram-> histogram (cumulative le buckets, one per non-empty
-//                 bucket at its upper edge, +Inf bucket, _sum / _count)
+//   - Histogram-> histogram (cumulative le buckets at the upper edge of
+//                 every bucket non-empty in some series of the family,
+//                 +Inf bucket, _sum / _count)
 //
 // Every histogram shares one bucket layout, so each le value comes from one
 // edge set and the same le means the same bucket in every series and run.
@@ -37,6 +38,7 @@ type promFamily struct {
 	name   string
 	kind   string // counter | gauge | histogram
 	series []promSeries
+	edges  []bool // histogram: bucket i has samples in some series
 }
 
 // sanitizeMetricName maps a registry base name onto the Prometheus metric
@@ -133,23 +135,38 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		f, g := family(folded, "gauge")
 		f.series = append(f.series, promSeries{group: g, value: strconv.FormatInt(v.Value(), 10)})
 	}
+	// A histogram family's edges are the union of its series' non-empty
+	// buckets, and every series lists them all, so `sum by (le)` and
+	// histogram_quantile add like with like across series.
+	type histSeries struct {
+		f *promFamily
+		g string
+		h *Histogram
+	}
+	var hs []histSeries
 	for folded, h := range hists {
 		f, g := family(folded, "histogram")
-		var cum uint64
+		if f.edges == nil {
+			f.edges = make([]bool, histBuckets)
+		}
 		for i := range h.buckets {
-			n := h.buckets[i].Load()
-			if n == 0 {
-				continue
+			f.edges[i] = f.edges[i] || h.buckets[i].Load() != 0
+		}
+		hs = append(hs, histSeries{f, g, h})
+	}
+	for _, s := range hs {
+		var cum uint64
+		for i := range s.h.buckets {
+			if cum += s.h.buckets[i].Load(); s.f.edges[i] {
+				s.f.series = append(s.f.series, promSeries{group: s.g, le: strconv.FormatUint(upperEdge(i), 10),
+					suffix: "_bucket", value: strconv.FormatUint(cum, 10), order: i})
 			}
-			cum += n
-			f.series = append(f.series, promSeries{group: g, le: strconv.FormatUint(upperEdge(i), 10),
-				suffix: "_bucket", value: strconv.FormatUint(cum, 10), order: i})
 		}
 		count := strconv.FormatUint(cum, 10)
-		f.series = append(f.series,
-			promSeries{group: g, le: "+Inf", suffix: "_bucket", value: count, order: histBuckets},
-			promSeries{group: g, suffix: "_sum", value: strconv.FormatUint(h.Sum(), 10), order: histBuckets + 1},
-			promSeries{group: g, suffix: "_count", value: count, order: histBuckets + 2})
+		s.f.series = append(s.f.series,
+			promSeries{group: s.g, le: "+Inf", suffix: "_bucket", value: count, order: histBuckets},
+			promSeries{group: s.g, suffix: "_sum", value: strconv.FormatUint(s.h.Sum(), 10), order: histBuckets + 1},
+			promSeries{group: s.g, suffix: "_count", value: count, order: histBuckets + 2})
 	}
 
 	names := make([]string, 0, len(fams))

@@ -48,6 +48,38 @@ witness_violations{kind="shape"} 0
 	}
 }
 
+// TestWritePrometheusSharedEdges: the series of one histogram family list
+// the same le set, the union of their non-empty buckets, so `sum by (le)`
+// adds like with like. Here two series of disjoint support each repeat
+// their cumulative count at the other's edge.
+func TestWritePrometheusSharedEdges(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("dram.read_latency", "chan", "0").Add(5)
+	h := r.Histogram("dram.read_latency", "chan", "1")
+	h.Add(100)
+	h.Add(100)
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	want := `# TYPE dram_read_latency histogram
+dram_read_latency_bucket{chan="0",le="5"} 1
+dram_read_latency_bucket{chan="0",le="101"} 1
+dram_read_latency_bucket{chan="0",le="+Inf"} 1
+dram_read_latency_sum{chan="0"} 5
+dram_read_latency_count{chan="0"} 1
+dram_read_latency_bucket{chan="1",le="5"} 0
+dram_read_latency_bucket{chan="1",le="101"} 2
+dram_read_latency_bucket{chan="1",le="+Inf"} 2
+dram_read_latency_sum{chan="1"} 200
+dram_read_latency_count{chan="1"} 2
+`
+	if got := b.String(); got != want {
+		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // TestWritePrometheusEscaping checks label-value escaping and name
 // sanitization survive hostile inputs.
 func TestWritePrometheusEscaping(t *testing.T) {
