@@ -29,8 +29,8 @@ race:
 # The chaos gate, one harness and one target. The scenario table (the link-
 # fault acceptance legs pinned to goldens, crash-recovery and elastic-
 # membership equivalence with seeded restart points — journal tears, sealed-
-# bucket corruption the PMMAC scrub has to catch — on both flavours and both
-# engine homes, and the payload-loss rows: a 2-attempt budget at a 10% fault
+# bucket corruption whose AES-GCM tag the recovery scrub has to fail — on
+# both flavours and both engine homes, and the payload-loss rows: a 2-attempt budget at a 10% fault
 # mix, seeds 1-8, that may surface errors but never a wrong payload) and a
 # seeded sample of the cross-product the table cannot enumerate run under the
 # race detector. Then one CLI smoke per plan kind pins the exit-code contract
@@ -140,20 +140,23 @@ profile-sim:
 # Wire-format decoders must never panic on hostile input. FuzzOpen feeds
 # arbitrary bytes to the link's Open, ahead of those decoders: a rejected
 # frame moves no counter and the next genuine frame still opens. The durable-state
-# decoders (journal records, checkpoints) must additionally fail closed:
-# anything they accept is chain-authenticated and canonical. Below the
-# checkpoint HMAC, FuzzCheckpointBody runs the one checkpoint field walk on
-# arbitrary bodies, ring-eviction sections included (their decoder is the
-# same walk, so there is no separate ring-state fuzzer): an accepted body
-# re-encodes to itself. The stash's fuzz
+# decoders must additionally fail closed: FuzzJournalDecode accepts only a
+# contiguous record prefix of whole groups, each opened under its chained
+# AES-GCM tag, and FuzzCheckpointDecode only a file that opens to a body
+# that re-walks to itself. Below the seals, where those mutations stop,
+# FuzzCheckpointBody runs the one checkpoint field walk on arbitrary bodies,
+# ring-eviction sections included (their decoder is the same walk, so there
+# is no separate ring-state fuzzer), and FuzzJournalGroup the record-group
+# walk on arbitrary opened groups (count guard, kind and sequence checks,
+# payload views): an accepted body or group re-encodes to itself. The stash's fuzz
 # leg checks the sorted slice against a plain map. FuzzWritePath compares the
 # engine's greedy writeback, bucket for bucket, with the sorted-copy selection
 # it replaced. FuzzEngineModes runs one tape of reads, writes, keep and
 # migrate accesses and stash re-inserts through a path engine and a ring
 # engine against a plain map: read-your-writes, one live copy per address,
-# stash within capacity. MemStore.RestoreRaw takes sealed buckets of both formats off
-# disk: a wrong length is an error, and nothing a seal under the store's key
-# did not produce may open. FuzzServeConn drives a tenant connection with
+# stash within capacity. MemStore.RestoreRaw takes sealed buckets off disk
+# verbatim: a wrong length (the pre-GCM one included) is an error, and
+# nothing a seal under the store's key did not produce may open. FuzzServeConn drives a tenant connection with
 # arbitrary client bytes: no panic, the handler returns when the client
 # closes, admission depth returns to 0 and Shutdown completes. Each of its
 # inputs builds a cluster, so minimizing an input is capped by count, not
@@ -170,6 +173,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzJournalDecode -fuzztime=20s ./internal/durable
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecode -fuzztime=20s ./internal/durable
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointBody -fuzztime=20s ./internal/durable
+	$(GO) test -run=NONE -fuzz=FuzzJournalGroup -fuzztime=20s ./internal/durable
 	$(GO) test -run=NONE -fuzz=FuzzStash -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzWritePath -fuzztime=20s ./internal/oram
 	$(GO) test -run=NONE -fuzz=FuzzEngineModes -fuzztime=20s ./internal/oram

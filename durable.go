@@ -33,12 +33,9 @@ var ErrStateExists = errors.New("sdimm: state directory already holds checkpoint
 // DurabilityOptions configures a cluster's crash consistency.
 type DurabilityOptions struct {
 	// Dir is the state directory (checkpoints + journal). One directory
-	// belongs to one cluster shape; recovery refuses mismatches.
+	// belongs to one cluster shape; recovery refuses mismatches. Every file
+	// is sealed under a key derived from "durable|" ‖ ClusterOptions.Key.
 	Dir string
-	// Key authenticates every durable file (HMAC). Empty derives a key from
-	// the cluster key — fine for simulation, but state then shares trust
-	// with the bucket keys.
-	Key []byte
 	// Interval is the checkpoint cadence in committed accesses (default
 	// 256). Recovery replays at most this many journal records.
 	Interval int
@@ -48,11 +45,8 @@ type DurabilityOptions struct {
 	Sync bool
 }
 
-func (o *DurabilityOptions) withDefaults(clusterKey []byte) DurabilityOptions {
+func (o *DurabilityOptions) withDefaults() DurabilityOptions {
 	d := *o
-	if len(d.Key) == 0 {
-		d.Key = append([]byte("durable|"), clusterKey...)
-	}
 	if d.Interval <= 0 {
 		d.Interval = 256
 	}
@@ -206,8 +200,8 @@ func (d *durableState) failed() error {
 // attachDurability opens the state directory. Shared by construction and
 // recovery.
 func (d *durableState) attachDurability(opts *DurabilityOptions, fp durable.Fingerprint, clusterKey []byte) error {
-	do := opts.withDefaults(clusterKey)
-	m, err := durable.Open(do.Dir, do.Key, fp, fp.BlockSize, do.Sync)
+	do := opts.withDefaults()
+	m, err := durable.Open(do.Dir, append([]byte("durable|"), clusterKey...), fp, fp.BlockSize, do.Sync)
 	if err != nil {
 		return err
 	}

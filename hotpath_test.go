@@ -91,8 +91,8 @@ func benchEngineAccess(b *testing.B) {
 	}
 }
 
-// benchJournalAppend measures committing one access record: encode, extend
-// the hash chain, write to the journal (fsync off). Steady state is
+// benchJournalAppend measures committing one access record: encode, seal
+// the group, write to the journal (fsync off). Steady state is
 // 0 allocs/op.
 func benchJournalAppend(b *testing.B) {
 	fp := durable.Fingerprint{Kind: "independent", Members: 4, Levels: 12, BlockSize: 64, Z: 4, Seed: 1}

@@ -13,9 +13,8 @@
 // out of the low 64 bits included; ctrmode_test.go proves it against the
 // stdlib over every length and every carry position a batch can meet.
 //
-// The link and the bucket store seal with AES-GCM, and the format-1 bucket
-// upgrade runs once per bucket on the standard library's CTR, so the
-// package's one user is the benchmark's crypto probe.
+// The link, the bucket store and the state directory seal with AES-GCM, so
+// the package's one user is the benchmark's crypto probe.
 package ctrmode
 
 import (

@@ -8,7 +8,7 @@ import (
 )
 
 // TestJournalAppendZeroAlloc is the allocation gate for the commit path:
-// encoding a record, extending the hash chain, and writing the journal must
+// encoding a record, sealing its group, and writing the journal must
 // reuse the manager's scratch — every committed access pays this cost.
 func TestJournalAppendZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {

@@ -1,7 +1,9 @@
 package durable
 
 import (
-	"crypto/hmac"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -10,19 +12,27 @@ import (
 	"sdimm/internal/oram"
 )
 
-// checkpointMagic identifies a checkpoint file (version 3: version 2 plus
-// per-member ring-eviction state — the eviction pointer, flush phase, and
-// dead-slot masks of ring-mode engines; empty for path-mode members).
-const checkpointMagic = "SDIMMCP3"
+// checkpointMagic identifies a checkpoint file (version 4: the body of
+// version 3 sealed with AES-GCM in place of an HMAC-SHA256 trailer).
+const checkpointMagic = "SDIMMCP4"
 
-// checkpointMACSize is the untruncated HMAC-SHA256 trailer over the whole
-// file body. Checkpoints are read once per recovery, so the full 32 bytes
-// cost nothing and leave no forgery margin.
-const checkpointMACSize = sha256.Size
+// saltSize is the random salt in every file header, tagSize the AES-GCM
+// tag that ends every seal.
+const saltSize, tagSize = 16, 16
 
-// maxCheckpointBody bounds how large a body a decoder will believe, so a
-// corrupted length field cannot drive allocation.
-const maxCheckpointBody = 1 << 30
+// fileAEAD draws salt afresh when fresh is set, and returns the AES-256-GCM
+// of the file it heads, keyed SHA-256("sdimm/durable/v1|" ‖ salt ‖ key). No
+// two files share a key, so a nonce — 4 zero bytes and a seq: 0 for a
+// checkpoint or a header, a group's first seq — need only be unique in one.
+func fileAEAD(key []byte, salt *[saltSize]byte, fresh bool) cipher.AEAD {
+	if fresh {
+		rand.Read(salt[:]) // cannot fail: crypto/rand crashes the program instead
+	}
+	k := sha256.Sum256(append(append([]byte("sdimm/durable/v1|"), salt[:]...), key...))
+	blk, _ := aes.NewCipher(k[:]) // neither call can fail on a 32-byte key
+	a, _ := cipher.NewGCM(blk)
+	return a
+}
 
 // PosEntry is one position-map binding. For the Independent protocol Value
 // encodes the global leaf (SDIMM routing included); for Split it is the
@@ -33,10 +43,9 @@ type PosEntry struct {
 }
 
 // BucketState is one sealed tree bucket at its store index, its bytes
-// captured verbatim (format 2: counter || AES-GCM ciphertext || 12-byte GCM
-// tag; a format-1 directory still holds counter || AES-CTR ciphertext ||
-// 8-byte PMMAC tag). Restoring the raw form keeps the at-rest tags intact so
-// the recovery scrub can re-verify every bucket.
+// captured verbatim (counter || AES-GCM ciphertext || 12-byte GCM tag).
+// Restoring the raw form keeps the at-rest tags intact so the recovery
+// scrub can re-verify every bucket.
 type BucketState struct {
 	Idx uint64
 	Raw []byte
@@ -107,7 +116,7 @@ type Checkpoint struct {
 // error sticks; every later decoded field is then a no-op. Every durable
 // byte is a walk of it: the checkpoint envelope (envelope) and body (walk),
 // a member's ring section (ring), the journal header (header) and each
-// record group (group, of records).
+// record group (group, of records), with seal as the walks' AES-GCM step.
 type codec struct {
 	b   []byte
 	dec bool
@@ -223,6 +232,24 @@ func (c *codec) padded(p *[]byte, n int) {
 	}
 }
 
+// seal is a walk's AES-GCM step, under nonce and additional data ad.
+// Encoding seals everything walked since offset from in place and appends
+// the tag. Decoding opens the next n bytes and their tag in place and
+// returns the plaintext, or fails the walk and returns nil.
+func (c *codec) seal(a cipher.AEAD, nonce, ad []byte, from, n int) []byte {
+	if !c.dec {
+		c.b = a.Seal(c.b[:from], nonce, c.b[from:], ad)
+		return nil
+	}
+	if p := c.take(n + tagSize); p != nil {
+		if pt, err := a.Open(p[:0], nonce, p, ad); err == nil {
+			return pt
+		}
+		c.fail("failed authentication")
+	}
+	return nil
+}
+
 // list codes a u32 count followed by each element through f. A decoded
 // count is checked against the rest of the body at minSize bytes per entry
 // before anything is allocated, so a corrupt count cannot drive allocation.
@@ -305,30 +332,34 @@ func (c *codec) ring(p **oram.RingState) {
 	c.err = s.err
 }
 
-// envelope codes a checkpoint file's frame ahead of the body: the magic and
-// the body length. The HMAC-SHA256 trailer follows the body.
-func (c *codec) envelope(n *uint64) {
+// envelope codes a checkpoint file's frame ahead of the sealed body: the
+// magic, the salt and the body length (the tag not included). It is the
+// additional data of the body's seal.
+func (c *codec) envelope(salt *[saltSize]byte, n *uint64) {
 	c.magic(checkpointMagic)
+	c.fixed(salt[:])
 	c.u64(n)
 }
 
-// encodeCheckpoint serializes and authenticates a checkpoint: the envelope,
-// the walked body, and an HMAC-SHA256 over all of it. The envelope goes out
+// encodeCheckpoint serializes and seals a checkpoint under a fresh salt: the
+// envelope, then the walked body sealed in place. The envelope goes out
 // first with a zero length and is walked again in place once the body's
 // length is known.
 func encodeCheckpoint(key []byte, cp *Checkpoint) []byte {
+	var salt [saltSize]byte
+	var n uint64
+	a := fileAEAD(key, &salt, true)
 	var c codec
-	c.envelope(new(uint64))
+	c.envelope(&salt, &n)
 	head := len(c.b)
 	c.walk(cp)
-	n := uint64(len(c.b) - head)
-	(&codec{b: c.b[:0]}).envelope(&n)
-	m := hmac.New(sha256.New, key)
-	m.Write(c.b)
-	return m.Sum(c.b)
+	n = uint64(len(c.b) - head)
+	(&codec{b: c.b[:0]}).envelope(&salt, &n)
+	c.seal(a, make([]byte, 12), c.b[:head], head, 0)
+	return c.b
 }
 
-// decodeBody walks an authenticated checkpoint body, which must be consumed
+// decodeBody walks an opened checkpoint body, which must be consumed
 // exactly.
 func decodeBody(body []byte) (*Checkpoint, error) {
 	c := codec{b: body, dec: true}
@@ -343,21 +374,20 @@ func decodeBody(body []byte) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// decodeCheckpoint authenticates and parses a checkpoint file. Any
-// truncation, trailing garbage, or MAC failure rejects the whole file —
-// recovery then falls back to the previous checkpoint.
+// decodeCheckpoint opens and parses a checkpoint file, in place: data is
+// the decoder's. Any truncation, trailing garbage, or failed tag rejects
+// the whole file — recovery then falls back to the previous checkpoint.
 func decodeCheckpoint(key, data []byte) (*Checkpoint, error) {
 	c := codec{b: data, dec: true}
+	var salt [saltSize]byte
 	var n uint64
-	c.envelope(&n)
-	if c.err != nil || n > maxCheckpointBody || uint64(len(c.b)) != n+checkpointMACSize {
+	c.envelope(&salt, &n)
+	if c.err != nil || len(c.b) < tagSize || n != uint64(len(c.b)-tagSize) {
 		return nil, errors.New("durable: bad checkpoint magic or length")
 	}
-	macOff := len(data) - checkpointMACSize
-	m := hmac.New(sha256.New, key)
-	m.Write(data[:macOff])
-	if !hmac.Equal(m.Sum(nil), data[macOff:]) {
+	body := c.seal(fileAEAD(key, &salt, false), make([]byte, 12), data[:len(data)-len(c.b)], 0, int(n))
+	if c.err != nil {
 		return nil, errors.New("durable: checkpoint failed authentication")
 	}
-	return decodeBody(c.b[:n])
+	return decodeBody(body)
 }

@@ -75,11 +75,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointEncodingGolden pins the checkpoint file format byte for
-// byte over a checkpoint that populates every field: two members, one
-// detached with a ring section (counter, flush phase and two dead-slot
-// entries) and one with every list empty, plus poison and drain entries. A
-// change to the digest is a checkpoint format break.
+// TestCheckpointEncodingGolden pins the checkpoint body byte for byte over
+// a checkpoint that populates every field: two members, one detached with a
+// ring section (counter, flush phase and two dead-slot entries) and one with
+// every list empty, plus poison and drain entries. A change to the digest
+// is a checkpoint format break. The sealed file is the 32-byte envelope,
+// the body sealed to its own length, and the 16-byte tag, and it opens to
+// exactly the pinned body.
 func TestCheckpointEncodingGolden(t *testing.T) {
 	cp := &Checkpoint{
 		FP:        testFP.Hash(),
@@ -113,10 +115,23 @@ func TestCheckpointEncodingGolden(t *testing.T) {
 		TopoSeq:  4,
 		Drains:   []DrainState{{Member: 0, Moved: 9}, {Member: 1, Moved: 0}},
 	}
-	sum := sha256.Sum256(encodeCheckpoint([]byte("golden-checkpoint-key"), cp))
-	const want = "2d7e9ef84a8781321df64b2289d899d4f258172ddad10a40a600c995a052162e"
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Fatalf("checkpoint encoding digest %s, want %s", got, want)
+	var c codec
+	c.walk(cp)
+	sum := sha256.Sum256(c.b)
+	const want = "0043f9901cc6325ced38de13fd6d47d48a8818246323a0b39a2329944793a546"
+	if got := hex.EncodeToString(sum[:]); got != want || len(c.b) != 651 {
+		t.Fatalf("checkpoint body digest %s (%d bytes), want %s (651 bytes)", got, len(c.b), want)
+	}
+	key := []byte("golden-checkpoint-key")
+	file := encodeCheckpoint(key, cp)
+	if len(file) != 32+651+tagSize || string(file[:8]) != checkpointMagic {
+		t.Fatalf("checkpoint file is %d bytes under magic %q, want %d under %q", len(file), file[:8], 32+651+tagSize, checkpointMagic)
+	}
+	if bytes.Contains(file, []byte("stash-two")) {
+		t.Fatal("a stash payload is in the clear in the checkpoint file")
+	}
+	if _, err := decodeCheckpoint(key, file); err != nil || !bytes.Equal(file[32:32+651], c.b) {
+		t.Fatalf("checkpoint file does not open to its body: %v", err)
 	}
 }
 
@@ -177,8 +192,10 @@ func TestCheckpointRejectsTampering(t *testing.T) {
 		name   string
 		mutate func([]byte) []byte
 	}{
-		{"bit flip in body", func(b []byte) []byte { b[20] ^= 1; return b }},
-		{"bit flip in mac", func(b []byte) []byte { b[len(b)-1] ^= 1; return b }},
+		{"bit flip in salt", func(b []byte) []byte { b[10] ^= 1; return b }},
+		{"bit flip in body", func(b []byte) []byte { b[40] ^= 1; return b }},
+		{"bit flip in tag", func(b []byte) []byte { b[len(b)-1] ^= 1; return b }},
+		{"format 3 magic", func(b []byte) []byte { b[7] = '3'; return b }},
 		{"truncated", func(b []byte) []byte { return b[:len(b)-5] }},
 		{"extended", func(b []byte) []byte { return append(b, 0) }},
 		{"empty", func(b []byte) []byte { return nil }},
@@ -188,7 +205,7 @@ func TestCheckpointRejectsTampering(t *testing.T) {
 			t.Errorf("%s: decode accepted corrupted checkpoint", tc.name)
 		}
 	}
-	if _, err := decodeCheckpoint([]byte("other-key"), enc); err == nil {
+	if _, err := decodeCheckpoint([]byte("other-key"), append([]byte(nil), enc...)); err == nil {
 		t.Error("decode accepted checkpoint under wrong key")
 	}
 }
@@ -422,5 +439,56 @@ func TestPruneKeepsFallback(t *testing.T) {
 		if n, _ := fmt.Sscanf(e.Name(), "journal-%016x.wal", &seq); n == 1 && seq < 3 {
 			t.Fatalf("stale journal %s survived pruning", e.Name())
 		}
+	}
+}
+
+// TestStaleCheckpointTmpIgnored: a checkpoint's temp file, left behind by a
+// crash or a failed write, is not a checkpoint. A directory holding only one
+// has no state; recovery next to one skips nothing; and the next checkpoint
+// deletes it and keeps the real fallback.
+func TestStaleCheckpointTmpIgnored(t *testing.T) {
+	stale := func(dir string, seq uint64) {
+		t.Helper()
+		if err := os.WriteFile(checkpointPath(dir, seq)+".tmp", []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	stale(dir, 0x50)
+	if testManager(t, dir).HasState() {
+		t.Error("a directory holding only a stale temp file reports state")
+	}
+
+	dir = t.TempDir()
+	m := testManager(t, dir)
+	for _, seq := range []uint64{0x20, 0x40} {
+		if err := m.WriteCheckpoint(testCheckpoint(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale(dir, 0x50)
+	_, _, report, err := testManager(t, dir).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.CheckpointSeq != 0x40 || report.CheckpointsSkipped != 0 {
+		t.Errorf("recovery beside a stale temp file: %+v, want checkpoint 0x40 and nothing skipped", report)
+	}
+
+	if err := m.WriteCheckpoint(testCheckpoint(0x60)); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	want := []string{"checkpoint-0000000000000040.ckpt", "checkpoint-0000000000000060.ckpt",
+		"journal-0000000000000040.wal", "journal-0000000000000060.wal"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("after the next checkpoint the directory holds %v, want %v", names, want)
 	}
 }

@@ -6,28 +6,25 @@
 // update), so replaying the journal against the checkpointed image
 // re-executes exactly the committed suffix and nothing else.
 //
-// Both on-disk formats fail closed: every byte is authenticated (HMAC-SHA256
-// for checkpoints, a hash chain over record groups for the journal),
-// truncation and bit flips are detected rather than consumed, and a torn
-// journal tail yields the valid prefix — never a partial record or group.
-// One codec states every persisted byte: the checkpoint body and its ring
-// sections, the journal header, and each record group are walks of it, run
-// appending to write and consuming to read.
+// The disk is untrusted, so both formats are sealed with AES-GCM (a
+// checkpoint body per seal, a journal record group per seal, chained) and
+// fail closed: truncation, bit flips, splices and wrong keys are detected
+// rather than consumed, and a torn journal tail yields the valid prefix —
+// never a partial record or group. One codec states every persisted byte:
+// the checkpoint body and its ring sections, the journal header, and each
+// record group are walks of it, run appending to write and consuming to
+// read.
 package durable
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"sdimm/internal/integrity"
 )
 
-// journalMagic identifies a journal file (write-ahead log, version 2:
-// chain-tagged record groups — one tag per appended batch, amortizing the
-// HMAC extension over a pipeline wave instead of paying it per record).
-const journalMagic = "SDIMMWL2"
+// journalMagic identifies a journal file (write-ahead log, version 3: the
+// record groups of version 2 sealed with AES-GCM, chained by their tags).
+const journalMagic = "SDIMMWL3"
 
 // maxJournalBlockSize bounds the per-record payload a decoder will believe,
 // so a corrupted header cannot drive allocation (fuzzing hits this).
@@ -73,26 +70,22 @@ type Record struct {
 
 // journalHeader is the fixed prefix of a journal file, before its tag.
 type journalHeader struct {
+	Salt      [saltSize]byte
 	FP        [8]byte
 	BaseSeq   uint64
 	BlockSize int
 }
 
-// header codes the journal header's fields in file order: magic,
-// fingerprint, base seq, and the block size every record pads its payload to.
+// header codes the journal header's fields in file order: magic, salt,
+// fingerprint, base seq, and the block size every record pads its payload
+// to. They are the additional data of an empty seal, whose tag follows them
+// and starts the group chain.
 func (c *codec) header(h *journalHeader) {
 	c.magic(journalMagic)
+	c.fixed(h.Salt[:])
 	c.fixed(h.FP[:])
 	c.u64(&h.BaseSeq)
 	c.u32(&h.BlockSize)
-}
-
-// headerTag is the HMAC of the walked header fields, cut to a chain tag: it
-// follows them on disk and seeds the record chain, binding it to the file.
-func headerTag(key, fields []byte) []byte {
-	m := hmac.New(sha256.New, key)
-	m.Write(fields)
-	return m.Sum(nil)[:integrity.ChainTagSize]
 }
 
 // recordSize is the encoded size of one record for a block size: seq, addr,
@@ -111,66 +104,84 @@ func (c *codec) record(r *Record, blockSize int) {
 // group codes one record group in file order: a u32 count, then each
 // record. A group is the journal's atomic append unit (one per
 // Manager.Append call — a pipeline wave, or a singleton for the sequential
-// path), sealed as a whole under one chain tag, but NOT its durability
-// unit: the writer never starts a group it does not finish, so a torn tail
-// still yields every previously sealed group intact. decodeJournal reads the
-// count first, to check the tag before any record, then walks the records
-// itself.
+// path), sealed as a whole, but NOT its durability unit: the writer never
+// starts a group it does not finish, so a torn tail still yields every
+// previously sealed group intact. On disk the count stays in the clear; it
+// and the previous tag are the seal's additional data, which chains groups.
 func (c *codec) group(recs *[]Record, blockSize int) {
 	list(c, recs, recordSize(blockSize), func(r *Record) { c.record(r, blockSize) })
 }
 
-// decodeJournal parses a journal file. It returns the header, the longest
-// valid record prefix (every record of every fully sealed group), and
-// whether the file ended mid-group or at a broken chain link (torn). Header
+// walkGroup walks one opened group — its count, then its records — which
+// must be consumed exactly, hold at least one record, and continue the
+// sequence at first with known kinds. Each record's Data is a view of its
+// padded payload.
+func walkGroup(b []byte, blockSize int, first uint64) ([]Record, error) {
+	c := codec{b: b, dec: true}
+	var recs []Record
+	switch c.group(&recs, blockSize); {
+	case c.err != nil:
+		return nil, c.err
+	case len(c.b) != 0 || len(recs) == 0:
+		return nil, errors.New("durable: group is empty or has trailing bytes")
+	}
+	for i, r := range recs {
+		if r.Kind >= kindCount || r.Seq != first+uint64(i) {
+			// An authenticated record with an unknown kind, or out of
+			// sequence, can only come from a broken (e.g. newer-versioned)
+			// writer; stop trusting the tail rather than misreplaying it.
+			return nil, fmt.Errorf("durable: record %d has kind %d and seq %d, want a known kind and seq %d", i, r.Kind, r.Seq, first+uint64(i))
+		}
+	}
+	return recs, nil
+}
+
+// decodeJournal opens and parses a journal file, in place: data is the
+// decoder's. It returns the header, the longest valid record prefix (every
+// record of every fully sealed group), and whether the file ended
+// mid-group or at a group that fails its tag or its walk (torn). Header
 // corruption is an error: with an unauthenticated header nothing after it
 // can be trusted, so the whole file is rejected.
 func decodeJournal(key, data []byte) (hdr journalHeader, recs []Record, torn bool, err error) {
 	c := codec{b: data, dec: true}
-	c.header(&hdr)
-	fields := data[:len(data)-len(c.b)]
-	tag := c.take(integrity.ChainTagSize)
-	if c.err != nil {
+	if c.header(&hdr); c.err != nil {
 		return hdr, nil, false, fmt.Errorf("durable: corrupt journal header: %w", c.err)
 	}
-	want := headerTag(key, fields)
-	if !hmac.Equal(want, tag) {
+	a, nonce := fileAEAD(key, &hdr.Salt, false), make([]byte, 12)
+	if c.seal(a, nonce, data[:len(data)-len(c.b)], 0, 0); c.err != nil {
 		return hdr, nil, false, errors.New("durable: journal header failed authentication")
 	}
 	if hdr.BlockSize == 0 || hdr.BlockSize > maxJournalBlockSize {
 		return hdr, nil, false, fmt.Errorf("durable: journal block size %d out of range", hdr.BlockSize)
 	}
 
-	chain := integrity.NewChain(key, want)
+	var ad [4 + tagSize]byte // the next group's count, then the previous tag
+	copy(ad[4:], data[len(data)-len(c.b)-tagSize:])
 	size := recordSize(hdr.BlockSize)
 	for len(c.b) > 0 {
 		// The count alone sizes the group, so its tag is checked before any
-		// record is parsed. A group the remaining bytes cannot hold (bounds in
+		// record is walked. A group the remaining bytes cannot hold (bounds in
 		// uint64, so a hostile count cannot overflow) is torn: unfinished,
 		// and by construction holding nothing durable.
-		g := c
+		g := c.b
 		var count int
-		g.u32(&count)
-		end := 4 + uint64(count)*uint64(size)
-		if g.err != nil || count == 0 || uint64(len(c.b)) < end+integrity.ChainTagSize {
+		c.u32(&count)
+		n := uint64(count) * uint64(size)
+		if c.err != nil || count == 0 || uint64(len(c.b)) < n+tagSize {
 			return hdr, recs, true, nil
 		}
-		// On mismatch the chain has advanced past a group we discard, but
-		// decoding stops here so the stale chain state is never reused.
-		msg, tag := c.take(int(end)), c.take(integrity.ChainTagSize)
-		if !hmac.Equal(chain.Next(msg), tag) {
+		copy(ad[:4], g)
+		first := hdr.BaseSeq + 1 + uint64(len(recs))
+		binary.BigEndian.PutUint64(nonce[4:], first)
+		if c.seal(a, nonce, ad[:], 0, int(n)); c.err != nil {
 			return hdr, recs, true, nil
 		}
-		g.b = msg[4:]
-		for range count {
-			var rec Record
-			g.record(&rec, hdr.BlockSize)
-			if rec.Kind >= kindCount || rec.Seq != hdr.BaseSeq+1+uint64(len(recs)) {
-				// An authenticated record with an unknown kind, or out of
-				// sequence, can only come from a broken (e.g. newer-versioned)
-				// writer; stop trusting the tail rather than misreplaying it.
-				return hdr, recs, true, nil
-			}
+		got, werr := walkGroup(g[:4+n], hdr.BlockSize, first)
+		if werr != nil {
+			return hdr, recs, true, nil
+		}
+		copy(ad[4:], g[4+n:])
+		for _, rec := range got {
 			if rec.Kind == KindWrite {
 				rec.Data = append([]byte(nil), rec.Data...)
 			} else {

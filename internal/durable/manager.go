@@ -1,6 +1,8 @@
 package durable
 
 import (
+	"crypto/cipher"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -8,8 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-
-	"sdimm/internal/integrity"
 )
 
 // ErrCrashed is returned by every durable operation after a planned crash
@@ -33,7 +33,7 @@ type Fingerprint struct {
 
 // Hash condenses the fingerprint into the 8 bytes embedded in every file
 // header. FNV-1a over the printed form is plenty: this is an operator
-// mistake detector, not a security boundary (the HMACs are).
+// mistake detector, not a security boundary (the seals are).
 func (f Fingerprint) Hash() [8]byte {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d|%d|%d|%d|%d|%t", f.Kind, f.Members, f.Levels, f.BlockSize, f.Z, f.Seed, f.Parity)
@@ -68,19 +68,21 @@ type Manager struct {
 	fsync     bool
 
 	jf      *os.File
-	chain   *integrity.Chain
-	nextSeq uint64 // seq the next appended record must carry
-	ckpt    uint64 // seq of the newest checkpoint written/loaded
+	aead    cipher.AEAD       // the open journal's, keyed by its salt
+	ad      [4 + tagSize]byte // the next group's count, then the previous tag
+	nonce   [12]byte          // the next group's: its first seq (see fileAEAD)
+	nextSeq uint64            // seq the next appended record must carry
+	ckpt    uint64            // seq of the newest checkpoint written/loaded
 
 	crashAfter int // records until the planned crash; -1 when disarmed
 	tearBytes  int
 	err        error // the first failure, latched: see Err
 
-	recBuf []byte // reusable encoded-record scratch (body + chain tag)
+	recBuf []byte // reusable sealed-group scratch (count + records + tag)
 }
 
-// Open attaches a manager to dir, creating it if needed. key authenticates
-// every file; fp pins the cluster shape; fsync controls whether commits hit
+// Open attaches a manager to dir, creating it if needed. key seals every
+// file (each under its own key, derived from key and the file's salt); fp pins the cluster shape; fsync controls whether commits hit
 // stable storage before returning (off keeps seeded chaos sweeps fast).
 func Open(dir string, key []byte, fp Fingerprint, blockSize int, fsync bool) (*Manager, error) {
 	if blockSize <= 0 || blockSize > maxJournalBlockSize {
@@ -111,7 +113,9 @@ func journalPath(dir string, seq uint64) string {
 }
 
 // fileSeqs lists the sequence numbers of the files in dir named by name
-// (checkpointName or journalName), ascending.
+// (checkpointName or journalName, or either with a suffix), ascending. A
+// name counts only when it formats back to itself: Sscanf ignores trailing
+// input, so a checkpoint's leftover ".tmp" would scan as the checkpoint.
 func fileSeqs(dir, name string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -120,7 +124,7 @@ func fileSeqs(dir, name string) ([]uint64, error) {
 	var seqs []uint64
 	for _, e := range ents {
 		var seq uint64
-		if n, _ := fmt.Sscanf(e.Name(), name, &seq); n == 1 {
+		if n, _ := fmt.Sscanf(e.Name(), name, &seq); n == 1 && fmt.Sprintf(name, seq) == e.Name() {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -167,32 +171,29 @@ func (m *Manager) writeCheckpoint(cp *Checkpoint) error {
 		m.jf.Close()
 		m.jf = nil
 	}
-	jf, err := os.Create(journalPath(m.dir, cp.Seq))
-	if err != nil {
-		return fmt.Errorf("durable: open journal: %w", err)
-	}
+	hdr := journalHeader{FP: m.fp, BaseSeq: cp.Seq, BlockSize: m.blockSize}
+	m.aead = fileAEAD(m.key, &hdr.Salt, true)
 	var h codec
-	h.header(&journalHeader{FP: m.fp, BaseSeq: cp.Seq, BlockSize: m.blockSize})
-	mac := headerTag(m.key, h.b)
-	if _, err := jf.Write(append(h.b, mac...)); err != nil {
-		jf.Close()
-		return fmt.Errorf("durable: write journal header: %w", err)
+	h.header(&hdr)
+	h.seal(m.aead, make([]byte, 12), h.b, len(h.b), 0)
+	copy(m.ad[4:], h.b[len(h.b)-tagSize:])
+	path := journalPath(m.dir, cp.Seq)
+	if err := m.writeFile(path, h.b); err != nil {
+		return err
 	}
+	// The renamed checkpoint and the new journal are directory entries:
+	// without this a power cut could drop both after records appended to
+	// the new journal were already acknowledged.
 	if m.fsync {
-		if err := jf.Sync(); err != nil {
-			jf.Close()
-			return fmt.Errorf("durable: sync journal header: %w", err)
-		}
-		// The renamed checkpoint and the new journal are directory entries:
-		// without this a power cut could drop both after records appended to
-		// the new journal were already acknowledged.
 		if err := syncDir(m.dir); err != nil {
-			jf.Close()
 			return fmt.Errorf("durable: sync state dir: %w", err)
 		}
 	}
+	jf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return fmt.Errorf("durable: open journal: %w", err)
+	}
 	m.jf = jf
-	m.chain = integrity.NewChain(m.key, mac)
 	m.nextSeq = cp.Seq + 1
 	m.ckpt = cp.Seq
 	m.prune(cp.Seq)
@@ -200,12 +201,17 @@ func (m *Manager) writeCheckpoint(cp *Checkpoint) error {
 }
 
 // prune removes files that can no longer matter: all but the newest two
-// checkpoints (the newest plus one fallback), and journals older than the
-// fallback checkpoint's base.
+// checkpoints (the newest plus one fallback), journals older than the
+// fallback checkpoint's base, and the temp file of any checkpoint whose
+// write never finished (a crash or a failed write leaves one).
 func (m *Manager) prune(newest uint64) {
 	seqs, err := fileSeqs(m.dir, checkpointName)
 	if err != nil {
 		return
+	}
+	tmps, _ := fileSeqs(m.dir, checkpointName+".tmp")
+	for _, s := range tmps {
+		os.Remove(checkpointPath(m.dir, s) + ".tmp")
 	}
 	keepFrom := newest
 	if len(seqs) >= 2 {
@@ -254,10 +260,9 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// Append commits a batch of records to the journal as one chained group
+// Append commits a batch of records to the journal as one sealed group
 // (one group per pipeline wave; a singleton group per sequential access), so
-// the HMAC chain extension is paid once per batch rather than once per
-// record. Records must continue the committed sequence exactly, carry a
+// the seal is paid once per batch rather than once per record. Records must continue the committed sequence exactly, carry a
 // known kind and fit the block size; a batch that does not is rejected
 // before anything is written. When a planned crash point falls inside the
 // batch, the records before it are sealed as their own group (they were
@@ -323,15 +328,19 @@ func (m *Manager) append(recs []Record) error {
 	return nil
 }
 
-// writeGroup walks recs into one wire group plus its chain tag, in the
-// manager's reused scratch, and writes it whole, or only its first tear
+// writeGroup walks recs into one group and seals its records in place, in
+// the manager's reused scratch, and writes it whole, or only its first tear
 // bytes when tear >= 0. It advances the chain either way.
 func (m *Manager) writeGroup(recs []Record, tear int) error {
 	c := codec{b: m.recBuf[:0]}
 	if c.group(&recs, m.blockSize); c.err != nil {
 		return fmt.Errorf("durable: records %d..%d: %w", recs[0].Seq, recs[len(recs)-1].Seq, c.err)
 	}
-	m.recBuf = m.chain.AppendNext(c.b, c.b)
+	copy(m.ad[:4], c.b)
+	binary.BigEndian.PutUint64(m.nonce[4:], recs[0].Seq)
+	c.seal(m.aead, m.nonce[:], m.ad[:], 4, 0)
+	copy(m.ad[4:], c.b[len(c.b)-tagSize:])
+	m.recBuf = c.b
 	full := m.recBuf
 	if tear >= 0 {
 		full = full[:min(tear, len(full))]
@@ -364,7 +373,7 @@ func (m *Manager) Err() error {
 }
 
 // Recover loads the newest valid checkpoint and the valid prefix of its
-// journal. Invalid (torn, bit-flipped, wrong-key) checkpoints are skipped
+// journal. Invalid (torn, bit-flipped, wrong-key, older-format) checkpoints are skipped
 // in favour of older ones; an absent journal means the crash hit between
 // checkpoint publish and journal creation and is not an error. The manager
 // does not reopen a journal for appending — the caller writes a fresh

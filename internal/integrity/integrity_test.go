@@ -8,7 +8,7 @@ import (
 func TestTagRoundTrip(t *testing.T) {
 	p := New([]byte("key"))
 	data := []byte("bucket contents")
-	tag := p.Tag(42, 7, data)
+	tag := p.AppendTag(nil, 42, 7, data)
 	if len(tag) != TagSize {
 		t.Fatalf("tag size %d", len(tag))
 	}
@@ -20,7 +20,7 @@ func TestTagRoundTrip(t *testing.T) {
 func TestVerifyRejectsChanges(t *testing.T) {
 	p := New([]byte("key"))
 	data := []byte("bucket contents")
-	tag := p.Tag(42, 7, data)
+	tag := p.AppendTag(nil, 42, 7, data)
 	if p.Verify(43, 7, data, tag) {
 		t.Fatal("relocated bucket accepted")
 	}
@@ -40,7 +40,7 @@ func TestVerifyRejectsChanges(t *testing.T) {
 func TestDifferentKeysDiffer(t *testing.T) {
 	a, b := New([]byte("k1")), New([]byte("k2"))
 	data := []byte("x")
-	if b.Verify(1, 1, data, a.Tag(1, 1, data)) {
+	if b.Verify(1, 1, data, a.AppendTag(nil, 1, 1, data)) {
 		t.Fatal("tag valid under wrong key")
 	}
 }
@@ -50,7 +50,7 @@ func TestDifferentKeysDiffer(t *testing.T) {
 func TestPropertyTagging(t *testing.T) {
 	p := New([]byte("property-key"))
 	f := func(bucket, counter uint64, data []byte) bool {
-		tag := p.Tag(bucket, counter, data)
+		tag := p.AppendTag(nil, bucket, counter, data)
 		if !p.Verify(bucket, counter, data, tag) {
 			return false
 		}

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-
-	"sdimm/internal/integrity"
 )
 
 // DummyAddr marks an empty bucket slot.
@@ -162,9 +160,7 @@ var ErrIntegrity = errors.New("oram: bucket failed integrity verification")
 // place: stale, relocated or flipped bytes fail Open. Both nonce fields are
 // 48 bits, so the store refuses a bucket index or write counter at or past
 // nonceFieldLimit. The AES key is SHA-256("sdimm/bucket/v2|" || key)[:16]:
-// every byte of key reaches the cipher. Format 1 (AES-CTR under
-// idx(8) || counter(8), an 8-byte PMMAC tag) is never sealed again;
-// RestoreRaw recognises it by length and upgrades it (see format1).
+// every byte of key reaches the cipher.
 //
 // Sealed buckets (one fixed size per store) live in an arena, so an open or
 // a seal finds its bucket with an array load, not a hash. The arena is lazy:
@@ -189,7 +185,6 @@ type MemStore struct {
 	rawSize    int // counter (8) || ciphertext || tag, fixed by the shape
 	room       int // rawSize plus what a seal writes past its tag (see NewMemStore)
 	gcm        cipher.AEAD
-	key        []byte      // as given to NewMemStore; format1 derives the old schedule from it
 	index      []uint32    // idx -> slot, 0 = never written; len is a power of two
 	far        []farBucket // buckets at idx >= denseLimit, ascending
 	slabs      [][]byte    // slot n (1-based) is the (n-1)th room run across the slabs
@@ -283,7 +278,6 @@ func NewMemStore(z, blockBytes int, key []byte) (*MemStore, error) {
 		rawSize:    rawSize,
 		room:       max(rawSize, 8+(pt+aes.BlockSize-1)/aes.BlockSize*aes.BlockSize),
 		gcm:        gcm,
-		key:        append([]byte(nil), key...),
 	}, nil
 }
 
@@ -648,55 +642,19 @@ func (s *MemStore) RawBucket(idx uint64) ([]byte, bool) {
 	return append([]byte(nil), raw...), true
 }
 
-// RestoreRaw installs sealed bucket bytes captured by RawBucket. The two
-// sealed formats differ in length (an 8-byte tag against a 12-byte one), so
-// for one store shape the length says which this is. Format-2 bytes are
-// installed verbatim — authenticity is checked by ReadBucket (and the
-// post-restore scrub pass) via the embedded tag. Format-1 bytes are upgraded
-// on the way in (see format1).
+// RestoreRaw installs sealed bucket bytes captured by RawBucket, verbatim:
+// authenticity is checked by ReadBucket (and the post-restore scrub pass)
+// via the embedded tag. Bytes of any other length than this store seals
+// are refused.
 func (s *MemStore) RestoreRaw(idx uint64, raw []byte) error {
 	if idx >= nonceFieldLimit {
 		return fmt.Errorf("oram: restored bucket index %d: must be below 2^48", idx)
 	}
-	switch len(raw) {
-	case s.rawSize:
-		copy(s.claim(idx), raw)
-		return nil
-	case s.rawSize - tagSize + integrity.TagSize:
-		return s.format1(idx, raw)
+	if len(raw) != s.rawSize {
+		return fmt.Errorf("oram: restored bucket %d is %d bytes, want %d", idx, len(raw), s.rawSize)
 	}
-	return fmt.Errorf("oram: restored bucket %d is %d bytes, want %d", idx, len(raw), s.rawSize)
-}
-
-// format1 is the one-way upgrade of a bucket sealed before format 2
-// (counter || AES-CTR ciphertext || 8-byte PMMAC tag, the AES key the first
-// 16 bytes of key, the IV idx(8) || counter(8)). A bucket whose PMMAC
-// verifies is decrypted with the old schedule and resealed format 2 under
-// the same counter, so the members of a Split cluster stay in lockstep. One
-// that does not is installed as it came, short of a tag that could verify,
-// so the scrub counts and repairs it exactly where it would have. The old
-// schedule is rebuilt per call: a state directory is upgraded once, and the
-// store keeps nothing of format 1 between calls. Nothing seals format 1.
-func (s *MemStore) format1(idx uint64, raw []byte) error {
-	counter := binary.BigEndian.Uint64(raw[:8])
-	ct, tag := raw[8:8+s.plainSize()], raw[8+s.plainSize():]
-	if !integrity.New(append([]byte("pmmac|"), s.key...)).Verify(idx, counter, ct, tag) {
-		dst := s.claim(idx)
-		clear(dst[copy(dst, raw):])
-		return nil
-	}
-	kb := make([]byte, 16)
-	copy(kb, s.key)
-	blk, err := aes.NewCipher(kb)
-	if err != nil {
-		return fmt.Errorf("oram: format-1 cipher: %w", err)
-	}
-	var iv [aes.BlockSize]byte
-	binary.BigEndian.PutUint64(iv[:8], idx)
-	binary.BigEndian.PutUint64(iv[8:], counter)
-	pt := s.scratch()
-	cipher.NewCTR(blk, iv[:]).XORKeyStream(pt, ct)
-	return s.seal(idx, counter, pt)
+	copy(s.claim(idx), raw)
+	return nil
 }
 
 // Counter returns the stored write counter of a bucket (0 if the bucket was

@@ -317,26 +317,13 @@ func goldenBucket() Bucket {
 // goldenSealed pins the sealed bytes of goldenBucket() under the key
 // "golden-sealed-bytes-key": a root bucket, a tree bucket and one far outside
 // any tree, each after three WriteBuckets, then the scrub's explicit-counter
-// reseal. format1 is what the store produced up to commit 53f5d6a (literals
-// captured at cae947f, before the keystream was batched and the bucket map
-// became an arena); format2 is what it produces now.
+// reseal.
 var goldenSealed = []struct {
-	step             string
-	idx, counter     uint64
-	format1, format2 string
+	step         string
+	idx, counter uint64
+	sealed       string
 }{
 	{"WriteBucket x3", 0, 3,
-		"0000000000000003c73e75b53fe873a665b88c95c31f3f4d891201c942ceb5d9" +
-			"d48e28441075ecaaf7e14b2dad8d27a319d6afe9de49837c5cc8feda0f5af0b6" +
-			"3bc62a3e4e503ae355b96461df45d19fc0514884d123656d540e8e0617071781" +
-			"d093d8d46472381bc7bf88b089abf0745cc1864f161d831d4bac7f318c337185" +
-			"232897d63ec3717a75b65b3712228db1b0eef37f2a3575903c5794ff06e879cf" +
-			"d65807fc60254084684a1eac34c2a568402aff06c3abd20c39557d885d618ac6" +
-			"02f748a6ba08c2ef9c18aba6c0fac93c741287f35e28174d4964a51129675424" +
-			"2eca7b00f7dcd22a905b0612b2ef566ea59f9339796dc77faac530fd6048a6fd" +
-			"0d2f14d28061e9302d61ebd6082025945b2805cd161d54320c31f405621f3374" +
-			"decb817e4e30046616b3b9c7da0dbca1ab6abfa10cd4973f97081f47c8591391" +
-			"3edcc51921104e5d3a65a21cb89c8aa3",
 		"0000000000000003a9c1aa064bb7b470bbbb23a71c3d029bf343d38ec3e8ee53" +
 			"aa4a381e0fb545fcc4eb7dafd7d3095b9c09a558221e0072ceba72567a38ba45" +
 			"65a22ad7f9c1424711fa1dae85dbb3a221ae56780ec75ff4598dbed307aa2f79" +
@@ -349,17 +336,6 @@ var goldenSealed = []struct {
 			"e806c5dc5c709ad1c9a9ab24da5d3d8c020a8965a97579e008a9fadc785bc3b3" +
 			"2cb1f8e203bfe555b88815ccf23a34db7aeb6136"},
 	{"WriteBucket x3", 7, 3,
-		"00000000000000034b1fdd110d935ae0fed25e9bc16a0defb5179926934434c8" +
-			"eff8c1e08e48b958537aba7b7a3be00d34ba4d3e9262efe941c947cecbb327c3" +
-			"73a69de0d5730d3fa35b1e2ff6c7fd84e5bf69ac93bbb14b95f536f5be8a4b2e" +
-			"06f662d467399434e9c60c7502a17745e6b0ef72883c39a9da89c8ec2e8425b5" +
-			"71cc769d18642cedce3a3054a25548142009bfc728ea9ce2f3669238bbdd58cb" +
-			"e0fd9bb3b8174e5315c582104f00225fd8127a0a6c6450e08a667288716807ea" +
-			"b54f6e2c723b6030427374ff347f43179da5bc82526ecaa009b0c0852bd1f719" +
-			"a73edb8b40462010f52f70b73bb1b0e8ecd6a285a4a83439c9034a50caf1792c" +
-			"e4203f5770186c00e2a2379c15d77a381534fd56e1b03d6feab63fb92dd75040" +
-			"a70f64033da270b80fd903dee078a576110dd8dcc508bd51409fc076b6e312b8" +
-			"6bcb66d6e1c2dda4a75dac0049c2dc76",
 		"0000000000000003c8e9362aa24b5b232cd95b78979403b5482b6211fed3f1bd" +
 			"6d37ab77d70d3fd5840fe8f414017eea4fdf7fdd1bb3aff12942a9c6943d05b0" +
 			"33a99cccc317752e6b6c77047eaf934b14737cc9adda8ec9d319f9659c67573f" +
@@ -372,17 +348,6 @@ var goldenSealed = []struct {
 			"76cf4de9b1552e28b81a00077d743d89ce42a69173033af22cbd8ddf2bcfa6d9" +
 			"98753c5db9524a33a73b910b9e8af579453cd34b"},
 	{"WriteBucket x3", 1 << 40, 3,
-		"00000000000000030c2f090e55335442e13d55335ca29a5e427d9ba80c085e63" +
-			"d2b71b6be3e20cf3a9989927e1f9e81781ac5e7dea791b15658b96dfb11321ec" +
-			"6eb03273fbc6b85a918410553dcc797d0439aabac68d19041c19fc4aed9d7253" +
-			"6ddd4fef1dfa44e3388db65711478b0508076694c7a8d8922bf2c51d69ae56cb" +
-			"c9a5dd9f2f689751ddab13fff494eb480bc25dce40fa90614b6eb36f2a4b2ce7" +
-			"c957d84969649af4fe6a65ae095795cd306f5854cf93ae7de4dbd8ba42d0d5d4" +
-			"db0bef9672a92c196d6ee6b51bd7324e62529a5b59f394796d7d5afe612b2d90" +
-			"67fe4273f2a32f84eb477f5159bbedd9b4b9962800a4009b6514d22c391aed76" +
-			"c7f90f05992a2f47810d06a150d6b499b5b140477af38ec84258fd77ce47c8d6" +
-			"82272c08a0e6b6e3c2d18d783fbf4cd19582e78322fe92df95554629c3edf78b" +
-			"1ee5a97d7dd7875cc7072cffcc25a5aa",
 		"00000000000000036a5efc90f354afed37c87b7fce04d56f6f30e0fef66cf59b" +
 			"1d9df121c28a6d664ca3c2e2942787d8eccf232e3e3e34320cdac660fdb73e64" +
 			"a5964876314906eefc85d3f10e144d91b743a970d9404fa02d24b237a0547ffc" +
@@ -395,17 +360,6 @@ var goldenSealed = []struct {
 			"2d68c07b53c834850684d5084f3efcc389aebc293b640c1c85e1a757bc957ea9" +
 			"47cd225cd82ce2ad567da713832e5189ecd6f3b6"},
 	{"PutBucketAt counter 9", 7, 9,
-		"0000000000000009e9c60c7502a17744e6b0ef72883c39acdb8dcfe6239436a3" +
-			"68d069bf3d4c07c3ff0e076e9f150b526945f0957db2c7bc9202f552d6ad2bbd" +
-			"9981e4313d9fc5dd8451158a0c0d3f1671bed5b8d9cceb5e06f1e205fab78874" +
-			"cc23014d163b6030427374ff347f43179da5bc82526ecaa009b0c0852bd1f719" +
-			"a73edb8b40462010f52f70b73bb1b0e8ecd6a285a4a8343936fcb5af350e86d3" +
-			"e4203f5770186c00e2a2379ccb7ac4d71534fd56e1a03d6f99de50cb59f72021" +
-			"de630b6259a270b80fd903dee078a576110dd8dcc508bd51409fc076b6e312b8" +
-			"6bcb66d6e1c2dda4c187adba7bfa8be8da71d0219adab45efe07882ce64a6ab6" +
-			"48e459cfd27ca0f2b879eba49250f752ee13a0d3d02d77cd63afebbf4ebf5835" +
-			"b6041cd1d3d6a9b63456975d569b773653aff3f151ffc8f2967db30d8c641a4d" +
-			"7a7985d388d9b49c08cbe05f25bbeb39",
 		"000000000000000949ce5e4588f56dd8e4d4ff9f3028e53ffc8f1b545cda6642" +
 			"5564e6f31535a4ce37fffb7be41ebb601ed60082e07754a707c1c2e0582e46b1" +
 			"03f76e2fc07dbcdbd0b981c46a1ff0b233181d818045347cde6db1480fc1bcc5" +
@@ -421,11 +375,9 @@ var goldenSealed = []struct {
 
 // TestMemStoreSealedBytesGolden pins counter || ciphertext || tag. Checkpoints
 // persist these bytes verbatim, so a difference here is a format break,
-// whatever else passes. The format-1 literals are kept as input: RestoreRaw
-// of each into a fresh store must open to the golden bucket under its old
-// counter and come back from RawBucket four bytes longer — the very bytes
-// format 2 seals for that (index, counter, plaintext), since the upgrade
-// reseals under the same counter.
+// whatever else passes. RestoreRaw of each into a fresh store opens to the
+// golden bucket under its counter; the same bytes cut to the length the
+// store sealed before AES-GCM (an 8-byte tag) are refused.
 func TestMemStoreSealedBytesGolden(t *testing.T) {
 	key := []byte("golden-sealed-bytes-key")
 	s, err := NewMemStore(4, 64, key)
@@ -444,25 +396,20 @@ func TestMemStoreSealedBytesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		raw, _ := s.RawBucket(g.idx)
-		if got := hex.EncodeToString(raw); got != g.format2 {
-			t.Errorf("%s: bucket %d sealed bytes changed\n got %s\nwant %s", g.step, g.idx, got, g.format2)
+		if got := hex.EncodeToString(raw); got != g.sealed {
+			t.Errorf("%s: bucket %d sealed bytes changed\n got %s\nwant %s", g.step, g.idx, got, g.sealed)
 		}
 
-		old, _ := hex.DecodeString(g.format1)
-		up, _ := NewMemStore(4, 64, key)
-		if err := up.RestoreRaw(g.idx, old); err != nil {
-			t.Fatalf("%s: format-1 bucket %d refused: %v", g.step, g.idx, err)
+		fresh, _ := NewMemStore(4, 64, key)
+		if err := fresh.RestoreRaw(g.idx, raw); err != nil {
+			t.Fatalf("%s: bucket %d refused: %v", g.step, g.idx, err)
 		}
-		got, err := up.ReadBucket(g.idx)
-		if err != nil {
-			t.Fatalf("%s: upgraded bucket %d does not open: %v", g.step, g.idx, err)
+		got, err := fresh.ReadBucket(g.idx)
+		if err != nil || got.Counter != g.counter || !bytes.Equal(plainBytes(got, 64), plainBytes(b, 64)) {
+			t.Errorf("%s: restored bucket %d opens to counter %d (%v)", g.step, g.idx, got.Counter, err)
 		}
-		if got.Counter != g.counter || !bytes.Equal(plainBytes(got, 64), plainBytes(b, 64)) {
-			t.Errorf("%s: upgraded bucket %d opens to counter %d, %+v", g.step, g.idx, got.Counter, got.Slots)
-		}
-		raw, _ = up.RawBucket(g.idx)
-		if len(raw) != len(old)+4 || hex.EncodeToString(raw) != g.format2 {
-			t.Errorf("%s: upgraded bucket %d is %d bytes (format 1: %d), not the format-2 seal of the same write", g.step, g.idx, len(raw), len(old))
+		if err := fresh.RestoreRaw(g.idx, raw[:len(raw)-4]); err == nil {
+			t.Errorf("%s: bucket %d of the pre-GCM length accepted", g.step, g.idx)
 		}
 	}
 }
@@ -480,36 +427,8 @@ func TestMemStoreFormat2Layout(t *testing.T) {
 	ctr := binary.BigEndian.AppendUint64(nil, g.counter)
 	nonce := append(append([]byte(nil), idx[2:]...), ctr[2:]...)
 	raw := gcm.Seal(ctr, nonce, plainBytes(goldenBucket(), 64), idx)
-	if got := hex.EncodeToString(raw); got != g.format2 {
-		t.Fatalf("format 2 as documented seals bucket %d at counter %d to\n%s\nthe store to\n%s", g.idx, g.counter, got, g.format2)
-	}
-}
-
-// TestMemStoreFormat1BadTagStaysBad: a format-1 bucket whose PMMAC does not
-// verify must not be laundered into a valid format-2 one. It is installed
-// with its counter and cannot open, so the scrub finds it exactly where it
-// would have, and the rebuild's reseal under the siblings' counter is taken.
-func TestMemStoreFormat1BadTagStaysBad(t *testing.T) {
-	g := goldenSealed[1]
-	for _, flip := range []int{8, 200, 335} { // ciphertext head, ciphertext middle, tag
-		old, _ := hex.DecodeString(g.format1)
-		old[flip] ^= 0x10
-		s, _ := NewMemStore(4, 64, []byte("golden-sealed-bytes-key"))
-		if err := s.RestoreRaw(g.idx, old); err != nil {
-			t.Fatalf("flip at %d: corrupt format-1 bucket refused, the scrub would never see it: %v", flip, err)
-		}
-		if _, err := s.ReadBucket(g.idx); !errors.Is(err, ErrIntegrity) {
-			t.Fatalf("flip at %d: corrupt format-1 bucket opens: %v", flip, err)
-		}
-		if c := s.Counter(g.idx); c != g.counter {
-			t.Fatalf("flip at %d: counter %d, want %d kept", flip, c, g.counter)
-		}
-		if err := s.PutBucketAt(g.idx, goldenBucket(), g.counter); err != nil {
-			t.Fatalf("flip at %d: rebuild under the kept counter refused: %v", flip, err)
-		}
-		if raw, _ := s.RawBucket(g.idx); hex.EncodeToString(raw) != g.format2 {
-			t.Fatalf("flip at %d: rebuild did not produce the format-2 seal of that write", flip)
-		}
+	if got := hex.EncodeToString(raw); got != g.sealed {
+		t.Fatalf("format 2 as documented seals bucket %d at counter %d to\n%s\nthe store to\n%s", g.idx, g.counter, got, g.sealed)
 	}
 }
 
@@ -558,22 +477,25 @@ func TestMemStorePutBucketAtNonceDiscipline(t *testing.T) {
 	}
 }
 
-// FuzzMemStoreRestoreRaw feeds RestoreRaw arbitrary bytes of both sealed
-// lengths and of wrong ones. It must never panic, a wrong length or an index
-// past the nonce field is an error, and nothing opens afterwards except the
-// bytes a seal under this key produced for that index — the format-2 seeds
-// verbatim, the format-1 seeds through the upgrade.
+// FuzzMemStoreRestoreRaw feeds RestoreRaw arbitrary bytes of the sealed
+// length and of wrong ones, the pre-GCM length (a 4-byte shorter tag)
+// among them. It must never panic, a wrong length or an index past the
+// nonce field is an error, and nothing opens afterwards except the bytes a
+// seal under this key produced for that index.
 func FuzzMemStoreRestoreRaw(f *testing.F) {
 	key := []byte("golden-sealed-bytes-key")
 	genuine := map[string]bool{}
 	for _, g := range goldenSealed {
-		for _, lit := range []string{g.format1, g.format2} {
-			raw, _ := hex.DecodeString(lit)
-			genuine[fmt.Sprint(g.idx, raw)] = true
-			f.Add(g.idx, raw)
-			f.Add(g.idx+1, raw)
-			f.Add(g.idx, raw[:len(raw)-1])
-		}
+		raw, _ := hex.DecodeString(g.sealed)
+		genuine[fmt.Sprint(g.idx, raw)] = true
+		flipped := bytes.Clone(raw)
+		flipped[len(flipped)-1] ^= 1
+		f.Add(g.idx, raw)
+		f.Add(g.idx+1, raw)
+		f.Add(g.idx, raw[:len(raw)-1])
+		f.Add(g.idx, raw[:len(raw)-4])
+		f.Add(g.idx, append(bytes.Clone(raw), 0))
+		f.Add(g.idx, flipped)
 	}
 	f.Add(uint64(1<<48), make([]byte, 340))
 	f.Add(uint64(0), []byte{})
@@ -581,15 +503,13 @@ func FuzzMemStoreRestoreRaw(f *testing.F) {
 	f.Fuzz(func(t *testing.T, idx uint64, raw []byte) {
 		s, _ := NewMemStore(4, 64, key)
 		err := s.RestoreRaw(idx, raw)
-		if (len(raw) != 336 && len(raw) != 340) || idx >= nonceFieldLimit {
+		if len(raw) != 340 || idx >= nonceFieldLimit {
 			if err == nil {
 				t.Fatalf("bucket %d of %d bytes accepted", idx, len(raw))
 			}
 			return
 		}
 		if err != nil {
-			// The one refusal left: a format-1 bucket that verifies under a
-			// counter format 2 cannot carry, which no seed is.
 			t.Fatalf("bucket %d of %d bytes refused: %v", idx, len(raw), err)
 		}
 		got, err := s.ReadBucket(idx)

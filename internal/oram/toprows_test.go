@@ -88,8 +88,8 @@ func sameWrites(t *testing.T, step int, a, b *MemStore) {
 // TestTopRowsSealLikeDRAM drives a store whose top three levels are rows and
 // one without any through the same seeded sequence of every call that
 // writes: WriteBucket, PutBucketAt at counters below, at and past the stored
-// one, RestoreRaw of verbatim, relocated, garbage and format-1 bytes, and
-// Corrupt. Every index, rows and arena alike, must answer the same from
+// one, RestoreRaw of verbatim, relocated and garbage bytes and of bytes of
+// the wrong length, and Corrupt. Every index, rows and arena alike, must answer the same from
 // both after every call: a row is a DRAM bucket that is not in DRAM.
 func TestTopRowsSealLikeDRAM(t *testing.T) {
 	const key = "golden-sealed-bytes-key"
@@ -99,7 +99,8 @@ func TestTopRowsSealLikeDRAM(t *testing.T) {
 	if len(top.rows) != 7 {
 		t.Fatalf("setTop(3) holds %d rows, want 7", len(top.rows))
 	}
-	format1, _ := hex.DecodeString(goldenSealed[0].format1) // bucket 0, counter 3
+	sealed, _ := hex.DecodeString(goldenSealed[0].sealed) // bucket 0, counter 3
+	short := sealed[:len(sealed)-4]                       // the pre-GCM length: refused
 	const n = 16
 	r := rng.New(2024)
 	for step := 0; step < 4000; step++ {
@@ -134,10 +135,11 @@ func TestTopRowsSealLikeDRAM(t *testing.T) {
 			raw[0], raw[1] = 0, 0 // a counter inside the nonce field, usually
 			both(func(s *MemStore) error { return s.RestoreRaw(idx, raw) })
 		case 5:
+			raw := sealed
 			if r.Bool(0.5) {
-				idx = 0 // where the format-1 bytes verify and upgrade
+				raw = short
 			}
-			both(func(s *MemStore) error { return s.RestoreRaw(idx, format1) })
+			both(func(s *MemStore) error { return s.RestoreRaw(idx, raw) })
 		case 6:
 			if a, b := top.Corrupt(idx), dram.Corrupt(idx); a != b {
 				t.Fatalf("step %d: Corrupt(%d) %v with rows, %v without", step, idx, a, b)

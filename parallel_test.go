@@ -172,6 +172,7 @@ type engineState struct {
 	Telemetry telemetry.Snapshot
 	Health    []SDIMMHealth
 	Files     []string
+	State     map[string]stateFile // the opened state directory, where a run compares it
 }
 
 func captureState(results []BatchResult, pos map[uint64]uint64, lens []int,
@@ -219,6 +220,9 @@ func diffState(t *testing.T, tag string, a, b engineState) {
 	}
 	if !reflect.DeepEqual(a.Files, b.Files) {
 		t.Errorf("%s: state directories diverged: %v vs %v", tag, a.Files, b.Files)
+	}
+	if !reflect.DeepEqual(a.State, b.State) {
+		t.Errorf("%s: state directory contents diverged (%d vs %d files)", tag, len(a.State), len(b.State))
 	}
 }
 
@@ -496,9 +500,9 @@ func TestPipelineOversizedWriteFails(t *testing.T) {
 // With rebuild the run is durable and goes on through both users of the
 // single rebuild: the failed shard is replaced three quarters of the way in,
 // and at the end a corrupt bucket is persisted into a checkpoint, the cluster
-// recovered (the scrub repairs it) and driven a little further. The final
-// checkpoint file rides along as one more result, so sealed bytes are part
-// of what the runs must agree on.
+// recovered (the scrub repairs it) and driven a little further. The opened
+// state directory rides along, so every checkpointed byte — sealed buckets
+// included — is part of what the runs must agree on.
 func runSplit(t *testing.T, window, par int, parity bool, failShard int, rebuild bool) engineState {
 	t.Helper()
 	reg := telemetry.NewRegistry()
@@ -589,9 +593,12 @@ func runSplit(t *testing.T, window, par int, parity bool, failShard int, rebuild
 		if err := c.ForceCheckpoint(); err != nil {
 			t.Fatal(err)
 		}
-		results = append(results, BatchResult{Data: readCheckpoint(t, opts.Durability.Dir, c.Seq())})
 	}
-	return captureState(results, c.Positions(), c.StashLens(), reg, c.Health())
+	st := captureState(results, c.Positions(), c.StashLens(), reg, c.Health())
+	if rebuild {
+		st.State = openStateDir(t, opts.Durability.Dir, opts.Key)
+	}
+	return st
 }
 
 // TestSplitParallelismEquivalence: Split waves must evolve bit-identically

@@ -3,8 +3,6 @@ package sdimm
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -243,7 +241,7 @@ func TestPipelineServeCrashFailsPending(t *testing.T) {
 // and (b) through Serve over a pre-filled, already-closed channel, so wave
 // composition is a pure function of the stream on both sides; everything
 // observable — per-op results, position map, stashes, telemetry, health, and
-// every byte of the state directory (journal + checkpoints) — must agree,
+// the state directory (every file's name, size and opened content) — must agree,
 // clean, under transient link faults, and across a planned mid-stream crash
 // torn inside a wave's journal group.
 func TestPipelineDoServeEquivalence(t *testing.T) {
@@ -256,7 +254,8 @@ func TestPipelineDoServeEquivalence(t *testing.T) {
 	}{{"clean", false, 0, false}, {"faulty", true, 0, false}, {"crash", false, 301, false},
 		{"split-parity", false, 0, true}, {"split-parity-crash", false, 301, true}}
 
-	run := func(t *testing.T, faulty bool, crashAfter int, split bool, par int, serve bool) (engineState, map[string][]byte) {
+	key := []byte("feeder-key")
+	run := func(t *testing.T, faulty bool, crashAfter int, split bool, par int, serve bool) (engineState, map[string]stateFile) {
 		var inj *fault.Injector
 		if faulty {
 			inj = fault.NewInjector(fault.Config{Seed: 0xd05e,
@@ -265,7 +264,7 @@ func TestPipelineDoServeEquivalence(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		dir := t.TempDir()
 		c, err := NewCluster(ClusterOptions{
-			SDIMMs: 4, Levels: 10, Key: []byte("feeder-key"), Seed: 41, Split: split, Parity: split,
+			SDIMMs: 4, Levels: 10, Key: key, Seed: 41, Split: split, Parity: split,
 			Faults: inj, Retry: fault.RetryPolicy{MaxAttempts: 4, Sleep: nop},
 			Telemetry:  reg,
 			Durability: &DurabilityOptions{Dir: dir, Interval: 64},
@@ -301,17 +300,7 @@ func TestPipelineDoServeEquivalence(t *testing.T) {
 		}
 		st := captureState(results, c.Positions(), c.StashLens(), reg, c.Health())
 		c.Close()
-		files := make(map[string][]byte)
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return st, files
+		return st, openStateDir(t, dir, key)
 	}
 
 	for _, sc := range scenarios {

@@ -5,27 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 )
-
-// readCheckpoint returns the bytes of the checkpoint file taken at seq.
-func readCheckpoint(t *testing.T, dir string, seq uint64) []byte {
-	t.Helper()
-	raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.ckpt", seq)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
 
 // splitGoldenRun drives one fixed-seed Split+parity history through every
 // path that seals, rebuilds or re-derives member state — writes, reads, a
 // fail-stop with degraded reads, a replacement rebuilt from the survivors, a
 // corrupt bucket persisted into a checkpoint and repaired by the recovery
-// scrub — and returns the SHA-256 of the final checkpoint file. Only the
-// exported surface is used, so the identical function runs at any commit.
+// scrub — and returns the SHA-256 of the final checkpoint's body. Only the
+// exported surface and the sealed format (openStateFile) are used.
 func splitGoldenRun(t *testing.T, levels int, addrs uint64, fill, ops int) string {
 	t.Helper()
 	opts := ClusterOptions{Split: true, SDIMMs: 4, Levels: levels, Key: []byte("split-golden-key"), Seed: 21,
@@ -84,7 +72,8 @@ func splitGoldenRun(t *testing.T, levels int, addrs uint64, fill, ops int) strin
 	if err := rc.ForceCheckpoint(); err != nil {
 		t.Fatalf("ForceCheckpoint (final): %v", err)
 	}
-	sum := sha256.Sum256(readCheckpoint(t, opts.Durability.Dir, rc.Seq()))
+	last := openStateDir(t, opts.Durability.Dir, opts.Key)[fmt.Sprintf("checkpoint-%016x.ckpt", rc.Seq())]
+	sum := sha256.Sum256(last.Plain)
 	return hex.EncodeToString(sum[:])
 }
 
@@ -94,10 +83,12 @@ func splitGoldenRun(t *testing.T, levels int, addrs uint64, fill, ops int) strin
 // one member list. A matching final checkpoint proves sealed bucket bytes,
 // write counters, health totals, store-key prefixes and every RNG-seed
 // derivation (founding members, replacements, the shared eviction stream)
-// survived. The digests were re-recorded once since, when sealed format 2
-// changed the bucket bytes at rest: with every bucket captured as counter ||
+// survived. The digests were re-recorded twice since: when sealed format 2
+// changed the bucket bytes at rest (with every bucket captured as counter ||
 // plaintext instead of its sealed bytes, the final checkpoint of both legs
-// hashed the same at 53f5d6a and after that change. The "evict" leg overfills
+// hashed the same at 53f5d6a and after that change), and when the
+// checkpoint itself was sealed, to the digest of the body its HMAC had
+// covered, which the seal keeps byte for byte. The "evict" leg overfills
 // a small tree so the stash crosses the eviction threshold and the
 // host-directed eviction rounds run in every phase, the degraded one
 // included.
@@ -110,8 +101,8 @@ func TestSplitCheckpointDigestGolden(t *testing.T) {
 		ops    int
 		want   string
 	}{
-		{"main", 8, 48, 0, 240, "cd28870924ebd422c5ff512286b8901bc058fb3e798e5acd3ad06be2a120c6de"},
-		{"evict", 4, 230, 500, 1100, "8bea272d14d6ba4801f5b02730beb8c9d2de9d1c32e150c1a8df7b2d3c467432"},
+		{"main", 8, 48, 0, 240, "e4605cb9a685628e3c6218c467f2f43601579751a9f81cd71294ad7827cbbdaa"},
+		{"evict", 4, 230, 500, 1100, "3633f454c97b558adc4baeddc4368f8ff0bb36c471f25c85079d57d9b76cf482"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := splitGoldenRun(t, tc.levels, tc.addrs, tc.fill, tc.ops); got != tc.want {
