@@ -36,10 +36,14 @@ race:
 # race detector. Then one CLI smoke per plan kind pins the exit-code contract
 # on a binary built once (`go run` reports every nonzero exit as 1): 0 on a
 # green run (the crash + corrupt plan on both flavours, so the Split scrub
-# and XOR rebuild get the same smoke the Independent quarantine has), 1 on a
+# and XOR rebuild get the same smoke the Independent quarantine has; the
+# Split fail-stop row runs the default 1.7% fault mix on every member's
+# link, the parity member's included, with the witness attached), 1 on a
 # combination the scenario rejects, and 2 (DEGRADED: only the retry budget
-# ran out) for the payload-loss mix at both parallelisms. The attacker test
-# checks a drain is indistinguishable on the wire.
+# ran out) for the payload-loss mix at both parallelisms, on both flavours:
+# a Split member whose exchange is abandoned leaves lockstep, and once a
+# second one goes the run stops with errors, never a wrong payload. The
+# attacker test checks a drain is indistinguishable on the wire.
 CHAOS_BIN = .chaos_build/sdimm-chaos
 
 chaos:
@@ -54,6 +58,8 @@ chaos:
 	! $(CHAOS_BIN) -resize -n 200 -crashes 5000
 	$(CHAOS_BIN) -n 1200 -attempts 2 -rate 0.1 -parallel 1 -snapshot=false; test $$? -eq 2
 	$(CHAOS_BIN) -n 1200 -attempts 2 -rate 0.1 -parallel 4 -snapshot=false; test $$? -eq 2
+	$(CHAOS_BIN) -split -n 1200 -attempts 2 -rate 0.1 -parallel 1 -snapshot=false; test $$? -eq 2
+	$(CHAOS_BIN) -split -n 1200 -attempts 2 -rate 0.1 -parallel 4 -snapshot=false; test $$? -eq 2
 	$(GO) test -race -count=1 -run 'TestDrainTrafficIndistinguishable' ./internal/attacker
 
 # End-to-end telemetry smoke. The timing simulator: a short Independent run
@@ -110,8 +116,8 @@ blame:
 # workers (TestPipelineDoAllocBudget: a hand-off allocates nothing); and the
 # flight recorder plus blame collector, stamping every wave's record, must add
 # none to a pipelined or a sequential access. One served round trip, client
-# and server in one process as the benchmark runs them, stays at 10 objects
-# for a write and 11 for a read.
+# and server in one process as the benchmark runs them, stays at 0 objects
+# for a write and 2 for a read (TestServeRoundTripAllocBudget).
 # The timing simulator has its own three: a warm event engine schedules and
 # fires at 0 allocs/op, a warm DRAM channel serves requests at 0, and a whole
 # sim.Run stays within its per-record budget for every protocol.

@@ -2,6 +2,7 @@ package sdimm
 
 import (
 	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -51,18 +52,16 @@ type ClusterOptions struct {
 	// Seed drives leaf assignment (0 uses 1).
 	Seed uint64
 	// Faults optionally injects deterministic channel faults between
-	// seccomm Seal and Open (nil = perfect links). A Split cluster has no
-	// links and honours only the injector's per-member fail-stops (member
-	// i; the parity member is SDIMMs).
+	// seccomm Seal and Open on every member's link (nil = perfect links;
+	// on a Split cluster the parity member's link is SDIMMs).
 	Faults *fault.Injector
 	// Retry bounds per-exchange retransmission and backoff (zero value =
-	// defaults: 8 attempts, 50µs base backoff, 5ms cap). A link setting: a
-	// Split cluster has no links and never consults it.
+	// defaults: 8 attempts, 50µs base backoff, 5ms cap).
 	Retry fault.RetryPolicy
 	// LinkTap, when set, observes every frame put on a link before fault
 	// injection (attempt 0 = original transmission, >0 = retransmission).
 	// The chaos harness uses it to assert retries never change the
-	// observable traffic. A link setting: a Split cluster never calls it.
+	// observable traffic.
 	LinkTap func(sd int, dir fault.Direction, attempt int, frame []byte)
 	// Telemetry, when set, receives cluster.* access counters, fault.*
 	// link-recovery counters, seccomm.* crypto counters, and per-SDIMM
@@ -204,26 +203,26 @@ var appendAckBody = []byte{appendAck}
 
 // Cluster is a functional distributed ORAM: the host side (position map,
 // request routing, the post-commit step) runs here; the members' secure
-// buffers execute the accesses against their own encrypted trees. On an
-// Independent cluster each access is a whole accessORAM operation on the
-// owning SDIMM, and all host<->buffer messages cross an (in-process)
-// untrusted channel sealed with the session cryptography of the paper's
-// Section III-B — a channel that is allowed to fail: every exchange runs
-// through a fault.Transactor that retries transient faults with
-// byte-identical retransmissions, position-map updates commit only after
-// the owning buffer has executed the access, and per-SDIMM health tracking
-// degrades buffers instead of bricking addresses. On a Split cluster every
-// block is bit-sliced across members holding shard trees of identical
+// buffers execute the accesses against their own encrypted trees. On either
+// protocol every host<->buffer message crosses an (in-process) untrusted
+// channel sealed with the session cryptography of the paper's Section
+// III-B — a channel that is allowed to fail: every exchange runs through a
+// fault.Transactor that retries transient faults with byte-identical
+// retransmissions, and per-member health tracking degrades buffers instead
+// of bricking addresses. On an Independent cluster each access is a whole
+// accessORAM operation on the owning SDIMM, and position-map updates commit
+// only after the owning buffer has executed the access. On a Split cluster
+// every block is bit-sliced across members holding shard trees of identical
 // shape; each shard tree is independently encrypted and MACed (the n-MAC
 // overhead the paper accepts), and the members' placements never diverge
 // because greedy eviction is a pure function of (identical) stash contents.
 // With Parity one more member holds the XOR of the data slices; it is an
 // ordinary member that is handed a different slice, evolves in the same
-// lockstep, and makes the loss of any single member survivable.
+// lockstep, and makes the loss of any single member survivable: a member
+// whose exchange fails has left lockstep and is marked Failed.
 type Cluster struct {
-	links     []*fault.Transactor // nil on a Split cluster
+	links     []*fault.Transactor
 	blockSize int
-	levels    int
 	leaves    uint64 // leaves of the global (Independent) or shared (Split) tree
 	localBits uint
 	blame     *blame.Collector
@@ -252,9 +251,9 @@ type Cluster struct {
 	serveBufs [][]byte // device-side response body
 }
 
-// NewCluster builds a cluster. An Independent cluster mints a device
-// identity per SDIMM, registers them with an authority, and performs the
-// SEND_PKEY / RECEIVE_SECRET handshake for each. With Durability set the
+// NewCluster builds a cluster. It mints a device identity per member,
+// registers them with an authority, and performs the SEND_PKEY /
+// RECEIVE_SECRET handshake for each. With Durability set the
 // state directory must be empty (recovering an existing one is
 // RecoverCluster's job — silently reinitializing it would clobber
 // recoverable state) and a genesis checkpoint is written before the cluster
@@ -282,8 +281,6 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 	}
 	c := &Cluster{
 		blockSize: opts.BlockSize,
-		levels:    opts.Levels,
-		leaves:    uint64(1) << (opts.Levels - 1),
 		blame:     opts.Blame,
 	}
 	c.pos = oram.NewSparsePosMap()
@@ -293,15 +290,17 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 	if opts.Telemetry != nil && opts.Faults != nil {
 		opts.Faults.EnableTelemetry(opts.Telemetry)
 	}
-	var err error
+	build := c.independentSpec
 	if opts.Split {
-		err = c.buildShards(opts)
-	} else {
-		err = c.buildLinks(opts)
+		build = c.splitSpec
 	}
+	spec, err := build(opts)
 	if err != nil {
 		return nil, err
 	}
+	// Both builders checked the geometry, so Levels ≥ 1 here.
+	c.leaves = uint64(1) << (opts.Levels - 1)
+	c.mkMember = c.memberFactory(opts, spec)
 	for i := range c.members {
 		if err := c.mkMember(i, 0); err != nil {
 			return nil, err
@@ -315,26 +314,108 @@ func buildCluster(opts ClusterOptions) (*Cluster, error) {
 	return c, nil
 }
 
-// buildLinks sets an Independent cluster up: one secure buffer per SDIMM
-// behind a sealed link, each holding a subtree of the global tree.
-func (c *Cluster) buildLinks(opts ClusterOptions) error {
+// memberSpec is what one protocol's members differ in; memberFactory builds
+// every member of either protocol from it.
+type memberSpec struct {
+	engine oram.Options // the geometry and the eviction mode; the rest is common
+	slice  int          // payload bytes a member holds of every block
+	drain  float64      // the transfer queue's drain probability
+	// name returns incarnation inc of slot i's device ID, store-key prefix,
+	// and engine and buffer RNG streams.
+	name func(i int, inc uint64) (id, keyPrefix string, engineRand, bufRand *rng.Source)
+}
+
+// independentSpec sets an Independent cluster up: one secure buffer per
+// SDIMM, each holding a subtree of the global tree.
+func (c *Cluster) independentSpec(opts ClusterOptions) (memberSpec, error) {
 	if opts.Parity {
-		return errors.New("sdimm: Parity needs Split")
+		return memberSpec{}, errors.New("sdimm: Parity needs Split")
 	}
 	localLevels := opts.Levels - log2int(opts.SDIMMs)
 	if localLevels < 2 {
-		return fmt.Errorf("sdimm: %d levels too shallow for %d SDIMMs", opts.Levels, opts.SDIMMs)
+		return memberSpec{}, fmt.Errorf("sdimm: %d levels too shallow for %d SDIMMs", opts.Levels, opts.SDIMMs)
 	}
 	geom, err := oram.NewGeometry(localLevels)
 	if err != nil {
-		return err
+		return memberSpec{}, err
 	}
 	c.localBits = uint(localLevels - 1)
 	c.rnd = rng.New(opts.Seed)
 	c.st = independentStages{c}
-	c.cmdBufs = make([][]byte, opts.SDIMMs)
-	c.serveBufs = make([][]byte, opts.SDIMMs)
-	// Link-recovery and crypto counters aggregate across all SDIMMs, so the
+	c.members = make([]*isdimm.Buffer, opts.SDIMMs)
+	return memberSpec{
+		engine: oram.Options{Geometry: geom, RingFlushInterval: opts.RingFlushInterval},
+		slice:  opts.BlockSize,
+		drain:  0.25,
+		name: func(i int, inc uint64) (string, string, *rng.Source, *rng.Source) {
+			if inc == 0 {
+				return fmt.Sprintf("sdimm-%d", i), fmt.Sprintf("sd%d|", i), rng.New(opts.Seed ^ uint64(0x5d*i+11)), rng.New(opts.Seed ^ uint64(0x77*i+5))
+			}
+			stream := int(inc)<<8 | i
+			return fmt.Sprintf("sdimm-%d.%d", i, inc), fmt.Sprintf("sd%d.%d|", i, inc), rng.Stream(opts.Seed, "elastic.engine", stream), rng.Stream(opts.Seed, "elastic.buffer", stream)
+		},
+	}, nil
+}
+
+// splitSpec sets a Split cluster up: one shard holder per data slice, then
+// the parity member when there is one, each with a shard tree of all Levels.
+func (c *Cluster) splitSpec(opts ClusterOptions) (memberSpec, error) {
+	switch {
+	case opts.BlockSize%opts.SDIMMs != 0:
+		return memberSpec{}, fmt.Errorf("sdimm: block size %d not divisible by %d shards", opts.BlockSize, opts.SDIMMs)
+	case opts.RingFlushInterval > 0:
+		return memberSpec{}, errors.New("sdimm: RingFlushInterval conflicts with Split")
+	}
+	geom, err := oram.NewGeometry(opts.Levels)
+	if err != nil {
+		return memberSpec{}, err
+	}
+	c.rnd = rng.New(opts.Seed ^ 0x59117)
+	s := &splitStages{c: c, shard: opts.BlockSize / opts.SDIMMs, dataShards: opts.SDIMMs}
+	s.evict = s.evictShare
+	c.st = s
+	n := opts.SDIMMs
+	if opts.Parity {
+		n++
+	}
+	c.members = make([]*isdimm.Buffer, n)
+	return memberSpec{
+		// All shards must evolve in lockstep: the host directs eviction with
+		// shared randomness (see postCommit), so the engines' own background
+		// eviction stays off, and every engine draws from the same stream.
+		engine: oram.Options{Geometry: geom, DisableAutoDrain: true},
+		slice:  s.shard,
+		name: func(i int, inc uint64) (string, string, *rng.Source, *rng.Source) {
+			// The parity member is slot SDIMMs and differs in name only. A
+			// replacement's engine RNG is irrelevant: rebuildMember copies a
+			// live sibling's to restore lockstep.
+			id, key := fmt.Sprintf("shard-%d", i), fmt.Sprintf("shard%d", i)
+			if i == opts.SDIMMs {
+				id, key = "parity", "parity"
+			}
+			bufSeed := opts.Seed ^ uint64(0x99*i+1)
+			if inc > 0 {
+				id, key = fmt.Sprintf("%s.%d", id, inc), fmt.Sprintf("%s.%d", key, inc)
+				bufSeed = rng.Stream(opts.Seed, "elastic.shard", int(inc)<<8|i).Uint64()
+			}
+			return id, key + "|", rng.New(opts.Seed ^ 0x3b1d), rng.New(bufSeed)
+		},
+	}, nil
+}
+
+// memberFactory returns the one member factory: it builds incarnation inc
+// of slot i (store, engine, buffer, device identity, handshake, transactor)
+// and installs it in place. Founding members (incarnation 0) keep the seed's
+// original key and RNG derivations, so incarnation 0 always reconstructs
+// bit-identically. Later incarnations (joins, replacements and restores)
+// derive both from (slot, incarnation), so a new member never aliases state
+// with any predecessor in the same slot, and reconstruction is deterministic
+// from the options alone.
+func (c *Cluster) memberFactory(opts ClusterOptions, spec memberSpec) func(i int, inc uint64) error {
+	n := len(c.members)
+	c.links = make([]*fault.Transactor, n)
+	c.cmdBufs, c.serveBufs = make([][]byte, n), make([][]byte, n)
+	// Link-recovery and crypto counters aggregate across all members, so the
 	// registry totals line up with the sums over Health().
 	var linkMetrics *fault.LinkMetrics
 	var commMetrics *seccomm.Metrics
@@ -343,43 +424,22 @@ func (c *Cluster) buildLinks(opts ClusterOptions) error {
 		commMetrics = seccomm.NewMetrics(opts.Telemetry)
 	}
 	auth := seccomm.NewAuthority()
-	c.members = make([]*isdimm.Buffer, opts.SDIMMs)
-	c.links = make([]*fault.Transactor, opts.SDIMMs)
-
-	// Member factory: builds incarnation inc of slot i (store, engine,
-	// buffer, device identity, handshake, transactor) and installs it in
-	// place. Founding members (incarnation 0) keep the seed's original key
-	// and RNG derivations, so incarnation 0 always reconstructs
-	// bit-identically. Later incarnations (joins and restores) derive both
-	// from (slot, incarnation), so a joined member never aliases state with
-	// any predecessor in the same slot, and reconstruction is deterministic
-	// from the options alone.
-	c.mkMember = func(i int, inc uint64) error {
-		if i < 0 || i >= len(c.members) {
+	return func(i int, inc uint64) error {
+		if i < 0 || i >= n {
 			return fmt.Errorf("sdimm: member slot %d out of range", i)
 		}
-		id, keyPrefix := fmt.Sprintf("sdimm-%d", i), fmt.Sprintf("sd%d|", i)
-		engineRand, bufRand := rng.New(opts.Seed^uint64(0x5d*i+11)), rng.New(opts.Seed^uint64(0x77*i+5))
-		if inc > 0 {
-			stream := int(inc)<<8 | i
-			id, keyPrefix = fmt.Sprintf("sdimm-%d.%d", i, inc), fmt.Sprintf("sd%d.%d|", i, inc)
-			engineRand, bufRand = rng.Stream(opts.Seed, "elastic.engine", stream), rng.Stream(opts.Seed, "elastic.buffer", stream)
-		}
-		store, err := oram.NewMemStore(opts.Z, opts.BlockSize, append([]byte(keyPrefix), opts.Key...))
+		id, keyPrefix, engineRand, bufRand := spec.name(i, inc)
+		store, err := oram.NewMemStore(opts.Z, spec.slice, append([]byte(keyPrefix), opts.Key...))
 		if err != nil {
 			return err
 		}
-		engine, err := oram.NewEngine(store, nil, oram.Options{
-			Geometry:          geom,
-			StashCapacity:     200,
-			EvictThreshold:    150,
-			RingFlushInterval: opts.RingFlushInterval,
-			Rand:              engineRand,
-		})
+		eo := spec.engine
+		eo.StashCapacity, eo.EvictThreshold, eo.Rand = 200, 150, engineRand
+		engine, err := oram.NewEngine(store, nil, eo)
 		if err != nil {
 			return err
 		}
-		buf, err := isdimm.NewBuffer(id, engine, 64, 0.25, bufRand)
+		buf, err := isdimm.NewBuffer(id, engine, 64, spec.drain, bufRand)
 		if err != nil {
 			return err
 		}
@@ -394,17 +454,10 @@ func (c *Cluster) buildLinks(opts ClusterOptions) error {
 		}
 		host.SetMetrics(commMetrics)
 		devSide.SetMetrics(commMetrics)
-		var link fault.Link = fault.Perfect{}
+		tr := &fault.Transactor{Host: host, Dev: devSide, Retry: opts.Retry, Metrics: linkMetrics,
+			Serve: func(body []byte) ([]byte, error) { return c.serve(i, body) }}
 		if opts.Faults != nil {
-			link = opts.Faults.Link(i)
-		}
-		tr := &fault.Transactor{
-			Host:    host,
-			Dev:     devSide,
-			Link:    link,
-			Serve:   func(body []byte) ([]byte, error) { return c.serve(i, body) },
-			Retry:   opts.Retry,
-			Metrics: linkMetrics,
+			tr.Link = opts.Faults.Link(i)
 		}
 		if tap := opts.LinkTap; tap != nil {
 			tr.Tap = func(dir fault.Direction, attempt int, frame []byte) { tap(i, dir, attempt, frame) }
@@ -416,7 +469,6 @@ func (c *Cluster) buildLinks(opts ClusterOptions) error {
 		c.links[i] = tr
 		return nil
 	}
-	return nil
 }
 
 func log2int(n int) int {
@@ -472,18 +524,28 @@ func (c *Cluster) Close() error {
 }
 
 // serve is the device-side command dispatcher: it runs inside the
-// fault.Transactor with an opened (authenticated, decrypted) body, executes
-// the buffer operation, and returns the response body to seal. The
-// Transactor guarantees it runs at most once per exchange regardless of
-// link faults.
+// fault.Transactor with an opened (authenticated, decrypted) body, hands
+// the command to the stage set, which executes the buffer operation, and
+// returns the response body to seal. The Transactor guarantees it runs at
+// most once per exchange regardless of link faults.
 func (c *Cluster) serve(sd int, body []byte) ([]byte, error) {
 	if len(body) == 0 {
 		return nil, fmt.Errorf("sdimm %d: empty command body", sd)
 	}
 	// The body opens with its command's Table I opcode, so the buffer
 	// dispatches without relying on message length.
-	kind, payload := body[0], body[1:]
-	switch isdimm.Command(kind) {
+	resp, err := c.st.serve(sd, isdimm.Command(body[0]), body[1:])
+	if resp == nil && err == nil {
+		return nil, fmt.Errorf("sdimm %d: unknown command kind %#02x", sd, body[0])
+	}
+	return resp, err
+}
+
+// serve runs an Independent member's commands: ACCESS, answered with the
+// FETCH_RESULT body, and APPEND.
+func (s independentStages) serve(sd int, kind isdimm.Command, payload []byte) ([]byte, error) {
+	c := s.c
+	switch kind {
 	case isdimm.CmdAccess:
 		// Zero-copy decode: req.Data aliases the opened frame, which stays
 		// valid through HandleAccess (the engine copies write payloads in).
@@ -516,15 +578,45 @@ func (c *Cluster) serve(sd int, body []byte) ([]byte, error) {
 		}
 		return appendAckBody, nil
 	}
-	return nil, fmt.Errorf("sdimm %d: unknown command kind %#02x", sd, kind)
+	return nil, nil
 }
 
-// accessBody marshals an ACCESS command into SDIMM sd's command scratch.
-// The body is consumed (copied into the link's seal buffer) before the next
-// command to the same SDIMM is built.
-func (c *Cluster) accessBody(sd int, req isdimm.AccessRequest) []byte {
+// serve runs a Split member's commands: ACCESS, the member's slice of one
+// op (ShardAccess), answered with its slice in the block message — so reads
+// and writes put the same frames on the wire — and RECEIVE_LIST, the
+// host-directed eviction of the leaf it carries, answered with the ack.
+func (s *splitStages) serve(sd int, kind isdimm.Command, payload []byte) ([]byte, error) {
+	c := s.c
+	switch kind {
+	case isdimm.CmdAccess:
+		req, err := isdimm.UnmarshalAccessView(payload, s.shard)
+		if err != nil {
+			return nil, err
+		}
+		blk, _, err := c.members[sd].ShardAccess(req)
+		if err != nil {
+			return nil, err
+		}
+		c.serveBufs[sd] = isdimm.AppendBlock(c.serveBufs[sd][:0], blk, blk.Data == nil, s.shard)
+		return c.serveBufs[sd], nil
+	case isdimm.CmdReceiveList:
+		if len(payload) != 8 {
+			return nil, fmt.Errorf("sdimm: RECEIVE_LIST body %d bytes, want 8", len(payload))
+		}
+		if err := c.members[sd].EvictLocal(binary.BigEndian.Uint64(payload)); err != nil {
+			return nil, err
+		}
+		return appendAckBody, nil
+	}
+	return nil, nil
+}
+
+// accessBody marshals an ACCESS command with a size-byte payload slot into
+// SDIMM sd's command scratch. The body is consumed (copied into the link's
+// seal buffer) before the next command to the same SDIMM is built.
+func (c *Cluster) accessBody(sd int, req isdimm.AccessRequest, size int) []byte {
 	b := append(c.cmdBufs[sd][:0], byte(isdimm.CmdAccess))
-	b = isdimm.AppendAccess(b, req, c.blockSize)
+	b = isdimm.AppendAccess(b, req, size)
 	c.cmdBufs[sd] = b
 	return b
 }
@@ -633,7 +725,7 @@ type SDIMMHealth struct {
 	ConsecutiveFailures int
 	Successes           uint64
 	Failures            uint64
-	// Link recovery activity (zero for clusters without sealed links).
+	// Link recovery activity.
 	Retries     uint64
 	Retransmits uint64
 	Resyncs     uint64
@@ -730,80 +822,9 @@ func (c *Cluster) Capacity() float64 {
 func (c *Cluster) Health() ClusterHealth {
 	out := ClusterHealth{SDIMMs: make([]SDIMMHealth, len(c.members))}
 	for i, b := range c.members {
-		var ts fault.TransactorStats
-		if c.links != nil {
-			ts = c.links[i].Stats()
-		}
-		out.SDIMMs[i] = healthEntry(i, b.ID(), c.health[i], ts)
+		out.SDIMMs[i] = healthEntry(i, b.ID(), c.health[i], c.links[i].Stats())
 	}
 	return out
-}
-
-// buildShards sets a Split cluster up: one shard holder per data slice, then
-// the parity member when there is one, each with a shard tree of all Levels
-// and no link.
-func (c *Cluster) buildShards(opts ClusterOptions) error {
-	switch {
-	case opts.BlockSize%opts.SDIMMs != 0:
-		return fmt.Errorf("sdimm: block size %d not divisible by %d shards", opts.BlockSize, opts.SDIMMs)
-	case opts.RingFlushInterval > 0:
-		return errors.New("sdimm: RingFlushInterval conflicts with Split")
-	}
-	geom, err := oram.NewGeometry(opts.Levels)
-	if err != nil {
-		return err
-	}
-	c.rnd = rng.New(opts.Seed ^ 0x59117)
-	s := &splitStages{c: c, shard: opts.BlockSize / opts.SDIMMs, dataShards: opts.SDIMMs, faults: opts.Faults}
-	s.evict = s.evictShare
-	c.st = s
-	n := opts.SDIMMs
-	if opts.Parity {
-		n++
-	}
-	c.members = make([]*isdimm.Buffer, n)
-
-	// Member factory: builds incarnation inc of slot i (store, engine,
-	// buffer) and installs it in place. The parity member is slot SDIMMs and
-	// differs in name only. Founding members (incarnation 0) keep the seed's
-	// original key and RNG derivations; replacements derive both from (slot,
-	// incarnation), so a replacement never aliases its predecessor's sealed
-	// state. A replacement's engine RNG is irrelevant — rebuildMember copies
-	// a live sibling's to restore lockstep.
-	c.mkMember = func(i int, inc uint64) error {
-		if i < 0 || i >= len(c.members) {
-			return fmt.Errorf("sdimm: member slot %d out of range", i)
-		}
-		id, keyPrefix := fmt.Sprintf("shard-%d", i), fmt.Sprintf("shard%d", i)
-		if i == opts.SDIMMs {
-			id, keyPrefix = "parity", "parity"
-		}
-		bufSeed := opts.Seed ^ uint64(0x99*i+1)
-		if inc > 0 {
-			id, keyPrefix = fmt.Sprintf("%s.%d", id, inc), fmt.Sprintf("%s.%d", keyPrefix, inc)
-			bufSeed = rng.Stream(opts.Seed, "elastic.shard", int(inc)<<8|i).Uint64()
-		}
-		store, err := oram.NewMemStore(opts.Z, s.shard, append([]byte(keyPrefix+"|"), opts.Key...))
-		if err != nil {
-			return err
-		}
-		engine, err := oram.NewEngine(store, nil, oram.Options{
-			Geometry:       geom,
-			StashCapacity:  200,
-			EvictThreshold: 150,
-			// All shards must evolve in lockstep: the host directs
-			// eviction with shared randomness (see postCommit), so the
-			// engines' own background eviction stays off.
-			DisableAutoDrain: true,
-			Rand:             rng.New(opts.Seed ^ 0x3b1d), // same stream: lockstep
-		})
-		if err != nil {
-			return err
-		}
-		c.members[i], err = isdimm.NewBuffer(id, engine, 64, 0, rng.New(bufSeed))
-		return err
-	}
-	return nil
 }
 
 // splitSet returns the Split stage set, nil on an Independent cluster.

@@ -2,6 +2,7 @@ package sdimm
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -671,5 +672,119 @@ func TestSplitDataAndParityDownFailsClosed(t *testing.T) {
 	}
 	if err := c.ReplaceMember(pi); err == nil {
 		t.Fatal("ReplaceMember rebuilt parity from an incomplete XOR set")
+	}
+}
+
+// TestSplitAbandonedExchangeFailsMember: a Split member's exchanges cross
+// its sealed link like an Independent member's, so a stall or a fail-stop
+// that exhausts a one-attempt retry budget abandons the exchange. The member
+// has left lockstep and is marked Failed. With parity the survivors carry
+// every op and each read rebuilds the lost slice; without it the op fails
+// closed as unavailable. Neither ever returns a wrong payload, on the
+// sequential path or in pipelined waves, and a tree small enough to keep the
+// host-directed eviction rounds running loses the member inside them too:
+// "evicting" fail-stops the link on the first RECEIVE_LIST frame it carries
+// after the kill.
+func TestSplitAbandonedExchangeFailsMember(t *testing.T) {
+	kills := map[string]func(in *fault.Injector, evicting *bool){
+		"stall":     func(in *fault.Injector, _ *bool) { in.StallFor(1, 1) },
+		"fail-stop": func(in *fault.Injector, _ *bool) { in.FailStop(1) },
+		"evicting":  func(_ *fault.Injector, evicting *bool) { *evicting = true },
+	}
+	for name, kill := range kills {
+		for _, parity := range []bool{true, false} {
+			for _, shape := range []struct {
+				name          string
+				levels, addrs int
+				window        int // 0: sequential Read/Write
+			}{{"seq", 8, 24, 0}, {"waves", 8, 24, 8}, {"evict", 4, 230, 8}} {
+				if name == "evicting" && shape.name != "evict" {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/parity=%v/%s", name, parity, shape.name), func(t *testing.T) {
+					in := fault.NewInjector(fault.Config{Seed: 3})
+					evicting, accessLen := false, 0
+					c, err := NewCluster(ClusterOptions{Split: true, Parity: parity, SDIMMs: 4, Levels: shape.levels, Seed: 5,
+						Key: []byte("abandon-key"), Faults: in, Retry: fault.RetryPolicy{MaxAttempts: 1, Sleep: nop},
+						LinkTap: func(sd int, dir fault.Direction, _ int, frame []byte) {
+							// Member 1's worker alone calls this: an ACCESS frame
+							// opens its traffic, and an eviction frame is shorter.
+							if sd == 1 && dir == fault.HostToDev {
+								accessLen = cmp.Or(accessLen, len(frame))
+								if evicting && len(frame) < accessLen {
+									in.FailStop(1)
+								}
+							}
+						}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					do := func(ops []BatchOp) []BatchResult {
+						if shape.window > 0 {
+							p := c.Pipeline(PipelineOptions{Window: shape.window, Parallelism: 4})
+							defer p.Close()
+							return p.Do(ops)
+						}
+						out := make([]BatchResult, len(ops))
+						for i, op := range ops {
+							if op.Write {
+								out[i].Err = c.Write(op.Addr, op.Data)
+							} else {
+								out[i].Data, out[i].Err = c.Read(op.Addr)
+							}
+						}
+						return out
+					}
+					want := map[uint64][]byte{}
+					writes := func(round int) []BatchOp {
+						ops := make([]BatchOp, shape.addrs)
+						for a := range ops {
+							ops[a] = BatchOp{Addr: uint64(a), Write: true, Data: []byte(fmt.Sprintf("r%d-a%03d", round, a))}
+						}
+						return ops
+					}
+					for _, r := range do(writes(0)) {
+						if r.Err != nil {
+							t.Fatalf("write before the kill: %v", r.Err)
+						}
+					}
+					for _, op := range writes(0) {
+						want[op.Addr] = op.Data
+					}
+					kill(in, &evicting)
+					// Writes, then reads of every address, after the kill.
+					ops := writes(1)
+					for a := range ops {
+						ops = append(ops, BatchOp{Addr: uint64(a)})
+					}
+					var errs int
+					for i, r := range do(ops) {
+						op := ops[i]
+						switch {
+						case r.Err != nil && parity:
+							t.Fatalf("op %d (addr %d) failed with parity to carry it: %v", i, op.Addr, r.Err)
+						case r.Err != nil:
+							if !errors.Is(r.Err, fault.ErrUnavailable) {
+								t.Fatalf("op %d failed open: %v", i, r.Err)
+							}
+							errs++
+							if op.Write {
+								delete(want, op.Addr) // unknown since the errored write
+							}
+						case op.Write:
+							want[op.Addr] = op.Data
+						case want[op.Addr] != nil && !bytes.Equal(r.Data[:len(want[op.Addr])], want[op.Addr]):
+							t.Fatalf("read of %d returned a wrong payload %q, want %q", op.Addr, r.Data[:len(want[op.Addr])], want[op.Addr])
+						}
+					}
+					if !parity && errs == 0 {
+						t.Fatal("no op failed with a member lost and no parity")
+					}
+					if failed := c.Health().Failed(); len(failed) != 1 || failed[0] != 1 {
+						t.Fatalf("failed members %v, want [1]", failed)
+					}
+				})
+			}
+		}
 	}
 }

@@ -33,6 +33,16 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterOptions{SDIMMs: 8, Levels: 4}); err == nil {
 		t.Error("too-shallow tree accepted")
 	}
+	// A tree height below one is refused before any leaf count is derived
+	// from it, by construction and by recovery alike.
+	for _, levels := range []int{0, -1} {
+		if _, err := NewCluster(ClusterOptions{SDIMMs: 2, Levels: levels}); err == nil {
+			t.Errorf("Levels %d accepted", levels)
+		}
+		if _, _, err := RecoverCluster(ClusterOptions{SDIMMs: 2, Levels: levels, Durability: &DurabilityOptions{Dir: t.TempDir()}}); err == nil {
+			t.Errorf("RecoverCluster accepted Levels %d", levels)
+		}
+	}
 }
 
 func TestClusterReadYourWrites(t *testing.T) {
@@ -226,6 +236,14 @@ func TestSplitClusterValidation(t *testing.T) {
 	}
 	if _, err := NewCluster(ClusterOptions{SDIMMs: 2, Levels: 10, Parity: true}); err == nil {
 		t.Error("parity accepted without Split")
+	}
+	for _, levels := range []int{0, -1} {
+		if _, err := NewCluster(ClusterOptions{Split: true, Parity: true, SDIMMs: 2, Levels: levels}); err == nil {
+			t.Errorf("Levels %d accepted", levels)
+		}
+		if _, _, err := RecoverCluster(ClusterOptions{Split: true, SDIMMs: 2, Levels: levels, Durability: &DurabilityOptions{Dir: t.TempDir()}}); err == nil {
+			t.Errorf("RecoverCluster accepted Levels %d", levels)
+		}
 	}
 }
 

@@ -29,10 +29,12 @@
 //	sdimm-chaos -resize -split -corrupt
 //
 // Exit status: 0 PASS, 1 corruption / leak / divergence (or a rejected flag
-// combination), 2 only the retry budget was exhausted.
+// combination), 2 only the retry budget was exhausted (on Split, also when
+// that cost more members than parity covers and the run stopped).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -51,8 +53,8 @@ func main() {
 		levels    = flag.Int("levels", 10, "ORAM tree levels")
 		addrs     = flag.Uint64("addrs", 96, "address working-set size")
 		seed      = flag.Uint64("seed", 42, "workload + fault seed")
-		rate      = flag.Float64("rate", 0.017, "total per-delivery fault probability (Independent)")
-		attempts  = flag.Int("attempts", 8, "retry budget per exchange (Independent)")
+		rate      = flag.Float64("rate", 0.017, "total per-delivery fault probability")
+		attempts  = flag.Int("attempts", 8, "retry budget per exchange")
 		split     = flag.Bool("split", false, "run the Split protocol (with XOR parity) instead of Independent")
 		failShard = flag.Int("failshard", -1, "Split: member index to fail-stop a third of the way in (-1 = none)")
 		snapshot  = flag.Bool("snapshot", true, "print the final telemetry snapshot (cluster.*, fault.*, seccomm.*)")
@@ -93,23 +95,12 @@ func main() {
 		Telemetry:         reg,
 		FlightPath:        *flightOut,
 	}
-	if !*split || explicit["rate"] {
-		// Spread the requested rate across every fault class the injector
-		// models, weighted toward the common ones.
-		r := *rate
-		sc.Faults = fault.Config{
-			Seed:       *seed ^ 0xfa417,
-			BitFlip:    r * 0.30,
-			Drop:       r * 0.25,
-			Duplicate:  r * 0.15,
-			Replay:     r * 0.10,
-			Stall:      r * 0.12,
-			MACCorrupt: r * 0.08,
-		}
-	}
-	if !*split || explicit["attempts"] {
-		sc.Retry = fault.RetryPolicy{MaxAttempts: *attempts}
-	}
+	// Spread the requested rate across every fault class the injector
+	// models, weighted toward the common ones.
+	r := *rate
+	sc.Faults = fault.Config{Seed: *seed ^ 0xfa417, BitFlip: r * 0.30, Drop: r * 0.25,
+		Duplicate: r * 0.15, Replay: r * 0.10, Stall: r * 0.12, MACCorrupt: r * 0.08}
+	sc.Retry = fault.RetryPolicy{MaxAttempts: *attempts}
 	if *failShard >= 0 {
 		sc.FailShard, sc.FailShardAt = *failShard, *n/3
 	}
@@ -125,17 +116,15 @@ func main() {
 	if *parallel > 1 || explicit["batch"] {
 		sc.Window = *batch
 	}
-	// The witness rides along wherever there are links to watch; its
-	// violation count feeds the verdict. The flight recorder's rings are
-	// only written out when a run fails.
-	if !*split {
-		sc.Witness = witness.New(witness.Options{Members: *sdimms, Registry: reg})
+	// The witness watches every member's link, the parity member's
+	// included; its violation count feeds the verdict. The flight
+	// recorder's rings are only written out when a run fails.
+	members := *sdimms
+	if *split {
+		members++ // the parity member has a link and a ring too
 	}
+	sc.Witness = witness.New(witness.Options{Members: members, Registry: reg})
 	if *flightOut != "" || *traceOut != "" {
-		members := *sdimms
-		if *split {
-			members++ // the parity member has a ring too
-		}
 		sc.Flight = flight.New(members, 1024)
 	}
 
@@ -156,12 +145,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdimm-chaos: flight recorder dumped to %s\n", res.FlightDump)
 	}
 	// Only the retry budget ran out iff the run is green once its errors
-	// are set aside.
+	// are set aside. A Split run that ran out of members (each one lost to
+	// an abandoned exchange) stops with ErrUnavailable, and is judged so too.
 	degraded := res
 	degraded.Errors = 0
-	switch {
-	case err != nil:
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdimm-chaos: %v\n", err)
+	}
+	switch {
+	case err != nil && !errors.Is(err, fault.ErrUnavailable):
 		os.Exit(1)
 	case res.Green() && sc.Crashes > 0:
 		fmt.Println("RESULT: PASS — all faults absorbed, traffic invariant held, every restart recovered bitwise-equivalent")

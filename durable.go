@@ -438,9 +438,8 @@ func (c *Cluster) recoverDurable(opts ClusterOptions) (*durable.RecoveryReport, 
 }
 
 // ForceCheckpoint captures the cluster's full state — the shared head plus
-// one MemberState per member, with its link counters when there are links —
-// and persists it, rotating the journal. Callable any time the cluster is
-// quiescent.
+// one MemberState per member, with its link counters — and persists it,
+// rotating the journal. Callable any time the cluster is quiescent.
 func (c *Cluster) ForceCheckpoint() error {
 	if c.dur == nil {
 		return errors.New("sdimm: ForceCheckpoint without durability")
@@ -460,12 +459,8 @@ func (c *Cluster) ForceCheckpoint() error {
 		m := captureMember(b, c.health[i])
 		m.Incarnation = c.incarnations[i]
 		m.Detached = c.detached[i]
-		if c.links != nil {
-			m.HostSend = c.links[i].Host.SendCounter()
-			m.HostRecv = c.links[i].Host.RecvCounter()
-			m.DevSend = c.links[i].Dev.SendCounter()
-			m.DevRecv = c.links[i].Dev.RecvCounter()
-		}
+		m.HostSend, m.HostRecv = c.links[i].Host.SendCounter(), c.links[i].Host.RecvCounter()
+		m.DevSend, m.DevRecv = c.links[i].Dev.SendCounter(), c.links[i].Dev.RecvCounter()
 		cp.Members = append(cp.Members, m)
 	}
 	if err := c.dur.WriteCheckpoint(cp); err != nil {
@@ -478,9 +473,9 @@ func (c *Cluster) ForceCheckpoint() error {
 }
 
 // restoreCheckpoint loads cp into the (freshly built) cluster: the head,
-// then every member with its detach flag and, when there are links, their
-// counters. The links run fresh post-restart ECDH sessions (new keys, so
-// restored counters can never reuse a pad); restoring the counters forward
+// then every member with its detach flag and its link counters. The links
+// run fresh post-restart ECDH sessions (new keys, so restored counters can
+// never reuse a pad); restoring the counters forward
 // keeps both endpoints in lockstep and the counters monotonic across the
 // crash.
 func (c *Cluster) restoreCheckpoint(cp *durable.Checkpoint) error {
@@ -512,9 +507,8 @@ func (c *Cluster) restoreCheckpoint(cp *durable.Checkpoint) error {
 	}
 	for i, m := range cp.Members {
 		// A member that joined after the founding generation has
-		// incarnation-derived store keys (and, on an Independent cluster, a
-		// distinct device identity) — rebuild it before restoring its state
-		// into place.
+		// incarnation-derived store keys and a distinct device identity —
+		// rebuild it before restoring its state into place.
 		if m.Incarnation != c.incarnations[i] {
 			if err := c.mkMember(i, m.Incarnation); err != nil {
 				return err
@@ -525,13 +519,9 @@ func (c *Cluster) restoreCheckpoint(cp *durable.Checkpoint) error {
 			return err
 		}
 		c.detached[i] = m.Detached
-		if c.links != nil {
-			if err := c.links[i].Host.RestoreCounters(m.HostSend, m.HostRecv); err != nil {
-				return err
-			}
-			if err := c.links[i].Dev.RestoreCounters(m.DevSend, m.DevRecv); err != nil {
-				return err
-			}
+		if err := errors.Join(c.links[i].Host.RestoreCounters(m.HostSend, m.HostRecv),
+			c.links[i].Dev.RestoreCounters(m.DevSend, m.DevRecv)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -690,10 +680,9 @@ func (c *Cluster) replayRecord(rec durable.Record) (err error) {
 // reported unrecoverable, never "repaired".
 func (s *splitStages) scrub(report *durable.RecoveryReport) error {
 	c := s.c
-	live := func(i int) bool { return c.health[i].State() != fault.Failed }
 	idxSet := make(map[uint64]bool)
 	for i, b := range c.members {
-		if live(i) {
+		if live(c.health[i]) {
 			for _, idx := range memStore(b).BucketIndices() {
 				idxSet[idx] = true
 			}
@@ -702,7 +691,7 @@ func (s *splitStages) scrub(report *durable.RecoveryReport) error {
 	for _, idx := range sortedKeys(idxSet) {
 		var bad, good []int
 		for i, b := range c.members {
-			if !live(i) {
+			if !live(c.health[i]) {
 				continue
 			}
 			report.BucketsScanned++

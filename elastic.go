@@ -264,12 +264,12 @@ func (c *Cluster) applyJoin(i int) error {
 	if i < 0 || i >= len(c.members) {
 		return fmt.Errorf("sdimm: join member %d out of range", i)
 	}
-	inc, old := c.incarnations[i]+1, c.members[i]
+	inc, old, oldLink := c.incarnations[i]+1, c.members[i], c.links[i]
 	if err := c.mkMember(i, inc); err != nil {
 		return err
 	}
 	if err := c.st.rebuildMember(i); err != nil {
-		c.members[i] = old // a failed rebuild leaves the slot as it was
+		c.members[i], c.links[i] = old, oldLink // a failed rebuild leaves the slot as it was
 		return err
 	}
 	c.incarnations[i] = inc
@@ -305,7 +305,7 @@ func (c *Cluster) ReplaceMember(i int) error {
 		return fmt.Errorf("sdimm: member %d is %s, not failed", i, c.health[i].State())
 	}
 	for _, j := range c.others(i) {
-		if c.splitSet().memberDown(j) {
+		if !live(c.health[j]) {
 			return fmt.Errorf("sdimm: cannot rebuild member %d: member %d also down", i, j)
 		}
 	}

@@ -25,6 +25,7 @@ func BenchmarkAccessHotPath(b *testing.B) {
 	b.Run("journal-append", benchJournalAppend)
 	b.Run("cluster-access", benchClusterAccess)
 	b.Run("cluster-access-l16", benchClusterAccessL16)
+	b.Run("split-access", benchSplitAccess)
 }
 
 // benchSealOpen measures one authenticated frame round trip (host seals,
@@ -159,6 +160,35 @@ func benchClusterAccessL16(b *testing.B) {
 			err = c.Write(a, payload)
 		} else {
 			_, err = c.Read(a)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchSplitAccess is benchClusterAccess on a Split cluster with parity:
+// every access runs on all five members, each one ACCESS exchange over the
+// member's sealed link. It is informational (no gate): the link cost is part
+// of what a Split access pays.
+func benchSplitAccess(b *testing.B) {
+	c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 12, Seed: 1, Split: true, Parity: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	for i := 0; i < 2*64; i++ {
+		if err := c.Write(uint64(i%64), payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			err = c.Write(uint64(i%64), payload)
+		} else {
+			_, err = c.Read(uint64(i % 64))
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -21,7 +21,6 @@
 package blame
 
 import (
-	"slices"
 	"sort"
 	"sync"
 
@@ -66,19 +65,12 @@ type Collector struct {
 	active    int
 	idleStart uint64
 	idleTotal uint64
-
-	ring []flight.WaveRecord
 }
 
-// NewCollector builds a collector keeping the most recent ringSize wave
-// records (default 256). The first argument, the cluster's member count,
-// sizes nothing and is ignored.
-func NewCollector(_, ringSize int) *Collector {
-	if ringSize <= 0 {
-		ringSize = 256
-	}
-	return &Collector{ring: make([]flight.WaveRecord, 0, ringSize)}
-}
+// NewCollector builds a collector. Both arguments, once the member count and
+// a ring size, size nothing and are ignored: the flight recorder keeps the
+// recent wave records.
+func NewCollector(_, _ int) *Collector { return &Collector{} }
 
 // Idle reads the all-idle meter at now — a reading of flight.Now taken by
 // the caller, who stamps the same reading as the wave bound. Nil-safe: 0.
@@ -140,19 +132,14 @@ func (c *Collector) workerEnd(kind WorkerKind, start, now uint64) {
 	c.mu.Unlock()
 }
 
-// Fold adds one finished wave record to the totals, the ledger and the
-// recent-waves ring. Nil-safe.
+// Fold adds one finished wave record to the totals and the ledger.
+// Nil-safe.
 func (c *Collector) Fold(rec *flight.WaveRecord) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.ring) < cap(c.ring) {
-		c.ring = append(c.ring, *rec)
-	} else {
-		c.ring[c.waves%uint64(cap(c.ring))] = *rec
-	}
 	c.waves++
 	c.ops += uint64(rec.Ops)
 	c.wallNS += rec.Wall()
@@ -160,20 +147,6 @@ func (c *Collector) Fold(rec *flight.WaveRecord) {
 		c.phaseNS[p] += rec.PhaseDur(p)
 		c.idleNS[p] += rec.IdleDur(p)
 	}
-}
-
-// Recent returns the retained wave records, oldest first.
-func (c *Collector) Recent() []flight.WaveRecord {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	start := c.waves % uint64(cap(c.ring))
-	if len(c.ring) < cap(c.ring) {
-		start = 0
-	}
-	return append(slices.Clone(c.ring[start:]), c.ring[:start]...)
 }
 
 // PhaseStat is one phase's aggregate across every recorded iteration.

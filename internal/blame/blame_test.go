@@ -25,10 +25,6 @@ func TestWaveTiling(t *testing.T) {
 	stampAll(col, &rec, 100, 110, 130, 145, 185, 195, 200, 210)
 	col.Fold(&rec)
 
-	recs := col.Recent()
-	if len(recs) != 1 || recs[0] != rec {
-		t.Fatalf("Recent() = %+v, want exactly the folded record", recs)
-	}
 	if rec.Wall() != 110 {
 		t.Fatalf("Wall() = %d, want 110", rec.Wall())
 	}
@@ -58,6 +54,12 @@ func TestWaveTiling(t *testing.T) {
 	}
 	if rep.Waves != 1 || rep.Ops != 8 || rep.WallNS != 110 {
 		t.Fatalf("report totals = %+v", rep)
+	}
+	// The one folded record is the whole of the totals, phase by phase.
+	for p, ps := range rep.Phases {
+		if ph := flight.Phase(p); ps.TotalNS != rec.PhaseDur(ph) || ps.AllIdleNS != rec.IdleDur(ph) {
+			t.Errorf("folded %s = %d ns (%d idle), record has %d (%d)", ph, ps.TotalNS, ps.AllIdleNS, rec.PhaseDur(ph), rec.IdleDur(ph))
+		}
 	}
 }
 
@@ -163,27 +165,6 @@ func TestOverlapHidesIdle(t *testing.T) {
 	}
 }
 
-func TestRingWraparoundOldestFirst(t *testing.T) {
-	col := NewCollector(1, 4)
-	for i := 0; i < 10; i++ {
-		rec := flight.WaveRecord{Index: uint64(i), Ops: i}
-		stampAll(col, &rec, uint64(i*100), uint64(i*100+10))
-		col.Fold(&rec)
-	}
-	recs := col.Recent()
-	if len(recs) != 4 {
-		t.Fatalf("Recent() has %d records, want 4", len(recs))
-	}
-	for i, rec := range recs {
-		if want := uint64(6 + i); rec.Index != want {
-			t.Fatalf("recent[%d].Index = %d, want %d", i, rec.Index, want)
-		}
-	}
-	if rep := col.Report(); rep.Waves != 10 {
-		t.Fatalf("Waves = %d, want 10 (totals cover evicted records too)", rep.Waves)
-	}
-}
-
 // TestNilSafety: a nil collector must be a complete no-op so production
 // clusters run without one attached.
 func TestNilSafety(t *testing.T) {
@@ -194,9 +175,6 @@ func TestNilSafety(t *testing.T) {
 	s := col.WorkerBegin()
 	col.WorkerEnd(WorkerAccess, s)
 	col.Fold(&flight.WaveRecord{Ops: 5})
-	if col.Recent() != nil {
-		t.Fatal("nil collector Recent() should be nil")
-	}
 	if rep := col.Report(); rep.Waves != 0 {
 		t.Fatal("nil collector Report() should be zero")
 	}

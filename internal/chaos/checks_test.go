@@ -71,6 +71,19 @@ func shardOneDead(t *testing.T, _ Scenario, res Result) {
 	}
 }
 
+// splitWitnessed: the Split run's link faults were injected and absorbed on
+// every member's link, the parity member's included, under a witness that
+// judged every frame.
+func splitWitnessed(t *testing.T, sc Scenario, res Result) {
+	shardOneDead(t, sc, res)
+	witnessSaw(t, sc, res)
+	for _, sd := range res.Health.SDIMMs {
+		if sd.Retries == 0 {
+			t.Fatalf("no retries on %s's link — faults never reached it:\n%s", sd.ID, res)
+		}
+	}
+}
+
 // rehomed: abandoned real APPENDs were re-homed, and the surfaced errors are
 // the only red in the verdict.
 func rehomed(t *testing.T, sc Scenario, res Result) {
@@ -93,11 +106,12 @@ func onlyErrors(t *testing.T, _ Scenario, res Result) {
 
 // witnessSaw: recovery traffic — retries, ARQ, duplicates, migrations — is
 // part of the protocol's observable envelope, which the witness is calibrated
-// to admit. Green() already demands its silence; this demands it was watching.
+// to admit. Green() already demands its silence; this demands it was watching
+// every frame the harness's tap saw, on every member's link.
 func witnessSaw(t *testing.T, sc Scenario, res Result) {
 	v := sc.Witness.Verdict()
-	if v.Frames == 0 {
-		t.Fatal("witness saw no frames — tap not chained")
+	if v.Frames == 0 || v.Frames != res.frames {
+		t.Fatalf("witness judged %d of the %d frames the tap saw — tap not chained, or sized short of the members", v.Frames, res.frames)
 	}
 	if v.Windows == 0 && !testing.Short() {
 		t.Fatal("witness checked no balance windows — window too large for the run")

@@ -20,6 +20,7 @@ import (
 // coordinator only uses links between barriers, which is also the only time
 // it flips the phase).
 type linkTap struct {
+	frames     atomic.Uint64 // every frame put on any link
 	started    atomic.Uint64 // exchanges opened (attempt-0 host→device frames)
 	violations atomic.Uint64
 	phase      atomic.Int32 // 0 before the drain, 1 during, 2 after
@@ -31,11 +32,12 @@ type linkState struct {
 	shapes    [3]map[[2]int]bool // (direction, frame length) seen, per phase
 }
 
-func newLinkTap(sdimms int) *linkTap {
-	return &linkTap{links: make([]linkState, sdimms)}
+func newLinkTap(members int) *linkTap {
+	return &linkTap{links: make([]linkState, members)}
 }
 
 func (t *linkTap) tap(sd int, dir fault.Direction, attempt int, frame []byte) {
+	t.frames.Add(1)
 	l := &t.links[sd]
 	p := t.phase.Load()
 	if l.shapes[p] == nil {

@@ -49,12 +49,12 @@ type run struct {
 	dir string // state directory; "" runs without durability
 	// observed marks the one run that is never interrupted — the subject
 	// without a crash plan, its twin with one — which carries the scenario's
-	// registry and, where there are links, the tap.
+	// registry and the tap.
 	observed bool
 
-	in                 *fault.Injector // Independent only; spans the incarnations
-	tap                *linkTap        // Independent observed run only
-	exchangeViolations uint64          // error-free batches with an unexpected exchange count
+	in                 *fault.Injector // spans the incarnations
+	tap                *linkTap        // observed run only
+	exchangeViolations uint64          // error-free Independent batches with an unexpected exchange count
 
 	// The current incarnation; pipe is set when traffic goes through the
 	// batched engine.
@@ -78,11 +78,9 @@ func newRun(sc Scenario, ops []sdimm.BatchOp, observed bool) *run {
 	for a := uint64(0); a < sc.Addresses; a++ {
 		r.ref[a] = make([]byte, payloadLen) // never written reads as zeros
 	}
-	if !sc.Split {
-		r.in = fault.NewInjector(sc.Faults)
-		if observed {
-			r.tap = newLinkTap(sc.SDIMMs)
-		}
+	r.in = fault.NewInjector(sc.Faults)
+	if observed {
+		r.tap = newLinkTap(sc.members())
 	}
 	return r
 }
@@ -153,15 +151,18 @@ func (r *run) close() {
 }
 
 // exec runs one batch on whichever engine home the scenario selects —
-// sequential Read / Write / DrainStep calls, or Pipeline.Do — and holds it
-// to the exchange-count invariant on the observed run: with no error and no
-// abandoned exchange, every access puts exactly one ACCESS plus one APPEND
-// per live member on the wire, however many retries it took. Sequential
-// batches are single accesses, so the check localizes; pipelined accesses
-// interleave on the wire, so it takes its whole-batch form.
+// sequential Read / Write / DrainStep calls, or Pipeline.Do — and holds an
+// Independent batch to the exchange-count invariant on the observed run:
+// with no error and no abandoned exchange, every access puts exactly one
+// ACCESS plus one APPEND per live member on the wire, however many retries
+// it took. Sequential batches are single accesses, so the check localizes;
+// pipelined accesses interleave on the wire, so it takes its whole-batch
+// form. (A Split access's eviction rounds follow the stash, so its count
+// varies.)
 func (r *run) exec(batch []sdimm.BatchOp) (out []sdimm.BatchResult, crashed bool) {
 	var started, abandoned uint64
-	if r.tap != nil {
+	check := r.tap != nil && !r.sc.Split
+	if check {
 		started, abandoned = r.tap.started.Load(), abandonedTotal(r.c.Health())
 	}
 	if r.pipe != nil {
@@ -186,7 +187,7 @@ func (r *run) exec(batch []sdimm.BatchOp) (out []sdimm.BatchResult, crashed bool
 		clean = clean && res.Err == nil
 		crashed = crashed || errors.Is(res.Err, durable.ErrCrashed)
 	}
-	if r.tap != nil && clean {
+	if check && clean {
 		h := r.c.Health()
 		live := len(h.SDIMMs) - len(h.Failed()) - len(h.Removed())
 		if abandonedTotal(h) == abandoned && r.tap.started.Load()-started != uint64(len(batch)*(1+live)) {
@@ -540,16 +541,13 @@ func Run(sc Scenario) (Result, error) {
 	// One epilogue for every exit past this point, the fatal one included.
 	observed := cmp.Or(twin, sub)
 	res.TrafficViolations = int(observed.exchangeViolations)
-	if observed.tap != nil {
-		res.TrafficViolations += int(observed.tap.violations.Load())
-		if sc.Resize {
-			res.TrafficViolations += int(observed.tap.drainViolations(sc.Member))
-		}
+	res.TrafficViolations += int(observed.tap.violations.Load())
+	res.frames = observed.tap.frames.Load()
+	if sc.Resize && !sc.Split {
+		res.TrafficViolations += int(observed.tap.drainViolations(sc.Member))
 	}
 	res.WitnessViolations = sc.Witness.Violations()
-	if sub.in != nil {
-		res.FaultStats = sub.in.Stats()
-	}
+	res.FaultStats = sub.in.Stats()
 	res.Health = sub.c.Health()
 	if sc.Resize {
 		res.Migrations = int(sub.c.MigrationSeq())

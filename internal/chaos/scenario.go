@@ -10,9 +10,9 @@
 //     how often the cluster was killed and restarted from disk.
 //  2. Obliviousness under faults — retries never change the observable
 //     traffic: every retransmission is byte-identical to the original
-//     frame, every error-free access puts the same number of exchanges on
-//     the wire (one ACCESS plus one APPEND per live SDIMM), and a drain adds
-//     no frame shape the link did not carry before it.
+//     frame, every error-free Independent access puts the same number of
+//     exchanges on the wire (one ACCESS plus one APPEND per live SDIMM), and
+//     a drain adds no frame shape the link did not carry before it.
 //  3. Crash equivalence — a run killed at seeded points of its record stream
 //     and recovered from its state directory ends bitwise-equal (results,
 //     position map, migration count, payloads) to an uncrashed twin — but
@@ -51,8 +51,7 @@ type Scenario struct {
 	Seed uint64
 
 	// Split runs the Split protocol instead of Independent; Parity adds its
-	// XOR parity member. Split shards fan out in-process — no sealed links —
-	// so Faults, Retry, RingFlushInterval and Witness are rejected.
+	// XOR parity member. Split has no ring-eviction engines.
 	Split  bool
 	Parity bool
 	// RingFlushInterval > 0 gives the members ring-eviction ORAM engines
@@ -62,7 +61,8 @@ type Scenario struct {
 	RingFlushInterval int
 
 	// Faults is the link-fault plan: the injector schedule every link of
-	// every incarnation misbehaves on. Retry is the cluster's recovery budget.
+	// every incarnation misbehaves on, the parity member's included. Retry
+	// is the cluster's recovery budget.
 	Faults fault.Config
 	Retry  fault.RetryPolicy
 
@@ -135,15 +135,11 @@ func (sc Scenario) prepared() (Scenario, error) {
 
 	// Every rule names the two fields that cannot be combined; nothing a
 	// caller sets is silently dropped.
-	retry := sc.Retry.MaxAttempts != 0 || sc.Retry.Sleep != nil
 	for _, rule := range []struct {
 		bad  bool
 		a, b string
 	}{
-		{sc.Split && sc.Faults.Rate() > 0, "Faults", "Split"},
-		{sc.Split && retry, "Retry", "Split"},
 		{sc.Split && sc.RingFlushInterval != 0, "RingFlushInterval", "Split"},
-		{sc.Split && sc.Witness != nil, "Witness", "Split"},
 		{!sc.Split && sc.Parity, "Parity", "Split=false"},
 		{!sc.Split && (sc.FailShard != 0 || sc.FailShardAt != 0), "FailShard", "Split=false"},
 		{sc.FailShard != 0 && sc.FailShardAt == 0, "FailShard", "FailShardAt=0"},
@@ -281,7 +277,9 @@ type Result struct {
 	Migrations int
 	Rejoined   bool
 
-	// What the scenario planned, for Green() and String().
+	// What the scenario planned, for Green() and String(), and the frames
+	// the harness's tap saw on the observed run.
+	frames      uint64
 	wantCrashes int
 	resize      bool
 	positions   bool // the position map is compared with the twin's

@@ -39,20 +39,22 @@ func size(full int) int {
 }
 
 // cli completes a scenario the way cmd/sdimm-chaos maps its flag defaults:
-// seed 42 and, where there are links, the 1.7% fault mix, an 8-attempt retry
-// budget, and a witness sharing the run's registry.
+// seed 42, the 1.7% fault mix, an 8-attempt retry budget, and a witness
+// sharing the run's registry, sized for every member, parity included.
 func cli(sc Scenario) Scenario { return cliAt(sc, 0.017, 8) }
 
 // cliAt is cli at sdimm-chaos's -rate r and -attempts n.
 func cliAt(sc Scenario, r float64, n int) Scenario {
 	sc.Seed = 42
-	if !sc.Split {
-		sc.Faults = fault.Config{Seed: 42 ^ 0xfa417, BitFlip: r * 0.30, Drop: r * 0.25,
-			Duplicate: r * 0.15, Replay: r * 0.10, Stall: r * 0.12, MACCorrupt: r * 0.08}
-		sc.Retry = fault.RetryPolicy{MaxAttempts: n, Sleep: func(time.Duration) {}}
-		sc.Telemetry = telemetry.NewRegistry()
-		sc.Witness = witness.New(witness.Options{Members: 4, Registry: sc.Telemetry})
+	sc.Faults = fault.Config{Seed: 42 ^ 0xfa417, BitFlip: r * 0.30, Drop: r * 0.25,
+		Duplicate: r * 0.15, Replay: r * 0.10, Stall: r * 0.12, MACCorrupt: r * 0.08}
+	sc.Retry = fault.RetryPolicy{MaxAttempts: n, Sleep: func(time.Duration) {}}
+	sc.Telemetry = telemetry.NewRegistry()
+	members := 4
+	if sc.Parity {
+		members++
 	}
+	sc.Witness = witness.New(witness.Options{Members: members, Registry: sc.Telemetry})
 	return sc
 }
 
@@ -69,7 +71,7 @@ func legs(t *testing.T) []leg {
 			sc: cli(Scenario{Accesses: size(5000)})},
 		{name: "TestWitnessSilentOnRingChaosSweep", golden: "linkfault-leg2.golden", check: witnessSaw,
 			sc: cli(Scenario{Accesses: size(3000), RingFlushInterval: 4})},
-		{name: "TestScenarioLegs/split-failshard", golden: "linkfault-leg3.golden", check: shardOneDead,
+		{name: "TestScenarioLegs/split-failshard", golden: "linkfault-leg3.golden", check: splitWitnessed,
 			sc: cli(Scenario{Accesses: size(2000), Split: true, Parity: true, FailShard: 1, FailShardAt: size(2000) / 3})},
 		// Checkpoint cadence 64 with uniform crash points makes replay work
 		// all but certain; a zero means the journal path went untested.
@@ -241,10 +243,7 @@ func TestScenarioValidation(t *testing.T) {
 		sc   Scenario
 		want string
 	}{
-		{Scenario{Split: true, Faults: fault.Config{Drop: 0.01}}, "Faults conflicts with Split"},
-		{Scenario{Split: true, Retry: fault.RetryPolicy{MaxAttempts: 3}}, "Retry conflicts with Split"},
 		{Scenario{Split: true, RingFlushInterval: 4}, "RingFlushInterval conflicts with Split"},
-		{Scenario{Split: true, Witness: wit}, "Witness conflicts with Split"},
 		{Scenario{Parity: true}, "Parity conflicts with Split=false"},
 		{Scenario{FailShard: 1, FailShardAt: 50}, "FailShard conflicts with Split=false"},
 		{Scenario{Split: true, FailShard: 1}, "FailShard conflicts with FailShardAt=0"},
@@ -265,6 +264,14 @@ func TestScenarioValidation(t *testing.T) {
 	} {
 		if _, err := Run(tc.sc); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v:\n got error %v, want one containing %q", tc.sc, err, tc.want)
+		}
+	}
+	// Split members sit behind the same sealed links as Independent ones, so
+	// a link plan and the witness apply to them as they are.
+	for _, sc := range []Scenario{{Split: true, Faults: fault.Config{Drop: 0.01}},
+		{Split: true, Retry: fault.RetryPolicy{MaxAttempts: 3}}, {Split: true, Witness: wit}} {
+		if _, err := sc.prepared(); err != nil {
+			t.Errorf("%+v: %v", sc, err)
 		}
 	}
 }
@@ -290,15 +297,15 @@ func TestScenarioSample(t *testing.T) {
 		if i < len(forced) {
 			sc = forced[i]
 		} else {
-			// Link plans only where the flavour has links, losses only where
-			// parity can absorb them (without it the run must fail closed).
+			// Losses only where parity can absorb them (without it the run
+			// must fail closed).
 			if sc.Split = r.Bool(0.4); sc.Split {
 				sc.Parity = r.Bool(0.8)
 			} else {
 				sc.RingFlushInterval = 4 * r.Intn(2)
-				if r.Bool(0.5) {
-					sc.Faults = sweepFaults
-				}
+			}
+			if r.Bool(0.5) {
+				sc.Faults = sweepFaults
 			}
 			sc.Parallelism = 1 + 3*r.Intn(2)
 			sc.Crashes, sc.Resize = r.Intn(3), r.Bool(0.5)
@@ -311,16 +318,20 @@ func TestScenarioSample(t *testing.T) {
 		if sc.Crashes > 0 {
 			sc.Interval = 32
 		}
-		if _, err := sc.prepared(); err != nil {
+		p, err := sc.prepared()
+		if err != nil {
 			if i < len(forced) {
 				t.Fatalf("forced sample %d rejected: %v", i, err)
 			}
 			continue
 		}
 		literal := fmt.Sprintf("%#v", sc)
-		if !sc.Split {
-			sc.Retry.Sleep = func(time.Duration) {}
-			sc.Witness = witness.New(witness.Options{Members: 4, Window: 512})
+		sc.Retry.Sleep = func(time.Duration) {}
+		// Not where a Split member is lost mid-run: the witness's balance band
+		// flags the window in which a member's traffic stops early (its share
+		// falls below a quarter of the fair one), though the loss is public.
+		if !sc.Split || !sc.Resize && sc.FailShardAt == 0 {
+			sc.Witness = witness.New(witness.Options{Members: p.members(), Window: 512})
 		}
 		res, err := Run(sc)
 		if err != nil || !res.Green() {

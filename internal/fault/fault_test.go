@@ -75,13 +75,10 @@ func TestInjectorFaultsNeverMutateSenderFrame(t *testing.T) {
 
 func TestInjectorFailStop(t *testing.T) {
 	in := NewInjector(Config{Seed: 5})
-	if in.IsFailStopped(2) {
-		t.Fatal("fresh link reported fail-stopped")
+	if _, err := in.Link(2).Deliver(HostToDev, []byte("x")); err != nil {
+		t.Fatalf("fresh link refused a delivery: %v", err)
 	}
 	in.FailStop(2)
-	if !in.IsFailStopped(2) {
-		t.Fatal("fail-stop not recorded")
-	}
 	if _, err := in.Link(2).Deliver(HostToDev, []byte("x")); !errors.Is(err, ErrFailStop) {
 		t.Fatalf("dead link delivered: %v", err)
 	}

@@ -146,12 +146,6 @@ func (in *Injector) FailStop(idx int) { in.Link(idx).dead = true }
 // hardware arriving in the same slot before a cluster-level rejoin.
 func (in *Injector) Revive(idx int) { in.Link(idx).dead = false }
 
-// IsFailStopped reports whether SDIMM idx has been fail-stopped.
-func (in *Injector) IsFailStopped(idx int) bool {
-	l, ok := in.links[idx]
-	return ok && l.dead
-}
-
 // StallFor wedges SDIMM idx's link for the next n deliveries.
 func (in *Injector) StallFor(idx, n int) { in.Link(idx).stalled += n }
 

@@ -130,14 +130,19 @@ func build(cfg Config, mk func(sdimm.ClusterOptions) (*sdimm.Cluster, error)) (*
 		start:   time.Now(),
 	}
 
+	// Every member has a link and a flight ring, a Split parity member too.
+	members := cfg.Cluster.SDIMMs
+	if cfg.Cluster.Split && cfg.Cluster.Parity {
+		members++
+	}
 	s.wit = witness.New(witness.Options{
-		Members:     cfg.Cluster.SDIMMs,
+		Members:     members,
 		Registry:    reg,
 		OnViolation: func(kind string) { s.dumpFlight("witness-" + kind) },
 	})
 
 	if cfg.Cluster.Flight == nil {
-		cfg.Cluster.Flight = flight.New(cfg.Cluster.SDIMMs, 4096)
+		cfg.Cluster.Flight = flight.New(members, 4096)
 	}
 	s.fr = cfg.Cluster.Flight
 

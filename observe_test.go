@@ -3,7 +3,6 @@ package sdimm
 import (
 	"bytes"
 	"runtime"
-	"slices"
 	"testing"
 
 	"sdimm/internal/blame"
@@ -19,8 +18,8 @@ import (
 // unattributed gap, no overlap — and the measured all-idle time inside a
 // phase never exceeds the phase's own interval; the sequential path's
 // one-op waves tile the same way, one record per access, with nothing to
-// retire and no checkpoint. Both views hold the one stamped record, bound
-// for bound. On a durable cluster the sequential access that makes a
+// retire and no checkpoint. The recorder keeps every stamped record and
+// the collector's totals are their sums, phase for phase. On a durable cluster the sequential access that makes a
 // checkpoint due carries the checkpoint's time in its own record, which still
 // tiles exactly. Runs under -race in CI: the coordinator stamps bounds while
 // workers update the collector's idle meter.
@@ -54,12 +53,12 @@ func TestPipelineWavePhaseTiling(t *testing.T) {
 					}
 				}
 			}
-			pipelined := len(col.Recent())
+			pipelined := len(fr.Waves())
 			for i, op := range ops {
 				if err := c.Write(op.Addr, payload); err != nil {
 					t.Fatal(err)
 				}
-				if n := len(col.Recent()); n != pipelined+i+1 {
+				if n := len(fr.Waves()); n != pipelined+i+1 {
 					t.Fatalf("sequential access %d left %d records, want exactly one more than %d", i, n, pipelined+i)
 				}
 			}
@@ -67,8 +66,8 @@ func TestPipelineWavePhaseTiling(t *testing.T) {
 		})
 	}
 	t.Run("independent-durable-sequential", func(t *testing.T) {
-		col := blame.NewCollector(4, 128)
-		c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 10, Seed: 42, Blame: col,
+		fr := flight.New(4, 128)
+		c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 10, Seed: 42, Flight: fr,
 			Durability: &DurabilityOptions{Dir: t.TempDir(), Interval: 4}})
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +78,7 @@ func TestPipelineWavePhaseTiling(t *testing.T) {
 			if err := c.Write(uint64(i), payload); err != nil {
 				t.Fatal(err)
 			}
-			recs := col.Recent()
+			recs := fr.Waves()
 			if len(recs) != i+1 {
 				t.Fatalf("sequential access %d left %d records, want %d", i, len(recs), i+1)
 			}
@@ -107,14 +106,12 @@ func TestPipelineWavePhaseTiling(t *testing.T) {
 // ones first, then seq one-op waves — to the tiling contract.
 func checkWaveTiling(t *testing.T, col *blame.Collector, fr *flight.Recorder, pipelined, seq int, split bool) {
 	t.Helper()
-	recs := col.Recent()
+	recs := fr.Waves()
 	if pipelined == 0 || len(recs) != pipelined+seq {
 		t.Fatalf("%d records: %d pipelined, want %d more one-op waves", len(recs), pipelined, seq)
 	}
-	if waves := fr.Waves(); !slices.Equal(waves, recs) {
-		t.Fatalf("flight and blame hold different records:\n%+v\n%+v", waves, recs)
-	}
 	var totalOps int
+	var phaseNS [flight.NumPhases]uint64
 	for i, rec := range recs {
 		if rec.Index != uint64(i) {
 			t.Fatalf("record %d has index %d", i, rec.Index)
@@ -122,6 +119,7 @@ func checkWaveTiling(t *testing.T, col *blame.Collector, fr *flight.Recorder, pi
 		var sum uint64
 		for p := flight.Phase(0); p < flight.NumPhases; p++ {
 			sum += rec.PhaseDur(p)
+			phaseNS[p] += rec.PhaseDur(p)
 			// Boundaries are monotone: no interval may run backwards.
 			if rec.Bounds[p+1] < rec.Bounds[p] {
 				t.Fatalf("wave %d: bounds not monotone: %v", rec.Index, rec.Bounds)
@@ -155,6 +153,14 @@ func checkWaveTiling(t *testing.T, col *blame.Collector, fr *flight.Recorder, pi
 	rep := col.Report()
 	if rep.AttributionRatio != 1.0 {
 		t.Fatalf("AttributionRatio = %v, want exactly 1.0 (contiguous construction)", rep.AttributionRatio)
+	}
+	if rep.Waves != uint64(len(recs)) || rep.Ops != uint64(totalOps) {
+		t.Fatalf("collector folded %d waves of %d ops, recorder holds %d of %d", rep.Waves, rep.Ops, len(recs), totalOps)
+	}
+	for p, ps := range rep.Phases {
+		if ps.TotalNS != phaseNS[p] {
+			t.Fatalf("collector folded %s = %dns, recorder's records sum to %dns", ps.Phase, ps.TotalNS, phaseNS[p])
+		}
 	}
 	if len(rep.Ledger) == 0 || rep.TopBottleneck == "" {
 		t.Fatalf("empty serialization ledger: %+v", rep)

@@ -1,6 +1,7 @@
 package sdimm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -660,7 +661,7 @@ func (p *Pipeline) accessTask(po *pipeOp) {
 		NewLeaf: po.newG & mask,
 		Keep:    po.keep,
 	}
-	resp, err := c.exchange(po.sd, "access", c.accessBody(po.sd, req))
+	resp, err := c.exchange(po.sd, "access", c.accessBody(po.sd, req, c.blockSize))
 	if err != nil && !fault.Executed(err) {
 		po.err = err
 		return
@@ -711,11 +712,18 @@ func (p *Pipeline) accessTask(po *pipeOp) {
 func (p *Pipeline) commit(w *waveState) {
 	c := p.c
 	for _, po := range w.ops {
-		// A failed Split share fails its op before commit; the lowest member
-		// index wins, at any parallelism.
-		for _, e := range po.shareErr {
-			if e != nil && po.err == nil {
-				po.err = e
+		// A Split op does without a member whose share failed while the
+		// survivors can carry it: at most one member missing, counting the one
+		// down at schedule time, and a parity member to rebuild a read's slice
+		// at finalize. Otherwise it fails closed, the lowest failed member's
+		// error wrapped as unavailable, at any parallelism.
+		for i, e := range po.shareErr {
+			switch {
+			case e == nil || po.err != nil:
+			case po.down >= 0 || !c.HasParity():
+				po.err = fmt.Errorf("%w: %w", fault.ErrUnavailable, e)
+			default:
+				po.down = i
 			}
 		}
 		if po.err != nil {
@@ -989,6 +997,10 @@ type stages interface {
 	// delivery.
 	finalize(p *Pipeline, po *pipeOp)
 
+	// serve is the device side of member sd's link: it runs one command on
+	// the member's buffer and returns the response body to seal (nil and no
+	// error for a command the protocol does not use).
+	serve(sd int, kind isdimm.Command, payload []byte) ([]byte, error)
 	// scrub is recovery's integrity pass over the restored members, before
 	// the journal replay.
 	scrub(report *durable.RecoveryReport) error
@@ -1093,12 +1105,12 @@ func (independentStages) rebuildMember(int) error { return nil }
 // splitStages is the Split protocol: every op runs on every live member,
 // each holding one shard-sized slice of every block — the data slices, then
 // with parity their XOR — and the host directs eviction with shared
-// randomness so the shard trees stay in lockstep.
+// randomness so the shard trees stay in lockstep, every exchange over the
+// member's sealed link.
 type splitStages struct {
 	c          *Cluster
-	faults     *fault.Injector // honoured for its per-member fail-stops only
-	shard      int             // bytes of every block each member holds
-	dataShards int             // members[:dataShards] hold data slices; the parity member, if any, follows
+	shard      int // bytes of every block each member holds
+	dataShards int // members[:dataShards] hold data slices; the parity member, if any, follows
 
 	// Eviction round scratch: the round's leaf and per-member errors, and
 	// the share bound once so a round allocates nothing.
@@ -1108,15 +1120,8 @@ type splitStages struct {
 	evict func(member int)
 }
 
-// memberDown reports whether member i is fail-stopped, folding in the
-// injector's fail-stop schedule on first observation.
-func (s *splitStages) memberDown(i int) bool {
-	h := s.c.health[i]
-	if h.State() != fault.Failed && s.faults != nil && s.faults.IsFailStopped(i) {
-		h.MarkFailed(fault.ErrFailStop)
-	}
-	return h.State() == fault.Failed
-}
+// live reports whether a member is still in lockstep (not Failed).
+func live(h *fault.Health) bool { return h.State() != fault.Failed }
 
 // solveSlice recomputes member i's slice of codeword cw (one shard-sized
 // slice per member, in member order) from every other member's.
@@ -1124,23 +1129,24 @@ func (s *splitStages) solveSlice(cw []byte, i int) {
 	xorAcross(cw[i*s.shard:(i+1)*s.shard], s.c.others(i), func(j int) []byte { return cw[j*s.shard : (j+1)*s.shard] })
 }
 
-// schedule folds the injector's fail-stop schedule into the health records
-// and finds the (at most one) member the access must do without. A loss the
-// redundancy cannot cover is refused here — before the leaf draws and before
-// any member touches its tree — so a refused access leaves the survivors,
-// the RNG and the position map as they were. It then draws the old (on a
-// first touch) and new leaf of the shared tree and stages the codeword: a
-// write hands member i slice i, a read lands member i's slice at i — the
-// parity member is not special. A read's codeword escapes to the caller (its
-// data prefix); a write's is staged in the op's reusable buffer.
+// schedule finds the (at most one) member the access must do without. A
+// loss the redundancy cannot cover is refused here — before the leaf draws
+// and before any member touches its tree — so a refused access leaves the
+// survivors, the RNG and the position map as they were. It reads the live
+// health records: the previous wave's shares and eviction rounds have all
+// returned. It then draws the old (on a first touch) and new leaf of the
+// shared tree and stages the codeword: a write hands member i slice i, a
+// read lands member i's slice at i — the parity member is not special. A
+// read's codeword escapes to the caller (its data prefix); a write's is
+// staged in the op's reusable buffer.
 func (s *splitStages) schedule(p *Pipeline, po *pipeOp, data []byte) error {
 	c := s.c
 	if po.migrate {
 		return fmt.Errorf("sdimm: migration op %d: a Split cluster has no routing to migrate", po.addr)
 	}
 	po.down = -1
-	for i := range c.members {
-		if !s.memberDown(i) {
+	for i, h := range c.health {
+		if live(h) {
 			continue
 		}
 		if po.down >= 0 {
@@ -1179,7 +1185,7 @@ func (s *splitStages) owners(w *waveState) {
 	for _, po := range w.ops {
 		if po.err == nil {
 			for i, h := range s.c.health {
-				w.owns[i] = h.State() != fault.Failed
+				w.owns[i] = live(h)
 			}
 			return
 		}
@@ -1187,28 +1193,37 @@ func (s *splitStages) owners(w *waveState) {
 }
 
 // share runs member's slice of every op of the wave, in logical order, into
-// the member's own region of each codeword. A failure lands in the member's
-// own error slot, so shares are race-free.
+// the member's own region of each codeword: one ACCESS exchange per op,
+// carrying the slice of a write and bringing back the slice of a read. A
+// failure lands in the member's own error slot, so shares are race-free;
+// once the member has failed, it sits out the rest of the wave.
 func (s *splitStages) share(p *Pipeline, w *waveState, member int) {
 	c := s.c
 	for _, po := range w.ops {
 		if po.err != nil {
 			continue
 		}
-		st := c.blame.WorkerBegin()
-		slice := po.cw[member*s.shard : (member+1)*s.shard]
-		req := isdimm.AccessRequest{Addr: po.addr, Op: po.op, OldLeaf: po.oldG, NewLeaf: po.newG}
-		if po.op == oram.OpWrite {
-			req.Data = slice
+		if !live(c.health[member]) {
+			po.shareErr[member] = c.wrapErr(member, "shard access", fault.ErrUnavailable)
+			continue
 		}
-		if blk, _, err := c.members[member].ShardAccess(req); err != nil {
-			c.health[member].Failure(err)
-			po.shareErr[member] = c.wrapErr(member, "shard access", err)
-		} else {
-			c.health[member].Success()
-			if po.op == oram.OpRead && blk.Data != nil {
+		st := c.blame.WorkerBegin()
+		// A read's slice is still zeros: the dummy payload a read carries.
+		slice := po.cw[member*s.shard : (member+1)*s.shard]
+		req := isdimm.AccessRequest{Addr: po.addr, Op: po.op, OldLeaf: po.oldG, NewLeaf: po.newG, Data: slice}
+		resp, err := c.exchange(member, "shard access", c.accessBody(member, req, s.shard))
+		if err == nil {
+			blk, dummy, derr := isdimm.UnmarshalBlockView(resp, s.shard)
+			if derr != nil {
+				err = c.wrapErr(member, "shard access response", derr)
+			} else if po.op == oram.OpRead && !dummy {
 				copy(slice, blk.Data)
 			}
+		}
+		if err != nil {
+			// The member has left lockstep.
+			c.health[member].MarkFailed(err)
+			po.shareErr[member] = err
 		}
 		c.blame.WorkerEnd(blame.WorkerAccess, st)
 	}
@@ -1216,10 +1231,12 @@ func (s *splitStages) share(p *Pipeline, w *waveState, member int) {
 
 // postCommit is host-directed background eviction, up to 8 rounds per
 // committed op while the group needs it. Each round's leaf is drawn on the
-// coordinator, then every live member evicts it — one barrier'd fan-out per
-// round, since NeedsDrain must observe the finished round. The members are
-// in lockstep, so any live one answers NeedsDrain for the group. A failed
-// round fails every op of the wave that committed and ends the eviction.
+// coordinator, then every live member evicts it — one barrier'd fan-out of
+// RECEIVE_LIST exchanges per round, since NeedsDrain must observe the
+// finished round. The members are in lockstep, so any live one answers
+// NeedsDrain for the group. A member whose round fails is marked Failed; a
+// round that leaves the survivors unable to carry the wave fails every op
+// of the wave that committed and ends the eviction.
 func (s *splitStages) postCommit(p *Pipeline, w *waveState) {
 	c := s.c
 	rounds := 0
@@ -1228,26 +1245,27 @@ func (s *splitStages) postCommit(p *Pipeline, w *waveState) {
 			rounds += 8
 		}
 	}
-	if rounds == 0 {
-		return
-	}
-	ref := c.members[slices.IndexFunc(c.health, func(h *fault.Health) bool { return h.State() != fault.Failed })]
-	for n := 0; n < rounds && ref.Engine().NeedsDrain(); n++ {
+	for n := 0; n < rounds; n++ {
+		// Once members can fail mid-wave, every one of them may be down.
+		ref := slices.IndexFunc(c.health, live)
+		if ref < 0 || !c.members[ref].Engine().NeedsDrain() {
+			return
+		}
 		s.leaf = c.rnd.Uint64n(c.leaves)
 		s.errs = resized(s.errs, len(c.members))
 		for i, h := range c.health {
-			if h.State() != fault.Failed {
+			if live(h) {
 				p.pool.submitWG(i, &s.wg, s.evict)
 			}
 		}
 		s.wg.Wait()
-		for _, err := range s.errs {
-			if err == nil {
-				continue
+		if err := errors.Join(s.errs...); err != nil {
+			if len(c.Health().Failed()) == 1 && c.HasParity() {
+				continue // the survivors carry the wave
 			}
 			for _, po := range w.ops {
 				if po.committed && po.err == nil {
-					po.err = err
+					po.err = fmt.Errorf("%w: %w", fault.ErrUnavailable, err)
 				}
 			}
 			return
@@ -1255,14 +1273,22 @@ func (s *splitStages) postCommit(p *Pipeline, w *waveState) {
 	}
 }
 
-// evictShare is member's share of an eviction round.
+// evictShare is member's share of an eviction round: one RECEIVE_LIST
+// exchange carrying the round's leaf, answered with the one-byte ack.
 func (s *splitStages) evictShare(member int) {
 	c := s.c
 	st := c.blame.WorkerBegin()
 	defer c.blame.WorkerEnd(blame.WorkerAppend, st)
-	if err := c.members[member].EvictLocal(s.leaf); err != nil {
-		c.health[member].Failure(err)
-		s.errs[member] = c.wrapErr(member, "shard eviction", err)
+	// One fixed-size body per round: the opcode and the leaf.
+	body := binary.BigEndian.AppendUint64(append(c.cmdBufs[member][:0], byte(isdimm.CmdReceiveList)), s.leaf)
+	c.cmdBufs[member] = body
+	ack, err := c.exchange(member, "shard eviction", body)
+	if err == nil && (len(ack) != 1 || ack[0] != appendAck) {
+		err = c.wrapErr(member, "shard eviction", fmt.Errorf("sdimm: malformed eviction ack %x", ack))
+	}
+	if err != nil {
+		c.health[member].MarkFailed(err)
+		s.errs[member] = err
 	}
 }
 

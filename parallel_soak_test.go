@@ -147,6 +147,66 @@ func TestPipelineSoak(t *testing.T) {
 	}
 }
 
+// TestPipelineSoakSplit is TestPipelineSoak's Split twin: a Split cluster
+// with a parity member, every member's link faulting on the transient mix —
+// bit flips, drops and duplicates at 1% of deliveries each, stalls at 0.5% —
+// must end bitwise-equal across Parallelism 1, 2, 4 and 8 in results, error
+// strings, positions, stashes, telemetry, health and the injector's counts,
+// and those counts must show faults on every member's link, the parity
+// member's included. The stream's migration steps run as reads: a Split
+// cluster has no routing to migrate.
+func TestPipelineSoakSplit(t *testing.T) {
+	scenarios, opsPer, space := 4, 240, uint64(64)
+	switch {
+	case *soakLong:
+		scenarios, opsPer, space = 16, 1000, 96
+	case testing.Short():
+		scenarios, opsPer = 2, 120
+	}
+	for s := 0; s < scenarios; s++ {
+		t.Run(fmt.Sprintf("scenario-%02d", s), func(t *testing.T) {
+			r := rng.Stream(1789, "pipeline-soak-split", s)
+			seed, window, batches := r.Uint64n(1<<62), 1+int(r.Uint64n(12)), 2+int(r.Uint64n(3))
+			ops := soakWorkload(r, opsPer, space)
+			for i := range ops {
+				ops[i].Migrate = false
+			}
+			run := func(par int) (engineState, fault.Stats) {
+				reg := telemetry.NewRegistry()
+				in := fault.NewInjector(fault.Config{Seed: seed ^ 0xfa017, BitFlip: 0.01, Drop: 0.01, Duplicate: 0.01, Stall: 0.005})
+				c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 10, Split: true, Parity: true, Key: []byte("soak-key"),
+					Seed: seed, Faults: in, Retry: fault.RetryPolicy{MaxAttempts: 4, Sleep: nop}, Telemetry: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := c.Pipeline(PipelineOptions{Window: window, Parallelism: par})
+				defer p.Close()
+				var results []BatchResult
+				for per, lo := (len(ops)+batches-1)/batches, 0; lo < len(ops); lo += per {
+					results = append(results, p.Do(ops[lo:min(lo+per, len(ops))])...)
+				}
+				return captureState(results, c.Positions(), c.StashLens(), reg, c.Health()), in.Stats()
+			}
+			base, stats := run(1)
+			if stats.BitFlips == 0 || stats.Drops == 0 || stats.Duplicates == 0 || stats.Stalls == 0 {
+				t.Fatalf("the injector missed a fault class: %+v", stats)
+			}
+			for _, h := range base.Health {
+				if h.Retries+h.Retransmits == 0 {
+					t.Fatalf("no fault reached %s's link: %+v", h.ID, h)
+				}
+			}
+			for _, par := range []int{2, 4, 8} {
+				got, gotStats := run(par)
+				diffState(t, fmt.Sprintf("split window=%d batches=%d parallelism=%d", window, batches, par), base, got)
+				if gotStats != stats {
+					t.Errorf("parallelism %d: injector counts %+v, want %+v", par, gotStats, stats)
+				}
+			}
+		})
+	}
+}
+
 // TestPipelineSoakWindowOneMatchesSequential pins the mixed-stream pipeline
 // (including migration steps) to the sequential path: with Window 1 every
 // wave is one access, and on these perfect links — no APPEND is abandoned,
