@@ -38,12 +38,15 @@ race:
 # green run (the crash + corrupt plan on both flavours, so the Split scrub
 # and XOR rebuild get the same smoke the Independent quarantine has; the
 # Split fail-stop row runs the default 1.7% fault mix on every member's
-# link, the parity member's included, with the witness attached), 1 on a
-# combination the scenario rejects, and 2 (DEGRADED: only the retry budget
-# ran out) for the payload-loss mix at both parallelisms, on both flavours:
-# a Split member whose exchange is abandoned leaves lockstep, and once a
-# second one goes the run stops with errors, never a wrong payload. The
-# attacker test checks a drain is indistinguishable on the wire.
+# link, the parity member's included, with the witness attached; the Split
+# eviction row overfills a 4-level tree at -parallel 4, so the members evict
+# inside most accesses while the witness and the per-batch exchange count
+# watch every link), 1 on a combination the scenario rejects, and 2
+# (DEGRADED: only the retry budget ran out) for the payload-loss mix at both
+# parallelisms, on both flavours: a Split member whose exchange is abandoned
+# leaves lockstep, and once a second one goes the run stops at that access,
+# with errors, never a wrong payload. The attacker test checks a drain is
+# indistinguishable on the wire.
 CHAOS_BIN = .chaos_build/sdimm-chaos
 
 chaos:
@@ -53,6 +56,7 @@ chaos:
 	$(CHAOS_BIN) -split -failshard 1 -n 2000 -snapshot=false
 	$(CHAOS_BIN) -crash -corrupt -n 800 -crashes 3 -snapshot=false
 	$(CHAOS_BIN) -split -crash -corrupt -n 800 -crashes 3 -snapshot=false
+	$(CHAOS_BIN) -split -levels 4 -addrs 230 -n 700 -parallel 4 -rate 0 -snapshot=false
 	$(CHAOS_BIN) -resize -ringflush 4 -parallel 4 -n 600 -crashes 3 -snapshot=false
 	! $(CHAOS_BIN) -split -ringflush 4
 	! $(CHAOS_BIN) -resize -n 200 -crashes 5000

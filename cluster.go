@@ -2,7 +2,6 @@ package sdimm
 
 import (
 	"crypto/subtle"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -372,7 +371,6 @@ func (c *Cluster) splitSpec(opts ClusterOptions) (memberSpec, error) {
 	}
 	c.rnd = rng.New(opts.Seed ^ 0x59117)
 	s := &splitStages{c: c, shard: opts.BlockSize / opts.SDIMMs, dataShards: opts.SDIMMs}
-	s.evict = s.evictShare
 	c.st = s
 	n := opts.SDIMMs
 	if opts.Parity {
@@ -380,10 +378,11 @@ func (c *Cluster) splitSpec(opts ClusterOptions) (memberSpec, error) {
 	}
 	c.members = make([]*isdimm.Buffer, n)
 	return memberSpec{
-		// All shards must evolve in lockstep: the host directs eviction with
-		// shared randomness (see postCommit), so the engines' own background
-		// eviction stays off, and every engine draws from the same stream.
-		engine: oram.Options{Geometry: geom, DisableAutoDrain: true},
+		// All shards must evolve in lockstep: every engine evicts inside its
+		// own access, drawing its leaves from the same stream, so every
+		// member's stash crosses the threshold on the same access and drains
+		// the same paths.
+		engine: oram.Options{Geometry: geom},
 		slice:  s.shard,
 		name: func(i int, inc uint64) (string, string, *rng.Source, *rng.Source) {
 			// The parity member is slot SDIMMs and differs in name only. A
@@ -581,34 +580,25 @@ func (s independentStages) serve(sd int, kind isdimm.Command, payload []byte) ([
 	return nil, nil
 }
 
-// serve runs a Split member's commands: ACCESS, the member's slice of one
-// op (ShardAccess), answered with its slice in the block message — so reads
-// and writes put the same frames on the wire — and RECEIVE_LIST, the
-// host-directed eviction of the leaf it carries, answered with the ack.
+// serve runs a Split member's one command: ACCESS, the member's slice of
+// one op (ShardAccess, which evicts too while the stash runs hot), answered
+// with its slice in the block message — so reads and writes put the same
+// frames on the wire.
 func (s *splitStages) serve(sd int, kind isdimm.Command, payload []byte) ([]byte, error) {
-	c := s.c
-	switch kind {
-	case isdimm.CmdAccess:
-		req, err := isdimm.UnmarshalAccessView(payload, s.shard)
-		if err != nil {
-			return nil, err
-		}
-		blk, _, err := c.members[sd].ShardAccess(req)
-		if err != nil {
-			return nil, err
-		}
-		c.serveBufs[sd] = isdimm.AppendBlock(c.serveBufs[sd][:0], blk, blk.Data == nil, s.shard)
-		return c.serveBufs[sd], nil
-	case isdimm.CmdReceiveList:
-		if len(payload) != 8 {
-			return nil, fmt.Errorf("sdimm: RECEIVE_LIST body %d bytes, want 8", len(payload))
-		}
-		if err := c.members[sd].EvictLocal(binary.BigEndian.Uint64(payload)); err != nil {
-			return nil, err
-		}
-		return appendAckBody, nil
+	if kind != isdimm.CmdAccess {
+		return nil, nil
 	}
-	return nil, nil
+	c := s.c
+	req, err := isdimm.UnmarshalAccessView(payload, s.shard)
+	if err != nil {
+		return nil, err
+	}
+	blk, _, err := c.members[sd].ShardAccess(req)
+	if err != nil {
+		return nil, err
+	}
+	c.serveBufs[sd] = isdimm.AppendBlock(c.serveBufs[sd][:0], blk, blk.Data == nil, s.shard)
+	return c.serveBufs[sd], nil
 }
 
 // accessBody marshals an ACCESS command with a size-byte payload slot into

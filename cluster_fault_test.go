@@ -2,7 +2,6 @@ package sdimm
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -681,15 +680,12 @@ func TestSplitDataAndParityDownFailsClosed(t *testing.T) {
 // has left lockstep and is marked Failed. With parity the survivors carry
 // every op and each read rebuilds the lost slice; without it the op fails
 // closed as unavailable. Neither ever returns a wrong payload, on the
-// sequential path or in pipelined waves, and a tree small enough to keep the
-// host-directed eviction rounds running loses the member inside them too:
-// "evicting" fail-stops the link on the first RECEIVE_LIST frame it carries
-// after the kill.
+// sequential path or in pipelined waves, and on a tree small enough that
+// the members evict inside most of their accesses.
 func TestSplitAbandonedExchangeFailsMember(t *testing.T) {
-	kills := map[string]func(in *fault.Injector, evicting *bool){
-		"stall":     func(in *fault.Injector, _ *bool) { in.StallFor(1, 1) },
-		"fail-stop": func(in *fault.Injector, _ *bool) { in.FailStop(1) },
-		"evicting":  func(_ *fault.Injector, evicting *bool) { *evicting = true },
+	kills := map[string]func(in *fault.Injector){
+		"stall":     func(in *fault.Injector) { in.StallFor(1, 1) },
+		"fail-stop": func(in *fault.Injector) { in.FailStop(1) },
 	}
 	for name, kill := range kills {
 		for _, parity := range []bool{true, false} {
@@ -698,24 +694,10 @@ func TestSplitAbandonedExchangeFailsMember(t *testing.T) {
 				levels, addrs int
 				window        int // 0: sequential Read/Write
 			}{{"seq", 8, 24, 0}, {"waves", 8, 24, 8}, {"evict", 4, 230, 8}} {
-				if name == "evicting" && shape.name != "evict" {
-					continue
-				}
 				t.Run(fmt.Sprintf("%s/parity=%v/%s", name, parity, shape.name), func(t *testing.T) {
 					in := fault.NewInjector(fault.Config{Seed: 3})
-					evicting, accessLen := false, 0
 					c, err := NewCluster(ClusterOptions{Split: true, Parity: parity, SDIMMs: 4, Levels: shape.levels, Seed: 5,
-						Key: []byte("abandon-key"), Faults: in, Retry: fault.RetryPolicy{MaxAttempts: 1, Sleep: nop},
-						LinkTap: func(sd int, dir fault.Direction, _ int, frame []byte) {
-							// Member 1's worker alone calls this: an ACCESS frame
-							// opens its traffic, and an eviction frame is shorter.
-							if sd == 1 && dir == fault.HostToDev {
-								accessLen = cmp.Or(accessLen, len(frame))
-								if evicting && len(frame) < accessLen {
-									in.FailStop(1)
-								}
-							}
-						}})
+						Key: []byte("abandon-key"), Faults: in, Retry: fault.RetryPolicy{MaxAttempts: 1, Sleep: nop}})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -751,7 +733,7 @@ func TestSplitAbandonedExchangeFailsMember(t *testing.T) {
 					for _, op := range writes(0) {
 						want[op.Addr] = op.Data
 					}
-					kill(in, &evicting)
+					kill(in)
 					// Writes, then reads of every address, after the kill.
 					ops := writes(1)
 					for a := range ops {

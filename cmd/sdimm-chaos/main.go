@@ -159,6 +159,9 @@ func main() {
 		fmt.Println("RESULT: PASS — all faults absorbed, traffic invariant held, every restart recovered bitwise-equivalent")
 	case res.Green():
 		fmt.Println("RESULT: PASS — all faults absorbed, traffic invariant held")
+	case degraded.Green() && err != nil:
+		fmt.Printf("RESULT: DEGRADED — access %d cost more Split members than parity covers; the run stopped there\n", res.Accesses)
+		os.Exit(2)
 	case degraded.Green():
 		fmt.Printf("RESULT: DEGRADED — %d accesses exhausted the retry budget\n", res.Errors)
 		os.Exit(2)

@@ -29,6 +29,12 @@ func multiOpWaves(t *testing.T, sc Scenario, res Result) {
 	t.Fatalf("no wave carried more than one op:\n%s", res)
 }
 
+// evictWitnessed: multiOpWaves under a witness that judged every frame.
+func evictWitnessed(t *testing.T, sc Scenario, res Result) {
+	multiOpWaves(t, sc, res)
+	witnessSaw(t, sc, res)
+}
+
 func replayedAndTorn(t *testing.T, sc Scenario, res Result) {
 	if replayed(t, sc, res); res.TornTails == 0 {
 		t.Fatalf("no torn journal tail observed across %d tears:\n%s", sc.Crashes, res)

@@ -54,14 +54,16 @@ type run struct {
 
 	in                 *fault.Injector // spans the incarnations
 	tap                *linkTap        // observed run only
-	exchangeViolations uint64          // error-free Independent batches with an unexpected exchange count
+	exchangeViolations uint64          // error-free batches with an unexpected exchange count
 
 	// The current incarnation; pipe is set when traffic goes through the
 	// batched engine.
-	c        *sdimm.Cluster
-	pipe     *sdimm.Pipeline
-	reg      *telemetry.Registry
-	segStart int // workload position this incarnation started from
+	c    *sdimm.Cluster
+	pipe *sdimm.Pipeline
+	reg  *telemetry.Registry
+	// ops[segStart:segEnd] went to this incarnation: segEnd is next, or
+	// past it by the refused tail of a chunk that lost a Split member.
+	segStart, segEnd int
 
 	// results[i] is the last outcome observed for ops[i] (durable.ErrCrashed
 	// when that was only the crash), ops[:next] are committed, and
@@ -135,7 +137,7 @@ func (r *run) open(recovering bool) (report *durable.RecoveryReport, err error) 
 		r.pipe = r.c.Pipeline(sdimm.PipelineOptions{Window: sc.Window, Parallelism: sc.Parallelism})
 	}
 	r.next = int(r.c.WorkloadSeq())
-	r.segStart = r.next
+	r.segStart, r.segEnd = r.next, r.next
 	return report, nil
 }
 
@@ -151,17 +153,16 @@ func (r *run) close() {
 }
 
 // exec runs one batch on whichever engine home the scenario selects —
-// sequential Read / Write / DrainStep calls, or Pipeline.Do — and holds an
-// Independent batch to the exchange-count invariant on the observed run:
-// with no error and no abandoned exchange, every access puts exactly one
-// ACCESS plus one APPEND per live member on the wire, however many retries
-// it took. Sequential batches are single accesses, so the check localizes;
-// pipelined accesses interleave on the wire, so it takes its whole-batch
-// form. (A Split access's eviction rounds follow the stash, so its count
-// varies.)
+// sequential Read / Write / DrainStep calls, or Pipeline.Do — and holds the
+// batch to the exchange-count invariant on the observed run: with no error
+// and no abandoned exchange, every Independent access puts exactly one
+// ACCESS plus one APPEND per live member on the wire, and every Split access
+// one ACCESS per live member, however many retries it took. Sequential
+// batches are single accesses, so the check localizes; pipelined accesses
+// interleave on the wire, so it takes its whole-batch form.
 func (r *run) exec(batch []sdimm.BatchOp) (out []sdimm.BatchResult, crashed bool) {
 	var started, abandoned uint64
-	check := r.tap != nil && !r.sc.Split
+	check := r.tap != nil
 	if check {
 		started, abandoned = r.tap.started.Load(), abandonedTotal(r.c.Health())
 	}
@@ -190,7 +191,11 @@ func (r *run) exec(batch []sdimm.BatchOp) (out []sdimm.BatchResult, crashed bool
 	if check && clean {
 		h := r.c.Health()
 		live := len(h.SDIMMs) - len(h.Failed()) - len(h.Removed())
-		if abandonedTotal(h) == abandoned && r.tap.started.Load()-started != uint64(len(batch)*(1+live)) {
+		perOp := 1 + live
+		if r.sc.Split {
+			perOp = live
+		}
+		if abandonedTotal(h) == abandoned && r.tap.started.Load()-started != uint64(len(batch)*perOp) {
 			r.exchangeViolations++
 		}
 	}
@@ -336,12 +341,22 @@ func (r *run) drive(stopSeq uint64) error {
 		if crashed {
 			return durable.ErrCrashed
 		}
-		r.next = j
+		r.segEnd = j
 		// A Split member lost without parity headroom is fatal for the whole
-		// run, not just this address.
-		if err := out[len(out)-1].Err; r.sc.Split && errors.Is(err, fault.ErrUnavailable) {
-			return err
+		// run, not just this address. The chunk ends at the first op it
+		// failed: no op after it committed (the rest of its wave lacked the
+		// lost member too, and schedule refused every later wave's ops
+		// before any draw), so a pipelined chunk reports the same loss as
+		// one op at a time.
+		if r.sc.Split {
+			if k := slices.IndexFunc(out, func(res sdimm.BatchResult) bool {
+				return errors.Is(res.Err, fault.ErrUnavailable)
+			}); k >= 0 {
+				r.next = i + k + 1
+				return out[k].Err
+			}
 		}
+		r.next = j
 	}
 }
 
@@ -418,7 +433,7 @@ func Run(sc Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{FaultRate: sc.Faults.Rate(), wantCrashes: sc.Crashes, resize: sc.Resize, positions: sc.twinPositions()}
+	res := Result{FaultRate: sc.Faults.Rate(), wantCrashes: sc.Crashes, resize: sc.Resize}
 	ops := buildWorkload(sc)
 	sub := newRun(sc, ops, sc.Crashes == 0)
 
@@ -503,7 +518,7 @@ func Run(sc Scenario) (Result, error) {
 	// segment exactly (replays land in cluster.recovery.replayed, migrations
 	// in cluster.migrations, never in cluster.accesses).
 	var reads, writes uint64
-	for _, op := range ops[sub.segStart:sub.next] {
+	for _, op := range ops[sub.segStart:sub.segEnd] {
 		if op.Write {
 			writes++
 		} else {
@@ -518,7 +533,7 @@ func Run(sc Scenario) (Result, error) {
 	if twin != nil && err == nil {
 		// Position-map and migration-count equivalence, before the sweep
 		// below disturbs the map.
-		if sc.twinPositions() && !maps.Equal(sub.c.Positions(), twin.c.Positions()) {
+		if !maps.Equal(sub.c.Positions(), twin.c.Positions()) {
 			res.PositionMismatches++
 		}
 		if sub.c.MigrationSeq() != twin.c.MigrationSeq() {

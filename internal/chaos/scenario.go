@@ -10,13 +10,13 @@
 //     how often the cluster was killed and restarted from disk.
 //  2. Obliviousness under faults — retries never change the observable
 //     traffic: every retransmission is byte-identical to the original
-//     frame, every error-free Independent access puts the same number of
-//     exchanges on the wire (one ACCESS plus one APPEND per live SDIMM), and
-//     a drain adds no frame shape the link did not carry before it.
+//     frame, every error-free access puts the same number of exchanges on
+//     the wire (Independent: one ACCESS plus one APPEND per live SDIMM;
+//     Split: one ACCESS per live member), and a drain adds no frame shape
+//     the link did not carry before it.
 //  3. Crash equivalence — a run killed at seeded points of its record stream
 //     and recovered from its state directory ends bitwise-equal (results,
-//     position map, migration count, payloads) to an uncrashed twin — but
-//     for a multi-op Split wave's position map (see twinPositions).
+//     position map, migration count, payloads) to an uncrashed twin.
 //
 // Both the `go test` chaos suite and the cmd/sdimm-chaos CLI drive this
 // package, so an acceptance run is reproducible from either entry point.
@@ -188,13 +188,6 @@ func (sc Scenario) splitPlan() (member, failAt, joinAt int) {
 	return sc.FailShard, sc.FailShardAt, math.MaxInt
 }
 
-// twinPositions reports whether a crashed run's position map must equal its
-// twin's: not with multi-op Split waves, which evict after their last op, so
-// the draws follow the waves — and recovery replays one op per wave.
-func (sc Scenario) twinPositions() bool {
-	return !sc.Split || sc.Parallelism <= 1 || sc.Window == 1
-}
-
 // beginAt and joinAt fix the topology plan as workload op indices: the
 // drain (or fail-stop) happens before op beginAt, the rejoin (or rebuild) no
 // earlier than op joinAt. Every incarnation derives its actions from these
@@ -282,7 +275,6 @@ type Result struct {
 	frames      uint64
 	wantCrashes int
 	resize      bool
-	positions   bool // the position map is compared with the twin's
 }
 
 // Green is the single verdict: nothing corrupted, leaked, diverged or left
@@ -315,12 +307,8 @@ func (r Result) String() string {
 			r.Repaired, r.Unrecoverable, r.PoisonedAddrs, r.PoisonedReads)
 	}
 	if r.wantCrashes > 0 || r.TelemetryMismatches > 0 {
-		positions := fmt.Sprint(r.PositionMismatches)
-		if !r.positions {
-			positions = "n/a"
-		}
-		fmt.Fprintf(&b, "  twin diff: results=%d positions=%s migrations=%d, telemetry=%d (crash-wave results skipped: %d)\n",
-			r.ResultMismatches, positions, r.MigrationMismatches, r.TelemetryMismatches, r.SkippedResults)
+		fmt.Fprintf(&b, "  twin diff: results=%d positions=%d migrations=%d, telemetry=%d (crash-wave results skipped: %d)\n",
+			r.ResultMismatches, r.PositionMismatches, r.MigrationMismatches, r.TelemetryMismatches, r.SkippedResults)
 	}
 	if r.resize {
 		fmt.Fprintf(&b, "  resize: %d migrations, rejoined: %v\n", r.Migrations, r.Rejoined)

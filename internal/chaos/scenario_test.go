@@ -130,10 +130,11 @@ func legs(t *testing.T) []leg {
 		// Split on the wave driver: parity × crash × resize through
 		// Pipeline.Do at Parallelism 4 and Window 8. The waves carry up to 8
 		// ops, so the tears land inside multi-op journal groups; every
-		// completed read, the twin's results and the final sweep must match
-		// the reference map (the position map follows the wave grouping, so
-		// it is not compared: twinPositions). The first is sdimm-chaos -split
-		// -parallel 4 -batch 8 -crash -resize -n 600 -crashes 3.
+		// completed read, the twin's results and position map and the final
+		// sweep must match, though recovery replays one op per wave: members
+		// evict inside their own access, so the state never depends on the
+		// wave grouping. The first is sdimm-chaos -split -parallel 4 -batch 8
+		// -crash -resize -n 600 -crashes 3.
 		{name: "TestScenarioLegs/split-parallel-resize-crash", check: replayed,
 			sc: cli(Scenario{Accesses: size(600), Crashes: 3, Resize: true, Split: true, Parity: true, Parallelism: 4, Window: 8})},
 		{name: "TestScenarioLegs/split-parallel-crash", check: multiOpWaves,
@@ -141,18 +142,19 @@ func legs(t *testing.T) []leg {
 				Flight: flight.New(5, 4096)}},
 		{name: "TestScenarioLegs/split-parallel-corrupt", check: repairedEveryFlip,
 			sc: cli(Scenario{Accesses: size(800), Crashes: 3, Corrupt: true, Split: true, Parity: true, Parallelism: 4, Window: 8})},
-		// At Window 1 every wave is one op, which is what replay runs, so
-		// the crashed run must end with the twin's position map too.
+		// At Window 1 every wave is one op, which is what replay runs.
 		{name: "TestScenarioLegs/split-window1-resize-crash", check: replayed,
 			sc: Scenario{Levels: 8, Accesses: size(600), Crashes: 3, Seed: 5, Interval: 48, Resize: true, Split: true, Parity: true, Parallelism: 4, Window: 1}},
 		// A tree this small for 230 addresses keeps the stash past the
-		// eviction threshold, so multi-op waves evict after their last op
-		// and recovery replays what they journaled one op at a time.
-		{name: "TestScenarioLegs/split-parallel-evict",
-			sc: Scenario{Levels: 4, Addresses: 230, Accesses: 700, Seed: 11, Split: true, Parity: true, Parallelism: 4, Window: 8}},
-		{name: "TestScenarioLegs/split-parallel-evict-crash", check: multiOpWaves,
+		// eviction threshold, so every member evicts inside most accesses
+		// and recovery replays multi-op waves one op at a time. The witness
+		// sees one ACCESS frame per member per op, eviction or not.
+		{name: "TestScenarioLegs/split-parallel-evict", check: witnessSaw,
+			sc: Scenario{Levels: 4, Addresses: 230, Accesses: 700, Seed: 11, Split: true, Parity: true, Parallelism: 4, Window: 8,
+				Witness: witness.New(witness.Options{Members: 5, Window: 512})}},
+		{name: "TestScenarioLegs/split-parallel-evict-crash", check: evictWitnessed,
 			sc: Scenario{Levels: 4, Addresses: 230, Accesses: 1100, Seed: 11, Crashes: 3, Interval: 48, Split: true, Parity: true, Parallelism: 4, Window: 8,
-				Flight: flight.New(5, 4096)}},
+				Flight: flight.New(5, 4096), Witness: witness.New(witness.Options{Members: 5, Window: 512})}},
 	}
 	// A 2-attempt budget at a 10% fault mix abandons exchanges the device
 	// already ran: an executed APPEND is delivered, an executed ACCESS

@@ -57,9 +57,9 @@ type Options struct {
 	EvictThreshold int // background-evict when stash exceeds this
 	Rand           *rng.Source
 	// DisableAutoDrain turns off the automatic background eviction inside
-	// Access/AccessAt. The Split protocol sets it: eviction decisions are
-	// made by the CPU-side controller and pushed to every shard engine via
-	// EvictPath so all shards stay in lockstep.
+	// Access/AccessAt. The Split timing model sets it: eviction decisions
+	// are made by the CPU-side controller and pushed to every shard engine
+	// via EvictPath, the paper's RECEIVE_LIST traffic.
 	DisableAutoDrain bool
 	// RingFlushInterval, when > 0, switches the engine into ring-eviction
 	// mode with flush interval A: each access reads its path and lifts only
@@ -525,7 +525,7 @@ func (e *Engine) evictNext() error {
 }
 
 // EvictPath performs one externally-directed eviction access: it reads the
-// path to leaf and greedily writes it back. The Split protocol's CPU
+// path to leaf and greedily writes it back. The Split timing model's CPU
 // controller calls this on every shard engine with the same leaf so shard
 // placements never diverge; it is also a dummy access for timing purposes.
 func (e *Engine) EvictPath(leaf uint64) error {

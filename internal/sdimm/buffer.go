@@ -307,8 +307,10 @@ func (b *Buffer) TransferQueueSearch(addr uint64) (oram.Block, bool) {
 
 // ShardAccess executes this SDIMM's part of one Split-protocol access
 // (FETCH_DATA + FETCH_STASH + RECEIVE_LIST collapsed functionally: path
-// read, shard update, deterministic greedy writeback — identical across
-// shards because eviction is a pure function of stash contents).
+// read, shard update, deterministic greedy writeback, then background
+// eviction while the stash runs hot — identical across shards because
+// eviction is a pure function of stash contents and every shard engine
+// draws its eviction leaves from the same seeded stream).
 func (b *Buffer) ShardAccess(req AccessRequest) (oram.Block, oram.AccessPlan, error) {
 	blk, plan, err := b.engine.AccessAt(req.Addr, req.Op, req.Data, req.OldLeaf, req.NewLeaf, true)
 	if err != nil {
@@ -316,10 +318,4 @@ func (b *Buffer) ShardAccess(req AccessRequest) (oram.Block, oram.AccessPlan, er
 	}
 	b.stats.Accesses++
 	return blk, plan, nil
-}
-
-// EvictLocal performs a CPU-directed eviction access (Split background
-// eviction; the CPU sends the same leaf to all shards).
-func (b *Buffer) EvictLocal(leaf uint64) error {
-	return b.engine.EvictPath(leaf)
 }

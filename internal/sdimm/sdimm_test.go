@@ -286,10 +286,3 @@ func TestShardAccessKeepsBlock(t *testing.T) {
 		t.Fatalf("plan path %v", plan.Path)
 	}
 }
-
-func TestEvictLocal(t *testing.T) {
-	b := newBuffer(t, 8)
-	if err := b.EvictLocal(3); err != nil {
-		t.Fatal(err)
-	}
-}

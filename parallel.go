@@ -1,7 +1,6 @@
 package sdimm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -24,18 +23,18 @@ import (
 // Independent routes an op to the SDIMM owning its old leaf (accessTask:
 // ACCESS + FETCH_RESULT there), broadcasts APPENDs after commit (appendTask)
 // and re-homes lost blocks at finalize; Split stages a codeword, runs every
-// op on every live member (ShardAccess), evicts after commit and rebuilds a
-// down member's slice at finalize. One driver runs the stages, and it never
-// tests the protocol: the wave loop (Pipeline.run) keeps a window of
-// independent accesses in flight. Do and Serve are a slice feeder and a
+// op on every live member (ShardAccess, which evicts inside the access) and
+// rebuilds a down member's slice at finalize. One driver runs the stages,
+// and it never tests the protocol: the wave loop (Pipeline.run) keeps a
+// window of independent accesses in flight. Do and Serve are a slice feeder and a
 // channel feeder over it; every sequential Cluster access (Read, Write,
 // DrainStep, journal replay) is a one-op feeder over the cluster's inline
 // pipeline, whose one wave launches and retires in a single iteration.
 //
 // One thing leaves the coordinator: a member's share of a fan-out, a
 // func(member) handed to workerPool.submitWG — a wave's access shares (one
-// per owning member), its APPEND broadcast or Split eviction round (one per
-// member), its journal append (the pool's extra slot), a re-home.
+// per owning member), its APPEND broadcast (one per member), its journal
+// append (the pool's extra slot), a re-home.
 // At Parallelism > 1 every slot is a persistent goroutine draining its shares
 // FIFO; the Go scheduler caps how many run at once, so there is no
 // concurrency token. At Parallelism 1 no goroutine exists and submitWG runs
@@ -43,9 +42,8 @@ import (
 // every other setting against.
 //
 // The wave loop is decoupled: wave N+1's access shares run while wave N's
-// APPEND broadcast and journal append are still in flight (a Split wave's
-// eviction is barrier'd on the coordinator, so only its journal append
-// overlaps the next wave). The coordinator
+// APPEND broadcast and journal append are still in flight (a Split wave has
+// no broadcast, so its journal append is what overlaps). The coordinator
 // holds at most two waves — the one being launched and the one being retired
 // — and its serialized work per wave is scheduling, the commit walk, and
 // result finalization. A lost real APPEND is re-homed at retirement, after
@@ -53,9 +51,11 @@ import (
 //
 // Determinism is preserved by construction, not by luck:
 //
-//   - Every draw from the cluster's shared RNG (leaf picks, re-homing, Split
-//     eviction leaves) happens on the coordinator goroutine, in
-//     logical-access order. Shares never touch shared randomness.
+//   - Every draw from the cluster's shared RNG (leaf picks, re-homing)
+//     happens on the coordinator goroutine, in logical-access order. Shares
+//     never touch shared randomness; a Split member's eviction leaves come
+//     from its own engine's stream, seeded alike on every member and drawn
+//     inside its access share, in logical order.
 //   - Each member slot owns exactly one SDIMM's link, buffer, and health
 //     record, and runs its shares FIFO in submission (= logical) order. The
 //     submission order per member — wave N's ACCESS share, wave N's APPEND
@@ -743,7 +743,7 @@ func (p *Pipeline) commit(w *waveState) {
 }
 
 // postCommit launches the wave's post-commit step — the stage set's
-// (Independent: the APPEND broadcast; Split: host-directed eviction) — and
+// (Independent: the APPEND broadcast; Split: nothing) — and
 // the journal append of its batch, which seals as one chained group (one tag
 // per wave) on the pool's extra slot while the next wave's access shares
 // run. Retirement waits for both before any of the wave's results are
@@ -990,8 +990,8 @@ type stages interface {
 	// share is member's access share of w: its part of each op, in logical
 	// order, on member's worker.
 	share(p *Pipeline, w *waveState, member int)
-	// postCommit is the step after the commit walk, launched (Independent)
-	// or run (Split) before the journal append is dispatched.
+	// postCommit launches the step after the commit walk, before the
+	// journal append is dispatched.
 	postCommit(p *Pipeline, w *waveState)
 	// finalize settles po at retirement, before the poison veto and
 	// delivery.
@@ -1104,20 +1104,13 @@ func (independentStages) rebuildMember(int) error { return nil }
 
 // splitStages is the Split protocol: every op runs on every live member,
 // each holding one shard-sized slice of every block — the data slices, then
-// with parity their XOR — and the host directs eviction with shared
-// randomness so the shard trees stay in lockstep, every exchange over the
-// member's sealed link.
+// with parity their XOR — over the member's sealed link. Every member's
+// engine evicts inside its own access from the same seeded stream, so the
+// shard trees stay in lockstep with no eviction traffic of their own.
 type splitStages struct {
 	c          *Cluster
 	shard      int // bytes of every block each member holds
 	dataShards int // members[:dataShards] hold data slices; the parity member, if any, follows
-
-	// Eviction round scratch: the round's leaf and per-member errors, and
-	// the share bound once so a round allocates nothing.
-	leaf  uint64
-	errs  []error
-	wg    sync.WaitGroup
-	evict func(member int)
 }
 
 // live reports whether a member is still in lockstep (not Failed).
@@ -1133,8 +1126,7 @@ func (s *splitStages) solveSlice(cw []byte, i int) {
 // loss the redundancy cannot cover is refused here — before the leaf draws
 // and before any member touches its tree — so a refused access leaves the
 // survivors, the RNG and the position map as they were. It reads the live
-// health records: the previous wave's shares and eviction rounds have all
-// returned. It then draws the old (on a first touch) and new leaf of the
+// health records: the previous wave's shares have all returned. It then draws the old (on a first touch) and new leaf of the
 // shared tree and stages the codeword: a write hands member i slice i, a
 // read lands member i's slice at i — the parity member is not special. A
 // read's codeword escapes to the caller (its data prefix); a write's is
@@ -1229,68 +1221,9 @@ func (s *splitStages) share(p *Pipeline, w *waveState, member int) {
 	}
 }
 
-// postCommit is host-directed background eviction, up to 8 rounds per
-// committed op while the group needs it. Each round's leaf is drawn on the
-// coordinator, then every live member evicts it — one barrier'd fan-out of
-// RECEIVE_LIST exchanges per round, since NeedsDrain must observe the
-// finished round. The members are in lockstep, so any live one answers
-// NeedsDrain for the group. A member whose round fails is marked Failed; a
-// round that leaves the survivors unable to carry the wave fails every op
-// of the wave that committed and ends the eviction.
-func (s *splitStages) postCommit(p *Pipeline, w *waveState) {
-	c := s.c
-	rounds := 0
-	for _, po := range w.ops {
-		if po.committed {
-			rounds += 8
-		}
-	}
-	for n := 0; n < rounds; n++ {
-		// Once members can fail mid-wave, every one of them may be down.
-		ref := slices.IndexFunc(c.health, live)
-		if ref < 0 || !c.members[ref].Engine().NeedsDrain() {
-			return
-		}
-		s.leaf = c.rnd.Uint64n(c.leaves)
-		s.errs = resized(s.errs, len(c.members))
-		for i, h := range c.health {
-			if live(h) {
-				p.pool.submitWG(i, &s.wg, s.evict)
-			}
-		}
-		s.wg.Wait()
-		if err := errors.Join(s.errs...); err != nil {
-			if len(c.Health().Failed()) == 1 && c.HasParity() {
-				continue // the survivors carry the wave
-			}
-			for _, po := range w.ops {
-				if po.committed && po.err == nil {
-					po.err = fmt.Errorf("%w: %w", fault.ErrUnavailable, err)
-				}
-			}
-			return
-		}
-	}
-}
-
-// evictShare is member's share of an eviction round: one RECEIVE_LIST
-// exchange carrying the round's leaf, answered with the one-byte ack.
-func (s *splitStages) evictShare(member int) {
-	c := s.c
-	st := c.blame.WorkerBegin()
-	defer c.blame.WorkerEnd(blame.WorkerAppend, st)
-	// One fixed-size body per round: the opcode and the leaf.
-	body := binary.BigEndian.AppendUint64(append(c.cmdBufs[member][:0], byte(isdimm.CmdReceiveList)), s.leaf)
-	c.cmdBufs[member] = body
-	ack, err := c.exchange(member, "shard eviction", body)
-	if err == nil && (len(ack) != 1 || ack[0] != appendAck) {
-		err = c.wrapErr(member, "shard eviction", fmt.Errorf("sdimm: malformed eviction ack %x", ack))
-	}
-	if err != nil {
-		c.health[member].MarkFailed(err)
-		s.errs[member] = err
-	}
-}
+// postCommit has nothing to do: every member evicted inside its own
+// access share, so the wave leaves no work behind on the coordinator.
+func (s *splitStages) postCommit(*Pipeline, *waveState) {}
 
 // finalize rebuilds a read's data slice held by the down member from the
 // survivors. Writes simply skip the dead member: the parity slice carries

@@ -494,25 +494,38 @@ func TestPipelineOversizedWriteFails(t *testing.T) {
 // Split wave equivalence.
 // ---------------------------------------------------------------------------
 
-// runSplit executes a deterministic workload on a Split cluster —
-// sequentially through Read/Write (window 0) or through Pipeline.Do at the
-// given window and parallelism — optionally failing a shard halfway through.
-// With rebuild the run is durable and goes on through both users of the
-// single rebuild: the failed shard is replaced three quarters of the way in,
-// and at the end a corrupt bucket is persisted into a checkpoint, the cluster
-// recovered (the scrub repairs it) and driven a little further. The opened
-// state directory rides along, so every checkpointed byte — sealed buckets
-// included — is part of what the runs must agree on.
-func runSplit(t *testing.T, window, par int, parity bool, failShard int, rebuild bool) engineState {
+// splitCase is one row of the Split equivalence table: the tree's levels,
+// the workload's addresses and length, and what happens to a member.
+type splitCase struct {
+	name      string
+	levels    int
+	addrs     uint64
+	n         int
+	parity    bool
+	failShard int
+	rebuild   bool
+}
+
+// runSplit executes a deterministic workload of tc.n ops on a Split
+// cluster — sequentially through Read/Write (window 0) or through
+// Pipeline.Do at the given window and parallelism — optionally failing a
+// shard halfway through. With rebuild the run is durable and goes on through
+// both users of the single rebuild: the failed shard is replaced three
+// quarters of the way in, and at the end a corrupt bucket is persisted into
+// a checkpoint, the cluster recovered (the scrub repairs it) and driven 40
+// ops further. The opened state directory rides along, so every checkpointed
+// byte — sealed buckets included — is part of what the runs must agree on.
+func runSplit(t *testing.T, tc splitCase, window, par int) engineState {
 	t.Helper()
+	failShard, rebuild := tc.failShard, tc.rebuild
 	reg := telemetry.NewRegistry()
 	opts := ClusterOptions{
 		Split:     true,
 		SDIMMs:    4,
-		Levels:    10,
+		Levels:    tc.levels,
 		Key:       []byte("split-equivalence-key"),
 		Seed:      13,
-		Parity:    parity,
+		Parity:    tc.parity,
 		Telemetry: reg,
 	}
 	if rebuild {
@@ -533,10 +546,10 @@ func runSplit(t *testing.T, window, par int, parity bool, failShard int, rebuild
 		c.Close()
 	}()
 	r := rng.Stream(11, "split-workload", 0)
-	const n = 240
+	n := tc.n
 	ops := make([]BatchOp, n+40)
 	for i := range ops {
-		ops[i].Addr = r.Uint64n(70)
+		ops[i].Addr = r.Uint64n(tc.addrs)
 		if r.Bool(0.5) {
 			ops[i].Write, ops[i].Data = true, []byte(fmt.Sprintf("s%04d@%d", i, ops[i].Addr))
 		}
@@ -605,23 +618,24 @@ func runSplit(t *testing.T, window, par int, parity bool, failShard int, rebuild
 // at any parallelism, with and without a parity member, including across a
 // mid-run shard loss with XOR reconstruction, a replacement rebuilt from the
 // survivors and a scrub repair after recovery. Sequential calls are one-op
-// waves, so they must equal Window 1 at every parallelism; a Window 8 wave
-// evicts after its last op, so it is compared across parallelisms only.
+// waves, so they must equal Window 1 at every parallelism. Window 8 is
+// compared across parallelisms in full, and with the sequential run on
+// everything but the wave-shaped telemetry and checkpoint cadence: members
+// evict inside their own access, so a wave's grouping moves no state. The
+// "parity-evict" row keeps every member's stash past the eviction threshold
+// (230 addresses in a 4-level tree), so the members evict inside most of
+// their accesses.
 func TestSplitParallelismEquivalence(t *testing.T) {
-	cases := []struct {
-		name      string
-		parity    bool
-		failShard int
-		rebuild   bool
-	}{
-		{"plain", false, -1, false},
-		{"parity", true, -1, false},
-		{"parity-shard-loss", true, 2, false},
-		{"parity-replace-scrub", true, 2, true},
+	cases := []splitCase{
+		{"plain", 10, 70, 240, false, -1, false},
+		{"parity", 10, 70, 240, true, -1, false},
+		{"parity-shard-loss", 10, 70, 240, true, 2, false},
+		{"parity-replace-scrub", 10, 70, 240, true, 2, true},
+		{"parity-evict", 4, 230, 1100, true, -1, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runSplit(t, 0, 1, tc.parity, tc.failShard, tc.rebuild)
+			base := runSplit(t, tc, 0, 1)
 			if len(base.Positions) == 0 {
 				t.Fatal("baseline split run touched no addresses")
 			}
@@ -633,13 +647,16 @@ func TestSplitParallelismEquivalence(t *testing.T) {
 			}
 			for _, par := range []int{1, 2, 4, 8} {
 				diffState(t, fmt.Sprintf("%s sequential vs window=1 parallelism=%d", tc.name, par),
-					base, runSplit(t, 1, par, tc.parity, tc.failShard, tc.rebuild))
+					base, runSplit(t, tc, 1, par))
 			}
-			wide := runSplit(t, 8, 1, tc.parity, tc.failShard, tc.rebuild)
+			wide := runSplit(t, tc, 8, 1)
 			for _, par := range []int{2, 4, 8} {
 				diffState(t, fmt.Sprintf("%s window=8 parallelism=%d", tc.name, par),
-					wide, runSplit(t, 8, par, tc.parity, tc.failShard, tc.rebuild))
+					wide, runSplit(t, tc, 8, par))
 			}
+			seq, waves := base, wide
+			seq.Telemetry, waves.Telemetry, seq.State, waves.State = telemetry.Snapshot{}, telemetry.Snapshot{}, nil, nil
+			diffState(t, tc.name+" sequential vs window=8", seq, waves)
 		})
 	}
 }

@@ -92,10 +92,14 @@ func splitGoldenRun(t *testing.T, levels int, addrs uint64, fill, ops int) strin
 // onto sealed links, which put link counters in every member's state and
 // counted each eviction round's exchange as a success: with those fields set
 // back, both final bodies hashed to the earlier digests (e4605cb9…,
-// 3633f454…). The "evict" leg overfills
-// a small tree so the stash crosses the eviction threshold and the
-// host-directed eviction rounds run in every phase, the degraded one
-// included.
+// 3633f454…). The "evict" leg overfills a small tree so the stash crosses
+// the eviction threshold and the members evict in every phase, the
+// degraded one included. Its digest was re-recorded once more when the
+// members began to evict inside their own access instead of in
+// host-directed rounds: the eviction leaves now come from the members'
+// engine stream rather than the cluster's, and no eviction exchange counts
+// as a link success. "main" never crosses the threshold, so it did not
+// move.
 func TestSplitCheckpointDigestGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -106,7 +110,7 @@ func TestSplitCheckpointDigestGolden(t *testing.T) {
 		want   string
 	}{
 		{"main", 8, 48, 0, 240, "304ab2fd73533d98bcd5a7a3222e8439fbb6e93183aebf72d2a2568709653f21"},
-		{"evict", 4, 230, 500, 1100, "8d5e18ebffa2f60dc3bba9a07e34e736f970f341dc91ef7ebf3087dfa09e052e"},
+		{"evict", 4, 230, 500, 1100, "d94cef88e427ef67cc1d71914154aecec65c8ee852b2332ccb6cbe892fb65bac"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := splitGoldenRun(t, tc.levels, tc.addrs, tc.fill, tc.ops); got != tc.want {
