@@ -19,14 +19,14 @@ type tapeOp struct {
 	write bool
 }
 
-// commandTape draws a fixed 4 000-request tape for 2 ranks × 8 banks from a
+// commandTape draws a fixed 4 000-request tape for ranks × 8 banks from a
 // SplitMix64 stream. Rows come from a set of eight so that hits, conflicts
 // and closed banks all occur; the segments are the scheduler's corner cases:
 // same-row clusters deeper than rowHitLookahead with a conflicting row mixed
 // in, write bursts past WriteDrainHigh followed by a pause that lets the
 // queue fall under WriteDrainLow, idle gaps longer than IdleThreshold, and a
 // random read/write mix.
-func commandTape() []tapeOp {
+func commandTape(ranks uint64) []tapeOp {
 	s := uint64(0x5d1335eed)
 	next := func(n uint64) uint64 {
 		s += 0x9e3779b97f4a7c15
@@ -43,7 +43,7 @@ func commandTape() []tapeOp {
 	for len(tape) < 4000 {
 		switch next(8) {
 		case 0:
-			rank, bank, row := next(2), next(8), next(8)
+			rank, bank, row := next(ranks), next(8), next(8)
 			for i, n := 0, int(12+next(12)); i < n; i++ {
 				add(rank, bank, row, next(128), false)
 				if i%5 == 4 {
@@ -53,14 +53,14 @@ func commandTape() []tapeOp {
 			now += event.Time(200 + next(400))
 		case 1:
 			for i, n := 0, int(45+next(20)); i < n; i++ {
-				add(next(2), next(8), next(8), next(128), true)
+				add(next(ranks), next(8), next(8), next(128), true)
 			}
 			now += event.Time(1500 + next(1500))
 		case 2:
 			now += event.Time(4000 + next(4000))
 		default:
 			for i, n := 0, int(1+next(16)); i < n; i++ {
-				add(next(2), next(8), next(8), next(128), next(3) == 0)
+				add(next(ranks), next(8), next(8), next(128), next(3) == 0)
 			}
 			now += event.Time(next(400))
 		}
@@ -70,21 +70,33 @@ func commandTape() []tapeOp {
 
 // TestCommandStreamGolden pins the scheduler below the granularity of a
 // table cell: every command the Observer sees, every completion time and the
-// closing statistics of the tape above, hashed. The two digests were
+// closing statistics of the tape above, hashed. The 2-rank digests were
 // generated at commit 19dd6e0 (the scan over every rank × bank queue, one
-// heap-allocated Request per Submit); any later scheduler must reproduce
-// them exactly. The second leg turns AutoPowerDown on.
+// heap-allocated Request per Submit); the second of them turns AutoPowerDown
+// on. The 8-rank digest is the host-channel shape of the paper's tables
+// (2 DIMMs × 4 ranks × 8 banks, a full 64-bank mask word) and was generated
+// at commit a7c3a51, before the flat bank table: it reaches tRRD and tFAW on
+// every rank, not only on the first two. Any later scheduler must reproduce
+// all three exactly.
 func TestCommandStreamGolden(t *testing.T) {
-	want := map[bool]string{
-		false: "3b9416773e76f4ee0eb226f5d08d361091c4ae396130ac9411425af902b3efc6",
-		true:  "c31bc871c9f495bd01057c3e9a20f479d78b731871df5e346b8d56a6c519f4f2",
+	legs := []struct {
+		ranks  int
+		autoPD bool
+		want   string
+	}{
+		{2, false, "3b9416773e76f4ee0eb226f5d08d361091c4ae396130ac9411425af902b3efc6"},
+		{2, true, "c31bc871c9f495bd01057c3e9a20f479d78b731871df5e346b8d56a6c519f4f2"},
+		{8, false, "12b9f91194b8084ea15667b09de284253f90067873735af7d05d2d9c75dd91d3"},
 	}
-	tape := commandTape()
-	for _, autoPD := range []bool{false, true} {
+	tm := config.DDR31600()
+	org := config.DefaultOrg(1)
+	tRRD := event.Time(tm.TRRD * org.CPUCyclesPerMemCycle)
+	tFAW := event.Time(tm.TFAW * org.CPUCyclesPerMemCycle)
+	for _, leg := range legs {
+		tape := commandTape(uint64(leg.ranks))
 		eng := &event.Engine{}
-		org := config.DefaultOrg(1)
-		ch := NewChannel(eng, "ch0", org, config.DDR31600(), 2)
-		ch.AutoPowerDown = autoPD
+		ch := NewChannel(eng, "ch0", org, tm, leg.ranks)
+		ch.AutoPowerDown = leg.autoPD
 		h := sha256.New()
 		put := func(vs ...uint64) {
 			var b [8]byte
@@ -93,11 +105,30 @@ func TestCommandStreamGolden(t *testing.T) {
 				h.Write(b[:])
 			}
 		}
+		// acts holds each rank's last four ACT times, newest last; an ACT
+		// issued exactly tRRD after the rank's previous one, or tFAW after
+		// the fourth before it, was held back by that constraint.
+		acts := make([][]event.Time, leg.ranks)
+		rrdBound := make([]int, leg.ranks)
+		fawBound := make([]int, leg.ranks)
 		drainFlips, wasDraining, deepest := 0, false, 0
 		ch.Observer = func(now event.Time, kind CommandKind, co Coord) {
 			put(0, uint64(now), uint64(kind), uint64(co.Rank), uint64(co.Bank), uint64(co.Row), uint64(co.Col))
 			if ch.draining != wasDraining {
 				drainFlips, wasDraining = drainFlips+1, ch.draining
+			}
+			if kind == CmdActivate {
+				a := acts[co.Rank]
+				if n := len(a); n > 0 && now == a[n-1]+tRRD {
+					rrdBound[co.Rank]++
+				}
+				if len(a) == 4 {
+					if now == a[0]+tFAW {
+						fawBound[co.Rank]++
+					}
+					a = a[1:]
+				}
+				acts[co.Rank] = append(a, now)
 			}
 		}
 		completed := 0
@@ -117,19 +148,29 @@ func TestCommandStreamGolden(t *testing.T) {
 		fmt.Fprintf(h, "%+v", st)
 
 		// The tape must reach the cases it was drawn for.
+		name := fmt.Sprintf("ranks=%d autoPD=%v", leg.ranks, leg.autoPD)
 		if completed != len(tape) || ch.Pending() != 0 {
-			t.Fatalf("autoPD=%v: %d of %d completed, %d pending", autoPD, completed, len(tape), ch.Pending())
+			t.Fatalf("%s: %d of %d completed, %d pending", name, completed, len(tape), ch.Pending())
 		}
-		if deepest <= rowHitLookahead || drainFlips < 8 || st.PerRank[0].Refreshes < 2 || st.PerRank[1].Refreshes < 2 {
-			t.Fatalf("autoPD=%v: tape too shallow: deepest read FIFO %d, %d drain flips, refreshes %d/%d",
-				autoPD, deepest, drainFlips, st.PerRank[0].Refreshes, st.PerRank[1].Refreshes)
+		if deepest <= rowHitLookahead || drainFlips < 8 {
+			t.Fatalf("%s: tape too shallow: deepest read FIFO %d, %d drain flips", name, deepest, drainFlips)
 		}
-		if wake := st.PerRank[0].Wakeups + st.PerRank[1].Wakeups; (wake > 0) != autoPD {
-			t.Fatalf("autoPD=%v: %d wake-ups", autoPD, wake)
+		wake := uint64(0)
+		for r, rs := range st.PerRank {
+			if rs.Refreshes < 2 {
+				t.Fatalf("%s: rank %d refreshed %d times", name, r, rs.Refreshes)
+			}
+			if leg.ranks == 8 && (rrdBound[r] == 0 || fawBound[r] == 0) {
+				t.Fatalf("%s: rank %d: %d ACTs held by tRRD, %d by tFAW", name, r, rrdBound[r], fawBound[r])
+			}
+			wake += rs.Wakeups
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want[autoPD] {
-			t.Errorf("autoPD=%v: command-stream digest %s, want %s (drain flips %d, deepest %d, stats %+v)",
-				autoPD, got, want[autoPD], drainFlips, deepest, st)
+		if (wake > 0) != leg.autoPD {
+			t.Fatalf("%s: %d wake-ups", name, wake)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != leg.want {
+			t.Errorf("%s: command-stream digest %s, want %s (drain flips %d, deepest %d, tRRD-held %v, tFAW-held %v, stats %+v)",
+				name, got, leg.want, drainFlips, deepest, rrdBound, fawBound, st)
 		}
 	}
 }
