@@ -17,11 +17,13 @@
 // A warm channel allocates nothing per request. Submit draws the queued
 // request from a per-channel free list and the channel returns it when its
 // column command issues; the completion callback goes to the engine as it
-// is. Per queue class (reads, writes) a bitmask holds the banks whose FIFO
-// is non-empty, and the scheduler visits only those, in ascending bank
-// index. The order of the visit is immaterial: among the candidates the
-// winner is the request with the smallest id, ids are unique, and the
-// earliest retry time is a minimum.
+// is, and the scheduler's wake-up is an engine Timer. Every bank of the
+// channel, with its timing, its rank and its two FIFOs, is one entry of one
+// flat table. Per queue class (reads, writes) a bitmask holds the banks
+// whose FIFO is non-empty, and the scheduler visits only those, in
+// ascending bank index. The order of the visit is immaterial: among the
+// candidates the winner is the request with the smallest id, ids are
+// unique, and the earliest retry time is a minimum.
 package dram
 
 import (
@@ -88,7 +90,38 @@ func (s *Stats) AvgReadLatency() float64 {
 	return float64(s.ReadLatency) / float64(s.Reads)
 }
 
+// queue is one bank's FIFO of one class with the cached position of its
+// first request on the open row within rowHitLookahead: -1 for none,
+// staleHit until the scan recomputes it. Submit, removeAt and ACT, the only
+// steps that change the FIFO or the open row, make it stale; it is read
+// only while the bank is open.
+type queue struct {
+	reqs []*request
+	hit  int8
+}
+
+const staleHit = -2
+
+func (q *queue) firstHit(row uint32) int8 {
+	for i, r := range q.reqs[:min(len(q.reqs), rowHitLookahead)] {
+		if r.coord.Row == row {
+			return int8(i)
+		}
+	}
+	return -1
+}
+
+// class indexes bank.q: reads 0, writes 1.
+func class(write bool) int {
+	if write {
+		return 1
+	}
+	return 0
+}
+
 type bank struct {
+	rk        *rank
+	q         [2]queue
 	open      bool
 	row       uint32
 	nextAct   int64
@@ -97,15 +130,9 @@ type bank struct {
 	nextPre   int64
 }
 
-// bankList is the per-bank request FIFO.
-type bankList struct {
-	reads  []*request
-	writes []*request
-}
-
 type rank struct {
 	idx        int
-	banks      []bank
+	banks      []bank   // this rank's run of Channel.banks
 	actTimes   [4]int64 // ring buffer of recent ACT issue times (tFAW)
 	actIdx     int
 	nextRead   int64 // write-to-read (tWTR) constraint, rank-wide
@@ -196,11 +223,11 @@ type Channel struct {
 	tCCD, tBURST, tRTRS, tRFC, tREFI, tXP int64
 	lineBytes, linesPerRow, rowsPerBank   int
 
-	// Per-bank FIFO queues (index rank*banksPerRank + bank) with global
-	// read/write counts; FR-FCFS scans banks, not requests. Bit i of
+	// Every bank (index rank*banksPerRank + bank) with its FIFOs, and
+	// global read/write counts; FR-FCFS scans banks, not requests. Bit i of
 	// readMask/writeMask (64 banks a word) is set while bank i's FIFO of
 	// that class is non-empty.
-	bq                  []bankList
+	banks               []bank
 	readMask, writeMask []uint64
 	nReads              int
 	nWrites             int
@@ -215,8 +242,7 @@ type Channel struct {
 
 	evalScheduled bool
 	evalAt        int64
-	evalHandle    event.Handle
-	evalFn        event.Func // c.evaluate, bound once
+	eval          event.Timer // runs c.evaluate
 
 	// AutoPowerDown, when set, moves idle ranks into power-down after
 	// IdleThreshold cycles without traffic (the paper's low-power mode).
@@ -308,16 +334,20 @@ func NewChannel(eng *event.Engine, name string, org config.Org, tm config.Timing
 		IdleThreshold: 4 * int64(tm.TREFI) * r / 16,
 	}
 	c.stats.PerRank = make([]RankStats, ranksPerChannel)
-	c.bq = make([]bankList, ranksPerChannel*org.BanksPerRank)
-	c.readMask = make([]uint64, (len(c.bq)+63)/64)
+	nb := org.BanksPerRank
+	c.banks = make([]bank, ranksPerChannel*nb)
+	c.readMask = make([]uint64, (len(c.banks)+63)/64)
 	c.writeMask = make([]uint64, len(c.readMask))
-	c.evalFn = c.evaluate
+	c.eval = eng.NewTimer(c.evaluate)
 	for i := 0; i < ranksPerChannel; i++ {
 		rk := &rank{
 			idx:       i,
-			banks:     make([]bank, org.BanksPerRank),
+			banks:     c.banks[i*nb : (i+1)*nb],
 			poweredUp: true,
 			stats:     &c.stats.PerRank[i],
+		}
+		for j := range rk.banks {
+			rk.banks[j].rk = rk
 		}
 		rk.refreshFn = func(event.Time) { c.refresh(rk) }
 		c.ranks = append(c.ranks, rk)
@@ -369,13 +399,13 @@ func (c *Channel) Submit(co Coord, write bool, onComplete func(now event.Time)) 
 	*r = request{coord: co, write: write, onComplete: onComplete, arrive: int64(c.eng.Now()), id: c.nextID}
 	c.nextID++
 	idx := c.bankIdx(co)
-	bl := &c.bq[idx]
+	q := &c.banks[idx].q[class(write)]
+	q.reqs = append(q.reqs, r)
+	q.hit = staleHit
 	if write {
-		bl.writes = append(bl.writes, r)
 		c.writeMask[idx/64] |= 1 << (idx % 64)
 		c.nWrites++
 	} else {
-		bl.reads = append(bl.reads, r)
 		c.readMask[idx/64] |= 1 << (idx % 64)
 		c.nReads++
 	}
@@ -418,22 +448,16 @@ func (c *Channel) PowerDown(rankIdx int) {
 	rk.poweredUp = false
 }
 
-// kick schedules a scheduler evaluation no later than at. At most one
-// evaluation event is pending at a time: rescheduling earlier cancels the
-// superseded event (leaving it live would let stale evaluations multiply).
+// kick schedules a scheduler evaluation no later than at. The channel's
+// one timer holds it, so rescheduling earlier replaces the superseded
+// evaluation.
 func (c *Channel) kick(at int64) {
-	if at < int64(c.eng.Now()) {
-		at = int64(c.eng.Now())
+	at = max(at, int64(c.eng.Now()))
+	if c.evalScheduled && c.evalAt <= at {
+		return
 	}
-	if c.evalScheduled {
-		if c.evalAt <= at {
-			return
-		}
-		c.evalHandle.Cancel()
-	}
-	c.evalScheduled = true
-	c.evalAt = at
-	c.evalHandle = c.eng.Schedule(event.Time(at), c.evalFn)
+	c.evalScheduled, c.evalAt = true, at
+	c.eval.Reset(event.Time(at))
 }
 
 func (c *Channel) evaluate(at event.Time) {
@@ -492,9 +516,10 @@ const rowHitLookahead = 8
 // the earliest time one might become issuable.
 func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 	nextTry := farFuture
-	banks := len(c.ranks[0].banks)
+	cls := class(isWrite)
 
 	var bestHit, bestMiss *request
+	var hitBank, missBank *bank
 	var bestHitPos int
 	mask := c.readMask
 	if isWrite {
@@ -502,33 +527,20 @@ func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 	}
 	for w, word := range mask {
 		for ; word != 0; word &= word - 1 {
-			idx := w*64 + bits.TrailingZeros64(word)
-			list := c.bq[idx].reads
-			if isWrite {
-				list = c.bq[idx].writes
-			}
-			rk := c.ranks[idx/banks]
-			b := &rk.banks[idx%banks]
+			b := &c.banks[w*64+bits.TrailingZeros64(word)]
+			rk, q := b.rk, &b.q[cls]
 
 			if b.open {
-				// Look for the oldest request hitting the open row.
-				depth := len(list)
-				if depth > rowHitLookahead {
-					depth = rowHitLookahead
+				// The oldest request hitting the open row, if any.
+				if q.hit == staleHit {
+					q.hit = q.firstHit(b.row)
 				}
-				hitPos := -1
-				for i := 0; i < depth; i++ {
-					if list[i].coord.Row == b.row {
-						hitPos = i
-						break
-					}
-				}
-				if hitPos >= 0 {
+				if q.hit >= 0 {
 					ready := c.colReady(rk, b, isWrite)
 					if ready <= now {
-						r := list[hitPos]
+						r := q.reqs[q.hit]
 						if bestHit == nil || r.id < bestHit.id {
-							bestHit, bestHitPos = r, hitPos
+							bestHit, hitBank, bestHitPos = r, b, int(q.hit)
 						}
 					} else if ready < nextTry {
 						nextTry = ready
@@ -537,11 +549,11 @@ func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 					continue
 				}
 				// Row conflict: precharge for the oldest request.
-				ready := maxi64(b.nextPre, rk.wakeAt, rk.refreshEnd)
+				ready := max(b.nextPre, rk.wakeAt, rk.refreshEnd)
 				if ready <= now {
-					r := list[0]
+					r := q.reqs[0]
 					if bestMiss == nil || r.id < bestMiss.id {
-						bestMiss = r
+						bestMiss, missBank = r, b
 					}
 				} else if ready < nextTry {
 					nextTry = ready
@@ -549,11 +561,11 @@ func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 				continue
 			}
 			// Closed bank: activate for the oldest request.
-			ready := maxi64(b.nextAct, rk.fawReady(), rk.wakeAt, rk.refreshEnd)
+			ready := max(b.nextAct, rk.fawReady(), rk.wakeAt, rk.refreshEnd)
 			if ready <= now {
-				r := list[0]
+				r := q.reqs[0]
 				if bestMiss == nil || r.id < bestMiss.id {
-					bestMiss = r
+					bestMiss, missBank = r, b
 				}
 			} else if ready < nextTry {
 				nextTry = ready
@@ -562,21 +574,18 @@ func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 	}
 
 	if bestHit != nil {
-		rk := c.ranks[bestHit.coord.Rank]
-		b := &rk.banks[bestHit.coord.Bank]
 		c.removeAt(bestHit, bestHitPos)
-		c.issueColumn(now, bestHit, rk, b, !bestHit.opened)
+		c.issueColumn(now, bestHit, hitBank.rk, hitBank, !bestHit.opened)
 		c.free = append(c.free, bestHit)
 		return true, 0
 	}
 	if bestMiss != nil {
-		rk := c.ranks[bestMiss.coord.Rank]
-		b := &rk.banks[bestMiss.coord.Bank]
+		b := missBank
 		if b.open {
-			c.issuePrecharge(now, rk, b)
+			c.issuePrecharge(now, b.rk, b)
 		} else {
 			bestMiss.opened = true
-			c.issueActivate(now, bestMiss, rk, b)
+			c.issueActivate(now, bestMiss, b.rk, b)
 		}
 		return true, 0
 	}
@@ -587,14 +596,15 @@ func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 // the slot the shift vacates and, when the FIFO empties, the bank's mask bit.
 func (c *Channel) removeAt(r *request, pos int) {
 	idx := c.bankIdx(r.coord)
-	list, mask, n := &c.bq[idx].reads, c.readMask, &c.nReads
+	q, mask, n := &c.banks[idx].q[class(r.write)], c.readMask, &c.nReads
 	if r.write {
-		list, mask, n = &c.bq[idx].writes, c.writeMask, &c.nWrites
+		mask, n = c.writeMask, &c.nWrites
 	}
-	last := len(*list) - 1
-	copy((*list)[pos:], (*list)[pos+1:])
-	(*list)[last] = nil
-	*list = (*list)[:last]
+	last := len(q.reqs) - 1
+	copy(q.reqs[pos:], q.reqs[pos+1:])
+	q.reqs[last] = nil
+	q.reqs = q.reqs[:last]
+	q.hit = staleHit
 	if last == 0 {
 		mask[idx/64] &^= 1 << (idx % 64)
 	}
@@ -606,17 +616,17 @@ func (c *Channel) removeAt(r *request, pos int) {
 
 func (c *Channel) colReady(rk *rank, b *bank, isWrite bool) int64 {
 	if isWrite {
-		ready := maxi64(b.nextWrite, c.nextWriteCh, rk.wakeAt, rk.refreshEnd)
+		ready := max(b.nextWrite, c.nextWriteCh, rk.wakeAt, rk.refreshEnd)
 		// Data bus: burst starts tCWL after the command.
 		busNeed := c.dataBusFree - c.tCWL
-		return maxi64(ready, busNeed)
+		return max(ready, busNeed)
 	}
-	ready := maxi64(b.nextRead, rk.nextRead, rk.wakeAt, rk.refreshEnd)
+	ready := max(b.nextRead, rk.nextRead, rk.wakeAt, rk.refreshEnd)
 	busNeed := c.dataBusFree - c.tCL
-	if c.dataBusRank >= 0 && c.ranks[c.dataBusRank] != rk {
+	if c.dataBusRank >= 0 && c.dataBusRank != rk.idx {
 		busNeed += c.tRTRS
 	}
-	return maxi64(ready, busNeed)
+	return max(ready, busNeed)
 }
 
 func (c *Channel) issueColumn(now int64, r *request, rk *rank, b *bank, hit bool) {
@@ -629,56 +639,45 @@ func (c *Channel) issueColumn(now int64, r *request, rk *rank, b *bank, hit bool
 		}
 		c.Observer(event.Time(now), k, r.coord)
 	}
+	var end int64
 	if r.write {
-		end := now + c.tCWL + c.tBURST
-		c.dataBusFree = end
-		c.dataBusRank = rankIdx
-		b.nextWrite = maxi64(b.nextWrite, now+c.tCCD)
-		rk.nextRead = maxi64(rk.nextRead, end+c.tWTR)
-		b.nextPre = maxi64(b.nextPre, end+c.tWR)
+		end = now + c.tCWL + c.tBURST
+		b.nextWrite = max(b.nextWrite, now+c.tCCD)
+		rk.nextRead = max(rk.nextRead, end+c.tWTR)
+		b.nextPre = max(b.nextPre, end+c.tWR)
 		c.stats.Writes++
 		c.stats.BytesWrite += uint64(c.lineBytes)
 		rk.stats.Writes++
-		if hit {
-			c.stats.RowHits++
-			rk.stats.RowHits++
-		}
 		if c.tm != nil {
 			c.tm.writes.Inc()
 			c.tm.rankWrites[rankIdx].Inc()
-			if hit {
-				c.tm.rowHits.Inc()
-				c.tm.rankRowHits[rankIdx].Inc()
-			}
 		}
-		c.complete(r, end)
 	} else {
-		end := now + c.tCL + c.tBURST
-		c.dataBusFree = end
-		c.dataBusRank = rankIdx
-		b.nextRead = maxi64(b.nextRead, now+c.tCCD)
+		end = now + c.tCL + c.tBURST
+		b.nextRead = max(b.nextRead, now+c.tCCD)
 		// Read-to-write bus turnaround, channel-wide.
-		c.nextWriteCh = maxi64(c.nextWriteCh, end+c.tRTRS-c.tCWL)
-		b.nextPre = maxi64(b.nextPre, now+c.tRTP)
+		c.nextWriteCh = max(c.nextWriteCh, end+c.tRTRS-c.tCWL)
+		b.nextPre = max(b.nextPre, now+c.tRTP)
 		c.stats.Reads++
 		c.stats.BytesRead += uint64(c.lineBytes)
 		rk.stats.Reads++
-		if hit {
-			c.stats.RowHits++
-			rk.stats.RowHits++
-		}
 		c.stats.ReadLatency += uint64(end - r.arrive)
 		if c.tm != nil {
 			c.tm.reads.Inc()
 			c.tm.rankReads[rankIdx].Inc()
-			if hit {
-				c.tm.rowHits.Inc()
-				c.tm.rankRowHits[rankIdx].Inc()
-			}
 			c.tm.readLatency.Add(uint64(end - r.arrive))
 		}
-		c.complete(r, end)
 	}
+	c.dataBusFree, c.dataBusRank = end, rankIdx
+	if hit {
+		c.stats.RowHits++
+		rk.stats.RowHits++
+		if c.tm != nil {
+			c.tm.rowHits.Inc()
+			c.tm.rankRowHits[rankIdx].Inc()
+		}
+	}
+	c.complete(r, end)
 	rk.lastUse = now
 }
 
@@ -700,15 +699,16 @@ func (c *Channel) issueActivate(now int64, r *request, rk *rank, b *bank) {
 	}
 	b.open = true
 	b.row = r.coord.Row
+	b.q[0].hit, b.q[1].hit = staleHit, staleHit
 	rk.openBanks++
 	b.nextRead = now + c.tRCD
 	b.nextWrite = now + c.tRCD
-	b.nextPre = maxi64(b.nextPre, now+c.tRAS)
+	b.nextPre = max(b.nextPre, now+c.tRAS)
 	b.nextAct = now + c.tRC
 	for i := range rk.banks {
 		ob := &rk.banks[i]
 		if ob != b {
-			ob.nextAct = maxi64(ob.nextAct, now+c.tRRD)
+			ob.nextAct = max(ob.nextAct, now+c.tRRD)
 		}
 	}
 	rk.pushAct(now, c.tFAW)
@@ -728,7 +728,7 @@ func (c *Channel) issuePrecharge(now int64, rk *rank, b *bank) {
 	if rk.openBanks == 0 {
 		rk.accrue(now)
 	}
-	b.nextAct = maxi64(b.nextAct, now+c.tRP)
+	b.nextAct = max(b.nextAct, now+c.tRP)
 	c.stats.Precharges++
 	if c.tm != nil {
 		c.tm.precharges.Inc()
@@ -744,21 +744,11 @@ func (c *Channel) scheduleRefresh(rk *rank, at int64) {
 func (c *Channel) refresh(rk *rank) {
 	now := int64(c.eng.Now())
 	// All banks must be precharged; compute when that can happen.
-	start := now
+	start, closedAny := now, false
 	for i := range rk.banks {
-		b := &rk.banks[i]
-		if b.open {
-			if b.nextPre > start {
-				start = b.nextPre
-			}
-		}
-	}
-	closedAny := false
-	for i := range rk.banks {
-		b := &rk.banks[i]
-		if b.open {
-			b.open = false
-			closedAny = true
+		if b := &rk.banks[i]; b.open {
+			start = max(start, b.nextPre)
+			b.open, closedAny = false, true
 		}
 	}
 	if closedAny {
@@ -766,16 +756,14 @@ func (c *Channel) refresh(rk *rank) {
 		rk.openBanks = 0
 		start += c.tRP
 	}
-	if !rk.poweredUp {
-		// Self-refresh semantics: refreshed in place, no state change.
-		rk.stats.Refreshes++
-	} else {
+	rk.stats.Refreshes++
+	// A powered-down rank self-refreshes in place, with no state change.
+	if rk.poweredUp {
 		rk.refreshEnd = start + c.tRFC
 		for i := range rk.banks {
 			b := &rk.banks[i]
-			b.nextAct = maxi64(b.nextAct, rk.refreshEnd)
+			b.nextAct = max(b.nextAct, rk.refreshEnd)
 		}
-		rk.stats.Refreshes++
 		c.stats.Refreshes++
 		if c.tm != nil {
 			c.tm.refreshes.Inc()
@@ -799,14 +787,4 @@ func (c *Channel) maybePowerDown(now int64) {
 			c.PowerDown(i)
 		}
 	}
-}
-
-func maxi64(vs ...int64) int64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

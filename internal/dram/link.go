@@ -53,10 +53,7 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // one command slot and still pay the response latency.
 func (l *Link) Transfer(bytes int, onDone func(now event.Time)) {
 	now := int64(l.eng.Now())
-	start := now
-	if l.busFree > start {
-		start = l.busFree
-	}
+	start := max(now, l.busFree)
 	occupancy := l.occupancy(bytes)
 	l.busFree = start + occupancy
 	end := start + occupancy + l.latency
@@ -73,10 +70,7 @@ func (l *Link) occupancy(bytes int) int64 {
 	if bytes <= 0 {
 		return l.tCmd
 	}
-	half := l.tBurst / 2
-	if half == 0 {
-		half = 1
-	}
+	half := max(l.tBurst/2, 1)
 	// Round up to half-burst (32 B) granularity.
 	halves := int64((bytes + 31) / 32)
 	return halves * half

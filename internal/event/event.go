@@ -8,19 +8,21 @@
 // among events scheduled for the same cycle so that simulations are fully
 // deterministic.
 //
-// The queue is a hand-rolled 4-ary min-heap: event dispatch is the hottest
-// loop in the simulator, and the flat heap with inlined comparisons is
-// substantially faster than container/heap's interface-based one.
+// The queue is a hand-rolled 4-ary min-heap of values: event dispatch is the
+// hottest loop in the simulator, and the flat heap with inlined comparisons
+// is substantially faster than container/heap's interface-based one.
 //
-// A warm engine allocates nothing. Heap items come from an engine-owned free
-// list and return to it the moment they are popped, fired or cancelled, so
-// an item is reused while handles to its earlier lives may still exist:
-// a Handle therefore carries the seq of the event it was issued for, and
-// Cancel through a handle whose seq the item no longer bears is a no-op.
-// There is one callback shape, Func, which receives the time the engine
-// already holds. A component whose completion callback wants the time (a
-// DRAM burst end, a link transfer's last beat) hands that callback to
-// Schedule as it is instead of wrapping it in a closure that captures it.
+// A component that keeps one wake-up pending and moves it (a DRAM channel's
+// scheduler) owns a Timer, which lives outside the heap: Reset replaces its
+// firing in place. Reset takes its sequence number from Schedule's counter,
+// and Step fires the earlier by (time, sequence) of the heap top and the
+// earliest armed timer, so a timer fires where an event scheduled at its
+// Reset would have.
+//
+// A warm engine allocates nothing. The one callback shape, Func, receives
+// the time the engine already holds, so a component whose callback wants it
+// (a DRAM burst end, a link transfer's last beat) hands that callback to
+// Schedule as it is instead of wrapping it in a closure.
 package event
 
 // Time is an absolute simulation time in cycles.
@@ -31,10 +33,9 @@ type Time uint64
 type Func func(now Time)
 
 type item struct {
-	at   Time
-	seq  uint64
-	fn   Func
-	dead bool
+	at  Time
+	seq uint64
+	fn  Func
 }
 
 // before reports heap ordering: earlier time first, FIFO within a cycle.
@@ -45,28 +46,45 @@ func (a *item) before(b *item) bool {
 	return a.seq < b.seq
 }
 
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct {
-	it  *item
-	seq uint64
+// disarmed is the seq of a timer with nothing pending (its time is the
+// largest): it orders after every event.
+const disarmed = ^uint64(0)
+
+// Timer is a re-armable wake-up owned by its engine: at most one firing is
+// pending, and Reset replaces it.
+type Timer struct {
+	e *Engine
+	i int // index in e.timers
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op, also when the engine has since reused
-// the event's item for a later one.
-func (h Handle) Cancel() {
-	if h.it != nil && h.it.seq == h.seq {
-		h.it.dead = true
+// NewTimer returns a disarmed timer that runs fn when it fires.
+func (e *Engine) NewTimer(fn Func) Timer {
+	e.timers = append(e.timers, item{at: ^Time(0), seq: disarmed, fn: fn})
+	e.soon = e.earliestTimer() // the append may have moved the table
+	return Timer{e, len(e.timers) - 1}
+}
+
+// Reset arms t to fire at at, replacing a pending firing. As with Schedule,
+// a time in the past fires at the current time.
+func (t Timer) Reset(at Time) {
+	e, it := t.e, &t.e.timers[t.i]
+	it.at, it.seq = max(at, e.now), e.seq
+	e.seq++
+	if e.soon == it {
+		e.soon = e.earliestTimer()
+	} else if it.before(e.soon) {
+		e.soon = it
 	}
 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is
 // ready to use at time 0.
 type Engine struct {
-	now  Time
-	seq  uint64
-	q    []*item
-	free []*item // popped items, reused by Schedule
+	now    Time
+	seq    uint64
+	q      []item
+	timers []item // one per Timer, the callback kept while disarmed
+	soon   *item  // the earliest of timers, armed or not; nil if none
 }
 
 // Now returns the current simulation time.
@@ -75,54 +93,36 @@ func (e *Engine) Now() Time { return e.now }
 // Schedule registers fn to run at absolute time at. Scheduling in the past
 // (at < Now) fires the event at the current time instead; this arises only
 // from zero-latency responses and keeps time monotonic.
-func (e *Engine) Schedule(at Time, fn Func) Handle {
-	if at < e.now {
-		at = e.now
-	}
-	var it *item
-	if n := len(e.free); n > 0 {
-		it, e.free = e.free[n-1], e.free[:n-1]
-	} else {
-		it = new(item)
-	}
-	*it = item{at: at, seq: e.seq, fn: fn}
+func (e *Engine) Schedule(at Time, fn Func) {
+	e.push(item{at: max(at, e.now), seq: e.seq, fn: fn})
 	e.seq++
-	e.push(it)
-	return Handle{it, it.seq}
 }
 
 // After registers fn to run delay cycles from now.
-func (e *Engine) After(delay Time, fn Func) Handle {
-	return e.Schedule(e.now+delay, fn)
+func (e *Engine) After(delay Time, fn Func) {
+	e.Schedule(e.now+delay, fn)
 }
 
-// Pending reports the number of live events in the queue.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, it := range e.q {
-		if !it.dead {
-			n++
-		}
-	}
-	return n
-}
+// Empty reports whether nothing remains to fire.
+func (e *Engine) Empty() bool { return e.next() == nil }
 
-// Empty reports whether no live events remain.
-func (e *Engine) Empty() bool { return e.Pending() == 0 }
-
-// Step executes the next event, advancing time to it. It reports whether an
-// event was executed (false means the queue was empty).
+// Step executes the next event or timer firing, advancing time to it. It
+// reports whether one was executed (false means nothing was pending).
 func (e *Engine) Step() bool {
-	for len(e.q) > 0 {
-		it := e.pop()
-		if it.dead {
-			continue
-		}
-		e.now = it.at
-		it.fn(e.now)
-		return true
+	it := e.next()
+	if it == nil {
+		return false
 	}
-	return false
+	at, fn := it.at, it.fn
+	if it == e.soon {
+		it.at, it.seq = ^Time(0), disarmed
+		e.soon = e.earliestTimer()
+	} else {
+		e.pop()
+	}
+	e.now = at
+	fn(at)
+	return true
 }
 
 // Run executes events until the queue drains.
@@ -135,16 +135,10 @@ func (e *Engine) Run() {
 // the deadline do fire. On return the clock reads deadline if the simulation
 // had not already passed it.
 func (e *Engine) RunUntil(deadline Time) {
-	for {
-		it := e.peek()
-		if it == nil || it.at > deadline {
-			break
-		}
+	for it := e.next(); it != nil && it.at <= deadline; it = e.next() {
 		e.Step()
 	}
-	if e.now < deadline {
-		e.now = deadline
-	}
+	e.now = max(e.now, deadline)
 }
 
 // RunWhile executes events while cond() returns true and events remain.
@@ -153,25 +147,37 @@ func (e *Engine) RunWhile(cond func() bool) {
 	}
 }
 
-func (e *Engine) peek() *item {
-	for len(e.q) > 0 {
-		if e.q[0].dead {
-			e.pop()
-			continue
-		}
-		return e.q[0]
+// next returns the earliest pending firing, the heap top or the earliest
+// armed timer, or nil.
+func (e *Engine) next() *item {
+	t := e.soon
+	if t != nil && t.seq == disarmed {
+		t = nil
 	}
-	return nil
+	if len(e.q) > 0 && (t == nil || e.q[0].before(t)) {
+		return &e.q[0]
+	}
+	return t
+}
+
+func (e *Engine) earliestTimer() *item {
+	var soon *item
+	for i := range e.timers {
+		if t := &e.timers[i]; soon == nil || t.before(soon) {
+			soon = t
+		}
+	}
+	return soon
 }
 
 // 4-ary min-heap primitives.
 
-func (e *Engine) push(it *item) {
+func (e *Engine) push(it item) {
 	q := append(e.q, it)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !q[i].before(q[parent]) {
+		if !q[i].before(&q[parent]) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -180,15 +186,12 @@ func (e *Engine) push(it *item) {
 	e.q = q
 }
 
-// pop removes the earliest item and puts it on the free list; the caller
-// reads it before anything schedules again.
-func (e *Engine) pop() *item {
+// pop removes the earliest item.
+func (e *Engine) pop() {
 	q := e.q
-	top := q[0]
-	e.free = append(e.free, top)
 	last := len(q) - 1
 	q[0] = q[last]
-	q[last] = nil
+	q[last] = item{}
 	q = q[:last]
 	e.q = q
 	n := len(q)
@@ -198,21 +201,17 @@ func (e *Engine) pop() *item {
 		if first >= n {
 			break
 		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		least := first
+		end := min(first+4, n)
 		for c := first + 1; c < end; c++ {
-			if q[c].before(q[min]) {
-				min = c
+			if q[c].before(&q[least]) {
+				least = c
 			}
 		}
-		if !q[min].before(q[i]) {
+		if !q[least].before(&q[i]) {
 			break
 		}
-		q[i], q[min] = q[min], q[i]
-		i = min
+		q[i], q[least] = q[least], q[i]
+		i = least
 	}
-	return top
 }

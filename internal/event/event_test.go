@@ -91,32 +91,25 @@ func TestAfter(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
+// A disarmed timer is not pending; an armed one is, alone or beside events,
+// and it fires once however often it was re-armed.
+func TestEmptyCountsArmedTimers(t *testing.T) {
 	var e Engine
-	ran := false
-	h := e.Schedule(5, func(Time) { ran = true })
-	h.Cancel()
-	e.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
+	n := 0
+	tm := e.NewTimer(func(Time) { n++ })
+	if !e.Empty() || e.Step() {
+		t.Fatal("an engine with only a disarmed timer is not empty")
 	}
-	// Double-cancel and cancel-after-run must be no-ops.
-	h.Cancel()
-	h2 := e.Schedule(6, func(Time) {})
-	e.Run()
-	h2.Cancel()
-}
-
-func TestPendingCountsLiveOnly(t *testing.T) {
-	var e Engine
-	h := e.Schedule(1, func(Time) {})
+	tm.Reset(5)
+	if e.Empty() {
+		t.Fatal("an armed timer does not count")
+	}
 	e.Schedule(2, func(Time) {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	h.Cancel()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", e.Pending())
+	tm.Reset(1)
+	tm.Reset(3)
+	e.Run()
+	if n != 1 || e.Now() != 3 || !e.Empty() {
+		t.Fatalf("timer fired %d times, now %d, empty %v; want 1, 3, true", n, e.Now(), e.Empty())
 	}
 }
 
@@ -175,51 +168,92 @@ func TestChainedScheduling(t *testing.T) {
 	}
 }
 
-// Property: for any tape of schedules, cancels (through live, fired and
-// stale handles alike) and steps, the engine fires exactly the events a
-// sorted-slice reference fires, in the same order and at the same times.
+// Property: for any tape of Schedule, After, Timer.Reset (earlier, later or
+// in the past, armed or not), Step and RunUntil calls on two timers and the
+// heap, the engine fires exactly what a reference fires, in the same order
+// and at the same times. The reference is the engine's contract written
+// plainly: every event and every Reset takes the next sequence number, a
+// Reset replaces its timer's pending firing, and the next firing is the
+// smallest (time, sequence) among the live ones.
 func TestPropertyOrdering(t *testing.T) {
 	type ref struct {
 		at   Time
+		seq  uint64
+		id   int
 		live bool
 	}
 	f := func(tape []uint16) bool {
 		var e Engine
-		var model []ref // in schedule order, so a strict < below is FIFO within a cycle
-		var handles []Handle
+		var model []*ref
+		var seq uint64
 		var fired, want []int
 		var now Time
-		stepRef := func() bool {
-			best := -1
-			for i, r := range model {
-				if r.live && (best < 0 || r.at < model[best].at) {
-					best = i
+		add := func(at Time, id int) *ref {
+			at = max(at, now)
+			r := &ref{at, seq, id, true}
+			seq++
+			model = append(model, r)
+			return r
+		}
+		next := func() *ref {
+			var best *ref
+			for _, r := range model {
+				if r.live && (best == nil || r.at < best.at || r.at == best.at && r.seq < best.seq) {
+					best = r
 				}
 			}
-			if best < 0 {
+			return best
+		}
+		stepRef := func() bool {
+			r := next()
+			if r == nil {
 				return false
 			}
-			model[best].live = false
-			now = model[best].at
-			want = append(want, best)
+			r.live = false
+			now = r.at
+			want = append(want, r.id)
 			return true
 		}
+		// Timer firings are recorded as -1 and -2.
+		var timers [2]Timer
+		var armed [2]*ref
+		for i := range timers {
+			id := -1 - i
+			timers[i] = e.NewTimer(func(Time) { fired = append(fired, id) })
+		}
 		for _, u := range tape {
-			switch arg := int(u >> 2); u % 4 {
+			switch arg := int(u >> 3); u % 8 {
 			case 0, 1:
-				id, at := len(model), Time(arg%97)
-				handles = append(handles, e.Schedule(at, func(Time) { fired = append(fired, id) }))
-				if at < now {
-					at = now
-				}
-				model = append(model, ref{at, true})
+				id := len(model)
+				e.Schedule(Time(arg%97), func(Time) { fired = append(fired, id) })
+				add(Time(arg%97), id)
 			case 2:
-				if len(handles) > 0 {
-					handles[arg%len(handles)].Cancel()
-					model[arg%len(handles)].live = false
+				id := len(model)
+				e.After(Time(arg%13), func(Time) { fired = append(fired, id) })
+				add(now+Time(arg%13), id)
+			case 3, 4:
+				// A Reset lands in the past, at now, or up to 60 later.
+				i, at := arg%2, now+Time(arg/2%64)
+				if at >= 4 {
+					at -= 4
 				}
-			case 3:
+				timers[i].Reset(at)
+				if armed[i] != nil {
+					armed[i].live = false
+				}
+				armed[i] = add(at, -1-i)
+			case 5, 6:
 				if e.Step() != stepRef() || e.Now() != now {
+					return false
+				}
+			case 7:
+				deadline := now + Time(arg%40)
+				e.RunUntil(deadline)
+				for r := next(); r != nil && r.at <= deadline; r = next() {
+					stepRef()
+				}
+				now = max(now, deadline)
+				if e.Now() != now {
 					return false
 				}
 			}
@@ -237,78 +271,31 @@ func TestPropertyOrdering(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// An item goes back to the free list when it is popped, so a handle can
-// outlive the event it names: cancelling through it must not touch the event
-// that now occupies the item.
-func TestCancelStaleHandle(t *testing.T) {
-	var e Engine
-	a := e.Schedule(1, func(Time) {})
-	e.Step()
-	ranB := false
-	b := e.Schedule(2, func(Time) { ranB = true })
-	if a.it != b.it {
-		t.Fatal("B did not take A's recycled item; the test no longer covers reuse")
-	}
-	a.Cancel()
-	a.Cancel()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after a stale cancel, want 1", e.Pending())
-	}
-	e.Run()
-	if !ranB {
-		t.Fatal("a stale handle cancelled the event that reused its item")
-	}
-
-	// A cancelled event's item is recycled when it is popped dead; its
-	// handle, and the fired B's, are then stale too.
-	c := e.Schedule(3, func(Time) { t.Error("cancelled event ran") })
-	c.Cancel()
-	e.Run()
-	ranD := false
-	d := e.Schedule(4, func(Time) { ranD = true })
-	c.Cancel()
-	b.Cancel()
-	e.Run()
-	d.Cancel()
-	if !ranD {
-		t.Fatal("cancelling a popped dead item's handle killed its successor")
-	}
-
-	// Items belong to one engine: equal seqs in two engines never meet.
-	var e1, e2 Engine
-	h1 := e1.Schedule(1, func(Time) {})
-	e1.Step()
-	ran2 := false
-	e2.Schedule(1, func(Time) { ran2 = true })
-	h1.Cancel()
-	e2.Run()
-	if !ran2 {
-		t.Fatal("a handle from one engine cancelled an event of another")
-	}
-}
-
-// A warm engine schedules and fires without allocating: the item comes from
-// the free list and the callback is passed as it is.
+// A warm engine schedules, re-arms a timer and fires without allocating: the
+// heap holds values, the timer lives outside it and the callback is passed
+// as it is.
 func TestScheduleStepZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
 	var e Engine
 	fn := func(Time) {}
+	tm := e.NewTimer(fn)
 	for i := 0; i < 64; i++ {
 		e.After(Time(i), fn)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		e.After(100, fn).Cancel()
+		tm.Reset(e.Now() + 100)
+		tm.Reset(e.Now() + 3)
 		e.After(7, fn)
 		e.Step()
 		e.Step()
 	}); avg != 0 {
-		t.Fatalf("Schedule + Step on a warm engine: %.1f allocs/op, want 0", avg)
+		t.Fatalf("Schedule + Timer.Reset + Step on a warm engine: %.1f allocs/op, want 0", avg)
 	}
 }
