@@ -8,9 +8,11 @@ import (
 )
 
 // A warm channel serves requests without allocating: the queued request
-// comes from the channel's free list, the event from the engine's, the
-// evaluate and refresh callbacks are bound once, and the completion callback
-// goes to the engine unwrapped. The run crosses several refresh intervals.
+// comes from the channel's free list, the scheduler's wake-up is a Timer
+// re-armed in place, completions and refreshes are values in the engine's
+// heap, the evaluate and refresh callbacks are bound once, and the
+// completion callback goes to the engine unwrapped. The run crosses several
+// refresh intervals.
 func TestChannelSteadyStateZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates")

@@ -90,20 +90,47 @@ func (s *Stats) AvgReadLatency() float64 {
 	return float64(s.ReadLatency) / float64(s.Reads)
 }
 
-// queue is one bank's FIFO of one class with the cached position of its
+// queue is one bank's FIFO of one class, buf[head:]. Removal shifts only
+// the requests ahead of the removed one (fewer than rowHitLookahead), and
+// push moves the FIFO to the front of buf when buf is full, so a warm queue
+// neither allocates nor moves its tail. hit caches the position of the
 // first request on the open row within rowHitLookahead: -1 for none,
-// staleHit until the scan recomputes it. Submit, removeAt and ACT, the only
+// staleHit until the scan recomputes it. push, remove and ACT, the only
 // steps that change the FIFO or the open row, make it stale; it is read
 // only while the bank is open.
 type queue struct {
-	reqs []*request
+	buf  []*request
+	head int
 	hit  int8
 }
 
 const staleHit = -2
 
+func (q *queue) reqs() []*request { return q.buf[q.head:] }
+
+func (q *queue) push(r *request) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, r)
+	q.hit = staleHit
+}
+
+func (q *queue) remove(pos int) {
+	reqs := q.reqs()
+	copy(reqs[1:pos+1], reqs[:pos])
+	reqs[0] = nil
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	q.hit = staleHit
+}
+
 func (q *queue) firstHit(row uint32) int8 {
-	for i, r := range q.reqs[:min(len(q.reqs), rowHitLookahead)] {
+	reqs := q.reqs()
+	for i, r := range reqs[:min(len(reqs), rowHitLookahead)] {
 		if r.coord.Row == row {
 			return int8(i)
 		}
@@ -400,8 +427,7 @@ func (c *Channel) Submit(co Coord, write bool, onComplete func(now event.Time)) 
 	c.nextID++
 	idx := c.bankIdx(co)
 	q := &c.banks[idx].q[class(write)]
-	q.reqs = append(q.reqs, r)
-	q.hit = staleHit
+	q.push(r)
 	if write {
 		c.writeMask[idx/64] |= 1 << (idx % 64)
 		c.nWrites++
@@ -538,7 +564,7 @@ func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 				if q.hit >= 0 {
 					ready := c.colReady(rk, b, isWrite)
 					if ready <= now {
-						r := q.reqs[q.hit]
+						r := q.reqs()[q.hit]
 						if bestHit == nil || r.id < bestHit.id {
 							bestHit, hitBank, bestHitPos = r, b, int(q.hit)
 						}
@@ -551,7 +577,7 @@ func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 				// Row conflict: precharge for the oldest request.
 				ready := max(b.nextPre, rk.wakeAt, rk.refreshEnd)
 				if ready <= now {
-					r := q.reqs[0]
+					r := q.buf[q.head]
 					if bestMiss == nil || r.id < bestMiss.id {
 						bestMiss, missBank = r, b
 					}
@@ -563,7 +589,7 @@ func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 			// Closed bank: activate for the oldest request.
 			ready := max(b.nextAct, rk.fawReady(), rk.wakeAt, rk.refreshEnd)
 			if ready <= now {
-				r := q.reqs[0]
+				r := q.buf[q.head]
 				if bestMiss == nil || r.id < bestMiss.id {
 					bestMiss, missBank = r, b
 				}
@@ -592,20 +618,16 @@ func (c *Channel) tryIssue(now int64, isWrite bool) (bool, int64) {
 	return false, nextTry
 }
 
-// removeAt removes a request from its bank FIFO at a known position, clears
-// the slot the shift vacates and, when the FIFO empties, the bank's mask bit.
+// removeAt removes a request from its bank FIFO at a known position and,
+// when the FIFO empties, clears the bank's mask bit.
 func (c *Channel) removeAt(r *request, pos int) {
 	idx := c.bankIdx(r.coord)
 	q, mask, n := &c.banks[idx].q[class(r.write)], c.readMask, &c.nReads
 	if r.write {
 		mask, n = c.writeMask, &c.nWrites
 	}
-	last := len(q.reqs) - 1
-	copy(q.reqs[pos:], q.reqs[pos+1:])
-	q.reqs[last] = nil
-	q.reqs = q.reqs[:last]
-	q.hit = staleHit
-	if last == 0 {
+	q.remove(pos)
+	if len(q.reqs()) == 0 {
 		mask[idx/64] &^= 1 << (idx % 64)
 	}
 	*n--

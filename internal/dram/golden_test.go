@@ -139,7 +139,7 @@ func TestCommandStreamGolden(t *testing.T) {
 				put(1, i, uint64(now))
 				completed++
 			})
-			if d := len(ch.banks[ch.bankIdx(op.co)].q[0].reqs); d > deepest {
+			if d := len(ch.banks[ch.bankIdx(op.co)].q[0].reqs()); d > deepest {
 				deepest = d
 			}
 		}
