@@ -93,10 +93,13 @@ telemetry-smoke:
 # stood beside it (exit 1, "unknown experiment"), as serve-smoke pins
 # sdimm-serve -bench, so a half-removed experiment or flag cannot linger.
 # One tiny run of every paper table with telemetry on fails on a broken
-# table or a telemetry merge of mismatched runs.
+# table or a telemetry merge of mismatched runs. One round of
+# BenchmarkSimRound (the timed unit of sim-paper, which profile-sim
+# profiles) keeps that benchmark building and running.
 bench-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
 	$(GO) run ./cmd/sdimm-bench -workloads milc -warmup 20 -measure 40 -levels 16 -csv -snapshot >/dev/null
+	$(GO) test -run NONE -bench BenchmarkSimRound -benchtime 1x ./internal/experiments >/dev/null
 	! $(GO) run ./cmd/sdimm-bench -exp parbench
 	! $(GO) run ./cmd/sdimm-bench -exp recbench
 	! $(GO) run ./cmd/sdimm-bench -exp hotpath
@@ -122,8 +125,9 @@ blame:
 # none to a pipelined or a sequential access. One served round trip, client
 # and server in one process as the benchmark runs them, stays at 0 objects
 # for a write and 2 for a read (TestServeRoundTripAllocBudget).
-# The timing simulator has its own three: a warm event engine schedules and
-# fires at 0 allocs/op, a warm DRAM channel serves requests at 0, and a whole
+# The timing simulator has its own three: a warm event engine schedules,
+# re-arms a Timer and fires at 0 allocs/op (the heap holds values, timers
+# live outside it), a warm DRAM channel serves requests at 0, and a whole
 # sim.Run stays within its per-record budget for every protocol.
 # These run without -race on purpose — race instrumentation allocates, so the
 # gate tests skip themselves under it (see internal/raceflag).

@@ -263,6 +263,7 @@ func (r *run) topology(i int) error {
 		}
 		if !slices.Contains(r.c.Health().Failed(), member) {
 			r.c.FailShard(member)
+			sc.Witness.Failed(member)
 		}
 		if i >= joinAt {
 			return r.c.ReplaceMember(member)

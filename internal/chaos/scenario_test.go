@@ -329,12 +329,7 @@ func TestScenarioSample(t *testing.T) {
 		}
 		literal := fmt.Sprintf("%#v", sc)
 		sc.Retry.Sleep = func(time.Duration) {}
-		// Not where a Split member is lost mid-run: the witness's balance band
-		// flags the window in which a member's traffic stops early (its share
-		// falls below a quarter of the fair one), though the loss is public.
-		if !sc.Split || !sc.Resize && sc.FailShardAt == 0 {
-			sc.Witness = witness.New(witness.Options{Members: p.members(), Window: 512})
-		}
+		sc.Witness = witness.New(witness.Options{Members: p.members(), Window: 512})
 		res, err := Run(sc)
 		if err != nil || !res.Green() {
 			t.Errorf("sample %d red (err %v):\n%sreproduce with the row %s", i, err, res, literal)

@@ -11,7 +11,9 @@
 //   - Traffic balance: over a sliding window of frames, every member that
 //     is receiving traffic at all must hold a share of it within a fixed
 //     band around 1/members. Members with zero traffic in a window are
-//     exempt — a failed or removed member is publicly observable anyway.
+//     exempt — a failed or removed member is publicly observable anyway —
+//     and so is a member the caller reported Failed, from the window in
+//     which it stopped on.
 //
 // Violations surface as telemetry counters (witness.violations{kind=...})
 // and an HTTP verdict handler, turning the attacker tests into a production
@@ -79,6 +81,7 @@ type Monitor struct {
 	shapes   [][2][]int // learned frame lengths per member × direction
 	seen     [][2]int   // calibration frames consumed per member × direction
 	winCount []uint64   // frames per member in the current window
+	failed   []bool     // members reported Failed: out of the band
 	winTotal int
 	frames   uint64
 	windows  uint64
@@ -99,6 +102,7 @@ func New(opt Options) *Monitor {
 		shapes:   make([][2][]int, opt.Members),
 		seen:     make([][2]int, opt.Members),
 		winCount: make([]uint64, opt.Members),
+		failed:   make([]bool, opt.Members),
 		cFrames:  opt.Registry.Counter("witness.frames"),
 		cShape:   opt.Registry.Counter("witness.violations", "kind", "shape"),
 		cBalance: opt.Registry.Counter("witness.violations", "kind", "balance"),
@@ -166,23 +170,37 @@ func (m *Monitor) Tap(sd int, dir fault.Direction, attempt int, frame []byte) {
 	}
 }
 
+// Failed reports that member sd fail-stopped. A fail-stop is public, so
+// the member leaves the balance band from the current window on: the
+// window in which its traffic stopped early is not held against it.
+func (m *Monitor) Failed(sd int) {
+	if m == nil || sd < 0 || sd >= m.opt.Members {
+		return
+	}
+	m.mu.Lock()
+	m.failed[sd] = true
+	m.mu.Unlock()
+}
+
 // checkWindowLocked applies the balance band to the completed window and
 // resets it. The band is deliberately loose — [1/4, 4]× the fair share of
 // the live members — because legitimate skew exists (the ACCESS leg lands
-// only on the owning member, fault retries add frames to one link, and a
-// member can fail mid-window), while a drained-by-silencing member or a
-// hot-spotted channel blows far past 4×.
+// only on the owning member, fault retries add frames to one link), while
+// a drained-by-silencing member or a hot-spotted channel blows far past 4×.
+// Members with no traffic and members reported Failed are not live: they
+// count neither in the band nor in the fair share.
 func (m *Monitor) checkWindowLocked() {
-	live := 0
-	for _, n := range m.winCount {
-		if n > 0 {
+	live, total := 0, uint64(0)
+	for sd, n := range m.winCount {
+		if n > 0 && !m.failed[sd] {
 			live++
+			total += n
 		}
 	}
 	if live > 0 {
-		fair := float64(m.winTotal) / float64(live)
-		for _, n := range m.winCount {
-			if n == 0 {
+		fair := float64(total) / float64(live)
+		for sd, n := range m.winCount {
+			if n == 0 || m.failed[sd] {
 				continue
 			}
 			share := float64(n)

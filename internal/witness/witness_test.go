@@ -112,6 +112,51 @@ func TestZeroTrafficMemberExempt(t *testing.T) {
 	}
 }
 
+// A member that fail-stops early in a window falls under the band; once the
+// caller reports it Failed it is out of the band from that window on, while
+// a silenced survivor still trips it.
+func TestFailedMemberLeavesBand(t *testing.T) {
+	stopEarly := func(m *Monitor, failAfter bool) {
+		// Window 1: member 3 carries 5 of its ~25 frames, then stops.
+		for i := 0; i < 20; i++ {
+			m.Tap(i%4, fault.HostToDev, 0, frame(64))
+		}
+		if failAfter {
+			m.Failed(3)
+		}
+		for i := 0; i < 80; i++ {
+			m.Tap(i%3, fault.HostToDev, 0, frame(64))
+		}
+	}
+	m := New(Options{Members: 4, Window: 100})
+	stopEarly(m, false)
+	if v := m.Verdict(); v.BalanceViolations != 1 {
+		t.Fatalf("unreported early stop: %+v, want 1 balance violation", v)
+	}
+
+	m = New(Options{Members: 4, Window: 100})
+	stopEarly(m, true)
+	if v := m.Verdict(); !v.OK || v.Windows != 1 {
+		t.Fatalf("reported fail-stop flagged: %+v", v)
+	}
+	// Later windows leave member 3 out even if it carries traffic again, and
+	// still hold the survivors to the band: member 2 silenced to 2 frames.
+	for i := 0; i < 30; i++ {
+		m.Tap(3, fault.HostToDev, 0, frame(64))
+	}
+	for i := 0; i < 68; i++ {
+		m.Tap(i%2, fault.HostToDev, 0, frame(64))
+	}
+	m.Tap(2, fault.HostToDev, 0, frame(64))
+	m.Tap(2, fault.HostToDev, 0, frame(64))
+	if v := m.Verdict(); v.Windows != 2 || v.BalanceViolations != 1 {
+		t.Fatalf("second window: %+v, want member 2 alone flagged", v)
+	}
+	m.Failed(-1)
+	m.Failed(4)
+	(*Monitor)(nil).Failed(0)
+}
+
 func TestNilAndOutOfRange(t *testing.T) {
 	var m *Monitor
 	m.Tap(0, fault.HostToDev, 0, frame(64)) // must not panic
